@@ -5,13 +5,16 @@
 //! Otherwise, we compute and store \[it\] to share." The cache key is the
 //! *closure body* `R` (canonicalized), not the closure itself — `R+` and
 //! `R*` share one entry, which is how Example 7's `(a·b)*` reuses the RTC
-//! computed for `a·(a·b)+·b`.
+//! computed for `a·(a·b)+·b`. RTCSharing and FullSharing run that one
+//! step over the same entries, lookup, insert and eviction; they differ
+//! only in which [`Shared`] structure an entry holds, and each
+//! [`SharingKind`] has its own key namespace.
 //!
 //! For dynamic graphs every entry additionally records the **epoch** it
 //! was built at and the base relation `R_G` it was built from. The cache
 //! itself tracks the graph's current epoch (advanced by
 //! `Engine::apply_delta`); a lookup whose entry is older than the current
-//! epoch returns [`RtcLookup::Stale`] — handing the caller everything
+//! epoch returns [`Lookup::Stale`] — handing the caller everything
 //! needed to refresh *incrementally* (diff the base relations, feed the
 //! delta to [`DynamicRtc`]) instead of silently serving a closure of a
 //! graph that no longer exists.
@@ -19,18 +22,27 @@
 //! ## Concurrency
 //!
 //! Every method takes `&self`: the interior is **sharded** — entries live
-//! in `SHARD_COUNT` (8) hash maps, each behind its own `RwLock`, selected
-//! by the key's hash — and the hit/miss/stale counters and the epoch are
-//! atomics. N threads evaluating disjoint closure bodies therefore insert
-//! and look up without contending on one lock, and a fresh-entry hit only
-//! ever takes a shard *read* lock, so the serving front-end's concurrent
-//! `query` connections all read one cache simultaneously. Two threads
-//! racing to fill the same miss both compute and insert; the structures
-//! are deterministic per `(key, epoch)`, so whichever insert lands last is
-//! immaterial. A stale entry is claimed (removed) under the shard write
-//! lock, so exactly one racer receives the refreshable state — the others
+//! in `SHARD_COUNT` (8) shards of one hash map per kind, each map behind
+//! its own `RwLock`, selected by the key's hash — and the hit/miss/stale
+//! counters and the epoch are atomics. N threads evaluating disjoint
+//! closure bodies therefore insert and look up without contending on one
+//! lock, and a fresh-entry hit only ever takes a shard *read* lock, so the
+//! serving front-end's concurrent `query` connections all read one cache
+//! simultaneously. Two threads racing to fill the same miss both compute
+//! and insert; the structures are deterministic per `(key, epoch)`, so
+//! whichever insert lands last is immaterial.
+//!
+//! The kinds differ in one step. A stale RTC is **claimed** — removed
+//! under the shard write lock (re-checked after the upgrade) and handed
+//! to the caller by value, to refresh and re-insert at the current epoch:
+//! the ownership transfer lets the refresh mutate the maintainable
+//! structure in place (`Arc::try_unwrap` succeeds) instead of deep-cloning
+//! it, and exactly one racer receives the refreshable state — the others
 //! see a plain miss and rebuild from scratch, which is correct, just not
-//! incremental.
+//! incremental. A stale full closure is handed out shared and stays
+//! cached: `FullTc` has no in-place maintenance, so there is nothing to
+//! mutate and concurrent refreshers can all rebuild from the same stale
+//! base.
 //!
 //! ## Budgets and eviction
 //!
@@ -63,6 +75,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Duration;
 
 /// Number of independent lock-protected map shards. A small power of two:
 /// enough to keep a handful of serving threads off each other's locks,
@@ -207,7 +220,7 @@ pub struct EpochPin {
 impl EpochPin {
     /// Pins `epoch` in `cache` until the returned guard drops.
     pub fn new(cache: Arc<SharedCache>, epoch: u64) -> Self {
-        cache.pin_epoch(epoch);
+        *lock(&cache.pinned).entry(epoch).or_insert(0) += 1;
         Self { cache, epoch }
     }
 
@@ -219,8 +232,20 @@ impl EpochPin {
 
 impl Drop for EpochPin {
     fn drop(&mut self) {
-        self.cache.unpin_epoch(self.epoch);
+        let mut pinned = lock(&self.cache.pinned);
+        if let Some(count) = pinned.get_mut(&self.epoch) {
+            *count -= 1;
+            if *count == 0 {
+                pinned.remove(&self.epoch);
+            }
+        }
     }
+}
+/// The eviction score every retention decision ranks by — this cache, the
+/// [`crate::ResultCache`] and the snapshot trim: nanos of rebuild work
+/// bought per retained byte. Lowest goes first.
+pub(crate) fn score(build_nanos: u64, bytes: usize) -> f64 {
+    build_nanos as f64 / bytes.max(1) as f64
 }
 
 /// Per-entry retention metadata: everything eviction scores on.
@@ -239,13 +264,7 @@ struct EntryMeta {
 }
 
 impl EntryMeta {
-    /// Eviction score: nanos of rebuild work bought per retained byte.
-    /// Lowest goes first.
-    fn score(&self) -> f64 {
-        self.build_nanos as f64 / self.bytes.max(1) as f64
-    }
-
-    /// The score's power-of-8 bucket, used for victim comparison.
+    /// The [`score`]'s power-of-8 bucket, used for victim comparison.
     /// Build times are measured wall-clock and jitter between runs, so
     /// comparing raw float scores never produces the tie the recency
     /// rule needs — a hot entry whose build happened to measure fast
@@ -254,101 +273,121 @@ impl EntryMeta {
     /// tie, and recency picks among them. Unmeasured entries (cost 0)
     /// sort below every bucket and go first.
     fn score_class(&self) -> i32 {
-        let score = self.score();
-        if score <= 0.0 {
+        let density = score(self.build_nanos, self.bytes);
+        if density <= 0.0 {
             return i32::MIN;
         }
-        (score.log2() / 3.0).floor() as i32
+        (density.log2() / 3.0).floor() as i32
     }
 }
 
-impl Clone for EntryMeta {
-    fn clone(&self) -> Self {
-        Self {
-            bytes: self.bytes,
-            build_nanos: self.build_nanos,
-            last_hit: AtomicU64::new(self.last_hit.load(Ordering::Relaxed)),
+/// Which shared structure an entry holds — the one axis RTCSharing and
+/// FullSharing differ on. The discriminant indexes the kind's map within
+/// a shard, which keeps the two key namespaces independent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SharingKind {
+    /// A reduced transitive closure ([`Rtc`]).
+    Rtc = 0,
+    /// A materialized `R⁺_G` ([`FullTc`]).
+    Full = 1,
+}
+
+const KINDS: [SharingKind; 2] = [SharingKind::Rtc, SharingKind::Full];
+
+/// A shared structure as the cache stores it: what Algorithm 1 lines 9–11
+/// look up, compute and store for a closure body `R`.
+#[derive(Clone)]
+pub enum Shared {
+    /// RTCSharing's reduced closure, with its maintainable form once a
+    /// refresh has materialized one.
+    Rtc(Arc<Rtc>, Option<Arc<DynamicRtc>>),
+    /// FullSharing's materialized `R⁺_G`.
+    Full(Arc<FullTc>),
+}
+
+impl Shared {
+    fn kind(&self) -> SharingKind {
+        match self {
+            Shared::Rtc(..) => SharingKind::Rtc,
+            Shared::Full(_) => SharingKind::Full,
+        }
+    }
+
+    /// Heap bytes of the structure's closure rows.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Shared::Rtc(rtc, _) => rtc.closure_heap_bytes(),
+            Shared::Full(full) => full.heap_bytes(),
+        }
+    }
+
+    /// The handle a reader evaluates with. The maintainable form stays
+    /// behind, solely owned by the cache entry, so the refresh that
+    /// eventually claims the entry can still mutate it in place.
+    pub(crate) fn reader(&self) -> Shared {
+        match self {
+            Shared::Rtc(rtc, _) => Shared::Rtc(Arc::clone(rtc), None),
+            full => full.clone(),
         }
     }
 }
 
-/// A cached RTC with its provenance.
-#[derive(Clone)]
-struct RtcEntry {
-    rtc: Arc<Rtc>,
+/// A cached structure with its provenance.
+struct Entry {
+    shared: Shared,
     /// The `R_G` the structure was built from (diff base for refreshes);
-    /// `None` when the entry was stored without one (legacy path) — such
-    /// an entry can only be refreshed by rebuild.
-    r_g: Option<Arc<PairSet>>,
-    /// The maintainable form, once a refresh has materialized it.
-    dynamic: Option<Arc<DynamicRtc>>,
-    epoch: u64,
-    meta: EntryMeta,
-}
-
-/// A cached full closure with its provenance.
-#[derive(Clone)]
-struct FullEntry {
-    full: Arc<FullTc>,
+    /// `None` when the entry was stored without one — such an entry can
+    /// only be refreshed by rebuild.
     r_g: Option<Arc<PairSet>>,
     epoch: u64,
     meta: EntryMeta,
 }
 
-/// Result of an epoch-aware RTC lookup.
-pub enum RtcLookup {
-    /// A structure built at the current epoch.
-    Fresh(Arc<Rtc>),
-    /// A structure from an older epoch, with the state needed to refresh.
-    Stale(StaleRtc),
+/// Result of the epoch-aware [`SharedCache::lookup`].
+pub enum Lookup {
+    /// A structure built at the looked-up epoch.
+    Fresh(Shared),
+    /// A structure from an older epoch (still correct for the epoch it
+    /// was built at), with the state needed to refresh it.
+    Stale {
+        /// The stale structure, with its maintainable form if an earlier
+        /// refresh already built one.
+        shared: Shared,
+        /// The base relation it was built from, if recorded.
+        r_g: Option<Arc<PairSet>>,
+    },
     /// No entry under this key.
     Miss,
 }
 
-/// The refreshable state of a stale RTC entry.
-pub struct StaleRtc {
-    /// The stale structure (still correct for the epoch it was built at).
-    pub rtc: Arc<Rtc>,
+/// One fresh entry as [`SharedCache::fresh_entries`] reports it.
+pub struct FreshEntry {
+    /// The canonical closure body the structure is cached under.
+    pub key: String,
+    /// The structure (never carrying a maintainable form).
+    pub shared: Shared,
     /// The base relation it was built from, if recorded.
     pub r_g: Option<Arc<PairSet>>,
-    /// The maintainable form, if an earlier refresh already built one.
-    pub dynamic: Option<Arc<DynamicRtc>>,
+    /// Its cost-to-rebuild.
+    pub build_nanos: u64,
+    /// Its retained heap bytes (structure plus base relation).
+    pub bytes: usize,
 }
 
-/// Result of an epoch-aware full-closure lookup.
-pub enum FullLookup {
-    /// A structure built at the current epoch.
-    Fresh(Arc<FullTc>),
-    /// A structure from an older epoch with its base relation.
-    Stale(StaleFull),
-    /// No entry under this key.
-    Miss,
-}
+type Map = FxHashMap<String, Entry>;
 
-/// The refreshable state of a stale full-closure entry.
-pub struct StaleFull {
-    /// The stale structure.
-    pub full: Arc<FullTc>,
-    /// The base relation it was built from, if recorded.
-    pub r_g: Option<Arc<PairSet>>,
-}
-
-/// One lock-protected shard of the cache interior.
-#[derive(Default)]
-struct Shard {
-    rtcs: RwLock<FxHashMap<String, RtcEntry>>,
-    fulls: RwLock<FxHashMap<String, FullEntry>>,
-}
+/// One shard of the cache interior: a lock-protected map per
+/// [`SharingKind`].
+type Shard = [RwLock<Map>; 2];
 
 /// Cache of shared structures keyed by the canonical form of `R`.
 ///
-/// Structures are held behind [`Arc`], so a `clone()` of the cache is a
-/// cheap snapshot sharing the underlying RTCs/closures. All methods take
-/// `&self` (sharded lock-protected maps, atomic counters — see the module
-/// docs), so one cache can be read and filled by any number of threads at
-/// once: this is what lets the engine evaluate queries under a shared
-/// reference and the TCP front-end serve concurrent clients from one
-/// epoch-aware cache.
+/// Structures are held behind [`Arc`] and all methods take `&self`
+/// (sharded lock-protected maps, atomic counters — see the module docs),
+/// so one cache can be read and filled by any number of threads at once:
+/// this is what lets the engine evaluate queries under a shared reference
+/// and the TCP front-end serve concurrent clients from one epoch-aware
+/// cache.
 #[derive(Default)]
 pub struct SharedCache {
     shards: [Shard; SHARD_COUNT],
@@ -374,44 +413,9 @@ pub struct SharedCache {
     rebuilds_after_evict: AtomicU64,
     /// Epoch → number of live [`EpochPin`] guards.
     pinned: Mutex<FxHashMap<u64, usize>>,
-    /// Keys evicted under budget pressure (namespace-prefixed), consumed
-    /// by the first subsequent miss to count a rebuild-after-evict.
-    evicted_keys: Mutex<FxHashSet<String>>,
-}
-
-impl Clone for SharedCache {
-    fn clone(&self) -> Self {
-        let clone = SharedCache::with_budget(self.budget);
-        for (mine, theirs) in clone.shards.iter().zip(&self.shards) {
-            *write(&mine.rtcs) = read(&theirs.rtcs).clone();
-            *write(&mine.fulls) = read(&theirs.fulls).clone();
-        }
-        clone.epoch.store(self.epoch(), Ordering::Relaxed);
-        clone.hits.store(self.hits(), Ordering::Relaxed);
-        clone.misses.store(self.misses(), Ordering::Relaxed);
-        clone.stale_hits.store(self.stale_hits(), Ordering::Relaxed);
-        clone
-            .tick
-            .store(self.tick.load(Ordering::Relaxed), Ordering::Relaxed);
-        clone
-            .occ_bytes
-            .store(self.occ_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-        clone
-            .occ_entries
-            .store(self.occ_entries.load(Ordering::Relaxed), Ordering::Relaxed);
-        let ev = self.eviction_counters();
-        clone.ev_bytes.store(ev.by_bytes, Ordering::Relaxed);
-        clone.ev_entries.store(ev.by_entries, Ordering::Relaxed);
-        clone.ev_ttl.store(ev.by_ttl, Ordering::Relaxed);
-        clone.ev_stale.store(ev.by_stale, Ordering::Relaxed);
-        clone
-            .rebuilds_after_evict
-            .store(ev.rebuilds_after_evict, Ordering::Relaxed);
-        *lock(&clone.evicted_keys) = lock(&self.evicted_keys).clone();
-        // Pins are deliberately not cloned: each EpochPin guard releases
-        // against the cache it was created on.
-        clone
-    }
+    /// Keys evicted under budget pressure, consumed by the first
+    /// subsequent miss to count a rebuild-after-evict.
+    evicted_keys: Mutex<FxHashSet<(SharingKind, String)>>,
 }
 
 /// Acquires a shard read lock, clearing poisoning: a panicked evaluation
@@ -450,9 +454,10 @@ impl SharedCache {
         self.budget
     }
 
-    fn shard(&self, key: &str) -> &Shard {
+    /// The map holding `key` in `kind`'s namespace.
+    fn map(&self, kind: SharingKind, key: &str) -> &RwLock<Map> {
         let hash = BuildHasherDefault::<rustc_hash::FxHasher>::default().hash_one(key);
-        &self.shards[(hash as usize) % SHARD_COUNT]
+        &self.shards[(hash as usize) % SHARD_COUNT][kind as usize]
     }
 
     /// The graph epoch this cache currently serves.
@@ -481,41 +486,26 @@ impl SharedCache {
     }
 
     /// Counts a miss, and a rebuild-after-evict when the key was
-    /// previously evicted under budget pressure (`ns` keeps the RTC and
-    /// full namespaces from colliding in the evicted-key set).
-    fn note_miss(&self, ns: char, key: &str) {
+    /// previously evicted under budget pressure.
+    fn note_miss(&self, kind: SharingKind, key: &str) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         if self.budget.is_unbounded() {
             return;
         }
         let mut evicted = lock(&self.evicted_keys);
-        if !evicted.is_empty() && evicted.remove(&format!("{ns}:{key}")) {
+        if !evicted.is_empty() && evicted.remove(&(kind, key.to_owned())) {
             self.rebuilds_after_evict.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Records `key` as budget-evicted so its next miss counts as a
     /// rebuild. The set is accounting state only and bounded.
-    fn remember_evicted(&self, ns: char, key: &str) {
+    fn remember_evicted(&self, kind: SharingKind, key: &str) {
         let mut evicted = lock(&self.evicted_keys);
         if evicted.len() >= EVICTED_KEYS_CAP {
             evicted.clear();
         }
-        evicted.insert(format!("{ns}:{key}"));
-    }
-
-    /// Occupancy bookkeeping for an insert that replaced `replaced`.
-    fn note_insert(&self, added_bytes: usize, replaced: Option<&EntryMeta>) {
-        self.occ_bytes
-            .fetch_add(added_bytes as u64, Ordering::AcqRel);
-        match replaced {
-            Some(old) => {
-                self.occ_bytes.fetch_sub(old.bytes as u64, Ordering::AcqRel);
-            }
-            None => {
-                self.occ_entries.fetch_add(1, Ordering::AcqRel);
-            }
-        }
+        evicted.insert((kind, key.to_owned()));
     }
 
     /// Occupancy bookkeeping for a removal (claim, eviction, sweep).
@@ -525,55 +515,49 @@ impl SharedCache {
         self.occ_entries.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Epoch-aware RTC lookup. Counts a hit for [`RtcLookup::Fresh`], a
-    /// stale hit for [`RtcLookup::Stale`] and a miss otherwise.
+    /// The epoch-aware lookup (Algorithm 1 line 9), pinned to an explicit
+    /// `epoch` — the live one on the engine's own path, an older one for
+    /// an [`crate::EpochView`] reader. Counts a hit for `Fresh`, a stale
+    /// hit for `Stale` and a miss otherwise.
     ///
-    /// A fresh hit only takes the shard **read** lock, so concurrent
-    /// lookups of warm entries never serialize. A stale entry is
-    /// **removed** from the cache (under the shard write lock, re-checked
-    /// after the upgrade) and handed to the caller by value: the caller is
-    /// expected to refresh it and re-insert at the current epoch, and the
-    /// ownership transfer lets the refresh mutate the maintainable
-    /// structure in place (`Arc::try_unwrap` succeeds) instead of
-    /// deep-cloning it.
-    pub fn lookup_rtc(&self, key: &str) -> RtcLookup {
-        self.lookup_rtc_at(key, self.epoch())
-    }
-
-    /// [`SharedCache::lookup_rtc`] pinned to an explicit `epoch` — the
-    /// lookup an [`crate::EpochView`] reader performs. An entry stamped
-    /// exactly `epoch` is a fresh hit regardless of where the live epoch
-    /// has moved since. Stale entries are only *claimed* when the pinned
-    /// epoch **is** the live epoch (claiming exists to refresh the entry
-    /// forward, which only makes sense at the front); a reader pinned to
-    /// an older epoch treats any other-epoch entry as a plain miss and
+    /// An entry stamped exactly `epoch` is a fresh hit regardless of where
+    /// the live epoch has moved since. Stale refresh state is only handed
+    /// out (an RTC claimed, a full closure shared — see the module docs)
+    /// when `epoch` **is** the live epoch: it exists to refresh the entry
+    /// forward, which only makes sense at the front. A reader pinned to an
+    /// older epoch treats any other-epoch entry as a plain miss and
     /// recomputes from its frozen graph, leaving the entry in place for
     /// live readers.
-    pub fn lookup_rtc_at(&self, key: &str, epoch: u64) -> RtcLookup {
-        let shard = self.shard(key);
-        {
-            let map = read(&shard.rtcs);
-            match map.get(key) {
-                Some(entry) if entry.epoch == epoch => {
-                    self.note_fresh_hit(&entry.meta);
-                    return RtcLookup::Fresh(Arc::clone(&entry.rtc));
+    pub fn lookup(&self, kind: SharingKind, key: &str, epoch: u64) -> Lookup {
+        let map = self.map(kind, key);
+        match read(map).get(key) {
+            Some(entry) if entry.epoch == epoch => {
+                self.note_fresh_hit(&entry.meta);
+                return Lookup::Fresh(entry.shared.reader());
+            }
+            Some(entry) if epoch == self.epoch() => {
+                if kind == SharingKind::Full {
+                    self.stale_hits.fetch_add(1, Ordering::Relaxed);
+                    return Lookup::Stale {
+                        shared: entry.shared.clone(),
+                        r_g: entry.r_g.clone(),
+                    };
                 }
-                Some(_) if epoch == self.epoch() => {
-                    // Stale at the front: claim it below, under the write lock.
-                }
-                _ => {
-                    self.note_miss('r', key);
-                    return RtcLookup::Miss;
-                }
+                // A stale RTC at the front: claim it below, under the
+                // write lock.
+            }
+            _ => {
+                self.note_miss(kind, key);
+                return Lookup::Miss;
             }
         }
-        let mut map = write(&shard.rtcs);
+        let mut map = write(map);
         // Re-check: between the two locks another thread may have
         // refreshed the entry (now fresh) or claimed it (now gone).
         match map.get(key) {
             Some(entry) if entry.epoch == epoch => {
                 self.note_fresh_hit(&entry.meta);
-                RtcLookup::Fresh(Arc::clone(&entry.rtc))
+                Lookup::Fresh(entry.shared.reader())
             }
             Some(_) => {
                 self.stale_hits.fetch_add(1, Ordering::Relaxed);
@@ -581,382 +565,138 @@ impl SharedCache {
                 // A claim is a refresh hand-off, not an eviction — but
                 // the entry did leave the cache, so occupancy drops.
                 self.note_remove(&entry.meta);
-                RtcLookup::Stale(StaleRtc {
-                    rtc: entry.rtc,
+                Lookup::Stale {
+                    shared: entry.shared,
                     r_g: entry.r_g,
-                    dynamic: entry.dynamic,
-                })
+                }
             }
             None => {
-                self.note_miss('r', key);
-                RtcLookup::Miss
+                self.note_miss(kind, key);
+                Lookup::Miss
             }
         }
     }
 
-    /// Looks up the RTC for `key`, counting hit/miss. Stale entries are
-    /// *not* returned (and count as misses) — use [`SharedCache::lookup_rtc`]
-    /// to refresh instead of recomputing.
-    pub fn get_rtc(&self, key: &str) -> Option<Arc<Rtc>> {
-        let epoch = self.epoch();
-        match read(&self.shard(key).rtcs).get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                self.note_fresh_hit(&entry.meta);
-                Some(Arc::clone(&entry.rtc))
-            }
-            _ => {
-                self.note_miss('r', key);
-                None
-            }
-        }
-    }
-
-    /// Stores an RTC under `key` at the current epoch, with no recorded
-    /// base relation (a later staleness can only be resolved by rebuild).
-    /// Prefer [`SharedCache::insert_rtc_entry`] where `R_G` is at hand.
-    pub fn insert_rtc(&self, key: String, rtc: Arc<Rtc>) {
-        self.insert_rtc_at(key, rtc, self.epoch());
-    }
-
-    /// Stores an RTC stamped with an explicit `epoch`, never displacing an
-    /// entry from a **newer** epoch — the insert used by a reader pinned
-    /// to an older [`crate::EpochView`], whose recomputed structure must
-    /// not clobber what live readers are sharing. Ties overwrite
-    /// (structures are deterministic per `(key, epoch)`).
-    pub fn insert_rtc_at(&self, key: String, rtc: Arc<Rtc>, epoch: u64) {
-        self.insert_rtc_inner(key, rtc, None, None, epoch, 0);
-    }
-
-    /// Stores an RTC with its base relation (and optionally its
-    /// maintainable form) at the current epoch.
-    pub fn insert_rtc_entry(
+    /// Stores `shared` under `key` (Algorithm 1 line 11), stamped with
+    /// `epoch` — the live one, or the older one a reader pinned to an
+    /// [`crate::EpochView`] evaluated at. The newest epoch wins: an entry
+    /// from a **newer** epoch is never displaced, so a pinned reader's
+    /// recomputed structure cannot clobber what live readers are sharing;
+    /// ties overwrite (structures are deterministic per `(key, epoch)`).
+    ///
+    /// `r_g` is the base relation the structure was built from; without
+    /// one a later staleness can only be resolved by rebuild. `build` —
+    /// the wall clock spent constructing the structure — becomes the
+    /// entry's cost-to-rebuild; `Duration::ZERO` scores it cheapest
+    /// (evicted first). The budget is enforced before returning.
+    pub fn insert(
         &self,
         key: String,
-        rtc: Arc<Rtc>,
-        r_g: Arc<PairSet>,
-        dynamic: Option<Arc<DynamicRtc>>,
-    ) {
-        self.insert_rtc_entry_at(key, rtc, r_g, dynamic, self.epoch());
-    }
-
-    /// [`SharedCache::insert_rtc_entry`] stamped with an explicit `epoch`
-    /// (newest epoch wins — see [`SharedCache::insert_rtc_at`]).
-    pub fn insert_rtc_entry_at(
-        &self,
-        key: String,
-        rtc: Arc<Rtc>,
-        r_g: Arc<PairSet>,
-        dynamic: Option<Arc<DynamicRtc>>,
-        epoch: u64,
-    ) {
-        self.insert_rtc_inner(key, rtc, Some(r_g), dynamic, epoch, 0);
-    }
-
-    /// [`SharedCache::insert_rtc_entry_at`] recording `build` — the wall
-    /// clock spent constructing the structure — as its cost-to-rebuild.
-    /// The insert every measured evaluation path uses; the uncosted
-    /// variants stamp cost 0 (cheapest to rebuild, evicted first).
-    pub fn insert_rtc_entry_costed(
-        &self,
-        key: String,
-        rtc: Arc<Rtc>,
-        r_g: Arc<PairSet>,
-        dynamic: Option<Arc<DynamicRtc>>,
-        epoch: u64,
-        build: std::time::Duration,
-    ) {
-        self.insert_rtc_inner(key, rtc, Some(r_g), dynamic, epoch, build.as_nanos() as u64);
-    }
-
-    /// [`SharedCache::insert_rtc_at`] carrying a cost-to-rebuild — the
-    /// snapshot loader's insert for entries persisted without `R_G`.
-    pub fn insert_rtc_at_costed(
-        &self,
-        key: String,
-        rtc: Arc<Rtc>,
-        epoch: u64,
-        build: std::time::Duration,
-    ) {
-        self.insert_rtc_inner(key, rtc, None, None, epoch, build.as_nanos() as u64);
-    }
-
-    fn insert_rtc_inner(
-        &self,
-        key: String,
-        rtc: Arc<Rtc>,
+        shared: Shared,
         r_g: Option<Arc<PairSet>>,
-        dynamic: Option<Arc<DynamicRtc>>,
         epoch: u64,
-        build_nanos: u64,
+        build: Duration,
     ) {
-        let bytes = rtc.closure_heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
+        let bytes = shared.heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
         let meta = EntryMeta {
             bytes,
-            build_nanos,
+            build_nanos: build.as_nanos() as u64,
             last_hit: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
         };
         {
-            let mut map = write(&self.shard(&key).rtcs);
+            let mut map = write(self.map(shared.kind(), &key));
             if map.get(&key).is_some_and(|existing| existing.epoch > epoch) {
                 return;
             }
-            let replaced = map.insert(
-                key,
-                RtcEntry {
-                    rtc,
-                    r_g,
-                    dynamic,
-                    epoch,
-                    meta,
-                },
-            );
-            if let Some(old) = &replaced {
-                if old.epoch < epoch {
-                    self.ev_stale.fetch_add(1, Ordering::Relaxed);
+            let entry = Entry {
+                shared,
+                r_g,
+                epoch,
+                meta,
+            };
+            self.occ_bytes.fetch_add(bytes as u64, Ordering::AcqRel);
+            match map.insert(key, entry) {
+                Some(old) => {
+                    self.occ_bytes
+                        .fetch_sub(old.meta.bytes as u64, Ordering::AcqRel);
+                    if old.epoch < epoch {
+                        self.ev_stale.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                None => {
+                    self.occ_entries.fetch_add(1, Ordering::AcqRel);
                 }
             }
-            self.note_insert(bytes, replaced.as_ref().map(|e| &e.meta));
         }
         self.enforce_budget();
     }
 
-    /// Whether a fresh (current-epoch) RTC exists for `key`, without
-    /// touching the hit/miss counters.
-    pub fn contains_fresh_rtc(&self, key: &str) -> bool {
+    /// Whether a fresh (current-epoch) structure of `kind` exists for
+    /// `key`, without touching the hit/miss counters.
+    pub fn contains_fresh(&self, kind: SharingKind, key: &str) -> bool {
         let epoch = self.epoch();
-        read(&self.shard(key).rtcs)
+        read(self.map(kind, key))
             .get(key)
             .is_some_and(|entry| entry.epoch == epoch)
     }
 
-    /// Epoch-aware full-closure lookup (see [`SharedCache::lookup_rtc`]).
-    /// Unlike the RTC path, a stale full entry is returned by shared
-    /// reference (never claimed): `FullTc` has no in-place maintenance, so
-    /// there is nothing to mutate and concurrent refreshers can all rebuild
-    /// from the same stale base.
-    pub fn lookup_full(&self, key: &str) -> FullLookup {
-        self.lookup_full_at(key, self.epoch())
-    }
-
-    /// [`SharedCache::lookup_full`] pinned to an explicit `epoch` (see
-    /// [`SharedCache::lookup_rtc_at`]): an exact-epoch entry is a fresh
-    /// hit; stale refresh state is only handed out when the pinned epoch
-    /// is the live one; anything else is a miss.
-    pub fn lookup_full_at(&self, key: &str, epoch: u64) -> FullLookup {
-        match read(&self.shard(key).fulls).get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                self.note_fresh_hit(&entry.meta);
-                FullLookup::Fresh(Arc::clone(&entry.full))
-            }
-            Some(entry) if epoch == self.epoch() => {
-                self.stale_hits.fetch_add(1, Ordering::Relaxed);
-                FullLookup::Stale(StaleFull {
-                    full: Arc::clone(&entry.full),
-                    r_g: entry.r_g.clone(),
-                })
-            }
-            _ => {
-                self.note_miss('f', key);
-                FullLookup::Miss
-            }
-        }
-    }
-
-    /// Looks up the materialized `R⁺_G` for `key`, counting hit/miss.
-    /// Stale entries are not returned (and count as misses).
-    pub fn get_full(&self, key: &str) -> Option<Arc<FullTc>> {
-        let epoch = self.epoch();
-        match read(&self.shard(key).fulls).get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                self.note_fresh_hit(&entry.meta);
-                Some(Arc::clone(&entry.full))
-            }
-            _ => {
-                self.note_miss('f', key);
-                None
-            }
-        }
-    }
-
-    /// Stores a materialized `R⁺_G` under `key` at the current epoch, with
-    /// no recorded base relation.
-    pub fn insert_full(&self, key: String, full: Arc<FullTc>) {
-        self.insert_full_at(key, full, self.epoch());
-    }
-
-    /// [`SharedCache::insert_full`] stamped with an explicit `epoch`
-    /// (newest epoch wins — see [`SharedCache::insert_rtc_at`]).
-    pub fn insert_full_at(&self, key: String, full: Arc<FullTc>, epoch: u64) {
-        self.insert_full_inner(key, full, None, epoch, 0);
-    }
-
-    /// Stores a materialized `R⁺_G` with its base relation.
-    pub fn insert_full_entry(&self, key: String, full: Arc<FullTc>, r_g: Arc<PairSet>) {
-        self.insert_full_entry_at(key, full, r_g, self.epoch());
-    }
-
-    /// [`SharedCache::insert_full_entry`] stamped with an explicit `epoch`
-    /// (newest epoch wins — see [`SharedCache::insert_rtc_at`]).
-    pub fn insert_full_entry_at(
-        &self,
-        key: String,
-        full: Arc<FullTc>,
-        r_g: Arc<PairSet>,
-        epoch: u64,
-    ) {
-        self.insert_full_inner(key, full, Some(r_g), epoch, 0);
-    }
-
-    /// [`SharedCache::insert_full_entry_at`] recording `build` as the
-    /// cost-to-rebuild (see [`SharedCache::insert_rtc_entry_costed`]).
-    pub fn insert_full_entry_costed(
-        &self,
-        key: String,
-        full: Arc<FullTc>,
-        r_g: Arc<PairSet>,
-        epoch: u64,
-        build: std::time::Duration,
-    ) {
-        self.insert_full_inner(key, full, Some(r_g), epoch, build.as_nanos() as u64);
-    }
-
-    /// [`SharedCache::insert_full_at`] carrying a cost-to-rebuild — the
-    /// snapshot loader's insert for entries persisted without `R_G`.
-    pub fn insert_full_at_costed(
-        &self,
-        key: String,
-        full: Arc<FullTc>,
-        epoch: u64,
-        build: std::time::Duration,
-    ) {
-        self.insert_full_inner(key, full, None, epoch, build.as_nanos() as u64);
-    }
-
-    fn insert_full_inner(
-        &self,
-        key: String,
-        full: Arc<FullTc>,
-        r_g: Option<Arc<PairSet>>,
-        epoch: u64,
-        build_nanos: u64,
-    ) {
-        let bytes = full.heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
-        let meta = EntryMeta {
-            bytes,
-            build_nanos,
-            last_hit: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-        };
-        {
-            let mut map = write(&self.shard(&key).fulls);
-            if map.get(&key).is_some_and(|existing| existing.epoch > epoch) {
-                return;
-            }
-            let replaced = map.insert(
-                key,
-                FullEntry {
-                    full,
-                    r_g,
-                    epoch,
-                    meta,
-                },
-            );
-            if let Some(old) = &replaced {
-                if old.epoch < epoch {
-                    self.ev_stale.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.note_insert(bytes, replaced.as_ref().map(|e| &e.meta));
-        }
-        self.enforce_budget();
-    }
-
-    /// Whether a fresh (current-epoch) full closure exists for `key`,
-    /// without touching the hit/miss counters.
-    pub fn contains_fresh_full(&self, key: &str) -> bool {
-        let epoch = self.epoch();
-        read(&self.shard(key).fulls)
-            .get(key)
-            .is_some_and(|entry| entry.epoch == epoch)
-    }
-
-    /// Collects the **fresh** (current-epoch) RTC entries as
-    /// `(key, rtc, recorded base relation, build nanos)` — the
+    /// Collects the **fresh** (current-epoch) entries of both kinds — the
     /// persistence surface used by the engine snapshot
     /// ([`crate::snapshot`]). Stale entries are skipped: they would need
     /// a refresh before being served anyway, so a snapshot simply drops
     /// them. Returns an owned point-in-time copy (cheap `Arc` clones),
     /// since the interior is lock-protected.
-    #[allow(clippy::type_complexity)]
-    pub fn fresh_rtc_entries(&self) -> Vec<(String, Arc<Rtc>, Option<Arc<PairSet>>, u64)> {
+    pub fn fresh_entries(&self) -> Vec<FreshEntry> {
         let epoch = self.epoch();
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                read(&s.rtcs)
+        let mut fresh = Vec::new();
+        for map in self.shards.iter().flatten() {
+            fresh.extend(
+                read(map)
                     .iter()
                     .filter(|(_, e)| e.epoch == epoch)
-                    .map(|(k, e)| {
-                        (
-                            k.clone(),
-                            Arc::clone(&e.rtc),
-                            e.r_g.clone(),
-                            e.meta.build_nanos,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+                    .map(|(key, e)| FreshEntry {
+                        key: key.clone(),
+                        shared: e.shared.reader(),
+                        r_g: e.r_g.clone(),
+                        build_nanos: e.meta.build_nanos,
+                        bytes: e.meta.bytes,
+                    }),
+            );
+        }
+        fresh
     }
 
-    /// Collects the fresh full-closure entries (see
-    /// [`SharedCache::fresh_rtc_entries`]).
-    #[allow(clippy::type_complexity)]
-    pub fn fresh_full_entries(&self) -> Vec<(String, Arc<FullTc>, Option<Arc<PairSet>>, u64)> {
-        let epoch = self.epoch();
+    /// Sums `f` over every entry of `kind`, one shard read lock at a time
+    /// — the shared fold behind the aggregate metrics below.
+    fn sum(&self, kind: SharingKind, f: impl Fn(&Entry) -> usize) -> usize {
         self.shards
             .iter()
-            .flat_map(|s| {
-                read(&s.fulls)
-                    .iter()
-                    .filter(|(_, e)| e.epoch == epoch)
-                    .map(|(k, e)| {
-                        (
-                            k.clone(),
-                            Arc::clone(&e.full),
-                            e.r_g.clone(),
-                            e.meta.build_nanos,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
-    /// Sums `f` over every RTC entry, one shard read lock at a time — the
-    /// shared fold behind the aggregate metrics below.
-    fn sum_rtcs(&self, f: impl Fn(&RtcEntry) -> usize) -> usize {
-        self.shards
-            .iter()
-            .map(|s| read(&s.rtcs).values().map(&f).sum::<usize>())
+            .map(|s| read(&s[kind as usize]).values().map(&f).sum::<usize>())
             .sum()
     }
 
-    /// Sums `f` over every full-closure entry (see [`SharedCache::sum_rtcs`]).
-    fn sum_fulls(&self, f: impl Fn(&FullEntry) -> usize) -> usize {
-        self.shards
-            .iter()
-            .map(|s| read(&s.fulls).values().map(&f).sum::<usize>())
-            .sum()
+    fn sum_rtcs(&self, f: impl Fn(&Rtc) -> usize) -> usize {
+        self.sum(SharingKind::Rtc, |e| match &e.shared {
+            Shared::Rtc(rtc, _) => f(rtc),
+            Shared::Full(_) => 0,
+        })
+    }
+
+    fn sum_fulls(&self, f: impl Fn(&FullTc) -> usize) -> usize {
+        self.sum(SharingKind::Full, |e| match &e.shared {
+            Shared::Full(full) => f(full),
+            Shared::Rtc(..) => 0,
+        })
     }
 
     /// Number of cached RTCs (fresh or stale).
     pub fn rtc_count(&self) -> usize {
-        self.sum_rtcs(|_| 1)
+        self.sum(SharingKind::Rtc, |_| 1)
     }
 
     /// Number of cached full closures (fresh or stale).
     pub fn full_count(&self) -> usize {
-        self.sum_fulls(|_| 1)
+        self.sum(SharingKind::Full, |_| 1)
     }
 
     /// Cache hits since creation/clear (fresh entries only).
@@ -978,30 +718,25 @@ impl SharedCache {
     /// Total pairs held in cached RTCs (`Σ |TC(Ḡ_R)|`) — RTCSharing's
     /// shared-data size in Fig. 12.
     pub fn rtc_shared_pairs(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.closure_pair_count())
+        self.sum_rtcs(Rtc::closure_pair_count)
     }
 
     /// Total pairs held in cached full closures (`Σ |R⁺_G|`) — FullSharing's
     /// shared-data size in Fig. 12.
     pub fn full_shared_pairs(&self) -> usize {
-        self.sum_fulls(|e| e.full.pair_count())
+        self.sum_fulls(FullTc::pair_count)
     }
 
     /// Sum of `|V̄_R|` (SCC counts) across cached RTCs — RTCSharing's
     /// vertex-count metric in Fig. 13.
     pub fn rtc_total_sccs(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.scc_count())
-    }
-
-    /// Sum of `|V_R|` across cached RTCs.
-    pub fn rtc_total_vr(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.stats().vr_vertices)
+        self.sum_rtcs(Rtc::scc_count)
     }
 
     /// Sum of `|V_R|` across cached full closures — FullSharing's
     /// vertex-count metric in Fig. 13.
     pub fn full_total_vertices(&self) -> usize {
-        self.sum_fulls(|e| e.full.vertex_count())
+        self.sum_fulls(FullTc::vertex_count)
     }
 
     /// Heap bytes held by cached RTC closure tables (`Σ heap_bytes` over
@@ -1009,25 +744,25 @@ impl SharedCache {
     /// representation ablation, surfaced through `Engine` metrics and the
     /// server's `metrics`/`info` commands.
     pub fn rtc_heap_bytes(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.closure_heap_bytes())
+        self.sum(SharingKind::Rtc, |e| e.shared.heap_bytes())
     }
 
     /// Heap bytes held by cached full closures (see
     /// [`SharedCache::rtc_heap_bytes`]).
     pub fn full_heap_bytes(&self) -> usize {
-        self.sum_fulls(|e| e.full.heap_bytes())
+        self.sum(SharingKind::Full, |e| e.shared.heap_bytes())
     }
 
     /// Number of dense (bitset-backed) rows across cached RTC closure
     /// tables — how far the adaptive representation promoted.
     pub fn rtc_dense_rows(&self) -> usize {
-        self.sum_rtcs(|e| e.rtc.dense_closure_rows())
+        self.sum_rtcs(Rtc::dense_closure_rows)
     }
 
     /// Number of dense rows across cached full closures (see
     /// [`SharedCache::rtc_dense_rows`]).
     pub fn full_dense_rows(&self) -> usize {
-        self.sum_fulls(|e| e.full.dense_rows())
+        self.sum_fulls(FullTc::dense_rows)
     }
 
     /// Resets the hit/miss/stale and eviction counters while
@@ -1069,33 +804,26 @@ impl SharedCache {
         self.occ_entries.load(Ordering::Acquire) as usize
     }
 
+    /// The epochs currently covered by a live pin.
+    fn pinned_epochs(&self) -> FxHashSet<u64> {
+        lock(&self.pinned).keys().copied().collect()
+    }
+
     /// Retained heap bytes held by entries whose epoch is currently
     /// pinned — the part of the footprint eviction cannot reclaim.
     pub fn pinned_occupancy_bytes(&self) -> usize {
-        let pinned: FxHashSet<u64> = lock(&self.pinned).keys().copied().collect();
+        let pinned = self.pinned_epochs();
         if pinned.is_empty() {
             return 0;
         }
-        let in_pins = |epoch: u64| pinned.contains(&epoch);
-        self.sum_rtcs(|e| if in_pins(e.epoch) { e.meta.bytes } else { 0 })
-            + self.sum_fulls(|e| if in_pins(e.epoch) { e.meta.bytes } else { 0 })
-    }
-
-    /// Registers a pin on `epoch` (see [`EpochPin`], which pairs this
-    /// with the release).
-    pub fn pin_epoch(&self, epoch: u64) {
-        *lock(&self.pinned).entry(epoch).or_insert(0) += 1;
-    }
-
-    /// Releases one pin on `epoch`.
-    pub fn unpin_epoch(&self, epoch: u64) {
-        let mut pinned = lock(&self.pinned);
-        if let Some(count) = pinned.get_mut(&epoch) {
-            *count -= 1;
-            if *count == 0 {
-                pinned.remove(&epoch);
+        let pinned_bytes = |e: &Entry| {
+            if pinned.contains(&e.epoch) {
+                e.meta.bytes
+            } else {
+                0
             }
-        }
+        };
+        KINDS.iter().map(|&kind| self.sum(kind, pinned_bytes)).sum()
     }
 
     /// Whether any live pin covers `epoch`.
@@ -1105,8 +833,9 @@ impl SharedCache {
 
     /// Evicts lowest-score entries until the byte/entry budget holds (or
     /// only pinned entries remain — enforcement is best-effort under
-    /// pins). Inserts call this themselves; it is public for bulk paths
-    /// (snapshot load, [`SharedCache::absorb`]) and tests.
+    /// pins). [`SharedCache::insert`] calls this itself; it is public for
+    /// callers that want the budget re-settled after a pin drops, and for
+    /// tests.
     pub fn enforce_budget(&self) {
         let (max_bytes, max_entries) = (self.budget.max_bytes, self.budget.max_entries);
         if max_bytes.is_none() && max_entries.is_none() {
@@ -1131,91 +860,46 @@ impl SharedCache {
     /// Returns `false` when nothing is evictable. `for_bytes` selects
     /// which reason counter the eviction lands in.
     fn evict_one(&self, for_bytes: bool) -> bool {
-        struct Victim {
-            class: i32,
-            last_hit: u64,
-            key: String,
-            is_rtc: bool,
-            shard: usize,
-            epoch: u64,
-        }
-        let pinned: FxHashSet<u64> = lock(&self.pinned).keys().copied().collect();
-        let mut victim: Option<Victim> = None;
-        let mut consider = |cand: Victim| {
-            let better = match &victim {
-                None => true,
-                Some(cur) => {
-                    (cand.class, cand.last_hit, &cand.key, cand.is_rtc)
-                        < (cur.class, cur.last_hit, &cur.key, cur.is_rtc)
-                }
-            };
-            if better {
-                victim = Some(cand);
-            }
-        };
+        let pinned = self.pinned_epochs();
+        // (score class, last hit, key, kind) is the eviction order; the
+        // shard index and epoch locate and re-validate the winner.
+        let mut victim: Option<(i32, u64, String, SharingKind, usize, u64)> = None;
         for (i, shard) in self.shards.iter().enumerate() {
-            for (key, entry) in read(&shard.rtcs).iter() {
-                if pinned.contains(&entry.epoch) {
-                    continue;
+            for kind in KINDS {
+                for (key, entry) in read(&shard[kind as usize]).iter() {
+                    if pinned.contains(&entry.epoch) {
+                        continue;
+                    }
+                    let class = entry.meta.score_class();
+                    let last_hit = entry.meta.last_hit.load(Ordering::Relaxed);
+                    if victim.as_ref().is_none_or(|(c, l, k, n, ..)| {
+                        (class, last_hit, key.as_str(), kind) < (*c, *l, k.as_str(), *n)
+                    }) {
+                        victim = Some((class, last_hit, key.clone(), kind, i, entry.epoch));
+                    }
                 }
-                consider(Victim {
-                    class: entry.meta.score_class(),
-                    last_hit: entry.meta.last_hit.load(Ordering::Relaxed),
-                    key: key.clone(),
-                    is_rtc: true,
-                    shard: i,
-                    epoch: entry.epoch,
-                });
-            }
-            for (key, entry) in read(&shard.fulls).iter() {
-                if pinned.contains(&entry.epoch) {
-                    continue;
-                }
-                consider(Victim {
-                    class: entry.meta.score_class(),
-                    last_hit: entry.meta.last_hit.load(Ordering::Relaxed),
-                    key: key.clone(),
-                    is_rtc: false,
-                    shard: i,
-                    epoch: entry.epoch,
-                });
             }
         }
-        let Some(v) = victim else {
+        let Some((_, _, key, kind, shard, epoch)) = victim else {
             return false;
         };
         // Re-check under the write lock: the entry may have been claimed,
         // replaced or re-pinned since the scan. A lost race still returns
         // `true` — the caller loops and re-reads occupancy.
-        let shard = &self.shards[v.shard];
-        let removed = if v.is_rtc {
-            let mut map = write(&shard.rtcs);
-            match map.get(&v.key) {
-                Some(e) if e.epoch == v.epoch && !self.is_pinned(e.epoch) => {
-                    let e = map.remove(&v.key).expect("victim present");
-                    self.note_remove(&e.meta);
-                    true
-                }
-                _ => false,
-            }
-        } else {
-            let mut map = write(&shard.fulls);
-            match map.get(&v.key) {
-                Some(e) if e.epoch == v.epoch && !self.is_pinned(e.epoch) => {
-                    let e = map.remove(&v.key).expect("victim present");
-                    self.note_remove(&e.meta);
-                    true
-                }
-                _ => false,
-            }
-        };
-        if removed {
-            if for_bytes {
-                self.ev_bytes.fetch_add(1, Ordering::Relaxed);
+        let mut map = write(&self.shards[shard][kind as usize]);
+        if map
+            .get(&key)
+            .is_some_and(|e| e.epoch == epoch && !self.is_pinned(epoch))
+        {
+            let entry = map.remove(&key).expect("victim present");
+            self.note_remove(&entry.meta);
+            let reason = if for_bytes {
+                &self.ev_bytes
             } else {
-                self.ev_entries.fetch_add(1, Ordering::Relaxed);
-            }
-            self.remember_evicted(if v.is_rtc { 'r' } else { 'f' }, &v.key);
+                &self.ev_entries
+            };
+            reason.fetch_add(1, Ordering::Relaxed);
+            self.remember_evicted(kind, &key);
         }
         true
     }
@@ -1230,101 +914,28 @@ impl SharedCache {
             return;
         };
         let live = self.epoch();
-        let pinned: FxHashSet<u64> = lock(&self.pinned).keys().copied().collect();
+        let pinned = self.pinned_epochs();
         let expired = |epoch: u64| !pinned.contains(&epoch) && live.saturating_sub(epoch) > ttl;
         for shard in &self.shards {
-            let mut rtcs = write(&shard.rtcs);
-            let doomed: Vec<String> = rtcs
-                .iter()
-                .filter(|(_, e)| expired(e.epoch))
-                .map(|(k, _)| k.clone())
-                .collect();
-            for key in doomed {
-                let entry = rtcs.remove(&key).expect("expired entry present");
-                self.note_remove(&entry.meta);
-                self.ev_ttl.fetch_add(1, Ordering::Relaxed);
-                self.remember_evicted('r', &key);
-            }
-            drop(rtcs);
-            let mut fulls = write(&shard.fulls);
-            let doomed: Vec<String> = fulls
-                .iter()
-                .filter(|(_, e)| expired(e.epoch))
-                .map(|(k, _)| k.clone())
-                .collect();
-            for key in doomed {
-                let entry = fulls.remove(&key).expect("expired entry present");
-                self.note_remove(&entry.meta);
-                self.ev_ttl.fetch_add(1, Ordering::Relaxed);
-                self.remember_evicted('f', &key);
+            for kind in KINDS {
+                write(&shard[kind as usize]).retain(|key, entry| {
+                    if !expired(entry.epoch) {
+                        return true;
+                    }
+                    self.note_remove(&entry.meta);
+                    self.ev_ttl.fetch_add(1, Ordering::Relaxed);
+                    self.remember_evicted(kind, key);
+                    false
+                });
             }
         }
-    }
-
-    /// Merges another cache's contents into this one: counters add up, and
-    /// per key the entry from the **newest epoch** wins (ties keep the
-    /// existing entry; structures are deterministic per `(key, epoch)`, so
-    /// which clone survives is immaterial). Kept for workers that evaluate
-    /// against a private snapshot; the engine's parallel batch mode now
-    /// shares one cache directly instead.
-    pub fn absorb(&self, other: SharedCache) {
-        self.hits.fetch_add(other.hits(), Ordering::Relaxed);
-        self.misses.fetch_add(other.misses(), Ordering::Relaxed);
-        self.stale_hits
-            .fetch_add(other.stale_hits(), Ordering::Relaxed);
-        let ev = other.eviction_counters();
-        self.ev_bytes.fetch_add(ev.by_bytes, Ordering::Relaxed);
-        self.ev_entries.fetch_add(ev.by_entries, Ordering::Relaxed);
-        self.ev_ttl.fetch_add(ev.by_ttl, Ordering::Relaxed);
-        self.ev_stale.fetch_add(ev.by_stale, Ordering::Relaxed);
-        self.rebuilds_after_evict
-            .fetch_add(ev.rebuilds_after_evict, Ordering::Relaxed);
-        // Shard selection depends only on the key, so shard i of `other`
-        // merges into shard i of `self`.
-        for (mine, theirs) in self.shards.iter().zip(other.shards) {
-            let rtcs = theirs
-                .rtcs
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            let mut map = write(&mine.rtcs);
-            for (key, entry) in rtcs {
-                match map.get(&key) {
-                    Some(existing) if existing.epoch >= entry.epoch => {}
-                    _ => {
-                        let bytes = entry.meta.bytes;
-                        let replaced = map.insert(key, entry);
-                        self.note_insert(bytes, replaced.as_ref().map(|e| &e.meta));
-                    }
-                }
-            }
-            drop(map);
-            let fulls = theirs
-                .fulls
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            let mut map = write(&mine.fulls);
-            for (key, entry) in fulls {
-                match map.get(&key) {
-                    Some(existing) if existing.epoch >= entry.epoch => {}
-                    _ => {
-                        let bytes = entry.meta.bytes;
-                        let replaced = map.insert(key, entry);
-                        self.note_insert(bytes, replaced.as_ref().map(|e| &e.meta));
-                    }
-                }
-            }
-        }
-        // A bulk merge bypasses the per-insert enforcement; settle the
-        // budget once at the end.
-        self.enforce_budget();
     }
 
     /// Drops all cached structures and resets counters (the epoch is
     /// preserved — it tracks the graph, not the contents).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            write(&shard.rtcs).clear();
-            write(&shard.fulls).clear();
+        for map in self.shards.iter().flatten() {
+            write(map).clear();
         }
         self.occ_bytes.store(0, Ordering::Release);
         self.occ_entries.store(0, Ordering::Release);
@@ -1335,7 +946,7 @@ impl SharedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpq_graph::PairSet;
+    use SharingKind::{Full, Rtc as RtcKind};
 
     fn sample_pairs() -> PairSet {
         [(0u32, 1u32), (1, 0)].into_iter().collect()
@@ -1345,45 +956,95 @@ mod tests {
         Arc::new(Rtc::from_pairs(&sample_pairs()))
     }
 
+    fn sample(kind: SharingKind) -> Shared {
+        match kind {
+            RtcKind => Shared::Rtc(sample_rtc(), None),
+            Full => Shared::Full(Arc::new(FullTc::from_pairs(&sample_pairs()))),
+        }
+    }
+
+    /// Runs `test` once per structure kind: every policy below is the
+    /// same code for RTCs and full closures, and must behave the same.
+    fn for_both_kinds(test: impl Fn(SharingKind)) {
+        KINDS.into_iter().for_each(test);
+    }
+
+    /// Inserts a sample structure with its base relation.
+    fn insert_costed(c: &SharedCache, kind: SharingKind, key: &str, epoch: u64, nanos: u64) {
+        c.insert(
+            key.into(),
+            sample(kind),
+            Some(Arc::new(sample_pairs())),
+            epoch,
+            Duration::from_nanos(nanos),
+        );
+    }
+
+    /// Inserts a sample structure at the live epoch with neither a base
+    /// relation nor a measured cost.
+    fn insert_bare(c: &SharedCache, kind: SharingKind, key: &str) {
+        c.insert(key.into(), sample(kind), None, c.epoch(), Duration::ZERO);
+    }
+
+    /// A counted live-epoch lookup: whether it was a fresh hit.
+    fn hit(c: &SharedCache, kind: SharingKind, key: &str) -> bool {
+        matches!(c.lookup(kind, key, c.epoch()), Lookup::Fresh(_))
+    }
+
+    fn count(c: &SharedCache, kind: SharingKind) -> usize {
+        c.sum(kind, |_| 1)
+    }
+
+    /// Bytes one costed sample entry of `kind` occupies.
+    fn unit_bytes(kind: SharingKind) -> usize {
+        let probe = SharedCache::new();
+        insert_costed(&probe, kind, "probe", 0, 1);
+        probe.occupancy_bytes()
+    }
+
     #[test]
     fn hit_miss_accounting() {
-        let c = SharedCache::new();
-        assert!(c.get_rtc("a.b").is_none());
-        assert_eq!(c.misses(), 1);
-        c.insert_rtc("a.b".into(), sample_rtc());
-        assert!(c.get_rtc("a.b").is_some());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.rtc_count(), 1);
+        for_both_kinds(|kind| {
+            let c = SharedCache::new();
+            assert!(!hit(&c, kind, "a.b"));
+            assert_eq!(c.misses(), 1);
+            insert_bare(&c, kind, "a.b");
+            assert!(hit(&c, kind, "a.b"));
+            assert_eq!(c.hits(), 1);
+            assert_eq!(count(&c, kind), 1);
+        });
     }
 
     #[test]
     fn shared_pair_totals() {
         let c = SharedCache::new();
-        c.insert_rtc("a.b".into(), sample_rtc());
+        insert_bare(&c, RtcKind, "a.b");
         // One 2-cycle SCC with a self-reach: closure has 1 pair.
         assert_eq!(c.rtc_shared_pairs(), 1);
-        c.insert_full("a.b".into(), Arc::new(FullTc::from_pairs(&sample_pairs())));
+        insert_bare(&c, Full, "a.b");
         // Full closure: both vertices reach both → 4 pairs.
         assert_eq!(c.full_shared_pairs(), 4);
     }
 
     #[test]
     fn clear_resets_everything() {
-        let c = SharedCache::new();
-        c.insert_rtc("x".into(), sample_rtc());
-        let _ = c.get_rtc("x");
-        c.clear();
-        assert_eq!(c.rtc_count(), 0);
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
+        for_both_kinds(|kind| {
+            let c = SharedCache::new();
+            insert_bare(&c, kind, "x");
+            assert!(hit(&c, kind, "x"));
+            c.clear();
+            assert_eq!(c.rtc_count() + c.full_count(), 0);
+            assert_eq!(c.hits(), 0);
+            assert_eq!(c.misses(), 0);
+        });
     }
 
     #[test]
     fn reset_counters_preserves_structures() {
         let c = SharedCache::new();
-        c.insert_rtc("x".into(), sample_rtc());
-        let _ = c.get_rtc("x");
-        let _ = c.get_rtc("missing");
+        insert_bare(&c, RtcKind, "x");
+        assert!(hit(&c, RtcKind, "x"));
+        assert!(!hit(&c, RtcKind, "missing"));
         assert_eq!((c.hits(), c.misses()), (1, 1));
         c.reset_counters();
         assert_eq!((c.hits(), c.misses()), (0, 0));
@@ -1392,39 +1053,10 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_counters_and_missing_structures() {
-        let main = SharedCache::new();
-        main.insert_rtc("shared".into(), sample_rtc());
-        let _ = main.get_rtc("shared"); // 1 hit
-
-        let worker = main.clone();
-        worker.reset_counters();
-        let _ = worker.get_rtc("shared"); // 1 worker hit
-        let _ = worker.get_rtc("extra"); // 1 worker miss
-        worker.insert_rtc("extra".into(), sample_rtc());
-
-        main.absorb(worker);
-        assert_eq!(main.hits(), 2);
-        assert_eq!(main.misses(), 1);
-        assert_eq!(main.rtc_count(), 2);
-    }
-
-    #[test]
-    fn clone_is_a_cheap_shared_snapshot() {
-        let c = SharedCache::new();
-        let rtc = sample_rtc();
-        c.insert_rtc("k".into(), Arc::clone(&rtc));
-        let snapshot = c.clone();
-        // The clone shares the same Arc'd structure, not a deep copy.
-        assert_eq!(snapshot.rtc_count(), 1);
-        assert_eq!(Arc::strong_count(&rtc), 3); // local + cache + snapshot
-    }
-
-    #[test]
     fn rtc_and_full_are_independent_namespaces() {
         let c = SharedCache::new();
-        c.insert_rtc("k".into(), sample_rtc());
-        assert!(c.get_full("k").is_none());
+        insert_bare(&c, RtcKind, "k");
+        assert!(matches!(c.lookup(Full, "k", 0), Lookup::Miss));
         assert_eq!(c.full_count(), 0);
     }
 
@@ -1432,92 +1064,93 @@ mod tests {
     fn entries_go_stale_when_the_epoch_advances() {
         let c = SharedCache::new();
         let r_g = Arc::new(sample_pairs());
-        c.insert_rtc_entry("k".into(), sample_rtc(), Arc::clone(&r_g), None);
-        assert!(c.contains_fresh_rtc("k"));
+        let fresh = |c: &SharedCache| {
+            c.insert(
+                "k".into(),
+                sample(RtcKind),
+                Some(Arc::clone(&r_g)),
+                c.epoch(),
+                Duration::ZERO,
+            )
+        };
+        fresh(&c);
+        assert!(c.contains_fresh(RtcKind, "k"));
         c.advance_epoch(1);
-        assert!(!c.contains_fresh_rtc("k"));
-        // The legacy getter refuses stale entries...
-        assert!(c.get_rtc("k").is_none());
-        // ...while the epoch-aware lookup hands back the refresh state.
-        match c.lookup_rtc("k") {
-            RtcLookup::Stale(stale) => assert_eq!(*stale.r_g.unwrap(), *r_g),
+        assert!(!c.contains_fresh(RtcKind, "k"));
+        // The live lookup claims the entry and hands back the refresh state.
+        match c.lookup(RtcKind, "k", 1) {
+            Lookup::Stale { r_g: claimed, .. } => assert_eq!(*claimed.unwrap(), *r_g),
             _ => panic!("expected a stale entry"),
         }
         assert_eq!(c.stale_hits(), 1);
+        assert_eq!(c.rtc_count(), 0);
         // Re-inserting at the new epoch makes it fresh again.
-        c.insert_rtc_entry("k".into(), sample_rtc(), r_g, None);
-        assert!(matches!(c.lookup_rtc("k"), RtcLookup::Fresh(_)));
+        fresh(&c);
+        assert!(matches!(c.lookup(RtcKind, "k", 1), Lookup::Fresh(_)));
     }
 
     #[test]
     fn full_entries_go_stale_too() {
         let c = SharedCache::new();
-        c.insert_full_entry(
-            "k".into(),
-            Arc::new(FullTc::from_pairs(&sample_pairs())),
-            Arc::new(sample_pairs()),
-        );
+        insert_costed(&c, Full, "k", 0, 0);
         c.advance_epoch(3);
-        assert!(matches!(c.lookup_full("k"), FullLookup::Stale(_)));
-        assert!(c.get_full("k").is_none());
-        assert!(!c.contains_fresh_full("k"));
+        // Unlike an RTC, the stale closure is handed out shared, not claimed.
+        assert!(matches!(c.lookup(Full, "k", 3), Lookup::Stale { .. }));
+        assert!(matches!(c.lookup(Full, "k", 3), Lookup::Stale { .. }));
+        assert_eq!((c.stale_hits(), c.full_count()), (2, 1));
+        assert!(!c.contains_fresh(Full, "k"));
     }
 
     #[test]
     fn pinned_lookup_hits_its_own_epoch_after_the_front_moves() {
-        let c = SharedCache::new();
-        c.insert_rtc("k".into(), sample_rtc());
-        c.advance_epoch(2);
-        // Live lookups see a stale entry; a reader pinned to epoch 0 still
-        // gets a fresh hit — and, being a read, must not claim anything.
-        assert!(matches!(c.lookup_rtc_at("k", 0), RtcLookup::Fresh(_)));
-        assert_eq!(c.rtc_count(), 1);
-        assert_eq!((c.hits(), c.stale_hits()), (1, 0));
+        for_both_kinds(|kind| {
+            let c = SharedCache::new();
+            insert_bare(&c, kind, "k");
+            c.advance_epoch(2);
+            // Live lookups see a stale entry; a reader pinned to epoch 0
+            // still gets a fresh hit — and, being a read, must not claim
+            // anything.
+            assert!(matches!(c.lookup(kind, "k", 0), Lookup::Fresh(_)));
+            assert_eq!(count(&c, kind), 1);
+            assert_eq!((c.hits(), c.stale_hits()), (1, 0));
+        });
     }
 
     #[test]
     fn pinned_lookup_never_claims_other_epochs() {
-        let c = SharedCache::new();
-        c.insert_rtc("k".into(), sample_rtc());
-        c.advance_epoch(5);
-        // Pinned to epoch 3: the epoch-0 entry is neither fresh (wrong
-        // epoch) nor claimable (3 is not the live epoch) — a plain miss
-        // that leaves the entry for the live readers to refresh.
-        assert!(matches!(c.lookup_rtc_at("k", 3), RtcLookup::Miss));
-        assert_eq!(c.rtc_count(), 1);
-        assert_eq!(c.misses(), 1);
-        assert!(matches!(c.lookup_full_at("missing", 3), FullLookup::Miss));
+        for_both_kinds(|kind| {
+            let c = SharedCache::new();
+            insert_bare(&c, kind, "k");
+            c.advance_epoch(5);
+            // Pinned to epoch 3: the epoch-0 entry is neither fresh (wrong
+            // epoch) nor claimable (3 is not the live epoch) — a plain miss
+            // that leaves the entry for the live readers to refresh.
+            assert!(matches!(c.lookup(kind, "k", 3), Lookup::Miss));
+            assert_eq!(count(&c, kind), 1);
+            assert_eq!(c.misses(), 1);
+            assert!(matches!(c.lookup(kind, "missing", 3), Lookup::Miss));
+        });
     }
 
     #[test]
     fn pinned_insert_never_displaces_newer_entries() {
-        let c = SharedCache::new();
-        c.advance_epoch(4);
-        c.insert_rtc("k".into(), sample_rtc()); // stamped 4 (live)
-        c.insert_rtc_at("k".into(), sample_rtc(), 1); // old view: ignored
-        assert!(c.contains_fresh_rtc("k"));
-        c.insert_full("f".into(), Arc::new(FullTc::from_pairs(&sample_pairs())));
-        c.insert_full_entry_at(
-            "f".into(),
-            Arc::new(FullTc::from_pairs(&PairSet::new())),
-            Arc::new(PairSet::new()),
-            2,
-        );
-        assert!(c.contains_fresh_full("f"));
-        assert_eq!(c.full_shared_pairs(), 4); // the epoch-4 entry survived
-                                              // An old-epoch insert under a *new* key does land (epoch 1).
-        c.insert_rtc_entry_at(
-            "old-only".into(),
-            sample_rtc(),
-            Arc::new(sample_pairs()),
-            None,
-            1,
-        );
-        assert!(matches!(
-            c.lookup_rtc_at("old-only", 1),
-            RtcLookup::Fresh(_)
-        ));
-        assert!(!c.contains_fresh_rtc("old-only"));
+        for_both_kinds(|kind| {
+            let c = SharedCache::new();
+            c.advance_epoch(4);
+            insert_costed(&c, kind, "k", 4, 7); // stamped 4 (live)
+            let bytes = c.occupancy_bytes();
+            insert_bare(&c, kind, "k"); // tie: overwrites, base relation gone
+            assert!(c.occupancy_bytes() < bytes);
+            let bytes = c.occupancy_bytes();
+            insert_costed(&c, kind, "k", 1, 7); // old view: ignored
+            assert!(c.contains_fresh(kind, "k"));
+            assert_eq!(c.occupancy_bytes(), bytes); // the epoch-4 entry survived
+            assert_eq!(c.eviction_counters().by_stale, 0);
+            // An old-epoch insert under a *new* key does land (epoch 1).
+            insert_costed(&c, kind, "old-only", 1, 7);
+            assert!(matches!(c.lookup(kind, "old-only", 1), Lookup::Fresh(_)));
+            assert!(!c.contains_fresh(kind, "old-only"));
+        });
     }
 
     #[test]
@@ -1529,33 +1162,18 @@ mod tests {
     }
 
     #[test]
-    fn absorb_prefers_newer_epochs() {
-        let main = SharedCache::new();
-        main.insert_rtc("k".into(), sample_rtc());
-        let worker = main.clone();
-        worker.advance_epoch(1);
-        let fresh = sample_rtc();
-        worker.insert_rtc_entry(
-            "k".into(),
-            Arc::clone(&fresh),
-            Arc::new(sample_pairs()),
-            None,
-        );
-        main.advance_epoch(1);
-        main.absorb(worker);
-        // The epoch-1 entry from the worker displaced the stale epoch-0 one.
-        assert!(main.contains_fresh_rtc("k"));
-    }
-
-    #[test]
     fn fresh_entries_are_point_in_time_copies() {
         let c = SharedCache::new();
-        c.insert_rtc_entry("k".into(), sample_rtc(), Arc::new(sample_pairs()), None);
-        c.insert_rtc("stale-after-advance".into(), sample_rtc());
-        let fresh = c.fresh_rtc_entries();
+        insert_costed(&c, RtcKind, "k", 0, 0);
+        insert_bare(&c, Full, "stale-after-advance");
+        let fresh = c.fresh_entries();
         assert_eq!(fresh.len(), 2);
+        assert_eq!(
+            fresh.iter().map(|e| e.bytes).sum::<usize>(),
+            c.occupancy_bytes()
+        );
         c.advance_epoch(1);
-        assert!(c.fresh_rtc_entries().is_empty());
+        assert!(c.fresh_entries().is_empty());
         // The earlier copy is unaffected by the advance.
         assert_eq!(fresh.len(), 2);
     }
@@ -1568,7 +1186,7 @@ mod tests {
         const THREADS: usize = 8;
         const LOOKUPS: u64 = 200;
         let c = SharedCache::new();
-        c.insert_rtc("warm".into(), sample_rtc());
+        insert_bare(&c, RtcKind, "warm");
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let c = &c;
@@ -1576,8 +1194,8 @@ mod tests {
                     for i in 0..LOOKUPS {
                         // Every thread alternates one guaranteed hit and
                         // one guaranteed miss (a key nobody inserts).
-                        assert!(c.get_rtc("warm").is_some());
-                        assert!(c.get_rtc(&format!("missing-{t}-{i}")).is_none());
+                        assert!(hit(c, RtcKind, "warm"));
+                        assert!(!hit(c, RtcKind, &format!("missing-{t}-{i}")));
                     }
                 });
             }
@@ -1602,38 +1220,18 @@ mod tests {
                     for round in 0..50 {
                         let contended = format!("key-{}", round % 4);
                         let private = format!("key-{t}-{round}");
-                        c.insert_rtc(contended.clone(), sample_rtc());
-                        c.insert_rtc(private.clone(), sample_rtc());
-                        assert!(c.get_rtc(&contended).is_some());
-                        assert!(c.get_rtc(&private).is_some());
+                        insert_bare(c, RtcKind, &contended);
+                        insert_bare(c, RtcKind, &private);
+                        assert!(hit(c, RtcKind, &contended));
+                        assert!(hit(c, RtcKind, &private));
                     }
                 });
             }
         });
         // 4 contended keys + one private key per (thread, round).
         assert_eq!(c.rtc_count(), 4 + THREADS * 50);
-        assert_eq!(c.fresh_rtc_entries().len(), c.rtc_count());
+        assert_eq!(c.fresh_entries().len(), c.rtc_count());
         assert_eq!(c.misses(), 0);
-    }
-
-    use std::time::Duration;
-
-    fn insert_costed(c: &SharedCache, key: &str, epoch: u64, nanos: u64) {
-        c.insert_rtc_entry_costed(
-            key.into(),
-            sample_rtc(),
-            Arc::new(sample_pairs()),
-            None,
-            epoch,
-            Duration::from_nanos(nanos),
-        );
-    }
-
-    /// Bytes one sample entry occupies (same structures every time).
-    fn unit_bytes() -> usize {
-        let probe = SharedCache::new();
-        insert_costed(&probe, "probe", 0, 1);
-        probe.occupancy_bytes()
     }
 
     #[test]
@@ -1664,64 +1262,79 @@ mod tests {
 
     #[test]
     fn occupancy_tracks_every_mutation() {
-        let c = SharedCache::new();
-        assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (0, 0));
-        insert_costed(&c, "a", 0, 10);
-        let unit = c.occupancy_bytes();
-        assert!(unit > 0);
-        assert_eq!(c.occupancy_entries(), 1);
-        // Replacement at the same key does not double-count.
-        insert_costed(&c, "a", 0, 20);
-        assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (unit, 1));
-        insert_costed(&c, "b", 0, 10);
-        assert_eq!(c.occupancy_entries(), 2);
-        // A stale claim removes the entry and its footprint.
-        c.advance_epoch(1);
-        assert!(matches!(c.lookup_rtc("a"), RtcLookup::Stale(_)));
-        assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (unit, 1));
-        c.clear();
-        assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (0, 0));
+        for_both_kinds(|kind| {
+            let c = SharedCache::new();
+            assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (0, 0));
+            insert_costed(&c, kind, "a", 0, 10);
+            let unit = c.occupancy_bytes();
+            assert!(unit > 0);
+            assert_eq!(c.occupancy_entries(), 1);
+            // Replacement at the same key does not double-count.
+            insert_costed(&c, kind, "a", 0, 20);
+            assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (unit, 1));
+            insert_costed(&c, kind, "b", 0, 10);
+            assert_eq!(c.occupancy_entries(), 2);
+            // A stale RTC is claimed, which removes the entry and its
+            // footprint; a stale full closure stays where it is.
+            c.advance_epoch(1);
+            assert!(matches!(c.lookup(kind, "a", 1), Lookup::Stale { .. }));
+            let left = if kind == RtcKind { 1 } else { 2 };
+            assert_eq!(
+                (c.occupancy_bytes(), c.occupancy_entries()),
+                (left * unit, left)
+            );
+            c.clear();
+            assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (0, 0));
+        });
     }
 
     #[test]
     fn byte_budget_evicts_lowest_score_first() {
-        let unit = unit_bytes();
-        let c = SharedCache::with_budget(CacheBudget {
-            max_bytes: Some(2 * unit),
-            ..Default::default()
+        for_both_kinds(|kind| {
+            let unit = unit_bytes(kind);
+            let c = SharedCache::with_budget(CacheBudget {
+                max_bytes: Some(2 * unit),
+                ..Default::default()
+            });
+            insert_costed(&c, kind, "expensive", 0, 30_000);
+            insert_costed(&c, kind, "cheap", 0, 1_000);
+            insert_costed(&c, kind, "middling", 0, 20_000);
+            // Equal bytes, so the lowest build cost scores lowest and goes.
+            assert_eq!(c.occupancy_entries(), 2);
+            assert!(c.occupancy_bytes() <= 2 * unit);
+            assert!(c.contains_fresh(kind, "expensive"));
+            assert!(c.contains_fresh(kind, "middling"));
+            assert!(!c.contains_fresh(kind, "cheap"));
+            assert_eq!(c.eviction_counters().by_bytes, 1);
+            // The miss that rebuilds the evicted key is counted once, and
+            // only in the namespace it was evicted from.
+            let other = if kind == RtcKind { Full } else { RtcKind };
+            assert!(!hit(&c, other, "cheap"));
+            assert_eq!(c.eviction_counters().rebuilds_after_evict, 0);
+            assert!(!hit(&c, kind, "cheap"));
+            assert!(!hit(&c, kind, "cheap"));
+            assert_eq!(c.eviction_counters().rebuilds_after_evict, 1);
         });
-        insert_costed(&c, "expensive", 0, 30_000);
-        insert_costed(&c, "cheap", 0, 1_000);
-        insert_costed(&c, "middling", 0, 20_000);
-        // Equal bytes, so the lowest build cost scores lowest and goes.
-        assert_eq!(c.occupancy_entries(), 2);
-        assert!(c.occupancy_bytes() <= 2 * unit);
-        assert!(c.contains_fresh_rtc("expensive"));
-        assert!(c.contains_fresh_rtc("middling"));
-        assert!(!c.contains_fresh_rtc("cheap"));
-        assert_eq!(c.eviction_counters().by_bytes, 1);
-        // The miss that rebuilds the evicted key is counted once.
-        assert!(c.get_rtc("cheap").is_none());
-        assert!(c.get_rtc("cheap").is_none());
-        assert_eq!(c.eviction_counters().rebuilds_after_evict, 1);
     }
 
     #[test]
     fn entry_budget_evicts_with_recency_tie_break() {
-        let c = SharedCache::with_budget(CacheBudget {
-            max_entries: Some(2),
-            ..Default::default()
+        for_both_kinds(|kind| {
+            let c = SharedCache::with_budget(CacheBudget {
+                max_entries: Some(2),
+                ..Default::default()
+            });
+            // Identical scores: the least-recently-hit entry goes.
+            insert_costed(&c, kind, "old", 0, 5_000);
+            insert_costed(&c, kind, "warm", 0, 5_000);
+            assert!(hit(&c, kind, "old")); // "old" now most recent
+            insert_costed(&c, kind, "new", 0, 5_000);
+            assert_eq!(c.occupancy_entries(), 2);
+            assert!(c.contains_fresh(kind, "old"));
+            assert!(!c.contains_fresh(kind, "warm"));
+            assert!(c.contains_fresh(kind, "new"));
+            assert_eq!(c.eviction_counters().by_entries, 1);
         });
-        // Identical scores: the least-recently-hit entry goes.
-        insert_costed(&c, "old", 0, 5_000);
-        insert_costed(&c, "warm", 0, 5_000);
-        assert!(c.get_rtc("old").is_some()); // "old" now most recent
-        insert_costed(&c, "new", 0, 5_000);
-        assert_eq!(c.occupancy_entries(), 2);
-        assert!(c.contains_fresh_rtc("old"));
-        assert!(!c.contains_fresh_rtc("warm"));
-        assert!(c.contains_fresh_rtc("new"));
-        assert_eq!(c.eviction_counters().by_entries, 1);
     }
 
     /// Scores within the same order of magnitude count as a tie —
@@ -1729,52 +1342,73 @@ mod tests {
     /// a hot entry lose to a cold one over measurement noise.
     #[test]
     fn comparable_scores_tie_and_recency_decides() {
+        for_both_kinds(|kind| {
+            let c = SharedCache::with_budget(CacheBudget {
+                max_entries: Some(2),
+                ..Default::default()
+            });
+            // "hot" measured slightly cheaper than "cold" (same power-of-8
+            // bucket): under a raw float comparison "hot" would be the
+            // victim; under class comparison they tie and recency keeps it.
+            insert_costed(&c, kind, "hot", 0, 5_000);
+            insert_costed(&c, kind, "cold", 0, 6_000);
+            assert!(hit(&c, kind, "hot")); // "hot" now most recent
+            insert_costed(&c, kind, "new", 0, 5_500);
+            assert!(c.contains_fresh(kind, "hot"));
+            assert!(!c.contains_fresh(kind, "cold"));
+            // An order-of-magnitude gap is *not* a tie: the far cheaper
+            // rebuild goes first no matter how recently it arrived — here
+            // the newcomer itself, evicted by its own insert's enforcement.
+            insert_costed(&c, kind, "trivial", 0, 5_500 / 100);
+            assert!(!c.contains_fresh(kind, "trivial"));
+            assert!(c.contains_fresh(kind, "hot"));
+            assert!(c.contains_fresh(kind, "new"));
+        });
+    }
+
+    /// One budget governs both namespaces: the victim is the lowest score
+    /// across RTCs and full closures alike.
+    #[test]
+    fn eviction_ranks_both_kinds_together() {
         let c = SharedCache::with_budget(CacheBudget {
             max_entries: Some(2),
             ..Default::default()
         });
-        // "hot" measured slightly cheaper than "cold" (same power-of-8
-        // bucket): under a raw float comparison "hot" would be the
-        // victim; under class comparison they tie and recency keeps it.
-        insert_costed(&c, "hot", 0, 5_000);
-        insert_costed(&c, "cold", 0, 6_000);
-        assert!(c.get_rtc("hot").is_some()); // "hot" now most recent
-        insert_costed(&c, "new", 0, 5_500);
-        assert!(c.contains_fresh_rtc("hot"));
-        assert!(!c.contains_fresh_rtc("cold"));
-        // An order-of-magnitude gap is *not* a tie: the far cheaper
-        // rebuild goes first no matter how recently it arrived — here
-        // the newcomer itself, evicted by its own insert's enforcement.
-        insert_costed(&c, "trivial", 0, 5_500 / 100);
-        assert!(!c.contains_fresh_rtc("trivial"));
-        assert!(c.contains_fresh_rtc("hot"));
-        assert!(c.contains_fresh_rtc("new"));
+        insert_costed(&c, Full, "k", 0, 1_000);
+        insert_costed(&c, RtcKind, "k", 0, 900_000);
+        insert_costed(&c, RtcKind, "j", 0, 900_000);
+        assert!(!c.contains_fresh(Full, "k"));
+        assert_eq!((c.rtc_count(), c.full_count()), (2, 0));
+        insert_costed(&c, Full, "j", 0, 90_000_000);
+        assert_eq!((c.rtc_count(), c.full_count()), (1, 1));
     }
 
     #[test]
     fn pinned_epochs_survive_eviction() {
-        let c = Arc::new(SharedCache::with_budget(CacheBudget {
-            max_entries: Some(1),
-            ..Default::default()
-        }));
-        insert_costed(&c, "a", 0, 100);
-        let pin = EpochPin::new(Arc::clone(&c), 0);
-        assert_eq!(pin.epoch(), 0);
-        assert!(c.is_pinned(0));
-        assert_eq!(c.pinned_occupancy_bytes(), c.occupancy_bytes());
-        c.advance_epoch(1);
-        // Over budget, but only the unpinned newcomer is evictable — the
-        // pinned epoch-0 entry keeps serving its view.
-        insert_costed(&c, "b", 1, 1_000_000);
-        assert_eq!(c.occupancy_entries(), 1);
-        assert!(matches!(c.lookup_rtc_at("a", 0), RtcLookup::Fresh(_)));
-        // Dropping the pin makes epoch 0 evictable again.
-        drop(pin);
-        assert!(!c.is_pinned(0));
-        insert_costed(&c, "b", 1, 1_000_000);
-        assert_eq!(c.occupancy_entries(), 1);
-        assert!(matches!(c.lookup_rtc_at("a", 0), RtcLookup::Miss));
-        assert!(c.contains_fresh_rtc("b"));
+        for_both_kinds(|kind| {
+            let c = Arc::new(SharedCache::with_budget(CacheBudget {
+                max_entries: Some(1),
+                ..Default::default()
+            }));
+            insert_costed(&c, kind, "a", 0, 100);
+            let pin = EpochPin::new(Arc::clone(&c), 0);
+            assert_eq!(pin.epoch(), 0);
+            assert!(c.is_pinned(0));
+            assert_eq!(c.pinned_occupancy_bytes(), c.occupancy_bytes());
+            c.advance_epoch(1);
+            // Over budget, but only the unpinned newcomer is evictable — the
+            // pinned epoch-0 entry keeps serving its view.
+            insert_costed(&c, kind, "b", 1, 1_000_000);
+            assert_eq!(c.occupancy_entries(), 1);
+            assert!(matches!(c.lookup(kind, "a", 0), Lookup::Fresh(_)));
+            // Dropping the pin makes epoch 0 evictable again.
+            drop(pin);
+            assert!(!c.is_pinned(0));
+            insert_costed(&c, kind, "b", 1, 1_000_000);
+            assert_eq!(c.occupancy_entries(), 1);
+            assert!(matches!(c.lookup(kind, "a", 0), Lookup::Miss));
+            assert!(c.contains_fresh(kind, "b"));
+        });
     }
 
     #[test]
@@ -1783,74 +1417,41 @@ mod tests {
             ttl_epochs: Some(1),
             ..Default::default()
         });
-        insert_costed(&c, "k", 0, 100);
-        c.insert_full_entry(
-            "k".into(),
-            Arc::new(FullTc::from_pairs(&sample_pairs())),
-            Arc::new(sample_pairs()),
-        );
+        for_both_kinds(|kind| insert_costed(&c, kind, "k", 0, 100));
         c.advance_epoch(1); // lag 1 ≤ ttl: kept (still refreshable)
         assert_eq!(c.occupancy_entries(), 2);
         c.advance_epoch(2); // lag 2 > ttl: swept
-        assert_eq!(c.occupancy_entries(), 0);
+        assert_eq!((c.occupancy_entries(), c.occupancy_bytes()), (0, 0));
         assert_eq!(c.eviction_counters().by_ttl, 2);
     }
 
     #[test]
     fn ttl_sweep_spares_pinned_epochs() {
-        let c = Arc::new(SharedCache::with_budget(CacheBudget {
-            ttl_epochs: Some(0),
-            ..Default::default()
-        }));
-        insert_costed(&c, "k", 0, 100);
-        let pin = EpochPin::new(Arc::clone(&c), 0);
-        c.advance_epoch(5);
-        assert!(matches!(c.lookup_rtc_at("k", 0), RtcLookup::Fresh(_)));
-        drop(pin);
-        c.sweep();
-        assert_eq!(c.occupancy_entries(), 0);
+        for_both_kinds(|kind| {
+            let c = Arc::new(SharedCache::with_budget(CacheBudget {
+                ttl_epochs: Some(0),
+                ..Default::default()
+            }));
+            insert_costed(&c, kind, "k", 0, 100);
+            let pin = EpochPin::new(Arc::clone(&c), 0);
+            c.advance_epoch(5);
+            assert!(matches!(c.lookup(kind, "k", 0), Lookup::Fresh(_)));
+            drop(pin);
+            c.sweep();
+            assert_eq!(c.occupancy_entries(), 0);
+        });
     }
 
     #[test]
     fn stale_displacement_is_counted() {
-        let c = SharedCache::new();
-        insert_costed(&c, "k", 0, 100);
-        c.advance_epoch(1);
-        // Re-inserting the key at the new epoch displaces the stale one.
-        insert_costed(&c, "k", 1, 100);
-        assert_eq!(c.eviction_counters().by_stale, 1);
-        assert_eq!(c.occupancy_entries(), 1);
-    }
-
-    #[test]
-    fn clone_carries_budget_and_occupancy() {
-        let unit = unit_bytes();
-        let c = SharedCache::with_budget(CacheBudget {
-            max_bytes: Some(10 * unit),
-            ..Default::default()
+        for_both_kinds(|kind| {
+            let c = SharedCache::new();
+            insert_costed(&c, kind, "k", 0, 100);
+            c.advance_epoch(1);
+            // Re-inserting the key at the new epoch displaces the stale one.
+            insert_costed(&c, kind, "k", 1, 100);
+            assert_eq!(c.eviction_counters().by_stale, 1);
+            assert_eq!(c.occupancy_entries(), 1);
         });
-        insert_costed(&c, "a", 0, 100);
-        let snapshot = c.clone();
-        assert_eq!(snapshot.budget(), c.budget());
-        assert_eq!(snapshot.occupancy_bytes(), c.occupancy_bytes());
-        assert_eq!(snapshot.occupancy_entries(), 1);
-    }
-
-    #[test]
-    fn absorb_enforces_the_budget_and_accounts_occupancy() {
-        let c = SharedCache::with_budget(CacheBudget {
-            max_entries: Some(2),
-            ..Default::default()
-        });
-        let worker = SharedCache::new();
-        insert_costed(&worker, "a", 0, 30_000);
-        insert_costed(&worker, "b", 0, 1_000);
-        insert_costed(&worker, "c", 0, 20_000);
-        c.absorb(worker);
-        assert_eq!(c.occupancy_entries(), 2);
-        assert!(c.contains_fresh_rtc("a"));
-        assert!(!c.contains_fresh_rtc("b"));
-        assert!(c.contains_fresh_rtc("c"));
-        assert!(c.eviction_counters().by_entries >= 1);
     }
 }

@@ -1,10 +1,10 @@
 //! The [`Engine`] facade: one graph, one strategy, shared caches, timings.
 
 use crate::breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
-use crate::cache::{CacheBudget, SharedCache};
+use crate::cache::{CacheBudget, SharedCache, SharingKind};
 use crate::error::EngineError;
 use crate::result_cache::ResultCache;
-use crate::sharing::{eval_query, EvalCtx, SharingKind};
+use crate::sharing::{eval_query, EvalCtx};
 use crate::view::EpochView;
 use rpq_eval::ProductEvaluator;
 use rpq_graph::{
@@ -493,11 +493,7 @@ impl<'g> Engine<'g> {
             let body = Regex::parse(key).map_err(EngineError::Parse)?;
             // Stale entries do not count as reusable: the evaluation below
             // refreshes them to the current epoch.
-            let already = match kind {
-                SharingKind::Rtc => self.cache.contains_fresh_rtc(key),
-                SharingKind::Full => self.cache.contains_fresh_full(key),
-            };
-            if already {
+            if self.cache.contains_fresh(kind, key) {
                 report.bodies_reused += 1;
                 continue;
             }

@@ -35,8 +35,7 @@ pub mod view;
 pub use batch_unit::{eval_batch_unit_full, eval_batch_unit_rtc};
 pub use breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
 pub use cache::{
-    CacheBudget, EpochPin, EvictionCounters, FullLookup, RtcLookup, SharedCache, StaleFull,
-    StaleRtc,
+    CacheBudget, EpochPin, EvictionCounters, FreshEntry, Lookup, Shared, SharedCache, SharingKind,
 };
 pub use engine::{Engine, EngineConfig, PrepareReport, Strategy};
 pub use error::EngineError;
@@ -46,4 +45,4 @@ pub use explain::{
 };
 pub use pre_relation::PreRelation;
 pub use result_cache::ResultCache;
-pub use view::{evaluate_at, EpochView};
+pub use view::EpochView;

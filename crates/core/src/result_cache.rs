@@ -25,6 +25,7 @@
 //! evaluation; a miss falls through to the structural cache (whose own
 //! hit/miss counters make up the second tier).
 
+use crate::cache::score;
 use rpq_graph::PairSet;
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,14 +46,6 @@ struct Entry {
     /// on re-insert so replacing a value never extends the entry's
     /// eviction lifetime.
     seq: u64,
-}
-
-impl Entry {
-    /// Eviction score: rebuild nanos bought per retained byte; lowest
-    /// goes first.
-    fn score(&self) -> f64 {
-        self.build_nanos as f64 / self.bytes.max(1) as f64
-    }
 }
 
 /// The lock-protected interior.
@@ -118,16 +111,16 @@ impl ResultCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The memoized result for `query` at `epoch`, counting a view hit or
-    /// a miss.
-    pub fn get(&self, epoch: u64, query: &str) -> Option<Arc<PairSet>> {
-        // Borrow-friendly probe: build the owned key only on insert.
-        let inner = self.lock();
-        let hit = inner
+    /// The memoized result under `key` — `(epoch, canonical query)` —
+    /// counting a view hit or a miss. The key is borrowed so a caller
+    /// builds it once, outside the lock, for both the probe and the
+    /// insert that follows a miss.
+    pub fn get(&self, key: &(u64, String)) -> Option<Arc<PairSet>> {
+        let hit = self
+            .lock()
             .map
-            .get(&(epoch, query.to_owned()))
+            .get(key)
             .map(|entry| Arc::clone(&entry.result));
-        drop(inner);
         match &hit {
             Some(_) => self.view_hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -135,22 +128,15 @@ impl ResultCache {
         hit
     }
 
-    /// Memoizes `result` for `query` at `epoch` with no recorded build
-    /// cost (scores cheapest-to-rebuild; uncosted entries of equal size
-    /// evict in insertion order, the old FIFO behavior).
-    pub fn insert(&self, epoch: u64, query: String, result: Arc<PairSet>) {
-        self.insert_costed(epoch, query, result, Duration::ZERO);
-    }
-
-    /// Memoizes `result`, recording `build` — the wall clock the
-    /// evaluation took — as its cost-to-rebuild, then evicts
-    /// lowest-score entries past the capacity and byte bounds.
-    /// Re-inserting an existing key replaces the value without extending
-    /// its eviction lifetime.
-    pub fn insert_costed(&self, epoch: u64, query: String, result: Arc<PairSet>, build: Duration) {
+    /// Memoizes `result` under `key`, recording `build` — the wall clock
+    /// the evaluation took — as its cost-to-rebuild (`Duration::ZERO`
+    /// scores cheapest; uncosted entries of equal size evict in insertion
+    /// order), then evicts lowest-score entries past the capacity and
+    /// byte bounds. Re-inserting an existing key replaces the value
+    /// without extending its eviction lifetime.
+    pub fn insert_costed(&self, key: (u64, String), result: Arc<PairSet>, build: Duration) {
         let bytes = result.heap_bytes();
         let mut inner = self.lock();
-        let key = (epoch, query);
         let seq = match inner.map.get(&key) {
             // Keep the original insertion point: replacement must not
             // push the entry back in the eviction order.
@@ -176,8 +162,10 @@ impl ResultCache {
                 .map
                 .iter()
                 .min_by(|(ka, a), (kb, b)| {
-                    (a.score(), a.seq, ka)
-                        .partial_cmp(&(b.score(), b.seq, kb))
+                    // The shared score, raw (not bucketed): ties fall to
+                    // the insertion sequence here, not to recency.
+                    (score(a.build_nanos, a.bytes), a.seq, ka)
+                        .partial_cmp(&(score(b.build_nanos, b.bytes), b.seq, kb))
                         .expect("scores are finite")
                 })
                 .map(|(k, _)| k.clone());
@@ -260,52 +248,61 @@ mod tests {
         Arc::new((0..n).map(|i| (i, i + 1)).collect())
     }
 
+    fn key(epoch: u64, query: &str) -> (u64, String) {
+        (epoch, query.to_owned())
+    }
+
+    /// An uncosted insert at epoch 0.
+    fn insert(c: &ResultCache, query: &str, result: Arc<PairSet>) {
+        c.insert_costed(key(0, query), result, Duration::ZERO);
+    }
+
     #[test]
     fn hit_and_miss_accounting() {
         let c = ResultCache::new();
-        assert!(c.get(0, "q").is_none());
+        assert!(c.get(&key(0, "q")).is_none());
         assert_eq!((c.view_hits(), c.misses()), (0, 1));
-        c.insert(0, "q".into(), pairs(3));
-        let hit = c.get(0, "q").unwrap();
+        insert(&c, "q", pairs(3));
+        let hit = c.get(&key(0, "q")).unwrap();
         assert_eq!(hit.len(), 3);
         assert_eq!((c.view_hits(), c.misses()), (1, 1));
         // Same query at another epoch is a different entry.
-        assert!(c.get(1, "q").is_none());
+        assert!(c.get(&key(1, "q")).is_none());
     }
 
     #[test]
     fn fifo_eviction_respects_capacity() {
         let c = ResultCache::with_capacity(2);
-        c.insert(0, "a".into(), pairs(1));
-        c.insert(0, "b".into(), pairs(1));
-        c.insert(0, "c".into(), pairs(1));
+        insert(&c, "a", pairs(1));
+        insert(&c, "b", pairs(1));
+        insert(&c, "c", pairs(1));
         assert_eq!(c.len(), 2);
-        assert!(c.get(0, "a").is_none(), "oldest entry evicted");
-        assert!(c.get(0, "b").is_some());
-        assert!(c.get(0, "c").is_some());
+        assert!(c.get(&key(0, "a")).is_none(), "oldest entry evicted");
+        assert!(c.get(&key(0, "b")).is_some());
+        assert!(c.get(&key(0, "c")).is_some());
         assert_eq!(c.evictions(), 1);
     }
 
     #[test]
     fn reinsert_replaces_without_duplicating_order() {
         let c = ResultCache::with_capacity(2);
-        c.insert(0, "a".into(), pairs(1));
-        c.insert(0, "a".into(), pairs(5));
-        c.insert(0, "b".into(), pairs(1));
+        insert(&c, "a", pairs(1));
+        insert(&c, "a", pairs(5));
+        insert(&c, "b", pairs(1));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(0, "a").unwrap().len(), 5);
+        assert_eq!(c.get(&key(0, "a")).unwrap().len(), 5);
         // A third key still only evicts one entry ("a", the oldest).
-        c.insert(0, "c".into(), pairs(1));
+        insert(&c, "c", pairs(1));
         assert_eq!(c.len(), 2);
-        assert!(c.get(0, "a").is_none());
+        assert!(c.get(&key(0, "a")).is_none());
     }
 
     #[test]
     fn reset_counters_preserves_entries() {
         let c = ResultCache::new();
-        c.insert(0, "q".into(), pairs(2));
-        let _ = c.get(0, "q");
-        let _ = c.get(0, "other");
+        insert(&c, "q", pairs(2));
+        let _ = c.get(&key(0, "q"));
+        let _ = c.get(&key(0, "other"));
         c.reset_counters();
         assert_eq!((c.view_hits(), c.misses()), (0, 0));
         assert_eq!(c.len(), 1);
@@ -316,35 +313,35 @@ mod tests {
     #[test]
     fn zero_capacity_disables_memoization() {
         let c = ResultCache::with_capacity(0);
-        c.insert(0, "q".into(), pairs(1));
+        insert(&c, "q", pairs(1));
         assert_eq!(c.len(), 0);
-        assert!(c.get(0, "q").is_none());
+        assert!(c.get(&key(0, "q")).is_none());
     }
 
     #[test]
     fn costly_results_outlive_cheap_ones() {
         let c = ResultCache::with_capacity(2);
-        c.insert_costed(0, "slow".into(), pairs(1), Duration::from_millis(50));
-        c.insert_costed(0, "fast".into(), pairs(1), Duration::from_micros(10));
-        c.insert_costed(0, "medium".into(), pairs(1), Duration::from_millis(5));
+        c.insert_costed(key(0, "slow"), pairs(1), Duration::from_millis(50));
+        c.insert_costed(key(0, "fast"), pairs(1), Duration::from_micros(10));
+        c.insert_costed(key(0, "medium"), pairs(1), Duration::from_millis(5));
         assert_eq!(c.len(), 2);
         // Equal sizes: the cheapest-to-rebuild result goes, not the oldest.
-        assert!(c.get(0, "fast").is_none());
-        assert!(c.get(0, "slow").is_some());
-        assert!(c.get(0, "medium").is_some());
+        assert!(c.get(&key(0, "fast")).is_none());
+        assert!(c.get(&key(0, "slow")).is_some());
+        assert!(c.get(&key(0, "medium")).is_some());
     }
 
     #[test]
     fn byte_budget_bounds_retained_results() {
         let unit = pairs(8).heap_bytes();
         let c = ResultCache::with_capacity_and_budget(1024, Some(2 * unit));
-        c.insert_costed(0, "a".into(), pairs(8), Duration::from_millis(9));
-        c.insert_costed(0, "b".into(), pairs(8), Duration::from_millis(1));
+        c.insert_costed(key(0, "a"), pairs(8), Duration::from_millis(9));
+        c.insert_costed(key(0, "b"), pairs(8), Duration::from_millis(1));
         assert_eq!(c.occupancy_bytes(), 2 * unit);
-        c.insert_costed(0, "c".into(), pairs(8), Duration::from_millis(5));
+        c.insert_costed(key(0, "c"), pairs(8), Duration::from_millis(5));
         assert!(c.occupancy_bytes() <= 2 * unit);
         assert_eq!(c.len(), 2);
-        assert!(c.get(0, "b").is_none(), "lowest score evicted");
+        assert!(c.get(&key(0, "b")).is_none(), "lowest score evicted");
         assert_eq!(c.evictions(), 1);
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::batch_unit::{eval_batch_unit_full, eval_batch_unit_rtc};
 use crate::breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
-use crate::cache::{FullLookup, RtcLookup, SharedCache, StaleFull, StaleRtc};
+use crate::cache::{Lookup, Shared, SharedCache, SharingKind};
 use crate::error::EngineError;
 use crate::pre_relation::PreRelation;
 use rpq_eval::label_seq::eval_label_names;
@@ -27,13 +27,6 @@ use rpq_reduction::{DynamicRtc, FullTc, MaintenanceConfig, MaintenanceOutcome, R
 use rpq_regex::{decompose, to_dnf_with_limit, Regex};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Which shared structure the recursion maintains.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SharingKind {
-    Rtc,
-    Full,
-}
 
 /// Evaluation context threaded through the recursion. The cache is a
 /// shared reference — its interior is lock-protected and its counters
@@ -82,10 +75,8 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet
                 };
                 // Lines 9–11: fetch, refresh or compute the shared
                 // structure for R.
-                let key = r.canonical_key();
-                match ctx.kind {
-                    SharingKind::Rtc => {
-                        let rtc = obtain_rtc(ctx, &key, &r)?;
+                match obtain(ctx, &r.canonical_key(), &r)? {
+                    Shared::Rtc(rtc, _) => {
                         // Theorem 2 fast path: a bare closure (`Pre = ε`,
                         // `Post = ε`) is exactly the RTC expansion, with the
                         // identity relation unioned in for `R*`.
@@ -114,8 +105,7 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet
                             out.result
                         }
                     }
-                    SharingKind::Full => {
-                        let full = obtain_full(ctx, &key, &r)?;
+                    Shared::Full(full) => {
                         let out = eval_batch_unit_full(
                             ctx.graph,
                             &pre,
@@ -136,143 +126,98 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet
     Ok(q_g)
 }
 
-/// Fetches the RTC for `key` — fresh from the cache, refreshed from a
-/// stale entry (incrementally where possible), or computed from scratch on
-/// a miss. The cache ends up holding a current-epoch entry either way.
-fn obtain_rtc(ctx: &mut EvalCtx<'_, '_>, key: &str, r: &Regex) -> Result<Arc<Rtc>, EngineError> {
-    let stale = match ctx.cache.lookup_rtc_at(key, ctx.epoch) {
-        RtcLookup::Fresh(rtc) => return Ok(rtc),
-        RtcLookup::Stale(stale) => Some(stale),
-        RtcLookup::Miss => None,
+/// Algorithm 1 lines 9–11, once for both strategies: fetches the shared
+/// structure for `key` — fresh from the cache, refreshed from a stale
+/// entry, or computed from scratch on a miss. The cache ends up holding an
+/// entry at the evaluation's epoch either way.
+fn obtain(ctx: &mut EvalCtx<'_, '_>, key: &str, r: &Regex) -> Result<Shared, EngineError> {
+    let stale = match ctx.cache.lookup(ctx.kind, key, ctx.epoch) {
+        Lookup::Fresh(shared) => return Ok(shared),
+        Lookup::Stale { shared, r_g } => Some((shared, r_g)),
+        Lookup::Miss => None,
     };
     // Both the refresh and the miss path need the current R_G, which is
     // itself evaluated by recursion (nested closure bodies refresh first).
     let r_g = eval_query(ctx, r)?;
     let t = Instant::now();
-    let (rtc, r_g, dynamic) = match stale {
-        Some(stale) => refresh_rtc(
-            stale,
-            r_g,
-            &ctx.maintenance_config,
-            ctx.maintenance,
-            &ctx.representation,
-        ),
-        None => {
-            let rtc = Arc::new(Rtc::from_pairs_with(&r_g, &ctx.representation));
-            (rtc, Arc::new(r_g), None)
+    let (shared, r_g) = match stale {
+        // The relation did not move, so neither did its closure: re-stamp.
+        Some((shared, Some(old_r_g))) if *old_r_g == r_g => {
+            ctx.maintenance.unchanged_refreshes += 1;
+            (shared, old_r_g)
         }
+        Some((Shared::Rtc(rtc, dynamic), Some(old_r_g))) => {
+            refresh_rtc(ctx, &rtc, dynamic, &old_r_g, r_g)
+        }
+        // No recorded base relation to diff against, or a `FullTc` — the
+        // baseline's structure has no incremental maintenance path, which
+        // is exactly the cost asymmetry the dynamic ablation measures
+        // against RTC maintenance.
+        Some(_) => {
+            let rebuilt = compute(ctx, &r_g);
+            ctx.maintenance.rebuild_refreshes += 1;
+            ctx.maintenance.rebuild_time += t.elapsed();
+            (rebuilt, Arc::new(r_g))
+        }
+        None => (compute(ctx, &r_g), Arc::new(r_g)),
     };
     let build = t.elapsed();
     ctx.breakdown.shared_data += build;
     // The construction time doubles as the entry's cost-to-rebuild under
     // the cache's cost-aware eviction.
-    ctx.cache.insert_rtc_entry_costed(
-        key.to_owned(),
-        Arc::clone(&rtc),
-        r_g,
-        dynamic,
-        ctx.epoch,
-        build,
-    );
-    Ok(rtc)
+    let reader = shared.reader();
+    ctx.cache
+        .insert(key.to_owned(), shared, Some(r_g), ctx.epoch, build);
+    Ok(reader)
 }
 
-/// Brings a stale RTC entry up to date against the freshly evaluated
-/// `R_G`: re-stamp when the relation is unchanged, otherwise diff the base
-/// relations and hand the pair delta to [`DynamicRtc`] (upgrading the
-/// static entry to maintainable form on first refresh). Falls back to a
-/// from-scratch rebuild when no base relation was recorded or the
-/// structure's own damage threshold trips.
-fn refresh_rtc(
-    stale: StaleRtc,
-    new_r_g: PairSet,
-    config: &MaintenanceConfig,
-    metrics: &mut MaintenanceMetrics,
-    representation: &RowSetPolicy,
-) -> (Arc<Rtc>, Arc<PairSet>, Option<Arc<DynamicRtc>>) {
-    let t = Instant::now();
-    let Some(old_r_g) = stale.r_g else {
-        let rtc = Arc::new(Rtc::from_pairs_with(&new_r_g, representation));
-        metrics.rebuild_refreshes += 1;
-        metrics.rebuild_time += t.elapsed();
-        return (rtc, Arc::new(new_r_g), None);
-    };
-    if *old_r_g == new_r_g {
-        metrics.unchanged_refreshes += 1;
-        return (stale.rtc, old_r_g, stale.dynamic);
+/// Computes the strategy's shared structure for `r_g` from scratch.
+fn compute(ctx: &EvalCtx<'_, '_>, r_g: &PairSet) -> Shared {
+    match ctx.kind {
+        SharingKind::Rtc => Shared::Rtc(
+            Arc::new(Rtc::from_pairs_with(r_g, &ctx.representation)),
+            None,
+        ),
+        SharingKind::Full => Shared::Full(Arc::new(FullTc::from_pairs_parallel_with(
+            r_g,
+            ctx.threads,
+            &ctx.representation,
+        ))),
     }
-    let inserted = new_r_g.difference(&old_r_g).into_vec();
+}
+
+/// Brings a stale RTC up to date against a changed `R_G`: diff the base
+/// relations and hand the pair delta to [`DynamicRtc`] (upgrading the
+/// static entry to maintainable form on first refresh), which falls back
+/// to a from-scratch rebuild when its own damage threshold trips.
+fn refresh_rtc(
+    ctx: &mut EvalCtx<'_, '_>,
+    rtc: &Rtc,
+    dynamic: Option<Arc<DynamicRtc>>,
+    old_r_g: &PairSet,
+    new_r_g: PairSet,
+) -> (Shared, Arc<PairSet>) {
+    let t = Instant::now();
+    let inserted = new_r_g.difference(old_r_g).into_vec();
     let deleted = old_r_g.difference(&new_r_g).into_vec();
-    let mut dynamic = match stale.dynamic {
+    let mut dynamic = match dynamic {
         Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()),
-        None => DynamicRtc::from_rtc(&stale.rtc, &old_r_g),
+        None => DynamicRtc::from_rtc(rtc, old_r_g),
     };
-    let outcome = dynamic.apply(&inserted, &deleted, config);
+    let outcome = dynamic.apply(&inserted, &deleted, &ctx.maintenance_config);
     let rtc = Arc::new(dynamic.snapshot());
     match outcome {
         MaintenanceOutcome::Rebuilt(_) => {
-            metrics.rebuild_refreshes += 1;
-            metrics.rebuild_time += t.elapsed();
-        }
-        MaintenanceOutcome::Incremental(_) | MaintenanceOutcome::Unchanged => {
-            metrics.incremental_refreshes += 1;
-            metrics.incremental_time += t.elapsed();
-        }
-    }
-    (rtc, Arc::new(new_r_g), Some(Arc::new(dynamic)))
-}
-
-/// Fetches the materialized `R⁺_G` for `key` — fresh, refreshed, or
-/// computed. `FullTc` has no incremental maintenance path (it is the
-/// baseline's structure); a stale entry whose base relation changed is
-/// rebuilt, which is exactly the cost asymmetry the dynamic ablation
-/// measures against RTC maintenance.
-fn obtain_full(
-    ctx: &mut EvalCtx<'_, '_>,
-    key: &str,
-    r: &Regex,
-) -> Result<Arc<FullTc>, EngineError> {
-    let stale = match ctx.cache.lookup_full_at(key, ctx.epoch) {
-        FullLookup::Fresh(full) => return Ok(full),
-        FullLookup::Stale(stale) => Some(stale),
-        FullLookup::Miss => None,
-    };
-    let r_g = eval_query(ctx, r)?;
-    let t = Instant::now();
-    let full = match stale {
-        Some(StaleFull {
-            full,
-            r_g: Some(old_r_g),
-        }) if *old_r_g == r_g => {
-            ctx.maintenance.unchanged_refreshes += 1;
-            full
-        }
-        Some(_) => {
-            let rebuilt = Arc::new(FullTc::from_pairs_parallel_with(
-                &r_g,
-                ctx.threads,
-                &ctx.representation,
-            ));
             ctx.maintenance.rebuild_refreshes += 1;
             ctx.maintenance.rebuild_time += t.elapsed();
-            rebuilt
         }
-        None => Arc::new(FullTc::from_pairs_parallel_with(
-            &r_g,
-            ctx.threads,
-            &ctx.representation,
-        )),
-    };
-    let build = t.elapsed();
-    ctx.breakdown.shared_data += build;
-    ctx.cache.insert_full_entry_costed(
-        key.to_owned(),
-        Arc::clone(&full),
-        Arc::new(r_g),
-        ctx.epoch,
-        build,
-    );
-    Ok(full)
+        MaintenanceOutcome::Incremental(_) | MaintenanceOutcome::Unchanged => {
+            ctx.maintenance.incremental_refreshes += 1;
+            ctx.maintenance.incremental_time += t.elapsed();
+        }
+    }
+    let refreshed = Shared::Rtc(rtc, Some(Arc::new(dynamic)));
+    (refreshed, Arc::new(new_r_g))
 }
 
 #[cfg(test)]

@@ -60,6 +60,7 @@
 //! assert!(warm.cache().hits() >= 1);
 //! ```
 
+use crate::cache::{score, FreshEntry, Shared};
 use crate::engine::{Engine, EngineConfig};
 use crate::error::EngineError;
 use rpq_graph::{PairSet, RowSet, VertexId};
@@ -94,8 +95,8 @@ pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<(), Eng
     rpq_graph::snapshot::write_graph_snapshot(engine.graph(), engine.epoch(), &mut w)?;
 
     let cache = engine.cache();
-    let mut rtcs = cache.fresh_rtc_entries();
-    let mut fulls = cache.fresh_full_entries();
+    let mut entries = cache.fresh_entries();
+    let is_full = |e: &FreshEntry| matches!(e.shared, Shared::Full(_));
 
     // A bounded cache can sit past its budget while pinned epochs hold
     // entries hostage; the file must not inherit that excess. Trim to the
@@ -104,80 +105,37 @@ pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<(), Eng
     // equal states trim identically.
     let budget = cache.budget();
     if !budget.is_unbounded() {
-        struct Cand {
-            is_rtc: bool,
-            idx: usize,
-            bytes: usize,
-            score: f64,
-        }
-        let mut cands: Vec<Cand> = Vec::with_capacity(rtcs.len() + fulls.len());
-        for (idx, (_, rtc, r_g, nanos)) in rtcs.iter().enumerate() {
-            let bytes = rtc.closure_heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
-            let score = *nanos as f64 / bytes.max(1) as f64;
-            cands.push(Cand {
-                is_rtc: true,
-                idx,
-                bytes,
-                score,
-            });
-        }
-        for (idx, (_, full, r_g, nanos)) in fulls.iter().enumerate() {
-            let bytes = full.heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
-            let score = *nanos as f64 / bytes.max(1) as f64;
-            cands.push(Cand {
-                is_rtc: false,
-                idx,
-                bytes,
-                score,
-            });
-        }
-        let key_of = |c: &Cand| {
-            if c.is_rtc {
-                rtcs[c.idx].0.as_str()
-            } else {
-                fulls[c.idx].0.as_str()
-            }
-        };
-        cands.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
+        entries.sort_by(|a, b| {
+            score(b.build_nanos, b.bytes)
+                .partial_cmp(&score(a.build_nanos, a.bytes))
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| key_of(a).cmp(key_of(b)))
-                .then_with(|| b.is_rtc.cmp(&a.is_rtc))
+                .then_with(|| a.key.cmp(&b.key))
+                .then_with(|| is_full(a).cmp(&is_full(b)))
         });
         let mut bytes_left = budget.max_bytes.unwrap_or(usize::MAX);
         let mut entries_left = budget.max_entries.unwrap_or(usize::MAX);
-        let mut keep_rtc = vec![false; rtcs.len()];
-        let mut keep_full = vec![false; fulls.len()];
-        for c in &cands {
-            if entries_left == 0 {
-                break;
+        entries.retain(|e| {
+            // A too-big entry is skipped rather than ending the scan: a
+            // smaller, lower-score one may still fit.
+            if entries_left == 0 || e.bytes > bytes_left {
+                return false;
             }
-            if c.bytes > bytes_left {
-                continue; // a smaller, lower-score entry may still fit
-            }
-            bytes_left -= c.bytes;
+            bytes_left -= e.bytes;
             entries_left -= 1;
-            if c.is_rtc {
-                keep_rtc[c.idx] = true;
-            } else {
-                keep_full[c.idx] = true;
-            }
-        }
-        let mut keep = keep_rtc.iter();
-        rtcs.retain(|_| *keep.next().expect("one flag per RTC entry"));
-        let mut keep = keep_full.iter();
-        fulls.retain(|_| *keep.next().expect("one flag per full entry"));
+            true
+        });
     }
 
     // Sort by key so snapshots of equal state are byte-equal (hash-map
     // iteration order is not deterministic).
-    rtcs.sort_by(|a, b| a.0.cmp(&b.0));
-    write_u32(&mut w, rtcs.len() as u32)?;
-    for (key, rtc, r_g, build_nanos) in &rtcs {
-        write_str(&mut w, key)?;
-        write_u64(&mut w, *build_nanos)?;
-        write_opt_pairs(&mut w, r_g.as_ref())?;
+    entries.sort_by(|a, b| a.key.cmp(&b.key));
+    let full_count = entries.iter().filter(|e| is_full(e)).count();
+    write_u32(&mut w, (entries.len() - full_count) as u32)?;
+    for entry in &entries {
+        let Shared::Rtc(rtc, _) = &entry.shared else {
+            continue;
+        };
+        write_entry_head(&mut w, entry)?;
         let parts = RtcParts::of(rtc);
         write_u64(&mut w, parts.originals.len() as u64)?;
         write_all_u32(&mut w, &parts.originals)?;
@@ -190,12 +148,12 @@ pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<(), Eng
         write_u64(&mut w, parts.ebar_edges)?;
     }
 
-    fulls.sort_by(|a, b| a.0.cmp(&b.0));
-    write_u32(&mut w, fulls.len() as u32)?;
-    for (key, full, r_g, build_nanos) in &fulls {
-        write_str(&mut w, key)?;
-        write_u64(&mut w, *build_nanos)?;
-        write_opt_pairs(&mut w, r_g.as_ref())?;
+    write_u32(&mut w, full_count as u32)?;
+    for entry in &entries {
+        let Shared::Full(full) = &entry.shared else {
+            continue;
+        };
+        write_entry_head(&mut w, entry)?;
         let parts = FullTcParts::of(full);
         write_u64(&mut w, parts.originals.len() as u64)?;
         write_all_u32(&mut w, &parts.originals)?;
@@ -261,17 +219,10 @@ pub fn read_snapshot<R: Read>(
                 .assemble()
                 .map_err(|e| EngineError::Snapshot(format!("entry '{key}': {e}")))?,
         );
-        // Costed inserts go through budget enforcement, so a restore into
-        // a tighter budget than the writer's trims deterministically.
-        let epoch = engine.epoch();
-        match r_g {
-            Some(r_g) => {
-                engine
-                    .cache()
-                    .insert_rtc_entry_costed(key, rtc, Arc::new(r_g), None, epoch, build)
-            }
-            None => engine.cache().insert_rtc_at_costed(key, rtc, epoch, build),
-        }
+        // Inserts go through budget enforcement, so a restore into a
+        // tighter budget than the writer's trims deterministically.
+        let (cache, epoch) = (engine.cache(), engine.epoch());
+        cache.insert(key, Shared::Rtc(rtc, None), r_g, epoch, build);
     }
 
     let full_count = read_u32(&mut r, "full-closure entry count")?;
@@ -291,17 +242,8 @@ pub fn read_snapshot<R: Read>(
                 .assemble()
                 .map_err(|e| EngineError::Snapshot(format!("entry '{key}': {e}")))?,
         );
-        let epoch = engine.epoch();
-        match r_g {
-            Some(r_g) => {
-                engine
-                    .cache()
-                    .insert_full_entry_costed(key, full, Arc::new(r_g), epoch, build)
-            }
-            None => engine
-                .cache()
-                .insert_full_at_costed(key, full, epoch, build),
-        }
+        let (cache, epoch) = (engine.cache(), engine.epoch());
+        cache.insert(key, Shared::Full(full), r_g, epoch, build);
     }
 
     let mut end = [0u8; 8];
@@ -359,6 +301,13 @@ fn write_str<W: Write>(w: &mut W, s: &str) -> Result<(), EngineError> {
     }
     write_u32(w, s.len() as u32)?;
     w.write_all(s.as_bytes()).map_err(io_err)
+}
+
+/// The fields every entry starts with, whatever structure follows.
+fn write_entry_head<W: Write>(w: &mut W, entry: &FreshEntry) -> Result<(), EngineError> {
+    write_str(w, &entry.key)?;
+    write_u64(w, entry.build_nanos)?;
+    write_opt_pairs(w, entry.r_g.as_ref())
 }
 
 fn write_row<W: Write>(w: &mut W, row: &RowSet) -> Result<(), EngineError> {
@@ -466,7 +415,7 @@ fn read_str<R: Read>(r: &mut R, what: &str) -> Result<String, EngineError> {
     String::from_utf8(buf).map_err(|_| EngineError::Snapshot(format!("{what} is not valid UTF-8")))
 }
 
-fn read_opt_pairs<R: Read>(r: &mut R) -> Result<Option<PairSet>, EngineError> {
+fn read_opt_pairs<R: Read>(r: &mut R) -> Result<Option<Arc<PairSet>>, EngineError> {
     let mut tag = [0u8; 1];
     read_exact(r, &mut tag, "base-relation tag")?;
     match tag[0] {
@@ -484,7 +433,7 @@ fn read_opt_pairs<R: Read>(r: &mut R) -> Result<Option<PairSet>, EngineError> {
                     "base relation pairs are not strictly ascending".into(),
                 ));
             }
-            Ok(Some(PairSet::from_sorted_unique(pairs)))
+            Ok(Some(Arc::new(PairSet::from_sorted_unique(pairs))))
         }
         t => Err(EngineError::Snapshot(format!(
             "bad base-relation tag {t} (expected 0 or 1)"
@@ -495,6 +444,7 @@ fn read_opt_pairs<R: Read>(r: &mut R) -> Result<Option<PairSet>, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SharingKind;
     use crate::engine::Strategy;
     use rpq_graph::fixtures::paper_graph;
     use rpq_graph::GraphDelta;
@@ -664,9 +614,15 @@ mod tests {
         // *write* fail loudly, never produce an unloadable file.
         let engine = Engine::new_dynamic(paper_graph());
         let huge_key = "k".repeat(CAP + 1);
-        engine.cache().insert_rtc(
+        engine.cache().insert(
             huge_key,
-            Arc::new(rpq_reduction::Rtc::from_pairs(&PairSet::new())),
+            Shared::Rtc(
+                Arc::new(rpq_reduction::Rtc::from_pairs(&PairSet::new())),
+                None,
+            ),
+            None,
+            engine.epoch(),
+            std::time::Duration::ZERO,
         );
         let mut bytes = Vec::new();
         let err = write_snapshot(&engine, &mut bytes).unwrap_err();
@@ -724,11 +680,10 @@ mod tests {
         let engine = Engine::new_dynamic(paper_graph());
         let pairs = sample_pairs();
         for (key, nanos) in [("cheap", 1_000u64), ("mid", 20_000), ("dear", 30_000)] {
-            engine.cache().insert_rtc_entry_costed(
+            engine.cache().insert(
                 key.to_owned(),
-                Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)),
-                Arc::clone(&pairs),
-                None,
+                Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)), None),
+                Some(Arc::clone(&pairs)),
                 engine.epoch(),
                 Duration::from_nanos(nanos),
             );
@@ -747,9 +702,9 @@ mod tests {
         let warm = read_snapshot(&bytes[..], config).unwrap();
         assert_eq!(warm.cache().rtc_count(), 2);
         assert_eq!(warm.cache().occupancy_entries(), 2);
-        assert!(warm.cache().contains_fresh_rtc("dear"));
-        assert!(warm.cache().contains_fresh_rtc("mid"));
-        assert!(!warm.cache().contains_fresh_rtc("cheap"));
+        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "dear"));
+        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "mid"));
+        assert!(!warm.cache().contains_fresh(SharingKind::Rtc, "cheap"));
         assert_eq!(warm.cache().eviction_counters().by_entries, 1);
     }
 
@@ -771,11 +726,10 @@ mod tests {
         let view = engine.pin(); // pins epoch 0: both entries below survive
         let pairs = sample_pairs();
         for (key, nanos) in [("cold", 1_000u64), ("hot", 9_000)] {
-            engine.cache().insert_rtc_entry_costed(
+            engine.cache().insert(
                 key.to_owned(),
-                Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)),
-                Arc::clone(&pairs),
-                None,
+                Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)), None),
+                Some(Arc::clone(&pairs)),
                 engine.epoch(),
                 Duration::from_nanos(nanos),
             );
@@ -794,8 +748,8 @@ mod tests {
             1,
             "the file was trimmed to budget"
         );
-        assert!(warm.cache().contains_fresh_rtc("hot"));
-        assert!(!warm.cache().contains_fresh_rtc("cold"));
+        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "hot"));
+        assert!(!warm.cache().contains_fresh(SharingKind::Rtc, "cold"));
     }
 
     #[test]

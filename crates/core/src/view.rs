@@ -123,9 +123,9 @@ impl EpochView {
         query: &Regex,
         config: EngineConfig,
     ) -> Result<Arc<PairSet>, EngineError> {
-        let key = query.canonical_key();
         let epoch = self.epoch();
-        if let Some(hit) = self.results.get(epoch, &key) {
+        let key = (epoch, query.canonical_key());
+        if let Some(hit) = self.results.get(&key) {
             return Ok(hit);
         }
         let t = Instant::now();
@@ -137,8 +137,7 @@ impl EpochView {
         let result = Arc::new(result?);
         // The evaluation time is the entry's cost-to-rebuild under the
         // result cache's cost-aware eviction.
-        self.results
-            .insert_costed(epoch, key, Arc::clone(&result), build);
+        self.results.insert_costed(key, Arc::clone(&result), build);
         Ok(result)
     }
 
@@ -205,15 +204,10 @@ impl EpochView {
     }
 }
 
-/// Evaluates `query` against a pinned view — the free-function spelling
-/// of [`EpochView::evaluate`], for callers holding `&EpochView`.
-pub fn evaluate_at(view: &EpochView, query: &Regex) -> Result<Arc<PairSet>, EngineError> {
-    view.evaluate(query)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SharingKind;
     use crate::Engine;
     use rpq_graph::fixtures::paper_graph;
     use rpq_graph::GraphDelta;
@@ -279,7 +273,7 @@ mod tests {
         let pinned = v0.evaluate(&q).unwrap();
         assert_ne!(*pinned, live);
         assert_eq!(e.cache().rtc_shared_pairs(), live_pairs);
-        assert!(e.cache().contains_fresh_rtc("b.c"));
+        assert!(e.cache().contains_fresh(SharingKind::Rtc, "b.c"));
         // The live result is untouched by the pinned evaluation.
         assert_eq!(e.evaluate(&q).unwrap(), live);
     }
@@ -324,14 +318,6 @@ mod tests {
             .map(|x| x.raw())
             .collect();
         assert_eq!(starts, vec![7]);
-    }
-
-    #[test]
-    fn evaluate_at_free_function_matches_method() {
-        let e = Engine::new_dynamic(paper_graph());
-        let v = e.pin();
-        let q = Regex::parse("(b.c)+").unwrap();
-        assert_eq!(evaluate_at(&v, &q).unwrap(), v.evaluate(&q).unwrap());
     }
 
     #[test]

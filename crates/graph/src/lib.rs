@@ -22,7 +22,6 @@
 //! buffers instead of hash sets.
 
 pub mod bfs;
-pub mod bitmatrix;
 pub mod condensation;
 pub mod csr;
 pub mod digraph;
@@ -41,7 +40,6 @@ pub mod stats;
 pub mod versioned;
 
 pub use bfs::EpochVisited;
-pub use bitmatrix::BitMatrix;
 pub use condensation::Condensation;
 pub use csr::Csr;
 pub use digraph::{Digraph, MappedDigraph, VertexMapping};

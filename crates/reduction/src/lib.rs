@@ -49,7 +49,6 @@ pub use incremental::{
 pub use rtc::{Rtc, RtcStats};
 pub use snapshot::{FullTcParts, PartsError, RtcParts};
 pub use tc::{
-    closure_of_condensation, closure_of_condensation_bitset, expand_scc_closure,
-    expand_scc_closure_parallel, nuutila_closure, tc_condensation, tc_condensation_parallel,
-    tc_naive, tc_naive_parallel,
+    closure_of_condensation, closure_of_condensation_bitset, expand_scc_closure, nuutila_closure,
+    tc_condensation, tc_naive, tc_naive_parallel,
 };

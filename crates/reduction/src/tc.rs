@@ -14,11 +14,9 @@
 //!   builds the SCC closure straight from member adjacency, never
 //!   materializing the condensation graph.
 //!
-//! The naive BFS and the vertex-level expansion are embarrassingly
-//! parallel; [`tc_naive_parallel`], [`expand_scc_closure_parallel`] and
-//! [`tc_condensation_parallel`] shard them over the scoped-thread pool of
-//! [`rpq_graph::par`] and are property-tested to be bitwise-identical to
-//! their sequential counterparts.
+//! The naive BFS is embarrassingly parallel; [`tc_naive_parallel`] shards
+//! it over the scoped-thread pool of [`rpq_graph::par`] and is
+//! property-tested to be bitwise-identical to its sequential counterpart.
 //!
 //! All closure rows are sorted ascending, so downstream joins can merge.
 
@@ -127,16 +125,6 @@ pub fn tc_condensation(g: &Digraph) -> Csr<u32> {
     let cond = Condensation::new(g, &scc);
     let closure = closure_of_condensation(&cond);
     expand_scc_closure(&scc, &closure, g.vertex_count())
-}
-
-/// [`tc_condensation`] with the vertex-level expansion sharded over
-/// `threads` scoped workers (the SCC detection and condensation closure
-/// stay sequential — they are cheap and inherently ordered).
-pub fn tc_condensation_parallel(g: &Digraph, threads: usize) -> Csr<u32> {
-    let scc = tarjan_scc(g);
-    let cond = Condensation::new(g, &scc);
-    let closure = closure_of_condensation(&cond);
-    expand_scc_closure_parallel(&scc, &closure, g.vertex_count(), threads)
 }
 
 /// Nuutila-inspired closure \[13\]: a two-phase computation that runs
@@ -255,45 +243,11 @@ pub fn closure_of_condensation_bitset(cond: &Condensation) -> RowTable {
 }
 
 /// Expands a per-SCC closure to per-vertex rows (the Cartesian products of
-/// Lemma 3, laid out row-wise).
+/// Lemma 3, laid out row-wise). The reachable vertex set is collected once
+/// per SCC and cloned per member.
 pub fn expand_scc_closure(scc: &Scc, closure: &Csr<u32>, n: usize) -> Csr<u32> {
-    scatter_member_rows(expand_scc_rows_range(scc, closure, 0..scc.count()), n)
-}
-
-/// Parallel [`expand_scc_closure`]: the per-SCC Cartesian products are
-/// sharded over `threads` scoped workers; each worker emits
-/// `(member, reachable-row)` pairs for its SCC chunk and the rows are
-/// scattered back into vertex order. Output is identical to
-/// [`expand_scc_closure`] (property-tested).
-pub fn expand_scc_closure_parallel(
-    scc: &Scc,
-    closure: &Csr<u32>,
-    n: usize,
-    threads: usize,
-) -> Csr<u32> {
-    let k = scc.count();
-    let threads = par::effective_threads(threads);
-    if threads <= 1 || k == 0 {
-        return expand_scc_closure(scc, closure, n);
-    }
-    let chunk = par::balanced_chunk(k, threads, 4, 512);
-    let shards = par::par_map_chunks(threads, k, chunk, |range| {
-        expand_scc_rows_range(scc, closure, range)
-    });
-    scatter_member_rows(shards.into_iter().flatten().collect(), n)
-}
-
-/// Lemma 3's expansion restricted to source SCCs in `sccs`, as
-/// `(member, reachable-row)` pairs — the shard unit of both expansion
-/// paths. The reachable vertex set is collected once per SCC and cloned
-/// per member.
-fn expand_scc_rows_range(
-    scc: &Scc,
-    closure: &Csr<u32>,
-    sccs: std::ops::Range<usize>,
-) -> Vec<(u32, Vec<u32>)> {
-    let mut out: Vec<(u32, Vec<u32>)> = Vec::new();
-    for s in sccs {
+    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for s in 0..scc.count() {
         let succ = closure.row(s);
         if succ.is_empty() {
             continue;
@@ -304,17 +258,8 @@ fn expand_scc_rows_range(
         }
         reach.sort_unstable();
         for &member in scc.members(SccId(s as u32)) {
-            out.push((member, reach.clone()));
+            rows[member as usize] = reach.clone();
         }
-    }
-    out
-}
-
-/// Scatters `(member, row)` pairs into an `n`-row CSR in vertex order.
-fn scatter_member_rows(pairs: Vec<(u32, Vec<u32>)>, n: usize) -> Csr<u32> {
-    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (member, reach) in pairs {
-        rows[member as usize] = reach;
     }
     Csr::from_rows(rows)
 }
@@ -464,37 +409,6 @@ mod tests {
                 assert_eq!(
                     tc_naive_parallel(g, threads),
                     seq,
-                    "graph {i}, threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_expansion_matches_sequential() {
-        let graphs = [
-            Digraph::from_edges(0, vec![]),
-            Digraph::from_edges(5, vec![(0, 2), (0, 4), (1, 3), (2, 0), (3, 1)]),
-            Digraph::from_edges(40, (0..39).map(|v| (v, v + 1)).collect()),
-            Digraph::from_edges(
-                6,
-                vec![(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 5)],
-            ),
-        ];
-        for (i, g) in graphs.iter().enumerate() {
-            let scc = tarjan_scc(g);
-            let cond = Condensation::new(g, &scc);
-            let closure = closure_of_condensation(&cond);
-            let seq = expand_scc_closure(&scc, &closure, g.vertex_count());
-            for threads in [1usize, 2, 8] {
-                assert_eq!(
-                    expand_scc_closure_parallel(&scc, &closure, g.vertex_count(), threads),
-                    seq,
-                    "graph {i}, threads {threads}"
-                );
-                assert_eq!(
-                    tc_condensation_parallel(g, threads),
-                    tc_condensation(g),
                     "graph {i}, threads {threads}"
                 );
             }

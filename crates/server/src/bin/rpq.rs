@@ -69,12 +69,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                 let v = args
                     .next()
                     .ok_or("--cache-budget needs a spec like 'bytes=64m,entries=512,ttl=8'")?;
-                // Unlike the RPQ_CACHE_BUDGET env (which falls back to
-                // unbounded on garbage), a typo on the command line is an
-                // error the operator should see.
-                opts.cache_budget = Some(rpq_core::CacheBudget::parse(&v).ok_or(format!(
-                    "bad --cache-budget '{v}' (want 'bytes=SIZE,entries=N,ttl=N', a bare SIZE, or 'unbounded')"
-                ))?);
+                opts.cache_budget = Some(parse_budget("--cache-budget", &v)?);
             }
             "--addr" => {
                 let v = args.next().ok_or("--addr needs HOST:PORT")?;
@@ -103,7 +98,22 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             return Err("serve needs --addr HOST:PORT".into());
         }
     }
+    // `EngineConfig::default()` reads RPQ_CACHE_BUDGET leniently (a library
+    // must not abort its host over an environment typo, so garbage means
+    // unbounded); the operator starting this binary should see the typo,
+    // exactly as with the flag.
+    if let Ok(spec) = std::env::var("RPQ_CACHE_BUDGET") {
+        parse_budget("RPQ_CACHE_BUDGET", &spec)?;
+    }
     Ok(opts)
+}
+
+/// Parses a cache-budget spec from `source` (the flag or the environment
+/// variable); a malformed one is a startup error either way.
+fn parse_budget(source: &str, spec: &str) -> Result<rpq_core::CacheBudget, String> {
+    rpq_core::CacheBudget::parse(spec).ok_or(format!(
+        "bad {source} '{spec}' (want 'bytes=SIZE,entries=N,ttl=N', a bare SIZE, or 'unbounded')"
+    ))
 }
 
 fn print_usage() {

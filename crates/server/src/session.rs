@@ -712,7 +712,7 @@ impl Session {
                 // Report what was actually persisted: only *fresh*
                 // entries survive a save (stale ones are dropped).
                 let cache = state.engine.cache();
-                let fresh = cache.fresh_rtc_entries().len() + cache.fresh_full_entries().len();
+                let fresh = cache.fresh_entries().len();
                 let stale = cache.rtc_count() + cache.full_count() - fresh;
                 let dropped = if stale > 0 {
                     format!(" ({stale} stale dropped)")

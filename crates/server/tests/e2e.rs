@@ -140,4 +140,15 @@ fn bad_usage_exits_nonzero() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // A malformed budget in the environment fails like one on the command
+    // line — it must not silently mean "unbounded".
+    let out = Command::new(env!("CARGO_BIN_EXE_rpq"))
+        .arg("repl")
+        .env("RPQ_CACHE_BUDGET", "64 kilobytes")
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad RPQ_CACHE_BUDGET"), "{stderr}");
 }

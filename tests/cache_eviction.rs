@@ -19,7 +19,7 @@ use common::{random_graph, rng, ALPHABET};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rtc_rpq::core::{CacheBudget, Engine, EngineConfig, RtcLookup};
+use rtc_rpq::core::{CacheBudget, Engine, EngineConfig, Lookup, SharingKind, Strategy};
 use rtc_rpq::graph::{GraphDelta, LabeledMultigraph, VersionedGraph};
 use rtc_rpq::regex::Regex;
 
@@ -66,18 +66,25 @@ proptest! {
 
     /// Invariants 1 + 2: a budgeted engine answers exactly like a fresh
     /// unbounded engine at the same epoch, and its occupancy respects the
-    /// budget after every operation.
+    /// budget after every operation — whichever structure kind the
+    /// budget is evicting.
     #[test]
     fn bounded_engines_answer_like_unbounded_ones(
         seed in 0u64..1_000_000,
+        strategy in prop::sample::select(vec![Strategy::RtcSharing, Strategy::FullSharing]),
         ops in prop::collection::vec((0u32..2, 0u64..u64::MAX), 1..10),
     ) {
         let mut r = rng(seed);
         let base = random_graph(&mut r, N, 30);
-        let (max_bytes, max_entries) = (4096usize, 3usize);
+        // One entry: any second closure body evicts the first, so the
+        // drawn histories really do evict and rebuild both kinds.
+        let (max_bytes, max_entries) = (4096usize, 1usize);
         let mut bounded = dynamic_engine(
             base.clone(),
-            bounded_config(Some(max_bytes), Some(max_entries)),
+            EngineConfig {
+                strategy,
+                ..bounded_config(Some(max_bytes), Some(max_entries))
+            },
         );
         let mut deltas: Vec<GraphDelta> = Vec::new();
         for (flag, op_seed) in ops {
@@ -139,8 +146,8 @@ proptest! {
         let view = engine.pin();
         let pinned_epoch = view.epoch();
         prop_assert!(matches!(
-            engine.cache().lookup_rtc_at(&key, pinned_epoch),
-            RtcLookup::Fresh(_)
+            engine.cache().lookup(SharingKind::Rtc, &key, pinned_epoch),
+            Lookup::Fresh(_)
         ));
 
         for (flag, op_seed) in churn {
@@ -156,8 +163,8 @@ proptest! {
         // The pinned structure is still resident at its epoch…
         prop_assert!(
             matches!(
-                engine.cache().lookup_rtc_at(&key, pinned_epoch),
-                RtcLookup::Fresh(_)
+                engine.cache().lookup(SharingKind::Rtc, &key, pinned_epoch),
+                Lookup::Fresh(_)
             ),
             "pinned RTC '{}' was evicted",
             key
