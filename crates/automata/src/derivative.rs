@@ -1,9 +1,9 @@
-//! Brzozowski-derivative matcher — the independent oracle backend.
+//! Brzozowski-derivative matcher — the independent oracle.
 //!
 //! The derivative of a language `L` with respect to symbol `a` is
 //! `a⁻¹L = {w | aw ∈ L}`. Matching a word means taking successive
-//! derivatives and checking nullability at the end. This backend shares no
-//! code with the NFA/DFA constructions, so agreement between the two is a
+//! derivatives and checking nullability at the end. This matcher shares no
+//! code with the NFA construction, so agreement between the two is a
 //! strong correctness signal — the property tests in `tests/` exploit that.
 //!
 //! States (derived expressions) are memoized modulo an ACI normalization of

@@ -1,52 +1,35 @@
 #![warn(missing_docs)]
-//! Finite-automata backends for RPQ pattern matching.
+//! Automaton-based pattern matching for RPQs.
 //!
 //! RPQ evaluation combines graph traversal with pattern matching, and
 //! "finite automata are usually used for pattern matching" (Section II-B,
-//! refs \[1\], \[4\], \[5\], \[10\], \[11\]). This crate implements four independent
-//! backends over the shared ε-free [`Nfa`] representation:
+//! refs \[1\], \[4\], \[5\], \[10\], \[11\]). This crate holds the one
+//! construction the evaluator runs and one independent reference:
 //!
-//! * [`glushkov::build_glushkov`] — the position automaton; ε-free by
-//!   construction, one state per label occurrence. This is the default
-//!   backend of the evaluator.
-//! * [`thompson`] — the classical Thompson construction with ε-transitions,
-//!   plus ε-elimination. Exists to cross-validate Glushkov and for the
-//!   automata ablation bench.
-//! * [`dfa`] — subset-construction DFA with a state budget.
+//! * [`glushkov::build_glushkov`] — the position automaton over the shared
+//!   ε-free [`Nfa`] representation; ε-free by construction, one state per
+//!   label occurrence. Every product traversal and witness search steps
+//!   this automaton.
 //! * [`derivative`] — a lazy Brzozowski-derivative matcher, used as an
 //!   *independent oracle* in tests (it shares no code with the NFA path).
 //!
-//! [`equivalence`] adds an exact language-equivalence decision procedure
-//! on top of the derivative backend (bisimulation), used by tests to verify
-//! semantic-preservation claims without sampling.
-//!
-//! All backends accept any [`rpq_regex::Regex`] including nested closures.
+//! Both accept any [`rpq_regex::Regex`] including nested closures.
 //!
 //! ```
-//! use rpq_automata::{build_glushkov, language_equivalent};
+//! use rpq_automata::{build_glushkov, DerivativeMatcher};
 //! use rpq_regex::Regex;
 //!
 //! let q = Regex::parse("d.(b.c)+.c").unwrap();
 //! let nfa = build_glushkov(&q);
 //! assert_eq!(nfa.state_count(), 5); // the q0..q4 NFA of Fig. 3
 //! assert!(nfa.matches(&["d", "b", "c", "c"]));
-//! assert!(language_equivalent(
-//!     &Regex::parse("a+").unwrap(),
-//!     &Regex::parse("a.a*").unwrap(),
-//! ));
+//! assert!(DerivativeMatcher::new(&q).matches(&["d", "b", "c", "c"]));
 //! ```
 
 pub mod derivative;
-pub mod dfa;
-pub mod equivalence;
 pub mod glushkov;
-pub mod minimize;
 pub mod nfa;
-pub mod thompson;
 
 pub use derivative::DerivativeMatcher;
-pub use dfa::Dfa;
-pub use equivalence::{language_equivalent, language_subset};
 pub use glushkov::build_glushkov;
 pub use nfa::{Nfa, StateId};
-pub use thompson::build_thompson;

@@ -306,6 +306,18 @@ mod tests {
         assert_eq!(out.result, rtc.expand());
         // Vertices outside V_R were skipped as useless-1.
         assert_eq!(stats.useless1_skipped, 5); // v0, v1, v7, v8, v9
+
+        // Pre·R*·Post with Pre = Post = ε adds exactly the identity.
+        let star = eval_batch_unit_rtc(
+            &g,
+            &PreRelation::Identity(g.vertex_count()),
+            &rtc,
+            ClosureKind::Star,
+            &[],
+            &mut stats,
+        );
+        let identity = PairSet::identity(g.vertex_count());
+        assert_eq!(star.result, rtc.expand().union(&identity));
     }
 
     #[test]

@@ -62,11 +62,6 @@ pub struct EngineConfig {
     pub strategy: Strategy,
     /// DNF clause budget (guards against exponential blow-up).
     pub dnf_clause_limit: usize,
-    /// Enable the Theorem-2 fast path: a bare closure batch unit
-    /// (`Pre = ε`, `Post = ε`) is answered by direct RTC expansion instead
-    /// of running the general Algorithm 2 join. Results are identical
-    /// (property-tested); disable to benchmark the general path.
-    pub enable_fast_paths: bool,
     /// Worker threads for the parallel paths: `1` (the default) keeps
     /// everything sequential, `0` uses every available core, `N > 1`
     /// spawns up to `N` scoped workers. Affects
@@ -100,7 +95,6 @@ impl Default for EngineConfig {
         Self {
             strategy: Strategy::RtcSharing,
             dnf_clause_limit: DEFAULT_CLAUSE_LIMIT,
-            enable_fast_paths: true,
             threads: 1,
             maintenance: MaintenanceConfig::default(),
             representation: RowSetPolicy::from_env_or_default(),
@@ -657,7 +651,6 @@ pub(crate) fn eval_one(
         epoch,
         kind,
         clause_limit: config.dnf_clause_limit,
-        fast_paths: config.enable_fast_paths,
         threads: config.threads,
         maintenance_config: config.maintenance,
         representation: config.representation,
@@ -967,16 +960,10 @@ mod tests {
     #[test]
     fn elimination_stats_populated_for_rtc() {
         let g = paper_graph();
-        // Disable the Theorem-2 fast path so the bare closure runs through
-        // the general Algorithm 2 join and populates the counters.
-        let e = Engine::with_config(
-            &g,
-            EngineConfig {
-                enable_fast_paths: false,
-                ..EngineConfig::default()
-            },
-        );
-        e.evaluate_str("(b.c)+").unwrap();
+        let e = Engine::new(&g);
+        // A bare `(b.c)+` is answered by direct RTC expansion; the `Post`
+        // label sends the unit through Algorithm 2, which keeps the counters.
+        e.evaluate_str("(b.c)+.c").unwrap();
         let s = e.elimination_stats();
         // Identity Pre over 10 vertices, 5 outside V_{b·c}.
         assert_eq!(s.useless1_skipped, 5);
@@ -1103,24 +1090,6 @@ mod tests {
         let m = e.maintenance_metrics();
         assert_eq!(m.rebuild_refreshes, 1);
         assert_eq!(m.incremental_refreshes, 0);
-    }
-
-    #[test]
-    fn fast_path_matches_general_path() {
-        let g = paper_graph();
-        for q in ["(b.c)+", "(b.c)*", "(b|c)+", "b+", "c*"] {
-            let fast = Engine::new(&g).evaluate_str(q).unwrap();
-            let general = Engine::with_config(
-                &g,
-                EngineConfig {
-                    enable_fast_paths: false,
-                    ..EngineConfig::default()
-                },
-            )
-            .evaluate_str(q)
-            .unwrap();
-            assert_eq!(fast, general, "fast path diverged on {q}");
-        }
     }
 
     /// The serving contract of this refactor: N threads evaluate through

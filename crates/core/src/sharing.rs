@@ -44,7 +44,6 @@ pub(crate) struct EvalCtx<'g, 'c> {
     pub epoch: u64,
     pub kind: SharingKind,
     pub clause_limit: usize,
-    pub fast_paths: bool,
     /// Worker threads for parallel shared-structure construction and
     /// expansion (1 = sequential, 0 = all cores).
     pub threads: usize,
@@ -77,13 +76,10 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet
                 // structure for R.
                 match obtain(ctx, &r.canonical_key(), &r)? {
                     Shared::Rtc(rtc, _) => {
-                        // Theorem 2 fast path: a bare closure (`Pre = ε`,
-                        // `Post = ε`) is exactly the RTC expansion, with the
-                        // identity relation unioned in for `R*`.
-                        if ctx.fast_paths
-                            && matches!(pre, PreRelation::Identity(_))
-                            && unit.post.is_empty()
-                        {
+                        // Theorem 2: a bare closure (`Pre = ε`, `Post = ε`)
+                        // is exactly the RTC expansion, with the identity
+                        // relation unioned in for `R*`.
+                        if matches!(pre, PreRelation::Identity(_)) && unit.post.is_empty() {
                             let t = Instant::now();
                             let mut result = rtc.expand_parallel(ctx.threads);
                             if closure_kind == rpq_regex::ClosureKind::Star {
@@ -238,7 +234,6 @@ mod tests {
             epoch: 0,
             kind,
             clause_limit: 1024,
-            fast_paths: false,
             threads: 1,
             maintenance_config: MaintenanceConfig::default(),
             representation: RowSetPolicy::default(),

@@ -11,9 +11,6 @@
 //!   **NoSharing** baseline and behind `EvalRPQwithoutKC`.
 //! * [`label_seq`] — closure-free clause evaluation by label-edge joins,
 //!   including `EvalRestrictedRPQ(Post, v)` (Algorithm 2 line 14).
-//! * [`planner`] — a rare-label-first join ordering for label sequences in
-//!   the spirit of Koschmieder & Leser \[10\] (an optimization the paper cites
-//!   as related work; exposed for the planner ablation bench).
 //! * [`algebraic`] — an independent relational-algebra evaluator (structural
 //!   recursion with semi-naive closure fixpoints). It shares no code with
 //!   the automaton path and serves as the *oracle* for every randomized
@@ -36,12 +33,10 @@
 
 pub mod algebraic;
 pub mod label_seq;
-pub mod planner;
 pub mod product;
 pub mod witness;
 
 pub use algebraic::evaluate_algebraic;
 pub use label_seq::{eval_label_names, eval_label_sequence, eval_label_sequence_from};
-pub use planner::eval_label_sequence_planned;
 pub use product::ProductEvaluator;
 pub use witness::{find_witness, format_witness, WitnessStep};

@@ -73,17 +73,27 @@ impl RowSetPolicy {
         }
     }
 
-    /// Reads the mode from the `RPQ_REPR` environment variable
-    /// (`sparse` / `dense` / `adaptive`, case-insensitive), falling back to
-    /// the default adaptive policy when unset or unrecognized. This is how
-    /// CI's forced-representation test legs steer every engine in a test
-    /// binary without threading a flag through each constructor.
-    pub fn from_env_or_default() -> Self {
-        match std::env::var("RPQ_REPR").as_deref() {
-            Ok(s) if s.eq_ignore_ascii_case("sparse") => Self::sparse(),
-            Ok(s) if s.eq_ignore_ascii_case("dense") => Self::dense(),
-            _ => Self::default(),
+    /// Parses a mode name (`sparse` / `dense` / `adaptive`,
+    /// case-insensitive) into the policy with the default crossover.
+    pub fn parse(mode: &str) -> Option<Self> {
+        match mode.to_ascii_lowercase().as_str() {
+            "sparse" => Some(Self::sparse()),
+            "dense" => Some(Self::dense()),
+            "adaptive" => Some(Self::adaptive()),
+            _ => None,
         }
+    }
+
+    /// Reads the mode from the `RPQ_REPR` environment variable (see
+    /// [`RowSetPolicy::parse`]), falling back to the default adaptive policy
+    /// when unset or unrecognized. This is how CI's forced-representation
+    /// test legs steer every engine in a test binary without threading a
+    /// flag through each constructor.
+    pub fn from_env_or_default() -> Self {
+        std::env::var("RPQ_REPR")
+            .ok()
+            .and_then(|mode| Self::parse(&mode))
+            .unwrap_or_default()
     }
 
     /// Whether a row of `len` elements over `universe` ids should be dense.
@@ -904,10 +914,13 @@ mod tests {
     #[test]
     fn from_env_parses_modes() {
         // Exercise the parser directly (env vars are process-global; tests
-        // must not set them), via the same match arms.
-        assert_eq!(RowSetPolicy::sparse().mode, ReprMode::ForceSparse);
-        assert_eq!(RowSetPolicy::dense().mode, ReprMode::ForceDense);
-        assert_eq!(RowSetPolicy::default().mode, ReprMode::Adaptive);
+        // must not set them).
+        let mode = |s: &str| RowSetPolicy::parse(s).map(|p| p.mode);
+        assert_eq!(mode("sparse"), Some(ReprMode::ForceSparse));
+        assert_eq!(mode("Dense"), Some(ReprMode::ForceDense));
+        assert_eq!(mode("ADAPTIVE"), Some(ReprMode::Adaptive));
+        assert_eq!(mode("bitset"), None);
+        assert_eq!(mode(""), None);
     }
 
     #[test]

@@ -22,13 +22,13 @@ pub struct FullTc {
 impl FullTc {
     /// Builds `R⁺_G` from an evaluated `R_G`.
     pub fn from_pairs(r_g: &PairSet) -> FullTc {
-        Self::from_reduced(MappedDigraph::from_pairset(r_g))
+        Self::from_pairs_parallel(r_g, 1)
     }
 
     /// [`FullTc::from_pairs`] with the per-vertex BFS sweep sharded over
     /// `threads` scoped workers (see [`crate::tc::tc_naive_parallel`]).
     pub fn from_pairs_parallel(r_g: &PairSet, threads: usize) -> FullTc {
-        Self::from_reduced_parallel(MappedDigraph::from_pairset(r_g), threads)
+        Self::from_pairs_parallel_with(r_g, threads, &RowSetPolicy::default())
     }
 
     /// [`FullTc::from_pairs_parallel`] with an explicit row-representation
@@ -38,26 +38,7 @@ impl FullTc {
         threads: usize,
         policy: &RowSetPolicy,
     ) -> FullTc {
-        Self::from_reduced_parallel_with(MappedDigraph::from_pairset(r_g), threads, policy)
-    }
-
-    /// Builds `R⁺_G` from an already-built `G_R`.
-    pub fn from_reduced(gr: MappedDigraph) -> FullTc {
-        Self::from_reduced_parallel(gr, 1)
-    }
-
-    /// [`FullTc::from_reduced`] with a parallel closure sweep.
-    pub fn from_reduced_parallel(gr: MappedDigraph, threads: usize) -> FullTc {
-        Self::from_reduced_parallel_with(gr, threads, &RowSetPolicy::default())
-    }
-
-    /// [`FullTc::from_reduced_parallel`] with an explicit
-    /// row-representation policy.
-    pub fn from_reduced_parallel_with(
-        gr: MappedDigraph,
-        threads: usize,
-        policy: &RowSetPolicy,
-    ) -> FullTc {
+        let gr = MappedDigraph::from_pairset(r_g);
         let csr = crate::tc::tc_naive_parallel(&gr.graph, threads);
         let n = gr.graph.vertex_count() as u32;
         let rows: Vec<RowSet> = (0..csr.rows())

@@ -121,7 +121,10 @@ pub struct DynamicRtc {
     /// Condensation adjacency with member-edge multiplicities:
     /// `scc_out[a][b]` = number of `G_R` edges from SCC `a` into SCC `b`.
     scc_out: FxHashMap<u32, FxHashMap<u32, u32>>,
-    scc_in: FxHashMap<u32, FxHashMap<u32, u32>>,
+    /// Condensation predecessors: `a ∈ scc_in[b]` iff `scc_out[a]` has `b`.
+    /// The multiplicity is stored on the out side only, so the two
+    /// directions cannot disagree on it.
+    scc_in: FxHashMap<u32, FxHashSet<u32>>,
     /// Representatives of SCCs with an internal ≥1-length cycle.
     cyclic: FxHashSet<u32>,
     /// Representative → SCC reps reachable via ≥1 condensation step
@@ -174,7 +177,7 @@ impl DynamicRtc {
             );
             dyn_rtc.closure.insert(rep, row);
             dyn_rtc.scc_out.insert(rep, FxHashMap::default());
-            dyn_rtc.scc_in.insert(rep, FxHashMap::default());
+            dyn_rtc.scc_in.insert(rep, FxHashSet::default());
         }
         // Member-level adjacency and condensation multiplicities.
         for (u, v) in r_g.iter() {
@@ -187,7 +190,7 @@ impl DynamicRtc {
             let b = dyn_rtc.comp[&v];
             if a != b {
                 *dyn_rtc.scc_out.get_mut(&a).unwrap().entry(b).or_insert(0) += 1;
-                *dyn_rtc.scc_in.get_mut(&b).unwrap().entry(a).or_insert(0) += 1;
+                dyn_rtc.scc_in.get_mut(&b).unwrap().insert(a);
             }
         }
         dyn_rtc.edge_count = r_g.len();
@@ -385,7 +388,7 @@ impl DynamicRtc {
         let mut seen: FxHashSet<u32> = frontier.into_iter().collect();
         let mut queue: Vec<u32> = seen.iter().copied().collect();
         while let Some(s) = queue.pop() {
-            for &p in self.scc_in[&s].keys() {
+            for &p in &self.scc_in[&s] {
                 if seen.insert(p) {
                     queue.push(p);
                 }
@@ -403,7 +406,7 @@ impl DynamicRtc {
         self.members.insert(v, vec![v]);
         self.closure.insert(v, RowSet::empty());
         self.scc_out.insert(v, FxHashMap::default());
-        self.scc_in.insert(v, FxHashMap::default());
+        self.scc_in.insert(v, FxHashSet::default());
         self.out.entry(v).or_default();
         self.inn.entry(v).or_default();
     }
@@ -467,7 +470,7 @@ impl DynamicRtc {
             if *count == 1 {
                 new_cond.push((a, b));
             }
-            *self.scc_in.get_mut(&b).unwrap().entry(a).or_insert(0) += 1;
+            self.scc_in.get_mut(&b).unwrap().insert(a);
         }
         if new_cond.is_empty() {
             return;
@@ -552,7 +555,7 @@ impl DynamicRtc {
             // row (a superset, by the closure invariant) did too.
             if changed {
                 stats.rows_touched += 1;
-                for &p in self.scc_in[&s].keys() {
+                for &p in &self.scc_in[&s] {
                     if seen.insert(p) {
                         queue.push(p);
                     }
@@ -592,31 +595,26 @@ impl DynamicRtc {
         // Condensation adjacency: union the merged SCCs' maps (edges
         // between them become internal) and re-point external neighbors.
         let mut merged_out: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut merged_in: FxHashMap<u32, u32> = FxHashMap::default();
+        let mut merged_in: FxHashSet<u32> = FxHashSet::default();
         for &s in merged {
             for (t, c) in self.scc_out.remove(&s).unwrap() {
                 if !mset.contains(&t) {
                     *merged_out.entry(t).or_insert(0) += c;
                 }
             }
-            for (t, c) in self.scc_in.remove(&s).unwrap() {
-                if !mset.contains(&t) {
-                    *merged_in.entry(t).or_insert(0) += c;
-                }
-            }
+            let preds = self.scc_in.remove(&s).unwrap();
+            merged_in.extend(preds.into_iter().filter(|t| !mset.contains(t)));
         }
-        for (&t, &c) in &merged_out {
-            let t_in = self.scc_in.get_mut(&t).unwrap();
-            for &s in merged {
-                t_in.remove(&s);
+        for t in merged_out.keys() {
+            let t_in = self.scc_in.get_mut(t).unwrap();
+            for s in merged {
+                t_in.remove(s);
             }
-            t_in.insert(r, c);
+            t_in.insert(r);
         }
-        for (&t, &c) in &merged_in {
-            let t_out = self.scc_out.get_mut(&t).unwrap();
-            for &s in merged {
-                t_out.remove(&s);
-            }
+        for t in &merged_in {
+            let t_out = self.scc_out.get_mut(t).unwrap();
+            let c = merged.iter().filter_map(|s| t_out.remove(s)).sum();
             t_out.insert(r, c);
         }
         self.scc_out.insert(r, merged_out);
@@ -768,7 +766,7 @@ impl DynamicRtc {
         for t in old_out.keys() {
             self.scc_in.get_mut(t).unwrap().remove(&a);
         }
-        for t in old_in.keys() {
+        for t in &old_in {
             self.scc_out.get_mut(t).unwrap().remove(&a);
         }
 
@@ -791,7 +789,7 @@ impl DynamicRtc {
             self.members.insert(rep, sub_members);
             self.closure.insert(rep, RowSet::empty());
             self.scc_out.insert(rep, FxHashMap::default());
-            self.scc_in.insert(rep, FxHashMap::default());
+            self.scc_in.insert(rep, FxHashSet::default());
             sub_reps.push(rep);
         }
 
@@ -803,18 +801,18 @@ impl DynamicRtc {
             let (ca, cb) = (sub_of_local(i), sub_of_local(j));
             if ca != cb {
                 *self.scc_out.get_mut(&ca).unwrap().entry(cb).or_insert(0) += 1;
-                *self.scc_in.get_mut(&cb).unwrap().entry(ca).or_insert(0) += 1;
+                self.scc_in.get_mut(&cb).unwrap().insert(ca);
             }
         }
         for &(i, e) in &ext_out {
             let ca = sub_of_local(i);
             *self.scc_out.get_mut(&ca).unwrap().entry(e).or_insert(0) += 1;
-            *self.scc_in.get_mut(&e).unwrap().entry(ca).or_insert(0) += 1;
+            self.scc_in.get_mut(&e).unwrap().insert(ca);
         }
         for &(i, e) in &ext_in {
             let ca = sub_of_local(i);
             *self.scc_out.get_mut(&e).unwrap().entry(ca).or_insert(0) += 1;
-            *self.scc_in.get_mut(&ca).unwrap().entry(e).or_insert(0) += 1;
+            self.scc_in.get_mut(&ca).unwrap().insert(e);
         }
 
         Some(sub_reps)
@@ -913,19 +911,35 @@ mod tests {
         damage_threshold: 2.0,
     };
 
-    /// Applies a delta incrementally and asserts full equivalence with the
-    /// rebuilt structure plus snapshot-level equivalence with a fresh Rtc.
+    /// Applies one delta incrementally and asserts full equivalence with
+    /// the rebuilt structure plus expansion equivalence with a fresh `Rtc`.
+    fn step(
+        dynamic: &mut DynamicRtc,
+        inserts: &[(u32, u32)],
+        deletes: &[(u32, u32)],
+    ) -> MaintenanceOutcome {
+        let outcome = dynamic.apply(&vid(inserts), &vid(deletes), &NEVER_REBUILD);
+        dynamic.assert_consistent();
+        let fresh = Rtc::from_pairs(&dynamic.pairs());
+        assert_eq!(
+            dynamic.snapshot().expand(),
+            fresh.expand(),
+            "+{inserts:?} -{deletes:?}"
+        );
+        outcome
+    }
+
+    /// [`step`] on a structure built from `base`, plus snapshot-level
+    /// statistics equivalence with a fresh `Rtc`.
     fn check_apply(
         base: &[(u32, u32)],
         inserts: &[(u32, u32)],
         deletes: &[(u32, u32)],
     ) -> MaintenanceOutcome {
         let mut dynamic = DynamicRtc::from_pairs(&pair_set(base));
-        let outcome = dynamic.apply(&vid(inserts), &vid(deletes), &NEVER_REBUILD);
-        dynamic.assert_consistent();
+        let outcome = step(&mut dynamic, inserts, deletes);
         let fresh = Rtc::from_pairs(&dynamic.pairs());
         let snap = dynamic.snapshot();
-        assert_eq!(snap.expand(), fresh.expand(), "expansion");
         assert_eq!(snap.stats().vr_vertices, fresh.stats().vr_vertices);
         assert_eq!(snap.stats().er_edges, fresh.stats().er_edges);
         assert_eq!(snap.stats().scc_count, fresh.stats().scc_count);
@@ -1101,16 +1115,52 @@ mod tests {
             ("ins", 3, 3),  // self-loop on a singleton
         ];
         for &(op, u, v) in script {
-            let (ins, del) = if op == "ins" {
-                (vec![(VertexId(u), VertexId(v))], vec![])
+            if op == "ins" {
+                step(&mut dynamic, &[(u, v)], &[]);
             } else {
-                (vec![], vec![(VertexId(u), VertexId(v))])
-            };
-            dynamic.apply(&ins, &del, &NEVER_REBUILD);
-            dynamic.assert_consistent();
-            let fresh = Rtc::from_pairs(&dynamic.pairs());
-            assert_eq!(dynamic.snapshot().expand(), fresh.expand(), "{op} {u}->{v}");
+                step(&mut dynamic, &[], &[(u, v)]);
+            }
         }
+
+        // A long seeded stream on few vertices, held near 40 pairs (the
+        // fuller the relation, the likelier an op deletes): the regime of
+        // several mid-sized SCCs joined by parallel member edges that get
+        // deleted one at a time, merged over and split again.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: usize| {
+            // xorshift64
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as u32
+        };
+        let mut dynamic = DynamicRtc::from_pairs(&PairSet::new());
+        for _ in 0..300 {
+            let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+            let present: Vec<(VertexId, VertexId)> = dynamic.pairs().iter().collect();
+            for _ in 0..1 + draw(4) {
+                if (draw(80) as usize) < present.len() {
+                    let (u, v) = present[draw(present.len()) as usize];
+                    deletes.push((u.raw(), v.raw()));
+                } else {
+                    inserts.push((draw(25), draw(25)));
+                }
+            }
+            step(&mut dynamic, &inserts, &deletes);
+        }
+    }
+
+    /// Deleting one of two parallel member edges between two SCCs must
+    /// lower the multiplicity in both directions of the condensation, or a
+    /// later merge resurrects the deleted edge as a phantom.
+    #[test]
+    fn parallel_cross_scc_edge_delete_leaves_no_phantom() {
+        // SCC {0,3} reaches singleton {1} through two member edges.
+        let mut dynamic = DynamicRtc::from_pairs(&pair_set(&[(0, 3), (3, 0), (0, 1), (3, 1)]));
+        step(&mut dynamic, &[], &[(0, 1)]);
+        step(&mut dynamic, &[(1, 2), (2, 1)], &[]); // {1} merges into {1,2}
+        step(&mut dynamic, &[], &[(3, 1)]); // the last {0,3}→{1,2} edge goes
+        assert_eq!(dynamic.snapshot().expand().len(), 8);
     }
 
     #[test]

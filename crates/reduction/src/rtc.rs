@@ -55,21 +55,12 @@ impl Rtc {
     /// `Compute_RTC`): edge-level reduction, Tarjan SCCs, condensation, and
     /// the reverse-topological closure sweep.
     pub fn from_pairs(r_g: &PairSet) -> Rtc {
-        Self::from_reduced(reduceable(r_g))
+        Self::from_pairs_with(r_g, &RowSetPolicy::default())
     }
 
     /// [`Rtc::from_pairs`] with an explicit row-representation policy.
     pub fn from_pairs_with(r_g: &PairSet, policy: &RowSetPolicy) -> Rtc {
-        Self::from_reduced_with(reduceable(r_g), policy)
-    }
-
-    /// Computes the RTC from an already-built `G_R`.
-    pub fn from_reduced(gr: MappedDigraph) -> Rtc {
-        Self::from_reduced_with(gr, &RowSetPolicy::default())
-    }
-
-    /// [`Rtc::from_reduced`] with an explicit row-representation policy.
-    pub fn from_reduced_with(gr: MappedDigraph, policy: &RowSetPolicy) -> Rtc {
+        let gr = MappedDigraph::from_pairset(r_g);
         let scc = tarjan_scc(&gr.graph);
         let cond = Condensation::new(&gr.graph, &scc);
         let closure = closure_of_condensation_rows(&cond, policy);
@@ -264,10 +255,6 @@ impl Rtc {
         }
         total
     }
-}
-
-fn reduceable(r_g: &PairSet) -> MappedDigraph {
-    MappedDigraph::from_pairset(r_g)
 }
 
 #[cfg(test)]

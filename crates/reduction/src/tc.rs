@@ -1,18 +1,15 @@
 //! Transitive-closure algorithms on unlabeled digraphs.
 //!
-//! Three implementations with one contract (`TC` = pairs reachable by paths
-//! of length ≥ 1):
+//! The two closure costs TABLE III compares, with one contract (`TC` =
+//! pairs reachable by paths of length ≥ 1):
 //!
 //! * [`tc_naive`] — per-vertex BFS, `O(|V|·|E|)`. This is what FullSharing
-//!   pays to materialize `R⁺_G = TC(G_R)` (TABLE III, left column).
-//! * [`closure_of_condensation`] / [`tc_condensation`] — Purdom's scheme
-//!   \[12\]: condense to `Ḡ_R`, close the much smaller DAG-with-self-loops in
-//!   reverse topological order, then (optionally) expand by SCC membership.
-//!   The un-expanded SCC closure is exactly the RTC (TABLE III, right
-//!   column).
-//! * [`nuutila_closure`] — a Nuutila-inspired \[13\] two-phase variant that
-//!   builds the SCC closure straight from member adjacency, never
-//!   materializing the condensation graph.
+//!   pays to materialize `R⁺_G = TC(G_R)` (TABLE III, left column), and the
+//!   oracle every closure test compares against.
+//! * [`closure_of_condensation_rows`] — Purdom's scheme \[12\]: close the
+//!   much smaller condensation `Ḡ_R` (a DAG with self-loops) in reverse
+//!   topological order. The un-expanded SCC closure is exactly the RTC
+//!   (TABLE III, right column).
 //!
 //! The naive BFS is embarrassingly parallel; [`tc_naive_parallel`] shards
 //! it over the scoped-thread pool of [`rpq_graph::par`] and is
@@ -21,8 +18,7 @@
 //! All closure rows are sorted ascending, so downstream joins can merge.
 
 use rpq_graph::{
-    par, tarjan_scc, Condensation, Csr, Digraph, EpochVisited, RowSet, RowSetPolicy, RowTable, Scc,
-    SccId,
+    par, Condensation, Csr, Digraph, EpochVisited, RowSet, RowSetPolicy, RowTable, SccId,
 };
 
 /// Naive transitive closure: one BFS per vertex. Row `v` holds the sorted
@@ -84,105 +80,20 @@ pub fn tc_naive_parallel(g: &Digraph, threads: usize) -> Csr<u32> {
     out
 }
 
-/// Closure of a condensation: row `s̄` holds the sorted SCC ids reachable
-/// from `s̄` via ≥ 1 edge of `Ḡ_R` (self-loops included).
+/// Closure of a condensation: row `s̄` holds the SCC ids reachable from
+/// `s̄` via ≥ 1 edge of `Ḡ_R` (self-loops included), as a [`RowSet`] whose
+/// representation is chosen per `policy`.
 ///
 /// Exploits the reverse-topological numbering of Tarjan SCC ids: a single
-/// ascending sweep sees every successor row before it is needed. Dedup uses
-/// an epoch-stamped scratch array, so the cost is proportional to the sum of
-/// merged list lengths.
-pub fn closure_of_condensation(cond: &Condensation) -> Csr<u32> {
-    let k = cond.vertex_count();
-    let mut rows: Vec<Vec<u32>> = Vec::with_capacity(k);
-    let mut stamp = EpochVisited::new(k);
-    for s in 0..k as u32 {
-        stamp.clear();
-        let mut row: Vec<u32> = Vec::new();
-        if cond.has_self_loop(SccId(s)) && stamp.insert(s) {
-            row.push(s);
-        }
-        for &t in cond.out(SccId(s)) {
-            if stamp.insert(t) {
-                row.push(t);
-            }
-            for &q in &rows[t as usize] {
-                if stamp.insert(q) {
-                    row.push(q);
-                }
-            }
-        }
-        row.sort_unstable();
-        rows.push(row);
-    }
-    Csr::from_rows(rows)
-}
-
-/// Purdom-style transitive closure: condensation closure expanded back to
-/// vertex level. Returns per-vertex sorted reachability rows equal to
-/// [`tc_naive`]'s output.
-pub fn tc_condensation(g: &Digraph) -> Csr<u32> {
-    let scc = tarjan_scc(g);
-    let cond = Condensation::new(g, &scc);
-    let closure = closure_of_condensation(&cond);
-    expand_scc_closure(&scc, &closure, g.vertex_count())
-}
-
-/// Nuutila-inspired closure \[13\]: a two-phase computation that runs
-/// [`rpq_graph::tarjan_scc`] first and then builds each SCC's successor
-/// set directly from its members' out-edges in one ascending
-/// (reverse-topological) sweep — Nuutila's key saving of never
-/// materializing the condensation graph, but **not** the fully
-/// interleaved single-traversal formulation of the original paper: SCC
-/// detection and closure construction are separate passes here.
-///
-/// Returns the SCC decomposition (identical to [`rpq_graph::tarjan_scc`],
-/// including component numbering) and the per-SCC closure rows (sorted),
-/// identical to [`closure_of_condensation`] over the condensation.
-pub fn nuutila_closure(g: &Digraph) -> (Scc, Csr<u32>) {
-    // Tarjan SCC ids are reverse-topological, so an ascending sweep sees
-    // every successor SCC's closure row before it is needed; the row for
-    // `s` is merged from its members' out-edges without ever building a
-    // `Condensation`.
-    let scc = tarjan_scc(g);
-    let k = scc.count();
-    let mut rows: Vec<Vec<u32>> = Vec::with_capacity(k);
-    let mut stamp = EpochVisited::new(k);
-    for s in 0..k as u32 {
-        stamp.clear();
-        let mut row: Vec<u32> = Vec::new();
-        for &member in scc.members(SccId(s)) {
-            for &w in g.out(member) {
-                let t = scc.component_of(w).raw();
-                if t == s {
-                    // Internal edge: the SCC reaches itself.
-                    if stamp.insert(s) {
-                        row.push(s);
-                    }
-                    continue;
-                }
-                if stamp.insert(t) {
-                    row.push(t);
-                }
-                for &q in &rows[t as usize] {
-                    if stamp.insert(q) {
-                        row.push(q);
-                    }
-                }
-            }
-        }
-        row.sort_unstable();
-        rows.push(row);
-    }
-    (scc, Csr::from_rows(rows))
-}
-
-/// Hybrid variant of the condensation closure: each row is a [`RowSet`]
-/// whose representation is chosen per `policy`. Sparse rows are built with
-/// the same epoch-stamped merge as [`closure_of_condensation`]; rows whose
-/// *estimated* merged size crosses the policy's density crossover are built
-/// dense up front, so successor unions run as word-parallel ORs instead of
-/// list merges. After the merge each row is normalized (an over-estimated
-/// dense row demotes back to sparse under the adaptive policy).
+/// ascending sweep sees every successor row before it is needed. Sparse
+/// rows are merged through an epoch-stamped scratch array, so their cost is
+/// proportional to the sum of merged list lengths; rows whose *estimated*
+/// merged size crosses the policy's density crossover are built dense up
+/// front, so successor unions run as word-parallel ORs instead of list
+/// merges ([`RowSetPolicy::dense`] makes every non-empty row a bit vector,
+/// at up to `|V̄_R|²/8` bytes). After the merge each row is normalized (an
+/// over-estimated dense row demotes back to sparse under the adaptive
+/// policy).
 pub fn closure_of_condensation_rows(cond: &Condensation, policy: &RowSetPolicy) -> RowTable {
     let k = cond.vertex_count();
     let mut rows: Vec<RowSet> = Vec::with_capacity(k);
@@ -232,44 +143,35 @@ pub fn closure_of_condensation_rows(cond: &Condensation, policy: &RowSetPolicy) 
     RowTable::from_rows(rows, k as u32)
 }
 
-/// Bitset variant of the condensation closure: every non-empty row is a
-/// dense bit vector and the reverse-topological sweep unions successor
-/// rows with word-parallel ORs. Faster than list merging when the closure
-/// is dense; memory is up to `|V̄_R|²/8` bytes, so callers should prefer
-/// the adaptive [`closure_of_condensation_rows`] for large condensations
-/// (the `tc_ablation` and `repr_ablation` benches quantify the crossover).
-pub fn closure_of_condensation_bitset(cond: &Condensation) -> RowTable {
-    closure_of_condensation_rows(cond, &RowSetPolicy::dense())
-}
-
-/// Expands a per-SCC closure to per-vertex rows (the Cartesian products of
-/// Lemma 3, laid out row-wise). The reachable vertex set is collected once
-/// per SCC and cloned per member.
-pub fn expand_scc_closure(scc: &Scc, closure: &Csr<u32>, n: usize) -> Csr<u32> {
-    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for s in 0..scc.count() {
-        let succ = closure.row(s);
-        if succ.is_empty() {
-            continue;
-        }
-        let mut reach: Vec<u32> = Vec::new();
-        for &t in succ {
-            reach.extend_from_slice(scc.members(SccId(t)));
-        }
-        reach.sort_unstable();
-        for &member in scc.members(SccId(s as u32)) {
-            rows[member as usize] = reach.clone();
-        }
-    }
-    Csr::from_rows(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpq_graph::{tarjan_scc, Scc};
 
     fn rows_of(csr: &Csr<u32>) -> Vec<Vec<u32>> {
         csr.iter_rows().map(|r| r.to_vec()).collect()
+    }
+
+    fn condense(g: &Digraph) -> (Scc, Condensation) {
+        let scc = tarjan_scc(g);
+        let cond = Condensation::new(g, &scc);
+        (scc, cond)
+    }
+
+    /// Per-vertex reachability rows from a per-SCC closure (the Cartesian
+    /// products of Lemma 3, laid out row-wise).
+    fn expand_by_membership(scc: &Scc, closure: &RowTable, n: usize) -> Vec<Vec<u32>> {
+        (0..n as u32)
+            .map(|v| {
+                let mut reach: Vec<u32> = closure
+                    .row(scc.component_of(v).index())
+                    .iter()
+                    .flat_map(|t| scc.members(SccId(t)).iter().copied())
+                    .collect();
+                reach.sort_unstable();
+                reach
+            })
+            .collect()
     }
 
     #[test]
@@ -296,101 +198,74 @@ mod tests {
         // G_{b·c} compact: {v2,v3,v4,v5,v6}→{0,1,2,3,4},
         // edges {(0,2),(0,4),(1,3),(2,0),(3,1)}.
         let g = Digraph::from_edges(5, vec![(0, 2), (0, 4), (1, 3), (2, 0), (3, 1)]);
-        let scc = tarjan_scc(&g);
-        let cond = Condensation::new(&g, &scc);
-        let closure = closure_of_condensation(&cond);
+        let (scc, cond) = condense(&g);
+        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy::adaptive());
         // TC(Ḡ_{b·c}) = {(s̄{24},s̄{24}), (s̄{24},s̄{6}), (s̄{35},s̄{35})} —
         // 3 pairs (Example 6).
-        let total: usize = closure.iter_rows().map(|r| r.len()).sum();
-        assert_eq!(total, 3);
+        assert_eq!(closure.total_len(), 3);
         let s24 = scc.component_of(0);
         let s6 = scc.component_of(4);
         let s35 = scc.component_of(1);
-        let mut expect_s24 = [s24.raw(), s6.raw()];
+        let mut expect_s24 = vec![s24.raw(), s6.raw()];
         expect_s24.sort_unstable();
-        assert_eq!(closure.row(s24.index()), &expect_s24[..]);
-        assert_eq!(closure.row(s6.index()), &[] as &[u32]);
-        assert_eq!(closure.row(s35.index()), &[s35.raw()]);
+        assert_eq!(closure.row(s24.index()).to_vec(), expect_s24);
+        assert!(closure.row(s6.index()).is_empty());
+        assert_eq!(closure.row(s35.index()).to_vec(), vec![s35.raw()]);
     }
 
+    /// The condensation sweep under every row policy, expanded by SCC
+    /// membership, is the naive closure; the forced-dense sweep builds only
+    /// bit-vector rows.
     #[test]
-    fn tc_condensation_equals_tc_naive() {
+    fn condensation_closure_expands_to_tc_naive() {
         let graphs = [
             Digraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]),
             Digraph::from_edges(3, vec![(0, 1), (1, 2), (2, 0)]),
             Digraph::from_edges(5, vec![(0, 2), (0, 4), (1, 3), (2, 0), (3, 1)]),
             Digraph::from_edges(2, vec![(0, 0), (0, 1)]),
+            Digraph::from_edges(3, vec![(0, 1), (1, 0), (1, 2)]),
             Digraph::from_edges(
                 6,
                 vec![(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 5)],
             ),
-            Digraph::from_edges(3, vec![]),
-        ];
-        for (i, g) in graphs.iter().enumerate() {
-            assert_eq!(
-                rows_of(&tc_condensation(g)),
-                rows_of(&tc_naive(g)),
-                "graph {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn nuutila_matches_two_phase() {
-        let graphs = [
-            Digraph::from_edges(5, vec![(0, 2), (0, 4), (1, 3), (2, 0), (3, 1)]),
-            Digraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]),
-            Digraph::from_edges(2, vec![(0, 0)]),
             Digraph::from_edges(
-                7,
+                8,
                 vec![
                     (0, 1),
                     (1, 2),
                     (2, 0),
                     (2, 3),
                     (3, 4),
-                    (4, 5),
-                    (5, 4),
-                    (6, 0),
+                    (4, 3),
+                    (5, 6),
+                    (6, 7),
                 ],
             ),
+            Digraph::from_edges(3, vec![]),
+            Digraph::from_edges(1, vec![]),
+            Digraph::from_edges(130, (0..129).map(|v| (v, v + 1)).collect()),
         ];
         for (i, g) in graphs.iter().enumerate() {
-            let (scc_a, closure_a) = nuutila_closure(g);
-            let scc_b = tarjan_scc(g);
-            let cond = Condensation::new(g, &scc_b);
-            let closure_b = closure_of_condensation(&cond);
-            assert_eq!(scc_a.count(), scc_b.count(), "graph {i}");
-            assert_eq!(rows_of(&closure_a), rows_of(&closure_b), "graph {i}");
-        }
-    }
-
-    /// Pins the documented contract of `nuutila_closure`: it is a
-    /// two-phase computation whose SCC decomposition is *exactly* the
-    /// plain Tarjan decomposition (same component ids per vertex, same
-    /// member tables), with the closure built in a separate sweep.
-    #[test]
-    fn nuutila_scc_is_plain_tarjan_decomposition() {
-        let g = Digraph::from_edges(
-            7,
-            vec![
-                (0, 1),
-                (1, 2),
-                (2, 0),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 4),
-                (6, 0),
-            ],
-        );
-        let (scc_a, _) = nuutila_closure(&g);
-        let scc_b = tarjan_scc(&g);
-        for v in 0..7u32 {
-            assert_eq!(scc_a.component_of(v), scc_b.component_of(v), "vertex {v}");
-        }
-        for s in 0..scc_b.count() as u32 {
-            assert_eq!(scc_a.members(SccId(s)), scc_b.members(SccId(s)), "scc {s}");
+            let (scc, cond) = condense(g);
+            let naive = rows_of(&tc_naive(g));
+            for policy in [
+                RowSetPolicy::adaptive(),
+                RowSetPolicy::sparse(),
+                RowSetPolicy::dense(),
+            ] {
+                let closure = closure_of_condensation_rows(&cond, &policy);
+                assert_eq!(
+                    expand_by_membership(&scc, &closure, g.vertex_count()),
+                    naive,
+                    "graph {i}: {policy:?}"
+                );
+                if policy == RowSetPolicy::dense() {
+                    for s in 0..cond.vertex_count() {
+                        let row = closure.row(s);
+                        assert!(row.is_dense() || row.is_empty(), "graph {i}, scc {s}: repr");
+                    }
+                }
+            }
         }
     }
 
@@ -418,84 +293,23 @@ mod tests {
     #[test]
     fn self_loop_singleton_closure() {
         let g = Digraph::from_edges(2, vec![(0, 0), (0, 1)]);
-        let (scc, closure) = nuutila_closure(&g);
+        let (scc, cond) = condense(&g);
+        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy::adaptive());
         let s0 = scc.component_of(0);
         let s1 = scc.component_of(1);
-        let mut expect = [s0.raw(), s1.raw()];
+        let mut expect = vec![s0.raw(), s1.raw()];
         expect.sort_unstable();
-        assert_eq!(closure.row(s0.index()), &expect[..]);
-        assert_eq!(closure.row(s1.index()), &[] as &[u32]);
-    }
-
-    #[test]
-    fn expand_scc_closure_produces_cartesian_products() {
-        // Cycle {0,1} reaching singleton {2}.
-        let g = Digraph::from_edges(3, vec![(0, 1), (1, 0), (1, 2)]);
-        let tc = tc_condensation(&g);
-        assert_eq!(tc.row(0), &[0, 1, 2]);
-        assert_eq!(tc.row(1), &[0, 1, 2]);
-        assert_eq!(tc.row(2), &[] as &[u32]);
+        assert_eq!(closure.row(s0.index()).to_vec(), expect);
+        assert!(closure.row(s1.index()).is_empty());
     }
 
     #[test]
     fn empty_graph_closures() {
         let g = Digraph::from_edges(0, vec![]);
         assert_eq!(tc_naive(&g).rows(), 0);
-        assert_eq!(tc_condensation(&g).rows(), 0);
-        let (scc, closure) = nuutila_closure(&g);
+        let (scc, cond) = condense(&g);
         assert_eq!(scc.count(), 0);
-        assert_eq!(closure.rows(), 0);
-    }
-
-    #[test]
-    fn bitset_closure_matches_list_closure() {
-        let graphs = [
-            Digraph::from_edges(5, vec![(0, 2), (0, 4), (1, 3), (2, 0), (3, 1)]),
-            Digraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]),
-            Digraph::from_edges(3, vec![(0, 1), (1, 2), (2, 0)]),
-            Digraph::from_edges(2, vec![(0, 0), (0, 1)]),
-            Digraph::from_edges(1, vec![]),
-            Digraph::from_edges(130, (0..129).map(|v| (v, v + 1)).collect()),
-        ];
-        for (i, g) in graphs.iter().enumerate() {
-            let scc = tarjan_scc(g);
-            let cond = Condensation::new(g, &scc);
-            let lists = closure_of_condensation(&cond);
-            let bits = closure_of_condensation_bitset(&cond);
-            assert_eq!(bits.total_len(), lists.len(), "graph {i}: pair totals");
-            for s in 0..cond.vertex_count() {
-                let row = bits.row(s);
-                assert!(row.is_dense() || row.is_empty(), "graph {i}, scc {s}: repr");
-                assert_eq!(row.to_vec(), lists.row(s), "graph {i}, scc {s}");
-            }
-            // The adaptive and forced-sparse sweeps agree element-wise too.
-            for policy in [RowSetPolicy::adaptive(), RowSetPolicy::sparse()] {
-                let rows = closure_of_condensation_rows(&cond, &policy);
-                assert_eq!(rows.total_len(), lists.len(), "graph {i}: {policy:?}");
-                for s in 0..cond.vertex_count() {
-                    assert_eq!(rows.row(s).to_vec(), lists.row(s), "graph {i}, scc {s}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn closure_pair_counts_match_between_algorithms() {
-        let g = Digraph::from_edges(
-            8,
-            vec![
-                (0, 1),
-                (1, 2),
-                (2, 0),
-                (2, 3),
-                (3, 4),
-                (4, 3),
-                (5, 6),
-                (6, 7),
-            ],
-        );
-        let naive: usize = tc_naive(&g).len();
-        let purdom: usize = tc_condensation(&g).len();
-        assert_eq!(naive, purdom);
+        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy::adaptive());
+        assert_eq!(closure.total_len(), 0);
     }
 }

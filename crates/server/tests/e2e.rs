@@ -151,4 +151,14 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad RPQ_CACHE_BUDGET"), "{stderr}");
+    // Same for the row representation: a typo must not mean "adaptive".
+    let out = Command::new(env!("CARGO_BIN_EXE_rpq"))
+        .arg("repl")
+        .env("RPQ_REPR", "bitset")
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad RPQ_REPR"), "{stderr}");
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`graph`] — labeled multigraphs, CSR digraphs, SCCs, condensations.
 //! * [`regex`] — the RPQ expression language, parser, DNF, decomposition.
-//! * [`automata`] — Glushkov/Thompson/derivative automata backends.
+//! * [`automata`] — the Glushkov automaton and a derivative reference matcher.
 //! * [`eval`] — single-RPQ product-graph evaluation (the NoSharing method).
 //! * [`reduction`] — RPQ-based graph reduction and the RTC.
 //! * [`core`] — the `Engine` with the RTCSharing / FullSharing / NoSharing

@@ -6,11 +6,14 @@ mod common;
 
 use common::{random_graph, random_regex, rng};
 use rand::Rng;
-use rtc_rpq::core::{explain, explain_set, Engine, EngineConfig, Strategy};
+use rtc_rpq::core::{
+    eval_batch_unit_rtc, explain, explain_set, EliminationStats, Engine, PreRelation, Strategy,
+};
 use rtc_rpq::eval::{find_witness, format_witness, ProductEvaluator};
 use rtc_rpq::graph::fixtures::paper_graph;
-use rtc_rpq::graph::VertexId;
-use rtc_rpq::regex::Regex;
+use rtc_rpq::graph::{PairSet, VertexId};
+use rtc_rpq::reduction::Rtc;
+use rtc_rpq::regex::{ClosureKind, Regex};
 
 /// Witness extraction agrees with engine results on random inputs.
 #[test]
@@ -111,8 +114,9 @@ fn backward_evaluation_consistency() {
     }
 }
 
-/// Fast paths stay equivalent to the general Algorithm-2 join on random
-/// bare-closure queries.
+/// Theorem 2 on random bare closures: the general Algorithm-2 join with
+/// `Pre = Post = ε` is exactly the Theorem-1 expansion of the RTC (plus
+/// the identity for `R*`) — which is what the engine answers with.
 #[test]
 fn fast_path_equivalence_randomized() {
     let mut r = rng(107);
@@ -121,18 +125,24 @@ fn fast_path_equivalence_randomized() {
         let m = r.gen_range(5..50);
         let g = random_graph(&mut r, n, m);
         let body = random_regex(&mut r, 2);
-        for q in [Regex::plus(body.clone()), Regex::star(body.clone())] {
-            let fast = Engine::new(&g).evaluate(&q).unwrap();
-            let general = Engine::with_config(
+        let rtc = Rtc::from_pairs(&ProductEvaluator::new(&g, &body).evaluate());
+        let identity = PairSet::identity(g.vertex_count());
+        for kind in [ClosureKind::Plus, ClosureKind::Star] {
+            let general = eval_batch_unit_rtc(
                 &g,
-                EngineConfig {
-                    enable_fast_paths: false,
-                    ..EngineConfig::default()
-                },
+                &PreRelation::Identity(g.vertex_count()),
+                &rtc,
+                kind,
+                &[],
+                &mut EliminationStats::default(),
             )
-            .evaluate(&q)
-            .unwrap();
-            assert_eq!(fast, general, "query {q}");
+            .result;
+            let (q, expansion) = match kind {
+                ClosureKind::Plus => (Regex::plus(body.clone()), rtc.expand()),
+                ClosureKind::Star => (Regex::star(body.clone()), rtc.expand().union(&identity)),
+            };
+            assert_eq!(general, expansion, "query {q}");
+            assert_eq!(Engine::new(&g).evaluate(&q).unwrap(), general, "query {q}");
         }
     }
 }

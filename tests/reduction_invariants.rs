@@ -7,8 +7,8 @@ use common::{random_graph, random_regex, rng};
 use rand::Rng;
 use rtc_rpq::eval::algebraic::plus_closure;
 use rtc_rpq::eval::{evaluate_algebraic, ProductEvaluator};
-use rtc_rpq::graph::{tarjan_scc, Condensation, MappedDigraph, PairSet};
-use rtc_rpq::reduction::{nuutila_closure, tc_condensation, tc_naive, FullTc, Rtc};
+use rtc_rpq::graph::{tarjan_scc, Condensation, MappedDigraph, PairSet, RowSetPolicy, SccId};
+use rtc_rpq::reduction::{closure_of_condensation_rows, tc_naive, FullTc, Rtc};
 use rtc_rpq::regex::Regex;
 
 /// Lemma 1: R⁺_G = TC(G_R). The left side comes from the automaton
@@ -96,7 +96,8 @@ fn lemma4_concat_is_join() {
     }
 }
 
-/// All transitive-closure implementations agree pairwise on random digraphs.
+/// The condensation closure under every row policy, expanded by SCC
+/// membership, agrees with the naive per-vertex BFS on random digraphs.
 #[test]
 fn tc_algorithms_agree() {
     let mut r = rng(23);
@@ -107,23 +108,28 @@ fn tc_algorithms_agree() {
             .collect();
         let g = rtc_rpq::graph::Digraph::from_edges(n as usize, edges);
         let naive = tc_naive(&g);
-        let purdom = tc_condensation(&g);
-        assert_eq!(
-            naive.iter_rows().collect::<Vec<_>>(),
-            purdom.iter_rows().collect::<Vec<_>>(),
-            "case {case}: naive vs purdom"
-        );
-        // Nuutila produces the same SCC closure as the two-phase pipeline.
-        let (scc_a, closure_a) = nuutila_closure(&g);
-        let scc_b = tarjan_scc(&g);
-        let cond = Condensation::new(&g, &scc_b);
-        let closure_b = rtc_rpq::reduction::closure_of_condensation(&cond);
-        assert_eq!(scc_a.count(), scc_b.count());
-        assert_eq!(
-            closure_a.iter_rows().collect::<Vec<_>>(),
-            closure_b.iter_rows().collect::<Vec<_>>(),
-            "case {case}: nuutila vs purdom"
-        );
+        let scc = tarjan_scc(&g);
+        let cond = Condensation::new(&g, &scc);
+        for policy in [
+            RowSetPolicy::adaptive(),
+            RowSetPolicy::sparse(),
+            RowSetPolicy::dense(),
+        ] {
+            let closure = closure_of_condensation_rows(&cond, &policy);
+            for v in 0..n {
+                let mut reach: Vec<u32> = closure
+                    .row(scc.component_of(v).index())
+                    .iter()
+                    .flat_map(|t| scc.members(SccId(t)).iter().copied())
+                    .collect();
+                reach.sort_unstable();
+                assert_eq!(
+                    reach,
+                    naive.row(v as usize),
+                    "case {case}: {policy:?}, vertex {v}"
+                );
+            }
+        }
     }
 }
 
