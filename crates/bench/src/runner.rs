@@ -22,8 +22,8 @@ pub struct RunMetrics {
     pub shared_pairs: usize,
     /// Shared-structure vertex count (`|V̄_R|` for RTC, `|V_R|` for Full).
     pub shared_vertices: usize,
-    /// Total result pairs across all queries (sanity/consistency checks).
-    pub result_pairs: usize,
+    /// Result pairs per query, in query order (sanity/consistency checks).
+    pub result_sizes: Vec<usize>,
 }
 
 /// Runs `queries` as one set under `strategy` on a fresh engine.
@@ -54,7 +54,7 @@ pub fn run_query_set_threads(
         },
     );
     let results = engine.evaluate_set(queries).ok()?;
-    let result_pairs = results.iter().map(|r| r.len()).sum();
+    let result_sizes = results.iter().map(|r| r.len()).collect();
     let breakdown = engine.breakdown();
     let shared_vertices = match strategy {
         Strategy::NoSharing => 0,
@@ -68,7 +68,7 @@ pub fn run_query_set_threads(
         eliminations: engine.elimination_stats(),
         shared_pairs: engine.shared_data_pairs(),
         shared_vertices,
-        result_pairs,
+        result_sizes,
     })
 }
 
@@ -88,48 +88,25 @@ pub fn run_all_strategies_threads(
     queries: &[Regex],
     threads: usize,
 ) -> Vec<RunMetrics> {
-    let mut reference: Option<Vec<usize>> = None;
-    let mut out = Vec::with_capacity(3);
+    let mut out: Vec<RunMetrics> = Vec::with_capacity(3);
     for strategy in Strategy::ALL {
-        let engine = Engine::with_config(
-            graph,
-            EngineConfig {
-                strategy,
-                threads,
-                ..EngineConfig::default()
-            },
-        );
-        let results = engine
-            .evaluate_set(queries)
+        let metrics = run_query_set_threads(graph, queries, strategy, threads)
             .expect("workload queries stay under the DNF limit");
-        let sizes: Vec<usize> = results.iter().map(|r| r.len()).collect();
-        match &reference {
-            None => reference = Some(sizes),
-            Some(expect) => {
-                for (i, (a, b)) in expect.iter().zip(&sizes).enumerate() {
-                    assert_eq!(
-                        a, b,
-                        "strategy {strategy} disagrees on query {i}: {}",
-                        queries[i]
-                    );
-                }
+        if let Some(first) = out.first() {
+            for (i, (a, b)) in first
+                .result_sizes
+                .iter()
+                .zip(&metrics.result_sizes)
+                .enumerate()
+            {
+                assert_eq!(
+                    a, b,
+                    "strategy {strategy} disagrees on query {i}: {}",
+                    queries[i]
+                );
             }
         }
-        let breakdown = engine.breakdown();
-        let shared_vertices = match strategy {
-            Strategy::NoSharing => 0,
-            Strategy::FullSharing => engine.cache().full_total_vertices(),
-            Strategy::RtcSharing => engine.cache().rtc_total_sccs(),
-        };
-        out.push(RunMetrics {
-            strategy,
-            total: breakdown.total,
-            breakdown,
-            eliminations: engine.elimination_stats(),
-            shared_pairs: engine.shared_data_pairs(),
-            shared_vertices,
-            result_pairs: results.iter().map(|r| r.len()).sum(),
-        });
+        out.push(metrics);
     }
     out
 }
@@ -144,7 +121,7 @@ mod tests {
         let g = paper_graph();
         let queries = vec![Regex::parse("d.(b.c)+.c").unwrap()];
         let metrics = run_query_set(&g, &queries, Strategy::RtcSharing).unwrap();
-        assert_eq!(metrics.result_pairs, 2);
+        assert_eq!(metrics.result_sizes, [2]);
         assert_eq!(metrics.shared_pairs, 3);
         assert_eq!(metrics.shared_vertices, 3); // 3 SCCs
         assert!(metrics.total > Duration::ZERO);
@@ -160,12 +137,12 @@ mod tests {
         let seq = run_query_set(&g, &queries, Strategy::RtcSharing).unwrap();
         for threads in [2usize, 8] {
             let par = run_query_set_threads(&g, &queries, Strategy::RtcSharing, threads).unwrap();
-            assert_eq!(par.result_pairs, seq.result_pairs, "threads {threads}");
+            assert_eq!(par.result_sizes, seq.result_sizes, "threads {threads}");
             assert_eq!(par.shared_pairs, seq.shared_pairs, "threads {threads}");
         }
         let all = run_all_strategies_threads(&g, &queries, 2);
         assert_eq!(all.len(), 3);
-        assert!(all.iter().all(|m| m.result_pairs == seq.result_pairs));
+        assert!(all.iter().all(|m| m.result_sizes == seq.result_sizes));
     }
 
     #[test]
@@ -177,7 +154,7 @@ mod tests {
         ];
         let all = run_all_strategies(&g, &queries);
         assert_eq!(all.len(), 3);
-        assert!(all.iter().all(|m| m.result_pairs == all[0].result_pairs));
+        assert!(all.iter().all(|m| m.result_sizes == all[0].result_sizes));
         // NoSharing shares nothing.
         assert_eq!(all[0].shared_pairs, 0);
         // RTC shares fewer pairs than Full.

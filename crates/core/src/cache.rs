@@ -10,6 +10,15 @@
 //! only in which [`Shared`] structure an entry holds, and each
 //! [`SharingKind`] has its own key namespace.
 //!
+//! The engine runs **two instances** of this one type. The structural
+//! instance holds closure structures as above. The result instance holds
+//! whole materialized results ([`Shared::Result`]) for pinned
+//! [`crate::EpochView`] readers, keyed by epoch + canonical query — the
+//! epoch is part of the key, so a probe there is `Fresh` or `Miss`, never
+//! `Stale` — capped at [`crate::DEFAULT_RESULT_CACHE_ENTRIES`] entries and
+//! never pinned. Lookup, insert, budget, victim order and counters are the
+//! same code for both.
+//!
 //! For dynamic graphs every entry additionally records the **epoch** it
 //! was built at and the base relation `R_G` it was built from. The cache
 //! itself tracks the graph's current epoch (advanced by
@@ -97,9 +106,9 @@ const EVICTED_KEYS_CAP: usize = 4096;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheBudget {
     /// Maximum retained heap bytes (structures plus recorded base
-    /// relations, both namespaces combined); `None` = unbounded.
+    /// relations, every namespace combined); `None` = unbounded.
     pub max_bytes: Option<usize>,
-    /// Maximum number of retained entries (RTCs plus full closures);
+    /// Maximum number of retained entries, every namespace combined;
     /// `None` = unbounded.
     pub max_entries: Option<usize>,
     /// Entries whose build epoch trails the live epoch by more than this
@@ -241,9 +250,9 @@ impl Drop for EpochPin {
         }
     }
 }
-/// The eviction score every retention decision ranks by — this cache, the
-/// [`crate::ResultCache`] and the snapshot trim: nanos of rebuild work
-/// bought per retained byte. Lowest goes first.
+/// The eviction score every retention decision ranks by — this cache (both
+/// instances) and the snapshot trim: nanos of rebuild work bought per
+/// retained byte. Lowest goes first.
 pub(crate) fn score(build_nanos: u64, bytes: usize) -> f64 {
     build_nanos as f64 / bytes.max(1) as f64
 }
@@ -281,18 +290,21 @@ impl EntryMeta {
     }
 }
 
-/// Which shared structure an entry holds — the one axis RTCSharing and
-/// FullSharing differ on. The discriminant indexes the kind's map within
-/// a shard, which keeps the two key namespaces independent.
+/// Which payload an entry holds — the one axis RTCSharing and FullSharing
+/// differ on, plus the memoized results of the result instance. The
+/// discriminant indexes the kind's map within a shard, which keeps the key
+/// namespaces independent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SharingKind {
     /// A reduced transitive closure ([`Rtc`]).
     Rtc = 0,
     /// A materialized `R⁺_G` ([`FullTc`]).
     Full = 1,
+    /// A whole materialized query result.
+    Result = 2,
 }
 
-const KINDS: [SharingKind; 2] = [SharingKind::Rtc, SharingKind::Full];
+const KINDS: [SharingKind; 3] = [SharingKind::Rtc, SharingKind::Full, SharingKind::Result];
 
 /// A shared structure as the cache stores it: what Algorithm 1 lines 9–11
 /// look up, compute and store for a closure body `R`.
@@ -303,6 +315,9 @@ pub enum Shared {
     Rtc(Arc<Rtc>, Option<Arc<DynamicRtc>>),
     /// FullSharing's materialized `R⁺_G`.
     Full(Arc<FullTc>),
+    /// A memoized query result, `Arc`-shared so a hit costs one reference
+    /// bump however large the result set is.
+    Result(Arc<PairSet>),
 }
 
 impl Shared {
@@ -310,14 +325,16 @@ impl Shared {
         match self {
             Shared::Rtc(..) => SharingKind::Rtc,
             Shared::Full(_) => SharingKind::Full,
+            Shared::Result(_) => SharingKind::Result,
         }
     }
 
-    /// Heap bytes of the structure's closure rows.
+    /// Heap bytes of the structure's closure rows (a result's pairs).
     fn heap_bytes(&self) -> usize {
         match self {
             Shared::Rtc(rtc, _) => rtc.closure_heap_bytes(),
             Shared::Full(full) => full.heap_bytes(),
+            Shared::Result(pairs) => pairs.heap_bytes(),
         }
     }
 
@@ -327,7 +344,7 @@ impl Shared {
     pub(crate) fn reader(&self) -> Shared {
         match self {
             Shared::Rtc(rtc, _) => Shared::Rtc(Arc::clone(rtc), None),
-            full => full.clone(),
+            other => other.clone(),
         }
     }
 }
@@ -378,7 +395,7 @@ type Map = FxHashMap<String, Entry>;
 
 /// One shard of the cache interior: a lock-protected map per
 /// [`SharingKind`].
-type Shard = [RwLock<Map>; 2];
+type Shard = [RwLock<Map>; 3];
 
 /// Cache of shared structures keyed by the canonical form of `R`.
 ///
@@ -402,7 +419,7 @@ pub struct SharedCache {
     /// Monotone logical clock stamped into entries' `last_hit` — the
     /// recency axis of the eviction tie-break.
     tick: AtomicU64,
-    /// Retained footprint across both namespaces, maintained on every
+    /// Retained footprint across every namespace, maintained on every
     /// map mutation so budget checks are O(1).
     occ_bytes: AtomicU64,
     occ_entries: AtomicU64,
@@ -536,7 +553,7 @@ impl SharedCache {
                 return Lookup::Fresh(entry.shared.reader());
             }
             Some(entry) if epoch == self.epoch() => {
-                if kind == SharingKind::Full {
+                if kind != SharingKind::Rtc {
                     self.stale_hits.fetch_add(1, Ordering::Relaxed);
                     return Lookup::Stale {
                         shared: entry.shared.clone(),
@@ -554,14 +571,13 @@ impl SharedCache {
         let mut map = write(map);
         // Re-check: between the two locks another thread may have
         // refreshed the entry (now fresh) or claimed it (now gone).
-        match map.get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                self.note_fresh_hit(&entry.meta);
-                Lookup::Fresh(entry.shared.reader())
-            }
-            Some(_) => {
+        if let Some(entry) = map.get(key).filter(|e| e.epoch == epoch) {
+            self.note_fresh_hit(&entry.meta);
+            return Lookup::Fresh(entry.shared.reader());
+        }
+        match map.remove(key) {
+            Some(entry) => {
                 self.stale_hits.fetch_add(1, Ordering::Relaxed);
-                let entry = map.remove(key).expect("stale entry present");
                 // A claim is a refresh hand-off, not an eviction — but
                 // the entry did leave the cache, so occupancy drops.
                 self.note_remove(&entry.meta);
@@ -640,7 +656,7 @@ impl SharedCache {
             .is_some_and(|entry| entry.epoch == epoch)
     }
 
-    /// Collects the **fresh** (current-epoch) entries of both kinds — the
+    /// Collects the **fresh** (current-epoch) entries of every kind — the
     /// persistence surface used by the engine snapshot
     /// ([`crate::snapshot`]). Stale entries are skipped: they would need
     /// a refresh before being served anyway, so a snapshot simply drops
@@ -678,14 +694,14 @@ impl SharedCache {
     fn sum_rtcs(&self, f: impl Fn(&Rtc) -> usize) -> usize {
         self.sum(SharingKind::Rtc, |e| match &e.shared {
             Shared::Rtc(rtc, _) => f(rtc),
-            Shared::Full(_) => 0,
+            _ => 0,
         })
     }
 
     fn sum_fulls(&self, f: impl Fn(&FullTc) -> usize) -> usize {
         self.sum(SharingKind::Full, |e| match &e.shared {
             Shared::Full(full) => f(full),
-            Shared::Rtc(..) => 0,
+            _ => 0,
         })
     }
 
@@ -791,7 +807,7 @@ impl SharedCache {
         }
     }
 
-    /// Retained heap bytes across both namespaces (structures plus
+    /// Retained heap bytes across every namespace (structures plus
     /// recorded base relations — the footprint the byte budget governs;
     /// [`SharedCache::rtc_heap_bytes`] and friends measure the
     /// structures alone).
@@ -799,7 +815,7 @@ impl SharedCache {
         self.occ_bytes.load(Ordering::Acquire) as usize
     }
 
-    /// Retained entries across both namespaces.
+    /// Retained entries across every namespace.
     pub fn occupancy_entries(&self) -> usize {
         self.occ_entries.load(Ordering::Acquire) as usize
     }
@@ -855,8 +871,8 @@ impl SharedCache {
 
     /// Removes the unpinned entry with the lowest
     /// `cost_to_rebuild / bytes` score class (ties — entries within the
-    /// same order of magnitude: least-recently-hit, then key order, RTCs
-    /// before fulls — fully deterministic for a given cache state).
+    /// same order of magnitude: least-recently-hit, then key order, then
+    /// kind — fully deterministic for a given cache state).
     /// Returns `false` when nothing is evictable. `for_bytes` selects
     /// which reason counter the eviction lands in.
     fn evict_one(&self, for_bytes: bool) -> bool {
@@ -887,11 +903,13 @@ impl SharedCache {
         // replaced or re-pinned since the scan. A lost race still returns
         // `true` — the caller loops and re-reads occupancy.
         let mut map = write(&self.shards[shard][kind as usize]);
-        if map
+        let still_there = map
             .get(&key)
-            .is_some_and(|e| e.epoch == epoch && !self.is_pinned(epoch))
-        {
-            let entry = map.remove(&key).expect("victim present");
+            .is_some_and(|e| e.epoch == epoch && !self.is_pinned(epoch));
+        if !still_there {
+            return true;
+        }
+        if let Some(entry) = map.remove(&key) {
             self.note_remove(&entry.meta);
             let reason = if for_bytes {
                 &self.ev_bytes
@@ -946,7 +964,7 @@ impl SharedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use SharingKind::{Full, Rtc as RtcKind};
+    use SharingKind::{Full, Result as ResultKind, Rtc as RtcKind};
 
     fn sample_pairs() -> PairSet {
         [(0u32, 1u32), (1, 0)].into_iter().collect()
@@ -960,12 +978,14 @@ mod tests {
         match kind {
             RtcKind => Shared::Rtc(sample_rtc(), None),
             Full => Shared::Full(Arc::new(FullTc::from_pairs(&sample_pairs()))),
+            ResultKind => Shared::Result(Arc::new(sample_pairs())),
         }
     }
 
-    /// Runs `test` once per structure kind: every policy below is the
-    /// same code for RTCs and full closures, and must behave the same.
-    fn for_both_kinds(test: impl Fn(SharingKind)) {
+    /// Runs `test` once per payload kind: every policy below is the same
+    /// code for RTCs, full closures and memoized results, and must behave
+    /// the same.
+    fn for_all_kinds(test: impl Fn(SharingKind)) {
         KINDS.into_iter().for_each(test);
     }
 
@@ -1004,7 +1024,7 @@ mod tests {
 
     #[test]
     fn hit_miss_accounting() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = SharedCache::new();
             assert!(!hit(&c, kind, "a.b"));
             assert_eq!(c.misses(), 1);
@@ -1028,12 +1048,12 @@ mod tests {
 
     #[test]
     fn clear_resets_everything() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = SharedCache::new();
             insert_bare(&c, kind, "x");
             assert!(hit(&c, kind, "x"));
             c.clear();
-            assert_eq!(c.rtc_count() + c.full_count(), 0);
+            assert_eq!(count(&c, kind), 0);
             assert_eq!(c.hits(), 0);
             assert_eq!(c.misses(), 0);
         });
@@ -1103,7 +1123,7 @@ mod tests {
 
     #[test]
     fn pinned_lookup_hits_its_own_epoch_after_the_front_moves() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = SharedCache::new();
             insert_bare(&c, kind, "k");
             c.advance_epoch(2);
@@ -1118,7 +1138,7 @@ mod tests {
 
     #[test]
     fn pinned_lookup_never_claims_other_epochs() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = SharedCache::new();
             insert_bare(&c, kind, "k");
             c.advance_epoch(5);
@@ -1134,7 +1154,7 @@ mod tests {
 
     #[test]
     fn pinned_insert_never_displaces_newer_entries() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = SharedCache::new();
             c.advance_epoch(4);
             insert_costed(&c, kind, "k", 4, 7); // stamped 4 (live)
@@ -1262,7 +1282,7 @@ mod tests {
 
     #[test]
     fn occupancy_tracks_every_mutation() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = SharedCache::new();
             assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (0, 0));
             insert_costed(&c, kind, "a", 0, 10);
@@ -1275,7 +1295,7 @@ mod tests {
             insert_costed(&c, kind, "b", 0, 10);
             assert_eq!(c.occupancy_entries(), 2);
             // A stale RTC is claimed, which removes the entry and its
-            // footprint; a stale full closure stays where it is.
+            // footprint; any other stale payload stays where it is.
             c.advance_epoch(1);
             assert!(matches!(c.lookup(kind, "a", 1), Lookup::Stale { .. }));
             let left = if kind == RtcKind { 1 } else { 2 };
@@ -1290,7 +1310,7 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_lowest_score_first() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let unit = unit_bytes(kind);
             let c = SharedCache::with_budget(CacheBudget {
                 max_bytes: Some(2 * unit),
@@ -1319,7 +1339,7 @@ mod tests {
 
     #[test]
     fn entry_budget_evicts_with_recency_tie_break() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = SharedCache::with_budget(CacheBudget {
                 max_entries: Some(2),
                 ..Default::default()
@@ -1342,7 +1362,7 @@ mod tests {
     /// a hot entry lose to a cold one over measurement noise.
     #[test]
     fn comparable_scores_tie_and_recency_decides() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = SharedCache::with_budget(CacheBudget {
                 max_entries: Some(2),
                 ..Default::default()
@@ -1385,7 +1405,7 @@ mod tests {
 
     #[test]
     fn pinned_epochs_survive_eviction() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = Arc::new(SharedCache::with_budget(CacheBudget {
                 max_entries: Some(1),
                 ..Default::default()
@@ -1417,17 +1437,17 @@ mod tests {
             ttl_epochs: Some(1),
             ..Default::default()
         });
-        for_both_kinds(|kind| insert_costed(&c, kind, "k", 0, 100));
+        for_all_kinds(|kind| insert_costed(&c, kind, "k", 0, 100));
         c.advance_epoch(1); // lag 1 ≤ ttl: kept (still refreshable)
-        assert_eq!(c.occupancy_entries(), 2);
+        assert_eq!(c.occupancy_entries(), KINDS.len());
         c.advance_epoch(2); // lag 2 > ttl: swept
         assert_eq!((c.occupancy_entries(), c.occupancy_bytes()), (0, 0));
-        assert_eq!(c.eviction_counters().by_ttl, 2);
+        assert_eq!(c.eviction_counters().by_ttl, KINDS.len() as u64);
     }
 
     #[test]
     fn ttl_sweep_spares_pinned_epochs() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = Arc::new(SharedCache::with_budget(CacheBudget {
                 ttl_epochs: Some(0),
                 ..Default::default()
@@ -1444,7 +1464,7 @@ mod tests {
 
     #[test]
     fn stale_displacement_is_counted() {
-        for_both_kinds(|kind| {
+        for_all_kinds(|kind| {
             let c = SharedCache::new();
             insert_costed(&c, kind, "k", 0, 100);
             c.advance_epoch(1);
@@ -1453,5 +1473,60 @@ mod tests {
             assert_eq!(c.eviction_counters().by_stale, 1);
             assert_eq!(c.occupancy_entries(), 1);
         });
+    }
+
+    /// The result tier's traffic: a Zipf(1.0) stream over 400 equal-cost
+    /// keys through 64 slots. Equal costs put every entry in one score
+    /// class, so the victim is the least-recently-hit one — which must
+    /// beat evicting in insertion order (FIFO) on the same stream.
+    #[test]
+    fn recency_beats_fifo_on_a_zipf_result_stream() {
+        const KEYS: usize = 400;
+        const SLOTS: usize = 64;
+        const DRAWS: usize = 20_000;
+        // Cumulative Zipf(1.0) weights and a fixed LCG: fully deterministic.
+        let mut cumulative = Vec::with_capacity(KEYS);
+        let mut total = 0.0f64;
+        for rank in 1..=KEYS {
+            total += 1.0 / rank as f64;
+            cumulative.push(total);
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64 * total;
+            cumulative.partition_point(|&c| c <= u).min(KEYS - 1)
+        };
+
+        let cache = SharedCache::with_budget(CacheBudget {
+            max_entries: Some(SLOTS),
+            ..Default::default()
+        });
+        let mut fifo = std::collections::VecDeque::with_capacity(SLOTS + 1);
+        let mut fifo_hits = 0u64;
+        for _ in 0..DRAWS {
+            let k = draw();
+            let key = format!("0@q{k}");
+            if !hit(&cache, ResultKind, &key) {
+                insert_costed(&cache, ResultKind, &key, 0, 5_000);
+            }
+            if fifo.contains(&k) {
+                fifo_hits += 1;
+            } else {
+                fifo.push_back(k);
+                if fifo.len() > SLOTS {
+                    fifo.pop_front();
+                }
+            }
+        }
+        assert_eq!(cache.occupancy_entries(), SLOTS);
+        assert_eq!(cache.hits() + cache.misses(), DRAWS as u64);
+        assert!(
+            cache.hits() > fifo_hits,
+            "recency {} hits vs FIFO {fifo_hits}",
+            cache.hits()
+        );
     }
 }

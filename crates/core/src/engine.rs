@@ -3,7 +3,6 @@
 use crate::breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
 use crate::cache::{CacheBudget, SharedCache, SharingKind};
 use crate::error::EngineError;
-use crate::result_cache::ResultCache;
 use crate::sharing::{eval_query, EvalCtx};
 use crate::view::EpochView;
 use rpq_eval::ProductEvaluator;
@@ -80,9 +79,9 @@ pub struct EngineConfig {
     /// environment variable (`sparse` | `dense` | `adaptive`) so CI can
     /// run the whole suite under a forced representation.
     pub representation: RowSetPolicy,
-    /// Retention budget enforced by both caches: the structural
-    /// [`SharedCache`] (bytes, entries and a TTL sweep) and the
-    /// [`ResultCache`] (bytes on top of its entry capacity). Unbounded by
+    /// Retention budget enforced by both [`SharedCache`] instances: the
+    /// structural one as given, the result one with its entry cap fixed
+    /// at [`DEFAULT_RESULT_CACHE_ENTRIES`]. Unbounded by
     /// default; the default honours the `RPQ_CACHE_BUDGET` environment
     /// variable (e.g. `64k` or `bytes=1m,entries=128,ttl=4`) so CI can
     /// run the whole suite under eviction pressure. Results are identical
@@ -102,6 +101,10 @@ impl Default for EngineConfig {
         }
     }
 }
+
+/// Entry cap of the engine's result instance (memoized per-(epoch, query)
+/// results), whatever the configured budget says about entries.
+pub const DEFAULT_RESULT_CACHE_ENTRIES: usize = 256;
 
 /// Outcome of [`Engine::prepare`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -131,11 +134,9 @@ pub struct PrepareReport {
 /// accumulators sit behind a private mutex, so any number of threads can
 /// evaluate against one shared `&Engine` simultaneously — this is what
 /// the serving front-end's read-write-locked sessions rely on. Only the
-/// operations that change what the engine *is* need `&mut self`: graph
-/// mutation ([`Engine::apply_delta`]) and configuration changes
-/// ([`Engine::set_strategy`], [`Engine::set_threads`]). Per-call
-/// configuration overrides that must not touch shared state go through
-/// [`Engine::evaluate_with`] / [`Engine::prepare_with`] instead.
+/// operation that changes what the engine *is* needs `&mut self`: graph
+/// mutation ([`Engine::apply_delta`]). Per-call configuration overrides
+/// go through [`Engine::evaluate_with`] / [`Engine::prepare_with`].
 ///
 /// ```
 /// use rpq_core::{Engine, Strategy};
@@ -154,8 +155,9 @@ pub struct Engine<'g> {
     /// (and its counters) with the engine and with each other.
     cache: Arc<SharedCache>,
     metrics: Arc<Mutex<EngineMetrics>>,
-    /// Per-(epoch, query) materialized results served by pinned views.
-    results: Arc<ResultCache>,
+    /// Per-(epoch, query) materialized results served by pinned views:
+    /// a second instance of the same cache type, never pinned.
+    results: Arc<SharedCache>,
 }
 
 /// The engine's metric accumulators, grouped so the query path can merge
@@ -213,6 +215,7 @@ impl<'g> Engine<'g> {
         let epoch = graph.epoch();
         let engine = Engine::from_store(GraphStore::Owned(Box::new(graph)), config);
         engine.cache.advance_epoch(epoch);
+        engine.results.advance_epoch(epoch);
         engine
     }
 
@@ -222,10 +225,10 @@ impl<'g> Engine<'g> {
             config,
             cache: Arc::new(SharedCache::with_budget(config.cache_budget)),
             metrics: Arc::new(Mutex::new(EngineMetrics::default())),
-            results: Arc::new(ResultCache::with_capacity_and_budget(
-                crate::result_cache::DEFAULT_RESULT_CACHE_ENTRIES,
-                config.cache_budget.max_bytes,
-            )),
+            results: Arc::new(SharedCache::with_budget(CacheBudget {
+                max_entries: Some(DEFAULT_RESULT_CACHE_ENTRIES),
+                ..config.cache_budget
+            })),
         }
     }
 
@@ -282,6 +285,7 @@ impl<'g> Engine<'g> {
         };
         let summary = vg.apply(delta);
         self.cache.advance_epoch(summary.epoch);
+        self.results.advance_epoch(summary.epoch);
         self.metrics().maintenance.deltas_applied += 1;
         summary
     }
@@ -289,22 +293,6 @@ impl<'g> Engine<'g> {
     /// The active configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Switches the evaluation strategy of a *live* engine — the serving
-    /// front-end's `strategy` command. Cached structures survive: the RTC
-    /// and full-closure namespaces are independent, so flipping between
-    /// [`Strategy::RtcSharing`] and [`Strategy::FullSharing`] re-uses
-    /// whatever the other strategy already paid for on its next visit
-    /// back, and [`Strategy::NoSharing`] simply bypasses the cache.
-    pub fn set_strategy(&mut self, strategy: Strategy) {
-        self.config.strategy = strategy;
-    }
-
-    /// Sets the worker-thread count of a live engine (see
-    /// [`EngineConfig::threads`]).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads;
     }
 
     /// Evaluates one query, sharing structures with previous evaluations.
@@ -525,16 +513,6 @@ impl<'g> Engine<'g> {
         ProductEvaluator::new(self.graph(), query).ends_from(source)
     }
 
-    /// Start vertices of `query`-paths ending at `target` (selective
-    /// backward evaluation via the reversed automaton).
-    pub fn starts_to(
-        &self,
-        query: &Regex,
-        target: rpq_graph::VertexId,
-    ) -> Vec<rpq_graph::VertexId> {
-        ProductEvaluator::new(self.graph(), query).starts_to(target)
-    }
-
     /// Whether a `query`-path from `source` to `target` exists (early-exit
     /// reachability check).
     pub fn check(
@@ -571,11 +549,11 @@ impl<'g> Engine<'g> {
         &self.cache
     }
 
-    /// The per-(epoch, query) result cache served by pinned views (see
+    /// The per-(epoch, query) result instance served by pinned views (see
     /// [`EpochView::evaluate`]). The engine's own [`Engine::evaluate`]
     /// path bypasses it — materialized results are only memoized where an
     /// immutable epoch makes them provably reusable.
-    pub fn results(&self) -> &ResultCache {
+    pub fn results(&self) -> &SharedCache {
         &self.results
     }
 
@@ -779,19 +757,13 @@ mod tests {
         let e = Engine::new(&g);
         let q = Regex::parse("d.(b.c)+.c").unwrap();
         let full = e.evaluate(&q).unwrap();
-        // ends_from / starts_to / check agree with the materialized result.
+        // ends_from / check agree with the materialized result.
         let ends: Vec<u32> = e
             .ends_from(&q, VertexId(7))
             .iter()
             .map(|v| v.raw())
             .collect();
         assert_eq!(ends, vec![3, 5]);
-        let starts: Vec<u32> = e
-            .starts_to(&q, VertexId(5))
-            .iter()
-            .map(|v| v.raw())
-            .collect();
-        assert_eq!(starts, vec![7]);
         assert!(e.check(&q, VertexId(7), VertexId(3)));
         assert!(!e.check(&q, VertexId(7), VertexId(4)));
         for (s, d) in full.iter() {

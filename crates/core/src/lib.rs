@@ -27,7 +27,6 @@ pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod pre_relation;
-pub mod result_cache;
 pub mod sharing;
 pub mod snapshot;
 pub mod view;
@@ -37,12 +36,11 @@ pub use breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
 pub use cache::{
     CacheBudget, EpochPin, EvictionCounters, FreshEntry, Lookup, Shared, SharedCache, SharingKind,
 };
-pub use engine::{Engine, EngineConfig, PrepareReport, Strategy};
+pub use engine::{Engine, EngineConfig, PrepareReport, Strategy, DEFAULT_RESULT_CACHE_ENTRIES};
 pub use error::EngineError;
 pub use explain::{
     explain, explain_set, explain_set_with_limit, explain_with_limit, ClausePlan, QueryPlan,
     SetPlan,
 };
 pub use pre_relation::PreRelation;
-pub use result_cache::ResultCache;
 pub use view::EpochView;

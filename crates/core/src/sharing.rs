@@ -113,6 +113,7 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet
                         ctx.breakdown.pre_join += out.pre_join;
                         out.result
                     }
+                    Shared::Result(_) => unreachable!("obtain returns a closure structure"),
                 }
             }
         };
@@ -179,6 +180,7 @@ fn compute(ctx: &EvalCtx<'_, '_>, r_g: &PairSet) -> Shared {
             ctx.threads,
             &ctx.representation,
         ))),
+        SharingKind::Result => unreachable!("strategies share closures, not results"),
     }
 }
 

@@ -15,18 +15,17 @@
 //!   computes is inserted *at* its epoch without ever displacing newer
 //!   entries;
 //! * materialized results are memoized in the bounded
-//!   [`ResultCache`] keyed `(epoch, canonical query)` — the fast tier
-//!   above the structural cache.
+//!   result instance of [`SharedCache`], keyed by epoch + canonical
+//!   query — the fast tier above the structural instance.
 //!
 //! Views are cheap to clone (`Arc` bumps + a `Copy` config) and safe to
 //! send across threads; the serving layer publishes one per epoch by
 //! atomic swap and retains a short ring of them for `query … at <epoch>`
 //! time travel.
 
-use crate::cache::EpochPin;
+use crate::cache::{EpochPin, Lookup, Shared, SharingKind};
 use crate::engine::{eval_one, EngineConfig, EngineMetrics, Strategy};
 use crate::error::EngineError;
-use crate::result_cache::ResultCache;
 use crate::{Breakdown, EliminationStats, MaintenanceMetrics, SharedCache};
 use rpq_eval::ProductEvaluator;
 use rpq_graph::{GraphView, LabeledMultigraph, PairSet, VertexId};
@@ -40,7 +39,7 @@ use std::time::Instant;
 pub struct EpochView {
     graph: Arc<GraphView>,
     cache: Arc<SharedCache>,
-    results: Arc<ResultCache>,
+    results: Arc<SharedCache>,
     metrics: Arc<Mutex<EngineMetrics>>,
     config: EngineConfig,
     /// Shared pin on this view's epoch in the structural cache: while
@@ -53,7 +52,7 @@ impl EpochView {
     pub(crate) fn from_parts(
         graph: Arc<GraphView>,
         cache: Arc<SharedCache>,
-        results: Arc<ResultCache>,
+        results: Arc<SharedCache>,
         metrics: Arc<Mutex<EngineMetrics>>,
         config: EngineConfig,
         pin: Arc<EpochPin>,
@@ -91,8 +90,8 @@ impl EpochView {
         &self.cache
     }
 
-    /// The shared per-(epoch, query) result cache.
-    pub fn results(&self) -> &ResultCache {
+    /// The shared per-(epoch, query) result instance.
+    pub fn results(&self) -> &SharedCache {
         &self.results
     }
 
@@ -124,8 +123,11 @@ impl EpochView {
         config: EngineConfig,
     ) -> Result<Arc<PairSet>, EngineError> {
         let epoch = self.epoch();
-        let key = (epoch, query.canonical_key());
-        if let Some(hit) = self.results.get(&key) {
+        // Built once, outside any lock, for both the probe and the insert.
+        let key = format!("{epoch}@{}", query.canonical_key());
+        if let Lookup::Fresh(Shared::Result(hit)) =
+            self.results.lookup(SharingKind::Result, &key, epoch)
+        {
             return Ok(hit);
         }
         let t = Instant::now();
@@ -135,9 +137,9 @@ impl EpochView {
         local.breakdown.total = build;
         self.merge_metrics(local);
         let result = Arc::new(result?);
-        // The evaluation time is the entry's cost-to-rebuild under the
-        // result cache's cost-aware eviction.
-        self.results.insert_costed(key, Arc::clone(&result), build);
+        // The evaluation time is the entry's cost-to-rebuild.
+        let memo = Shared::Result(Arc::clone(&result));
+        self.results.insert(key, memo, None, epoch, build);
         Ok(result)
     }
 
@@ -157,12 +159,6 @@ impl EpochView {
     /// graph (selective evaluation; bypasses both caches).
     pub fn ends_from(&self, query: &Regex, source: VertexId) -> Vec<VertexId> {
         ProductEvaluator::new(self.graph(), query).ends_from(source)
-    }
-
-    /// Start vertices of `query`-paths ending at `target` in the pinned
-    /// graph (selective backward evaluation).
-    pub fn starts_to(&self, query: &Regex, target: VertexId) -> Vec<VertexId> {
-        ProductEvaluator::new(self.graph(), query).starts_to(target)
     }
 
     /// Total pairs held in shared structures for `strategy` — the same
@@ -207,7 +203,6 @@ impl EpochView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SharingKind;
     use crate::Engine;
     use rpq_graph::fixtures::paper_graph;
     use rpq_graph::GraphDelta;
@@ -247,7 +242,7 @@ mod tests {
         let first = v0.evaluate(&q).unwrap();
         let second = v0.evaluate(&q).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "second call is a view hit");
-        assert_eq!(e.results().view_hits(), 1);
+        assert_eq!(e.results().hits(), 1);
         assert_eq!(e.results().misses(), 1);
 
         // A new epoch misses the memo and computes its own entry.
@@ -256,7 +251,7 @@ mod tests {
         let moved = v1.evaluate(&q).unwrap();
         assert!(!Arc::ptr_eq(&first, &moved));
         assert_eq!(e.results().misses(), 2);
-        assert_eq!(e.results().len(), 2);
+        assert_eq!(e.results().occupancy_entries(), 2);
     }
 
     #[test]
@@ -291,7 +286,7 @@ mod tests {
         // nothing is double-counted across publishes).
         e.reset_metrics();
         assert_eq!(v.breakdown().total, std::time::Duration::ZERO);
-        assert_eq!((e.results().view_hits(), e.results().misses()), (0, 0));
+        assert_eq!((e.results().hits(), e.results().misses()), (0, 0));
     }
 
     #[test]
@@ -312,12 +307,6 @@ mod tests {
         assert_eq!(ends, vec![3, 5]);
         assert!(v0.check(&q, VertexId(7), VertexId(5)));
         assert!(!e.check(&q, VertexId(7), VertexId(5)));
-        let starts: Vec<u32> = v0
-            .starts_to(&q, VertexId(5))
-            .iter()
-            .map(|x| x.raw())
-            .collect();
-        assert_eq!(starts, vec![7]);
     }
 
     #[test]

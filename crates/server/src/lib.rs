@@ -13,10 +13,10 @@
 //!   and cache state, and save/load snapshots.
 //! * [`session`] — the serving state: a write-locked
 //!   [`session::EngineState`] (the engine owning its graph, epoch-aware
-//!   cache attached) that only mutating commands touch, an MVCC
-//!   published-view slot ([`session::PublishedView`]) that read commands
-//!   serve from without any engine lock, a short retention ring of
-//!   recent epoch views backing `query … at <epoch>` time travel, and a
+//!   cache attached) that only mutating commands touch, a short
+//!   retention ring of MVCC published views ([`session::PublishedView`])
+//!   whose newest entry read commands serve from without any engine
+//!   lock and whose older ones back `query … at <epoch>` time travel, and a
 //!   per-connection [`session::ConnectionOverlay`]
 //!   (`strategy`/`threads`/`limit`/`binary`); the single execution path
 //!   behind both transports.

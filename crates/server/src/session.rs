@@ -12,8 +12,9 @@
 //!   [`EpochView`] (frozen copy-on-write graph snapshot + shared cache
 //!   handles) published after every mutation. Read-only commands
 //!   (`query`, `check`, `ends`, `info`, `metrics`, `cache`, `epoch`,
-//!   `export`) grab the current view with one `Arc` clone from the swap
-//!   slot — the state lock is **never** acquired on the read path — and
+//!   `export`) grab the current view with one `Arc` clone from the back
+//!   of the retention ring — the state lock is **never** acquired on the
+//!   read path — and
 //!   evaluate against that pinned epoch no matter how many writers
 //!   publish meanwhile. A short ring of recent views
 //!   ([`ServerState::retained_views`], default [`RETAINED_VIEWS`]) backs
@@ -30,7 +31,7 @@
 //! The publish protocol: a writer mutates the engine under the write
 //! lock, pins a fresh [`EpochView`] (`Engine::pin` — O(dirty rows), the
 //! untouched adjacency rows are `Arc`-shared with every older view), and
-//! swaps it into the slot. Readers holding older views keep them alive
+//! pushes it onto the ring. Readers holding older views keep them alive
 //! through their `Arc`s and observe bitwise-identical results before,
 //! during and after the publication. Graph *replacement* (`load`, `gen`)
 //! clears the ring first — epochs of different graphs are not comparable.
@@ -41,13 +42,13 @@
 
 use crate::command::{parse_command, Command, DeltaOp, HELP};
 use crate::wire::{encode_pair_set, BinaryResult};
-use rpq_core::{Engine, EngineConfig, EpochView, Strategy};
+use rpq_core::{Engine, EngineConfig, EpochView, Strategy, DEFAULT_RESULT_CACHE_ENTRIES};
 use rpq_graph::{GraphBuilder, GraphDelta, VersionedGraph};
 use std::collections::VecDeque;
 use std::io::Write as IoWrite;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// How many recent epoch views the server retains for `… at <epoch>`
@@ -185,7 +186,7 @@ impl EngineState {
 }
 
 /// One published epoch: an immutable [`EpochView`] plus the graph name it
-/// was published under. Readers clone the `Arc` out of the swap slot and
+/// was published under. Readers clone the `Arc` off the ring's back and
 /// never look at the engine again.
 pub struct PublishedView {
     view: EpochView,
@@ -210,19 +211,18 @@ impl PublishedView {
 }
 
 /// The shared serving state: the write-locked [`EngineState`], the
-/// published-view swap slot and retention ring, connection accounting and
+/// published-view retention ring, connection accounting and
 /// publish-latency counters. One of these per server, shared as
 /// [`SharedEngine`].
 pub struct ServerState {
     state: RwLock<EngineState>,
-    /// The swap slot. Readers hold this lock only for the nanoseconds of
-    /// one `Arc` clone — never across an evaluation — so a writer's swap
-    /// is never blocked behind a slow query and vice versa. (This is the
-    /// std-only spelling of an atomic `Arc` swap.)
-    published: RwLock<Arc<PublishedView>>,
-    /// Most recent views, oldest first, current last; bounded to
-    /// [`RETAINED_VIEWS`]. Cleared on graph replacement.
-    ring: Mutex<VecDeque<Arc<PublishedView>>>,
+    /// Most recent views, oldest first; the back **is** the current view,
+    /// so the ring is never empty. Bounded to [`RETAINED_VIEWS`]; older
+    /// views are dropped on graph replacement. Readers hold this lock only
+    /// for the nanoseconds of one `Arc` clone — never across an
+    /// evaluation — so a writer's publish is never blocked behind a slow
+    /// query and vice versa.
+    ring: RwLock<VecDeque<Arc<PublishedView>>>,
     live_conns: AtomicUsize,
     max_conns: AtomicUsize,
     publishes: AtomicU64,
@@ -242,8 +242,7 @@ impl ServerState {
         });
         ServerState {
             state: RwLock::new(state),
-            published: RwLock::new(Arc::clone(&initial)),
-            ring: Mutex::new(VecDeque::from([initial])),
+            ring: RwLock::new(VecDeque::from([initial])),
             live_conns: AtomicUsize::new(0),
             max_conns: AtomicUsize::new(DEFAULT_MAX_CONNS),
             publishes: AtomicU64::new(0),
@@ -254,12 +253,8 @@ impl ServerState {
 
     /// The currently published view — one `Arc` clone, no state lock.
     pub fn current(&self) -> Arc<PublishedView> {
-        Arc::clone(
-            &self
-                .published
-                .read()
-                .unwrap_or_else(PoisonError::into_inner),
-        )
+        let ring = self.ring();
+        Arc::clone(ring.back().expect("the ring always holds the current view"))
     }
 
     /// The retained view pinned to `epoch`, or an error naming the
@@ -285,9 +280,9 @@ impl ServerState {
         self.ring().len()
     }
 
-    /// Pins the engine's current state and publishes it: swaps the slot,
-    /// appends to the retention ring (evicting past [`RETAINED_VIEWS`]),
-    /// and records the publish latency. `reset_ring` drops all older
+    /// Pins the engine's current state and publishes it: appends to the
+    /// retention ring (evicting past [`RETAINED_VIEWS`]) and records the
+    /// publish latency. The ring's only writer. `reset_ring` drops all older
     /// views first — used when the graph itself was replaced, so time
     /// travel can never cross a graph swap. The caller holds the state
     /// write lock, which is what serializes publishes.
@@ -297,11 +292,7 @@ impl ServerState {
             view: state.engine.pin(),
             source: state.source.clone(),
         });
-        *self
-            .published
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Arc::clone(&view);
-        let mut ring = self.ring();
+        let mut ring = self.ring.write().unwrap_or_else(PoisonError::into_inner);
         if reset_ring {
             ring.clear();
         }
@@ -316,8 +307,8 @@ impl ServerState {
         self.publish_nanos_last.store(nanos, Ordering::Relaxed);
     }
 
-    fn ring(&self) -> std::sync::MutexGuard<'_, VecDeque<Arc<PublishedView>>> {
-        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    fn ring(&self) -> RwLockReadGuard<'_, VecDeque<Arc<PublishedView>>> {
+        self.ring.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sets the simultaneous-connection cap (the `--max-conns` flag).
@@ -357,7 +348,7 @@ impl ServerState {
         self.publishes.load(Ordering::Relaxed)
     }
 
-    /// Latency of the most recent publish (pin + swap + ring update).
+    /// Latency of the most recent publish (pin + ring update).
     pub fn publish_last(&self) -> Duration {
         Duration::from_nanos(self.publish_nanos_last.load(Ordering::Relaxed))
     }
@@ -936,10 +927,10 @@ impl Session {
             ),
             format!(
                 "  results: {} view hits, {} result misses, {} memoized (cap {})",
-                r.view_hits(),
+                r.hits(),
                 r.misses(),
-                r.len(),
-                r.capacity()
+                r.occupancy_entries(),
+                DEFAULT_RESULT_CACHE_ENTRIES
             ),
             format!(
                 "  serving: {} publishes (last {:.2?}, mean {:.2?}), {views} views retained (epochs {lo}..{hi}), conns {}/{}",
@@ -1027,11 +1018,11 @@ impl Session {
             },
             format!(
                 "  results: {} memoized, {} view hits, {} result misses (cap {}), {} evicted",
-                r.len(),
-                r.view_hits(),
+                r.occupancy_entries(),
+                r.hits(),
                 r.misses(),
-                r.capacity(),
-                r.evictions(),
+                DEFAULT_RESULT_CACHE_ENTRIES,
+                r.eviction_counters().total(),
             ),
         ];
         let strategy = self.overlay.resolve(view.config()).strategy;
@@ -1121,7 +1112,7 @@ mod tests {
         assert!(matches!(r.status, Status::Ok(ref m) if m.starts_with("2 pairs")));
         // Second evaluation is a result-cache view hit.
         ok_summary(s.execute("query d.(b.c)+.c"));
-        assert!(s.engine().results().view_hits() >= 1);
+        assert!(s.engine().results().hits() >= 1);
     }
 
     /// ISSUE 7 satellite: `info`, `metrics` and `cache` surface the heap
@@ -1281,15 +1272,15 @@ mod tests {
         // together with the engine counters.
         s.execute("query (b.c)+");
         s.execute("query (b.c)+");
-        assert!(shared.current().view().results().view_hits() >= 1);
+        assert!(shared.current().view().results().hits() >= 1);
         ok_summary(s.execute("reset metrics"));
         assert_eq!(shared.publishes(), 0);
-        assert_eq!(shared.current().view().results().view_hits(), 0);
+        assert_eq!(shared.current().view().results().hits(), 0);
         // The memoized results themselves survive a metrics reset…
-        assert!(!shared.current().view().results().is_empty());
+        assert!(shared.current().view().results().occupancy_entries() > 0);
         // …and are dropped by `reset cache`.
         ok_summary(s.execute("reset cache"));
-        assert!(shared.current().view().results().is_empty());
+        assert_eq!(shared.current().view().results().occupancy_entries(), 0);
     }
 
     #[test]

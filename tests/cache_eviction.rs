@@ -8,7 +8,8 @@
 //!    deltas — eviction may cost rebuild time, never correctness.
 //! 2. **The budget holds.** After any public call, occupancy stays within
 //!    `max_bytes`/`max_entries` (no pins held; pinned epochs may park a
-//!    cache over budget and are tested separately).
+//!    cache over budget and are tested separately) — in the structural
+//!    instance and, for bytes, in the result instance.
 //! 3. **Pins win.** Structures referenced by a live [`EpochView`] survive
 //!    eviction pressure at newer epochs, and time-travel evaluation at
 //!    the pinned epoch still answers from them (`Fresh`, not a rebuild).
@@ -103,8 +104,22 @@ proptest! {
                 for d in &deltas {
                     oracle.apply_delta(d);
                 }
-                prop_assert_eq!(got, oracle.evaluate(&q).unwrap());
+                prop_assert_eq!(&got, &oracle.evaluate(&q).unwrap());
+                // The same answer through a pinned view, which memoizes it
+                // in the result instance. The pin may park the structural
+                // instance over budget; re-settle once it drops.
+                let view = bounded.pin();
+                let memoized = view.evaluate(&q).unwrap();
+                prop_assert_eq!(memoized.as_ref(), &got);
+                drop(view);
+                bounded.cache().enforce_budget();
             }
+            prop_assert!(
+                bounded.results().occupancy_bytes() <= max_bytes,
+                "{} B of results over the {} B budget",
+                bounded.results().occupancy_bytes(),
+                max_bytes
+            );
             let c = bounded.cache();
             prop_assert!(
                 c.occupancy_bytes() <= max_bytes,
