@@ -1,7 +1,7 @@
-//! Text-mode ablation experiments (the quick counterpart of the Criterion
-//! ablation benches, for inclusion in `EXPERIMENTS.md`).
+//! Text-mode ablation experiments: what the paper's figures do not plot
+//! but the design decisions rest on.
 //!
-//! Four tables:
+//! Seven tables:
 //!
 //! 1. **TC algorithms** (TABLE III) — the naive per-vertex BFS over `G_R`
 //!    (what FullSharing pays) vs SCCs + condensation + closure of `Ḡ_R`
@@ -13,15 +13,30 @@
 //! 4. **Row representation** — forced-sparse vs forced-dense vs adaptive
 //!    closure rows at several crossover thresholds, on one
 //!    reachability-dense and one reachability-sparse workload.
+//! 5. **Cache pressure** — a Zipf stream against an unbounded cache and a
+//!    byte budget at half its steady state.
+//! 6. **Parallel paths** — the per-vertex BFS closure, Theorem 1's
+//!    expansion and the batch fan-out at 1/2/4 workers.
+//! 7. **Incremental maintenance** — one stale-entry refresh through
+//!    [`DynamicRtc`] vs a rebuild, under three small-delta profiles.
 
 use crate::profiles::Profile;
 use crate::table::{fmt_ratio, fmt_secs, Table};
-use rpq_core::{eval_batch_unit_full, eval_batch_unit_rtc, EliminationStats, PreRelation};
+use rpq_core::{
+    eval_batch_unit_full, eval_batch_unit_rtc, EliminationStats, Engine, EngineConfig, PreRelation,
+    Strategy,
+};
 use rpq_datasets::rmat::rmat_n_scaled;
 use rpq_datasets::structured::{cycle_clusters, CycleClusterConfig};
+use rpq_datasets::workload::{alphabet_of, generate_workload, WorkloadConfig};
 use rpq_eval::ProductEvaluator;
-use rpq_graph::{tarjan_scc, Condensation, MappedDigraph, ReprMode, RowSetPolicy};
-use rpq_reduction::{closure_of_condensation_rows, tc_naive, FullTc, Rtc};
+use rpq_graph::{
+    tarjan_scc, Condensation, MappedDigraph, PairSet, ReprMode, RowSetPolicy, VertexId,
+};
+use rpq_reduction::{
+    closure_of_condensation_rows, tc_naive, tc_naive_parallel, DynamicRtc, FullTc,
+    MaintenanceConfig, Rtc,
+};
 use rpq_regex::{ClosureKind, Regex};
 use std::time::{Duration, Instant};
 
@@ -292,6 +307,15 @@ fn zipf_query_pool() -> Vec<String> {
     pool
 }
 
+/// One step of the LCG behind the ablations' deterministic draws (no RNG
+/// dep).
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state
+}
+
 /// A deterministic Zipf stream of `len` indices into a `pool`-sized
 /// rank list (rank r drawn with weight `(r+1)^-1.75`; LCG-driven, no RNG
 /// dep). The exponent keeps the head heavy enough that half the
@@ -302,10 +326,7 @@ fn zipf_stream(pool: usize, len: usize, mut state: u64) -> Vec<usize> {
     let total: f64 = weights.iter().sum();
     (0..len)
         .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let mut u = (state >> 11) as f64 / (1u64 << 53) as f64 * total;
+            let mut u = (lcg(&mut state) >> 11) as f64 / (1u64 << 53) as f64 * total;
             for (r, w) in weights.iter().enumerate() {
                 if u < *w {
                     return r;
@@ -397,6 +418,171 @@ pub fn cache_pressure_table(profile: Profile) -> Table {
             format!("{:.3}", r.hit_rate),
             fmt_ratio(r.occupancy as f64, budget as f64),
         ]);
+    }
+    t
+}
+
+/// Appends one `par` row: `run` at 1, 2 and 4 workers.
+fn par_row<T>(t: &mut Table, path: &str, input: String, run: impl Fn(usize) -> T) {
+    let [t1, t2, t4] = [1, 2, 4].map(|threads| time_min(10, || run(threads)));
+    t.row(vec![
+        path.to_string(),
+        input,
+        fmt_secs(t1),
+        fmt_secs(t2),
+        fmt_secs(t4),
+        fmt_ratio(t1.as_secs_f64(), t2.as_secs_f64()),
+    ]);
+}
+
+/// Table 6: the three parallelized hot paths swept over worker counts —
+/// the per-vertex BFS closure (`tc_naive_parallel`), Theorem 1's expansion
+/// (`Rtc::expand_parallel`) and the engine's batch mode (`evaluate_set`
+/// under `EngineConfig::threads`; one 4-RPQ set sharing a closure body,
+/// fresh engine per run). The small inputs show where spawn/stitch
+/// overhead eats the win. Every cell depends on the host's core count,
+/// which the title states — so this table has no drift baseline.
+pub fn par_table() -> Table {
+    let nproc = rpq_graph::par::available_threads();
+    let mut t = Table::new(
+        format!("Ablation: parallel paths by worker count (nproc={nproc})"),
+        &["path", "input", "1(s)", "2(s)", "4(s)", "1 vs 2"],
+    );
+    let body = Regex::parse("l0.l1").unwrap();
+    let relations: Vec<(String, PairSet)> = [(2u32, 8u32), (2, 10), (4, 10)]
+        .into_iter()
+        .map(|(n, scale)| {
+            let graph = rmat_n_scaled(n, scale, 7);
+            let r_g = ProductEvaluator::new(&graph, &body).evaluate();
+            (format!("RMAT_{n}@2^{scale}"), r_g)
+        })
+        .collect();
+    for (name, r_g) in &relations {
+        let gr = MappedDigraph::from_pairset(r_g);
+        let input = format!("{name} |V_R|={}", gr.vertex_count());
+        par_row(&mut t, "tc_naive_parallel", input, |threads| {
+            tc_naive_parallel(&gr.graph, threads)
+        });
+    }
+    for (name, r_g) in &relations[1..] {
+        let rtc = Rtc::from_pairs(r_g);
+        let input = format!("{name} pairs={}", rtc.expanded_pair_count());
+        par_row(&mut t, "Rtc::expand_parallel", input, |threads| {
+            rtc.expand_parallel(threads)
+        });
+    }
+    let graph = rmat_n_scaled(3, 10, 45);
+    let sets = generate_workload(
+        &alphabet_of(&graph),
+        &WorkloadConfig {
+            rs_per_length: 1,
+            r_lengths: vec![2],
+            queries_per_set: 4,
+            ..WorkloadConfig::default()
+        },
+    );
+    for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+        let path = format!("evaluate_set {}", strategy.short_name());
+        par_row(&mut t, &path, "RMAT_3@2^10 x 4 RPQs".into(), |threads| {
+            let config = EngineConfig {
+                strategy,
+                threads,
+                ..EngineConfig::default()
+            };
+            Engine::with_config(&graph, config)
+                .evaluate_set(&sets[0].queries)
+                .unwrap()
+        });
+    }
+    t
+}
+
+/// Table 7: one stale-entry refresh, incremental vs rebuild. Each cell
+/// times **two** refreshes — absorb a pair-delta of ~0.1% of `|R_G|` into a
+/// [`DynamicRtc`] and snapshot it back to an `Rtc`, then absorb the
+/// inverse — against `Rtc::from_pairs` on the two matching relations.
+/// Profiles: `churn` deletes real pairs and reinserts them (damage dies
+/// out at once in a well-connected relation); `growth` inserts uniform
+/// random pairs; `mixed` deletes real pairs while inserting random ones
+/// (adversarial: every other refresh splits or merges a large SCC, where
+/// incremental maintenance is expected near, or behind, a rebuild).
+pub fn dynamic_table() -> Table {
+    // Millisecond cells under a 25% drift gate: on the shared 2-core host
+    // the minimum of 5 runs moved ±50% between runs of one binary, the
+    // minimum of 200 (~0.5 s per cell) ±10%.
+    const REPS: usize = 200;
+    let mut t = Table::new(
+        "Ablation: incremental RTC maintenance vs rebuild (two refreshes)",
+        &[
+            "relation",
+            "delta",
+            "pairs/delta",
+            "incremental(s)",
+            "rebuild(s)",
+            "speedup",
+        ],
+    );
+    // A dense join relation (one giant SCC plus fringe) and a
+    // cluster-structured one (many mid-size SCCs).
+    let rmat = rmat_n_scaled(3, 10, 7);
+    let clusters = cycle_clusters(&CycleClusterConfig {
+        clusters: 150,
+        cluster_size: 8,
+        inter_edges: 120,
+        labels: 2,
+        seed: 11,
+    });
+    let config = MaintenanceConfig::default();
+    for (name, graph, body) in [
+        ("rmat_join", &rmat, "l0.l1"),
+        ("clusters", &clusters, "l0|l1"),
+    ] {
+        let r_g = ProductEvaluator::new(graph, &Regex::parse(body).unwrap()).evaluate();
+        let pairs: Vec<(VertexId, VertexId)> = r_g.iter().collect();
+        let k = (pairs.len() / 1000).max(2);
+        let real: Vec<_> = pairs
+            .iter()
+            .step_by((pairs.len() / k).max(1))
+            .take(k)
+            .copied()
+            .collect();
+        let vertices = 1 + pairs
+            .iter()
+            .map(|&(a, b)| a.raw().max(b.raw()))
+            .max()
+            .unwrap_or(0);
+        let random = |mut state: u64| -> Vec<(VertexId, VertexId)> {
+            let mut next = || VertexId((lcg(&mut state) >> 33) as u32 % vertices);
+            (0..k).map(|_| (next(), next())).collect()
+        };
+        let (fresh, crossing) = (random(0x9E37_79B9_7F4A_7C15), random(42));
+        for (delta, inserted, deleted) in [
+            ("churn", &[][..], &real[..]),
+            ("growth", &fresh[..], &[][..]),
+            ("mixed", &crossing[..], &real[..]),
+        ] {
+            let mut dynamic = DynamicRtc::from_pairs(&r_g);
+            let incremental = time_min(REPS, || {
+                dynamic.apply(inserted, deleted, &config);
+                let forward = dynamic.snapshot();
+                dynamic.apply(deleted, inserted, &config);
+                (forward, dynamic.snapshot())
+            });
+            let moved = {
+                let mut d = DynamicRtc::from_pairs(&r_g);
+                d.apply(inserted, deleted, &config);
+                d.pairs()
+            };
+            let rebuild = time_min(REPS, || (Rtc::from_pairs(&moved), Rtc::from_pairs(&r_g)));
+            t.row(vec![
+                format!("{name} |R_G|={}", pairs.len()),
+                delta.to_string(),
+                k.to_string(),
+                fmt_secs(incremental),
+                fmt_secs(rebuild),
+                fmt_ratio(rebuild.as_secs_f64(), incremental.as_secs_f64()),
+            ]);
+        }
     }
     t
 }

@@ -11,7 +11,7 @@
 //!
 //! Commands: `table4`, `fig10`, `fig11`, `fig12`, `fig13` (Experiment 1),
 //! `fig14`, `fig15` (Experiment 2), `exp1`, `exp2`, `ablation`, `repr`,
-//! `cache`, `all`.
+//! `cache`, `par`, `dynamic`, `all`.
 //! Duplicate commands are deduplicated and `all` subsumes everything, so
 //! no experiment ever runs twice. Flags: `--profile fast|default|paper`
 //! (scale), `--csv DIR` (also write CSV files), `--json DIR` (also write
@@ -19,8 +19,8 @@
 //! `--threads N` (engine worker threads; 1 = sequential, 0 = all cores).
 
 use rpq_bench::ablation::{
-    batch_unit_table, cache_pressure_table, repr_ablation_table, scc_sensitivity_table,
-    tc_algorithms_table,
+    batch_unit_table, cache_pressure_table, dynamic_table, par_table, repr_ablation_table,
+    scc_sensitivity_table, tc_algorithms_table,
 };
 use rpq_bench::datasets::{real_surrogates, synthetic_sweep};
 use rpq_bench::experiments::{
@@ -35,9 +35,9 @@ use std::process::ExitCode;
 /// Every subcommand the driver understands — single source of truth for
 /// argument validation and the usage string. `main`'s `wants()` dispatch
 /// must cover exactly these names.
-const COMMANDS: [&str; 13] = [
+const COMMANDS: [&str; 15] = [
     "table4", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "exp1", "exp2", "ablation",
-    "repr", "cache", "all",
+    "repr", "cache", "par", "dynamic", "all",
 ];
 
 struct Options {
@@ -174,7 +174,7 @@ fn main() -> ExitCode {
         opts.profile
     );
     eprintln!(
-        "# threads = {} ({}; applies to exp1/exp2 engine runs — table4/ablation are sequential)",
+        "# threads = {} ({}; applies to exp1/exp2 engine runs — table4/ablation are sequential, par sweeps its own)",
         opts.threads,
         match opts.threads {
             0 => "all available cores".to_string(),
@@ -265,6 +265,18 @@ fn main() -> ExitCode {
     if wants(&["cache"]) {
         eprintln!("# cache-pressure ablation: Zipf stream, bounded vs unbounded budget");
         emit(&cache_pressure_table(opts.profile), &opts);
+    }
+
+    if wants(&["par"]) {
+        eprintln!(
+            "# parallel-path ablation: closure, expansion and batch fan-out at 1/2/4 workers"
+        );
+        emit(&par_table(), &opts);
+    }
+
+    if wants(&["dynamic"]) {
+        eprintln!("# maintenance ablation: incremental DynamicRtc refresh vs rebuild");
+        emit(&dynamic_table(), &opts);
     }
 
     if wants(&["fig14", "fig15", "exp2"]) {

@@ -71,12 +71,16 @@
 //! whose epoch is pinned by a live [`EpochPin`] — i.e. retained by an
 //! [`crate::EpochView`] — are never evicted; if pinned entries alone
 //! exceed the budget, enforcement is best-effort until the pins drop.
-//! `ttl_epochs` adds a [`SharedCache::sweep`] run on every epoch advance
-//! that drops unpinned entries too many epochs behind the live one.
 //! Eviction never affects results — an evicted structure is rebuilt on
 //! its next miss (counted in
 //! [`EvictionCounters::rebuilds_after_evict`]) — it only trades memory
 //! for rebuild time.
+//!
+//! Independently of any budget, a memoized result whose epoch is neither
+//! the live one nor pinned by a live [`EpochPin`] can never be asked for
+//! again: `Engine::apply_delta` drops those from the result instance
+//! ([`SharedCache::retain_epochs`]). Stale *structural* entries stay —
+//! they are what incremental refresh feeds on.
 
 use rpq_graph::PairSet;
 use rpq_reduction::{DynamicRtc, FullTc, Rtc};
@@ -99,7 +103,7 @@ const EVICTED_KEYS_CAP: usize = 4096;
 /// Retention budget for the engine's caches. `Default` is unbounded on
 /// every axis — the pre-budget behavior.
 ///
-/// Parsed from specs like `64k`, `bytes=1m,entries=128,ttl=4` (sizes
+/// Parsed from specs like `64k`, `bytes=1m,entries=128` (sizes
 /// take `k`/`m`/`g` binary suffixes; a bare size means `max_bytes`), set
 /// via [`crate::EngineConfig::cache_budget`], the `RPQ_CACHE_BUDGET`
 /// environment variable or the server's `--cache-budget` flag.
@@ -111,10 +115,6 @@ pub struct CacheBudget {
     /// Maximum number of retained entries, every namespace combined;
     /// `None` = unbounded.
     pub max_entries: Option<usize>,
-    /// Entries whose build epoch trails the live epoch by more than this
-    /// many epochs are dropped by [`SharedCache::sweep`]; `None` keeps
-    /// stale entries indefinitely (they back incremental refreshes).
-    pub ttl_epochs: Option<u64>,
 }
 
 impl CacheBudget {
@@ -123,8 +123,8 @@ impl CacheBudget {
         *self == Self::default()
     }
 
-    /// Parses a budget spec: comma-separated `bytes=SIZE`, `entries=N`,
-    /// `ttl=N` parts, a bare `SIZE` (meaning `bytes=SIZE`), or the word
+    /// Parses a budget spec: comma-separated `bytes=SIZE`, `entries=N`
+    /// parts, a bare `SIZE` (meaning `bytes=SIZE`), or the word
     /// `unbounded`. Sizes accept `k`/`m`/`g` binary suffixes
     /// (case-insensitive). Returns `None` on anything malformed.
     pub fn parse(spec: &str) -> Option<Self> {
@@ -155,7 +155,6 @@ impl CacheBudget {
             match key {
                 "bytes" => budget.max_bytes = Some(size(value)?),
                 "entries" => budget.max_entries = Some(value.parse().ok()?),
-                "ttl" => budget.ttl_epochs = Some(value.parse().ok()?),
                 _ => return None,
             }
             any = true;
@@ -186,9 +185,6 @@ impl std::fmt::Display for CacheBudget {
         if let Some(e) = self.max_entries {
             parts.push(format!("entries={e}"));
         }
-        if let Some(t) = self.ttl_epochs {
-            parts.push(format!("ttl={t}"));
-        }
         write!(f, "{}", parts.join(","))
     }
 }
@@ -200,8 +196,9 @@ pub struct EvictionCounters {
     pub by_bytes: u64,
     /// Entries evicted because the entry budget overflowed.
     pub by_entries: u64,
-    /// Entries dropped by the TTL sweep.
-    pub by_ttl: u64,
+    /// Entries dropped because no live view can reach their epoch
+    /// ([`SharedCache::retain_epochs`]).
+    pub by_unreachable: u64,
     /// Stale entries displaced by a newer-epoch insert under their key.
     pub by_stale: u64,
     /// Misses on keys that were previously evicted under budget pressure
@@ -212,12 +209,12 @@ pub struct EvictionCounters {
 impl EvictionCounters {
     /// Total evictions across every reason.
     pub fn total(&self) -> u64 {
-        self.by_bytes + self.by_entries + self.by_ttl + self.by_stale
+        self.by_bytes + self.by_entries + self.by_unreachable + self.by_stale
     }
 }
 
 /// RAII pin on an epoch: while any pin for epoch `E` is alive, budget
-/// eviction and the TTL sweep never remove entries stamped `E`, so an
+/// eviction never removes entries stamped `E`, so an
 /// [`crate::EpochView`] retained by the serving layer keeps getting
 /// fresh hits for the structures it already paid for. Dropping the last
 /// pin makes the epoch's entries evictable again.
@@ -425,7 +422,7 @@ pub struct SharedCache {
     occ_entries: AtomicU64,
     ev_bytes: AtomicU64,
     ev_entries: AtomicU64,
-    ev_ttl: AtomicU64,
+    ev_unreachable: AtomicU64,
     ev_stale: AtomicU64,
     rebuilds_after_evict: AtomicU64,
     /// Epoch → number of live [`EpochPin`] guards.
@@ -491,7 +488,6 @@ impl SharedCache {
         // reports the caller that *tried* to.
         let previous = self.epoch.fetch_max(epoch, Ordering::AcqRel);
         assert!(epoch >= previous, "cache epoch must be monotone");
-        self.sweep();
     }
 
     /// Stamps a fresh hit: bumps the counter and the entry's recency
@@ -525,7 +521,7 @@ impl SharedCache {
         evicted.insert((kind, key.to_owned()));
     }
 
-    /// Occupancy bookkeeping for a removal (claim, eviction, sweep).
+    /// Occupancy bookkeeping for a removal (claim, eviction, unreachable).
     fn note_remove(&self, meta: &EntryMeta) {
         self.occ_bytes
             .fetch_sub(meta.bytes as u64, Ordering::AcqRel);
@@ -790,7 +786,7 @@ impl SharedCache {
         self.stale_hits.store(0, Ordering::Relaxed);
         self.ev_bytes.store(0, Ordering::Relaxed);
         self.ev_entries.store(0, Ordering::Relaxed);
-        self.ev_ttl.store(0, Ordering::Relaxed);
+        self.ev_unreachable.store(0, Ordering::Relaxed);
         self.ev_stale.store(0, Ordering::Relaxed);
         self.rebuilds_after_evict.store(0, Ordering::Relaxed);
         lock(&self.evicted_keys).clear();
@@ -801,7 +797,7 @@ impl SharedCache {
         EvictionCounters {
             by_bytes: self.ev_bytes.load(Ordering::Relaxed),
             by_entries: self.ev_entries.load(Ordering::Relaxed),
-            by_ttl: self.ev_ttl.load(Ordering::Relaxed),
+            by_unreachable: self.ev_unreachable.load(Ordering::Relaxed),
             by_stale: self.ev_stale.load(Ordering::Relaxed),
             rebuilds_after_evict: self.rebuilds_after_evict.load(Ordering::Relaxed),
         }
@@ -821,7 +817,7 @@ impl SharedCache {
     }
 
     /// The epochs currently covered by a live pin.
-    fn pinned_epochs(&self) -> FxHashSet<u64> {
+    pub(crate) fn pinned_epochs(&self) -> FxHashSet<u64> {
         lock(&self.pinned).keys().copied().collect()
     }
 
@@ -922,30 +918,20 @@ impl SharedCache {
         true
     }
 
-    /// Drops unpinned entries whose build epoch trails the live epoch by
-    /// more than the budget's `ttl_epochs` (no-op without one). Runs on
-    /// every [`SharedCache::advance_epoch`]; public so servers can sweep
-    /// on their own cadence too. Merely-stale entries inside the TTL are
-    /// deliberately kept — they are what incremental refresh feeds on.
-    pub fn sweep(&self) {
-        let Some(ttl) = self.budget.ttl_epochs else {
-            return;
-        };
-        let live = self.epoch();
-        let pinned = self.pinned_epochs();
-        let expired = |epoch: u64| !pinned.contains(&epoch) && live.saturating_sub(epoch) > ttl;
-        for shard in &self.shards {
-            for kind in KINDS {
-                write(&shard[kind as usize]).retain(|key, entry| {
-                    if !expired(entry.epoch) {
-                        return true;
-                    }
-                    self.note_remove(&entry.meta);
-                    self.ev_ttl.fetch_add(1, Ordering::Relaxed);
-                    self.remember_evicted(kind, key);
-                    false
-                });
-            }
+    /// Drops every entry whose epoch fails `keep`, counted as
+    /// [`EvictionCounters::by_unreachable`]. The caller's claim is that
+    /// such an epoch can never be looked up again, so the dropped keys are
+    /// not remembered for the rebuild-after-evict counter.
+    pub fn retain_epochs(&self, keep: impl Fn(u64) -> bool) {
+        for map in self.shards.iter().flatten() {
+            write(map).retain(|_, entry| {
+                if keep(entry.epoch) {
+                    return true;
+                }
+                self.note_remove(&entry.meta);
+                self.ev_unreachable.fetch_add(1, Ordering::Relaxed);
+                false
+            });
         }
     }
 
@@ -1270,11 +1256,13 @@ mod tests {
                 ..Default::default()
             })
         );
-        let full = CacheBudget::parse("bytes=1M, entries=128, ttl=4").unwrap();
+        let full = CacheBudget::parse("bytes=1M, entries=128").unwrap();
         assert_eq!(full.max_bytes, Some(1 << 20));
         assert_eq!(full.max_entries, Some(128));
-        assert_eq!(full.ttl_epochs, Some(4));
-        assert_eq!(full.to_string(), "bytes=1048576,entries=128,ttl=4");
+        assert_eq!(full.to_string(), "bytes=1048576,entries=128");
+        // The TTL axis is gone: a spec carrying it is malformed.
+        assert_eq!(CacheBudget::parse("ttl=4"), None);
+        assert_eq!(CacheBudget::parse("bytes=1M, entries=128, ttl=4"), None);
         assert_eq!(CacheBudget::default().to_string(), "unbounded");
         assert!(CacheBudget::default().is_unbounded());
         assert!(!full.is_unbounded());
@@ -1431,34 +1419,36 @@ mod tests {
         });
     }
 
+    /// `retain_epochs` drops exactly the entries whose epoch fails the
+    /// predicate — and, unlike a budget eviction, leaves no trace in the
+    /// rebuild-after-evict set: nobody can ask for a dropped epoch again.
     #[test]
-    fn ttl_sweep_drops_entries_behind_the_live_epoch() {
-        let c = SharedCache::with_budget(CacheBudget {
-            ttl_epochs: Some(1),
-            ..Default::default()
-        });
-        for_all_kinds(|kind| insert_costed(&c, kind, "k", 0, 100));
-        c.advance_epoch(1); // lag 1 ≤ ttl: kept (still refreshable)
-        assert_eq!(c.occupancy_entries(), KINDS.len());
-        c.advance_epoch(2); // lag 2 > ttl: swept
-        assert_eq!((c.occupancy_entries(), c.occupancy_bytes()), (0, 0));
-        assert_eq!(c.eviction_counters().by_ttl, KINDS.len() as u64);
-    }
-
-    #[test]
-    fn ttl_sweep_spares_pinned_epochs() {
+    fn retain_epochs_drops_exactly_the_unreachable() {
         for_all_kinds(|kind| {
-            let c = Arc::new(SharedCache::with_budget(CacheBudget {
-                ttl_epochs: Some(0),
+            let unit = unit_bytes(kind);
+            // Bounded (but roomy), so `note_miss` does consult the set.
+            let c = SharedCache::with_budget(CacheBudget {
+                max_entries: Some(16),
                 ..Default::default()
-            }));
-            insert_costed(&c, kind, "k", 0, 100);
-            let pin = EpochPin::new(Arc::clone(&c), 0);
-            c.advance_epoch(5);
-            assert!(matches!(c.lookup(kind, "k", 0), Lookup::Fresh(_)));
-            drop(pin);
-            c.sweep();
-            assert_eq!(c.occupancy_entries(), 0);
+            });
+            for epoch in 0..4 {
+                insert_costed(&c, kind, &format!("{epoch}@q"), epoch, 100);
+            }
+            c.advance_epoch(3);
+            c.retain_epochs(|e| e == 1 || e == 3);
+            assert_eq!((c.occupancy_entries(), c.occupancy_bytes()), (2, 2 * unit));
+            assert_eq!(count(&c, kind), 2);
+            let ev = c.eviction_counters();
+            assert_eq!((ev.by_unreachable, ev.total()), (2, 2));
+            for epoch in [1, 3] {
+                let key = format!("{epoch}@q");
+                assert!(matches!(c.lookup(kind, &key, epoch), Lookup::Fresh(_)));
+            }
+            for epoch in [0, 2] {
+                let key = format!("{epoch}@q");
+                assert!(matches!(c.lookup(kind, &key, epoch), Lookup::Miss));
+            }
+            assert_eq!(c.eviction_counters().rebuilds_after_evict, 0);
         });
     }
 

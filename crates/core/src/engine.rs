@@ -80,12 +80,12 @@ pub struct EngineConfig {
     /// run the whole suite under a forced representation.
     pub representation: RowSetPolicy,
     /// Retention budget enforced by both [`SharedCache`] instances: the
-    /// structural one as given, the result one with its entry cap fixed
-    /// at [`DEFAULT_RESULT_CACHE_ENTRIES`]. Unbounded by
-    /// default; the default honours the `RPQ_CACHE_BUDGET` environment
-    /// variable (e.g. `64k` or `bytes=1m,entries=128,ttl=4`) so CI can
-    /// run the whole suite under eviction pressure. Results are identical
-    /// under any budget — eviction only trades memory for rebuild time.
+    /// structural one as given, the result one with its entry cap fixed at
+    /// [`DEFAULT_RESULT_CACHE_ENTRIES`]. Unbounded by default; the default
+    /// honours `RPQ_CACHE_BUDGET` (e.g. `64k`, `bytes=1m,entries=128`) so CI
+    /// can run the whole suite under eviction pressure. Results are the same
+    /// under any budget; whatever it is, [`Engine::apply_delta`] drops every
+    /// memoized result whose epoch is neither live nor pinned by a live view.
     pub cache_budget: CacheBudget,
 }
 
@@ -286,6 +286,10 @@ impl<'g> Engine<'g> {
         let summary = vg.apply(delta);
         self.cache.advance_epoch(summary.epoch);
         self.results.advance_epoch(summary.epoch);
+        // A result no live view can reach can never be asked for again.
+        let (live, pinned) = (summary.epoch, self.cache.pinned_epochs());
+        self.results
+            .retain_epochs(|e| e == live || pinned.contains(&e));
         self.metrics().maintenance.deltas_applied += 1;
         summary
     }

@@ -80,23 +80,6 @@ pub fn eval_label_names(graph: &LabeledMultigraph, names: &[String]) -> PairSet 
     eval_label_sequence(graph, &ids)
 }
 
-/// Resolves names and runs [`eval_label_sequence_from`]; unknown names give
-/// an empty frontier.
-pub fn eval_label_names_from(
-    graph: &LabeledMultigraph,
-    names: &[String],
-    source: VertexId,
-) -> Vec<VertexId> {
-    let mut ids = Vec::with_capacity(names.len());
-    for name in names {
-        match graph.labels().get(name) {
-            Some(id) => ids.push(id),
-            None => return Vec::new(),
-        }
-    }
-    eval_label_sequence_from(graph, &ids, source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +160,6 @@ mod tests {
         assert!(eval_label_names(&g, &["b".into(), "nope".into()]).is_empty());
         // Empty name list is ε.
         assert_eq!(eval_label_names(&g, &[]), PairSet::identity(10));
-        assert!(eval_label_names_from(&g, &["nope".into()], VertexId(2)).is_empty());
     }
 
     #[test]

@@ -94,17 +94,6 @@ impl<'g> ProductEvaluator<'g> {
         result
     }
 
-    /// Evaluates restricted to the given start vertices. The identity pairs
-    /// of nullable queries are included for exactly the given sources.
-    pub fn evaluate_from(&self, sources: &[VertexId]) -> PairSet {
-        let mut result = self.evaluate_from_sources(sources);
-        if self.nullable {
-            let id: PairSet = sources.iter().map(|&v| (v, v)).collect();
-            result.union_in_place(&id);
-        }
-        result
-    }
-
     /// End vertices of matching paths from a single start vertex, ascending.
     /// (Zero-length matches for nullable queries are included.)
     pub fn ends_from(&self, source: VertexId) -> Vec<VertexId> {
@@ -117,54 +106,6 @@ impl<'g> ProductEvaluator<'g> {
             ends.sort_unstable();
         }
         ends
-    }
-
-    /// Evaluates the query restricted to matching paths of length at most
-    /// `max_len` edges.
-    ///
-    /// Production property-path engines commonly cap traversal depth;
-    /// BFS order makes the cap exact — every `(vertex, state)` pair is
-    /// first reached at its minimal depth, so pruning deeper expansions
-    /// cannot lose a within-budget match. Nullable queries contribute the
-    /// identity relation (length 0) as usual.
-    pub fn evaluate_bounded(&self, max_len: usize) -> PairSet {
-        let q = self.nfa.state_count() as u32;
-        let mut visited = EpochVisited::new(self.graph.vertex_count() * q as usize);
-        let mut queue: Vec<(VertexId, u32, u32)> = Vec::new();
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        for src in self.candidate_sources() {
-            visited.clear();
-            queue.clear();
-            visited.insert(src.raw() * q);
-            queue.push((src, 0, 0));
-            let mut head = 0;
-            while head < queue.len() {
-                let (v, state, depth) = queue[head];
-                head += 1;
-                if depth as usize >= max_len {
-                    continue;
-                }
-                for &(label, dst) in self.graph.out_edges(v) {
-                    let sym = self.sym_of_label[label.index()];
-                    if sym == NO_SYM {
-                        continue;
-                    }
-                    for target in self.nfa.targets(state, sym) {
-                        if visited.insert(dst.raw() * q + target) {
-                            if self.nfa.is_accepting(target) {
-                                pairs.push((src, dst));
-                            }
-                            queue.push((dst, target, depth + 1));
-                        }
-                    }
-                }
-            }
-        }
-        let mut result = PairSet::from_pairs(pairs);
-        if self.nullable {
-            result.union_in_place(self.identity());
-        }
-        result
     }
 
     /// Start vertices of matching paths **into** a single target vertex,
@@ -404,22 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_from_restricts_sources() {
-        let g = paper_graph();
-        let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)+").unwrap());
-        let r = ev.evaluate_from(&[VertexId(4)]);
-        assert_eq!(pairs(&r), vec![(4, 2), (4, 4), (4, 6)]);
-    }
-
-    #[test]
-    fn evaluate_from_nullable_adds_identity_for_sources_only() {
-        let g = paper_graph();
-        let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)*").unwrap());
-        let r = ev.evaluate_from(&[VertexId(9)]);
-        assert_eq!(pairs(&r), vec![(9, 9)]);
-    }
-
-    #[test]
     fn ends_from_single_source() {
         let g = paper_graph();
         let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)+").unwrap());
@@ -428,41 +353,6 @@ mod tests {
         let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)*").unwrap());
         let ends: Vec<u32> = ev.ends_from(VertexId(9)).iter().map(|v| v.raw()).collect();
         assert_eq!(ends, vec![9]);
-    }
-
-    #[test]
-    fn bounded_evaluation_respects_length_cap() {
-        let g = paper_graph();
-        let ev = ProductEvaluator::new(&g, &Regex::parse("d.(b.c)+.c").unwrap());
-        // (7,5) needs 4 edges; (7,3) needs 6.
-        assert!(ev.evaluate_bounded(3).is_empty());
-        let at4 = ev.evaluate_bounded(4);
-        assert_eq!(pairs(&at4), vec![(7, 5)]);
-        let at6 = ev.evaluate_bounded(6);
-        assert_eq!(pairs(&at6), vec![(7, 3), (7, 5)]);
-        // A generous cap converges to the unbounded result.
-        assert_eq!(ev.evaluate_bounded(1000), ev.evaluate());
-    }
-
-    #[test]
-    fn bounded_evaluation_monotone_in_cap() {
-        let g = paper_graph();
-        let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)+").unwrap());
-        let mut prev = PairSet::new();
-        for cap in 0..8 {
-            let cur = ev.evaluate_bounded(cap);
-            assert!(prev.difference(&cur).is_empty(), "cap {cap} lost pairs");
-            prev = cur;
-        }
-        assert_eq!(prev, ev.evaluate());
-    }
-
-    #[test]
-    fn bounded_nullable_includes_identity_at_zero() {
-        let g = paper_graph();
-        let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)*").unwrap());
-        let r = ev.evaluate_bounded(0);
-        assert_eq!(r, PairSet::identity(10));
     }
 
     #[test]
@@ -500,7 +390,6 @@ mod tests {
         assert!(ev.identity.get().is_some(), "identity not materialized");
         let second = ev.evaluate();
         assert_eq!(first, second);
-        assert_eq!(ev.evaluate_bounded(0), PairSet::identity(10));
         // Non-nullable queries never pay for it.
         let plus = ProductEvaluator::new(&g, &Regex::parse("(b.c)+").unwrap());
         plus.evaluate();

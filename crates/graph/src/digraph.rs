@@ -73,11 +73,6 @@ impl Digraph {
         let edges: Vec<(u32, u32)> = self.edges().map(|(s, d)| (d, s)).collect();
         Digraph::from_edges(self.vertex_count(), edges)
     }
-
-    /// Whether any vertex has a self-loop.
-    pub fn has_any_self_loop(&self) -> bool {
-        self.edges().any(|(s, d)| s == d)
-    }
 }
 
 /// Translation between compact digraph ids and original graph vertices.
@@ -207,9 +202,6 @@ mod tests {
     fn self_loops_are_kept() {
         let g = Digraph::from_edges(2, vec![(0, 0), (0, 1)]);
         assert!(g.has_edge(0, 0));
-        assert!(g.has_any_self_loop());
-        let h = Digraph::from_edges(2, vec![(0, 1)]);
-        assert!(!h.has_any_self_loop());
     }
 
     #[test]

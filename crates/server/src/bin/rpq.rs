@@ -68,7 +68,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--cache-budget" => {
                 let v = args
                     .next()
-                    .ok_or("--cache-budget needs a spec like 'bytes=64m,entries=512,ttl=8'")?;
+                    .ok_or("--cache-budget needs a spec like 'bytes=64m,entries=512'")?;
                 opts.cache_budget = Some(parse_budget("--cache-budget", &v)?);
             }
             "--addr" => {
@@ -118,7 +118,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
 /// variable); a malformed one is a startup error either way.
 fn parse_budget(source: &str, spec: &str) -> Result<rpq_core::CacheBudget, String> {
     rpq_core::CacheBudget::parse(spec).ok_or(format!(
-        "bad {source} '{spec}' (want 'bytes=SIZE,entries=N,ttl=N', a bare SIZE, or 'unbounded')"
+        "bad {source} '{spec}' (want 'bytes=SIZE,entries=N', a bare SIZE, or 'unbounded')"
     ))
 }
 
@@ -131,9 +131,11 @@ fn print_usage() {
     eprintln!("--load accepts an edge list, a graph snapshot, or an engine snapshot");
     eprintln!("(warm restart) — the format is auto-detected. --max-conns caps");
     eprintln!("simultaneous TCP clients (default 256; extras get 'ERR busy').");
-    eprintln!("--cache-budget bounds the shared cache: 'bytes=SIZE,entries=N,ttl=N'");
-    eprintln!("(SIZE takes k/m/g suffixes; any part may be omitted; a bare SIZE");
+    eprintln!("--cache-budget bounds the shared cache: 'bytes=SIZE,entries=N'");
+    eprintln!("(SIZE takes k/m/g suffixes; either part may be omitted; a bare SIZE");
     eprintln!("caps bytes; 'unbounded' disables). Overrides RPQ_CACHE_BUDGET.");
+    eprintln!("Memoized results of epochs no retained view can reach are dropped");
+    eprintln!("on every delta, whatever the budget.");
     eprintln!("Commands: see 'help' in the session or docs/QUERY_LANGUAGE.md.");
 }
 
@@ -198,7 +200,7 @@ fn main() -> ExitCode {
                     .unwrap_or(addr.clone()),
                 opts.max_conns,
             );
-            let shared = rpq_server::shared(session);
+            let shared = session.shared();
             shared.set_max_conns(opts.max_conns);
             match rpq_server::serve(listener, shared) {
                 Ok(()) => ExitCode::SUCCESS,

@@ -59,5 +59,5 @@ pub use session::{
     ConnectionOverlay, EngineState, PublishedView, Response, ServerState, Session, SharedEngine,
     Status, DEFAULT_MAX_CONNS, RETAINED_VIEWS,
 };
-pub use tcp::{handle_connection, serve, shared, SharedSession};
+pub use tcp::{handle_connection, serve};
 pub use wire::BinaryResult;

@@ -962,7 +962,7 @@ impl Session {
                     ev.total(),
                     ev.by_bytes,
                     ev.by_entries,
-                    ev.by_ttl,
+                    ev.by_unreachable,
                     ev.by_stale,
                     ev.rebuilds_after_evict,
                 )
@@ -1011,7 +1011,7 @@ impl Session {
                     ev.total(),
                     ev.by_bytes,
                     ev.by_entries,
-                    ev.by_ttl,
+                    ev.by_unreachable,
                     ev.by_stale,
                     ev.rebuilds_after_evict,
                 )
@@ -1218,6 +1218,38 @@ mod tests {
         let e = err_message(s.execute("query (b.c)+ at 0"));
         assert!(e.contains("epoch 0 not retained"), "{e}");
         assert!(e.contains(&format!("epochs 1..{}", RETAINED_VIEWS)), "{e}");
+    }
+
+    /// The result instance follows the ring, one epoch behind: results of
+    /// epochs no retained view can reach are gone, retained ones still hit.
+    #[test]
+    fn results_of_unretained_epochs_are_dropped() {
+        let mut s = Session::new();
+        s.execute("gen paper");
+        for i in 0..RETAINED_VIEWS + 3 {
+            ok_summary(s.execute(&format!("delta ins 0 zz {}", i + 1)));
+            ok_summary(s.execute("query (b.c)+"));
+        }
+        let (oldest, newest, views) = s.shared().retained_span();
+        assert_eq!((newest, views), (RETAINED_VIEWS as u64 + 3, RETAINED_VIEWS));
+        let results = |s: &Session| {
+            let r = s.shared().current();
+            let r = r.view().results();
+            (r.occupancy_entries(), r.hits(), r.misses())
+        };
+        // One memoized result per epoch, and the last delta ran while the
+        // slot its publish evicted was still pinned.
+        let (entries, ..) = results(&s);
+        assert!(entries <= RETAINED_VIEWS + 1, "{entries} results held");
+
+        let at_oldest = format!("query c.(b.c)+ at {oldest}");
+        ok_summary(s.execute(&at_oldest));
+        let (_, hits, misses) = results(&s);
+        ok_summary(s.execute(&at_oldest));
+        assert_eq!(results(&s), (entries + 1, hits + 1, misses));
+
+        let e = err_message(s.execute(&format!("query (b.c)+ at {}", oldest - 1)));
+        assert!(e.contains("not retained"), "{e}");
     }
 
     #[test]

@@ -49,24 +49,14 @@ use std::sync::Arc;
 /// The greeting sent to every new connection.
 pub const GREETING: &str = "OK rtc-rpq ready";
 
-/// Shared serving state: one read-write-locked engine for all connections.
-pub type SharedSession = SharedEngine;
-
-/// Extracts the shared engine state from a startup session for sharing
-/// across connection threads (each connection then attaches its own
-/// [`Session`] with a fresh overlay).
-pub fn shared(session: Session) -> SharedSession {
-    session.shared()
-}
-
 /// Decrements the live-connection count when a connection thread ends,
 /// however it ends (EOF, `quit`, I/O error, panic unwind).
 struct ConnGuard {
-    shared: SharedSession,
+    shared: SharedEngine,
 }
 
 impl ConnGuard {
-    fn try_acquire(shared: &SharedSession) -> Option<ConnGuard> {
+    fn try_acquire(shared: &SharedEngine) -> Option<ConnGuard> {
         shared.try_open_conn().then(|| ConnGuard {
             shared: Arc::clone(shared),
         })
@@ -85,7 +75,7 @@ impl Drop for ConnGuard {
 /// connections get one `ERR busy …` line and are closed).
 /// Never returns under normal operation; returns the accept-loop error if
 /// the listener dies.
-pub fn serve(listener: TcpListener, shared: SharedSession) -> std::io::Result<()> {
+pub fn serve(listener: TcpListener, shared: SharedEngine) -> std::io::Result<()> {
     loop {
         let (mut stream, _addr) = listener.accept()?;
         let Some(guard) = ConnGuard::try_acquire(&shared) else {
@@ -111,7 +101,7 @@ pub fn serve(listener: TcpListener, shared: SharedSession) -> std::io::Result<()
 
 /// Drives one client connection to completion (EOF or `quit`). Returns
 /// the number of commands executed on behalf of this client.
-pub fn handle_connection(stream: TcpStream, shared: &SharedSession) -> std::io::Result<u64> {
+pub fn handle_connection(stream: TcpStream, shared: &SharedEngine) -> std::io::Result<u64> {
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
     // This connection's session: shared engine, private overlay. Locking
@@ -128,9 +118,10 @@ pub fn handle_connection(stream: TcpStream, shared: &SharedSession) -> std::io::
         let line = line?;
         if let Some(response) = session.execute(&line) {
             executed += 1;
-            // One write_all per response: bytes of two responses on one
-            // connection can never interleave, and responses to *other*
-            // connections ride their own sockets entirely.
+            // Up to three write_alls per response (`Response::write_to`).
+            // Bytes of two responses on one connection cannot interleave
+            // only because this thread alone writes to the socket;
+            // responses to *other* connections ride their own sockets.
             response.write_to(&mut writer)?;
             writer.flush()?;
             if response.quit {
@@ -151,7 +142,7 @@ mod tests {
     fn spawn_server() -> std::net::SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let shared = shared(Session::new());
+        let shared = Session::new().shared();
         std::thread::spawn(move || serve(listener, shared));
         addr
     }
@@ -257,7 +248,7 @@ mod tests {
     fn over_limit_connections_get_err_busy() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let shared = shared(Session::new());
+        let shared = Session::new().shared();
         shared.set_max_conns(1);
         let serve_shared = Arc::clone(&shared);
         std::thread::spawn(move || serve(listener, serve_shared));

@@ -85,7 +85,7 @@ fn spawn_server_with(config: rpq_core::EngineConfig, setup: &[String]) -> Socket
             r.status
         );
     }
-    let shared = rpq_server::shared(session);
+    let shared = session.shared();
     std::thread::spawn(move || rpq_server::serve(listener, shared));
     addr
 }

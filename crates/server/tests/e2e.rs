@@ -151,6 +151,15 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad RPQ_CACHE_BUDGET"), "{stderr}");
+    // The budget has no TTL axis: a spec naming one is malformed.
+    let out = Command::new(env!("CARGO_BIN_EXE_rpq"))
+        .args(["repl", "--cache-budget", "bytes=1m,ttl=4"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad --cache-budget"), "{stderr}");
     // Same for the row representation: a typo must not mean "adaptive".
     let out = Command::new(env!("CARGO_BIN_EXE_rpq"))
         .arg("repl")

@@ -13,6 +13,9 @@
 //! 3. **Pins win.** Structures referenced by a live [`EpochView`] survive
 //!    eviction pressure at newer epochs, and time-travel evaluation at
 //!    the pinned epoch still answers from them (`Fresh`, not a rebuild).
+//! 4. **Dead epochs hold nothing.** After every delta the result instance
+//!    holds at most the results a still-held view asked for; a result such
+//!    a view can reach is never dropped for unreachability.
 
 mod common;
 
@@ -20,16 +23,16 @@ use common::{random_graph, rng, ALPHABET};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rtc_rpq::core::{CacheBudget, Engine, EngineConfig, Lookup, SharingKind, Strategy};
+use rtc_rpq::core::{CacheBudget, Engine, EngineConfig, EpochView, Lookup, SharingKind, Strategy};
 use rtc_rpq::graph::{GraphDelta, LabeledMultigraph, VersionedGraph};
 use rtc_rpq::regex::Regex;
+use std::collections::HashSet;
 
 fn bounded_config(max_bytes: Option<usize>, max_entries: Option<usize>) -> EngineConfig {
     EngineConfig {
         cache_budget: CacheBudget {
             max_bytes,
             max_entries,
-            ttl_epochs: None,
         },
         ..EngineConfig::default()
     }
@@ -62,18 +65,31 @@ fn random_closure_query(r: &mut StdRng, depth: u32) -> Regex {
 
 const N: u32 = 10;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// A view held across deltas, with the one query it answered.
+struct Held {
+    view: EpochView,
+    /// How many deltas preceded the pin (the oracle's replay prefix).
+    deltas: usize,
+    query: Regex,
+    /// The result instance's budget-eviction count when `query` was last
+    /// memoized: unchanged since means the entry cannot have been evicted.
+    memoized_at: u64,
+}
 
-    /// Invariants 1 + 2: a budgeted engine answers exactly like a fresh
-    /// unbounded engine at the same epoch, and its occupancy respects the
-    /// budget after every operation — whichever structure kind the
-    /// budget is evicting.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Invariants 1 + 2 + 4: a budgeted engine answers exactly like a fresh
+    /// unbounded engine at the same epoch — live, and through views held
+    /// across deltas — its occupancy respects the budget after every
+    /// operation, whichever structure kind the budget is evicting, and the
+    /// result instance holds what a held view can still ask for and
+    /// nothing else.
     #[test]
     fn bounded_engines_answer_like_unbounded_ones(
         seed in 0u64..1_000_000,
         strategy in prop::sample::select(vec![Strategy::RtcSharing, Strategy::FullSharing]),
-        ops in prop::collection::vec((0u32..2, 0u64..u64::MAX), 1..10),
+        ops in prop::collection::vec((0u32..7, 0u64..u64::MAX), 1..16),
     ) {
         let mut r = rng(seed);
         let base = random_graph(&mut r, N, 30);
@@ -87,32 +103,90 @@ proptest! {
                 ..bounded_config(Some(max_bytes), Some(max_entries))
             },
         );
+        // The oracle replays a prefix of the history on an unbounded
+        // engine: same epoch, same graph, no evictions ever.
+        let oracle_at = |deltas: &[GraphDelta], q: &Regex| {
+            let mut oracle = dynamic_engine(base.clone(), EngineConfig::default());
+            for d in deltas {
+                oracle.apply_delta(d);
+            }
+            oracle.evaluate(q).unwrap()
+        };
+        // Entries the result instance lost to its byte/entry budget — the
+        // only way, besides unreachability, a memoized result leaves it.
+        let budget_evictions = |e: &Engine| {
+            let ev = e.results().eviction_counters();
+            ev.by_bytes + ev.by_entries
+        };
         let mut deltas: Vec<GraphDelta> = Vec::new();
+        let mut held: Vec<Held> = Vec::new();
+        // Every (epoch, canonical query) memoized so far.
+        let mut asked: HashSet<(u64, String)> = HashSet::new();
         for (flag, op_seed) in ops {
-            let is_delta = flag == 1;
             let mut or = rng(op_seed);
-            if is_delta {
-                let d = random_delta(&mut or, N);
-                bounded.apply_delta(&d);
-                deltas.push(d);
-            } else {
-                let q = random_closure_query(&mut or, 2);
-                let got = bounded.evaluate(&q).unwrap();
-                // The oracle replays the same history on an unbounded
-                // engine: same epoch, same graph, no evictions ever.
-                let mut oracle = dynamic_engine(base.clone(), EngineConfig::default());
-                for d in &deltas {
-                    oracle.apply_delta(d);
+            match flag {
+                0 | 1 => {
+                    let q = random_closure_query(&mut or, 2);
+                    let got = bounded.evaluate(&q).unwrap();
+                    prop_assert_eq!(&got, &oracle_at(&deltas, &q));
+                    // The same answer through a pinned view, which memoizes
+                    // it in the result instance.
+                    let view = bounded.pin();
+                    let memoized = view.evaluate(&q).unwrap();
+                    prop_assert_eq!(memoized.as_ref(), &got);
+                    asked.insert((view.epoch(), q.canonical_key()));
                 }
-                prop_assert_eq!(&got, &oracle.evaluate(&q).unwrap());
-                // The same answer through a pinned view, which memoizes it
-                // in the result instance. The pin may park the structural
-                // instance over budget; re-settle once it drops.
-                let view = bounded.pin();
-                let memoized = view.evaluate(&q).unwrap();
-                prop_assert_eq!(memoized.as_ref(), &got);
-                drop(view);
-                bounded.cache().enforce_budget();
+                2 | 3 => {
+                    let d = random_delta(&mut or, N);
+                    bounded.apply_delta(&d);
+                    deltas.push(d);
+                    // Reachability: only results of held epochs survive a
+                    // delta (the new live epoch has none yet).
+                    let reachable = asked
+                        .iter()
+                        .filter(|(e, _)| held.iter().any(|h| h.view.epoch() == *e))
+                        .count();
+                    prop_assert!(
+                        bounded.results().occupancy_entries() <= reachable,
+                        "{} results held, {} reachable",
+                        bounded.results().occupancy_entries(),
+                        reachable
+                    );
+                }
+                4 => {
+                    // Pin a view, keep it, and answer one query through it.
+                    let view = bounded.pin();
+                    let q = random_closure_query(&mut or, 2);
+                    let got = view.evaluate(&q).unwrap();
+                    prop_assert_eq!(got.as_ref(), &oracle_at(&deltas, &q));
+                    asked.insert((view.epoch(), q.canonical_key()));
+                    held.push(Held {
+                        view,
+                        deltas: deltas.len(),
+                        query: q,
+                        memoized_at: budget_evictions(&bounded),
+                    });
+                }
+                5 if !held.is_empty() => {
+                    // Re-ask through a still-held view: reachability never
+                    // drops a reachable result, so unless the budget took
+                    // it this is a view hit — and exact either way.
+                    let i = or.gen_range(0..held.len());
+                    let h = &mut held[i];
+                    let r = bounded.results();
+                    let before = (r.hits(), r.misses());
+                    let got = h.view.evaluate(&h.query).unwrap();
+                    if budget_evictions(&bounded) == h.memoized_at {
+                        prop_assert_eq!((r.hits(), r.misses()), (before.0 + 1, before.1));
+                    }
+                    h.memoized_at = budget_evictions(&bounded);
+                    prop_assert_eq!(got.as_ref(), &oracle_at(&deltas[..h.deltas], &h.query));
+                }
+                6 if !held.is_empty() => {
+                    let i = or.gen_range(0..held.len());
+                    held.swap_remove(i);
+                }
+                _ => {}
             }
             prop_assert!(
                 bounded.results().occupancy_bytes() <= max_bytes,
@@ -120,19 +194,24 @@ proptest! {
                 bounded.results().occupancy_bytes(),
                 max_bytes
             );
-            let c = bounded.cache();
-            prop_assert!(
-                c.occupancy_bytes() <= max_bytes,
-                "occupancy {} B over the {} B budget",
-                c.occupancy_bytes(),
-                max_bytes
-            );
-            prop_assert!(
-                c.occupancy_entries() <= max_entries,
-                "{} entries over the {}-entry budget",
-                c.occupancy_entries(),
-                max_entries
-            );
+            // A pin may park the structural instance over budget; it must
+            // hold again once every view is gone and it is re-settled.
+            if held.is_empty() {
+                let c = bounded.cache();
+                c.enforce_budget();
+                prop_assert!(
+                    c.occupancy_bytes() <= max_bytes,
+                    "occupancy {} B over the {} B budget",
+                    c.occupancy_bytes(),
+                    max_bytes
+                );
+                prop_assert!(
+                    c.occupancy_entries() <= max_entries,
+                    "{} entries over the {}-entry budget",
+                    c.occupancy_entries(),
+                    max_entries
+                );
+            }
         }
     }
 
