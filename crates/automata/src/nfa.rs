@@ -112,31 +112,6 @@ impl Nfa {
         syms
     }
 
-    /// Builds the reversal: an ε-free NFA accepting `reverse(L)`.
-    ///
-    /// Old state `s` becomes `s + 1`; the fresh state 0 is the new initial
-    /// state, wired to the reversed transitions into old accepting states.
-    /// The new accepting set is `{old initial}` (state 1), plus state 0
-    /// when the original accepts ε. Backward RPQ evaluation ("which
-    /// sources reach this target?") runs this automaton over reversed
-    /// adjacency.
-    pub fn reverse(&self) -> Nfa {
-        let n = self.state_count();
-        let mut rows: Vec<Vec<(u32, StateId)>> = vec![Vec::new(); n + 1];
-        for s in 0..n as u32 {
-            for &(sym, t) in self.transitions_from(s) {
-                rows[t as usize + 1].push((sym, s + 1));
-                if self.is_accepting(t) {
-                    rows[0].push((sym, s + 1));
-                }
-            }
-        }
-        let mut accepting = vec![false; n + 1];
-        accepting[1] = true; // the old initial state
-        accepting[0] = self.accepts_empty();
-        Nfa::from_parts(self.alphabet.clone(), rows, accepting)
-    }
-
     /// Runs the NFA over a sequence of local symbols.
     pub fn matches_symbols(&self, symbols: &[u32]) -> bool {
         let mut current = vec![false; self.state_count()];
@@ -267,45 +242,5 @@ mod tests {
     #[should_panic(expected = "state count mismatch")]
     fn mismatched_parts_panic() {
         let _ = Nfa::from_parts(vec![], vec![vec![]], vec![true, false]);
-    }
-
-    #[test]
-    fn reverse_accepts_reversed_words() {
-        let n = ab_plus(); // a·b+
-        let r = n.reverse();
-        // reverse(a·b+) = b+·a
-        assert!(r.matches(&["b", "a"]));
-        assert!(r.matches(&["b", "b", "b", "a"]));
-        assert!(!r.matches(&["a", "b"]));
-        assert!(!r.matches(&["b"]));
-        assert!(!r.matches(&[]));
-    }
-
-    #[test]
-    fn reverse_preserves_nullability() {
-        let nullable = Nfa::from_parts(
-            vec!["a".into()],
-            vec![vec![(0, 1)], vec![]],
-            vec![true, true],
-        );
-        let r = nullable.reverse();
-        assert!(r.accepts_empty());
-        assert!(r.matches(&[]));
-        assert!(r.matches(&["a"]));
-    }
-
-    #[test]
-    fn double_reverse_preserves_language() {
-        let n = ab_plus();
-        let rr = n.reverse().reverse();
-        for w in [
-            vec![],
-            vec!["a"],
-            vec!["a", "b"],
-            vec!["a", "b", "b"],
-            vec!["b", "a"],
-        ] {
-            assert_eq!(n.matches(&w), rr.matches(&w), "word {w:?}");
-        }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::datasets::{experiment2_datasets, real_surrogates, synthetic_sweep, Dataset};
 use crate::profiles::Profile;
-use crate::runner::{run_all_strategies_threads, RunMetrics};
+use crate::runner::{run_all_strategies, RunMetrics};
 use crate::table::{fmt_ratio, fmt_secs, Table};
 use rpq_datasets::workload::{alphabet_of, generate_workload, WorkloadConfig};
 use std::time::Duration;
@@ -80,7 +80,7 @@ pub fn run_experiment1(
         );
         let mut agg: [AggMetrics; 3] = Default::default();
         for set in &sets {
-            let runs = run_all_strategies_threads(&ds.graph, set.prefix(set_size), threads);
+            let runs = run_all_strategies(&ds.graph, set.prefix(set_size), threads);
             for (slot, m) in agg.iter_mut().zip(&runs) {
                 slot.accumulate(m);
             }
@@ -212,7 +212,7 @@ pub fn run_experiment2(profile: Profile, threads: usize) -> Vec<Exp2Row> {
         for &k in &profile.set_sizes() {
             let mut agg: [AggMetrics; 3] = Default::default();
             for set in &sets {
-                let runs = run_all_strategies_threads(&ds.graph, set.prefix(k), threads);
+                let runs = run_all_strategies(&ds.graph, set.prefix(k), threads);
                 for (slot, m) in agg.iter_mut().zip(&runs) {
                     slot.accumulate(m);
                 }

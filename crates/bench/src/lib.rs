@@ -20,7 +20,4 @@ pub mod runner;
 pub mod table;
 
 pub use profiles::Profile;
-pub use runner::{
-    run_all_strategies, run_all_strategies_threads, run_query_set, run_query_set_threads,
-    RunMetrics,
-};
+pub use runner::{run_all_strategies, run_query_set, RunMetrics};

@@ -3,7 +3,7 @@
 use rpq_core::{Breakdown, EliminationStats, Engine, EngineConfig, Strategy};
 use rpq_graph::LabeledMultigraph;
 use rpq_regex::Regex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Metrics of one multiple-RPQ set evaluation.
 #[derive(Clone, Debug)]
@@ -26,20 +26,12 @@ pub struct RunMetrics {
     pub result_sizes: Vec<usize>,
 }
 
-/// Runs `queries` as one set under `strategy` on a fresh engine.
+/// Runs `queries` as one set under `strategy` on a fresh engine with
+/// `threads` workers (1 = sequential, 0 = all cores; the engine fans the
+/// set out when that resolves to more than one).
 ///
 /// Returns `None` if any query fails (DNF limit); workload queries never do.
 pub fn run_query_set(
-    graph: &LabeledMultigraph,
-    queries: &[Regex],
-    strategy: Strategy,
-) -> Option<RunMetrics> {
-    run_query_set_threads(graph, queries, strategy, 1)
-}
-
-/// [`run_query_set`] with an explicit worker-thread count (1 = sequential,
-/// 0 = all cores) — the engine runs its parallel batch mode when > 1.
-pub fn run_query_set_threads(
     graph: &LabeledMultigraph,
     queries: &[Regex],
     strategy: Strategy,
@@ -53,44 +45,42 @@ pub fn run_query_set_threads(
             ..EngineConfig::default()
         },
     );
+    let t = Instant::now();
     let results = engine.evaluate_set(queries).ok()?;
+    // The engine sums per-query response times; the set's response time is
+    // the wall clock around the (possibly fanned-out) batch.
+    let total = t.elapsed();
     let result_sizes = results.iter().map(|r| r.len()).collect();
-    let breakdown = engine.breakdown();
-    let shared_vertices = match strategy {
-        Strategy::NoSharing => 0,
-        Strategy::FullSharing => engine.cache().full_total_vertices(),
-        Strategy::RtcSharing => engine.cache().rtc_total_sccs(),
-    };
+    let shared = strategy.kind().map(|kind| engine.cache().totals(kind));
     Some(RunMetrics {
         strategy,
-        total: breakdown.total,
-        breakdown,
+        total,
+        breakdown: Breakdown {
+            total,
+            ..engine.breakdown()
+        },
         eliminations: engine.elimination_stats(),
-        shared_pairs: engine.shared_data_pairs(),
-        shared_vertices,
+        shared_pairs: shared.map_or(0, |s| s.shared_pairs),
+        shared_vertices: shared.map_or(0, |s| s.vertices),
         result_sizes,
     })
 }
 
-/// Runs the set under all three strategies, asserting result agreement.
+/// Runs the set under all three strategies (each engine with `threads`
+/// workers — the `--threads` flag of the experiments driver), asserting
+/// result agreement.
 ///
 /// The agreement check makes every harness run double as a correctness
 /// test: if any strategy disagrees on any query, the harness panics with
 /// the offending query.
-pub fn run_all_strategies(graph: &LabeledMultigraph, queries: &[Regex]) -> Vec<RunMetrics> {
-    run_all_strategies_threads(graph, queries, 1)
-}
-
-/// [`run_all_strategies`] with an explicit worker-thread count plumbed
-/// into every engine (the `--threads` flag of the experiments driver).
-pub fn run_all_strategies_threads(
+pub fn run_all_strategies(
     graph: &LabeledMultigraph,
     queries: &[Regex],
     threads: usize,
 ) -> Vec<RunMetrics> {
     let mut out: Vec<RunMetrics> = Vec::with_capacity(3);
     for strategy in Strategy::ALL {
-        let metrics = run_query_set_threads(graph, queries, strategy, threads)
+        let metrics = run_query_set(graph, queries, strategy, threads)
             .expect("workload queries stay under the DNF limit");
         if let Some(first) = out.first() {
             for (i, (a, b)) in first
@@ -120,7 +110,7 @@ mod tests {
     fn run_metrics_for_paper_query() {
         let g = paper_graph();
         let queries = vec![Regex::parse("d.(b.c)+.c").unwrap()];
-        let metrics = run_query_set(&g, &queries, Strategy::RtcSharing).unwrap();
+        let metrics = run_query_set(&g, &queries, Strategy::RtcSharing, 1).unwrap();
         assert_eq!(metrics.result_sizes, [2]);
         assert_eq!(metrics.shared_pairs, 3);
         assert_eq!(metrics.shared_vertices, 3); // 3 SCCs
@@ -134,13 +124,13 @@ mod tests {
             Regex::parse("d.(b.c)+.c").unwrap(),
             Regex::parse("a.(b.c)*.c").unwrap(),
         ];
-        let seq = run_query_set(&g, &queries, Strategy::RtcSharing).unwrap();
+        let seq = run_query_set(&g, &queries, Strategy::RtcSharing, 1).unwrap();
         for threads in [2usize, 8] {
-            let par = run_query_set_threads(&g, &queries, Strategy::RtcSharing, threads).unwrap();
+            let par = run_query_set(&g, &queries, Strategy::RtcSharing, threads).unwrap();
             assert_eq!(par.result_sizes, seq.result_sizes, "threads {threads}");
             assert_eq!(par.shared_pairs, seq.shared_pairs, "threads {threads}");
         }
-        let all = run_all_strategies_threads(&g, &queries, 2);
+        let all = run_all_strategies(&g, &queries, 2);
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|m| m.result_sizes == seq.result_sizes));
     }
@@ -152,7 +142,7 @@ mod tests {
             Regex::parse("d.(b.c)+.c").unwrap(),
             Regex::parse("a.(b.c)*.c").unwrap(),
         ];
-        let all = run_all_strategies(&g, &queries);
+        let all = run_all_strategies(&g, &queries, 1);
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|m| m.result_sizes == all[0].result_sizes));
         // NoSharing shares nothing.

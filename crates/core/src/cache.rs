@@ -256,9 +256,9 @@ pub(crate) fn score(build_nanos: u64, bytes: usize) -> f64 {
 
 /// Per-entry retention metadata: everything eviction scores on.
 struct EntryMeta {
-    /// Retained heap bytes: the structure plus its recorded base
-    /// relation (the maintainable form is not counted — it only exists
-    /// transiently between refreshes).
+    /// Retained heap bytes: the structure (an RTC's maintainable form
+    /// included, once a refresh has built one) plus its recorded base
+    /// relation.
     bytes: usize,
     /// Wall-clock nanos spent building the structure — the cost a future
     /// miss would pay again. 0 when the insert path measured none, which
@@ -326,10 +326,13 @@ impl Shared {
         }
     }
 
-    /// Heap bytes of the structure's closure rows (a result's pairs).
+    /// Heap bytes the payload keeps alive: the closure rows (a result's
+    /// pairs), plus an RTC's maintainable form where the entry owns one.
     fn heap_bytes(&self) -> usize {
         match self {
-            Shared::Rtc(rtc, _) => rtc.closure_heap_bytes(),
+            Shared::Rtc(rtc, dynamic) => {
+                rtc.closure_heap_bytes() + dynamic.as_ref().map_or(0, |d| d.heap_bytes())
+            }
             Shared::Full(full) => full.heap_bytes(),
             Shared::Result(pairs) => pairs.heap_bytes(),
         }
@@ -384,8 +387,29 @@ pub struct FreshEntry {
     pub r_g: Option<Arc<PairSet>>,
     /// Its cost-to-rebuild.
     pub build_nanos: u64,
-    /// Its retained heap bytes (structure plus base relation).
+    /// Heap bytes of what a snapshot would persist: the structure as
+    /// handed out here plus its base relation.
     pub bytes: usize,
+}
+
+/// Aggregates over one kind's cached entries ([`SharedCache::totals`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KindTotals {
+    /// Cached structures, fresh or stale.
+    pub entries: usize,
+    /// Pairs held: `Σ |TC(Ḡ_R)|` over RTCs, `Σ |R⁺_G|` over full closures —
+    /// the shared-data size of Fig. 12.
+    pub shared_pairs: usize,
+    /// `Σ |V̄_R|` (SCC counts) over RTCs, `Σ |V_R|` over full closures — the
+    /// vertex-count metric of Fig. 13.
+    pub vertices: usize,
+    /// Heap bytes of the closure rows alone, across their hybrid
+    /// dense/sparse representations — the memory side of the representation
+    /// ablation and of the server's `memory:` lines.
+    pub heap_bytes: usize,
+    /// Closure rows stored as dense bitsets — how far the adaptive
+    /// representation promoted.
+    pub dense_rows: usize,
 }
 
 type Map = FxHashMap<String, Entry>;
@@ -666,49 +690,51 @@ impl SharedCache {
                 read(map)
                     .iter()
                     .filter(|(_, e)| e.epoch == epoch)
-                    .map(|(key, e)| FreshEntry {
-                        key: key.clone(),
-                        shared: e.shared.reader(),
-                        r_g: e.r_g.clone(),
-                        build_nanos: e.meta.build_nanos,
-                        bytes: e.meta.bytes,
+                    .map(|(key, e)| {
+                        let shared = e.shared.reader();
+                        FreshEntry {
+                            key: key.clone(),
+                            bytes: shared.heap_bytes()
+                                + e.r_g.as_ref().map_or(0, |p| p.heap_bytes()),
+                            shared,
+                            r_g: e.r_g.clone(),
+                            build_nanos: e.meta.build_nanos,
+                        }
                     }),
             );
         }
         fresh
     }
 
-    /// Sums `f` over every entry of `kind`, one shard read lock at a time
-    /// — the shared fold behind the aggregate metrics below.
-    fn sum(&self, kind: SharingKind, f: impl Fn(&Entry) -> usize) -> usize {
-        self.shards
-            .iter()
-            .map(|s| read(&s[kind as usize]).values().map(&f).sum::<usize>())
-            .sum()
-    }
-
-    fn sum_rtcs(&self, f: impl Fn(&Rtc) -> usize) -> usize {
-        self.sum(SharingKind::Rtc, |e| match &e.shared {
-            Shared::Rtc(rtc, _) => f(rtc),
-            _ => 0,
-        })
-    }
-
-    fn sum_fulls(&self, f: impl Fn(&FullTc) -> usize) -> usize {
-        self.sum(SharingKind::Full, |e| match &e.shared {
-            Shared::Full(full) => f(full),
-            _ => 0,
-        })
-    }
-
-    /// Number of cached RTCs (fresh or stale).
-    pub fn rtc_count(&self) -> usize {
-        self.sum(SharingKind::Rtc, |_| 1)
-    }
-
-    /// Number of cached full closures (fresh or stale).
-    pub fn full_count(&self) -> usize {
-        self.sum(SharingKind::Full, |_| 1)
+    /// Aggregates over every cached entry of `kind`, fresh or stale, in one
+    /// pass (one shard read lock at a time).
+    pub fn totals(&self, kind: SharingKind) -> KindTotals {
+        let mut totals = KindTotals::default();
+        for shard in &self.shards {
+            for entry in read(&shard[kind as usize]).values() {
+                let (pairs, vertices, heap, dense) = match &entry.shared {
+                    Shared::Rtc(rtc, _) => (
+                        rtc.closure_pair_count(),
+                        rtc.scc_count(),
+                        rtc.closure_heap_bytes(),
+                        rtc.dense_closure_rows(),
+                    ),
+                    Shared::Full(full) => (
+                        full.pair_count(),
+                        full.vertex_count(),
+                        full.heap_bytes(),
+                        full.dense_rows(),
+                    ),
+                    Shared::Result(pairs) => (pairs.len(), 0, pairs.heap_bytes(), 0),
+                };
+                totals.entries += 1;
+                totals.shared_pairs += pairs;
+                totals.vertices += vertices;
+                totals.heap_bytes += heap;
+                totals.dense_rows += dense;
+            }
+        }
+        totals
     }
 
     /// Cache hits since creation/clear (fresh entries only).
@@ -725,56 +751,6 @@ impl SharedCache {
     /// a refresh, not a recompute-from-nothing).
     pub fn stale_hits(&self) -> u64 {
         self.stale_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total pairs held in cached RTCs (`Σ |TC(Ḡ_R)|`) — RTCSharing's
-    /// shared-data size in Fig. 12.
-    pub fn rtc_shared_pairs(&self) -> usize {
-        self.sum_rtcs(Rtc::closure_pair_count)
-    }
-
-    /// Total pairs held in cached full closures (`Σ |R⁺_G|`) — FullSharing's
-    /// shared-data size in Fig. 12.
-    pub fn full_shared_pairs(&self) -> usize {
-        self.sum_fulls(FullTc::pair_count)
-    }
-
-    /// Sum of `|V̄_R|` (SCC counts) across cached RTCs — RTCSharing's
-    /// vertex-count metric in Fig. 13.
-    pub fn rtc_total_sccs(&self) -> usize {
-        self.sum_rtcs(Rtc::scc_count)
-    }
-
-    /// Sum of `|V_R|` across cached full closures — FullSharing's
-    /// vertex-count metric in Fig. 13.
-    pub fn full_total_vertices(&self) -> usize {
-        self.sum_fulls(FullTc::vertex_count)
-    }
-
-    /// Heap bytes held by cached RTC closure tables (`Σ heap_bytes` over
-    /// their hybrid dense/sparse rows) — the memory side of the
-    /// representation ablation, surfaced through `Engine` metrics and the
-    /// server's `metrics`/`info` commands.
-    pub fn rtc_heap_bytes(&self) -> usize {
-        self.sum(SharingKind::Rtc, |e| e.shared.heap_bytes())
-    }
-
-    /// Heap bytes held by cached full closures (see
-    /// [`SharedCache::rtc_heap_bytes`]).
-    pub fn full_heap_bytes(&self) -> usize {
-        self.sum(SharingKind::Full, |e| e.shared.heap_bytes())
-    }
-
-    /// Number of dense (bitset-backed) rows across cached RTC closure
-    /// tables — how far the adaptive representation promoted.
-    pub fn rtc_dense_rows(&self) -> usize {
-        self.sum_rtcs(Rtc::dense_closure_rows)
-    }
-
-    /// Number of dense rows across cached full closures (see
-    /// [`SharedCache::rtc_dense_rows`]).
-    pub fn full_dense_rows(&self) -> usize {
-        self.sum_fulls(FullTc::dense_rows)
     }
 
     /// Resets the hit/miss/stale and eviction counters while
@@ -804,9 +780,9 @@ impl SharedCache {
     }
 
     /// Retained heap bytes across every namespace (structures plus
-    /// recorded base relations — the footprint the byte budget governs;
-    /// [`SharedCache::rtc_heap_bytes`] and friends measure the
-    /// structures alone).
+    /// recorded base relations and maintainable forms — the footprint the
+    /// byte budget governs; [`KindTotals::heap_bytes`] measures the closure
+    /// rows alone).
     pub fn occupancy_bytes(&self) -> usize {
         self.occ_bytes.load(Ordering::Acquire) as usize
     }
@@ -828,14 +804,12 @@ impl SharedCache {
         if pinned.is_empty() {
             return 0;
         }
-        let pinned_bytes = |e: &Entry| {
-            if pinned.contains(&e.epoch) {
-                e.meta.bytes
-            } else {
-                0
-            }
+        let pinned_bytes = |map: &Map| -> usize {
+            let held = map.values().filter(|e| pinned.contains(&e.epoch));
+            held.map(|e| e.meta.bytes).sum()
         };
-        KINDS.iter().map(|&kind| self.sum(kind, pinned_bytes)).sum()
+        let maps = self.shards.iter().flatten();
+        maps.map(|map| pinned_bytes(&read(map))).sum()
     }
 
     /// Whether any live pin covers `epoch`.
@@ -998,7 +972,7 @@ mod tests {
     }
 
     fn count(c: &SharedCache, kind: SharingKind) -> usize {
-        c.sum(kind, |_| 1)
+        c.totals(kind).entries
     }
 
     /// Bytes one costed sample entry of `kind` occupies.
@@ -1026,10 +1000,10 @@ mod tests {
         let c = SharedCache::new();
         insert_bare(&c, RtcKind, "a.b");
         // One 2-cycle SCC with a self-reach: closure has 1 pair.
-        assert_eq!(c.rtc_shared_pairs(), 1);
+        assert_eq!(c.totals(RtcKind).shared_pairs, 1);
         insert_bare(&c, Full, "a.b");
         // Full closure: both vertices reach both → 4 pairs.
-        assert_eq!(c.full_shared_pairs(), 4);
+        assert_eq!(c.totals(Full).shared_pairs, 4);
     }
 
     #[test]
@@ -1054,8 +1028,8 @@ mod tests {
         assert_eq!((c.hits(), c.misses()), (1, 1));
         c.reset_counters();
         assert_eq!((c.hits(), c.misses()), (0, 0));
-        assert_eq!(c.rtc_count(), 1);
-        assert_eq!(c.rtc_shared_pairs(), 1);
+        assert_eq!(count(&c, RtcKind), 1);
+        assert_eq!(c.totals(RtcKind).shared_pairs, 1);
     }
 
     #[test]
@@ -1063,7 +1037,7 @@ mod tests {
         let c = SharedCache::new();
         insert_bare(&c, RtcKind, "k");
         assert!(matches!(c.lookup(Full, "k", 0), Lookup::Miss));
-        assert_eq!(c.full_count(), 0);
+        assert_eq!(count(&c, Full), 0);
     }
 
     #[test]
@@ -1089,7 +1063,7 @@ mod tests {
             _ => panic!("expected a stale entry"),
         }
         assert_eq!(c.stale_hits(), 1);
-        assert_eq!(c.rtc_count(), 0);
+        assert_eq!(count(&c, RtcKind), 0);
         // Re-inserting at the new epoch makes it fresh again.
         fresh(&c);
         assert!(matches!(c.lookup(RtcKind, "k", 1), Lookup::Fresh(_)));
@@ -1103,7 +1077,7 @@ mod tests {
         // Unlike an RTC, the stale closure is handed out shared, not claimed.
         assert!(matches!(c.lookup(Full, "k", 3), Lookup::Stale { .. }));
         assert!(matches!(c.lookup(Full, "k", 3), Lookup::Stale { .. }));
-        assert_eq!((c.stale_hits(), c.full_count()), (2, 1));
+        assert_eq!((c.stale_hits(), count(&c, Full)), (2, 1));
         assert!(!c.contains_fresh(Full, "k"));
     }
 
@@ -1210,7 +1184,7 @@ mod tests {
         assert_eq!(c.misses(), THREADS as u64 * LOOKUPS);
         c.reset_counters();
         assert_eq!((c.hits(), c.misses(), c.stale_hits()), (0, 0, 0));
-        assert_eq!(c.rtc_count(), 1);
+        assert_eq!(count(&c, RtcKind), 1);
     }
 
     /// Concurrent fillers racing on the same and different keys leave the
@@ -1235,8 +1209,8 @@ mod tests {
             }
         });
         // 4 contended keys + one private key per (thread, round).
-        assert_eq!(c.rtc_count(), 4 + THREADS * 50);
-        assert_eq!(c.fresh_entries().len(), c.rtc_count());
+        assert_eq!(count(&c, RtcKind), 4 + THREADS * 50);
+        assert_eq!(c.fresh_entries().len(), count(&c, RtcKind));
         assert_eq!(c.misses(), 0);
     }
 
@@ -1325,6 +1299,48 @@ mod tests {
         });
     }
 
+    /// An RTC entry that has been through a refresh also owns its
+    /// maintainable form; the byte budget weighs it, a snapshot (which
+    /// never writes it) does not.
+    #[test]
+    fn maintainable_form_counts_toward_the_byte_budget() {
+        let dynamic = Arc::new(DynamicRtc::from_rtc(&sample_rtc(), &sample_pairs()));
+        let held = dynamic.heap_bytes();
+        assert!(held > 0);
+        let insert_refreshed = |c: &SharedCache| {
+            c.insert(
+                "k".into(),
+                Shared::Rtc(sample_rtc(), Some(Arc::clone(&dynamic))),
+                Some(Arc::new(sample_pairs())),
+                0,
+                Duration::from_nanos(1),
+            )
+        };
+        let plain = unit_bytes(RtcKind);
+        let c = SharedCache::new();
+        insert_refreshed(&c);
+        assert_eq!(c.occupancy_bytes(), plain + held);
+        assert_eq!(c.fresh_entries()[0].bytes, plain);
+        assert!(c.totals(RtcKind).heap_bytes < plain);
+        // A budget between the two sizes keeps the plain entry and evicts
+        // the refreshed one on its own insert.
+        let bounded = || {
+            SharedCache::with_budget(CacheBudget {
+                max_bytes: Some(plain + held / 2),
+                ..Default::default()
+            })
+        };
+        let c = bounded();
+        insert_costed(&c, RtcKind, "k", 0, 1);
+        assert_eq!(c.occupancy_entries(), 1);
+        let c = bounded();
+        insert_refreshed(&c);
+        assert_eq!(
+            (c.occupancy_entries(), c.eviction_counters().by_bytes),
+            (0, 1)
+        );
+    }
+
     #[test]
     fn entry_budget_evicts_with_recency_tie_break() {
         for_all_kinds(|kind| {
@@ -1386,9 +1402,9 @@ mod tests {
         insert_costed(&c, RtcKind, "k", 0, 900_000);
         insert_costed(&c, RtcKind, "j", 0, 900_000);
         assert!(!c.contains_fresh(Full, "k"));
-        assert_eq!((c.rtc_count(), c.full_count()), (2, 0));
+        assert_eq!((count(&c, RtcKind), count(&c, Full)), (2, 0));
         insert_costed(&c, Full, "j", 0, 90_000_000);
-        assert_eq!((c.rtc_count(), c.full_count()), (1, 1));
+        assert_eq!((count(&c, RtcKind), count(&c, Full)), (1, 1));
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! The [`Engine`] facade: one graph, one strategy, shared caches, timings.
 
 use crate::breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
-use crate::cache::{CacheBudget, SharedCache, SharingKind};
+use crate::cache::{CacheBudget, EpochPin, SharedCache, SharingKind};
 use crate::error::EngineError;
-use crate::sharing::{eval_query, EvalCtx};
+use crate::sharing::{eval_query, prepare_set, EvalCtx};
 use crate::view::EpochView;
-use rpq_eval::ProductEvaluator;
+use rpq_eval::{find_witness, ProductEvaluator};
 use rpq_graph::{
     DeltaSummary, GraphDelta, GraphView, LabeledMultigraph, PairSet, RowSetPolicy, VersionedGraph,
+    VertexId,
 };
 use rpq_reduction::MaintenanceConfig;
 use rpq_regex::{Regex, DEFAULT_CLAUSE_LIMIT};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::ops::AddAssign;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Multiple-RPQ evaluation strategy (the comparison set of Section V).
@@ -40,6 +42,16 @@ impl Strategy {
             Strategy::NoSharing => "No",
             Strategy::FullSharing => "Full",
             Strategy::RtcSharing => "RTC",
+        }
+    }
+
+    /// The structure this strategy caches per closure body; `None` for
+    /// NoSharing, which shares nothing.
+    pub fn kind(&self) -> Option<SharingKind> {
+        match self {
+            Strategy::NoSharing => None,
+            Strategy::FullSharing => Some(SharingKind::Full),
+            Strategy::RtcSharing => Some(SharingKind::Rtc),
         }
     }
 }
@@ -150,15 +162,163 @@ pub struct PrepareReport {
 /// ```
 pub struct Engine<'g> {
     store: GraphStore<'g>,
-    config: EngineConfig,
-    /// `Arc`'d so pinned [`EpochView`]s share the same structural cache
-    /// (and its counters) with the engine and with each other.
-    cache: Arc<SharedCache>,
-    metrics: Arc<Mutex<EngineMetrics>>,
-    /// Per-(epoch, query) materialized results served by pinned views:
-    /// a second instance of the same cache type, never pinned.
-    results: Arc<SharedCache>,
+    handles: Handles,
 }
+
+/// What an [`Engine`] and every [`EpochView`] pinned from it hold in
+/// common, `Arc`-shared so there is one set of structures, memoized
+/// results and counters however many views are alive — and the one way
+/// into Algorithm 1 over them ([`Handles::enter`]).
+#[derive(Clone)]
+pub(crate) struct Handles {
+    /// The structural cache.
+    pub(crate) cache: Arc<SharedCache>,
+    /// Per-(epoch, query) materialized results served by pinned views: a
+    /// second instance of the same cache type, never pinned.
+    pub(crate) results: Arc<SharedCache>,
+    metrics: Arc<Mutex<EngineMetrics>>,
+    /// The base configuration (per-call overrides are passed alongside).
+    pub(crate) config: EngineConfig,
+}
+
+impl Handles {
+    fn new(config: EngineConfig) -> Self {
+        Self {
+            cache: Arc::new(SharedCache::with_budget(config.cache_budget)),
+            results: Arc::new(SharedCache::with_budget(CacheBudget {
+                max_entries: Some(DEFAULT_RESULT_CACHE_ENTRIES),
+                ..config.cache_budget
+            })),
+            metrics: Arc::new(Mutex::new(EngineMetrics::default())),
+            config,
+        }
+    }
+
+    /// Locks the metric accumulators, clearing poisoning: the accumulators
+    /// are plain counters/durations, consistent after any panic.
+    pub(crate) fn metrics(&self) -> MutexGuard<'_, EngineMetrics> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `walk` over `graph` under `config`, pinned to `epoch` (which
+    /// cache entries count as fresh — the engine passes its live epoch, a
+    /// view its frozen one), then stamps the elapsed wall clock as `total`
+    /// and folds everything the walk accumulated into the shared totals
+    /// under one short lock. `walk` gets no context under NoSharing, which
+    /// has no shared structure to look up.
+    fn enter<T>(
+        &self,
+        graph: &LabeledMultigraph,
+        epoch: u64,
+        config: &EngineConfig,
+        walk: impl FnOnce(Option<&mut EvalCtx<'_>>) -> T,
+    ) -> T {
+        let t = Instant::now();
+        let mut local = EngineMetrics::default();
+        let mut ctx = config.strategy.kind().map(|kind| EvalCtx {
+            graph,
+            cache: &self.cache,
+            epoch,
+            kind,
+            config,
+            metrics: &mut local,
+        });
+        let out = walk(ctx.as_mut());
+        local.breakdown.total = t.elapsed();
+        *self.metrics() += local;
+        out
+    }
+
+    /// Evaluates one query: Algorithm 1 under a sharing strategy, the
+    /// per-query product traversal under NoSharing.
+    pub(crate) fn evaluate(
+        &self,
+        graph: &LabeledMultigraph,
+        epoch: u64,
+        config: &EngineConfig,
+        query: &Regex,
+    ) -> Result<PairSet, EngineError> {
+        self.enter(graph, epoch, config, |ctx| match ctx {
+            Some(ctx) => eval_query(ctx, query),
+            None => Ok(ProductEvaluator::new(graph, query).evaluate()),
+        })
+    }
+}
+
+/// The read surface an [`Engine`] and an [`EpochView`] both expose over
+/// their graph and their [`Handles`], written once.
+macro_rules! read_surface {
+    ($owner:ty) => {
+        impl $owner {
+            /// The base configuration (an engine's own; for a view, the one
+            /// captured at pin time).
+            pub fn config(&self) -> &EngineConfig {
+                &self.handles.config
+            }
+
+            /// The shared-structure cache (hit/miss counters, sizes): one
+            /// set of structures and counters across the live engine and
+            /// every view pinned from it.
+            pub fn cache(&self) -> &SharedCache {
+                &self.handles.cache
+            }
+
+            /// The per-(epoch, query) result instance served by pinned views
+            /// (see [`EpochView::evaluate`]). [`Engine::evaluate`] bypasses
+            /// it — materialized results are only memoized where an
+            /// immutable epoch makes them provably reusable.
+            pub fn results(&self) -> &SharedCache {
+                &self.handles.results
+            }
+
+            /// End vertices of `query`-paths starting at `source` (selective
+            /// evaluation — does not materialize the full relation and
+            /// bypasses both caches).
+            pub fn ends_from(&self, query: &Regex, source: VertexId) -> Vec<VertexId> {
+                ProductEvaluator::new(self.graph(), query).ends_from(source)
+            }
+
+            /// Whether a `query`-path from `source` to `target` exists
+            /// (early-exit reachability check; bypasses both caches).
+            pub fn check(&self, query: &Regex, source: VertexId, target: VertexId) -> bool {
+                find_witness(self.graph(), query, source, target).is_some()
+            }
+
+            /// Accumulated stage timings since the last
+            /// [`Engine::reset_metrics`]. Returned by value (it is `Copy`):
+            /// the accumulators live behind the shared metric lock so
+            /// concurrent evaluations, on the engine or any view, can
+            /// update them.
+            pub fn breakdown(&self) -> Breakdown {
+                self.handles.metrics().breakdown
+            }
+
+            /// Accumulated elimination counters (by value — see
+            /// [`Engine::breakdown`]).
+            pub fn elimination_stats(&self) -> EliminationStats {
+                self.handles.metrics().stats
+            }
+
+            /// Accumulated dynamic-graph maintenance counters and timings
+            /// (deltas applied; incremental vs rebuild refreshes of stale
+            /// shared structures). By value — see [`Engine::breakdown`].
+            pub fn maintenance_metrics(&self) -> MaintenanceMetrics {
+                self.handles.metrics().maintenance
+            }
+
+            /// Total pairs held in `strategy`'s shared structures — the
+            /// "shared data size" metric of Fig. 12.
+            pub fn shared_data_pairs_with(&self, strategy: Strategy) -> usize {
+                let cache = &self.handles.cache;
+                strategy
+                    .kind()
+                    .map_or(0, |kind| cache.totals(kind).shared_pairs)
+            }
+        }
+    };
+}
+read_surface!(Engine<'_>);
+read_surface!(EpochView);
 
 /// The engine's metric accumulators, grouped so the query path can merge
 /// a whole evaluation's worth under one short lock acquisition.
@@ -167,6 +327,14 @@ pub(crate) struct EngineMetrics {
     pub(crate) breakdown: Breakdown,
     pub(crate) stats: EliminationStats,
     pub(crate) maintenance: MaintenanceMetrics,
+}
+
+impl AddAssign for EngineMetrics {
+    fn add_assign(&mut self, rhs: EngineMetrics) {
+        self.breakdown += rhs.breakdown;
+        self.stats += rhs.stats;
+        self.maintenance += rhs.maintenance;
+    }
 }
 
 /// How the engine holds its graph: borrowed (the classic static setup) or
@@ -214,37 +382,16 @@ impl<'g> Engine<'g> {
     pub fn with_config_versioned(graph: VersionedGraph, config: EngineConfig) -> Engine<'static> {
         let epoch = graph.epoch();
         let engine = Engine::from_store(GraphStore::Owned(Box::new(graph)), config);
-        engine.cache.advance_epoch(epoch);
-        engine.results.advance_epoch(epoch);
+        engine.handles.cache.advance_epoch(epoch);
+        engine.handles.results.advance_epoch(epoch);
         engine
     }
 
     fn from_store(store: GraphStore<'g>, config: EngineConfig) -> Self {
         Self {
             store,
-            config,
-            cache: Arc::new(SharedCache::with_budget(config.cache_budget)),
-            metrics: Arc::new(Mutex::new(EngineMetrics::default())),
-            results: Arc::new(SharedCache::with_budget(CacheBudget {
-                max_entries: Some(DEFAULT_RESULT_CACHE_ENTRIES),
-                ..config.cache_budget
-            })),
+            handles: Handles::new(config),
         }
-    }
-
-    /// Locks the metric accumulators, clearing poisoning: the accumulators
-    /// are plain counters/durations, consistent after any panic.
-    fn metrics(&self) -> std::sync::MutexGuard<'_, EngineMetrics> {
-        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Folds one evaluation's locally-accumulated metrics into the shared
-    /// accumulators under a single short lock acquisition.
-    fn merge_metrics(&self, local: EngineMetrics) {
-        let mut m = self.metrics();
-        m.breakdown += local.breakdown;
-        m.stats += local.stats;
-        m.maintenance += local.maintenance;
     }
 
     /// The underlying graph (the current snapshot, for a dynamic engine).
@@ -284,24 +431,19 @@ impl<'g> Engine<'g> {
             unreachable!("store was just upgraded to owned");
         };
         let summary = vg.apply(delta);
-        self.cache.advance_epoch(summary.epoch);
-        self.results.advance_epoch(summary.epoch);
+        let Handles { cache, results, .. } = &self.handles;
+        cache.advance_epoch(summary.epoch);
+        results.advance_epoch(summary.epoch);
         // A result no live view can reach can never be asked for again.
-        let (live, pinned) = (summary.epoch, self.cache.pinned_epochs());
-        self.results
-            .retain_epochs(|e| e == live || pinned.contains(&e));
-        self.metrics().maintenance.deltas_applied += 1;
+        let (live, pinned) = (summary.epoch, cache.pinned_epochs());
+        results.retain_epochs(|e| e == live || pinned.contains(&e));
+        self.handles.metrics().maintenance.deltas_applied += 1;
         summary
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// Evaluates one query, sharing structures with previous evaluations.
     pub fn evaluate(&self, query: &Regex) -> Result<PairSet, EngineError> {
-        self.evaluate_with(query, self.config)
+        self.evaluate_with(query, self.handles.config)
     }
 
     /// [`Engine::evaluate`] under an explicit configuration, without
@@ -319,13 +461,8 @@ impl<'g> Engine<'g> {
         query: &Regex,
         config: EngineConfig,
     ) -> Result<PairSet, EngineError> {
-        let t = Instant::now();
-        let graph = self.graph();
-        let mut local = EngineMetrics::default();
-        let result = eval_one(graph, &config, &self.cache, self.epoch(), &mut local, query);
-        local.breakdown.total = t.elapsed();
-        self.merge_metrics(local);
-        result
+        self.handles
+            .evaluate(self.graph(), self.epoch(), &config, query)
     }
 
     /// Pins the engine's current state as an immutable [`EpochView`].
@@ -347,18 +484,12 @@ impl<'g> Engine<'g> {
         debug_assert_eq!(graph.epoch(), self.epoch());
         // The view pins its epoch in the structural cache: while it (or
         // any clone) is alive, budget eviction spares the epoch's entries.
-        let pin = Arc::new(crate::cache::EpochPin::new(
-            Arc::clone(&self.cache),
-            graph.epoch(),
-        ));
-        EpochView::from_parts(
+        let pin = EpochPin::new(Arc::clone(&self.handles.cache), graph.epoch());
+        EpochView {
             graph,
-            Arc::clone(&self.cache),
-            Arc::clone(&self.results),
-            Arc::clone(&self.metrics),
-            self.config,
-            pin,
-        )
+            handles: self.handles.clone(),
+            _pin: Arc::new(pin),
+        }
     }
 
     /// Parses and evaluates a query string.
@@ -369,86 +500,54 @@ impl<'g> Engine<'g> {
 
     /// Evaluates a multiple-RPQ set, sharing along the way.
     ///
-    /// Dispatches to [`Engine::evaluate_set_parallel`] when
-    /// [`EngineConfig::threads`] *resolves* to more than one worker
-    /// (`0` = all cores, so on a single-core host it stays sequential;
-    /// the parallel entry point itself also falls back to sequential for
-    /// sets of fewer than two queries).
-    pub fn evaluate_set(&self, queries: &[Regex]) -> Result<Vec<PairSet>, EngineError> {
-        if rpq_graph::par::effective_threads(self.config.threads) > 1 {
-            self.evaluate_set_parallel(queries)
-        } else {
-            queries.iter().map(|q| self.evaluate(q)).collect()
-        }
-    }
-
-    /// Parallel batch evaluation: [`Engine::prepare`] runs once to warm
-    /// the shared cache, then the (now independent) queries fan out over
-    /// up to [`EngineConfig::threads`] scoped workers, all reading and
-    /// filling **the same** shared cache (its interior is lock-protected,
-    /// so no per-worker snapshot or merge-back is needed — an RTC one
-    /// worker computes is immediately a hit for the others). Results are
-    /// returned in query order and are identical to the sequential path
-    /// (property-tested).
+    /// When [`EngineConfig::threads`] *resolves* to more than one worker
+    /// (`0` = all cores, so on a single-core host it stays sequential) and
+    /// the set has at least two queries, [`Engine::prepare`] warms every
+    /// closure body once and the now independent queries fan out over
+    /// scoped workers, all reading and filling **the same** shared cache
+    /// (an RTC one worker computes is immediately a hit for the others).
+    /// Results are returned in query order and are identical to the
+    /// sequential path (property-tested).
     ///
-    /// Metric semantics in this mode: `breakdown().total` advances by the
-    /// *wall-clock* time of the whole batch, while the per-stage timers
-    /// and the cache/elimination counters are *summed across workers*
-    /// (CPU time), so stages can legitimately exceed the total on
-    /// multi-core hosts.
-    pub fn evaluate_set_parallel(&self, queries: &[Regex]) -> Result<Vec<PairSet>, EngineError> {
-        let threads = rpq_graph::par::effective_threads(self.config.threads).min(queries.len());
+    /// Every query adds its own response time to `breakdown().total`, as it
+    /// does to the stage timers and counters, so on a multi-core host the
+    /// accumulated `total` of a fanned-out set is CPU time, not the set's
+    /// wall clock.
+    pub fn evaluate_set(&self, queries: &[Regex]) -> Result<Vec<PairSet>, EngineError> {
+        let config = self.handles.config;
+        let threads = rpq_graph::par::effective_threads(config.threads).min(queries.len());
         if threads <= 1 {
             return queries.iter().map(|q| self.evaluate(q)).collect();
         }
-        // Warm every shared closure body once, up front (sequentially) —
-        // after this, workers mostly read the cache.
         self.prepare(queries)?;
-
-        let t = Instant::now();
-        let graph = self.graph();
-        let cache = &self.cache;
-        let epoch = self.epoch();
         // Workers keep nested construction/expansion sequential: the batch
         // fan-out already owns the worker threads.
         let config = EngineConfig {
             threads: 1,
-            ..self.config
+            ..config
         };
-        let (results, workers) = rpq_graph::par::par_map_chunks_with_state(
-            threads,
-            queries.len(),
-            1,
-            EngineMetrics::default,
-            |w: &mut EngineMetrics, range| {
-                eval_one(graph, &config, cache, epoch, w, &queries[range.start])
-            },
-        );
-        let mut m = self.metrics();
-        for w in workers {
-            m.breakdown.shared_data += w.breakdown.shared_data;
-            m.breakdown.pre_join += w.breakdown.pre_join;
-            m.stats += w.stats;
-            m.maintenance += w.maintenance;
-        }
-        let out: Result<Vec<PairSet>, EngineError> = results.into_iter().collect();
-        m.breakdown.total += t.elapsed();
-        out
+        rpq_graph::par::par_map_chunks(threads, queries.len(), 1, |range| {
+            self.evaluate_with(&queries[range.start], config)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Warms the shared cache for a query set before evaluating it.
     ///
     /// The paper leaves "optimizing the evaluation order of the batch
     /// units" as future work (Section IV-A); this realizes the simplest
-    /// useful form: walk the set's plans, collect every closure body, and
-    /// compute each shared structure once up front. Subsequent
+    /// useful form: walk the set exactly as evaluation would — DNF,
+    /// decomposition, the recursion into `Pre` — and fetch or compute each
+    /// distinct closure body's shared structure once up front, joining
+    /// nothing and materializing no result. Subsequent
     /// [`Engine::evaluate`] calls only hit the cache, so the first query of
     /// a set no longer pays for all the shared work (flattening the
     /// latency profile that Fig. 14 shows for set size 1).
     ///
     /// No-op for [`Strategy::NoSharing`].
     pub fn prepare(&self, queries: &[Regex]) -> Result<PrepareReport, EngineError> {
-        self.prepare_with(queries, self.config)
+        self.prepare_with(queries, self.handles.config)
     }
 
     /// [`Engine::prepare`] under an explicit configuration (the warming
@@ -460,121 +559,16 @@ impl<'g> Engine<'g> {
         queries: &[Regex],
         config: EngineConfig,
     ) -> Result<PrepareReport, EngineError> {
-        let kind = match config.strategy {
-            Strategy::NoSharing => {
-                return Ok(PrepareReport::default());
-            }
-            Strategy::FullSharing => SharingKind::Full,
-            Strategy::RtcSharing => SharingKind::Rtc,
-        };
-        let plan = crate::explain::explain_set_with_limit(queries, config.dnf_clause_limit)?;
-        let mut report = PrepareReport::default();
-        let t = Instant::now();
-        let graph = self.graph();
-        let mut local = EngineMetrics::default();
-        for (key, _) in &plan.shared_bodies {
-            // Re-parse the canonical key back into the body expression and
-            // evaluate the bare closure; the recursion fills the cache for
-            // the body and everything nested inside it.
-            let body = Regex::parse(key).map_err(EngineError::Parse)?;
-            // Stale entries do not count as reusable: the evaluation below
-            // refreshes them to the current epoch.
-            if self.cache.contains_fresh(kind, key) {
-                report.bodies_reused += 1;
-                continue;
-            }
-            // Evaluating R+ populates the cache entry for R (and any
-            // nested bodies) without retaining the expanded result.
-            let result = eval_one(
-                graph,
-                &config,
-                &self.cache,
-                self.epoch(),
-                &mut local,
-                &Regex::plus(body),
-            );
-            if let Err(e) = result {
-                local.breakdown.total = t.elapsed();
-                self.merge_metrics(local);
-                return Err(e);
-            }
-            report.bodies_computed += 1;
-        }
-        local.breakdown.total = t.elapsed();
-        self.merge_metrics(local);
-        report.shared_pairs = self.shared_data_pairs_with(config.strategy);
-        Ok(report)
+        self.handles
+            .enter(self.graph(), self.epoch(), &config, |ctx| match ctx {
+                Some(ctx) => prepare_set(ctx, queries),
+                None => Ok(PrepareReport::default()),
+            })
     }
 
-    /// End vertices of `query`-paths starting at `source` (selective
-    /// evaluation — does not materialize the full relation and does not
-    /// touch the shared cache).
-    pub fn ends_from(
-        &self,
-        query: &Regex,
-        source: rpq_graph::VertexId,
-    ) -> Vec<rpq_graph::VertexId> {
-        ProductEvaluator::new(self.graph(), query).ends_from(source)
-    }
-
-    /// Whether a `query`-path from `source` to `target` exists (early-exit
-    /// reachability check).
-    pub fn check(
-        &self,
-        query: &Regex,
-        source: rpq_graph::VertexId,
-        target: rpq_graph::VertexId,
-    ) -> bool {
-        rpq_eval::witness::find_witness(self.graph(), query, source, target).is_some()
-    }
-
-    /// Accumulated stage timings since the last [`Engine::reset_metrics`].
-    /// Returned by value (it is `Copy`): the accumulators live behind the
-    /// engine's metric lock so concurrent evaluations can update them.
-    pub fn breakdown(&self) -> Breakdown {
-        self.metrics().breakdown
-    }
-
-    /// Accumulated elimination counters (by value — see
-    /// [`Engine::breakdown`]).
-    pub fn elimination_stats(&self) -> EliminationStats {
-        self.metrics().stats
-    }
-
-    /// Accumulated dynamic-graph maintenance counters and timings
-    /// (deltas applied; incremental vs rebuild refreshes of stale shared
-    /// structures). By value — see [`Engine::breakdown`].
-    pub fn maintenance_metrics(&self) -> MaintenanceMetrics {
-        self.metrics().maintenance
-    }
-
-    /// The shared-structure cache (hit/miss counters, sizes).
-    pub fn cache(&self) -> &SharedCache {
-        &self.cache
-    }
-
-    /// The per-(epoch, query) result instance served by pinned views (see
-    /// [`EpochView::evaluate`]). The engine's own [`Engine::evaluate`]
-    /// path bypasses it — materialized results are only memoized where an
-    /// immutable epoch makes them provably reusable.
-    pub fn results(&self) -> &SharedCache {
-        &self.results
-    }
-
-    /// Total pairs held in shared structures — the "shared data size"
-    /// metric of Fig. 12 for the active strategy.
+    /// [`Engine::shared_data_pairs_with`] the active strategy.
     pub fn shared_data_pairs(&self) -> usize {
-        self.shared_data_pairs_with(self.config.strategy)
-    }
-
-    /// [`Engine::shared_data_pairs`] for an explicit strategy (the
-    /// overlay-resolved form).
-    pub fn shared_data_pairs_with(&self, strategy: Strategy) -> usize {
-        match strategy {
-            Strategy::NoSharing => 0,
-            Strategy::FullSharing => self.cache.full_shared_pairs(),
-            Strategy::RtcSharing => self.cache.rtc_shared_pairs(),
-        }
+        self.shared_data_pairs_with(self.handles.config.strategy)
     }
 
     /// Heap bytes held by cached shared structural tables (RTC closure
@@ -582,7 +576,8 @@ impl<'g> Engine<'g> {
     /// side of the dense/sparse representation ablation, also surfaced by
     /// the serving layer's `metrics` and `info` commands.
     pub fn structural_heap_bytes(&self) -> usize {
-        self.cache.rtc_heap_bytes() + self.cache.full_heap_bytes()
+        let cache = &self.handles.cache;
+        cache.totals(SharingKind::Rtc).heap_bytes + cache.totals(SharingKind::Full).heap_bytes
     }
 
     /// Clears timing/counter accumulators — including the cache's
@@ -592,62 +587,24 @@ impl<'g> Engine<'g> {
     /// accumulators by `Arc`, so the reset is visible to every view and
     /// publishing a new view never forks (or double-counts) the counters.
     pub fn reset_metrics(&self) {
-        *self.metrics() = EngineMetrics::default();
-        self.cache.reset_counters();
-        self.results.reset_counters();
+        *self.handles.metrics() = EngineMetrics::default();
+        self.handles.cache.reset_counters();
+        self.handles.results.reset_counters();
     }
 
     /// Drops all cached shared structures and memoized results (and
     /// resets metrics).
     pub fn clear_cache(&self) {
-        self.cache.clear();
-        self.results.clear();
+        self.handles.cache.clear();
+        self.handles.results.clear();
         self.reset_metrics();
     }
-}
-
-/// Evaluates one query against explicitly-passed engine state. Shared by
-/// the sequential path (borrowing the engine's own fields), the parallel
-/// batch mode (borrowing per-worker state) and pinned [`EpochView`]
-/// readers (passing their frozen graph and epoch), so all run the
-/// byte-for-byte same recursion. `epoch` pins which cache entries count
-/// as fresh — the engine passes its live epoch, a view its frozen one.
-pub(crate) fn eval_one(
-    graph: &LabeledMultigraph,
-    config: &EngineConfig,
-    cache: &SharedCache,
-    epoch: u64,
-    metrics: &mut EngineMetrics,
-    query: &Regex,
-) -> Result<PairSet, EngineError> {
-    let kind = match config.strategy {
-        Strategy::NoSharing => {
-            return Ok(ProductEvaluator::new(graph, query).evaluate());
-        }
-        Strategy::FullSharing => SharingKind::Full,
-        Strategy::RtcSharing => SharingKind::Rtc,
-    };
-    let mut ctx = EvalCtx {
-        graph,
-        cache,
-        epoch,
-        kind,
-        clause_limit: config.dnf_clause_limit,
-        threads: config.threads,
-        maintenance_config: config.maintenance,
-        representation: config.representation,
-        breakdown: &mut metrics.breakdown,
-        stats: &mut metrics.stats,
-        maintenance: &mut metrics.maintenance,
-    };
-    eval_query(&mut ctx, query)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rpq_graph::fixtures::paper_graph;
-    use rpq_graph::VertexId;
 
     #[test]
     fn all_strategies_agree_on_example1() {
@@ -676,9 +633,9 @@ mod tests {
         // RTCs cached: a·b (reused by (a·b)*), b (reused inside a·b+·c),
         // and a·b+·c — at least 3 distinct closure bodies.
         assert!(
-            e.cache().rtc_count() >= 3,
+            e.cache().totals(SharingKind::Rtc).entries >= 3,
             "cached {}",
-            e.cache().rtc_count()
+            e.cache().totals(SharingKind::Rtc).entries
         );
         // The reuse described in Example 7 means at least two cache hits.
         assert!(e.cache().hits() >= 2, "hits {}", e.cache().hits());
@@ -708,9 +665,9 @@ mod tests {
         e.reset_metrics();
         assert_eq!(e.breakdown().total, std::time::Duration::ZERO);
         // Cache survives metric reset.
-        assert_eq!(e.cache().rtc_count(), 1);
+        assert_eq!(e.cache().totals(SharingKind::Rtc).entries, 1);
         e.clear_cache();
-        assert_eq!(e.cache().rtc_count(), 0);
+        assert_eq!(e.cache().totals(SharingKind::Rtc).entries, 0);
     }
 
     #[test]
@@ -729,30 +686,99 @@ mod tests {
         assert_eq!(full.shared_data_pairs(), 10); // |（b·c)+_G| = 10
     }
 
+    /// `prepare` walks a set as evaluation would, minus the joins. The
+    /// expected reports and lookup counts are what the evaluate-`R+`-and-
+    /// drop chain this walk replaced produced for the same sets.
     #[test]
-    fn prepare_warms_the_cache() {
+    fn prepare_warms_exactly_what_the_queries_look_up() {
         let g = paper_graph();
-        let queries = [
-            Regex::parse("a.(b.c)+.d").unwrap(),
-            Regex::parse("d.(b.c)*.c").unwrap(),
-            Regex::parse("c.(a.b)+").unwrap(),
+        // (set, bodies, RTC pairs, full pairs, lookups missed while warming)
+        let cases: [(&[&str], usize, usize, usize, u64); 5] = [
+            (&["d.(b.c)+.c"], 1, 3, 10, 1),
+            // `(a.b)+` and `(a.b)*` share one body.
+            (&["a.(a.b)+.b", "(a.b)*"], 1, 0, 0, 1),
+            // The nested `b.c` is warmed by the outer body's own `R_G`.
+            (&["((b.c)+.d)+"], 1, 3, 10, 2),
+            // A `Pre` that itself contains a closure.
+            (&["(a.b)*.b+.c"], 2, 5, 10, 2),
+            (&["a.(b.c)+.d", "d.(b.c)*.c", "c.(a.b)+"], 2, 3, 10, 2),
         ];
-        let e = Engine::new(&g);
-        let report = e.prepare(&queries).unwrap();
-        assert_eq!(report.bodies_computed, 2); // b·c and a·b
-        assert_eq!(report.bodies_reused, 0);
-        assert_eq!(e.cache().rtc_count(), 2);
-        // Evaluation now never misses.
-        let misses = e.cache().misses();
-        let results = e.evaluate_set(&queries).unwrap();
-        assert_eq!(e.cache().misses(), misses);
-        // Results agree with an unprepared engine.
-        let plain = Engine::new(&g).evaluate_set(&queries).unwrap();
-        assert_eq!(results, plain);
-        // Preparing again reuses everything.
-        let again = e.prepare(&queries).unwrap();
-        assert_eq!(again.bodies_computed, 0);
-        assert_eq!(again.bodies_reused, 2);
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            for (set, bodies, rtc_pairs, full_pairs, misses) in cases {
+                let queries: Vec<Regex> = set.iter().map(|q| Regex::parse(q).unwrap()).collect();
+                let shared_pairs = match strategy {
+                    Strategy::RtcSharing => rtc_pairs,
+                    _ => full_pairs,
+                };
+                let e = Engine::with_strategy(&g, strategy);
+                let report = e.prepare(&queries).unwrap();
+                let computed = PrepareReport {
+                    bodies_computed: bodies,
+                    bodies_reused: 0,
+                    shared_pairs,
+                };
+                assert_eq!(report, computed, "{strategy} {set:?}");
+                let c = e.cache();
+                assert_eq!((c.hits(), c.misses(), c.stale_hits()), (0, misses, 0));
+                // Evaluation now never misses, and agrees with an
+                // unprepared engine.
+                let results = e.evaluate_set(&queries).unwrap();
+                assert_eq!(c.misses(), misses, "{strategy} {set:?}");
+                let plain = Engine::with_strategy(&g, strategy);
+                assert_eq!(results, plain.evaluate_set(&queries).unwrap());
+                // Preparing again reuses everything.
+                let reused = PrepareReport {
+                    bodies_computed: 0,
+                    bodies_reused: bodies,
+                    shared_pairs,
+                };
+                assert_eq!(e.prepare(&queries).unwrap(), reused, "{strategy} {set:?}");
+            }
+        }
+    }
+
+    /// `prepare` joins nothing: it used to evaluate the whole `R+` and drop
+    /// the answer, which charged `pre_join` for the discarded expansion.
+    #[test]
+    fn prepare_builds_the_structure_and_joins_nothing() {
+        let g = paper_graph();
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            let e = Engine::with_strategy(&g, strategy);
+            e.prepare(&[Regex::parse("d.(b.c)+.c").unwrap()]).unwrap();
+            let b = e.breakdown();
+            assert!(b.total >= b.shared_data && b.shared_data > std::time::Duration::ZERO);
+            assert_eq!(b.pre_join, std::time::Duration::ZERO, "{strategy}");
+            assert_eq!(e.elimination_stats(), EliminationStats::default());
+        }
+    }
+
+    /// On a stale entry `prepare` alone does the refresh a query would have
+    /// done, and the next query is a plain fresh hit.
+    #[test]
+    fn prepare_refreshes_stale_entries_like_a_query() {
+        let g = paper_graph();
+        let queries = [Regex::parse("d.(b.c)+.c").unwrap()];
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            let mut e = Engine::with_strategy(&g, strategy);
+            e.prepare(&queries).unwrap();
+            let mut delta = rpq_graph::GraphDelta::new();
+            delta.insert(6, "b", 8).insert(8, "c", 6); // moves (b·c)_G
+            e.apply_delta(&delta);
+            let report = e.prepare(&queries).unwrap();
+            assert_eq!((report.bodies_computed, report.bodies_reused), (1, 0));
+            assert_eq!(e.cache().stale_hits(), 1);
+            let m = e.maintenance_metrics();
+            let refreshes = (m.incremental_refreshes, m.rebuild_refreshes);
+            let expect = match strategy {
+                Strategy::RtcSharing => (1, 0),
+                _ => (0, 1),
+            };
+            assert_eq!(refreshes, expect, "{strategy}");
+            let (hits, misses) = (e.cache().hits(), e.cache().misses());
+            e.evaluate(&queries[0]).unwrap();
+            assert_eq!((e.cache().hits(), e.cache().misses()), (hits + 1, misses));
+            assert_eq!(e.cache().stale_hits(), 1);
+        }
     }
 
     #[test]
@@ -788,8 +814,8 @@ mod tests {
         // "timing/counter accumulators" the method documents clearing.
         assert_eq!(e.cache().hits(), 0);
         assert_eq!(e.cache().misses(), 0);
-        assert_eq!(e.cache().rtc_count(), 1); // structures preserved
-                                              // Re-evaluation hits the preserved structure: no new misses.
+        assert_eq!(e.cache().totals(SharingKind::Rtc).entries, 1); // structures preserved
+                                                                   // Re-evaluation hits the preserved structure: no new misses.
         e.evaluate_str("d.(b.c)+.c").unwrap();
         assert_eq!(e.cache().misses(), 0);
         assert!(e.cache().hits() >= 1);
@@ -823,14 +849,21 @@ mod tests {
     }
 
     #[test]
-    fn explicit_parallel_entry_point_handles_small_sets() {
+    fn small_sets_stay_sequential_at_any_thread_count() {
         let g = paper_graph();
         let one = [Regex::parse("d.(b.c)+.c").unwrap()];
-        let e = Engine::new(&g);
-        // A single query (or an empty set) falls back to the sequential
-        // path regardless of the configured thread count.
-        assert_eq!(e.evaluate_set_parallel(&one).unwrap().len(), 1);
-        assert!(e.evaluate_set_parallel(&[]).unwrap().is_empty());
+        let e = Engine::with_config(
+            &g,
+            EngineConfig {
+                threads: 2,
+                ..EngineConfig::default()
+            },
+        );
+        // A single query (or an empty set) is evaluated directly: no
+        // warm-up pass, so its one lookup is the miss.
+        assert_eq!(e.evaluate_set(&one).unwrap().len(), 1);
+        assert_eq!((e.cache().hits(), e.cache().misses()), (0, 1));
+        assert!(e.evaluate_set(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -848,11 +881,11 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let results = e.evaluate_set_parallel(&queries).unwrap();
+        let results = e.evaluate_set(&queries).unwrap();
         assert_eq!(results.len(), 3);
         // One shared body (b·c) computed once by prepare; the workers only
         // ever hit the warmed cache.
-        assert_eq!(e.cache().rtc_count(), 1);
+        assert_eq!(e.cache().totals(SharingKind::Rtc).entries, 1);
         assert!(e.cache().hits() >= 3, "hits {}", e.cache().hits());
     }
 
@@ -949,20 +982,8 @@ mod tests {
     #[test]
     fn apply_delta_refreshes_stale_rtc_incrementally() {
         let g = paper_graph();
-        let mut e = Engine::new(&g);
         let q = Regex::parse("d.(b.c)+.c").unwrap();
-        e.evaluate(&q).unwrap();
-        assert_eq!(e.epoch(), 0);
-
-        // Add a b/c two-cycle hanging off v6: (b·c)+ gains pairs.
-        let mut delta = rpq_graph::GraphDelta::new();
-        delta.insert(6, "b", 8).insert(8, "c", 6);
-        let summary = e.apply_delta(&delta);
-        assert_eq!(summary.epoch, 1);
-        assert_eq!(e.epoch(), 1);
-
-        let after = e.evaluate(&q).unwrap();
-        // Oracle: a fresh engine over an equivalently mutated graph.
+        // Oracle graph: a b/c two-cycle hanging off v6, so (b·c)+ gains pairs.
         let mut b = rpq_graph::GraphBuilder::new();
         b.ensure_vertices(g.vertex_count());
         for (s, l, d) in g.all_edges() {
@@ -970,16 +991,48 @@ mod tests {
         }
         b.add_edge(6, "b", 8).add_edge(8, "c", 6);
         let mutated = b.build();
-        let expect = Engine::new(&mutated).evaluate(&q).unwrap();
-        assert_eq!(after, expect);
-        // The stale entry was refreshed, not recomputed blind.
-        let m = e.maintenance_metrics();
-        assert_eq!(m.deltas_applied, 1);
-        assert!(
-            m.incremental_refreshes + m.unchanged_refreshes + m.rebuild_refreshes >= 1,
-            "refresh not recorded: {m:?}"
+        let (adaptive, sparse, dense) = (
+            RowSetPolicy::adaptive(),
+            RowSetPolicy::sparse(),
+            RowSetPolicy::dense(),
         );
-        assert!(e.cache().stale_hits() >= 1);
+        for representation in [adaptive, sparse, dense] {
+            let config = EngineConfig {
+                representation,
+                ..EngineConfig::default()
+            };
+            let mut e = Engine::with_config(&g, config);
+            e.evaluate(&q).unwrap();
+            assert_eq!(e.epoch(), 0);
+
+            let mut delta = rpq_graph::GraphDelta::new();
+            delta.insert(6, "b", 8).insert(8, "c", 6);
+            let summary = e.apply_delta(&delta);
+            assert_eq!(summary.epoch, 1);
+            assert_eq!(e.epoch(), 1);
+
+            let after = e.evaluate(&q).unwrap();
+            // Oracle: a fresh engine over the equivalently mutated graph.
+            let fresh = Engine::with_config(&mutated, config);
+            assert_eq!(after, fresh.evaluate(&q).unwrap());
+            // The stale entry was refreshed, not recomputed blind.
+            let m = e.maintenance_metrics();
+            assert_eq!(m.deltas_applied, 1);
+            assert!(
+                m.incremental_refreshes + m.unchanged_refreshes + m.rebuild_refreshes >= 1,
+                "refresh not recorded: {m:?}"
+            );
+            assert!(e.cache().stale_hits() >= 1);
+            // The refreshed rows keep the configured representation.
+            let dense_rows = e.cache().totals(SharingKind::Rtc).dense_rows;
+            assert_eq!(
+                dense_rows,
+                fresh.cache().totals(SharingKind::Rtc).dense_rows
+            );
+            if representation != adaptive {
+                assert_eq!(dense_rows > 0, representation == dense);
+            }
+        }
     }
 
     #[test]
@@ -1104,7 +1157,7 @@ mod tests {
         }
         // One entry per distinct closure body (b·c and a·b, plus the
         // nested bare b), no matter how many threads raced to fill it.
-        assert_eq!(engine.cache().rtc_count(), 3);
+        assert_eq!(engine.cache().totals(SharingKind::Rtc).entries, 3);
         // Rounds 2 and 3 ran entirely warm.
         assert!(engine.cache().hits() >= 2 * queries.len() as u64);
     }
@@ -1135,6 +1188,6 @@ mod tests {
         engine.reset_metrics();
         assert_eq!(engine.breakdown().total, std::time::Duration::ZERO);
         assert_eq!(engine.cache().hits(), 0);
-        assert_eq!(engine.cache().rtc_count(), 1);
+        assert_eq!(engine.cache().totals(SharingKind::Rtc).entries, 1);
     }
 }

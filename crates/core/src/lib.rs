@@ -34,7 +34,8 @@ pub mod view;
 pub use batch_unit::{eval_batch_unit_full, eval_batch_unit_rtc};
 pub use breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
 pub use cache::{
-    CacheBudget, EpochPin, EvictionCounters, FreshEntry, Lookup, Shared, SharedCache, SharingKind,
+    CacheBudget, EpochPin, EvictionCounters, FreshEntry, KindTotals, Lookup, Shared, SharedCache,
+    SharingKind,
 };
 pub use engine::{Engine, EngineConfig, PrepareReport, Strategy, DEFAULT_RESULT_CACHE_ENTRIES};
 pub use error::EngineError;

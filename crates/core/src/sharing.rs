@@ -15,16 +15,20 @@
 //! The only difference between the strategies is the shared structure and
 //! the batch-unit evaluator: `Rtc` + Algorithm 2 vs `FullTc` + the plain
 //! join — exactly the delta the paper measures.
+//!
+//! [`crate::Engine::prepare`] walks the same recursion but stops after
+//! step 5's fetch-or-compute: it warms the cache and joins nothing.
 
 use crate::batch_unit::{eval_batch_unit_full, eval_batch_unit_rtc};
-use crate::breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
 use crate::cache::{Lookup, Shared, SharedCache, SharingKind};
+use crate::engine::{EngineConfig, EngineMetrics, PrepareReport};
 use crate::error::EngineError;
 use crate::pre_relation::PreRelation;
 use rpq_eval::label_seq::eval_label_names;
-use rpq_graph::{LabeledMultigraph, PairSet, RowSetPolicy};
-use rpq_reduction::{DynamicRtc, FullTc, MaintenanceConfig, MaintenanceOutcome, Rtc};
+use rpq_graph::{LabeledMultigraph, PairSet};
+use rpq_reduction::{DynamicRtc, FullTc, MaintenanceOutcome, Rtc};
 use rpq_regex::{decompose, to_dnf_with_limit, Regex};
+use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,9 +37,9 @@ use std::time::Instant;
 /// atomic, so many recursions (from many threads) fill one cache at once;
 /// the metric accumulators are exclusive, local to this evaluation, and
 /// merged into the engine's shared totals afterwards.
-pub(crate) struct EvalCtx<'g, 'c> {
-    pub graph: &'g LabeledMultigraph,
-    pub cache: &'c SharedCache,
+pub(crate) struct EvalCtx<'a> {
+    pub graph: &'a LabeledMultigraph,
+    pub cache: &'a SharedCache,
     /// The graph epoch this evaluation is pinned to. Equal to the cache's
     /// live epoch on the engine's own path; older when evaluating against
     /// a frozen [`crate::EpochView`] — then cache lookups hit only entries
@@ -43,22 +47,16 @@ pub(crate) struct EvalCtx<'g, 'c> {
     /// ones.
     pub epoch: u64,
     pub kind: SharingKind,
-    pub clause_limit: usize,
-    /// Worker threads for parallel shared-structure construction and
-    /// expansion (1 = sequential, 0 = all cores).
-    pub threads: usize,
-    /// Damage threshold etc. for incremental refresh of stale entries.
-    pub maintenance_config: MaintenanceConfig,
-    /// Row-representation policy for newly built shared structures.
-    pub representation: RowSetPolicy,
-    pub breakdown: &'c mut Breakdown,
-    pub stats: &'c mut EliminationStats,
-    pub maintenance: &'c mut MaintenanceMetrics,
+    /// The configuration this evaluation runs under: clause budget, worker
+    /// threads for structure construction and expansion, maintenance tuning
+    /// and the row policy of newly built structures.
+    pub config: &'a EngineConfig,
+    pub metrics: &'a mut EngineMetrics,
 }
 
 /// Algorithm 1, parameterized by the sharing kind.
-pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet, EngineError> {
-    let clauses = to_dnf_with_limit(q, ctx.clause_limit)?;
+pub(crate) fn eval_query(ctx: &mut EvalCtx<'_>, q: &Regex) -> Result<PairSet, EngineError> {
+    let clauses = to_dnf_with_limit(q, ctx.config.dnf_clause_limit)?;
     let mut q_g = PairSet::new();
     for clause in &clauses {
         let unit = decompose(clause);
@@ -81,11 +79,11 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet
                         // relation unioned in for `R*`.
                         if matches!(pre, PreRelation::Identity(_)) && unit.post.is_empty() {
                             let t = Instant::now();
-                            let mut result = rtc.expand_parallel(ctx.threads);
+                            let mut result = rtc.expand_parallel(ctx.config.threads);
                             if closure_kind == rpq_regex::ClosureKind::Star {
                                 result = result.union(&PairSet::identity(ctx.graph.vertex_count()));
                             }
-                            ctx.breakdown.pre_join += t.elapsed();
+                            ctx.metrics.breakdown.pre_join += t.elapsed();
                             result
                         } else {
                             // Line 12: the optimized batch unit (Algorithm 2).
@@ -95,9 +93,9 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet
                                 &rtc,
                                 closure_kind,
                                 &unit.post,
-                                ctx.stats,
+                                &mut ctx.metrics.stats,
                             );
-                            ctx.breakdown.pre_join += out.pre_join;
+                            ctx.metrics.breakdown.pre_join += out.pre_join;
                             out.result
                         }
                     }
@@ -108,9 +106,9 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet
                             &full,
                             closure_kind,
                             &unit.post,
-                            ctx.stats,
+                            &mut ctx.metrics.stats,
                         );
-                        ctx.breakdown.pre_join += out.pre_join;
+                        ctx.metrics.breakdown.pre_join += out.pre_join;
                         out.result
                     }
                     Shared::Result(_) => unreachable!("obtain returns a closure structure"),
@@ -123,11 +121,60 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_, '_>, q: &Regex) -> Result<PairSet
     Ok(q_g)
 }
 
+/// [`crate::Engine::prepare`]: warms the shared structure of every
+/// distinct closure body `queries` will look up, and reports what that took.
+pub(crate) fn prepare_set(
+    ctx: &mut EvalCtx<'_>,
+    queries: &[Regex],
+) -> Result<PrepareReport, EngineError> {
+    let mut report = PrepareReport::default();
+    let mut seen = FxHashSet::default();
+    for q in queries {
+        prepare_query(ctx, q, &mut seen, &mut report)?;
+    }
+    report.shared_pairs = ctx.cache.totals(ctx.kind).shared_pairs;
+    Ok(report)
+}
+
+/// Algorithm 1 without line 12: follows `q` as [`eval_query`] does — DNF,
+/// decomposition, the recursion into `Pre` — and for each closure body not
+/// yet `seen` either finds its structure fresh (reused) or runs lines 9–11
+/// (computed: [`obtain`] builds a missing one, nested bodies included, and
+/// refreshes a stale one, exactly as a query would). Nothing is joined.
+fn prepare_query(
+    ctx: &mut EvalCtx<'_>,
+    q: &Regex,
+    seen: &mut FxHashSet<String>,
+    report: &mut PrepareReport,
+) -> Result<(), EngineError> {
+    for clause in &to_dnf_with_limit(q, ctx.config.dnf_clause_limit)? {
+        let unit = decompose(clause);
+        let Some((r, _)) = unit.closure else {
+            continue;
+        };
+        if unit.pre != Regex::Epsilon {
+            prepare_query(ctx, &unit.pre, seen, report)?;
+        }
+        let key = r.canonical_key();
+        if seen.contains(&key) {
+            continue;
+        }
+        if ctx.cache.contains_fresh(ctx.kind, &key) {
+            report.bodies_reused += 1;
+        } else {
+            obtain(ctx, &key, &r)?;
+            report.bodies_computed += 1;
+        }
+        seen.insert(key);
+    }
+    Ok(())
+}
+
 /// Algorithm 1 lines 9–11, once for both strategies: fetches the shared
 /// structure for `key` — fresh from the cache, refreshed from a stale
 /// entry, or computed from scratch on a miss. The cache ends up holding an
 /// entry at the evaluation's epoch either way.
-fn obtain(ctx: &mut EvalCtx<'_, '_>, key: &str, r: &Regex) -> Result<Shared, EngineError> {
+fn obtain(ctx: &mut EvalCtx<'_>, key: &str, r: &Regex) -> Result<Shared, EngineError> {
     let stale = match ctx.cache.lookup(ctx.kind, key, ctx.epoch) {
         Lookup::Fresh(shared) => return Ok(shared),
         Lookup::Stale { shared, r_g } => Some((shared, r_g)),
@@ -140,7 +187,7 @@ fn obtain(ctx: &mut EvalCtx<'_, '_>, key: &str, r: &Regex) -> Result<Shared, Eng
     let (shared, r_g) = match stale {
         // The relation did not move, so neither did its closure: re-stamp.
         Some((shared, Some(old_r_g))) if *old_r_g == r_g => {
-            ctx.maintenance.unchanged_refreshes += 1;
+            ctx.metrics.maintenance.unchanged_refreshes += 1;
             (shared, old_r_g)
         }
         Some((Shared::Rtc(rtc, dynamic), Some(old_r_g))) => {
@@ -152,14 +199,14 @@ fn obtain(ctx: &mut EvalCtx<'_, '_>, key: &str, r: &Regex) -> Result<Shared, Eng
         // against RTC maintenance.
         Some(_) => {
             let rebuilt = compute(ctx, &r_g);
-            ctx.maintenance.rebuild_refreshes += 1;
-            ctx.maintenance.rebuild_time += t.elapsed();
+            ctx.metrics.maintenance.rebuild_refreshes += 1;
+            ctx.metrics.maintenance.rebuild_time += t.elapsed();
             (rebuilt, Arc::new(r_g))
         }
         None => (compute(ctx, &r_g), Arc::new(r_g)),
     };
     let build = t.elapsed();
-    ctx.breakdown.shared_data += build;
+    ctx.metrics.breakdown.shared_data += build;
     // The construction time doubles as the entry's cost-to-rebuild under
     // the cache's cost-aware eviction.
     let reader = shared.reader();
@@ -169,16 +216,16 @@ fn obtain(ctx: &mut EvalCtx<'_, '_>, key: &str, r: &Regex) -> Result<Shared, Eng
 }
 
 /// Computes the strategy's shared structure for `r_g` from scratch.
-fn compute(ctx: &EvalCtx<'_, '_>, r_g: &PairSet) -> Shared {
+fn compute(ctx: &EvalCtx<'_>, r_g: &PairSet) -> Shared {
     match ctx.kind {
         SharingKind::Rtc => Shared::Rtc(
-            Arc::new(Rtc::from_pairs_with(r_g, &ctx.representation)),
+            Arc::new(Rtc::from_pairs_with(r_g, &ctx.config.representation)),
             None,
         ),
         SharingKind::Full => Shared::Full(Arc::new(FullTc::from_pairs_parallel_with(
             r_g,
-            ctx.threads,
-            &ctx.representation,
+            ctx.config.threads,
+            &ctx.config.representation,
         ))),
         SharingKind::Result => unreachable!("strategies share closures, not results"),
     }
@@ -189,7 +236,7 @@ fn compute(ctx: &EvalCtx<'_, '_>, r_g: &PairSet) -> Shared {
 /// static entry to maintainable form on first refresh), which falls back
 /// to a from-scratch rebuild when its own damage threshold trips.
 fn refresh_rtc(
-    ctx: &mut EvalCtx<'_, '_>,
+    ctx: &mut EvalCtx<'_>,
     rtc: &Rtc,
     dynamic: Option<Arc<DynamicRtc>>,
     old_r_g: &PairSet,
@@ -202,16 +249,16 @@ fn refresh_rtc(
         Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()),
         None => DynamicRtc::from_rtc(rtc, old_r_g),
     };
-    let outcome = dynamic.apply(&inserted, &deleted, &ctx.maintenance_config);
+    let outcome = dynamic.apply(&inserted, &deleted, &ctx.config.maintenance);
     let rtc = Arc::new(dynamic.snapshot());
     match outcome {
         MaintenanceOutcome::Rebuilt(_) => {
-            ctx.maintenance.rebuild_refreshes += 1;
-            ctx.maintenance.rebuild_time += t.elapsed();
+            ctx.metrics.maintenance.rebuild_refreshes += 1;
+            ctx.metrics.maintenance.rebuild_time += t.elapsed();
         }
         MaintenanceOutcome::Incremental(_) | MaintenanceOutcome::Unchanged => {
-            ctx.maintenance.incremental_refreshes += 1;
-            ctx.maintenance.incremental_time += t.elapsed();
+            ctx.metrics.maintenance.incremental_refreshes += 1;
+            ctx.metrics.maintenance.incremental_time += t.elapsed();
         }
     }
     let refreshed = Shared::Rtc(rtc, Some(Arc::new(dynamic)));
@@ -221,37 +268,31 @@ fn refresh_rtc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, Strategy};
     use rpq_graph::fixtures::paper_graph;
-    use rpq_graph::VertexId;
+    use rpq_graph::{VersionedGraph, VertexId};
 
-    fn run(kind: SharingKind, src: &str) -> (PairSet, SharedCache) {
-        let g = paper_graph();
-        let cache = SharedCache::new();
-        let mut breakdown = Breakdown::default();
-        let mut stats = EliminationStats::default();
-        let mut maintenance = MaintenanceMetrics::default();
-        let mut ctx = EvalCtx {
-            graph: &g,
-            cache: &cache,
-            epoch: 0,
-            kind,
-            clause_limit: 1024,
-            threads: 1,
-            maintenance_config: MaintenanceConfig::default(),
-            representation: RowSetPolicy::default(),
-            breakdown: &mut breakdown,
-            stats: &mut stats,
-            maintenance: &mut maintenance,
+    /// Evaluates `src` on the paper graph through a fresh engine, handing
+    /// the engine back for its cache.
+    fn run(strategy: Strategy, src: &str) -> (PairSet, Engine<'static>) {
+        let config = EngineConfig {
+            strategy,
+            dnf_clause_limit: 1024,
+            ..EngineConfig::default()
         };
-        let q = Regex::parse(src).unwrap();
-        let r = eval_query(&mut ctx, &q).unwrap();
-        (r, cache)
+        let e = Engine::with_config_versioned(VersionedGraph::new(paper_graph()), config);
+        let r = e.evaluate_str(src).unwrap();
+        (r, e)
+    }
+
+    fn rtcs(e: &Engine<'_>) -> usize {
+        e.cache().totals(SharingKind::Rtc).entries
     }
 
     #[test]
     fn example1_rtc_and_full_agree() {
-        let (rtc_res, _) = run(SharingKind::Rtc, "d.(b.c)+.c");
-        let (full_res, _) = run(SharingKind::Full, "d.(b.c)+.c");
+        let (rtc_res, _) = run(Strategy::RtcSharing, "d.(b.c)+.c");
+        let (full_res, _) = run(Strategy::FullSharing, "d.(b.c)+.c");
         assert_eq!(rtc_res, full_res);
         assert_eq!(rtc_res.len(), 2);
         assert!(rtc_res.contains(VertexId(7), VertexId(5)));
@@ -260,29 +301,29 @@ mod tests {
 
     #[test]
     fn closure_free_query_uses_label_joins() {
-        let (res, cache) = run(SharingKind::Rtc, "b.c");
+        let (res, e) = run(Strategy::RtcSharing, "b.c");
         assert_eq!(res.len(), 5);
-        assert_eq!(cache.rtc_count(), 0); // no closure → nothing cached
+        assert_eq!(rtcs(&e), 0); // no closure → nothing cached
     }
 
     #[test]
     fn rtc_cached_once_per_closure_body() {
         // Two closures with the same body must share one RTC.
-        let (_, cache) = run(SharingKind::Rtc, "d.(b.c)+.c | a.(b.c)+");
-        assert_eq!(cache.rtc_count(), 1);
-        assert_eq!(cache.hits(), 1);
+        let (_, e) = run(Strategy::RtcSharing, "d.(b.c)+.c | a.(b.c)+");
+        assert_eq!(rtcs(&e), 1);
+        assert_eq!(e.cache().hits(), 1);
     }
 
     #[test]
     fn nested_closures_cache_inner_bodies() {
         // (a.b)*.b+ caches RTCs for both a·b and b.
-        let (_, cache) = run(SharingKind::Rtc, "(a.b)*.b+");
-        assert_eq!(cache.rtc_count(), 2);
+        let (_, e) = run(Strategy::RtcSharing, "(a.b)*.b+");
+        assert_eq!(rtcs(&e), 2);
     }
 
     #[test]
     fn alternation_unions_clauses() {
-        let (res, _) = run(SharingKind::Rtc, "b.c | d");
+        let (res, _) = run(Strategy::RtcSharing, "b.c | d");
         let g = paper_graph();
         let bc = rpq_eval::evaluate_algebraic(&g, &Regex::parse("b.c").unwrap());
         let d = rpq_eval::evaluate_algebraic(&g, &Regex::parse("d").unwrap());
@@ -291,14 +332,14 @@ mod tests {
 
     #[test]
     fn plus_and_star_share_one_cache_entry() {
-        let (_, cache) = run(SharingKind::Rtc, "(b.c)+ | (b.c)*");
-        assert_eq!(cache.rtc_count(), 1);
-        assert_eq!(cache.hits(), 1);
+        let (_, e) = run(Strategy::RtcSharing, "(b.c)+ | (b.c)*");
+        assert_eq!(rtcs(&e), 1);
+        assert_eq!(e.cache().hits(), 1);
     }
 
     #[test]
     fn epsilon_query() {
-        let (res, _) = run(SharingKind::Rtc, "()");
+        let (res, _) = run(Strategy::RtcSharing, "()");
         assert_eq!(res, PairSet::identity(10));
     }
 
@@ -320,8 +361,8 @@ mod tests {
             "(b.c)+|(c.b)+",
         ] {
             let oracle = rpq_eval::evaluate_algebraic(&g, &Regex::parse(q).unwrap());
-            let (rtc_res, _) = run(SharingKind::Rtc, q);
-            let (full_res, _) = run(SharingKind::Full, q);
+            let (rtc_res, _) = run(Strategy::RtcSharing, q);
+            let (full_res, _) = run(Strategy::FullSharing, q);
             assert_eq!(rtc_res, oracle, "RTC vs oracle on {q}");
             assert_eq!(full_res, oracle, "Full vs oracle on {q}");
         }

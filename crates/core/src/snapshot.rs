@@ -467,12 +467,12 @@ mod tests {
     fn warm_restart_serves_fresh_hits_without_recompute() {
         let engine = Engine::new_dynamic(paper_graph());
         let expected = engine.evaluate_str("d.(b.c)+.c").unwrap();
-        assert_eq!(engine.cache().rtc_count(), 1);
+        assert_eq!(engine.cache().totals(SharingKind::Rtc).entries, 1);
 
         let bytes = snapshot_bytes(&engine);
         let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
         assert_eq!(warm.epoch(), engine.epoch());
-        assert_eq!(warm.cache().rtc_count(), 1);
+        assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 1);
         // The restored entry is Fresh: the very first evaluation hits it.
         let result = warm.evaluate_str("d.(b.c)+.c").unwrap();
         assert_eq!(result, expected);
@@ -519,7 +519,7 @@ mod tests {
         engine.apply_delta(&GraphDelta::new());
         let bytes = snapshot_bytes(&engine);
         let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
-        assert_eq!(warm.cache().rtc_count(), 0);
+        assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 0);
         assert_eq!(warm.epoch(), 1);
     }
 
@@ -528,7 +528,7 @@ mod tests {
         let g = paper_graph();
         let engine = Engine::with_strategy(&g, Strategy::FullSharing);
         let expected = engine.evaluate_str("d.(b.c)+.c").unwrap();
-        assert_eq!(engine.cache().full_count(), 1);
+        assert_eq!(engine.cache().totals(SharingKind::Full).entries, 1);
 
         let bytes = snapshot_bytes(&engine);
         let config = EngineConfig {
@@ -536,7 +536,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let warm = read_snapshot(&bytes[..], config).unwrap();
-        assert_eq!(warm.cache().full_count(), 1);
+        assert_eq!(warm.cache().totals(SharingKind::Full).entries, 1);
         assert_eq!(warm.evaluate_str("d.(b.c)+.c").unwrap(), expected);
         assert_eq!(warm.cache().misses(), 0);
         assert!(warm.cache().hits() >= 1);
@@ -548,7 +548,7 @@ mod tests {
         engine.evaluate_str("d.(b.c)+.c").unwrap();
         engine.evaluate_str("(a.b)+").unwrap();
         engine.evaluate_str("c.(a.b)*").unwrap();
-        assert!(engine.cache().rtc_count() >= 2);
+        assert!(engine.cache().totals(SharingKind::Rtc).entries >= 2);
         assert_eq!(snapshot_bytes(&engine), snapshot_bytes(&engine));
     }
 
@@ -560,7 +560,7 @@ mod tests {
         let bytes = snapshot_bytes(&engine);
         let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
         assert_eq!(warm.epoch(), 0);
-        assert_eq!(warm.cache().rtc_count(), 1);
+        assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 1);
         assert_eq!(warm.graph().edge_count(), g.edge_count());
     }
 
@@ -653,7 +653,7 @@ mod tests {
         let bytes = snapshot_bytes(&dense_engine);
         let warm = read_snapshot(&bytes[..], sparse_cfg).unwrap();
         assert!(
-            warm.cache().rtc_dense_rows() > 0,
+            warm.cache().totals(SharingKind::Rtc).dense_rows > 0,
             "dense rows must survive the roundtrip"
         );
         assert_eq!(warm.evaluate_str("d.(b.c)+.c").unwrap(), expected);
@@ -664,7 +664,7 @@ mod tests {
         let bytes = snapshot_bytes(&sparse_engine);
         let warm = read_snapshot(&bytes[..], dense_cfg).unwrap();
         assert_eq!(
-            warm.cache().rtc_dense_rows(),
+            warm.cache().totals(SharingKind::Rtc).dense_rows,
             0,
             "sparse rows restore as written (the legacy on-disk form)"
         );
@@ -700,7 +700,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let warm = read_snapshot(&bytes[..], config).unwrap();
-        assert_eq!(warm.cache().rtc_count(), 2);
+        assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 2);
         assert_eq!(warm.cache().occupancy_entries(), 2);
         assert!(warm.cache().contains_fresh(SharingKind::Rtc, "dear"));
         assert!(warm.cache().contains_fresh(SharingKind::Rtc, "mid"));
@@ -735,7 +735,7 @@ mod tests {
             );
         }
         assert_eq!(
-            engine.cache().rtc_count(),
+            engine.cache().totals(SharingKind::Rtc).entries,
             2,
             "the pin must hold the live cache over budget"
         );
@@ -744,7 +744,7 @@ mod tests {
         drop(view);
         let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
         assert_eq!(
-            warm.cache().rtc_count(),
+            warm.cache().totals(SharingKind::Rtc).entries,
             1,
             "the file was trimmed to budget"
         );
@@ -762,7 +762,7 @@ mod tests {
         assert_eq!(bytes[7], b'2');
         bytes[7] = b'1';
         let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
-        assert_eq!(warm.cache().rtc_count(), 0);
+        assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 0);
         assert_eq!(warm.epoch(), 0);
 
         bytes[7] = b'3';

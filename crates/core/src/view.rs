@@ -15,7 +15,7 @@
 //!   computes is inserted *at* its epoch without ever displacing newer
 //!   entries;
 //! * materialized results are memoized in the bounded
-//!   result instance of [`SharedCache`], keyed by epoch + canonical
+//!   result instance of [`crate::SharedCache`], keyed by epoch + canonical
 //!   query — the fast tier above the structural instance.
 //!
 //! Views are cheap to clone (`Arc` bumps + a `Copy` config) and safe to
@@ -24,49 +24,30 @@
 //! time travel.
 
 use crate::cache::{EpochPin, Lookup, Shared, SharingKind};
-use crate::engine::{eval_one, EngineConfig, EngineMetrics, Strategy};
+use crate::engine::{EngineConfig, Handles};
 use crate::error::EngineError;
-use crate::{Breakdown, EliminationStats, MaintenanceMetrics, SharedCache};
-use rpq_eval::ProductEvaluator;
-use rpq_graph::{GraphView, LabeledMultigraph, PairSet, VertexId};
+use rpq_graph::{GraphView, LabeledMultigraph, PairSet};
 use rpq_regex::Regex;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// An immutable view of an engine at one graph epoch (see the module
 /// docs). Obtained from [`Engine::pin`](crate::Engine::pin).
 #[derive(Clone)]
 pub struct EpochView {
-    graph: Arc<GraphView>,
-    cache: Arc<SharedCache>,
-    results: Arc<SharedCache>,
-    metrics: Arc<Mutex<EngineMetrics>>,
-    config: EngineConfig,
+    pub(crate) graph: Arc<GraphView>,
+    /// The engine's caches, accumulators and base configuration as of pin
+    /// time — shared with it and with every other view, not copied.
+    pub(crate) handles: Handles,
     /// Shared pin on this view's epoch in the structural cache: while
     /// any clone of the view is alive, budget eviction spares the
     /// entries the view gets fresh hits on (see `CacheBudget`).
-    _pin: Arc<EpochPin>,
+    pub(crate) _pin: Arc<EpochPin>,
 }
 
+// `config`, `cache`, `results`, `check`, `ends_from` and the metric accessors
+// are the ones `Engine` has: `read_surface!` in `engine.rs` writes both.
 impl EpochView {
-    pub(crate) fn from_parts(
-        graph: Arc<GraphView>,
-        cache: Arc<SharedCache>,
-        results: Arc<SharedCache>,
-        metrics: Arc<Mutex<EngineMetrics>>,
-        config: EngineConfig,
-        pin: Arc<EpochPin>,
-    ) -> Self {
-        Self {
-            graph,
-            cache,
-            results,
-            metrics,
-            config,
-            _pin: pin,
-        }
-    }
-
     /// The epoch this view is pinned to.
     #[inline]
     pub fn epoch(&self) -> u64 {
@@ -79,26 +60,10 @@ impl EpochView {
         self.graph.graph()
     }
 
-    /// The base configuration captured at pin time.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The shared structural cache (also the engine's — one set of
-    /// structures and counters across every view and the live engine).
-    pub fn cache(&self) -> &SharedCache {
-        &self.cache
-    }
-
-    /// The shared per-(epoch, query) result instance.
-    pub fn results(&self) -> &SharedCache {
-        &self.results
-    }
-
     /// Evaluates one query against the pinned epoch, under the captured
     /// base configuration. See [`EpochView::evaluate_with`].
     pub fn evaluate(&self, query: &Regex) -> Result<Arc<PairSet>, EngineError> {
-        self.evaluate_with(query, self.config)
+        self.evaluate_with(query, self.handles.config)
     }
 
     /// [`EpochView::evaluate`] under an explicit configuration (the
@@ -125,21 +90,17 @@ impl EpochView {
         let epoch = self.epoch();
         // Built once, outside any lock, for both the probe and the insert.
         let key = format!("{epoch}@{}", query.canonical_key());
-        if let Lookup::Fresh(Shared::Result(hit)) =
-            self.results.lookup(SharingKind::Result, &key, epoch)
+        let results = &self.handles.results;
+        if let Lookup::Fresh(Shared::Result(hit)) = results.lookup(SharingKind::Result, &key, epoch)
         {
             return Ok(hit);
         }
         let t = Instant::now();
-        let mut local = EngineMetrics::default();
-        let result = eval_one(self.graph(), &config, &self.cache, epoch, &mut local, query);
-        let build = t.elapsed();
-        local.breakdown.total = build;
-        self.merge_metrics(local);
-        let result = Arc::new(result?);
+        let result = self.handles.evaluate(self.graph(), epoch, &config, query)?;
+        let result = Arc::new(result);
         // The evaluation time is the entry's cost-to-rebuild.
         let memo = Shared::Result(Arc::clone(&result));
-        self.results.insert(key, memo, None, epoch, build);
+        results.insert(key, memo, None, epoch, t.elapsed());
         Ok(result)
     }
 
@@ -148,56 +109,6 @@ impl EpochView {
         let q = Regex::parse(query)?;
         self.evaluate(&q)
     }
-
-    /// Whether a `query`-path from `source` to `target` exists in the
-    /// pinned graph (early-exit reachability; bypasses both caches).
-    pub fn check(&self, query: &Regex, source: VertexId, target: VertexId) -> bool {
-        rpq_eval::witness::find_witness(self.graph(), query, source, target).is_some()
-    }
-
-    /// End vertices of `query`-paths starting at `source` in the pinned
-    /// graph (selective evaluation; bypasses both caches).
-    pub fn ends_from(&self, query: &Regex, source: VertexId) -> Vec<VertexId> {
-        ProductEvaluator::new(self.graph(), query).ends_from(source)
-    }
-
-    /// Total pairs held in shared structures for `strategy` — the same
-    /// aggregate as `Engine::shared_data_pairs_with`, readable without
-    /// the engine.
-    pub fn shared_data_pairs_with(&self, strategy: Strategy) -> usize {
-        match strategy {
-            Strategy::NoSharing => 0,
-            Strategy::FullSharing => self.cache.full_shared_pairs(),
-            Strategy::RtcSharing => self.cache.rtc_shared_pairs(),
-        }
-    }
-
-    /// Accumulated stage timings (shared with the engine — see
-    /// `Engine::breakdown`).
-    pub fn breakdown(&self) -> Breakdown {
-        self.metrics().breakdown
-    }
-
-    /// Accumulated elimination counters (shared with the engine).
-    pub fn elimination_stats(&self) -> EliminationStats {
-        self.metrics().stats
-    }
-
-    /// Accumulated maintenance counters (shared with the engine).
-    pub fn maintenance_metrics(&self) -> MaintenanceMetrics {
-        self.metrics().maintenance
-    }
-
-    fn metrics(&self) -> std::sync::MutexGuard<'_, EngineMetrics> {
-        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn merge_metrics(&self, local: EngineMetrics) {
-        let mut m = self.metrics();
-        m.breakdown += local.breakdown;
-        m.stats += local.stats;
-        m.maintenance += local.maintenance;
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +116,7 @@ mod tests {
     use super::*;
     use crate::Engine;
     use rpq_graph::fixtures::paper_graph;
-    use rpq_graph::GraphDelta;
+    use rpq_graph::{GraphDelta, VertexId};
 
     #[test]
     fn pinned_view_survives_later_deltas_bitwise() {
@@ -262,12 +173,12 @@ mod tests {
         e.apply_delta(GraphDelta::new().insert(6, "b", 8).insert(8, "c", 6));
         // Live engine computes the epoch-1 structure first…
         let live = e.evaluate(&q).unwrap();
-        let live_pairs = e.cache().rtc_shared_pairs();
+        let live_pairs = e.shared_data_pairs();
         // …then the old view evaluates at epoch 0, inserting its own
         // structure at epoch 0 — which must not displace the fresh one.
         let pinned = v0.evaluate(&q).unwrap();
         assert_ne!(*pinned, live);
-        assert_eq!(e.cache().rtc_shared_pairs(), live_pairs);
+        assert_eq!(e.shared_data_pairs(), live_pairs);
         assert!(e.cache().contains_fresh(SharingKind::Rtc, "b.c"));
         // The live result is untouched by the pinned evaluation.
         assert_eq!(e.evaluate(&q).unwrap(), live);

@@ -21,14 +21,12 @@
 //! ```
 //! use rpq_eval::ProductEvaluator;
 //! use rpq_graph::fixtures::paper_graph;
-//! use rpq_graph::VertexId;
 //! use rpq_regex::Regex;
 //!
 //! let g = paper_graph();
 //! let ev = ProductEvaluator::new(&g, &Regex::parse("d.(b.c)+.c").unwrap());
 //! let result = ev.evaluate(); // Example 1: {(v7,v5), (v7,v3)}
 //! assert_eq!(result.len(), 2);
-//! assert_eq!(ev.starts_to(VertexId(5)), vec![VertexId(7)]);
 //! ```
 
 pub mod algebraic;

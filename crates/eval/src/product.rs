@@ -108,49 +108,6 @@ impl<'g> ProductEvaluator<'g> {
         ends
     }
 
-    /// Start vertices of matching paths **into** a single target vertex,
-    /// ascending — backward evaluation via the reversed automaton over
-    /// reversed adjacency. Zero-length matches for nullable queries are
-    /// included (`target` itself).
-    ///
-    /// This answers the selective query "who can reach `target` through
-    /// `R`?" without evaluating the full relation.
-    pub fn starts_to(&self, target: VertexId) -> Vec<VertexId> {
-        let rev = self.nfa.reverse();
-        let q = rev.state_count() as u32;
-        let mut visited = EpochVisited::new(self.graph.vertex_count() * q as usize);
-        let mut queue: Vec<(VertexId, u32)> = Vec::new();
-        let mut starts: Vec<VertexId> = Vec::new();
-        visited.insert(target.raw() * q);
-        queue.push((target, 0));
-        let mut head = 0;
-        while head < queue.len() {
-            let (v, state) = queue[head];
-            head += 1;
-            // Reversed traversal: walk in-edges of the graph.
-            for &(label, src) in self.graph.in_edges(v) {
-                let sym = self.sym_of_label[label.index()];
-                if sym == NO_SYM {
-                    continue;
-                }
-                for next in rev.targets(state, sym) {
-                    if visited.insert(src.raw() * q + next) {
-                        if rev.is_accepting(next) {
-                            starts.push(src);
-                        }
-                        queue.push((src, next));
-                    }
-                }
-            }
-        }
-        if self.nullable && !starts.contains(&target) {
-            starts.push(target);
-        }
-        starts.sort_unstable();
-        starts.dedup();
-        starts
-    }
-
     fn evaluate_from_sources(&self, sources: &[VertexId]) -> PairSet {
         let q = self.nfa.state_count();
         let mut visited = EpochVisited::new(self.graph.vertex_count() * q);
@@ -353,31 +310,6 @@ mod tests {
         let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)*").unwrap());
         let ends: Vec<u32> = ev.ends_from(VertexId(9)).iter().map(|v| v.raw()).collect();
         assert_eq!(ends, vec![9]);
-    }
-
-    #[test]
-    fn starts_to_matches_forward_evaluation() {
-        let g = paper_graph();
-        for q in ["(b.c)+", "d.(b.c)+.c", "b.c", "(b.c)*", "a|e"] {
-            let ev = ProductEvaluator::new(&g, &Regex::parse(q).unwrap());
-            let full = ev.evaluate();
-            for target in g.vertices() {
-                let expect: Vec<VertexId> = full
-                    .iter()
-                    .filter(|&(_, e)| e == target)
-                    .map(|(s, _)| s)
-                    .collect();
-                assert_eq!(ev.starts_to(target), expect, "query {q}, target {target}");
-            }
-        }
-    }
-
-    #[test]
-    fn starts_to_nullable_includes_target() {
-        let g = paper_graph();
-        let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)*").unwrap());
-        let starts = ev.starts_to(VertexId(9));
-        assert_eq!(starts, vec![VertexId(9)]);
     }
 
     #[test]

@@ -84,9 +84,7 @@ where
 }
 
 /// [`par_map_chunks_with`] that also returns each worker's final state, in
-/// worker order. This is what lets `Engine`'s parallel batch mode merge
-/// per-worker caches, timings and counters back into the engine after the
-/// fan-out.
+/// worker order.
 pub fn par_map_chunks_with_state<S, T, FS, F>(
     threads: usize,
     len: usize,

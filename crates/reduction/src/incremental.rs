@@ -135,6 +135,9 @@ pub struct DynamicRtc {
     /// row arriving via churn still word-masks.
     closure: FxHashMap<u32, RowSet>,
     edge_count: usize,
+    /// The row policy of the [`Rtc`] this form came from; what
+    /// [`DynamicRtc::snapshot`] and a damage-gate rebuild build with.
+    policy: RowSetPolicy,
 }
 
 impl DynamicRtc {
@@ -149,7 +152,10 @@ impl DynamicRtc {
     /// closure — a linear re-indexing pass. This is how a cache upgrades a
     /// static entry the first time a delta arrives.
     pub fn from_rtc(rtc: &Rtc, r_g: &PairSet) -> DynamicRtc {
-        let mut dyn_rtc = DynamicRtc::default();
+        let mut dyn_rtc = DynamicRtc {
+            policy: *rtc.policy(),
+            ..DynamicRtc::default()
+        };
         // SCC membership, representatives and cyclicity.
         let k = rtc.scc_count();
         let mut rep_of: Vec<u32> = Vec::with_capacity(k);
@@ -210,6 +216,24 @@ impl DynamicRtc {
     /// Number of SCCs (`|V̄_R|`).
     pub fn scc_count(&self) -> usize {
         self.members.len()
+    }
+
+    /// Heap footprint in bytes (capacity-based, as [`RowSet::heap_bytes`]
+    /// is; hash-table control bytes are not counted).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        fn table<K, V>(map: &FxHashMap<K, V>, inner: impl Fn(&V) -> usize) -> usize {
+            map.capacity() * size_of::<(K, V)>() + map.values().map(inner).sum::<usize>()
+        }
+        let set = |s: &FxHashSet<u32>| s.capacity() * size_of::<u32>();
+        table(&self.out, set)
+            + table(&self.inn, set)
+            + table(&self.comp, |_| 0)
+            + table(&self.members, |m| m.capacity() * size_of::<u32>())
+            + table(&self.scc_out, |m| m.capacity() * size_of::<(u32, u32)>())
+            + table(&self.scc_in, set)
+            + set(&self.cyclic)
+            + table(&self.closure, RowSet::heap_bytes)
     }
 
     /// Whether the pair `(u, v)` is currently in `R_G`.
@@ -318,14 +342,20 @@ impl DynamicRtc {
                 RowSet::from_sorted_vec(row)
             })
             .collect();
-        // Renumbering to dense SCC ids makes the adaptive policy
+        // Renumbering to dense SCC ids makes the density-driven policy
         // meaningful again (rep-id rows stay sparse; see `closure` docs).
-        let policy = RowSetPolicy::default();
-        let closure = RowTable::from_rows_with(rows, reps.len() as u32, &policy);
+        let closure = RowTable::from_rows_with(rows, reps.len() as u32, &self.policy);
         let ebar_edges: usize =
             self.scc_out.values().map(FxHashMap::len).sum::<usize>() + self.cyclic.len();
         let mapping = VertexMapping::from_sorted_vertices(vertices);
-        Rtc::from_parts(mapping, scc, closure, self.edge_count, ebar_edges, policy)
+        Rtc::from_parts(
+            mapping,
+            scc,
+            closure,
+            self.edge_count,
+            ebar_edges,
+            self.policy,
+        )
     }
 
     // ---- internals ----
@@ -352,7 +382,8 @@ impl DynamicRtc {
 
     /// Recomputes every derived structure from the current adjacency.
     fn rebuild(&mut self) {
-        *self = Self::from_pairs(&self.pairs());
+        let r_g = self.pairs();
+        *self = Self::from_rtc(&Rtc::from_pairs_with(&r_g, &self.policy), &r_g);
     }
 
     /// Whether a path of length ≥ 1 from `u` to `v` exists using only
@@ -950,6 +981,32 @@ mod tests {
 
     /// The paper's b·c fixture.
     const BC: &[(u32, u32)] = &[(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)];
+
+    /// A refresh keeps the row policy the RTC was built with, on the
+    /// incremental path and through the damage-gate rebuild alike.
+    #[test]
+    fn snapshot_keeps_the_row_policy() {
+        let pairs = pair_set(BC);
+        let always_rebuild = MaintenanceConfig {
+            damage_threshold: 0.0,
+        };
+        for policy in [RowSetPolicy::sparse(), RowSetPolicy::dense()] {
+            for config in [NEVER_REBUILD, always_rebuild] {
+                let rtc = Rtc::from_pairs_with(&pairs, &policy);
+                let mut dynamic = DynamicRtc::from_rtc(&rtc, &pairs);
+                let outcome = dynamic.apply(&vid(&[(6, 3)]), &[], &config);
+                assert_ne!(outcome, MaintenanceOutcome::Unchanged);
+                let snap = dynamic.snapshot();
+                assert_eq!(snap.policy(), &policy);
+                let rows = (0..snap.scc_count()).map(|s| snap.successors(SccId::from_usize(s)));
+                let want_dense = policy == RowSetPolicy::dense();
+                assert!(rows.clone().any(|row| !row.is_empty()));
+                for row in rows {
+                    assert_eq!(row.is_dense(), want_dense && !row.is_empty(), "{policy:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn from_rtc_matches_from_pairs() {

@@ -16,7 +16,8 @@
 //! an engine snapshot (warm restart) — the format is auto-detected. See
 //! `docs/QUERY_LANGUAGE.md` for the command reference.
 
-use rpq_server::session::{parse_strategy_flag, startup_config, Session};
+use rpq_server::command::parse_strategy;
+use rpq_server::session::{startup_config, Session};
 use std::process::ExitCode;
 
 struct Options {
@@ -55,8 +56,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--load" => opts.load = Some(args.next().ok_or("--load needs a PATH")?),
             "--strategy" => {
                 let v = args.next().ok_or("--strategy needs rtc|full|none")?;
-                opts.strategy =
-                    Some(parse_strategy_flag(&v).ok_or(format!("unknown strategy '{v}'"))?);
+                opts.strategy = Some(parse_strategy(&v).ok_or(format!("unknown strategy '{v}'"))?);
             }
             "--threads" => {
                 let v = args.next().ok_or("--threads needs a value")?;

@@ -158,17 +158,12 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
             Command::Prepare(rest.to_string())
         }
         "delta" => Command::Delta(parse_delta(&mut tokens)?),
-        "strategy" => match tokens.next() {
-            Some("rtc") => Command::SetStrategy(Strategy::RtcSharing),
-            Some("full") => Command::SetStrategy(Strategy::FullSharing),
-            Some("none" | "no") => Command::SetStrategy(Strategy::NoSharing),
-            other => {
-                return Err(format!(
-                    "strategy needs rtc|full|none, got '{}'",
-                    other.unwrap_or("")
-                ))
-            }
-        },
+        "strategy" => {
+            let name = tokens.next().unwrap_or("");
+            let strategy = parse_strategy(name)
+                .ok_or_else(|| format!("strategy needs rtc|full|none, got '{name}'"))?;
+            Command::SetStrategy(strategy)
+        }
         "threads" => Command::SetThreads(parse_num::<usize>(tokens.next(), "threads needs N")?),
         "limit" => Command::SetLimit(parse_num::<usize>(tokens.next(), "limit needs N")?),
         "binary" => match tokens.next() {
@@ -247,6 +242,17 @@ fn strip_tokens(rest: &str, n: usize) -> String {
         s = &s[end..];
     }
     s.trim().to_string()
+}
+
+/// A strategy by the name both the `strategy` command and the `rpq`
+/// binary's `--strategy` flag take.
+pub fn parse_strategy(name: &str) -> Option<Strategy> {
+    match name {
+        "rtc" => Some(Strategy::RtcSharing),
+        "full" => Some(Strategy::FullSharing),
+        "none" | "no" => Some(Strategy::NoSharing),
+        _ => None,
+    }
 }
 
 fn parse_num<T: std::str::FromStr>(tok: Option<&str>, err: &str) -> Result<T, String> {

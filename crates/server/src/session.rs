@@ -42,7 +42,9 @@
 
 use crate::command::{parse_command, Command, DeltaOp, HELP};
 use crate::wire::{encode_pair_set, BinaryResult};
-use rpq_core::{Engine, EngineConfig, EpochView, Strategy, DEFAULT_RESULT_CACHE_ENTRIES};
+use rpq_core::{
+    Engine, EngineConfig, EpochView, SharingKind, Strategy, DEFAULT_RESULT_CACHE_ENTRIES,
+};
 use rpq_graph::{GraphBuilder, GraphDelta, VersionedGraph};
 use std::collections::VecDeque;
 use std::io::Write as IoWrite;
@@ -643,7 +645,7 @@ impl Session {
             if self.overlay.binary { "on" } else { "off" },
             self.shared.live_conns(),
             self.shared.max_conns(),
-            c.rtc_heap_bytes() + c.full_heap_bytes(),
+            c.totals(SharingKind::Rtc).heap_bytes + c.totals(SharingKind::Full).heap_bytes,
             c.budget(),
             c.occupancy_bytes(),
         ))
@@ -669,7 +671,7 @@ impl Session {
             let config = *state.engine.config();
             match rpq_core::snapshot::load_snapshot(p, config) {
                 Ok(engine) => {
-                    let warm = engine.cache().rtc_count() + engine.cache().full_count();
+                    let warm = engine.cache().occupancy_entries();
                     let epoch = engine.epoch();
                     state.engine = engine;
                     state.source = path.to_string();
@@ -704,7 +706,7 @@ impl Session {
                 // entries survive a save (stale ones are dropped).
                 let cache = state.engine.cache();
                 let fresh = cache.fresh_entries().len();
-                let stale = cache.rtc_count() + cache.full_count() - fresh;
+                let stale = cache.occupancy_entries() - fresh;
                 let dropped = if stale > 0 {
                     format!(" ({stale} stale dropped)")
                 } else {
@@ -942,13 +944,14 @@ impl Session {
             ),
             {
                 let c = view.cache();
+                let (rtc, full) = (c.totals(SharingKind::Rtc), c.totals(SharingKind::Full));
                 format!(
                     "  memory: structural={} B (rtc={} B, {} dense rows; full={} B, {} dense rows)",
-                    c.rtc_heap_bytes() + c.full_heap_bytes(),
-                    c.rtc_heap_bytes(),
-                    c.rtc_dense_rows(),
-                    c.full_heap_bytes(),
-                    c.full_dense_rows(),
+                    rtc.heap_bytes + full.heap_bytes,
+                    rtc.heap_bytes,
+                    rtc.dense_rows,
+                    full.heap_bytes,
+                    full.dense_rows,
                 )
             },
             {
@@ -976,19 +979,16 @@ impl Session {
         let view = published.view();
         let c = view.cache();
         let r = view.results();
+        let (rtc, full) = (c.totals(SharingKind::Rtc), c.totals(SharingKind::Full));
         let lines = vec![
             format!(
                 "  entries: {} rtc ({} pairs, {} sccs), {} full ({} pairs)",
-                c.rtc_count(),
-                c.rtc_shared_pairs(),
-                c.rtc_total_sccs(),
-                c.full_count(),
-                c.full_shared_pairs()
+                rtc.entries, rtc.shared_pairs, rtc.vertices, full.entries, full.shared_pairs
             ),
             format!(
                 "  memory: {} B structural heap ({} dense rows)",
-                c.rtc_heap_bytes() + c.full_heap_bytes(),
-                c.rtc_dense_rows() + c.full_dense_rows(),
+                rtc.heap_bytes + full.heap_bytes,
+                rtc.dense_rows + full.dense_rows,
             ),
             format!(
                 "  lookups: {} hits, {} misses, {} stale hits (epoch {})",
@@ -1052,16 +1052,6 @@ fn info_summary(state: &EngineState, what: &str) -> Response {
         g.edge_count(),
         g.label_count(),
     ))
-}
-
-/// The strategy flag value accepted by the `rpq` binary (`--strategy`).
-pub fn parse_strategy_flag(v: &str) -> Option<Strategy> {
-    match v {
-        "rtc" => Some(Strategy::RtcSharing),
-        "full" => Some(Strategy::FullSharing),
-        "none" | "no" => Some(Strategy::NoSharing),
-        _ => None,
-    }
 }
 
 /// Builds the startup engine config from the binary's flags. A

@@ -4,19 +4,16 @@
 //! cargo run --release --example explain_and_witness
 //! ```
 //!
-//! Shows three production features layered over the RTCSharing core:
+//! Shows two production features layered over the RTCSharing core:
 //!
 //! * `explain` / `explain_set` — the batch-unit plan (the recursion trees
 //!   of the paper's Fig. 7) and the sharing analysis before evaluating;
 //! * `find_witness` — an actual shortest path for a result pair (the paths
-//!   Fig. 2 draws);
-//! * backward evaluation — "who can reach this vertex?" without computing
-//!   the full relation.
+//!   Fig. 2 draws).
 
-use rtc_rpq::core::{explain_set, Engine};
-use rtc_rpq::eval::{find_witness, format_witness, ProductEvaluator};
+use rtc_rpq::core::{explain_set, Engine, SharingKind};
+use rtc_rpq::eval::{find_witness, format_witness};
 use rtc_rpq::graph::fixtures::paper_graph;
-use rtc_rpq::graph::VertexId;
 use rtc_rpq::regex::Regex;
 
 fn main() {
@@ -42,7 +39,7 @@ fn main() {
     }
     println!(
         "  cache: {} RTCs, {} hits, {} misses\n",
-        engine.cache().rtc_count(),
+        engine.cache().totals(SharingKind::Rtc).entries,
         engine.cache().hits(),
         engine.cache().misses()
     );
@@ -54,10 +51,4 @@ fn main() {
         let w = find_witness(&g, &q, s, d).unwrap();
         println!("  ({s},{d}): {}", format_witness(&g, &w));
     }
-
-    println!("\n=== Backward evaluation: who reaches v3 via d.(b.c)+.c? ===");
-    let ev = ProductEvaluator::new(&g, &q);
-    let starts = ev.starts_to(VertexId(3));
-    println!("  starts_to(v3) = {starts:?}");
-    assert_eq!(starts, vec![VertexId(7)]);
 }

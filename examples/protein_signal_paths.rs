@@ -18,7 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtc_rpq::core::{Engine, Strategy};
+use rtc_rpq::core::{Engine, SharingKind, Strategy};
 use rtc_rpq::graph::{GraphBuilder, VertexId};
 use rtc_rpq::regex::Regex;
 
@@ -85,9 +85,9 @@ fn main() {
 
     println!(
         "\nRTC sharing: {} closure bodies cached, {} cache hits, {} shared pairs",
-        rtc_engine.cache().rtc_count(),
+        rtc_engine.cache().totals(SharingKind::Rtc).entries,
         rtc_engine.cache().hits(),
-        rtc_engine.cache().rtc_shared_pairs()
+        rtc_engine.cache().totals(SharingKind::Rtc).shared_pairs
     );
 
     // Pick a receptor and report which proteins its signal can silence.

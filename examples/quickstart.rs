@@ -8,7 +8,7 @@
 //! the three evaluation strategies agreeing while sharing different
 //! amounts of data.
 
-use rtc_rpq::core::{Engine, Strategy};
+use rtc_rpq::core::{Engine, SharingKind, Strategy};
 use rtc_rpq::graph::GraphBuilder;
 use rtc_rpq::regex::Regex;
 
@@ -62,8 +62,8 @@ fn main() {
     engine.evaluate(&query).unwrap();
     println!(
         "\nRTCSharing cached {} RTC(s) holding {} pairs total (FullSharing would hold 10).",
-        engine.cache().rtc_count(),
-        engine.cache().rtc_shared_pairs(),
+        engine.cache().totals(SharingKind::Rtc).entries,
+        engine.cache().totals(SharingKind::Rtc).shared_pairs,
     );
 
     // A second query reuses the cached RTC for b·c: zero extra shared work.

@@ -20,7 +20,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtc_rpq::core::{Engine, Strategy};
+use rtc_rpq::core::{Engine, SharingKind, Strategy};
 use rtc_rpq::graph::{GraphBuilder, VertexId};
 use rtc_rpq::regex::Regex;
 use std::time::Instant;
@@ -97,8 +97,8 @@ fn main() {
         if strategy == Strategy::RtcSharing {
             println!(
                 "  RTCs cached: {} ({} closure pairs; cache hits {})",
-                engine.cache().rtc_count(),
-                engine.cache().rtc_shared_pairs(),
+                engine.cache().totals(SharingKind::Rtc).entries,
+                engine.cache().totals(SharingKind::Rtc).shared_pairs,
                 engine.cache().hits()
             );
         }

@@ -1,13 +1,14 @@
 //! Integration tests for the engine's production features beyond the
-//! paper's core algorithm: witness paths, EXPLAIN plans, backward
-//! evaluation, fast paths, and cache lifecycle.
+//! paper's core algorithm: witness paths, EXPLAIN plans, fast paths, and
+//! cache lifecycle.
 
 mod common;
 
 use common::{random_graph, random_regex, rng};
 use rand::Rng;
 use rtc_rpq::core::{
-    eval_batch_unit_rtc, explain, explain_set, EliminationStats, Engine, PreRelation, Strategy,
+    eval_batch_unit_rtc, explain, explain_set, EliminationStats, Engine, PreRelation, SharingKind,
+    Strategy,
 };
 use rtc_rpq::eval::{find_witness, format_witness, ProductEvaluator};
 use rtc_rpq::graph::fixtures::paper_graph;
@@ -68,7 +69,7 @@ fn explain_predicts_cached_bodies() {
     engine.evaluate_set(&queries).unwrap();
     // Engine caches at least the plan-visible bodies (it may cache more:
     // bodies nested inside R are discovered during R's own evaluation).
-    assert!(engine.cache().rtc_count() >= planned.len());
+    assert!(engine.cache().totals(SharingKind::Rtc).entries >= planned.len());
     for key in &planned {
         // Re-evaluating a query whose body is `key` must hit the cache.
         let hits_before = engine.cache().hits();
@@ -88,30 +89,6 @@ fn explain_renders_paper_recursion_tree() {
     assert!(text.contains("(a.b+.c)+"), "{text}");
     assert!(text.contains("(a.b)*.b+"), "{text}");
     assert_eq!(plan.batch_unit_count(), 3);
-}
-
-/// Backward evaluation answers "who reaches t" consistently with the
-/// forward relation, across random graphs.
-#[test]
-fn backward_evaluation_consistency() {
-    let mut r = rng(103);
-    for _ in 0..20 {
-        let n = r.gen_range(3..12);
-        let m = r.gen_range(4..40);
-        let g = random_graph(&mut r, n, m);
-        let q = random_regex(&mut r, 2);
-        let ev = ProductEvaluator::new(&g, &q);
-        let full = ev.evaluate();
-        for t in 0..n {
-            let t = VertexId(t);
-            let expect: Vec<VertexId> = full
-                .iter()
-                .filter(|&(_, e)| e == t)
-                .map(|(s, _)| s)
-                .collect();
-            assert_eq!(ev.starts_to(t), expect, "target {t}, query {q}");
-        }
-    }
 }
 
 /// Theorem 2 on random bare closures: the general Algorithm-2 join with
@@ -168,7 +145,7 @@ fn cache_lifecycle() {
     e.clear_cache();
     e.evaluate(&q).unwrap();
     assert_eq!(e.cache().misses(), 1, "fresh miss counter after clear");
-    assert_eq!(e.cache().rtc_count(), 1);
+    assert_eq!(e.cache().totals(SharingKind::Rtc).entries, 1);
 }
 
 /// Witness formatting uses the paper's p(...) notation end-to-end.

@@ -3,7 +3,7 @@
 
 mod common;
 
-use rtc_rpq::core::{Engine, Strategy};
+use rtc_rpq::core::{Engine, SharingKind, Strategy};
 use rtc_rpq::graph::fixtures::paper_graph;
 use rtc_rpq::graph::{PairSet, VertexId};
 use rtc_rpq::reduction::{reduce_for, FullTc, Rtc};
@@ -113,15 +113,15 @@ fn example7_recursion_and_reuse() {
     let g = paper_graph();
     let e = Engine::new(&g);
     e.evaluate_str("a").unwrap();
-    assert_eq!(e.cache().rtc_count(), 0); // no closures yet
+    assert_eq!(e.cache().totals(SharingKind::Rtc).entries, 0); // no closures yet
 
     e.evaluate_str("a.(a.b)+.b").unwrap();
-    assert_eq!(e.cache().rtc_count(), 1); // RTC for a·b
+    assert_eq!(e.cache().totals(SharingKind::Rtc).entries, 1); // RTC for a·b
     let hits_before = e.cache().hits();
 
     e.evaluate_str("(a.b)*.b+.(a.b+.c)+").unwrap();
     // New RTCs for b and a·b+·c; the a·b RTC was a cache hit.
-    assert_eq!(e.cache().rtc_count(), 3);
+    assert_eq!(e.cache().totals(SharingKind::Rtc).entries, 3);
     assert!(e.cache().hits() > hits_before);
 }
 

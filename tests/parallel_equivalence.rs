@@ -68,10 +68,18 @@ fn parallel_batch_evaluation_matches_sequential() {
         let set_size = r.gen_range(2..6);
         let queries: Vec<Regex> = (0..set_size).map(|_| random_regex(&mut r, 2)).collect();
         for strategy in Strategy::ALL {
-            let seq = match Engine::with_strategy(&g, strategy).evaluate_set(&queries) {
+            let seq_engine = Engine::with_strategy(&g, strategy);
+            let seq = match seq_engine.evaluate_set(&queries) {
                 Ok(res) => res,
                 Err(_) => continue, // DNF budget blown — same error on all paths
             };
+            // What the fan-out's warm-up pass computes. Each such body costs
+            // one lookup more than the sequential run: the warm-up takes the
+            // miss, so the first query to need the body hits.
+            let warmed = Engine::with_strategy(&g, strategy)
+                .prepare(&queries)
+                .unwrap()
+                .bodies_computed as u64;
             for threads in THREAD_COUNTS {
                 let e = Engine::with_config(
                     &g,
@@ -86,6 +94,20 @@ fn parallel_batch_evaluation_matches_sequential() {
                     par, seq,
                     "case {case}: {strategy} diverged at {threads} threads"
                 );
+                // The workers' counters are folded in, none dropped or
+                // counted twice (comparable unless a budget evicted).
+                let (s, p) = (seq_engine.cache(), e.cache());
+                if s.eviction_counters().total() + p.eviction_counters().total() == 0 {
+                    let at = format!("case {case}: {strategy} at {threads} threads");
+                    assert_eq!(
+                        e.elimination_stats(),
+                        seq_engine.elimination_stats(),
+                        "{at}"
+                    );
+                    assert_eq!(p.misses(), s.misses(), "{at}");
+                    let extra = if threads > 1 { warmed } else { 0 };
+                    assert_eq!(p.hits(), s.hits() + extra, "{at}");
+                }
             }
         }
     }

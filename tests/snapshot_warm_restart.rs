@@ -5,7 +5,7 @@
 //! from a **`Fresh`** cache entry — zero misses, zero stale refreshes,
 //! zero rebuilds — i.e. neither Tarjan nor the closure sweep runs again.
 
-use rtc_rpq::core::{snapshot, Engine, EngineConfig, Strategy};
+use rtc_rpq::core::{snapshot, Engine, EngineConfig, SharingKind, Strategy};
 use rtc_rpq::graph::{fixtures::paper_graph, GraphDelta};
 use rtc_rpq::prelude::*;
 use rtc_rpq::server::session::{Session, Status};
@@ -33,7 +33,7 @@ fn warm_restart_answers_from_fresh_cache() {
         .collect();
     assert_ne!(before[0], after[0], "delta must change (b.c)+ results");
     assert_eq!(engine.epoch(), 1);
-    assert_eq!(engine.cache().rtc_count(), 2); // b·c and a·b
+    assert_eq!(engine.cache().totals(SharingKind::Rtc).entries, 2); // b·c and a·b
 
     let mut bytes = Vec::new();
     snapshot::write_snapshot(&engine, &mut bytes).unwrap();
@@ -41,7 +41,7 @@ fn warm_restart_answers_from_fresh_cache() {
     // "Restart": a brand-new engine from the snapshot alone.
     let mut warm = snapshot::read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
     assert_eq!(warm.epoch(), 1);
-    assert_eq!(warm.cache().rtc_count(), 2);
+    assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 2);
 
     let restored: Vec<PairSet> = queries.iter().map(|q| warm.evaluate(q).unwrap()).collect();
     assert_eq!(restored, after, "warm engine must answer identically");
