@@ -7,7 +7,8 @@
 //! Pre_G ⋈ SCC ⋈ TC(Ḡ_R) ⋈ SCC ⋈ Post_G
 //! ```
 //!
-//! [`eval_batch_unit_rtc`] implements the optimized Algorithm 2:
+//! [`eval_batch_unit_rtc`] implements the optimized Algorithm 2. Its first
+//! pass (lines 4–12, timed as `pre_join`) applies the four eliminations:
 //!
 //! * **useless-1** — the closure is only expanded from `Pre_G` end vertices
 //!   (and those outside `V_R` fail the SCC join immediately);
@@ -15,24 +16,33 @@
 //!   deduplicated, so several `Pre_G` tuples landing in one SCC expand once;
 //! * **redundant-2** — Eq. (8)'s `(v_i, s_k)` pairs are deduplicated, so
 //!   SCCs reachable along several branches expand once;
-//! * **useless-2** — Eq. (9)'s member expansion inserts *without duplicate
-//!   checks*: SCC member sets are disjoint, so no duplicates can arise.
+//! * **useless-2** — Eq. (9)'s member expansion needs *no duplicate
+//!   checks* (SCC member sets are disjoint): it is counted, not built.
 //!
 //! The per-`v_i` dedup of (7)/(8) uses epoch-stamped scratch arrays over
 //! SCC ids instead of hash sets of pairs — semantically identical to
 //! `ResEq7`/`ResEq8` membership, with O(1) clears between groups.
 //!
+//! Its second pass (lines 13–16, timed as `post`) is redundant-1 in the
+//! Post dimension: the Post image is built once per SCC (`PostRow[s_k] =
+//! ⋃ Post(v), v ∈ s_k`) and once per entry SCC (`EntryRow[s_j] =
+//! ⋃ PostRow[s_k], s_k ∈ TC(s_j)`), and every `v_i` entering one SCC shares
+//! that row by `Arc` in a result grouped by `v_i` — no flat pair vector, no
+//! global sort. With `Post = ε` the rows are Theorem 1's expansion.
+//!
 //! [`eval_batch_unit_full`] is the baseline join over the materialized
-//! `R⁺_G`: every successor insert pays a duplicate check, which is exactly
-//! the redundant work the paper attributes to FullSharing.
+//! `R⁺_G`: every successor insert pays a duplicate check — the redundant
+//! work the paper attributes to FullSharing — before the same Post step.
 
 use crate::breakdown::EliminationStats;
 use crate::pre_relation::PreRelation;
-use rpq_eval::label_seq::eval_label_sequence_from;
-use rpq_graph::{EpochVisited, LabelId, LabeledMultigraph, PairSet, SccId, VertexId};
+use rpq_graph::{
+    EpochVisited, LabelId, LabeledMultigraph, PairSet, RowSet, RowSetPolicy, SccId, VertexId,
+};
 use rpq_reduction::{FullTc, Rtc};
 use rpq_regex::ClosureKind;
 use rustc_hash::FxHashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Result of a batch-unit evaluation with its stage timings.
@@ -56,19 +66,17 @@ pub fn eval_batch_unit_rtc(
     stats: &mut EliminationStats,
 ) -> BatchUnitResult {
     let t0 = Instant::now();
-    // ResEq9 is a plain vector: the expansion below never produces
-    // duplicates (useless-2), and the star seed is guarded explicitly.
-    let mut res9: Vec<(VertexId, VertexId)> = Vec::new();
+    // Per `v_i`: where its entry SCCs and its uncovered `R*` seeds end.
+    let mut plan: Vec<(VertexId, usize, usize)> = Vec::new();
+    let (mut entries, mut seeds) = (Vec::<SccId>::new(), Vec::<u32>::new());
+    // A single-entry `v_i`'s (9) insert count depends on its `s_j` alone.
+    let mut reach_sizes: FxHashMap<SccId, u64> = FxHashMap::default();
     let mut stamp7 = EpochVisited::new(rtc.scc_count());
     let mut stamp8 = EpochVisited::new(rtc.scc_count());
 
     pre.for_each_group(|vi, ends| {
         stamp7.clear();
-        stamp8.clear();
-        if kind == ClosureKind::Star {
-            // Initialization for Pre·R*·Post (Algorithm 2 lines 2–3).
-            res9.extend(ends.iter().map(|vj| (vi, vj)));
-        }
+        let first = entries.len();
         for vj in ends.iter() {
             // (7): find the SCC containing vj. Tuples whose end vertex is
             // outside V_R never reach the closure — useless-1 elimination.
@@ -77,40 +85,93 @@ pub fn eval_batch_unit_rtc(
                 continue;
             };
             // Duplicate check for (7) — redundant-1 elimination.
-            if !stamp7.insert(sj.raw()) {
+            if stamp7.insert(sj.raw()) {
+                entries.push(sj);
+            } else {
                 stats.redundant1_skipped += 1;
-                continue;
             }
-            // (8): SCCs reachable from sj in TC(Ḡ_R).
-            for sk in rtc.successors(sj).iter() {
-                // Duplicate check for (8) — redundant-2 elimination.
-                if !stamp8.insert(sk) {
-                    stats.redundant2_skipped += 1;
-                    continue;
-                }
-                // (9): expand members of sk with NO duplicate checks —
-                // useless-2 elimination (SCC member sets are disjoint).
-                for vk in rtc.members_original(SccId(sk)) {
-                    if kind == ClosureKind::Star && ends.contains(vk) {
-                        // Already present from the star seed.
-                        continue;
+        }
+        let mine = &entries[first..];
+        if let [sj] = mine {
+            // One entry: (8) meets no duplicate, (9) covers all of TC(s_j).
+            stats.useless2_unchecked_inserts += *reach_sizes.entry(*sj).or_insert_with(|| {
+                let sizes = rtc.successors(*sj).iter().map(|sk| rtc.scc_size(SccId(sk)));
+                sizes.sum::<usize>() as u64
+            });
+        } else {
+            stamp8.clear();
+            for &sj in mine {
+                // (8): SCCs reachable from sj in TC(Ḡ_R).
+                for sk in rtc.successors(sj).iter() {
+                    // Duplicate check for (8) — redundant-2 elimination; (9)
+                    // inserts s_k's members unchecked — useless-2.
+                    if stamp8.insert(sk) {
+                        stats.useless2_unchecked_inserts += rtc.scc_size(SccId(sk)) as u64;
+                    } else {
+                        stats.redundant2_skipped += 1;
                     }
-                    res9.push((vi, vk));
-                    stats.useless2_unchecked_inserts += 1;
                 }
             }
         }
+        if kind == ClosureKind::Star {
+            // Initialization for Pre·R*·Post (Algorithm 2 lines 2–3): a seed
+            // end in a reached SCC is one (9) insert fewer; the rest seed.
+            for vj in ends.iter() {
+                let reached = rtc.scc_of_original(vj).is_some_and(|s| match mine {
+                    [sj] => rtc.successors(*sj).contains(s.raw()),
+                    _ => stamp8.contains(s.raw()),
+                });
+                if reached {
+                    stats.useless2_unchecked_inserts -= 1;
+                } else {
+                    seeds.push(vj.raw());
+                }
+            }
+        }
+        plan.push((vi, entries.len(), seeds.len()));
     });
     let pre_join = t0.elapsed();
 
     let t1 = Instant::now();
-    let result = apply_post(graph, res9, post);
-    let post_time = t1.elapsed();
+    let (n, policy) = (graph.vertex_count() as u32, rtc.policy());
+    let result = post_image(graph, post, policy).map_or_else(PairSet::new, |image| {
+        let mut post_rows: FxHashMap<u32, RowSet> = FxHashMap::default();
+        let mut entry_rows: FxHashMap<SccId, Arc<RowSet>> = FxHashMap::default();
+        let mut groups = Vec::with_capacity(plan.len());
+        let (mut e0, mut s0) = (0, 0);
+        for (vi, e1, s1) in plan {
+            let (mine, seeded) = (&entries[e0..e1], &seeds[s0..s1]);
+            (e0, s0) = (e1, s1);
+            for &sj in mine {
+                entry_rows.entry(sj).or_insert_with(|| {
+                    let reach = rtc.successors(sj);
+                    for sk in reach.iter() {
+                        let members = rtc.members_original(SccId(sk)).map(VertexId::raw);
+                        post_rows
+                            .entry(sk)
+                            .or_insert_with(|| image(members.collect()));
+                    }
+                    let rows = reach.iter().filter_map(|sk| post_rows.get(&sk));
+                    Arc::new(RowSet::union_all(rows, n, policy))
+                });
+            }
+            let row = match (mine, seeded) {
+                ([sj], []) => Arc::clone(&entry_rows[sj]),
+                _ => {
+                    let seed = image(seeded.iter().copied().collect());
+                    let rows = mine.iter().map(|sj| &*entry_rows[sj]).chain([&seed]);
+                    Arc::new(RowSet::union_all(rows, n, policy))
+                }
+            };
+            groups.push((vi, row));
+        }
+        PairSet::from_grouped_rows(groups)
+    });
 
     BatchUnitResult {
         result,
         pre_join,
-        post: post_time,
+        post: t1.elapsed(),
     }
 }
 
@@ -129,64 +190,64 @@ pub fn eval_batch_unit_full(
     stats: &mut EliminationStats,
 ) -> BatchUnitResult {
     let t0 = Instant::now();
-    let mut res9: rustc_hash::FxHashSet<(VertexId, VertexId)> = rustc_hash::FxHashSet::default();
+    // Per `v_i`, its `(Pre·R^(+|*))_G` end vertices as one row.
+    let mut reached: Vec<(VertexId, RowSet)> = Vec::new();
+    let mut seen = EpochVisited::new(graph.vertex_count());
     pre.for_each_group(|vi, ends| {
+        seen.clear();
+        let mut row: Vec<u32> = Vec::new();
         if kind == ClosureKind::Star {
-            res9.extend(ends.iter().map(|vj| (vi, vj)));
+            row.extend(ends.iter().map(VertexId::raw).filter(|&vj| seen.insert(vj)));
         }
         for vj in ends.iter() {
             for vk in full.successors_original(vj) {
                 // Duplicate check on every insert — the redundant work.
-                if !res9.insert((vi, vk)) {
+                if seen.insert(vk.raw()) {
+                    row.push(vk.raw());
+                } else {
                     stats.full_duplicate_hits += 1;
                 }
             }
         }
+        reached.push((vi, RowSet::from_unsorted(row)));
     });
-    let res9: Vec<(VertexId, VertexId)> = res9.into_iter().collect();
     let pre_join = t0.elapsed();
 
     let t1 = Instant::now();
-    let result = apply_post(graph, res9, post);
-    let post_time = t1.elapsed();
+    let result = post_image(graph, post, full.policy()).map_or_else(PairSet::new, |image| {
+        let rows = reached
+            .into_iter()
+            .map(|(v, row)| (v, Arc::new(image(row))));
+        PairSet::from_grouped_rows(rows.collect())
+    });
 
     BatchUnitResult {
         result,
         pre_join,
-        post: post_time,
+        post: t1.elapsed(),
     }
 }
 
-/// Lines 13–16: extend `(Pre·R^(+|*))_G` with the closure-free `Post`.
-///
-/// `EvalRestrictedRPQ(Post, v_k)` results are memoized per distinct `v_k`;
-/// all strategies use this same machinery, preserving the paper's
-/// "Remainder is largely identical" comparison.
-fn apply_post(
-    graph: &LabeledMultigraph,
-    res9: Vec<(VertexId, VertexId)>,
+/// Lines 13–16 for both evaluators: maps a set of `(Pre·R^(+|*))_G` end
+/// vertices to `⋃ Post(v)` over the set, one frontier step per Post label
+/// (a vertex reached along several paths expands once), as a row normalized
+/// per `policy`. `None` when a Post label is absent from the alphabet: it
+/// matches no edge, so the batch unit is empty.
+fn post_image<'a>(
+    graph: &'a LabeledMultigraph,
     post: &[String],
-) -> PairSet {
-    if post.is_empty() {
-        return PairSet::from_pairs(res9);
-    }
-    let mut label_ids: Vec<LabelId> = Vec::with_capacity(post.len());
-    for name in post {
-        match graph.labels().get(name) {
-            Some(id) => label_ids.push(id),
-            // A label absent from the alphabet matches no edge.
-            None => return PairSet::new(),
+    policy: &'a RowSetPolicy,
+) -> Option<impl Fn(RowSet) -> RowSet + 'a> {
+    let labels: Option<Vec<LabelId>> = post.iter().map(|l| graph.labels().get(l)).collect();
+    let labels = labels?;
+    Some(move |mut ends: RowSet| {
+        for &label in &labels {
+            let out = |v| graph.out_with_label(VertexId(v), label);
+            ends = ends.iter().flat_map(out).map(|&(_, d)| d.raw()).collect();
         }
-    }
-    let mut memo: FxHashMap<VertexId, Vec<VertexId>> = FxHashMap::default();
-    let mut out: Vec<(VertexId, VertexId)> = Vec::new();
-    for (vi, vk) in res9 {
-        let ends = memo
-            .entry(vk)
-            .or_insert_with(|| eval_label_sequence_from(graph, &label_ids, vk));
-        out.extend(ends.iter().map(|&vl| (vi, vl)));
-    }
-    PairSet::from_pairs(out)
+        ends.normalize(graph.vertex_count() as u32, policy);
+        ends
+    })
 }
 
 #[cfg(test)]
@@ -438,6 +499,38 @@ mod tests {
         assert_eq!(pairs(&out.result), vec![(2, 2), (2, 4), (2, 6)]);
         // Inserts skipped the seeded pair: 2 unchecked inserts, not 3.
         assert_eq!(stats.useless2_unchecked_inserts, 2);
+    }
+
+    #[test]
+    fn giant_scc_result_shares_one_row() {
+        // A 300-vertex R-cycle entered by 300 Pre starts, one end each:
+        // 90 000 result pairs, every start holding the cycle's one row.
+        let mut gb = rpq_graph::GraphBuilder::new();
+        gb.ensure_vertices(600);
+        let g = gb.build();
+        let r_g: PairSet = (0..300u32).map(|v| (v, (v + 1) % 300)).collect();
+        let rtc = Rtc::from_pairs(&r_g);
+        let pre: PairSet = (300..600u32).map(|v| (v, v % 300)).collect();
+        let mut stats = EliminationStats::default();
+        let out = eval_batch_unit_rtc(
+            &g,
+            &PreRelation::from(pre),
+            &rtc,
+            ClosureKind::Plus,
+            &[],
+            &mut stats,
+        );
+        assert_eq!(out.result.len(), 300 * 300);
+        assert_eq!(stats.useless2_unchecked_inserts, 300 * 300);
+        assert!(out.result.is_grouped());
+        // The shared row is charged once, not once per start.
+        let flat = PairSet::from_pairs(out.result.iter().collect());
+        assert!(
+            out.result.heap_bytes() * 100 < flat.heap_bytes(),
+            "{} vs flat {}",
+            out.result.heap_bytes(),
+            flat.heap_bytes()
+        );
     }
 
     #[test]

@@ -970,8 +970,7 @@ mod tests {
     fn elimination_stats_populated_for_rtc() {
         let g = paper_graph();
         let e = Engine::new(&g);
-        // A bare `(b.c)+` is answered by direct RTC expansion; the `Post`
-        // label sends the unit through Algorithm 2, which keeps the counters.
+        // The unit goes through Algorithm 2, which keeps the counters.
         e.evaluate_str("(b.c)+.c").unwrap();
         let s = e.elimination_stats();
         // Identity Pre over 10 vertices, 5 outside V_{b·c}.

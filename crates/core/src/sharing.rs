@@ -71,52 +71,31 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_>, q: &Regex) -> Result<PairSet, En
                     PreRelation::Pairs(eval_query(ctx, &unit.pre)?)
                 };
                 // Lines 9–11: fetch, refresh or compute the shared
-                // structure for R.
-                match obtain(ctx, &r.canonical_key(), &r)? {
+                // structure for R; line 12: the batch unit — Algorithm 2
+                // over an RTC (a bare closure, `Pre = Post = ε`, included:
+                // its rows are Theorem 2's expansion), the plain join over
+                // a full closure.
+                let shared = obtain(ctx, &r.canonical_key(), &r)?;
+                let (graph, stats) = (ctx.graph, &mut ctx.metrics.stats);
+                let out = match shared {
                     Shared::Rtc(rtc, _) => {
-                        // Theorem 2: a bare closure (`Pre = ε`, `Post = ε`)
-                        // is exactly the RTC expansion, with the identity
-                        // relation unioned in for `R*`.
-                        if matches!(pre, PreRelation::Identity(_)) && unit.post.is_empty() {
-                            let t = Instant::now();
-                            let mut result = rtc.expand_parallel(ctx.config.threads);
-                            if closure_kind == rpq_regex::ClosureKind::Star {
-                                result = result.union(&PairSet::identity(ctx.graph.vertex_count()));
-                            }
-                            ctx.metrics.breakdown.pre_join += t.elapsed();
-                            result
-                        } else {
-                            // Line 12: the optimized batch unit (Algorithm 2).
-                            let out = eval_batch_unit_rtc(
-                                ctx.graph,
-                                &pre,
-                                &rtc,
-                                closure_kind,
-                                &unit.post,
-                                &mut ctx.metrics.stats,
-                            );
-                            ctx.metrics.breakdown.pre_join += out.pre_join;
-                            out.result
-                        }
+                        eval_batch_unit_rtc(graph, &pre, &rtc, closure_kind, &unit.post, stats)
                     }
                     Shared::Full(full) => {
-                        let out = eval_batch_unit_full(
-                            ctx.graph,
-                            &pre,
-                            &full,
-                            closure_kind,
-                            &unit.post,
-                            &mut ctx.metrics.stats,
-                        );
-                        ctx.metrics.breakdown.pre_join += out.pre_join;
-                        out.result
+                        eval_batch_unit_full(graph, &pre, &full, closure_kind, &unit.post, stats)
                     }
                     Shared::Result(_) => unreachable!("obtain returns a closure structure"),
-                }
+                };
+                ctx.metrics.breakdown.pre_join += out.pre_join;
+                out.result
             }
         };
-        // Line 13: union the clause result.
-        q_g.union_in_place(&clause_g);
+        // Line 13: union the clause result (moved in while `q_g` is empty).
+        if q_g.is_empty() {
+            q_g = clause_g;
+        } else {
+            q_g.union_in_place(&clause_g);
+        }
     }
     Ok(q_g)
 }

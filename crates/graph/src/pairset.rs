@@ -67,6 +67,9 @@ impl PairSet {
     pub fn from_pairs(mut pairs: Vec<(VertexId, VertexId)>) -> Self {
         pairs.sort_unstable();
         pairs.dedup();
+        // Sets are long-lived (cached base relations and results): the
+        // slack the duplicates left is released, not carried.
+        pairs.shrink_to_fit();
         Self {
             repr: Repr::Flat(pairs),
         }
@@ -358,15 +361,21 @@ impl PairSet {
         self.iter().collect()
     }
 
-    /// Heap footprint in bytes. Grouped rows are charged in full to every
-    /// holder (an `Arc`-shared row is counted once per referencing set).
+    /// Heap footprint in bytes. A grouped row shared by several starts is
+    /// counted once (by `Arc` identity); a row this set shares with another
+    /// holder is still charged in full to each (once per referencing set).
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
             Repr::Flat(pairs) => pairs.capacity() * std::mem::size_of::<(VertexId, VertexId)>(),
             Repr::Grouped(g) => {
+                let mut counted = FxHashSet::default();
                 g.starts.capacity() * std::mem::size_of::<VertexId>()
                     + g.rows.capacity() * std::mem::size_of::<Arc<RowSet>>()
-                    + g.rows.iter().map(|r| r.heap_bytes()).sum::<usize>()
+                    + g.rows
+                        .iter()
+                        .filter(|r| counted.insert(Arc::as_ptr(r)))
+                        .map(|r| r.heap_bytes())
+                        .sum::<usize>()
             }
         }
     }
@@ -898,5 +907,25 @@ mod tests {
         // starts + Arc spine + row payloads, all non-zero here.
         assert!(g.heap_bytes() >= 3 * 4);
         assert_eq!(PairSet::new().heap_bytes(), 0);
+    }
+
+    #[test]
+    fn heap_bytes_charges_a_shared_row_once() {
+        let row = Arc::new(RowSet::dense_from_iter(2048, (0..2048).step_by(3)));
+        let spine =
+            |n: usize| n * (std::mem::size_of::<VertexId>() + std::mem::size_of::<Arc<RowSet>>());
+        let shared = PairSet::from_grouped_rows(
+            (0..1000).map(|s| (VertexId(s), Arc::clone(&row))).collect(),
+        );
+        let bytes = shared.heap_bytes();
+        assert!(bytes >= spine(1000) + row.heap_bytes(), "{bytes}");
+        assert!(bytes < 2 * spine(1000) + row.heap_bytes(), "{bytes}");
+        // Equal but distinct rows are distinct allocations: each is charged.
+        let copies = PairSet::from_grouped_rows(
+            (0..1000)
+                .map(|s| (VertexId(s), Arc::new((*row).clone())))
+                .collect(),
+        );
+        assert_eq!(copies.heap_bytes() - bytes, 999 * row.heap_bytes());
     }
 }

@@ -405,6 +405,29 @@ impl RowSet {
         out
     }
 
+    /// `⋃ rows` as one new row, normalized per `policy` against `universe`.
+    /// When the summed lengths reach the policy's dense side the rows are
+    /// OR-ed into a bitset (word-parallel for dense rows); otherwise their
+    /// elements are gathered and sorted once — never a chain of pairwise
+    /// sorted merges.
+    pub fn union_all<'a, I>(rows: I, universe: u32, policy: &RowSetPolicy) -> RowSet
+    where
+        I: Iterator<Item = &'a RowSet> + Clone,
+    {
+        let bound = rows.clone().map(RowSet::len).sum();
+        let mut out = if policy.wants_dense(bound, universe) {
+            let mut acc = RowSet::dense_from_iter(universe, []);
+            for row in rows {
+                acc.union_in_place(row);
+            }
+            acc
+        } else {
+            RowSet::from_unsorted(rows.flat_map(RowSet::iter).collect())
+        };
+        out.normalize(universe, policy);
+        out
+    }
+
     /// `self ∩ other` as a new set (dense if `self` is dense).
     pub fn intersect(&self, other: &RowSet) -> RowSet {
         match (self, other) {
@@ -589,6 +612,7 @@ impl FromIterator<u32> for RowSet {
 }
 
 /// Ascending iterator over a [`RowSet`]'s elements.
+#[derive(Clone)]
 pub enum RowIter<'a> {
     /// Sparse backing: slice iteration.
     Sparse(std::slice::Iter<'a, u32>),
@@ -768,6 +792,33 @@ mod tests {
                 assert!(!r.union_in_place(&rhs));
             }
         }
+    }
+
+    #[test]
+    fn union_all_matches_pairwise_union_under_every_policy() {
+        let rows = [
+            sparse(&[1, 5, 70]),
+            dense(&[0, 5, 64, 200]),
+            RowSet::empty(),
+        ];
+        let want = vec![0u32, 1, 5, 64, 70, 200];
+        for policy in [
+            RowSetPolicy::adaptive(),
+            RowSetPolicy::sparse(),
+            RowSetPolicy::dense(),
+        ] {
+            // Universe 8: the bound lands on the dense side under adaptive;
+            // universe 4096: on the sparse side.
+            for universe in [8, 4096] {
+                let u = RowSet::union_all(rows.iter(), universe, &policy);
+                assert_eq!(u.to_vec(), want, "{policy:?} @ {universe}");
+                let mut expect = u.clone();
+                expect.normalize(universe, &policy);
+                assert_eq!(u.is_dense(), expect.is_dense(), "normalized");
+            }
+        }
+        let none = RowSet::union_all([].iter(), 64, &RowSetPolicy::dense());
+        assert!(none.is_empty() && !none.is_dense());
     }
 
     #[test]

@@ -17,6 +17,8 @@ pub struct FullTc {
     /// (hybrid sparse/dense per the build policy).
     rows: RowTable,
     pair_count: usize,
+    /// Representation policy used for closure rows and joined rows.
+    policy: RowSetPolicy,
 }
 
 impl FullTc {
@@ -50,6 +52,7 @@ impl FullTc {
             mapping: gr.mapping,
             rows,
             pair_count,
+            policy: *policy,
         }
     }
 
@@ -67,7 +70,13 @@ impl FullTc {
             mapping,
             rows,
             pair_count,
+            policy: RowSetPolicy::default(),
         }
+    }
+
+    /// The row-representation policy this closure was built with.
+    pub fn policy(&self) -> &RowSetPolicy {
+        &self.policy
     }
 
     /// Number of pairs in `R⁺_G` — FullSharing's shared-data size (Fig. 12).

@@ -139,7 +139,34 @@ fn print_usage() {
     eprintln!("Commands: see 'help' in the session or docs/QUERY_LANGUAGE.md.");
 }
 
+/// Pins glibc's heap trim and mmap thresholds at the ceiling its own
+/// dynamic rule reaches (mmap 32 MiB, trim twice that). Left dynamic, they
+/// only rise once a block that large has been freed, so whether a freed
+/// heap top goes back to the kernel — to be faulted in again by the next
+/// query — depends on allocation history: a process whose results are
+/// shared rows never frees a block big enough, and every `reset cache`
+/// returned megabytes that the next cold query faulted back in.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_heap_thresholds() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_TRIM_THRESHOLD: i32 = -1;
+    const M_MMAP_THRESHOLD: i32 = -3;
+    const MMAP_CEILING: i32 = 32 << 20;
+    // SAFETY: `mallopt` only sets allocator parameters; it is called once,
+    // before this process starts any other thread.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, MMAP_CEILING);
+        mallopt(M_TRIM_THRESHOLD, 2 * MMAP_CEILING);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn pin_heap_thresholds() {}
+
 fn main() -> ExitCode {
+    pin_heap_thresholds();
     let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {

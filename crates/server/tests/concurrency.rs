@@ -461,9 +461,8 @@ fn pair_count(status: &str) -> usize {
 /// from the per-epoch result cache — with the identical count.
 #[test]
 fn mvcc_slow_query_stays_pinned_while_writers_publish() {
-    // RMAT_3 at 2^13 vertices: `l0+` materializes ~10M closure pairs —
-    // over a second of work even in a debug build with dense bitset rows
-    // (2^12 used to suffice, but the hybrid representation got too fast).
+    // RMAT_3 at 2^14 vertices: `l0+` holds ~32M closure pairs — over a
+    // second of work in a debug build even with one shared row per SCC.
     // The budget is pinned unbounded: the test asserts the pinned re-read
     // is a *view hit*, and a result this size outgrows any stress budget
     // an RPQ_CACHE_BUDGET CI leg might set (eviction would downgrade the
@@ -473,7 +472,7 @@ fn mvcc_slow_query_stays_pinned_while_writers_publish() {
             cache_budget: rpq_core::CacheBudget::default(),
             ..base_config()
         },
-        &["gen rmat 3 13 42".to_string()],
+        &["gen rmat 3 14 42".to_string()],
     );
     let mut a = Client::connect(addr);
     let mut b = Client::connect(addr);
@@ -662,10 +661,9 @@ proptest! {
 /// orders of magnitude earlier.
 #[test]
 fn slow_query_does_not_block_fast_reader() {
-    // RMAT_3 at 2^13 vertices: `l0+` materializes ~10M closure pairs —
-    // over a second of work in a debug build even with dense bitset rows,
-    // comfortably slow everywhere.
-    let addr = spawn_server(&["gen rmat 3 13 42".to_string()]);
+    // RMAT_3 at 2^14 vertices: `l0+` holds ~32M closure pairs — over a
+    // second of work in a debug build, comfortably slow everywhere.
+    let addr = spawn_server(&["gen rmat 3 14 42".to_string()]);
     let mut a = Client::connect(addr);
     let mut b = Client::connect(addr);
     a.roundtrip("limit 0");

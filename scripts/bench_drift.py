@@ -39,8 +39,9 @@ MEM_SUFFIX = "(B)"
 MIN_GATED_SECONDS = 1e-3
 # Ratio columns ("2.42x") are measured values too: they must not be part
 # of row keys, or a drifting speedup silently de-pairs the row and skips
-# the timing/memory comparison entirely.
-RATIO_MARKERS = ("speedup", "ratio", "vs ")
+# the timing/memory comparison entirely. "/RTC" names the per-strategy
+# ratios of figs 10, 12 and 14 ("Full/RTC", "No/RTC").
+RATIO_MARKERS = ("speedup", "ratio", "vs ", "/RTC")
 
 
 def is_measured_col(name):
@@ -253,6 +254,24 @@ def self_test():
     assert row_key(header, base["rows"][0]) == ("A", "10")
     assert is_measured_col("vs sparse") and is_measured_col("time ratio")
     assert not is_measured_col("dense rows")
+    # Fig 10/14 rows pair on (dataset, #RPQs) even when their Full/RTC and
+    # No/RTC ratios move many-fold, and their timings are then compared.
+    fig14 = ["dataset", "#RPQs", "No(s)", "Full(s)", "RTC(s)", "Full/RTC", "No/RTC"]
+
+    def fig14_table(rtc, full_ratio, no_ratio):
+        row = dict(zip(fig14, ["RMAT_3", "4", "0.500", "0.100", rtc, full_ratio, no_ratio]))
+        return {"title": "Fig 14", "header": fig14, "rows": [row]}
+
+    results = list(
+        compare_tables(
+            fig14_table("0.050", "2.00x", "10.00x"),
+            fig14_table("0.100", "1.00x", "5.00x"),
+            25.0,
+            25.0,
+        )
+    )
+    assert [s for s, _ in results] == ["regression"], results
+    assert "RMAT_3/4 · RTC(s)" in results[0][1], results
     print("bench_drift.py self-test: OK")
     return 0
 

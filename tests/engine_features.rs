@@ -92,8 +92,8 @@ fn explain_renders_paper_recursion_tree() {
 }
 
 /// Theorem 2 on random bare closures: the general Algorithm-2 join with
-/// `Pre = Post = ε` is exactly the Theorem-1 expansion of the RTC (plus
-/// the identity for `R*`) — which is what the engine answers with.
+/// `Pre = Post = ε` — the path the engine answers them with — is exactly
+/// the Theorem-1 expansion of the RTC (plus the identity for `R*`).
 #[test]
 fn fast_path_equivalence_randomized() {
     let mut r = rng(107);
