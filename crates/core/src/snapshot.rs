@@ -90,7 +90,12 @@ pub fn matches_magic(head: &[u8]) -> bool {
 }
 
 /// Writes the engine's full serving state (graph + fresh cache entries).
-pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<(), EngineError> {
+/// Returns `(written, trimmed)`: the cache entries the snapshot holds, and
+/// the fresh ones a bounded budget left out.
+pub fn write_snapshot<W: Write>(
+    engine: &Engine<'_>,
+    mut w: W,
+) -> Result<(usize, usize), EngineError> {
     w.write_all(&MAGIC).map_err(io_err)?;
     rpq_graph::snapshot::write_graph_snapshot(engine.graph(), engine.epoch(), &mut w)?;
 
@@ -103,7 +108,7 @@ pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<(), Eng
     // highest-score subset that fits — same score as eviction
     // (cost-to-rebuild per byte), ties broken by key then namespace, so
     // equal states trim identically.
-    let budget = cache.budget();
+    let (budget, fresh) = (cache.budget(), entries.len());
     if !budget.is_unbounded() {
         entries.sort_by(|a, b| {
             score(b.build_nanos, b.bytes)
@@ -164,7 +169,7 @@ pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<(), Eng
 
     w.write_all(&END_MARKER).map_err(io_err)?;
     w.flush().map_err(io_err)?;
-    Ok(())
+    Ok((entries.len(), fresh - entries.len()))
 }
 
 /// Reads an engine snapshot, returning a warm engine that owns its graph
@@ -256,10 +261,38 @@ pub fn read_snapshot<R: Read>(
     Ok(engine)
 }
 
-/// Writes the engine's serving state to a snapshot file.
-pub fn save_snapshot(engine: &Engine<'_>, path: &Path) -> Result<(), EngineError> {
-    let file = std::fs::File::create(path).map_err(io_err)?;
-    write_snapshot(engine, std::io::BufWriter::new(file))
+/// Writes the engine's serving state to a snapshot file, returning
+/// [`write_snapshot`]'s counts. The file is written whole to `<path>.tmp`,
+/// synced, and renamed over `path`, so a failed or interrupted save leaves
+/// any previous snapshot at `path` intact.
+pub fn save_snapshot(engine: &Engine<'_>, path: &Path) -> Result<(usize, usize), EngineError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let file = std::fs::File::create(&tmp).map_err(io_err)?;
+    let written = write_synced(engine, file).and_then(|counts| {
+        std::fs::rename(&tmp, path).map_err(io_err)?;
+        // The rename survives a crash once the directory entry is synced.
+        if cfg!(unix) {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            let dir = std::fs::File::open(dir.unwrap_or(Path::new("."))).map_err(io_err)?;
+            dir.sync_all().map_err(io_err)?;
+        }
+        Ok(counts)
+    });
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    written
+}
+
+/// Writes the snapshot into `file` through a buffer and syncs it to disk.
+fn write_synced(engine: &Engine<'_>, file: std::fs::File) -> Result<(usize, usize), EngineError> {
+    let mut w = std::io::BufWriter::new(file);
+    let counts = write_snapshot(engine, &mut w)?;
+    let file = w.into_inner().map_err(|e| io_err(e.into_error()))?;
+    file.sync_all().map_err(io_err)?;
+    Ok(counts)
 }
 
 /// Loads a warm engine from a snapshot file.
@@ -740,7 +773,9 @@ mod tests {
             "the pin must hold the live cache over budget"
         );
 
-        let bytes = snapshot_bytes(&engine);
+        let mut bytes = Vec::new();
+        let counts = write_snapshot(&engine, &mut bytes).unwrap();
+        assert_eq!(counts, (1, 1), "one entry written, one trimmed");
         drop(view);
         let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
         assert_eq!(

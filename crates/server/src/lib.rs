@@ -11,15 +11,18 @@
 //!   `rpq_regex` parser → `rpq_automata`/`rpq_core` pipeline, apply
 //!   `GraphDelta` mutations online, switch strategies, inspect metrics
 //!   and cache state, and save/load snapshots.
-//! * [`session`] — the serving state: a write-locked
-//!   [`session::EngineState`] (the engine owning its graph, epoch-aware
-//!   cache attached) that only mutating commands touch, a short
-//!   retention ring of MVCC published views ([`session::PublishedView`])
-//!   whose newest entry read commands serve from without any engine
-//!   lock and whose older ones back `query … at <epoch>` time travel, and a
-//!   per-connection [`session::ConnectionOverlay`]
-//!   (`strategy`/`threads`/`limit`/`binary`); the single execution path
-//!   behind both transports.
+//! * [`state`] — the serving state: a write-locked engine (owning its
+//!   graph, epoch-aware cache attached) that only mutating commands
+//!   touch, and a short retention ring of MVCC published views
+//!   ([`state::PublishedView`]) whose newest entry read commands serve
+//!   from without any engine lock and whose older ones back
+//!   `query … at <epoch>` time travel.
+//! * [`session`] — one connection's [`session::Session`]: its
+//!   [`session::ConnectionOverlay`] (`strategy`/`threads`/`limit`/`binary`),
+//!   command dispatch, and the one serve loop behind both transports.
+//! * [`reply`] — what a command answers and the bytes it leaves as: the
+//!   [`reply::Response`] written straight into a buffered sink, flushed
+//!   once per reply, and the text of `info`/`metrics`/`cache`/result lines.
 //! * [`repl`] — the interactive/pipeable CLI loop (`rpq repl`).
 //! * [`tcp`] — the same commands as a line-delimited TCP protocol
 //!   (`rpq serve`), every connection sharing one engine so client A's
@@ -49,15 +52,16 @@
 
 pub mod command;
 pub mod repl;
+pub mod reply;
 pub mod session;
+pub mod state;
 pub mod tcp;
 pub mod wire;
 
 pub use command::{parse_command, Command, DeltaOp};
 pub use repl::run_repl;
-pub use session::{
-    ConnectionOverlay, EngineState, PublishedView, Response, ServerState, Session, SharedEngine,
-    Status, DEFAULT_MAX_CONNS, RETAINED_VIEWS,
-};
+pub use reply::{Response, Status};
+pub use session::{ConnectionOverlay, Session};
+pub use state::{PublishedView, ServerState, SharedEngine, DEFAULT_MAX_CONNS, RETAINED_VIEWS};
 pub use tcp::{handle_connection, serve};
 pub use wire::BinaryResult;

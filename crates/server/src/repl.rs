@@ -3,9 +3,9 @@
 //! The loop is transport-agnostic on purpose — it reads any `BufRead` and
 //! writes any `Write` — so the integration tests drive it end to end over
 //! an in-memory pipe, and `rpq repl < script.rpq` works for batch use.
-//! Responses use the same `payload lines + OK/ERR status line` framing as
-//! the TCP protocol ([`crate::tcp`]), so a script is portable between the
-//! two front-ends.
+//! It is the same loop the TCP protocol ([`crate::tcp`]) runs, so
+//! responses use the same `payload lines + OK/ERR status line` framing
+//! and a script is portable between the two front-ends.
 //!
 //! When stdout is a terminal, a `rpq> ` prompt is written to **stderr**
 //! between commands; piped stdout therefore contains only responses.
@@ -20,31 +20,10 @@ use std::io::{BufRead, IsTerminal, Write};
 pub fn run_repl<R: BufRead, W: Write>(
     session: &mut Session,
     input: R,
-    mut output: W,
+    output: W,
 ) -> std::io::Result<u64> {
-    let interactive = std::io::stdout().is_terminal();
-    let mut executed = 0u64;
-    prompt(interactive);
-    for line in input.lines() {
-        let line = line?;
-        if let Some(response) = session.execute(&line) {
-            executed += 1;
-            response.write_to(&mut output)?;
-            output.flush()?;
-            if response.quit {
-                break;
-            }
-        }
-        prompt(interactive);
-    }
-    Ok(executed)
-}
-
-fn prompt(interactive: bool) {
-    if interactive {
-        eprint!("rpq> ");
-        let _ = std::io::stderr().flush();
-    }
+    let prompt = std::io::stdout().is_terminal().then_some("rpq> ");
+    session.serve(input, output, prompt)
 }
 
 #[cfg(test)]

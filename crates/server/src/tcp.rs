@@ -4,7 +4,8 @@
 //! ## Protocol
 //!
 //! * On connect the server sends one greeting line: `OK rtc-rpq ready`.
-//! * Each request is **one line** in the [`crate::command`] language.
+//! * Each request is **one line** in the [`crate::command`] language; a
+//!   line that is not UTF-8 is answered `ERR request is not valid UTF-8`.
 //! * Each response is zero or more payload lines followed by exactly one
 //!   status line starting with `OK ` or `ERR ` — read lines until one of
 //!   those prefixes and the response is complete (payload lines are
@@ -15,18 +16,18 @@
 //! * `quit` answers `OK bye` and closes **the connection**; the server
 //!   keeps listening.
 //! * When the simultaneous-connection cap (`--max-conns`, default
-//!   [`crate::session::DEFAULT_MAX_CONNS`]) is reached, a new connection
+//!   [`crate::state::DEFAULT_MAX_CONNS`]) is reached, a new connection
 //!   receives exactly one `ERR busy …` line and is closed — no greeting,
 //!   no session.
 //!
 //! ## Sharing and concurrency
 //!
-//! All connections serve one [`crate::session::ServerState`] — one
+//! All connections serve one [`crate::state::ServerState`] — one
 //! long-lived engine, one epoch-aware `SharedCache` — each connection
 //! holding its own [`Session`] (per-connection overlay: `strategy`,
 //! `threads`, `limit`, `binary`). Read-only commands never lock the
 //! engine: they grab the currently published
-//! [`crate::session::PublishedView`] (an immutable MVCC epoch view) with
+//! [`crate::state::PublishedView`] (an immutable MVCC epoch view) with
 //! one `Arc` clone and evaluate against that snapshot, so a slow `query`
 //! on one connection never blocks anything on another — not even a
 //! concurrent `delta`. Mutating commands (`delta`, `load`, `gen`, `save`,
@@ -41,8 +42,9 @@
 //! semantics — the server fronts *one* graph. `query … at <epoch>`
 //! addresses a retained older view (time travel).
 
-use crate::session::{Session, SharedEngine};
-use std::io::{BufRead, BufReader, Write};
+use crate::session::Session;
+use crate::state::SharedEngine;
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -71,7 +73,7 @@ impl Drop for ConnGuard {
 
 /// Serves connections from `listener` forever, one thread per client, up
 /// to the shared state's connection cap
-/// ([`crate::session::ServerState::set_max_conns`]; over-limit
+/// ([`crate::state::ServerState::set_max_conns`]; over-limit
 /// connections get one `ERR busy …` line and are closed).
 /// Never returns under normal operation; returns the accept-loop error if
 /// the listener dies.
@@ -100,36 +102,19 @@ pub fn serve(listener: TcpListener, shared: SharedEngine) -> std::io::Result<()>
 }
 
 /// Drives one client connection to completion (EOF or `quit`). Returns
-/// the number of commands executed on behalf of this client.
+/// the number of replies sent to this client.
+///
+/// The socket gets `TCP_NODELAY` and the one serve loop both front-ends
+/// run, which flushes each reply once through a `BufWriter`: a reply's
+/// last segment never waits for the client's delayed ACK.
 pub fn handle_connection(stream: TcpStream, shared: &SharedEngine) -> std::io::Result<u64> {
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+    stream.set_nodelay(true)?;
+    (&stream).write_all(format!("{GREETING}\n").as_bytes())?;
     // This connection's session: shared engine, private overlay. Locking
-    // happens *inside* command dispatch — read commands take the shared
-    // read lock (concurrent with other readers), mutating commands the
-    // write lock — so no lock is ever held between commands, and a
-    // panicked command's poisoning is cleared by the session's lock
-    // helpers (state is consistent at command granularity).
+    // happens *inside* command dispatch, so no lock is ever held between
+    // commands.
     let mut session = Session::attach(Arc::clone(shared));
-    writeln!(writer, "{GREETING}")?;
-    writer.flush()?;
-    let mut executed = 0u64;
-    for line in reader.lines() {
-        let line = line?;
-        if let Some(response) = session.execute(&line) {
-            executed += 1;
-            // Up to three write_alls per response (`Response::write_to`).
-            // Bytes of two responses on one connection cannot interleave
-            // only because this thread alone writes to the socket;
-            // responses to *other* connections ride their own sockets.
-            response.write_to(&mut writer)?;
-            writer.flush()?;
-            if response.quit {
-                break;
-            }
-        }
-    }
-    Ok(executed)
+    session.serve(BufReader::new(stream.try_clone()?), stream, None)
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
 //! End-to-end tests of the `rpq` binary: the REPL command loop driven
-//! over a real pipe, and a warm restart across two separate processes.
+//! over a real pipe, `rpq serve` over a real socket, and a warm restart
+//! across two separate processes.
 
-use std::io::Write;
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::process::{Child, ChildStderr, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Runs `rpq repl` with `script` piped to stdin, returning stdout.
-fn run_repl_process(args: &[&str], script: &str) -> (String, bool) {
+fn run_repl_process(args: &[&str], script: impl AsRef<[u8]>) -> (String, bool) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_rpq"))
         .arg("repl")
         .args(args)
@@ -18,7 +21,7 @@ fn run_repl_process(args: &[&str], script: &str) -> (String, bool) {
         .stdin
         .take()
         .expect("stdin piped")
-        .write_all(script.as_bytes())
+        .write_all(script.as_ref())
         .expect("write script");
     let out = child.wait_with_output().expect("wait for rpq");
     (
@@ -170,4 +173,100 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad RPQ_REPR"), "{stderr}");
+}
+
+/// A running `rpq serve --addr 127.0.0.1:0`, killed on drop.
+struct Server {
+    child: Child,
+    stderr: BufReader<ChildStderr>,
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
+    }
+}
+
+/// One client of a fresh `rpq serve` on the port its `listening on` line
+/// names, past the greeting.
+fn serve_and_connect() -> (Server, BufReader<TcpStream>, TcpStream) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rpq"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rpq serve");
+    let stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let mut server = Server { child, stderr };
+    let mut line = String::new();
+    server.stderr.read_line(&mut line).expect("listening line");
+    let addr = line
+        .strip_prefix("listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in '{line}'"));
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    let writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    assert_eq!(read_reply(&mut reader), ["OK rtc-rpq ready"]);
+    (server, reader, writer)
+}
+
+/// Sends `request` in one write and reads the reply through its status
+/// line.
+fn roundtrip(reader: &mut impl BufRead, writer: &mut impl Write, request: &[u8]) -> Vec<String> {
+    writer.write_all(request).unwrap();
+    read_reply(reader)
+}
+
+fn read_reply(reader: &mut impl BufRead) -> Vec<String> {
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "server hung up");
+        let line = line.trim_end().to_string();
+        let done = line.starts_with("OK ") || line.starts_with("ERR ");
+        lines.push(line);
+        if done {
+            return lines;
+        }
+    }
+}
+
+/// Each reply leaves in one flush on a `TCP_NODELAY` socket, so a reply
+/// with payload lines never waits ~40 ms for the client's delayed ACK.
+#[test]
+fn serve_replies_with_payload_do_not_stall() {
+    let (_server, mut r, mut w) = serve_and_connect();
+    roundtrip(&mut r, &mut w, b"gen paper\n");
+    let t = Instant::now();
+    for _ in 0..20 {
+        let reply = roundtrip(&mut r, &mut w, b"query d.(b.c)+.c\n");
+        assert_eq!(reply[..2], ["  v7 -> v3", "  v7 -> v5"]);
+        assert!(reply[2].starts_with("OK 2 pairs"), "{reply:?}");
+    }
+    let elapsed = t.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 round trips took {elapsed:?}"
+    );
+}
+
+/// Any byte sequence yields `ERR`: a request that is not UTF-8 is answered
+/// in-band on both transports, and serving goes on.
+#[test]
+fn non_utf8_requests_are_errors_on_both_transports() {
+    let (_server, mut r, mut w) = serve_and_connect();
+    let reply = roundtrip(&mut r, &mut w, b"\xff\xfe\n");
+    assert_eq!(reply, ["ERR request is not valid UTF-8"]);
+    let reply = roundtrip(&mut r, &mut w, b"info\n");
+    assert!(reply[0].starts_with("OK graph 'empty'"), "{reply:?}");
+
+    let (stdout, ok) = run_repl_process(&[], b"\xff\xfe\ninfo\n");
+    assert!(ok, "rpq repl exited nonzero; stdout:\n{stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines[0], "ERR request is not valid UTF-8");
+    assert!(lines[1].starts_with("OK graph 'empty'"), "{stdout}");
+    assert_eq!(lines.len(), 2, "{stdout}");
 }
