@@ -15,9 +15,10 @@
 //! whole materialized results ([`Shared::Result`]) for pinned
 //! [`crate::EpochView`] readers, keyed by epoch + canonical query — the
 //! epoch is part of the key, so a probe there is `Fresh` or `Miss`, never
-//! `Stale` — capped at [`crate::DEFAULT_RESULT_CACHE_ENTRIES`] entries and
-//! never pinned. Lookup, insert, budget, victim order and counters are the
-//! same code for both.
+//! `Stale` — never pinned, and built `SharedCache::beside` the
+//! structural one: the two tiers are **one budget account**, settled by
+//! evicting results only. Lookup, insert, budget, victim order and
+//! counters are the same code for both.
 //!
 //! For dynamic graphs every entry additionally records the **epoch** it
 //! was built at and the base relation `R_G` it was built from. The cache
@@ -55,12 +56,13 @@
 //!
 //! ## Budgets and eviction
 //!
-//! By default the cache is unbounded — every distinct closure body pins
-//! its structures forever. A [`CacheBudget`] (engine-config field, the
-//! `RPQ_CACHE_BUDGET` environment variable, or the `rpq --cache-budget`
-//! flag) caps the retained footprint: every entry records its heap bytes,
-//! the wall-clock nanos spent building it (the cost to rebuild) and a
-//! last-hit tick, and whenever an insert pushes the cache over
+//! By default the cache is unbounded — every closure body keeps its
+//! structures and every query its result at each reachable epoch. A
+//! [`CacheBudget`] (engine-config field, the `RPQ_CACHE_BUDGET` environment
+//! variable, or the `rpq --cache-budget` flag) caps both tiers' retained
+//! footprint: every entry records its bytes (payload, key and map slot —
+//! no entry is free), the wall-clock nanos spent building it (the cost to
+//! rebuild) and a last-hit tick, and whenever an insert pushes the account over
 //! `max_bytes`/`max_entries` the entry with the lowest
 //! `cost_to_rebuild / bytes` score is evicted. Scores are compared by
 //! order of magnitude (power-of-8 buckets): measured build times jitter
@@ -109,11 +111,12 @@ const EVICTED_KEYS_CAP: usize = 4096;
 /// environment variable or the server's `--cache-budget` flag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheBudget {
-    /// Maximum retained heap bytes (structures plus recorded base
-    /// relations, every namespace combined); `None` = unbounded.
+    /// Maximum retained bytes (every entry's payload, base relation, key
+    /// and map slot, structures and results combined); `None` =
+    /// unbounded.
     pub max_bytes: Option<usize>,
-    /// Maximum number of retained entries, every namespace combined;
-    /// `None` = unbounded.
+    /// Maximum number of retained entries, both tiers combined; `None` =
+    /// unbounded.
     pub max_entries: Option<usize>,
 }
 
@@ -256,9 +259,9 @@ pub(crate) fn score(build_nanos: u64, bytes: usize) -> f64 {
 
 /// Per-entry retention metadata: everything eviction scores on.
 struct EntryMeta {
-    /// Retained heap bytes: the structure (an RTC's maintainable form
-    /// included, once a refresh has built one) plus its recorded base
-    /// relation.
+    /// Retained bytes: the structure (an RTC's maintainable form included,
+    /// once a refresh has built one), its recorded base relation, its key
+    /// and [`SLOT_BYTES`] — so an empty result costs something too.
     bytes: usize,
     /// Wall-clock nanos spent building the structure — the cost a future
     /// miss would pay again. 0 when the insert path measured none, which
@@ -387,8 +390,8 @@ pub struct FreshEntry {
     pub r_g: Option<Arc<PairSet>>,
     /// Its cost-to-rebuild.
     pub build_nanos: u64,
-    /// Heap bytes of what a snapshot would persist: the structure as
-    /// handed out here plus its base relation.
+    /// What the entry charges the byte budget once a snapshot loads it
+    /// back: its charge here, less the maintainable form it never writes.
     pub bytes: usize,
 }
 
@@ -413,6 +416,10 @@ pub struct KindTotals {
 }
 
 type Map = FxHashMap<String, Entry>;
+
+/// What one map slot costs beyond the heap its key and payload own: the
+/// `(String, Entry)` pair inline, plus the hash table's control byte.
+const SLOT_BYTES: usize = std::mem::size_of::<(String, Entry)>() + 1;
 
 /// One shard of the cache interior: a lock-protected map per
 /// [`SharingKind`].
@@ -454,6 +461,9 @@ pub struct SharedCache {
     /// Keys evicted under budget pressure, consumed by the first
     /// subsequent miss to count a rebuild-after-evict.
     evicted_keys: Mutex<FxHashSet<(SharingKind, String)>>,
+    /// The instance this one sits [`SharedCache::beside`], whose
+    /// occupancy is charged to this one's budget too.
+    beside: Option<Arc<SharedCache>>,
 }
 
 /// Acquires a shard read lock, clearing poisoning: a panicked evaluation
@@ -483,6 +493,17 @@ impl SharedCache {
     pub fn with_budget(budget: CacheBudget) -> Self {
         Self {
             budget,
+            ..Self::default()
+        }
+    }
+
+    /// An empty cache at epoch 0 sharing `structures`' budget as one
+    /// account: its checks count both instances' occupancy, and only its
+    /// own entries are evicted to settle them (the engine's result tier).
+    pub(crate) fn beside(structures: Arc<SharedCache>) -> Self {
+        Self {
+            budget: structures.budget,
+            beside: Some(structures),
             ..Self::default()
         }
     }
@@ -633,7 +654,8 @@ impl SharedCache {
         epoch: u64,
         build: Duration,
     ) {
-        let bytes = shared.heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
+        let payload = shared.heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
+        let bytes = payload + key.capacity() + SLOT_BYTES;
         let meta = EntryMeta {
             bytes,
             build_nanos: build.as_nanos() as u64,
@@ -694,8 +716,7 @@ impl SharedCache {
                         let shared = e.shared.reader();
                         FreshEntry {
                             key: key.clone(),
-                            bytes: shared.heap_bytes()
-                                + e.r_g.as_ref().map_or(0, |p| p.heap_bytes()),
+                            bytes: e.meta.bytes - e.shared.heap_bytes() + shared.heap_bytes(),
                             shared,
                             r_g: e.r_g.clone(),
                             build_nanos: e.meta.build_nanos,
@@ -779,9 +800,9 @@ impl SharedCache {
         }
     }
 
-    /// Retained heap bytes across every namespace (structures plus
-    /// recorded base relations and maintainable forms — the footprint the
-    /// byte budget governs; [`KindTotals::heap_bytes`] measures the closure
+    /// Retained bytes across every namespace (payloads, base relations,
+    /// maintainable forms, keys and map slots — the footprint the byte
+    /// budget governs; [`KindTotals::heap_bytes`] measures the closure
     /// rows alone).
     pub fn occupancy_bytes(&self) -> usize {
         self.occ_bytes.load(Ordering::Acquire) as usize
@@ -817,19 +838,22 @@ impl SharedCache {
         lock(&self.pinned).contains_key(&epoch)
     }
 
-    /// Evicts lowest-score entries until the byte/entry budget holds (or
-    /// only pinned entries remain — enforcement is best-effort under
-    /// pins). [`SharedCache::insert`] calls this itself; it is public for
-    /// callers that want the budget re-settled after a pin drops, and for
-    /// tests.
+    /// Evicts this instance's lowest-score entries until the byte/entry
+    /// budget holds over it plus the instance it sits beside (or only
+    /// pinned entries remain — best-effort under pins). [`SharedCache::insert`]
+    /// calls this itself; it is public for callers that want the budget
+    /// re-settled after a pin drops or the instance beside grew, and for tests.
     pub fn enforce_budget(&self) {
         let (max_bytes, max_entries) = (self.budget.max_bytes, self.budget.max_entries);
         if max_bytes.is_none() && max_entries.is_none() {
             return;
         }
+        let beside = self.beside.as_deref();
         loop {
-            let over_bytes = max_bytes.is_some_and(|b| self.occupancy_bytes() > b);
-            let over_entries = max_entries.is_some_and(|e| self.occupancy_entries() > e);
+            let bytes = self.occupancy_bytes() + beside.map_or(0, Self::occupancy_bytes);
+            let entries = self.occupancy_entries() + beside.map_or(0, Self::occupancy_entries);
+            let over_bytes = max_bytes.is_some_and(|b| bytes > b);
+            let over_entries = max_entries.is_some_and(|e| entries > e);
             if !over_bytes && !over_entries {
                 return;
             }
@@ -975,10 +999,10 @@ mod tests {
         c.totals(kind).entries
     }
 
-    /// Bytes one costed sample entry of `kind` occupies.
-    fn unit_bytes(kind: SharingKind) -> usize {
+    /// Bytes one costed sample entry of `kind` under `key` occupies.
+    fn unit_bytes(kind: SharingKind, key: &str) -> usize {
         let probe = SharedCache::new();
-        insert_costed(&probe, kind, "probe", 0, 1);
+        insert_costed(&probe, kind, key, 0, 1);
         probe.occupancy_bytes()
     }
 
@@ -1273,17 +1297,17 @@ mod tests {
     #[test]
     fn byte_budget_evicts_lowest_score_first() {
         for_all_kinds(|kind| {
-            let unit = unit_bytes(kind);
+            let room = unit_bytes(kind, "expensive") + unit_bytes(kind, "middling");
             let c = SharedCache::with_budget(CacheBudget {
-                max_bytes: Some(2 * unit),
+                max_bytes: Some(room),
                 ..Default::default()
             });
             insert_costed(&c, kind, "expensive", 0, 30_000);
             insert_costed(&c, kind, "cheap", 0, 1_000);
             insert_costed(&c, kind, "middling", 0, 20_000);
-            // Equal bytes, so the lowest build cost scores lowest and goes.
+            // Near-equal bytes, so the lowest build cost scores lowest and goes.
             assert_eq!(c.occupancy_entries(), 2);
-            assert!(c.occupancy_bytes() <= 2 * unit);
+            assert!(c.occupancy_bytes() <= room);
             assert!(c.contains_fresh(kind, "expensive"));
             assert!(c.contains_fresh(kind, "middling"));
             assert!(!c.contains_fresh(kind, "cheap"));
@@ -1316,7 +1340,9 @@ mod tests {
                 Duration::from_nanos(1),
             )
         };
-        let plain = unit_bytes(RtcKind);
+        let c = SharedCache::new();
+        insert_costed(&c, RtcKind, "k", 0, 1);
+        let plain = c.occupancy_bytes();
         let c = SharedCache::new();
         insert_refreshed(&c);
         assert_eq!(c.occupancy_bytes(), plain + held);
@@ -1441,7 +1467,7 @@ mod tests {
     #[test]
     fn retain_epochs_drops_exactly_the_unreachable() {
         for_all_kinds(|kind| {
-            let unit = unit_bytes(kind);
+            let unit = unit_bytes(kind, "0@q");
             // Bounded (but roomy), so `note_miss` does consult the set.
             let c = SharedCache::with_budget(CacheBudget {
                 max_entries: Some(16),
@@ -1534,5 +1560,112 @@ mod tests {
             "recency {} hits vs FIFO {fifo_hits}",
             cache.hits()
         );
+    }
+
+    /// A result instance beside a structural one is one account: its
+    /// checks count both tiers, it only ever evicts its own entries, and a
+    /// structure never yields to a result — however cheap the structure.
+    #[test]
+    fn results_beside_structures_are_one_account() {
+        let structures = Arc::new(SharedCache::with_budget(CacheBudget {
+            max_entries: Some(3),
+            ..Default::default()
+        }));
+        let results = SharedCache::beside(Arc::clone(&structures));
+        assert_eq!(results.budget(), structures.budget());
+        insert_costed(&results, ResultKind, "0@r1", 0, 5_000);
+        insert_costed(&results, ResultKind, "0@r2", 0, 5_000);
+        // The cheapest entries of all, and unpinned.
+        insert_costed(&structures, RtcKind, "s1", 0, 1);
+        insert_costed(&structures, RtcKind, "s2", 0, 1);
+        // The structural instance is within budget on its own…
+        let tiers = || (structures.occupancy_entries(), results.occupancy_entries());
+        assert_eq!(tiers(), (2, 2));
+        // …and the result side settles the account from its own entries.
+        results.enforce_budget();
+        assert_eq!(tiers(), (2, 1));
+        assert!(!results.contains_fresh(ResultKind, "0@r1"));
+        insert_costed(&results, ResultKind, "0@r3", 0, 90_000_000);
+        assert_eq!(tiers(), (2, 1));
+        assert!(results.contains_fresh(ResultKind, "0@r3"));
+        // Structures filling the budget leave results nothing, even one
+        // that just arrived: it is evicted by its own insert.
+        insert_costed(&structures, RtcKind, "s3", 0, 1);
+        results.enforce_budget();
+        insert_costed(&results, ResultKind, "0@r4", 0, 90_000_000);
+        assert_eq!(tiers(), (3, 0));
+        assert_eq!(structures.eviction_counters().total(), 0);
+        assert_eq!(results.eviction_counters().by_entries, 4);
+    }
+
+    /// No entry is free: an empty result still charges its key and map
+    /// slot, so a stream of distinct empty results under a byte budget
+    /// stays within it, and the oldest of them go first even though their
+    /// cost per byte is the highest in the cache.
+    #[test]
+    fn empty_results_are_charged_and_evicted() {
+        let budget = 64 << 10;
+        let results = SharedCache::beside(Arc::new(SharedCache::with_budget(CacheBudget {
+            max_bytes: Some(budget),
+            ..Default::default()
+        })));
+        let empty = || Shared::Result(Arc::new(PairSet::new()));
+        let build = Duration::from_micros(10);
+        for i in 0..10_000 {
+            results.insert(format!("0@q{i}"), empty(), None, 0, build);
+            assert!(results.occupancy_bytes() <= budget);
+        }
+        let held = results.occupancy_entries();
+        assert!(held > 0 && held <= budget / SLOT_BYTES, "{held} entries");
+        let evicted = results.eviction_counters().by_bytes;
+        assert_eq!(evicted as usize, 10_000 - held);
+        assert!(!results.contains_fresh(ResultKind, "0@q0"));
+        assert!(results.contains_fresh(ResultKind, "0@q9999"));
+    }
+
+    /// The engine settles the account inside the call that broke it: a
+    /// query whose new structure pushes structures + results over the byte
+    /// budget returns with results trimmed and the structure resident. With
+    /// each tier enforcing only its own occupancy, the sum could reach
+    /// twice the budget.
+    #[test]
+    fn a_structure_over_the_budget_is_settled_by_the_next_enter() {
+        use crate::{Engine, EngineConfig};
+        use rpq_graph::fixtures::paper_graph;
+        // Closure-free queries memoize results and build no structure.
+        const PLAIN: [&str; 6] = ["a", "b", "c", "d", "a.b", "b.c"];
+        let g = paper_graph();
+        let engine_with = |cache_budget| {
+            let config = EngineConfig {
+                cache_budget,
+                ..EngineConfig::default()
+            };
+            Engine::with_config(&g, config)
+        };
+        let fill = |engine: &Engine| {
+            let view = engine.pin();
+            for q in PLAIN {
+                view.evaluate_str(q).unwrap();
+            }
+            engine.evaluate_str("(b.c)+").unwrap();
+            (
+                engine.cache().occupancy_bytes(),
+                engine.results().occupancy_bytes(),
+            )
+        };
+        let (structure, results) = fill(&engine_with(CacheBudget::default()));
+        assert!(structure > 0 && results > 0);
+        // Room for either tier alone, not for both.
+        let budget = structure + results - 1;
+        let engine = engine_with(CacheBudget {
+            max_bytes: Some(budget),
+            ..Default::default()
+        });
+        let (held_structure, held_results) = fill(&engine);
+        assert_eq!(held_structure, structure);
+        assert!(held_structure + held_results <= budget);
+        assert!(engine.cache().contains_fresh(SharingKind::Rtc, "b.c"));
+        assert_eq!(engine.cache().eviction_counters().total(), 0);
+        assert!(engine.results().eviction_counters().by_bytes > 0);
     }
 }

@@ -91,9 +91,10 @@ pub struct EngineConfig {
     /// environment variable (`sparse` | `dense` | `adaptive`) so CI can
     /// run the whole suite under a forced representation.
     pub representation: RowSetPolicy,
-    /// Retention budget enforced by both [`SharedCache`] instances: the
-    /// structural one as given, the result one with its entry cap fixed at
-    /// [`DEFAULT_RESULT_CACHE_ENTRIES`]. Unbounded by default; the default
+    /// One retention budget over both [`SharedCache`] instances: structures
+    /// plus memoized results stay within it, results making room for
+    /// structures, never the reverse. Unbounded by default (every result of
+    /// a live or pinned epoch is kept); the default
     /// honours `RPQ_CACHE_BUDGET` (e.g. `64k`, `bytes=1m,entries=128`) so CI
     /// can run the whole suite under eviction pressure. Results are the same
     /// under any budget; whatever it is, [`Engine::apply_delta`] drops every
@@ -113,10 +114,6 @@ impl Default for EngineConfig {
         }
     }
 }
-
-/// Entry cap of the engine's result instance (memoized per-(epoch, query)
-/// results), whatever the configured budget says about entries.
-pub const DEFAULT_RESULT_CACHE_ENTRIES: usize = 256;
 
 /// Outcome of [`Engine::prepare`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -174,7 +171,8 @@ pub(crate) struct Handles {
     /// The structural cache.
     pub(crate) cache: Arc<SharedCache>,
     /// Per-(epoch, query) materialized results served by pinned views: a
-    /// second instance of the same cache type, never pinned.
+    /// second instance of the same cache type, never pinned, built beside
+    /// `cache` so the two share one budget account.
     pub(crate) results: Arc<SharedCache>,
     metrics: Arc<Mutex<EngineMetrics>>,
     /// The base configuration (per-call overrides are passed alongside).
@@ -183,12 +181,10 @@ pub(crate) struct Handles {
 
 impl Handles {
     fn new(config: EngineConfig) -> Self {
+        let cache = Arc::new(SharedCache::with_budget(config.cache_budget));
         Self {
-            cache: Arc::new(SharedCache::with_budget(config.cache_budget)),
-            results: Arc::new(SharedCache::with_budget(CacheBudget {
-                max_entries: Some(DEFAULT_RESULT_CACHE_ENTRIES),
-                ..config.cache_budget
-            })),
+            results: Arc::new(SharedCache::beside(Arc::clone(&cache))),
+            cache,
             metrics: Arc::new(Mutex::new(EngineMetrics::default())),
             config,
         }
@@ -205,7 +201,8 @@ impl Handles {
     /// view its frozen one), then stamps the elapsed wall clock as `total`
     /// and folds everything the walk accumulated into the shared totals
     /// under one short lock. `walk` gets no context under NoSharing, which
-    /// has no shared structure to look up.
+    /// has no shared structure to look up. Results make room for what the
+    /// walk inserted before this returns.
     fn enter<T>(
         &self,
         graph: &LabeledMultigraph,
@@ -224,6 +221,7 @@ impl Handles {
             metrics: &mut local,
         });
         let out = walk(ctx.as_mut());
+        self.results.enforce_budget();
         local.breakdown.total = t.elapsed();
         *self.metrics() += local;
         out

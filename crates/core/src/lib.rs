@@ -37,7 +37,7 @@ pub use cache::{
     CacheBudget, EpochPin, EvictionCounters, FreshEntry, KindTotals, Lookup, Shared, SharedCache,
     SharingKind,
 };
-pub use engine::{Engine, EngineConfig, PrepareReport, Strategy, DEFAULT_RESULT_CACHE_ENTRIES};
+pub use engine::{Engine, EngineConfig, PrepareReport, Strategy};
 pub use error::EngineError;
 pub use explain::{
     explain, explain_set, explain_set_with_limit, explain_with_limit, ClausePlan, QueryPlan,

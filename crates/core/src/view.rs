@@ -14,9 +14,9 @@
 //!   from any other epoch is invisible), and anything a pinned reader
 //!   computes is inserted *at* its epoch without ever displacing newer
 //!   entries;
-//! * materialized results are memoized in the bounded
-//!   result instance of [`crate::SharedCache`], keyed by epoch + canonical
-//!   query — the fast tier above the structural instance.
+//! * materialized results are memoized in the result instance of
+//!   [`crate::SharedCache`], keyed by epoch + canonical query — the fast
+//!   tier above the structural instance, bounded by the same budget.
 //!
 //! Views are cheap to clone (`Arc` bumps + a `Copy` config) and safe to
 //! send across threads; the serving layer publishes one per epoch by

@@ -131,11 +131,11 @@ fn print_usage() {
     eprintln!("--load accepts an edge list, a graph snapshot, or an engine snapshot");
     eprintln!("(warm restart) — the format is auto-detected. --max-conns caps");
     eprintln!("simultaneous TCP clients (default 256; extras get 'ERR busy').");
-    eprintln!("--cache-budget bounds the shared cache: 'bytes=SIZE,entries=N'");
-    eprintln!("(SIZE takes k/m/g suffixes; either part may be omitted; a bare SIZE");
-    eprintln!("caps bytes; 'unbounded' disables). Overrides RPQ_CACHE_BUDGET.");
-    eprintln!("Memoized results of epochs no retained view can reach are dropped");
-    eprintln!("on every delta, whatever the budget.");
+    eprintln!("--cache-budget is one account over structures and memoized results:");
+    eprintln!("'bytes=SIZE,entries=N' (SIZE takes k/m/g suffixes; either part may be");
+    eprintln!("omitted; a bare SIZE caps bytes). Overrides RPQ_CACHE_BUDGET. The default,");
+    eprintln!("'unbounded', keeps every distinct query's result: set a budget before");
+    eprintln!("exposing 'serve' to clients. Deltas drop results no view can reach.");
     eprintln!("Commands: see 'help' in the session or docs/QUERY_LANGUAGE.md.");
 }
 

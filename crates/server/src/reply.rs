@@ -14,7 +14,7 @@
 use crate::session::ConnectionOverlay;
 use crate::state::{PublishedView, ServerState};
 use crate::wire::BinaryResult;
-use rpq_core::{EpochView, SharingKind, Strategy, DEFAULT_RESULT_CACHE_ENTRIES};
+use rpq_core::{EpochView, SharingKind, Strategy};
 use rpq_graph::{LabeledMultigraph, PairSet, VertexId};
 use std::io::Write;
 
@@ -226,11 +226,12 @@ pub(crate) fn metrics(view: &EpochView, serving: &ServerState) -> Response {
             m.rebuild_time
         ),
         format!(
-            "  results: {} view hits, {} result misses, {} memoized (cap {})",
+            "  results: {} view hits, {} result misses, {} memoized ({} B, cap {})",
             r.hits(),
             r.misses(),
             r.occupancy_entries(),
-            DEFAULT_RESULT_CACHE_ENTRIES
+            r.occupancy_bytes(),
+            r.budget(),
         ),
         format!(
             "  serving: {} publishes (last {:.2?}, mean {:.2?}), {views} views retained (epochs {lo}..{hi}), conns {}/{}",
@@ -315,11 +316,12 @@ pub(crate) fn cache(view: &EpochView, strategy: Strategy) -> Response {
             )
         },
         format!(
-            "  results: {} memoized, {} view hits, {} result misses (cap {}), {} evicted",
+            "  results: {} memoized ({} B), {} view hits, {} result misses (cap {}), {} evicted",
             r.occupancy_entries(),
+            r.occupancy_bytes(),
             r.hits(),
             r.misses(),
-            DEFAULT_RESULT_CACHE_ENTRIES,
+            r.budget(),
             r.eviction_counters().total(),
         ),
     ];

@@ -114,6 +114,46 @@ fn snapshot_warm_restart_across_processes() {
     std::fs::remove_file(&snap).ok();
 }
 
+/// The `results:` payload line of every `cache` reply in `stdout`.
+fn results_lines(stdout: &str) -> Vec<&str> {
+    let lines = stdout.lines().map(str::trim_start);
+    lines.filter(|l| l.starts_with("results:")).collect()
+}
+
+/// The result tier is bounded by the byte budget, not by a count: all 340
+/// label paths of length 1–4 over `a b c d` stay memoized under 8 MiB,
+/// so asking them all again is 340 view hits and nothing is evicted.
+#[test]
+fn more_than_256_results_stay_memoized_under_a_byte_budget() {
+    let labels = ["a", "b", "c", "d"];
+    let mut longest: Vec<String> = labels.map(String::from).to_vec();
+    let mut paths = longest.clone();
+    for _ in 1..4 {
+        longest = longest
+            .iter()
+            .flat_map(|p| labels.map(|l| format!("{p}.{l}")))
+            .collect();
+        paths.extend(longest.iter().cloned());
+    }
+    assert_eq!(paths.len(), 340);
+    let pass: String = paths.iter().map(|p| format!("query {p}\n")).collect();
+    let script = format!("gen paper\nlimit 0\n{pass}cache\n{pass}cache\nquit\n");
+    let (stdout, ok) = run_repl_process(&["--cache-budget", "bytes=8m"], script);
+    assert!(ok, "rpq repl exited nonzero");
+    let results = results_lines(&stdout);
+    assert_eq!(results.len(), 2, "{stdout}");
+    assert!(
+        results[0].starts_with("results: 340 memoized ("),
+        "{}",
+        results[0]
+    );
+    assert!(
+        results[1].contains(" 340 view hits, 340 result misses (cap bytes=8388608), 0 evicted"),
+        "{}",
+        results[1]
+    );
+}
+
 #[test]
 fn startup_flags_shape_the_session() {
     let script = "gen paper\ninfo\nquit\n";

@@ -6,10 +6,12 @@
 //! 1. **Answers never change.** Every query result is identical to a
 //!    fresh *unbounded* engine brought to the same epoch by the same
 //!    deltas — eviction may cost rebuild time, never correctness.
-//! 2. **The budget holds.** After any public call, occupancy stays within
-//!    `max_bytes`/`max_entries` (no pins held; pinned epochs may park a
-//!    cache over budget and are tested separately) — in the structural
-//!    instance and, for bytes, in the result instance.
+//! 2. **The budget holds, over both tiers.** After any public call made
+//!    while no pin is held, structures plus memoized results stay within
+//!    `max_bytes`/`max_entries` (pinned epochs may park the structural
+//!    instance over budget and are tested separately); and always, pins or
+//!    not, the result instance alone stays within the budget minus what
+//!    the structures hold — results make room, structures never do.
 //! 3. **Pins win.** Structures referenced by a live [`EpochView`] survive
 //!    eviction pressure at newer epochs, and time-travel evaluation at
 //!    the pinned epoch still answers from them (`Fresh`, not a rebuild).
@@ -71,8 +73,9 @@ struct Held {
     /// How many deltas preceded the pin (the oracle's replay prefix).
     deltas: usize,
     query: Regex,
-    /// The result instance's budget-eviction count when `query` was last
-    /// memoized: unchanged since means the entry cannot have been evicted.
+    /// The result instance's budget-eviction count just before the call
+    /// that last memoized `query`: unchanged since means the entry cannot
+    /// have been evicted — not even by its own insert.
     memoized_at: u64,
 }
 
@@ -89,13 +92,16 @@ proptest! {
     fn bounded_engines_answer_like_unbounded_ones(
         seed in 0u64..1_000_000,
         strategy in prop::sample::select(vec![Strategy::RtcSharing, Strategy::FullSharing]),
+        // One entry: any second closure body evicts the first, so the
+        // drawn histories really do evict and rebuild both kinds — and a
+        // structure leaves results no room. Four: both tiers share the
+        // account and both churn.
+        max_entries in prop::sample::select(vec![1usize, 4]),
         ops in prop::collection::vec((0u32..7, 0u64..u64::MAX), 1..16),
     ) {
         let mut r = rng(seed);
         let base = random_graph(&mut r, N, 30);
-        // One entry: any second closure body evicts the first, so the
-        // drawn histories really do evict and rebuild both kinds.
-        let (max_bytes, max_entries) = (4096usize, 1usize);
+        let max_bytes = 4096usize;
         let mut bounded = dynamic_engine(
             base.clone(),
             EngineConfig {
@@ -157,6 +163,7 @@ proptest! {
                     // Pin a view, keep it, and answer one query through it.
                     let view = bounded.pin();
                     let q = random_closure_query(&mut or, 2);
+                    let memoized_at = budget_evictions(&bounded);
                     let got = view.evaluate(&q).unwrap();
                     prop_assert_eq!(got.as_ref(), &oracle_at(&deltas, &q));
                     asked.insert((view.epoch(), q.canonical_key()));
@@ -164,22 +171,24 @@ proptest! {
                         view,
                         deltas: deltas.len(),
                         query: q,
-                        memoized_at: budget_evictions(&bounded),
+                        memoized_at,
                     });
                 }
                 5 if !held.is_empty() => {
                     // Re-ask through a still-held view: reachability never
                     // drops a reachable result, so unless the budget took
-                    // it this is a view hit — and exact either way.
+                    // it — since, or by its own insert — this is a view
+                    // hit, and exact either way.
                     let i = or.gen_range(0..held.len());
                     let h = &mut held[i];
                     let r = bounded.results();
                     let before = (r.hits(), r.misses());
+                    let memoized_at = budget_evictions(&bounded);
                     let got = h.view.evaluate(&h.query).unwrap();
-                    if budget_evictions(&bounded) == h.memoized_at {
+                    if memoized_at == h.memoized_at {
                         prop_assert_eq!((r.hits(), r.misses()), (before.0 + 1, before.1));
                     }
-                    h.memoized_at = budget_evictions(&bounded);
+                    h.memoized_at = memoized_at;
                     prop_assert_eq!(got.as_ref(), &oracle_at(&deltas[..h.deltas], &h.query));
                 }
                 6 if !held.is_empty() => {
@@ -188,27 +197,38 @@ proptest! {
                 }
                 _ => {}
             }
+            // Results only ever get what the structures leave…
+            let (c, r) = (bounded.cache(), bounded.results());
             prop_assert!(
-                bounded.results().occupancy_bytes() <= max_bytes,
-                "{} B of results over the {} B budget",
-                bounded.results().occupancy_bytes(),
+                r.occupancy_bytes() <= max_bytes.saturating_sub(c.occupancy_bytes()),
+                "{} B of results beside {} B of structures, budget {} B",
+                r.occupancy_bytes(),
+                c.occupancy_bytes(),
                 max_bytes
             );
-            // A pin may park the structural instance over budget; it must
+            prop_assert!(
+                r.occupancy_entries() <= max_entries.saturating_sub(c.occupancy_entries()),
+                "{} results beside {} structures, budget {} entries",
+                r.occupancy_entries(),
+                c.occupancy_entries(),
+                max_entries
+            );
+            // …and a pin may park the structures over budget; the sum must
             // hold again once every view is gone and it is re-settled.
             if held.is_empty() {
-                let c = bounded.cache();
                 c.enforce_budget();
+                let bytes = c.occupancy_bytes() + r.occupancy_bytes();
+                let entries = c.occupancy_entries() + r.occupancy_entries();
                 prop_assert!(
-                    c.occupancy_bytes() <= max_bytes,
+                    bytes <= max_bytes,
                     "occupancy {} B over the {} B budget",
-                    c.occupancy_bytes(),
+                    bytes,
                     max_bytes
                 );
                 prop_assert!(
-                    c.occupancy_entries() <= max_entries,
+                    entries <= max_entries,
                     "{} entries over the {}-entry budget",
-                    c.occupancy_entries(),
+                    entries,
                     max_entries
                 );
             }
