@@ -1,13 +1,11 @@
 //! Structural graph metrics beyond the TABLE IV basics.
 //!
-//! The experiment harness and dataset validation tests use these to
-//! characterize generated graphs: degree distributions (R-MAT skew
-//! checks), per-label frequencies (workload selectivity), reciprocity
-//! (cycle pressure — the raw material of nontrivial SCCs), and the SCC
-//! size distribution of the whole graph.
+//! The dataset validation tests (`tests/datasets_stats.rs`) use these to
+//! characterize generated graphs: the out-degree distribution (R-MAT skew
+//! checks), reciprocity (cycle pressure — the raw material of nontrivial
+//! SCCs), and the SCC size distribution of the whole graph.
 
 use crate::digraph::Digraph;
-use crate::ids::LabelId;
 use crate::multigraph::LabeledMultigraph;
 use crate::scc::tarjan_scc;
 
@@ -54,21 +52,6 @@ impl Distribution {
 /// Out-degree distribution over all vertices.
 pub fn out_degree_distribution(g: &LabeledMultigraph) -> Distribution {
     Distribution::of(g.vertices().map(|v| g.out_edges(v).len()).collect())
-}
-
-/// In-degree distribution over all vertices.
-pub fn in_degree_distribution(g: &LabeledMultigraph) -> Distribution {
-    Distribution::of(g.vertices().map(|v| g.in_edges(v).len()).collect())
-}
-
-/// Edge count per label, in label-id order.
-pub fn label_frequencies(g: &LabeledMultigraph) -> Vec<(LabelId, usize)> {
-    (0..g.label_count())
-        .map(|i| {
-            let l = LabelId::from_usize(i);
-            (l, g.label_edge_count(l))
-        })
-        .collect()
 }
 
 /// Fraction of (label-ignoring) directed edges whose reverse also exists.
@@ -128,21 +111,6 @@ mod tests {
         assert_eq!(out.max, 3); // v2 and v5 have 3 out-edges
         let total_out: f64 = out.mean * out.count as f64;
         assert_eq!(total_out as usize, g.edge_count());
-        let inn = in_degree_distribution(&g);
-        let total_in: f64 = inn.mean * inn.count as f64;
-        assert_eq!(total_in as usize, g.edge_count());
-    }
-
-    #[test]
-    fn label_frequencies_paper_graph() {
-        let g = paper_graph();
-        let freq = label_frequencies(&g);
-        assert_eq!(freq.len(), 6);
-        let total: usize = freq.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, g.edge_count());
-        let c = g.labels().get("c").unwrap();
-        let c_count = freq.iter().find(|&&(l, _)| l == c).unwrap().1;
-        assert_eq!(c_count, 5);
     }
 
     #[test]

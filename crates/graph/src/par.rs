@@ -80,36 +80,17 @@ where
     FS: Fn() -> S + Sync,
     F: Fn(&mut S, Range<usize>) -> T + Sync,
 {
-    par_map_chunks_with_state(threads, len, chunk, init, f).0
-}
-
-/// [`par_map_chunks_with`] that also returns each worker's final state, in
-/// worker order.
-pub fn par_map_chunks_with_state<S, T, FS, F>(
-    threads: usize,
-    len: usize,
-    chunk: usize,
-    init: FS,
-    f: F,
-) -> (Vec<T>, Vec<S>)
-where
-    S: Send,
-    T: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, Range<usize>) -> T + Sync,
-{
     let chunk = chunk.max(1);
     let n_chunks = len.div_ceil(chunk);
     if n_chunks == 0 {
-        return (Vec::new(), Vec::new());
+        return Vec::new();
     }
     let threads = effective_threads(threads).min(n_chunks);
     if threads <= 1 {
         let mut state = init();
-        let out = (0..n_chunks)
+        return (0..n_chunks)
             .map(|i| f(&mut state, chunk_range(i, chunk, len)))
             .collect();
-        return (out, vec![state]);
     }
 
     // Workers pull chunk indices from a shared atomic cursor (dynamic load
@@ -117,7 +98,7 @@ where
     // then scatters them back into chunk order, so the caller sees the
     // exact sequential ordering regardless of scheduling.
     let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<(Vec<(usize, T)>, S)> = std::thread::scope(|s| {
+    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
@@ -130,7 +111,7 @@ where
                         }
                         out.push((i, f(&mut state, chunk_range(i, chunk, len))));
                     }
-                    (out, state)
+                    out
                 })
             })
             .collect();
@@ -141,19 +122,14 @@ where
     });
 
     let mut slots: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-    let mut states = Vec::with_capacity(threads);
-    for (results, state) in per_worker {
-        for (i, t) in results {
-            debug_assert!(slots[i].is_none(), "chunk {i} computed twice");
-            slots[i] = Some(t);
-        }
-        states.push(state);
+    for (i, t) in per_worker.into_iter().flatten() {
+        debug_assert!(slots[i].is_none(), "chunk {i} computed twice");
+        slots[i] = Some(t);
     }
-    let out = slots
+    slots
         .into_iter()
         .map(|o| o.expect("chunk never scheduled"))
-        .collect();
-    (out, states)
+        .collect()
 }
 
 /// A chunk size that gives each worker several chunks to balance across,
@@ -169,9 +145,8 @@ mod tests {
 
     #[test]
     fn zero_length_yields_nothing() {
-        let (out, states) = par_map_chunks_with_state(4, 0, 8, || 0u32, |_, _| 1u32);
+        let out = par_map_chunks_with(4, 0, 8, || 0u32, |_, _| 1u32);
         assert!(out.is_empty());
-        assert!(states.is_empty());
     }
 
     #[test]
@@ -196,20 +171,41 @@ mod tests {
 
     #[test]
     fn worker_state_reused_across_chunks() {
-        // Each worker counts how many chunks it processed; the grand total
-        // must equal the chunk count no matter how work was stolen.
-        let (_, states) = par_map_chunks_with_state(3, 50, 4, || 0usize, |count, _| *count += 1);
-        let total_chunks: usize = states.iter().sum();
-        assert_eq!(total_chunks, 50usize.div_ceil(4));
-        assert!(states.len() <= 3);
+        // Each worker counts the chunks it processed: the outputs come back
+        // in chunk order and cover the range, and a count starts at 1 once
+        // per worker — never more than three times, however work was stolen.
+        let out = par_map_chunks_with(
+            3,
+            50,
+            4,
+            || 0usize,
+            |count, r| {
+                *count += 1;
+                (r.start, *count)
+            },
+        );
+        let starts: Vec<usize> = out.iter().map(|&(start, _)| start).collect();
+        assert_eq!(starts, (0..50).step_by(4).collect::<Vec<_>>());
+        let fresh_states = out.iter().filter(|&&(_, count)| count == 1).count();
+        assert!(
+            (1..=3).contains(&fresh_states),
+            "{fresh_states} fresh states"
+        );
     }
 
     #[test]
     fn single_chunk_runs_inline() {
-        // len <= chunk collapses to one chunk and the sequential path.
-        let (out, states) = par_map_chunks_with_state(8, 5, 100, || (), |_, r| r.len());
-        assert_eq!(out, vec![5]);
-        assert_eq!(states.len(), 1);
+        // len <= chunk collapses to one chunk and the sequential path: the
+        // chunk runs on the calling thread.
+        let here = std::thread::current().id();
+        let out = par_map_chunks_with(
+            8,
+            5,
+            100,
+            || (),
+            |_, r| (r.len(), std::thread::current().id()),
+        );
+        assert_eq!(out, vec![(5, here)]);
     }
 
     #[test]

@@ -2,50 +2,21 @@
 //! evaluator on the whole query, and of their elimination counters against
 //! a pair-at-a-time reference that walks Algorithm 2 lines 4–12 literally.
 //!
-//! Graphs are random or built around one giant `a`-SCC with singleton
-//! feeders (the shape of the benchmark's RMAT graphs); the batch unit is
-//! `Pre·a^(+|*)·Post` with `Pre ∈ {ε, b, b·c}` (its `b` starts include
-//! vertices outside `V_a`), `|Post| ∈ {0, 1, 2}`, every row policy and
-//! both shared structures.
+//! Graphs are the harness's uniform and giant-SCC shapes (`common::Shape`;
+//! the latter is one giant `a`-SCC with singleton feeders, as in the
+//! benchmark's RMAT graphs); the batch unit is `Pre·a^(+|*)·Post` with
+//! `Pre ∈ {ε, b, b·c}` (its `b` starts include vertices outside `V_a`),
+//! `|Post| ∈ {0, 1, 2}`, every row policy and both shared structures.
 
 mod common;
 
-use common::{random_graph, rng};
-use rand::rngs::StdRng;
-use rand::Rng;
+use common::{scenario, Shape};
 use rtc_rpq::core::{eval_batch_unit_full, eval_batch_unit_rtc, EliminationStats, PreRelation};
 use rtc_rpq::eval::ProductEvaluator;
-use rtc_rpq::graph::{GraphBuilder, LabeledMultigraph, RowSetPolicy, SccId, VertexId};
+use rtc_rpq::graph::{RowSetPolicy, SccId, VertexId};
 use rtc_rpq::reduction::{FullTc, Rtc};
 use rtc_rpq::regex::{ClosureKind, Regex};
 use std::collections::HashSet;
-
-/// One giant `a`-cycle over `0..k` with chords, and singleton feeders
-/// `k..n`: into the cycle, out of it, into another feeder, or off `V_a`.
-/// `b`/`c` edges are uniform over all vertices.
-fn giant_scc_graph(r: &mut StdRng, n: u32) -> LabeledMultigraph {
-    let k = r.gen_range(3..=n / 2);
-    let mut b = GraphBuilder::new();
-    b.ensure_vertices(n as usize);
-    for v in 0..k {
-        b.add_edge(v, "a", (v + 1) % k);
-        b.add_edge(r.gen_range(0..k), "a", r.gen_range(0..k));
-    }
-    for v in k..n {
-        match r.gen_range(0..4) {
-            0 => b.add_edge(v, "a", r.gen_range(0..k)),
-            1 => b.add_edge(r.gen_range(0..k), "a", v),
-            2 => b.add_edge(v, "a", r.gen_range(k..n)),
-            _ => &mut b,
-        };
-    }
-    for label in ["b", "c"] {
-        for _ in 0..2 * n {
-            b.add_edge(r.gen_range(0..n), label, r.gen_range(0..n));
-        }
-    }
-    b.build()
-}
 
 /// Algorithm 2 lines 4–12 pair by pair: `ResEq7`/`ResEq8` as hash sets,
 /// Eq. (9) one member at a time, the `R*` seed skipped by membership.
@@ -100,19 +71,14 @@ fn reference_full_stats(pre: &PreRelation, full: &FullTc, kind: ClosureKind) -> 
 
 #[test]
 fn batch_units_match_the_product_evaluator_and_the_reference_counters() {
-    let mut r = rng(0xB47C);
     let policies = [
         RowSetPolicy::adaptive(),
         RowSetPolicy::sparse(),
         RowSetPolicy::dense(),
     ];
     for case in 0..40 {
-        let n = r.gen_range(6u32..40);
-        let g = if case % 2 == 0 {
-            giant_scc_graph(&mut r, n)
-        } else {
-            random_graph(&mut r, n, 3 * n as usize)
-        };
+        let shape = [Shape::GiantScc, Shape::Uniform][case as usize % 2];
+        let g = scenario(0xB47C + case, shape).graph();
         let r_g = ProductEvaluator::new(&g, &Regex::parse("a").unwrap()).evaluate();
         for policy in &policies {
             let rtc = Rtc::from_pairs_with(&r_g, policy);

@@ -1,19 +1,17 @@
 //! Dynamic-graph correctness: incremental maintenance must be *bitwise
-//! identical* to rebuild-from-scratch — the same `Rtc` expansion/stats,
-//! the same `FullTc` pairs, and the same `Engine::evaluate` results across
-//! all three strategies and thread counts {1, 2} — over random delta
-//! sequences (insert-only, delete-only and mixed), including the
-//! delete-then-reinsert and SCC-split/merge patterns.
+//! identical* to rebuild-from-scratch — the same `Rtc` expansion/stats
+//! and the same `FullTc` pairs — over random delta sequences (insert-only,
+//! delete-only and mixed), including the delete-then-reinsert and
+//! SCC-split/merge patterns; and engines absorbing delta streams answer
+//! like the harness reference at every epoch (`common::run`).
 
 mod common;
 
-use common::{random_graph, rng, ALPHABET};
+use common::{assert_equivalent, minimise, q, run, scenario, Axes, Scenario, Shape, Step};
 use proptest::prelude::*;
-use rand::Rng;
-use rtc_rpq::core::{Engine, EngineConfig, Strategy};
-use rtc_rpq::graph::{GraphBuilder, GraphDelta, PairSet, VertexId};
+use rtc_rpq::core::Strategy;
+use rtc_rpq::graph::{PairSet, VertexId};
 use rtc_rpq::reduction::{DynamicRtc, FullTc, MaintenanceConfig, Rtc};
-use rtc_rpq::regex::Regex;
 
 /// Damage thresholds covering both maintenance paths plus the default.
 const THRESHOLDS: [f64; 3] = [2.0, 0.0, 0.25];
@@ -38,21 +36,6 @@ fn assert_rtc_equivalent(dynamic: &DynamicRtc, label: &str) {
     assert_eq!(snap.expand(), full.expand(), "{label}: Lemma 1");
 }
 
-// `rtc_rpq::core::Strategy` (the engine enum) shadows proptest's trait of
-// the same name, so spell the trait path out.
-fn arb_batches(
-    n: u32,
-    batches: usize,
-    batch_len: usize,
-) -> impl proptest::strategy::Strategy<Value = Vec<Vec<(u32, u32, u32)>>> {
-    // First element: 0 = delete, 1 = insert (the vendored proptest shim
-    // has no bool strategy).
-    prop::collection::vec(
-        prop::collection::vec((0u32..2, 0..n, 0..n), 1..batch_len),
-        1..batches,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -61,7 +44,12 @@ proptest! {
     #[test]
     fn random_mixed_deltas_match_rebuild(
         base in prop::collection::vec((0u32..16, 0u32..16), 0..40),
-        batches in arb_batches(16, 6, 10),
+        // First element: 0 = delete, 1 = insert (the vendored proptest
+        // shim has no bool strategy).
+        batches in prop::collection::vec(
+            prop::collection::vec((0u32..2, 0u32..16, 0u32..16), 1..10),
+            1..6,
+        ),
     ) {
         for &threshold in &THRESHOLDS {
             let config = MaintenanceConfig { damage_threshold: threshold };
@@ -164,128 +152,64 @@ fn scc_split_and_merge_cycles() {
     assert_eq!(dynamic.snapshot().expand(), Rtc::from_pairs(&base).expand());
 }
 
-/// Engine-level equivalence: a dynamic engine absorbing update streams
-/// answers every query exactly like a fresh engine over the rebuilt
-/// graph — for every strategy, at 1 and 2 worker threads.
+/// Engine-level equivalence: an engine absorbing update streams answers
+/// every read — live and through held views — like the reference at that
+/// epoch, for every strategy, at 1 and 2 threads, on both maintenance
+/// paths (2.0 never rebuilds, 0.0 always does).
 #[test]
 fn engine_apply_delta_matches_fresh_engine() {
-    let queries: Vec<Regex> = ["(a.b)+", "a.(b.c)+.c", "(a|b)+", "c*.(a.b)*", "b+"]
-        .iter()
-        .map(|q| Regex::parse(q).unwrap())
-        .collect();
-    let mut r = rng(0xD15C0);
-    for case in 0..8 {
-        let n = r.gen_range(5..16);
-        let m = r.gen_range(6..40);
-        let g = random_graph(&mut r, n, m);
-        // Plan a shared update stream: 4 rounds of mixed ops.
-        type Edges = Vec<(u32, String, u32)>;
-        let mut rounds: Vec<(Edges, Edges)> = Vec::new();
-        let mut edges: Vec<(u32, String, u32)> = g
-            .all_edges()
-            .map(|(s, l, d)| (s.raw(), g.labels().name(l).to_owned(), d.raw()))
-            .collect();
-        for _ in 0..4 {
-            let mut deletes = Vec::new();
-            for _ in 0..r.gen_range(0..4) {
-                if edges.is_empty() {
-                    break;
-                }
-                let at = r.gen_range(0..edges.len());
-                deletes.push(edges.swap_remove(at));
-            }
-            let mut inserts = Vec::new();
-            for _ in 0..r.gen_range(1..5) {
-                let e = (
-                    r.gen_range(0..n),
-                    ALPHABET[r.gen_range(0..ALPHABET.len())].to_owned(),
-                    r.gen_range(0..n),
-                );
-                if !edges.contains(&e) {
-                    edges.push(e.clone());
-                }
-                inserts.push(e);
-            }
-            rounds.push((deletes, inserts));
-        }
-
-        for strategy in Strategy::ALL {
-            for threads in [1usize, 2] {
-                let config = EngineConfig {
-                    strategy,
-                    threads,
-                    ..EngineConfig::default()
-                };
-                let mut dynamic = Engine::with_config(&g, config);
-                // Warm the cache at epoch 0 so refreshes actually happen.
-                dynamic.evaluate_set(&queries).unwrap();
-                // Independently tracked edge state for the oracle build.
-                let mut oracle_edges: Vec<(u32, String, u32)> = g
-                    .all_edges()
-                    .map(|(s, l, d)| (s.raw(), g.labels().name(l).to_owned(), d.raw()))
-                    .collect();
-                for (round, (deletes, inserts)) in rounds.iter().enumerate() {
-                    let mut delta = GraphDelta::new();
-                    for (s, l, d) in deletes {
-                        delta.delete(*s, l, *d);
-                        oracle_edges.retain(|e| e != &(*s, l.clone(), *d));
-                    }
-                    for (s, l, d) in inserts {
-                        delta.insert(*s, l, *d);
-                        if !oracle_edges.contains(&(*s, l.clone(), *d)) {
-                            oracle_edges.push((*s, l.clone(), *d));
-                        }
-                    }
-                    dynamic.apply_delta(&delta);
-                    let got = dynamic.evaluate_set(&queries).unwrap();
-
-                    // The oracle: a fresh build of the tracked edge set
-                    // (GraphBuilder path — independent of VersionedGraph).
-                    let mut b = GraphBuilder::new();
-                    b.ensure_vertices(dynamic.graph().vertex_count());
-                    for (s, l, d) in &oracle_edges {
-                        b.add_edge(*s, l, *d);
-                    }
-                    let rebuilt = b.build();
-                    let expect = Engine::with_config(&rebuilt, config)
-                        .evaluate_set(&queries)
-                        .unwrap();
-                    assert_eq!(
-                        got, expect,
-                        "case {case}, {strategy}, {threads} threads, round {round}"
-                    );
-                }
-            }
-        }
+    let axes = Axes::default().strategy(&Strategy::ALL);
+    let axes = axes.threads(&[1, 2]).maintenance(&[2.0, 0.0]);
+    let shapes = [Shape::Uniform, Shape::GiantScc, Shape::DenseCyclic];
+    for seed in 0..24 {
+        assert_equivalent(&scenario(0xD15C0 + seed, shapes[seed as usize % 3]), &axes);
     }
 }
 
 /// A delta stream can make a query's relation grow, vanish and reappear;
-/// the engine must track it through delete-then-reinsert exactly.
+/// the engine must track it through delete-then-reinsert exactly. Here
+/// `(a·b)+` has a 4-cycle core the first delta cuts and the second heals,
+/// so `(0, 0)` leaves the reference's answer and comes back.
 #[test]
 fn engine_delete_then_reinsert_is_exact() {
-    let mut b = GraphBuilder::new();
-    b.add_edge(0, "a", 1)
-        .add_edge(1, "b", 2)
-        .add_edge(2, "a", 3)
-        .add_edge(3, "b", 0); // (a·b)+ has a 4-cycle core
-    let g = b.build();
-    let q = Regex::parse("(a.b)+").unwrap();
-    for strategy in Strategy::ALL {
-        let mut e = Engine::with_strategy(&g, strategy);
-        let original = e.evaluate(&q).unwrap();
-        assert!(original.contains(VertexId(0), VertexId(0)), "{strategy}");
+    let edges = [(0, "a", 1), (1, "b", 2), (2, "a", 3), (3, "b", 0)];
+    let mut cycle = Scenario::fixed(&edges, &["(a.b)+"; 3]);
+    let steps = &mut cycle.steps;
+    steps.insert(1, Step::Delta(vec![(3, "b", 0)], vec![]));
+    steps.insert(3, Step::Delta(vec![], vec![(3, "b", 0)]));
+    let axes = Axes::default().strategy(&Strategy::ALL);
+    run(&cycle, &axes.maintenance(&[2.0, 0.0]), |p| {
+        if let [got] = p.answers {
+            assert_eq!(got.contains(VertexId(0), VertexId(0)), p.index != 2);
+        }
+    });
+}
 
-        let mut cut = GraphDelta::new();
-        cut.delete(3, "b", 0);
-        e.apply_delta(&cut);
-        let broken = e.evaluate(&q).unwrap();
-        assert!(!broken.contains(VertexId(0), VertexId(0)), "{strategy}");
-
-        let mut heal = GraphDelta::new();
-        heal.insert(3, "b", 0);
-        e.apply_delta(&heal);
-        assert_eq!(e.evaluate(&q).unwrap(), original, "{strategy}");
-        assert_eq!(e.epoch(), 2);
+/// The minimiser keeps exactly the steps a failure needs — a delta
+/// inserting one edge and a later read of a query naming one label — out
+/// of a generated stream of over 200 steps.
+#[test]
+fn minimiser_keeps_only_the_steps_a_failure_needs() {
+    let edge = (1, "d", 2);
+    let reads_d = |st: &Step| st.queries().iter().any(|q| q.labels().contains(&"d"));
+    let inserts = |st: &Step| matches!(st, Step::Delta(_, ins) if ins.contains(&edge));
+    let fails = |s: &Scenario| {
+        let at = s.steps.iter().position(inserts)?;
+        s.steps[at..].iter().any(reads_d).then(|| "planted".into())
+    };
+    let mut s = scenario(0x5A1, Shape::Uniform);
+    for seed in 1..40 {
+        s.steps.extend(scenario(0x5A1 + seed, Shape::Uniform).steps);
     }
+    let planted = Step::Delta(vec![(0, "a", 1)], vec![(3, "c", 3), edge]);
+    s.steps.insert(50, planted);
+    s.steps.push(Step::Set(vec![q("a.b"), q("c.d+")]));
+    assert!(s.steps.len() >= 200);
+    let (min, msg) = minimise(&s, fails).expect("the planted pair fails");
+    assert_eq!(msg, "planted");
+    assert!(min.edges.is_empty(), "{min}");
+    assert_eq!(min.steps[0], Step::Delta(vec![], vec![edge]), "{min}");
+    assert!(matches!(&min.steps[1..], [read] if read.queries().len() == 1 && reads_d(read)));
+    let printed = min.to_string();
+    assert!(printed.contains(r#"Step::Delta(vec![], vec![(1, "d", 2)]),"#));
 }

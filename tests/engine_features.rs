@@ -5,7 +5,6 @@
 mod common;
 
 use common::{random_graph, random_regex, rng};
-use rand::Rng;
 use rtc_rpq::core::{
     eval_batch_unit_rtc, explain, explain_set, EliminationStats, Engine, PreRelation, SharingKind,
     Strategy,
@@ -21,10 +20,8 @@ use rtc_rpq::regex::{ClosureKind, Regex};
 fn witnesses_cover_engine_results() {
     let mut r = rng(101);
     for case in 0..25 {
-        let n = r.gen_range(4..14);
-        let m = r.gen_range(5..40);
-        let g = random_graph(&mut r, n, m);
-        let q = random_regex(&mut r, 2);
+        let g = random_graph(&mut r, 4..14, 5..40);
+        let (n, q) = (g.vertex_count() as u32, random_regex(&mut r, 2));
         let result = Engine::new(&g).evaluate(&q).unwrap();
         // Every result pair has a witness whose endpoints match.
         for (s, d) in result.iter().take(50) {
@@ -98,9 +95,7 @@ fn explain_renders_paper_recursion_tree() {
 fn fast_path_equivalence_randomized() {
     let mut r = rng(107);
     for _ in 0..30 {
-        let n = r.gen_range(4..16);
-        let m = r.gen_range(5..50);
-        let g = random_graph(&mut r, n, m);
+        let g = random_graph(&mut r, 4..16, 5..50);
         let body = random_regex(&mut r, 2);
         let rtc = Rtc::from_pairs(&ProductEvaluator::new(&g, &body).evaluate());
         let identity = PairSet::identity(g.vertex_count());
@@ -163,8 +158,7 @@ fn witness_formatting() {
 fn workload_shape_equivalence() {
     use rtc_rpq::datasets::workload::{alphabet_of, generate_workload, WorkloadConfig};
     let mut r = rng(109);
-    let n = 48;
-    let g = random_graph(&mut r, n, 220);
+    let g = random_graph(&mut r, 48..49, 220..221);
     for use_star in [false, true] {
         let sets = generate_workload(
             &alphabet_of(&g),

@@ -5,13 +5,11 @@
 
 mod common;
 
-use common::{random_graph, random_regex, rng};
+use common::{assert_equivalent, q, run, scenario, Axes, Probe, Scenario, Shape, Step};
 use proptest::prelude::*;
-use rand::Rng;
-use rtc_rpq::core::{Engine, EngineConfig, Strategy};
+use rtc_rpq::core::{Engine, Strategy};
 use rtc_rpq::graph::{Digraph, MappedDigraph, PairSet};
 use rtc_rpq::reduction::{tc_naive, tc_naive_parallel, FullTc, Rtc};
-use rtc_rpq::regex::Regex;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -56,60 +54,38 @@ proptest! {
     }
 }
 
-/// Engine batch evaluation: parallel and sequential produce identical
-/// `PairSet`s for every strategy on random (graph, query-set) inputs.
+/// On a first step that is a set, the workers' counters are folded in,
+/// none dropped or counted twice: they equal a sequential engine's on the
+/// same set (unless a budget evicted or the clause budget refused it),
+/// plus one hit per body the fan-out's warm-up pass computes — the warm-up
+/// takes the miss, so the first query to need the body hits.
+fn counters_fold(p: &Probe) {
+    let (Step::Set(qs), 0) = (p.step, p.index) else {
+        return;
+    };
+    let (config, mut sequential) = (*p.engine.config(), *p.engine.config());
+    sequential.threads = 1;
+    let seq = Engine::with_config(p.graph, sequential);
+    let ok = seq.evaluate_set(qs).is_ok();
+    let (s, c) = (seq.cache(), p.engine.cache());
+    if !ok || s.eviction_counters().total() + c.eviction_counters().total() > 0 {
+        return;
+    }
+    let warm = Engine::with_config(p.graph, config).prepare(qs).unwrap();
+    let fans_out = config.threads > 1 && qs.len() > 1;
+    let warmed = u64::from(fans_out) * warm.bodies_computed as u64;
+    assert_eq!(p.engine.elimination_stats(), seq.elimination_stats());
+    assert_eq!((c.misses(), c.hits()), (s.misses(), s.hits() + warmed));
+}
+
+/// Engine batch evaluation: every strategy equals the reference at every
+/// thread count on generated scenarios, and the workers' counters fold.
 #[test]
 fn parallel_batch_evaluation_matches_sequential() {
-    let mut r = rng(4242);
-    for case in 0..20 {
-        let n = r.gen_range(4..20);
-        let m = r.gen_range(4..60);
-        let g = random_graph(&mut r, n, m);
-        let set_size = r.gen_range(2..6);
-        let queries: Vec<Regex> = (0..set_size).map(|_| random_regex(&mut r, 2)).collect();
-        for strategy in Strategy::ALL {
-            let seq_engine = Engine::with_strategy(&g, strategy);
-            let seq = match seq_engine.evaluate_set(&queries) {
-                Ok(res) => res,
-                Err(_) => continue, // DNF budget blown — same error on all paths
-            };
-            // What the fan-out's warm-up pass computes. Each such body costs
-            // one lookup more than the sequential run: the warm-up takes the
-            // miss, so the first query to need the body hits.
-            let warmed = Engine::with_strategy(&g, strategy)
-                .prepare(&queries)
-                .unwrap()
-                .bodies_computed as u64;
-            for threads in THREAD_COUNTS {
-                let e = Engine::with_config(
-                    &g,
-                    EngineConfig {
-                        strategy,
-                        threads,
-                        ..EngineConfig::default()
-                    },
-                );
-                let par = e.evaluate_set(&queries).unwrap();
-                assert_eq!(
-                    par, seq,
-                    "case {case}: {strategy} diverged at {threads} threads"
-                );
-                // The workers' counters are folded in, none dropped or
-                // counted twice (comparable unless a budget evicted).
-                let (s, p) = (seq_engine.cache(), e.cache());
-                if s.eviction_counters().total() + p.eviction_counters().total() == 0 {
-                    let at = format!("case {case}: {strategy} at {threads} threads");
-                    assert_eq!(
-                        e.elimination_stats(),
-                        seq_engine.elimination_stats(),
-                        "{at}"
-                    );
-                    assert_eq!(p.misses(), s.misses(), "{at}");
-                    let extra = if threads > 1 { warmed } else { 0 };
-                    assert_eq!(p.hits(), s.hits() + extra, "{at}");
-                }
-            }
-        }
+    let axes = Axes::default().strategy(&Strategy::ALL);
+    let axes = axes.threads(&THREAD_COUNTS);
+    for seed in 0..12 {
+        run(&scenario(4242 + seed, Shape::Uniform), &axes, counters_fold);
     }
 }
 
@@ -124,19 +100,9 @@ fn empty_graph_parallel_paths() {
     for threads in THREAD_COUNTS {
         assert!(rtc.expand_parallel(threads).is_empty());
     }
-    let lg = rtc_rpq::graph::GraphBuilder::new().build();
-    let queries = [Regex::parse("a+").unwrap(), Regex::parse("a.b").unwrap()];
-    for threads in THREAD_COUNTS {
-        let e = Engine::with_config(
-            &lg,
-            EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            },
-        );
-        let results = e.evaluate_set(&queries).unwrap();
-        assert!(results.iter().all(PairSet::is_empty), "threads {threads}");
-    }
+    let mut empty = Scenario::fixed(&[], &[]);
+    empty.steps.push(Step::Set(vec![q("a+"), q("a.b")]));
+    assert_equivalent(&empty, &Axes::default().threads(&THREAD_COUNTS));
 }
 
 /// All-singleton-SCC graphs (DAGs) exercise the expansion's "no self

@@ -3,11 +3,11 @@
 
 mod common;
 
+use common::{assert_equivalent, run, scenario, Axes, Reader, Shape, Step};
 use proptest::prelude::*;
-use rtc_rpq::core::{Engine, EngineConfig, Strategy as EvalStrategy};
+use rtc_rpq::core::Strategy as EvalStrategy;
 use rtc_rpq::eval::algebraic::plus_closure;
-use rtc_rpq::eval::evaluate_algebraic;
-use rtc_rpq::graph::{GraphBuilder, PairSet, ReprMode, RowSet, RowSetPolicy, VertexId};
+use rtc_rpq::graph::{PairSet, ReprMode, RowSet, RowSetPolicy};
 use rtc_rpq::reduction::{FullTc, Rtc};
 use rtc_rpq::regex::Regex;
 
@@ -15,38 +15,6 @@ use rtc_rpq::regex::Regex;
 
 fn arb_pairs(max_v: u32, max_len: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..max_v, 0..max_v), 0..max_len)
-}
-
-fn arb_regex() -> impl Strategy<Value = Regex> {
-    let leaf = prop_oneof![
-        Just(Regex::Epsilon),
-        prop::sample::select(vec!["a", "b", "c"]).prop_map(Regex::label),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 2..3).prop_map(Regex::concat),
-            prop::collection::vec(inner.clone(), 2..3).prop_map(Regex::alt),
-            inner.clone().prop_map(Regex::plus),
-            inner.clone().prop_map(Regex::star),
-            inner.prop_map(Regex::optional),
-        ]
-    })
-}
-
-fn arb_graph() -> impl Strategy<Value = rtc_rpq::graph::LabeledMultigraph> {
-    (
-        2u32..14,
-        prop::collection::vec((0u32..14, 0usize..3, 0u32..14), 0..40),
-    )
-        .prop_map(|(n, triples)| {
-            let labels = ["a", "b", "c"];
-            let mut b = GraphBuilder::new();
-            b.ensure_vertices(n as usize);
-            for (s, l, d) in triples {
-                b.add_edge(s % n, labels[l], d % n);
-            }
-            b.build()
-        })
 }
 
 // ---------- PairSet algebra ----------
@@ -194,73 +162,55 @@ proptest! {
     }
 }
 
-// ---------- end-to-end pipeline ----------
+// ---------- end-to-end pipeline: harness scenarios, one axis per test ----------
 
-proptest! {
-    // End-to-end cases are the most expensive; keep the count moderate.
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The flagship property: every strategy equals the algebraic oracle on
-    /// arbitrary graph × arbitrary query.
-    #[test]
-    fn engine_matches_oracle(g in arb_graph(), q in arb_regex()) {
-        let oracle = evaluate_algebraic(&g, &q);
-        for strategy in EvalStrategy::ALL {
-            let got = Engine::with_strategy(&g, strategy).evaluate(&q).unwrap();
-            prop_assert_eq!(&got, &oracle, "strategy {} on query {}", strategy, &q);
-        }
+/// The flagship property: every strategy equals the reference, with every
+/// read answered through a pinned view, on uniform graphs and on graphs
+/// that deltas grow from nothing. Results therefore only mention vertices
+/// of the graph they were read on: the reference's graph has exactly those.
+#[test]
+fn engine_matches_oracle() {
+    let axes = Axes::default().reader(&[Reader::Pinned]);
+    let axes = axes.strategy(&EvalStrategy::ALL);
+    for seed in 0..32 {
+        let shape = [Shape::Uniform, Shape::Degenerate][seed as usize % 2];
+        assert_equivalent(&scenario(0xE2E + seed, shape), &axes);
     }
+}
 
-    /// R* ≡ R+ ∪ identity, through the whole engine.
-    #[test]
-    fn star_is_plus_union_identity(g in arb_graph(), q in arb_regex()) {
-        let plus = Engine::new(&g).evaluate(&Regex::plus(q.clone())).unwrap();
-        let star = Engine::new(&g).evaluate(&Regex::star(q)).unwrap();
-        let id = PairSet::identity(g.vertex_count());
-        prop_assert_eq!(star, plus.union(&id));
-    }
-
-    /// Representation-ablation invariance: forced-sparse, forced-dense and
-    /// adaptive engines return identical results under every strategy at 1
-    /// and 2 threads (ISSUE 7 satellite).
-    #[test]
-    fn engine_invariant_under_representation(g in arb_graph(), q in arb_regex()) {
-        let oracle = evaluate_algebraic(&g, &q);
-        for strategy in EvalStrategy::ALL {
-            for threads in [1usize, 2] {
-                for policy in [
-                    RowSetPolicy::sparse(),
-                    RowSetPolicy::dense(),
-                    RowSetPolicy::adaptive(),
-                ] {
-                    let config = EngineConfig {
-                        strategy,
-                        threads,
-                        representation: policy,
-                        ..EngineConfig::default()
-                    };
-                    let got = Engine::with_config(&g, config).evaluate(&q).unwrap();
-                    prop_assert_eq!(
-                        &got,
-                        &oracle,
-                        "strategy {} threads {} mode {:?} on {}",
-                        strategy,
-                        threads,
-                        policy.mode,
-                        &q
-                    );
-                }
+/// R* ≡ R+ ∪ identity, through the whole engine: every query is read as
+/// the set `{R+, R*}` and the two answers are compared with each other.
+#[test]
+fn star_is_plus_union_identity() {
+    for seed in 0..24 {
+        let mut s = scenario(0x57A + seed, Shape::Uniform);
+        for step in &mut s.steps {
+            if let Some(q) = step.queries().first().cloned() {
+                *step = Step::Set(vec![Regex::plus(q.clone()), Regex::star(q)]);
             }
         }
+        run(&s, &Axes::default(), |p| {
+            if let [plus, star] = p.answers {
+                let id = PairSet::identity(p.graph.vertex_count());
+                assert_eq!(star, &plus.union(&id), "{}", p.step);
+            }
+        });
     }
+}
 
-    /// Query results only mention vertices that exist in the graph.
-    #[test]
-    fn results_stay_in_vertex_range(g in arb_graph(), q in arb_regex()) {
-        let r = Engine::new(&g).evaluate(&q).unwrap();
-        let n = g.vertex_count() as u32;
-        for (s, e) in r.iter() {
-            prop_assert!(s < VertexId(n) && e < VertexId(n));
-        }
+/// Representation-ablation invariance: forced-sparse, forced-dense and
+/// adaptive engines equal the reference under every strategy at 1 and 2
+/// threads, held views included.
+#[test]
+fn engine_invariant_under_representation() {
+    let reprs = [
+        RowSetPolicy::sparse(),
+        RowSetPolicy::dense(),
+        RowSetPolicy::adaptive(),
+    ];
+    let axes = Axes::default().strategy(&EvalStrategy::ALL);
+    let axes = axes.threads(&[1, 2]).repr(&reprs);
+    for seed in 0..6 {
+        assert_equivalent(&scenario(0x7E9 + seed, Shape::Uniform), &axes);
     }
 }

@@ -3,8 +3,7 @@
 
 mod common;
 
-use common::{random_graph, random_regex, rng};
-use rand::Rng;
+use common::{random_graph, random_pairs, random_regex, rng};
 use rtc_rpq::eval::algebraic::plus_closure;
 use rtc_rpq::eval::{evaluate_algebraic, ProductEvaluator};
 use rtc_rpq::graph::{tarjan_scc, Condensation, MappedDigraph, PairSet, RowSetPolicy, SccId};
@@ -17,9 +16,7 @@ use rtc_rpq::regex::Regex;
 fn lemma1_plus_equals_tc_of_reduced_graph() {
     let mut r = rng(11);
     for case in 0..60 {
-        let n = r.gen_range(4..20);
-        let m = r.gen_range(5..60);
-        let g = random_graph(&mut r, n, m);
+        let g = random_graph(&mut r, 4..20, 5..60);
         let body = random_regex(&mut r, 2);
         let plus_query = Regex::plus(body.clone());
         if plus_query.nullable() {
@@ -41,11 +38,7 @@ fn lemma1_plus_equals_tc_of_reduced_graph() {
 fn theorem1_rtc_expansion_equals_full_tc() {
     let mut r = rng(13);
     for case in 0..80 {
-        let n = r.gen_range(2..40);
-        let edges = r.gen_range(1..120);
-        let pairs: PairSet = (0..edges)
-            .map(|_| (r.gen_range(0..n), r.gen_range(0..n)))
-            .collect();
+        let pairs: PairSet = random_pairs(&mut r, 2..40, 1..120).1.into_iter().collect();
         let rtc = Rtc::from_pairs(&pairs);
         let full = FullTc::from_pairs(&pairs);
         assert_eq!(rtc.expand(), full.expand(), "case {case}");
@@ -61,10 +54,7 @@ fn theorem1_rtc_expansion_equals_full_tc() {
 fn lemma2_scc_members_share_reachability() {
     let mut r = rng(17);
     for _ in 0..30 {
-        let n = r.gen_range(3..25);
-        let edges: Vec<(u32, u32)> = (0..r.gen_range(5..80))
-            .map(|_| (r.gen_range(0..n), r.gen_range(0..n)))
-            .collect();
+        let (n, edges) = random_pairs(&mut r, 3..25, 5..80);
         let g = rtc_rpq::graph::Digraph::from_edges(n as usize, edges);
         let tc = tc_naive(&g);
         let scc = tarjan_scc(&g);
@@ -84,9 +74,7 @@ fn lemma2_scc_members_share_reachability() {
 fn lemma4_concat_is_join() {
     let mut r = rng(19);
     for case in 0..50 {
-        let n = r.gen_range(4..16);
-        let m = r.gen_range(5..50);
-        let g = random_graph(&mut r, n, m);
+        let g = random_graph(&mut r, 4..16, 5..50);
         let a = random_regex(&mut r, 2);
         let b = random_regex(&mut r, 2);
         let concat = Regex::concat(vec![a.clone(), b.clone()]);
@@ -102,10 +90,7 @@ fn lemma4_concat_is_join() {
 fn tc_algorithms_agree() {
     let mut r = rng(23);
     for case in 0..50 {
-        let n = r.gen_range(1..50);
-        let edges: Vec<(u32, u32)> = (0..r.gen_range(0..150))
-            .map(|_| (r.gen_range(0..n), r.gen_range(0..n)))
-            .collect();
+        let (n, edges) = random_pairs(&mut r, 1..50, 0..150);
         let g = rtc_rpq::graph::Digraph::from_edges(n as usize, edges);
         let naive = tc_naive(&g);
         let scc = tarjan_scc(&g);
@@ -138,10 +123,7 @@ fn tc_algorithms_agree() {
 fn seminaive_closure_agrees_with_graph_tc() {
     let mut r = rng(29);
     for case in 0..50 {
-        let n = r.gen_range(1..30);
-        let pairs: PairSet = (0..r.gen_range(0..80))
-            .map(|_| (r.gen_range(0..n), r.gen_range(0..n)))
-            .collect();
+        let pairs: PairSet = random_pairs(&mut r, 1..30, 0..80).1.into_iter().collect();
         let by_fixpoint = plus_closure(&pairs);
         let by_graph = FullTc::from_pairs(&pairs).expand();
         assert_eq!(by_fixpoint, by_graph, "case {case}");
@@ -154,10 +136,7 @@ fn seminaive_closure_agrees_with_graph_tc() {
 fn vertex_level_reduction_invariants() {
     let mut r = rng(31);
     for _ in 0..40 {
-        let n = r.gen_range(2..30);
-        let pairs: PairSet = (0..r.gen_range(1..90))
-            .map(|_| (r.gen_range(0..n), r.gen_range(0..n)))
-            .collect();
+        let pairs: PairSet = random_pairs(&mut r, 2..30, 1..90).1.into_iter().collect();
         let gr = MappedDigraph::from_pairset(&pairs);
         let rtc = Rtc::from_pairs(&pairs);
         assert!(rtc.scc_count() <= gr.vertex_count());

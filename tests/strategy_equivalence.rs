@@ -1,118 +1,68 @@
 //! Randomized differential testing: the three engine strategies must agree
-//! with each other and with the independent algebraic oracle on arbitrary
-//! graphs × arbitrary queries.
+//! with the independent algebraic reference on arbitrary graphs ×
+//! arbitrary queries. Each test replays harness scenarios
+//! (`common::run`) with the strategy axis fixed.
 
 mod common;
 
-use common::{random_graph, random_regex, rng};
-use rtc_rpq::core::{Engine, Strategy};
-use rtc_rpq::eval::evaluate_algebraic;
+use common::{assert_equivalent, scenario, Axes, Scenario, Shape};
+use rtc_rpq::core::Strategy;
 
-/// 120 random (graph, query) cases across a spread of densities.
+/// Uniform random scenarios, read live, under every strategy.
 #[test]
 fn strategies_match_oracle_on_random_cases() {
-    let mut r = rng(0xD1F);
-    for case in 0..120 {
-        let n = r.gen_range_u32(4, 24);
-        let edges = r.gen_range_usize(3, 80);
-        let g = random_graph(&mut r, n, edges);
-        let q = random_regex(&mut r, 3);
-        let oracle = evaluate_algebraic(&g, &q);
-        for strategy in Strategy::ALL {
-            let e = Engine::with_strategy(&g, strategy);
-            let got = e.evaluate(&q).unwrap();
-            assert_eq!(
-                got, oracle,
-                "case {case}: strategy {strategy} disagrees on query {q} \
-                 (|V|={n}, edges={edges})"
-            );
-        }
+    let axes = Axes::default().strategy(&Strategy::ALL);
+    for seed in 0..40 {
+        assert_equivalent(&scenario(0xD1F + seed, Shape::Uniform), &axes);
     }
 }
 
-/// Query *sets* sharing sub-queries: cache reuse must not change results.
+/// Query sets on one engine around one giant SCC: the sharing strategies
+/// reuse its closure across the set and across reads, and reuse must not
+/// change results.
 #[test]
 fn shared_cache_does_not_change_results() {
-    let mut r = rng(77);
-    for case in 0..30 {
-        let g = random_graph(&mut r, 16, 50);
-        let queries: Vec<_> = (0..5).map(|_| random_regex(&mut r, 3)).collect();
-        // Fresh engine per query (no sharing possible).
-        let isolated: Vec<_> = queries
-            .iter()
-            .map(|q| Engine::new(&g).evaluate(q).unwrap())
-            .collect();
-        // One engine across the set (full sharing of RTCs).
-        let shared_engine = Engine::new(&g);
-        let shared = shared_engine.evaluate_set(&queries).unwrap();
-        assert_eq!(isolated, shared, "case {case}: cache reuse changed results");
+    let axes = Axes::default().strategy(&[Strategy::FullSharing, Strategy::RtcSharing]);
+    for seed in 0..8 {
+        assert_equivalent(&scenario(77 + seed, Shape::GiantScc), &axes);
     }
 }
 
 /// Dense graphs with heavy cycles — the regime where SCC collapsing does
-/// the most work and bugs in self-loop handling would show.
+/// the most work and bugs in self-loop handling would show: generated
+/// scenarios, and a fixed closure-heavy query list on their base graphs.
 #[test]
 fn strategies_match_on_cyclic_dense_graphs() {
-    let mut r = rng(424242);
-    for case in 0..40 {
-        let n = r.gen_range_u32(3, 10);
-        let edges = r.gen_range_usize(20, 60); // dense: many cycles
-        let g = random_graph(&mut r, n, edges);
-        for q in [
-            "a+",
-            "(a.b)+",
-            "(a|b)+.c",
-            "a*.b*",
-            "(a.b.c)+",
-            "c.(a|b)*.d",
-        ] {
-            let query = rtc_rpq::regex::Regex::parse(q).unwrap();
-            let oracle = evaluate_algebraic(&g, &query);
-            for strategy in Strategy::ALL {
-                let got = Engine::with_strategy(&g, strategy)
-                    .evaluate(&query)
-                    .unwrap();
-                assert_eq!(got, oracle, "case {case}, query {q}, strategy {strategy}");
-            }
-        }
+    let queries = [
+        "a+",
+        "(a.b)+",
+        "(a|b)+.c",
+        "a*.b*",
+        "(a.b.c)+",
+        "c.(a|b)*.d",
+    ];
+    let axes = Axes::default().strategy(&Strategy::ALL);
+    for seed in 0..16 {
+        let dense = scenario(424242 + seed, Shape::DenseCyclic);
+        let mut fixed = Scenario::fixed(&dense.edges, &queries);
+        fixed.n = dense.n;
+        assert_equivalent(&dense, &axes);
+        assert_equivalent(&fixed, &axes);
     }
 }
 
-/// Edge cases: empty graphs, single vertices, self-loops.
+/// Edge cases: empty graphs, single vertices, self-loops — fixed queries
+/// on each, and generated scenarios that grow them by deltas.
 #[test]
 fn degenerate_graphs() {
-    use rtc_rpq::graph::GraphBuilder;
-    let empty = GraphBuilder::new().build();
-    let mut single = GraphBuilder::new();
-    single.ensure_vertices(1);
-    let single = single.build();
-    let mut looped = GraphBuilder::new();
-    looped.add_edge(0, "a", 0);
-    let looped = looped.build();
-
-    for g in [&empty, &single, &looped] {
-        for q in ["a", "a+", "a*", "a.b", "a|b", "()", "a?"] {
-            let query = rtc_rpq::regex::Regex::parse(q).unwrap();
-            let oracle = evaluate_algebraic(g, &query);
-            for strategy in Strategy::ALL {
-                let got = Engine::with_strategy(g, strategy).evaluate(&query).unwrap();
-                assert_eq!(got, oracle, "graph |V|={}, query {q}", g.vertex_count());
-            }
-        }
+    let queries = ["a", "a+", "a*", "a.b", "a|b", "()", "a?"];
+    let axes = Axes::default().strategy(&Strategy::ALL);
+    for (n, edges) in [(0, &[][..]), (1, &[]), (1, &[(0, "a", 0)])] {
+        let mut fixed = Scenario::fixed(edges, &queries);
+        fixed.n = n;
+        assert_equivalent(&fixed, &axes);
     }
-}
-
-/// Helper trait to keep the rand calls terse in this file.
-trait RangeExt {
-    fn gen_range_u32(&mut self, lo: u32, hi: u32) -> u32;
-    fn gen_range_usize(&mut self, lo: usize, hi: usize) -> usize;
-}
-
-impl RangeExt for rand::rngs::StdRng {
-    fn gen_range_u32(&mut self, lo: u32, hi: u32) -> u32 {
-        rand::Rng::gen_range(self, lo..hi)
-    }
-    fn gen_range_usize(&mut self, lo: usize, hi: usize) -> usize {
-        rand::Rng::gen_range(self, lo..hi)
+    for seed in 0..16 {
+        assert_equivalent(&scenario(seed, Shape::Degenerate), &axes);
     }
 }
