@@ -281,7 +281,7 @@ pub fn repr_ablation_table(profile: Profile) -> Table {
                 label.to_string(),
                 rtc.dense_closure_rows().to_string(),
                 rtc.closure_heap_bytes().to_string(),
-                full.heap_bytes().to_string(),
+                full.closure_heap_bytes().to_string(),
                 fmt_secs(build),
                 fmt_ratio(sparse_build, build.as_secs_f64()),
                 fmt_secs(eval),

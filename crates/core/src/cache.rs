@@ -329,12 +329,13 @@ impl Shared {
         }
     }
 
-    /// Heap bytes the payload keeps alive: the closure rows (a result's
-    /// pairs), plus an RTC's maintainable form where the entry owns one.
+    /// Heap bytes the payload keeps alive: a structure's id tables and
+    /// closure rows (a result's pairs), plus an RTC's maintainable form
+    /// where the entry owns one.
     fn heap_bytes(&self) -> usize {
         match self {
             Shared::Rtc(rtc, dynamic) => {
-                rtc.closure_heap_bytes() + dynamic.as_ref().map_or(0, |d| d.heap_bytes())
+                rtc.heap_bytes() + dynamic.as_ref().map_or(0, |d| d.heap_bytes())
             }
             Shared::Full(full) => full.heap_bytes(),
             Shared::Result(pairs) => pairs.heap_bytes(),
@@ -743,7 +744,7 @@ impl SharedCache {
                     Shared::Full(full) => (
                         full.pair_count(),
                         full.vertex_count(),
-                        full.heap_bytes(),
+                        full.closure_heap_bytes(),
                         full.dense_rows(),
                     ),
                     Shared::Result(pairs) => (pairs.len(), 0, pairs.heap_bytes(), 0),
@@ -1365,6 +1366,26 @@ mod tests {
             (c.occupancy_entries(), c.eviction_counters().by_bytes),
             (0, 1)
         );
+    }
+
+    /// A structure is charged for its id tables as well as its rows: the
+    /// `V_R` vertex list (4 B a vertex) and, for an RTC, the SCC tables
+    /// (8 B a vertex, 4 B an SCC). The totals still count the rows alone.
+    #[test]
+    fn structures_are_charged_for_their_id_tables() {
+        let rtc = sample_rtc();
+        let full = FullTc::from_pairs(&sample_pairs());
+        let (v, s) = (rtc.stats().vr_vertices, rtc.scc_count());
+        for (kind, rows, tables) in [
+            (RtcKind, rtc.closure_heap_bytes(), 12 * v + 4 * s),
+            (Full, full.closure_heap_bytes(), 4 * v),
+        ] {
+            let c = SharedCache::new();
+            insert_bare(&c, kind, "k");
+            let floor = "k".len() + SLOT_BYTES + rows + tables;
+            assert!(c.occupancy_bytes() >= floor, "{kind:?}");
+            assert_eq!(c.totals(kind).heap_bytes, rows, "{kind:?}");
+        }
     }
 
     #[test]

@@ -118,7 +118,11 @@ impl<'g> ProductEvaluator<'g> {
                 pairs.push((src, end));
             }
         }
-        PairSet::from_pairs(pairs)
+        // Sources ascend and each BFS returns its ends sorted and unique,
+        // so the pairs are already in order. Sets are long-lived: the
+        // growth slack is released, not carried.
+        pairs.shrink_to_fit();
+        PairSet::from_sorted_unique(pairs)
     }
 
     /// One product BFS from `source`; returns sorted end vertices reached in

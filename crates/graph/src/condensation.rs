@@ -76,12 +76,6 @@ impl Condensation {
         self.self_loop[s.index()]
     }
 
-    /// The DAG part of the condensation (cross-SCC edges only).
-    #[inline]
-    pub fn dag(&self) -> &Digraph {
-        &self.dag
-    }
-
     /// Iterates over all `Ḡ_R` edges including self-loops.
     pub fn edges(&self) -> impl Iterator<Item = (SccId, SccId)> + '_ {
         let loops = self

@@ -24,14 +24,6 @@ impl<T> Csr<T> {
         }
     }
 
-    /// Creates a CSR with `rows` empty rows.
-    pub fn with_empty_rows(rows: usize) -> Self {
-        Self {
-            offsets: vec![0; rows + 1],
-            data: Vec::new(),
-        }
-    }
-
     /// Builds a CSR from an iterator of `(row, value)` items.
     ///
     /// Items may arrive in any order; they are counting-sorted into rows.
@@ -120,12 +112,6 @@ impl<T> Csr<T> {
         (0..self.rows()).flat_map(move |i| self.row(i).iter().map(move |t| (i, t)))
     }
 
-    /// Flat view of the underlying data array.
-    #[inline]
-    pub fn data(&self) -> &[T] {
-        &self.data
-    }
-
     /// Appends a row built from an iterator. Only valid when constructing a
     /// CSR row-by-row in order.
     pub fn push_row<I: IntoIterator<Item = T>>(&mut self, row: I) {
@@ -163,17 +149,6 @@ mod tests {
         assert_eq!(csr.rows(), 0);
         assert_eq!(csr.len(), 0);
         assert!(csr.is_empty());
-    }
-
-    #[test]
-    fn with_empty_rows_has_rows_but_no_data() {
-        let csr: Csr<u32> = Csr::with_empty_rows(5);
-        assert_eq!(csr.rows(), 5);
-        assert_eq!(csr.len(), 0);
-        for i in 0..5 {
-            assert!(csr.row(i).is_empty());
-            assert_eq!(csr.row_len(i), 0);
-        }
     }
 
     #[test]

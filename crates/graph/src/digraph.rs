@@ -12,7 +12,7 @@
 use crate::csr::Csr;
 use crate::ids::VertexId;
 use crate::pairset::PairSet;
-use rustc_hash::FxHashMap;
+use std::iter;
 
 /// An unlabeled simple directed graph over compact vertex ids `0..n`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,12 +52,6 @@ impl Digraph {
         self.out.row(v as usize)
     }
 
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn out_degree(&self, v: u32) -> usize {
-        self.out.row_len(v as usize)
-    }
-
     /// Whether edge `(src, dst)` exists.
     pub fn has_edge(&self, src: u32, dst: u32) -> bool {
         self.out(src).binary_search(&dst).is_ok()
@@ -80,26 +74,18 @@ impl Digraph {
 /// `V_R` — the vertex set of an edge-level reduced graph — only contains
 /// vertices incident to some `R`-path, so it is usually much smaller than
 /// `V`. The mapping is the bridge Algorithm 2 uses when joining `Pre_G`
-/// (over original ids) with the RTC (over compact/SCC ids).
-#[derive(Clone, Debug, Default)]
+/// (over original ids) with the RTC (over compact/SCC ids). It is one
+/// ascending vertex list: compact id `i` is entry `i`, found by binary search.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VertexMapping {
     to_original: Vec<VertexId>,
-    to_compact: FxHashMap<VertexId, u32>,
 }
 
 impl VertexMapping {
     /// Builds a mapping from a sorted list of distinct original vertices.
-    pub fn from_sorted_vertices(vertices: Vec<VertexId>) -> Self {
-        debug_assert!(vertices.windows(2).all(|w| w[0] < w[1]));
-        let to_compact = vertices
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
-        Self {
-            to_original: vertices,
-            to_compact,
-        }
+    pub fn from_sorted_vertices(to_original: Vec<VertexId>) -> Self {
+        debug_assert!(to_original.windows(2).all(|w| w[0] < w[1]));
+        Self { to_original }
     }
 
     /// Number of mapped vertices (`|V_R|`).
@@ -123,18 +109,23 @@ impl VertexMapping {
     /// Compact id for an original vertex, if the vertex is in `V_R`.
     #[inline]
     pub fn compact(&self, v: VertexId) -> Option<u32> {
-        self.to_compact.get(&v).copied()
+        self.to_original.binary_search(&v).ok().map(|i| i as u32)
     }
 
     /// All original vertices, ascending.
     pub fn originals(&self) -> &[VertexId] {
         &self.to_original
     }
+
+    /// Heap bytes of the vertex list.
+    pub fn heap_bytes(&self) -> usize {
+        self.to_original.capacity() * std::mem::size_of::<VertexId>()
+    }
 }
 
 /// A digraph whose vertices are a remapped subset of another graph's
 /// vertices: the edge-level reduced graph `G_R` (and its friends).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MappedDigraph {
     /// Adjacency over compact ids.
     pub graph: Digraph,
@@ -145,25 +136,44 @@ pub struct MappedDigraph {
 impl MappedDigraph {
     /// Builds `G_R` from the evaluation result `R_G`: every pair becomes one
     /// edge, and `V_R` is exactly the set of incident vertices.
+    ///
+    /// The endpoints are marked in a rank table over the id range (freed on
+    /// return), and numbering them in ascending order is the compaction.
+    /// That renumbering is monotone, so each row of `pairs` goes into the
+    /// CSR still sorted and unique: no sort, no dedup, no hash.
     pub fn from_pairset(pairs: &PairSet) -> Self {
-        let mut vertices: Vec<VertexId> = Vec::with_capacity(pairs.len());
-        for (s, d) in pairs.iter() {
-            vertices.push(s);
-            vertices.push(d);
+        const UNMARKED: u32 = u32::MAX;
+        let mut rank: Vec<u32> = Vec::new();
+        let endpoints = pairs
+            .groups()
+            .flat_map(|(s, ends)| iter::once(s).chain(ends.iter()));
+        for v in endpoints {
+            if v.index() >= rank.len() {
+                rank.resize(v.index() + 1, UNMARKED);
+            }
+            rank[v.index()] = 0;
         }
-        vertices.sort_unstable();
-        vertices.dedup();
-        let mapping = VertexMapping::from_sorted_vertices(vertices);
-        let edges: Vec<(u32, u32)> = pairs
-            .iter()
-            .map(|(s, d)| {
-                (
-                    mapping.compact(s).expect("source in mapping"),
-                    mapping.compact(d).expect("target in mapping"),
-                )
-            })
-            .collect();
-        let graph = Digraph::from_edges(mapping.len(), edges);
+        let mut to_original: Vec<VertexId> = Vec::new();
+        for (v, r) in rank.iter_mut().enumerate() {
+            if *r != UNMARKED {
+                *r = to_original.len() as u32;
+                to_original.push(VertexId::from_usize(v));
+            }
+        }
+        to_original.shrink_to_fit();
+        // Starts ascend, so they arrive in compact-id order; every other
+        // compact id is an end only and gets an empty row.
+        let rank = &rank;
+        let mut groups = pairs.groups().peekable();
+        let out = Csr::from_rows((0..to_original.len() as u32).map(|c| {
+            groups
+                .next_if(|(s, _)| rank[s.index()] == c)
+                .into_iter()
+                .flat_map(move |(_, ends)| ends.iter().map(move |e| rank[e.index()]))
+        }));
+        let edge_count = pairs.len();
+        let graph = Digraph { out, edge_count };
+        let mapping = VertexMapping { to_original };
         MappedDigraph { graph, mapping }
     }
 
@@ -188,6 +198,8 @@ impl MappedDigraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rowset::RowSet;
+    use std::sync::Arc;
 
     #[test]
     fn from_edges_dedups() {
@@ -222,43 +234,59 @@ mod tests {
     }
 
     #[test]
-    fn out_degree() {
-        let g = Digraph::from_edges(3, vec![(0, 1), (0, 2)]);
-        assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.out_degree(2), 0);
-    }
-
-    #[test]
     fn mapping_roundtrip() {
         let m = VertexMapping::from_sorted_vertices(vec![VertexId(2), VertexId(5), VertexId(9)]);
         assert_eq!(m.len(), 3);
+        assert_eq!(m.compact(VertexId(2)), Some(0));
         assert_eq!(m.compact(VertexId(5)), Some(1));
-        assert_eq!(m.compact(VertexId(3)), None);
+        assert_eq!(m.compact(VertexId(9)), Some(2));
+        // Below, between and above V_R.
+        for v in [0, 3, 10] {
+            assert_eq!(m.compact(VertexId(v)), None, "v{v}");
+        }
         assert_eq!(m.original(2), VertexId(9));
         assert_eq!(m.originals(), &[VertexId(2), VertexId(5), VertexId(9)]);
     }
 
-    #[test]
-    fn mapped_digraph_from_pairset() {
-        // Example 3's E_{b·c}: {(2,4),(2,6),(3,5),(4,2),(5,3)}.
-        let pairs: PairSet = [(2u32, 4u32), (2, 6), (3, 5), (4, 2), (5, 3)]
-            .into_iter()
-            .collect();
-        let gr = MappedDigraph::from_pairset(&pairs);
-        assert_eq!(gr.vertex_count(), 5); // V_{b·c} = {2,3,4,5,6}
-        assert_eq!(gr.edge_count(), 5);
-        let mut back: Vec<(u32, u32)> = gr
-            .original_edges()
-            .map(|(s, d)| (s.raw(), d.raw()))
-            .collect();
-        back.sort_unstable();
-        assert_eq!(back, vec![(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)]);
+    /// `relation` with the grouped backing.
+    fn grouped(relation: &PairSet) -> PairSet {
+        PairSet::from_grouped_rows(
+            relation
+                .groups()
+                .map(|(s, ends)| {
+                    let row = ends.iter().map(VertexId::raw).collect();
+                    (s, Arc::new(RowSet::from_sorted_vec(row)))
+                })
+                .collect(),
+        )
     }
 
+    /// Flat or grouped, a relation gives one `G_R`: its endpoints as `V_R`
+    /// and its pairs, in order, as the edges.
     #[test]
-    fn mapped_digraph_empty() {
-        let gr = MappedDigraph::from_pairset(&PairSet::new());
-        assert_eq!(gr.vertex_count(), 0);
-        assert_eq!(gr.edge_count(), 0);
+    fn from_pairset_flat_and_grouped_agree() {
+        let cases: [&[(u32, u32)]; 5] = [
+            // Empty.
+            &[],
+            // A self-loop.
+            &[(3, 3), (3, 5)],
+            // Example 3's E_{b·c}: v6 is only an end.
+            &[(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)],
+            // The highest id appears only as an end.
+            &[(1, 9), (4, 1)],
+            // Start 8's row holds only lower ids.
+            &[(0, 5), (8, 0), (8, 2)],
+        ];
+        for case in cases {
+            let flat: PairSet = case.iter().copied().collect();
+            let gr = MappedDigraph::from_pairset(&flat);
+            assert_eq!(MappedDigraph::from_pairset(&grouped(&flat)), gr, "{case:?}");
+            let mut vertices: Vec<VertexId> = flat.iter().flat_map(|(s, d)| [s, d]).collect();
+            vertices.sort_unstable();
+            vertices.dedup();
+            assert_eq!(gr.mapping.originals(), vertices, "{case:?}");
+            assert_eq!(gr.edge_count(), flat.len(), "{case:?}");
+            assert!(gr.original_edges().eq(flat.iter()), "{case:?}");
+        }
     }
 }

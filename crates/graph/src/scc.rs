@@ -67,6 +67,11 @@ impl Scc {
         self.comp_of.len() as f64 / self.count() as f64
     }
 
+    /// Heap bytes of the `vertex → SCC` table and the member rows.
+    pub fn heap_bytes(&self) -> usize {
+        self.comp_of.capacity() * std::mem::size_of::<u32>() + self.members.heap_bytes()
+    }
+
     /// Iterates over `(scc, members)` in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (SccId, &[u32])> + '_ {
         (0..self.count()).map(move |i| (SccId::from_usize(i), self.members.row(i)))

@@ -9,9 +9,7 @@
 //! * labels disappear (every edge "is" `R` now);
 //! * the multigraph becomes a simple graph (parallel `R`-paths collapse).
 
-use rpq_eval::ProductEvaluator;
-use rpq_graph::{LabeledMultigraph, MappedDigraph, PairSet};
-use rpq_regex::Regex;
+use rpq_graph::{MappedDigraph, PairSet};
 
 /// Builds `G_R` from an already-evaluated `R_G`.
 ///
@@ -22,23 +20,23 @@ pub fn reduce_edge_level(r_g: &PairSet) -> MappedDigraph {
     MappedDigraph::from_pairset(r_g)
 }
 
-/// Convenience: evaluates `R` on `G` with the product evaluator and reduces.
-pub fn reduce_for(graph: &LabeledMultigraph, r: &Regex) -> MappedDigraph {
-    let r_g = ProductEvaluator::new(graph, r).evaluate();
-    reduce_edge_level(&r_g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpq_eval::product::evaluate;
     use rpq_graph::fixtures::paper_graph;
     use rpq_graph::VertexId;
+    use rpq_regex::Regex;
+
+    /// `G_R` of query `r` on the paper's Fig. 1 graph.
+    fn reduce(r: &str) -> MappedDigraph {
+        reduce_edge_level(&evaluate(&paper_graph(), &Regex::parse(r).unwrap()))
+    }
 
     #[test]
     fn example3_edge_level_reduction() {
         // Fig. 5: G reduced at the edge level for b·c.
-        let g = paper_graph();
-        let gr = reduce_for(&g, &Regex::parse("b.c").unwrap());
+        let gr = reduce("b.c");
         // V_{b·c} = {v2, v3, v4, v5, v6}.
         assert_eq!(gr.vertex_count(), 5);
         assert_eq!(
@@ -52,18 +50,16 @@ mod tests {
             ]
         );
         // E_{b·c} = {(2,4), (2,6), (3,5), (4,2), (5,3)}.
-        let mut edges: Vec<(u32, u32)> = gr
+        let edges: Vec<(u32, u32)> = gr
             .original_edges()
             .map(|(s, d)| (s.raw(), d.raw()))
             .collect();
-        edges.sort_unstable();
         assert_eq!(edges, vec![(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)]);
     }
 
     #[test]
     fn vertices_off_r_paths_are_excluded() {
-        let g = paper_graph();
-        let gr = reduce_for(&g, &Regex::parse("b.c").unwrap());
+        let gr = reduce("b.c");
         // v0, v1, v7, v8, v9 are not on any b·c path.
         for v in [0u32, 1, 7, 8, 9] {
             assert_eq!(
@@ -78,8 +74,7 @@ mod tests {
     fn parallel_paths_collapse_to_one_edge() {
         // Both b- and c-labeled edges run v5→v6; for query `b|c` the pair
         // (5,6) must appear exactly once in G_{b|c}.
-        let g = paper_graph();
-        let gr = reduce_for(&g, &Regex::parse("b|c").unwrap());
+        let gr = reduce("b|c");
         let count = gr
             .original_edges()
             .filter(|&(s, d)| s == VertexId(5) && d == VertexId(6))
@@ -89,20 +84,8 @@ mod tests {
 
     #[test]
     fn reduction_of_empty_result() {
-        let g = paper_graph();
-        let gr = reduce_for(&g, &Regex::parse("zz").unwrap());
+        let gr = reduce("zz");
         assert_eq!(gr.vertex_count(), 0);
         assert_eq!(gr.edge_count(), 0);
-    }
-
-    #[test]
-    fn reduce_edge_level_matches_reduce_for() {
-        let g = paper_graph();
-        let r = Regex::parse("b.c").unwrap();
-        let r_g = ProductEvaluator::new(&g, &r).evaluate();
-        let a = reduce_edge_level(&r_g);
-        let b = reduce_for(&g, &r);
-        assert_eq!(a.vertex_count(), b.vertex_count());
-        assert_eq!(a.edge_count(), b.edge_count());
     }
 }

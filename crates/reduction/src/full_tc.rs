@@ -91,8 +91,14 @@ impl FullTc {
 
     /// Heap bytes held by the closure rows — FullSharing's shared-data
     /// memory, comparable against [`crate::Rtc::closure_heap_bytes`].
-    pub fn heap_bytes(&self) -> usize {
+    pub fn closure_heap_bytes(&self) -> usize {
         self.rows.heap_bytes()
+    }
+
+    /// Heap bytes of the whole structure: the `V_R` vertex list and the
+    /// closure rows.
+    pub fn heap_bytes(&self) -> usize {
+        self.mapping.heap_bytes() + self.rows.heap_bytes()
     }
 
     /// Number of closure rows currently stored as dense bitsets.
@@ -120,11 +126,8 @@ impl FullTc {
             if row.is_empty() {
                 continue;
             }
-            let mut targets: Vec<u32> =
-                row.iter().map(|c| self.mapping.original(c).raw()).collect();
-            // The pairset mapping is monotone, making this a no-op sweep,
-            // but RowSet rows must be sorted by contract.
-            targets.sort_unstable();
+            // The mapping is monotone, so the targets come back ascending.
+            let targets: Vec<u32> = row.iter().map(|c| self.mapping.original(c).raw()).collect();
             groups.push((
                 self.mapping.original(v as u32),
                 Arc::new(RowSet::from_sorted_vec(targets)),

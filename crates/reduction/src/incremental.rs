@@ -236,13 +236,6 @@ impl DynamicRtc {
             + table(&self.closure, RowSet::heap_bytes)
     }
 
-    /// Whether the pair `(u, v)` is currently in `R_G`.
-    pub fn contains_pair(&self, u: VertexId, v: VertexId) -> bool {
-        self.out
-            .get(&u.raw())
-            .is_some_and(|row| row.contains(&v.raw()))
-    }
-
     /// The current `R_G` as a pair set (materialized; for diffing and the
     /// rebuild path).
     pub fn pairs(&self) -> PairSet {
@@ -321,24 +314,22 @@ impl DynamicRtc {
         vertices.sort_unstable();
         let mut reps: Vec<u32> = self.members.keys().copied().collect();
         reps.sort_unstable();
-        let dense_of: FxHashMap<u32, u32> = reps
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i as u32))
-            .collect();
+        // A representative's dense SCC id is its rank among the sorted reps,
+        // read from a table over the id range.
+        let mut dense = vec![0u32; reps.last().map_or(0, |&r| r as usize + 1)];
+        for (i, &r) in reps.iter().enumerate() {
+            dense[r as usize] = i as u32;
+        }
         let comp_of: Vec<u32> = vertices
             .iter()
-            .map(|v| dense_of[&self.comp[&v.raw()]])
+            .map(|v| dense[self.comp[&v.raw()] as usize])
             .collect();
         let scc = Scc::from_component_table(comp_of, reps.len());
-        // Remap member vertex ids (original) to compact ids? `Scc` here is
-        // over compact ids already because `comp_of` is indexed by compact
-        // id — membership rows come out as compact ids by construction.
+        // The rank is monotone, so every renumbered row stays ascending.
         let rows: Vec<RowSet> = reps
             .iter()
             .map(|r| {
-                let mut row: Vec<u32> = self.closure[r].iter().map(|t| dense_of[&t]).collect();
-                row.sort_unstable();
+                let row = self.closure[r].iter().map(|t| dense[t as usize]).collect();
                 RowSet::from_sorted_vec(row)
             })
             .collect();

@@ -40,7 +40,7 @@ pub mod rtc;
 pub mod snapshot;
 pub mod tc;
 
-pub use edge_level::{reduce_edge_level, reduce_for};
+pub use edge_level::reduce_edge_level;
 pub use full_tc::FullTc;
 pub use incremental::{
     DynamicRtc, MaintenanceConfig, MaintenanceOutcome, MaintenanceStats, RebuildReason,

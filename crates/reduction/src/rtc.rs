@@ -122,9 +122,15 @@ impl Rtc {
     }
 
     /// Heap bytes held by the closure rows (`TC(Ḡ_R)`) — the shared-data
-    /// memory of RTCSharing, comparable against [`crate::FullTc::heap_bytes`].
+    /// memory of RTCSharing, comparable against [`crate::FullTc::closure_heap_bytes`].
     pub fn closure_heap_bytes(&self) -> usize {
         self.closure.heap_bytes()
+    }
+
+    /// Heap bytes of the whole structure: the `V_R` vertex list, the SCC
+    /// tables and the closure rows.
+    pub fn heap_bytes(&self) -> usize {
+        self.mapping.heap_bytes() + self.scc.heap_bytes() + self.closure.heap_bytes()
     }
 
     /// Number of closure rows currently stored as dense bitsets.

@@ -131,37 +131,53 @@ fn seminaive_closure_agrees_with_graph_tc() {
 }
 
 /// Vertex-level reduction bookkeeping: |V̄_R| ≤ |V_R|, member sets
-/// partition V_R, and the self-loop rule matches cycle membership.
+/// partition V_R, and the self-loop rule matches cycle membership — over a
+/// flat relation and over a grouped one (an RTC expansion), whose `G_R`
+/// must equal the one built from its flat copy.
 #[test]
 fn vertex_level_reduction_invariants() {
     let mut r = rng(31);
     for _ in 0..40 {
-        let pairs: PairSet = random_pairs(&mut r, 2..30, 1..90).1.into_iter().collect();
-        let gr = MappedDigraph::from_pairset(&pairs);
-        let rtc = Rtc::from_pairs(&pairs);
-        assert!(rtc.scc_count() <= gr.vertex_count());
-        // Member sets partition V_R.
-        let mut seen = vec![false; gr.vertex_count()];
-        for s in 0..rtc.scc_count() {
-            for v in rtc.members_original(rtc_rpq::graph::SccId(s as u32)) {
-                let c = gr.mapping.compact(v).expect("member is in V_R") as usize;
-                assert!(!seen[c], "vertex in two SCCs");
-                seen[c] = true;
-            }
+        let flat: PairSet = random_pairs(&mut r, 2..30, 1..90).1.into_iter().collect();
+        let grouped = Rtc::from_pairs(&flat).expand();
+        assert!(grouped.is_grouped());
+        assert_eq!(
+            MappedDigraph::from_pairset(&grouped),
+            MappedDigraph::from_pairset(&PairSet::from_pairs(grouped.iter().collect()))
+        );
+        for pairs in [flat, grouped] {
+            check_vertex_level_reduction(&pairs);
         }
-        assert!(seen.iter().all(|&b| b), "member sets must cover V_R");
-        // (s̄, s̄) ∈ TC(Ḡ) iff some member reaches itself in TC(G_R).
-        let full = FullTc::from_pairs(&pairs);
-        for s in 0..rtc.scc_count() as u32 {
-            let sid = rtc_rpq::graph::SccId(s);
-            let self_reach = rtc.successors(sid).contains(s);
-            let member_self = rtc
-                .members_original(sid)
-                .any(|v| full.successors_original(v).any(|w| w == v));
-            assert_eq!(
-                self_reach, member_self,
-                "self-loop rule mismatch at SCC {s}"
-            );
+    }
+}
+
+fn check_vertex_level_reduction(pairs: &PairSet) {
+    let gr = MappedDigraph::from_pairset(pairs);
+    assert_eq!(gr.edge_count(), pairs.len());
+    assert!(gr.original_edges().eq(pairs.iter()), "G_R's edges are R_G");
+    let rtc = Rtc::from_pairs(pairs);
+    assert!(rtc.scc_count() <= gr.vertex_count());
+    // Member sets partition V_R.
+    let mut seen = vec![false; gr.vertex_count()];
+    for s in 0..rtc.scc_count() {
+        for v in rtc.members_original(SccId(s as u32)) {
+            let c = gr.mapping.compact(v).expect("member is in V_R") as usize;
+            assert!(!seen[c], "vertex in two SCCs");
+            seen[c] = true;
         }
+    }
+    assert!(seen.iter().all(|&b| b), "member sets must cover V_R");
+    // (s̄, s̄) ∈ TC(Ḡ) iff some member reaches itself in TC(G_R).
+    let full = FullTc::from_pairs(pairs);
+    for s in 0..rtc.scc_count() as u32 {
+        let sid = SccId(s);
+        let self_reach = rtc.successors(sid).contains(s);
+        let member_self = rtc
+            .members_original(sid)
+            .any(|v| full.successors_original(v).any(|w| w == v));
+        assert_eq!(
+            self_reach, member_self,
+            "self-loop rule mismatch at SCC {s}"
+        );
     }
 }
