@@ -1,18 +1,18 @@
-//! Closure-free clause evaluation by label-edge joins.
+//! Closure-free clause evaluation by label-edge joins (`EvalRPQwithoutKC`).
 //!
 //! A DNF clause without Kleene closures is a plain label sequence
 //! `l₁·l₂·…·lₖ`; its result is the relational composition of the base edge
 //! relations (Lemma 4 applied k−1 times):
 //! `(l₁·…·lₖ)_G = l₁_G ⋈ l₂_G ⋈ … ⋈ lₖ_G`.
 //!
-//! Two entry points:
-//!
-//! * [`eval_label_sequence`] — the full relation, evaluated left-to-right
-//!   with hash-group joins (used by `EvalRPQwithoutKC`, Algorithm 1 line 6);
-//! * [`eval_label_sequence_from`] — `EvalRestrictedRPQ(Post, v)` of
-//!   Algorithm 2 line 14: frontier expansion from a single start vertex.
+//! The engine evaluates closure-free clauses, the closure bodies `R_G`
+//! (Algorithm 1 line 10) and the prefixes `Pre_G` this way. The join runs
+//! one start at a time: the start's `l₁` targets take one deduplicated
+//! frontier step per further label, and the last step's ends are read back
+//! in ascending order. Starts ascend too, so the pairs come out sorted and
+//! unique and the whole relation is never sorted.
 
-use rpq_graph::{LabelId, LabeledMultigraph, PairSet, VertexId};
+use rpq_graph::{EpochVisited, LabelId, LabeledMultigraph, PairSet, VertexId};
 
 /// Evaluates a label sequence over the whole graph.
 ///
@@ -21,49 +21,111 @@ pub fn eval_label_sequence(graph: &LabeledMultigraph, labels: &[LabelId]) -> Pai
     let Some((&first, rest)) = labels.split_first() else {
         return PairSet::identity(graph.vertex_count());
     };
-    // Start from the base relation of the first label...
-    let mut pairs: Vec<(VertexId, VertexId)> = graph.edges_with_label(first).to_vec();
-    // ...and extend the frontier one label at a time.
-    for &label in rest {
-        let mut next: Vec<(VertexId, VertexId)> = Vec::with_capacity(pairs.len());
-        for (start, mid) in pairs {
-            for &(_, end) in graph.out_with_label(mid, label) {
-                next.push((start, end));
+    let base = graph.edges_with_label(first);
+    let Some((&last, middle)) = rest.split_last() else {
+        // A label's edge list is already sorted and unique.
+        return PairSet::from_sorted_unique(base.to_vec());
+    };
+    let n = graph.vertex_count();
+    let mut seen = EpochVisited::new(n);
+    let mut ends = EndRow::new(n);
+    let mut frontier: Vec<VertexId> = Vec::new();
+    let mut next: Vec<VertexId> = Vec::new();
+    let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(base.len());
+    for group in base.chunk_by(|a, b| a.0 == b.0) {
+        frontier.clear();
+        frontier.extend(group.iter().map(|&(_, mid)| mid));
+        for &label in middle {
+            seen.clear();
+            next.clear();
+            for &v in &frontier {
+                for &(_, w) in graph.out_with_label(v, label) {
+                    if seen.insert(w.raw()) {
+                        next.push(w);
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        for &v in &frontier {
+            for &(_, w) in graph.out_with_label(v, last) {
+                ends.insert(w.raw());
             }
         }
-        next.sort_unstable();
-        next.dedup();
-        pairs = next;
-        if pairs.is_empty() {
-            break;
-        }
+        let start = group[0].0;
+        ends.drain_ascending(|end| pairs.push((start, VertexId(end))));
     }
-    PairSet::from_pairs(pairs)
+    // Results are long-lived (cached bodies and answers): no slack is kept.
+    pairs.shrink_to_fit();
+    PairSet::from_sorted_unique(pairs)
 }
 
-/// Evaluates a label sequence from one start vertex, returning the sorted
-/// distinct end vertices (`EvalRestrictedRPQ`).
-///
-/// An empty sequence yields `[source]`.
-pub fn eval_label_sequence_from(
-    graph: &LabeledMultigraph,
-    labels: &[LabelId],
-    source: VertexId,
-) -> Vec<VertexId> {
-    let mut frontier = vec![source];
-    for &label in labels {
-        let mut next: Vec<VertexId> = Vec::new();
-        for v in frontier {
-            next.extend(graph.out_with_label(v, label).iter().map(|&(_, d)| d));
-        }
-        next.sort_unstable();
-        next.dedup();
-        frontier = next;
-        if frontier.is_empty() {
-            break;
+/// The distinct ends of one start: a bitset over the vertex range, the ids
+/// it holds and the span of words they touch, all cleared again as the row
+/// is read back.
+struct EndRow {
+    words: Vec<u64>,
+    /// `ids[..len]` are the distinct ids inserted; one spare slot takes the
+    /// unconditional write of a duplicate once all `n` ids are in.
+    ids: Vec<u32>,
+    len: usize,
+    /// Lowest and highest touched word (`lo > hi` while empty).
+    lo: usize,
+    hi: usize,
+}
+
+impl EndRow {
+    fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+            ids: vec![0; n + 1],
+            len: 0,
+            lo: usize::MAX,
+            hi: 0,
         }
     }
-    frontier
+
+    /// Adds `v`. Branch-free: half the path ends of a join can be repeats,
+    /// which a branch on "seen" would mispredict.
+    #[inline]
+    fn insert(&mut self, v: u32) {
+        let w = v as usize / 64;
+        let bit = 1u64 << (v % 64);
+        let fresh = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        self.ids[self.len] = v;
+        self.len += fresh as usize;
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w);
+    }
+
+    /// Emits the row in ascending order and empties it. Reading the words
+    /// across the touched span costs one step per word, sorting the ids
+    /// about `k·log k` for `k` ids; the row takes the cheaper of the two.
+    fn drain_ascending(&mut self, mut emit: impl FnMut(u32)) {
+        let (k, lo, hi) = (self.len, self.lo, self.hi);
+        if k == 0 {
+            return;
+        }
+        if hi - lo < k * (usize::BITS - k.leading_zeros()) as usize {
+            for (w, word) in self.words[lo..=hi].iter_mut().enumerate() {
+                let base = ((lo + w) * 64) as u32;
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    emit(base + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            let ids = &mut self.ids[..k];
+            ids.sort_unstable();
+            for &v in ids.iter() {
+                self.words[v as usize / 64] = 0;
+                emit(v);
+            }
+        }
+        (self.len, self.lo, self.hi) = (0, usize::MAX, 0);
+    }
 }
 
 /// Resolves label names against the graph alphabet and evaluates the
@@ -129,28 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn from_source_expansion() {
-        let g = paper_graph();
-        let seq = ids(&g, &["b", "c"]);
-        let ends: Vec<u32> = eval_label_sequence_from(&g, &seq, VertexId(2))
-            .iter()
-            .map(|v| v.raw())
-            .collect();
-        assert_eq!(ends, vec![4, 6]);
-        let ends = eval_label_sequence_from(&g, &seq, VertexId(0));
-        assert!(ends.is_empty());
-    }
-
-    #[test]
-    fn from_source_empty_sequence() {
-        let g = paper_graph();
-        assert_eq!(
-            eval_label_sequence_from(&g, &[], VertexId(3)),
-            vec![VertexId(3)]
-        );
-    }
-
-    #[test]
     fn names_resolution() {
         let g = paper_graph();
         let r = eval_label_names(&g, &["b".into(), "c".into()]);
@@ -181,5 +221,29 @@ mod tests {
         let g = diamond();
         let r = eval_label_sequence(&g, &ids(&g, &["a", "b"]));
         assert_eq!(pairs(&r), vec![(0, 3)]);
+    }
+
+    /// Both read-back arms of one row: a dense run of ends is read from the
+    /// words, two ends far apart are sorted, and both leave the row empty.
+    #[test]
+    fn end_row_reads_back_ascending_and_clears() {
+        let mut row = EndRow::new(4096);
+        let mut got = Vec::new();
+        for v in [70, 3, 64, 5, 3, 127] {
+            row.insert(v);
+        }
+        row.drain_ascending(|v| got.push(v));
+        assert_eq!(got, vec![3, 5, 64, 70, 127]);
+        got.clear();
+        for v in [4095, 0] {
+            row.insert(v);
+        }
+        row.drain_ascending(|v| got.push(v));
+        assert_eq!(got, vec![0, 4095]);
+        assert!(row.words.iter().all(|&w| w == 0));
+        assert_eq!((row.len, row.lo, row.hi), (0, usize::MAX, 0));
+        got.clear();
+        row.drain_ascending(|v| got.push(v));
+        assert!(got.is_empty());
     }
 }

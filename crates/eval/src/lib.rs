@@ -8,9 +8,11 @@
 //!   stepping a finite automaton, terminating a branch when the
 //!   `(vertex, state)` pair was already visited from the same source
 //!   (Example 2's duplicate-avoidance rule). This is the engine behind the
-//!   **NoSharing** baseline and behind `EvalRPQwithoutKC`.
-//! * [`label_seq`] — closure-free clause evaluation by label-edge joins,
-//!   including `EvalRestrictedRPQ(Post, v)` (Algorithm 2 line 14).
+//!   **NoSharing** baseline and behind single-source `ends` queries.
+//! * [`label_seq`] — `EvalRPQwithoutKC`: closure-free clauses, closure
+//!   bodies `R_G` and prefixes `Pre_G` by per-start label-edge joins.
+//!   (`EvalRestrictedRPQ(Post, v)` of Algorithm 2 is the batch unit's Post
+//!   image in `rpq_core`.)
 //! * [`algebraic`] — an independent relational-algebra evaluator (structural
 //!   recursion with semi-naive closure fixpoints). It shares no code with
 //!   the automaton path and serves as the *oracle* for every randomized
@@ -35,6 +37,6 @@ pub mod product;
 pub mod witness;
 
 pub use algebraic::evaluate_algebraic;
-pub use label_seq::{eval_label_names, eval_label_sequence, eval_label_sequence_from};
+pub use label_seq::{eval_label_names, eval_label_sequence};
 pub use product::ProductEvaluator;
 pub use witness::{find_witness, format_witness, WitnessStep};

@@ -12,7 +12,12 @@
 //! The self-loop distinction is what makes `TC(Ḡ_R)` contain `(s̄, s̄)`
 //! exactly when a length-≥1 `R`-path cycle exists inside the SCC, which in
 //! turn is what Theorem 1 needs to enumerate `R⁺_G` (not `R*_G`).
+//!
+//! The build walks one SCC at a time and collects its successor row from
+//! its members' out-rows, so no list of all cross edges is ever sorted.
 
+use crate::bfs::EpochVisited;
+use crate::csr::Csr;
 use crate::digraph::Digraph;
 use crate::ids::SccId;
 use crate::scc::Scc;
@@ -33,17 +38,26 @@ impl Condensation {
     pub fn new(g: &Digraph, scc: &Scc) -> Self {
         let k = scc.count();
         let mut self_loop = vec![false; k];
-        let mut cross: Vec<(u32, u32)> = Vec::new();
-        for (s, d) in g.edges() {
-            let cs = scc.component_of(s);
-            let cd = scc.component_of(d);
-            if cs == cd {
-                self_loop[cs.index()] = true;
-            } else {
-                cross.push((cs.raw(), cd.raw()));
+        let mut seen = EpochVisited::new(k);
+        let mut row: Vec<u32> = Vec::new();
+        let mut out = Csr::new();
+        for (s, members) in scc.iter() {
+            seen.clear();
+            row.clear();
+            for &v in members {
+                for &w in g.out(v) {
+                    let t = scc.component_of(w);
+                    if t == s {
+                        self_loop[s.index()] = true;
+                    } else if seen.insert(t.raw()) {
+                        row.push(t.raw());
+                    }
+                }
             }
+            row.sort_unstable();
+            out.push_row(row.iter().copied());
         }
-        let dag = Digraph::from_edges(k, cross);
+        let dag = Digraph::from_csr(out);
         let edge_count = dag.edge_count() + self_loop.iter().filter(|&&b| b).count();
         Self {
             dag,

@@ -34,6 +34,13 @@ impl Digraph {
         Self { out, edge_count }
     }
 
+    /// A digraph over a ready CSR whose rows are ascending and unique.
+    pub(crate) fn from_csr(out: Csr<u32>) -> Self {
+        debug_assert!(out.iter_rows().all(|r| r.windows(2).all(|w| w[0] < w[1])));
+        let edge_count = out.len();
+        Self { out, edge_count }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
@@ -60,12 +67,6 @@ impl Digraph {
     /// Iterates over all edges in `(src, dst)` order.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.out.iter_entries().map(|(s, &d)| (s as u32, d))
-    }
-
-    /// The reverse digraph (every edge flipped).
-    pub fn reverse(&self) -> Digraph {
-        let edges: Vec<(u32, u32)> = self.edges().map(|(s, d)| (d, s)).collect();
-        Digraph::from_edges(self.vertex_count(), edges)
     }
 }
 
@@ -171,8 +172,7 @@ impl MappedDigraph {
                 .into_iter()
                 .flat_map(move |(_, ends)| ends.iter().map(move |e| rank[e.index()]))
         }));
-        let edge_count = pairs.len();
-        let graph = Digraph { out, edge_count };
+        let graph = Digraph::from_csr(out);
         let mapping = VertexMapping { to_original };
         MappedDigraph { graph, mapping }
     }
@@ -214,16 +214,6 @@ mod tests {
     fn self_loops_are_kept() {
         let g = Digraph::from_edges(2, vec![(0, 0), (0, 1)]);
         assert!(g.has_edge(0, 0));
-    }
-
-    #[test]
-    fn reverse_flips_edges() {
-        let g = Digraph::from_edges(3, vec![(0, 1), (1, 2)]);
-        let r = g.reverse();
-        assert!(r.has_edge(1, 0));
-        assert!(r.has_edge(2, 1));
-        assert_eq!(r.edge_count(), 2);
-        assert_eq!(r.reverse(), g);
     }
 
     #[test]

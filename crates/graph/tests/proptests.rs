@@ -8,6 +8,62 @@ fn arb_edges(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>>
     prop::collection::vec((0..n, 0..n), 0..max_edges)
 }
 
+/// Checks `Condensation::new` against the whole-relation build: map every
+/// edge to its SCC pair, flag the internal ones as self-loops, and sort and
+/// deduplicate the rest.
+fn assert_condensation_matches_reference(g: &Digraph) {
+    let scc = tarjan_scc(g);
+    let cond = Condensation::new(g, &scc);
+    let k = scc.count();
+    let mut loops = vec![false; k];
+    let mut cross = Vec::new();
+    for (s, d) in g.edges() {
+        let (cs, cd) = (scc.component_of(s), scc.component_of(d));
+        if cs == cd {
+            loops[cs.index()] = true;
+        } else {
+            cross.push((cs.raw(), cd.raw()));
+        }
+    }
+    cross.sort_unstable();
+    cross.dedup();
+    assert_eq!(cond.vertex_count(), k);
+    for (s, &has_loop) in loops.iter().enumerate() {
+        let s = SccId::from_usize(s);
+        let row: Vec<u32> = cross
+            .iter()
+            .filter(|&&(a, _)| a == s.raw())
+            .map(|&(_, b)| b)
+            .collect();
+        assert_eq!(cond.out(s), &row[..], "row of scc {s:?}");
+        assert_eq!(cond.has_self_loop(s), has_loop, "loop of scc {s:?}");
+    }
+    let loop_count = loops.iter().filter(|&&b| b).count();
+    assert_eq!(cond.edge_count(), cross.len() + loop_count);
+}
+
+/// The condensation fixtures of the unit tests, against the reference.
+#[test]
+fn condensation_fixtures_match_sort_and_dedup() {
+    let fixtures: [(usize, &[(u32, u32)]); 6] = [
+        // Example 5/6's G_{b·c} over compact ids.
+        (5, &[(0, 2), (0, 4), (1, 3), (2, 0), (3, 1)]),
+        // Parallel cross edges between two SCCs.
+        (4, &[(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3), (0, 3)]),
+        // A singleton self-loop.
+        (2, &[(0, 0), (0, 1)]),
+        // A DAG.
+        (4, &[(0, 1), (1, 2), (2, 3), (0, 3)]),
+        // A chain of SCCs.
+        (6, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 5)]),
+        // Empty.
+        (0, &[]),
+    ];
+    for (n, edges) in fixtures {
+        assert_condensation_matches_reference(&Digraph::from_edges(n, edges.to_vec()));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -57,20 +113,6 @@ proptest! {
         }
     }
 
-    /// Condensation self-loops exactly mark SCCs with internal edges.
-    #[test]
-    fn condensation_self_loop_rule(edges in arb_edges(16, 60)) {
-        let g = Digraph::from_edges(16, edges);
-        let scc = tarjan_scc(&g);
-        let cond = Condensation::new(&g, &scc);
-        for s in 0..scc.count() as u32 {
-            let has_internal = g
-                .edges()
-                .any(|(a, b)| scc.component_of(a) == SccId(s) && scc.component_of(b) == SccId(s));
-            prop_assert_eq!(cond.has_self_loop(SccId(s)), has_internal, "scc {}", s);
-        }
-    }
-
     /// Csr::from_items agrees with building rows directly.
     #[test]
     fn csr_from_items_equivalence(items in prop::collection::vec((0usize..8, 0u32..100), 0..60)) {
@@ -85,13 +127,13 @@ proptest! {
         prop_assert_eq!(csr.len(), rows.iter().map(Vec::len).sum::<usize>());
     }
 
-    /// Digraph reversal is an involution and preserves edge count.
+    /// The per-SCC condensation build equals the whole-relation one:
+    /// self-loops exactly mark SCCs with internal edges, and the rows are
+    /// the sorted, deduplicated cross edges.
     #[test]
-    fn reverse_involution(edges in arb_edges(16, 60)) {
-        let g = Digraph::from_edges(16, edges);
-        let rr = g.reverse().reverse();
-        prop_assert_eq!(&g, &rr);
-        prop_assert_eq!(g.edge_count(), g.reverse().edge_count());
+    fn condensation_matches_sort_and_dedup(edges in arb_edges(24, 90)) {
+        let g = Digraph::from_edges(24, edges);
+        assert_condensation_matches_reference(&g);
     }
 
     /// The multigraph builder is insensitive to edge insertion order.
