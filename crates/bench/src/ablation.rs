@@ -1,7 +1,7 @@
 //! Text-mode ablation experiments: what the paper's figures do not plot
 //! but the design decisions rest on.
 //!
-//! Seven tables:
+//! Six tables:
 //!
 //! 1. **TC algorithms** (TABLE III) — the naive per-vertex BFS over `G_R`
 //!    (what FullSharing pays) vs SCCs + condensation + closure of `Ḡ_R`
@@ -17,8 +17,6 @@
 //!    byte budget at half its steady state.
 //! 6. **Parallel paths** — the per-vertex BFS closure, Theorem 1's
 //!    expansion and the batch fan-out at 1/2/4 workers.
-//! 7. **Incremental maintenance** — one stale-entry refresh through
-//!    [`DynamicRtc`] vs a rebuild, under three small-delta profiles.
 
 use crate::profiles::Profile;
 use crate::table::{fmt_ratio, fmt_secs, Table};
@@ -30,13 +28,8 @@ use rpq_datasets::rmat::rmat_n_scaled;
 use rpq_datasets::structured::{cycle_clusters, CycleClusterConfig};
 use rpq_datasets::workload::{alphabet_of, generate_workload, WorkloadConfig};
 use rpq_eval::ProductEvaluator;
-use rpq_graph::{
-    tarjan_scc, Condensation, MappedDigraph, PairSet, ReprMode, RowSetPolicy, VertexId,
-};
-use rpq_reduction::{
-    closure_of_condensation_rows, tc_naive, tc_naive_parallel, DynamicRtc, FullTc,
-    MaintenanceConfig, Rtc,
-};
+use rpq_graph::{tarjan_scc, Condensation, MappedDigraph, PairSet, ReprMode, RowSetPolicy};
+use rpq_reduction::{closure_of_condensation_rows, tc_naive, tc_naive_parallel, FullTc, Rtc};
 use rpq_regex::{ClosureKind, Regex};
 use std::time::{Duration, Instant};
 
@@ -493,96 +486,6 @@ pub fn par_table() -> Table {
                 .evaluate_set(&sets[0].queries)
                 .unwrap()
         });
-    }
-    t
-}
-
-/// Table 7: one stale-entry refresh, incremental vs rebuild. Each cell
-/// times **two** refreshes — absorb a pair-delta of ~0.1% of `|R_G|` into a
-/// [`DynamicRtc`] and snapshot it back to an `Rtc`, then absorb the
-/// inverse — against `Rtc::from_pairs` on the two matching relations.
-/// Profiles: `churn` deletes real pairs and reinserts them (damage dies
-/// out at once in a well-connected relation); `growth` inserts uniform
-/// random pairs; `mixed` deletes real pairs while inserting random ones
-/// (adversarial: every other refresh splits or merges a large SCC, where
-/// incremental maintenance is expected near, or behind, a rebuild).
-pub fn dynamic_table() -> Table {
-    // Millisecond cells under a 25% drift gate: on the shared 2-core host
-    // the minimum of 5 runs moved ±50% between runs of one binary, the
-    // minimum of 200 (~0.5 s per cell) ±10%.
-    const REPS: usize = 200;
-    let mut t = Table::new(
-        "Ablation: incremental RTC maintenance vs rebuild (two refreshes)",
-        &[
-            "relation",
-            "delta",
-            "pairs/delta",
-            "incremental(s)",
-            "rebuild(s)",
-            "speedup",
-        ],
-    );
-    // A dense join relation (one giant SCC plus fringe) and a
-    // cluster-structured one (many mid-size SCCs).
-    let rmat = rmat_n_scaled(3, 10, 7);
-    let clusters = cycle_clusters(&CycleClusterConfig {
-        clusters: 150,
-        cluster_size: 8,
-        inter_edges: 120,
-        labels: 2,
-        seed: 11,
-    });
-    let config = MaintenanceConfig::default();
-    for (name, graph, body) in [
-        ("rmat_join", &rmat, "l0.l1"),
-        ("clusters", &clusters, "l0|l1"),
-    ] {
-        let r_g = ProductEvaluator::new(graph, &Regex::parse(body).unwrap()).evaluate();
-        let pairs: Vec<(VertexId, VertexId)> = r_g.iter().collect();
-        let k = (pairs.len() / 1000).max(2);
-        let real: Vec<_> = pairs
-            .iter()
-            .step_by((pairs.len() / k).max(1))
-            .take(k)
-            .copied()
-            .collect();
-        let vertices = 1 + pairs
-            .iter()
-            .map(|&(a, b)| a.raw().max(b.raw()))
-            .max()
-            .unwrap_or(0);
-        let random = |mut state: u64| -> Vec<(VertexId, VertexId)> {
-            let mut next = || VertexId((lcg(&mut state) >> 33) as u32 % vertices);
-            (0..k).map(|_| (next(), next())).collect()
-        };
-        let (fresh, crossing) = (random(0x9E37_79B9_7F4A_7C15), random(42));
-        for (delta, inserted, deleted) in [
-            ("churn", &[][..], &real[..]),
-            ("growth", &fresh[..], &[][..]),
-            ("mixed", &crossing[..], &real[..]),
-        ] {
-            let mut dynamic = DynamicRtc::from_pairs(&r_g);
-            let incremental = time_min(REPS, || {
-                dynamic.apply(inserted, deleted, &config);
-                let forward = dynamic.snapshot();
-                dynamic.apply(deleted, inserted, &config);
-                (forward, dynamic.snapshot())
-            });
-            let moved = {
-                let mut d = DynamicRtc::from_pairs(&r_g);
-                d.apply(inserted, deleted, &config);
-                d.pairs()
-            };
-            let rebuild = time_min(REPS, || (Rtc::from_pairs(&moved), Rtc::from_pairs(&r_g)));
-            t.row(vec![
-                format!("{name} |R_G|={}", pairs.len()),
-                delta.to_string(),
-                k.to_string(),
-                fmt_secs(incremental),
-                fmt_secs(rebuild),
-                fmt_ratio(rebuild.as_secs_f64(), incremental.as_secs_f64()),
-            ]);
-        }
     }
     t
 }

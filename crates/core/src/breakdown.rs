@@ -107,10 +107,9 @@ impl AddAssign for EliminationStats {
     }
 }
 
-/// Accounting for the dynamic-graph maintenance paths: how stale shared
+/// Accounting for the dynamic-graph refresh paths: how stale shared
 /// structures were brought up to the current graph epoch, and what it
-/// cost. `incremental_time` vs `rebuild_time` is the comparison the
-/// `dynamic_ablation` bench reports.
+/// cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceMetrics {
     /// `Engine::apply_delta` calls absorbed.
@@ -118,13 +117,8 @@ pub struct MaintenanceMetrics {
     /// Stale entries whose base relation turned out unchanged — the entry
     /// was re-stamped without touching the structure.
     pub unchanged_refreshes: u64,
-    /// Stale entries refreshed by incremental RTC maintenance.
-    pub incremental_refreshes: u64,
-    /// Stale entries refreshed by a from-scratch rebuild (damage threshold
-    /// exceeded, or a structure with no incremental path, e.g. `FullTc`).
+    /// Stale entries whose base relation moved, rebuilt from the new one.
     pub rebuild_refreshes: u64,
-    /// Wall-clock time in incremental maintenance (diff + apply + snapshot).
-    pub incremental_time: Duration,
     /// Wall-clock time in rebuild refreshes.
     pub rebuild_time: Duration,
 }
@@ -132,7 +126,7 @@ pub struct MaintenanceMetrics {
 impl MaintenanceMetrics {
     /// Total stale-entry refreshes, whichever path they took.
     pub fn refreshes(&self) -> u64 {
-        self.unchanged_refreshes + self.incremental_refreshes + self.rebuild_refreshes
+        self.unchanged_refreshes + self.rebuild_refreshes
     }
 
     /// Resets all counters.
@@ -145,9 +139,7 @@ impl AddAssign for MaintenanceMetrics {
     fn add_assign(&mut self, rhs: MaintenanceMetrics) {
         self.deltas_applied += rhs.deltas_applied;
         self.unchanged_refreshes += rhs.unchanged_refreshes;
-        self.incremental_refreshes += rhs.incremental_refreshes;
         self.rebuild_refreshes += rhs.rebuild_refreshes;
-        self.incremental_time += rhs.incremental_time;
         self.rebuild_time += rhs.rebuild_time;
     }
 }
@@ -161,16 +153,14 @@ mod tests {
         let m = MaintenanceMetrics {
             deltas_applied: 1,
             unchanged_refreshes: 2,
-            incremental_refreshes: 3,
             rebuild_refreshes: 4,
-            incremental_time: Duration::from_millis(5),
             rebuild_time: Duration::from_millis(6),
         };
         let mut sum = MaintenanceMetrics::default();
         sum += m;
         sum += m;
-        assert_eq!(sum.refreshes(), 18);
-        assert_eq!(sum.incremental_time, Duration::from_millis(10));
+        assert_eq!(sum.refreshes(), 12);
+        assert_eq!(sum.rebuild_time, Duration::from_millis(12));
         sum.reset();
         assert_eq!(sum, MaintenanceMetrics::default());
     }

@@ -24,10 +24,11 @@
 //! was built at and the base relation `R_G` it was built from. The cache
 //! itself tracks the graph's current epoch (advanced by
 //! `Engine::apply_delta`); a lookup whose entry is older than the current
-//! epoch returns [`Lookup::Stale`] — handing the caller everything
-//! needed to refresh *incrementally* (diff the base relations, feed the
-//! delta to [`DynamicRtc`]) instead of silently serving a closure of a
-//! graph that no longer exists.
+//! epoch returns [`Lookup::Stale`] — the old structure and the `R_G` it
+//! was built from, so the caller can re-stamp it if the relation did not
+//! move and rebuild it otherwise — instead of silently serving a closure
+//! of a graph that no longer exists. A stale entry of any kind is handed
+//! out shared and stays cached until the refreshed insert displaces it.
 //!
 //! ## Concurrency
 //!
@@ -41,18 +42,6 @@
 //! simultaneously. Two threads racing to fill the same miss both compute
 //! and insert; the structures are deterministic per `(key, epoch)`, so
 //! whichever insert lands last is immaterial.
-//!
-//! The kinds differ in one step. A stale RTC is **claimed** — removed
-//! under the shard write lock (re-checked after the upgrade) and handed
-//! to the caller by value, to refresh and re-insert at the current epoch:
-//! the ownership transfer lets the refresh mutate the maintainable
-//! structure in place (`Arc::try_unwrap` succeeds) instead of deep-cloning
-//! it, and exactly one racer receives the refreshable state — the others
-//! see a plain miss and rebuild from scratch, which is correct, just not
-//! incremental. A stale full closure is handed out shared and stays
-//! cached: `FullTc` has no in-place maintenance, so there is nothing to
-//! mutate and concurrent refreshers can all rebuild from the same stale
-//! base.
 //!
 //! ## Budgets and eviction
 //!
@@ -82,10 +71,10 @@
 //! the live one nor pinned by a live [`EpochPin`] can never be asked for
 //! again: `Engine::apply_delta` drops those from the result instance
 //! ([`SharedCache::retain_epochs`]). Stale *structural* entries stay —
-//! they are what incremental refresh feeds on.
+//! their recorded `R_G` lets an unchanged relation be re-stamped.
 
 use rpq_graph::PairSet;
-use rpq_reduction::{DynamicRtc, FullTc, Rtc};
+use rpq_reduction::{FullTc, Rtc};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -259,8 +248,7 @@ pub(crate) fn score(build_nanos: u64, bytes: usize) -> f64 {
 
 /// Per-entry retention metadata: everything eviction scores on.
 struct EntryMeta {
-    /// Retained bytes: the structure (an RTC's maintainable form included,
-    /// once a refresh has built one), its recorded base relation, its key
+    /// Retained bytes: the structure, its recorded base relation, its key
     /// and [`SLOT_BYTES`] — so an empty result costs something too.
     bytes: usize,
     /// Wall-clock nanos spent building the structure — the cost a future
@@ -310,9 +298,8 @@ const KINDS: [SharingKind; 3] = [SharingKind::Rtc, SharingKind::Full, SharingKin
 /// look up, compute and store for a closure body `R`.
 #[derive(Clone)]
 pub enum Shared {
-    /// RTCSharing's reduced closure, with its maintainable form once a
-    /// refresh has materialized one.
-    Rtc(Arc<Rtc>, Option<Arc<DynamicRtc>>),
+    /// RTCSharing's reduced closure.
+    Rtc(Arc<Rtc>),
     /// FullSharing's materialized `R⁺_G`.
     Full(Arc<FullTc>),
     /// A memoized query result, `Arc`-shared so a hit costs one reference
@@ -323,32 +310,19 @@ pub enum Shared {
 impl Shared {
     fn kind(&self) -> SharingKind {
         match self {
-            Shared::Rtc(..) => SharingKind::Rtc,
+            Shared::Rtc(_) => SharingKind::Rtc,
             Shared::Full(_) => SharingKind::Full,
             Shared::Result(_) => SharingKind::Result,
         }
     }
 
     /// Heap bytes the payload keeps alive: a structure's id tables and
-    /// closure rows (a result's pairs), plus an RTC's maintainable form
-    /// where the entry owns one.
+    /// closure rows, or a result's pairs.
     fn heap_bytes(&self) -> usize {
         match self {
-            Shared::Rtc(rtc, dynamic) => {
-                rtc.heap_bytes() + dynamic.as_ref().map_or(0, |d| d.heap_bytes())
-            }
+            Shared::Rtc(rtc) => rtc.heap_bytes(),
             Shared::Full(full) => full.heap_bytes(),
             Shared::Result(pairs) => pairs.heap_bytes(),
-        }
-    }
-
-    /// The handle a reader evaluates with. The maintainable form stays
-    /// behind, solely owned by the cache entry, so the refresh that
-    /// eventually claims the entry can still mutate it in place.
-    pub(crate) fn reader(&self) -> Shared {
-        match self {
-            Shared::Rtc(rtc, _) => Shared::Rtc(Arc::clone(rtc), None),
-            other => other.clone(),
         }
     }
 }
@@ -371,8 +345,7 @@ pub enum Lookup {
     /// A structure from an older epoch (still correct for the epoch it
     /// was built at), with the state needed to refresh it.
     Stale {
-        /// The stale structure, with its maintainable form if an earlier
-        /// refresh already built one.
+        /// The stale structure.
         shared: Shared,
         /// The base relation it was built from, if recorded.
         r_g: Option<Arc<PairSet>>,
@@ -385,14 +358,13 @@ pub enum Lookup {
 pub struct FreshEntry {
     /// The canonical closure body the structure is cached under.
     pub key: String,
-    /// The structure (never carrying a maintainable form).
+    /// The structure.
     pub shared: Shared,
     /// The base relation it was built from, if recorded.
     pub r_g: Option<Arc<PairSet>>,
     /// Its cost-to-rebuild.
     pub build_nanos: u64,
-    /// What the entry charges the byte budget once a snapshot loads it
-    /// back: its charge here, less the maintainable form it never writes.
+    /// What the entry charges the byte budget.
     pub bytes: usize,
 }
 
@@ -567,7 +539,7 @@ impl SharedCache {
         evicted.insert((kind, key.to_owned()));
     }
 
-    /// Occupancy bookkeeping for a removal (claim, eviction, unreachable).
+    /// Occupancy bookkeeping for a removal (eviction, unreachable).
     fn note_remove(&self, meta: &EntryMeta) {
         self.occ_bytes
             .fetch_sub(meta.bytes as u64, Ordering::AcqRel);
@@ -580,55 +552,27 @@ impl SharedCache {
     /// hit for `Stale` and a miss otherwise.
     ///
     /// An entry stamped exactly `epoch` is a fresh hit regardless of where
-    /// the live epoch has moved since. Stale refresh state is only handed
-    /// out (an RTC claimed, a full closure shared — see the module docs)
+    /// the live epoch has moved since. A stale entry is only handed out
+    /// (shared; it stays cached until the refreshed insert displaces it)
     /// when `epoch` **is** the live epoch: it exists to refresh the entry
     /// forward, which only makes sense at the front. A reader pinned to an
     /// older epoch treats any other-epoch entry as a plain miss and
     /// recomputes from its frozen graph, leaving the entry in place for
     /// live readers.
     pub fn lookup(&self, kind: SharingKind, key: &str, epoch: u64) -> Lookup {
-        let map = self.map(kind, key);
-        match read(map).get(key) {
+        match read(self.map(kind, key)).get(key) {
             Some(entry) if entry.epoch == epoch => {
                 self.note_fresh_hit(&entry.meta);
-                return Lookup::Fresh(entry.shared.reader());
+                Lookup::Fresh(entry.shared.clone())
             }
             Some(entry) if epoch == self.epoch() => {
-                if kind != SharingKind::Rtc {
-                    self.stale_hits.fetch_add(1, Ordering::Relaxed);
-                    return Lookup::Stale {
-                        shared: entry.shared.clone(),
-                        r_g: entry.r_g.clone(),
-                    };
+                self.stale_hits.fetch_add(1, Ordering::Relaxed);
+                Lookup::Stale {
+                    shared: entry.shared.clone(),
+                    r_g: entry.r_g.clone(),
                 }
-                // A stale RTC at the front: claim it below, under the
-                // write lock.
             }
             _ => {
-                self.note_miss(kind, key);
-                return Lookup::Miss;
-            }
-        }
-        let mut map = write(map);
-        // Re-check: between the two locks another thread may have
-        // refreshed the entry (now fresh) or claimed it (now gone).
-        if let Some(entry) = map.get(key).filter(|e| e.epoch == epoch) {
-            self.note_fresh_hit(&entry.meta);
-            return Lookup::Fresh(entry.shared.reader());
-        }
-        match map.remove(key) {
-            Some(entry) => {
-                self.stale_hits.fetch_add(1, Ordering::Relaxed);
-                // A claim is a refresh hand-off, not an eviction — but
-                // the entry did leave the cache, so occupancy drops.
-                self.note_remove(&entry.meta);
-                Lookup::Stale {
-                    shared: entry.shared,
-                    r_g: entry.r_g,
-                }
-            }
-            None => {
                 self.note_miss(kind, key);
                 Lookup::Miss
             }
@@ -713,15 +657,12 @@ impl SharedCache {
                 read(map)
                     .iter()
                     .filter(|(_, e)| e.epoch == epoch)
-                    .map(|(key, e)| {
-                        let shared = e.shared.reader();
-                        FreshEntry {
-                            key: key.clone(),
-                            bytes: e.meta.bytes - e.shared.heap_bytes() + shared.heap_bytes(),
-                            shared,
-                            r_g: e.r_g.clone(),
-                            build_nanos: e.meta.build_nanos,
-                        }
+                    .map(|(key, e)| FreshEntry {
+                        key: key.clone(),
+                        shared: e.shared.clone(),
+                        r_g: e.r_g.clone(),
+                        build_nanos: e.meta.build_nanos,
+                        bytes: e.meta.bytes,
                     }),
             );
         }
@@ -735,7 +676,7 @@ impl SharedCache {
         for shard in &self.shards {
             for entry in read(&shard[kind as usize]).values() {
                 let (pairs, vertices, heap, dense) = match &entry.shared {
-                    Shared::Rtc(rtc, _) => (
+                    Shared::Rtc(rtc) => (
                         rtc.closure_pair_count(),
                         rtc.scc_count(),
                         rtc.closure_heap_bytes(),
@@ -802,7 +743,7 @@ impl SharedCache {
     }
 
     /// Retained bytes across every namespace (payloads, base relations,
-    /// maintainable forms, keys and map slots — the footprint the byte
+    /// keys and map slots — the footprint the byte
     /// budget governs; [`KindTotals::heap_bytes`] measures the closure
     /// rows alone).
     pub fn occupancy_bytes(&self) -> usize {
@@ -894,7 +835,7 @@ impl SharedCache {
         let Some((_, _, key, kind, shard, epoch)) = victim else {
             return false;
         };
-        // Re-check under the write lock: the entry may have been claimed,
+        // Re-check under the write lock: the entry may have been evicted,
         // replaced or re-pinned since the scan. A lost race still returns
         // `true` — the caller loops and re-reads occupancy.
         let mut map = write(&self.shards[shard][kind as usize]);
@@ -961,7 +902,7 @@ mod tests {
 
     fn sample(kind: SharingKind) -> Shared {
         match kind {
-            RtcKind => Shared::Rtc(sample_rtc(), None),
+            RtcKind => Shared::Rtc(sample_rtc()),
             Full => Shared::Full(Arc::new(FullTc::from_pairs(&sample_pairs()))),
             ResultKind => Shared::Result(Arc::new(sample_pairs())),
         }
@@ -1065,45 +1006,30 @@ mod tests {
         assert_eq!(count(&c, Full), 0);
     }
 
+    /// A stale entry is handed out shared with its base relation, stays
+    /// cached for every live lookup until the refreshed insert displaces
+    /// it, and that displacement counts once.
     #[test]
-    fn entries_go_stale_when_the_epoch_advances() {
-        let c = SharedCache::new();
-        let r_g = Arc::new(sample_pairs());
-        let fresh = |c: &SharedCache| {
-            c.insert(
-                "k".into(),
-                sample(RtcKind),
-                Some(Arc::clone(&r_g)),
-                c.epoch(),
-                Duration::ZERO,
-            )
-        };
-        fresh(&c);
-        assert!(c.contains_fresh(RtcKind, "k"));
-        c.advance_epoch(1);
-        assert!(!c.contains_fresh(RtcKind, "k"));
-        // The live lookup claims the entry and hands back the refresh state.
-        match c.lookup(RtcKind, "k", 1) {
-            Lookup::Stale { r_g: claimed, .. } => assert_eq!(*claimed.unwrap(), *r_g),
-            _ => panic!("expected a stale entry"),
-        }
-        assert_eq!(c.stale_hits(), 1);
-        assert_eq!(count(&c, RtcKind), 0);
-        // Re-inserting at the new epoch makes it fresh again.
-        fresh(&c);
-        assert!(matches!(c.lookup(RtcKind, "k", 1), Lookup::Fresh(_)));
-    }
-
-    #[test]
-    fn full_entries_go_stale_too() {
-        let c = SharedCache::new();
-        insert_costed(&c, Full, "k", 0, 0);
-        c.advance_epoch(3);
-        // Unlike an RTC, the stale closure is handed out shared, not claimed.
-        assert!(matches!(c.lookup(Full, "k", 3), Lookup::Stale { .. }));
-        assert!(matches!(c.lookup(Full, "k", 3), Lookup::Stale { .. }));
-        assert_eq!((c.stale_hits(), count(&c, Full)), (2, 1));
-        assert!(!c.contains_fresh(Full, "k"));
+    fn stale_entries_are_shared_until_the_refresh_displaces_them() {
+        for_all_kinds(|kind| {
+            let c = SharedCache::new();
+            insert_costed(&c, kind, "k", 0, 0);
+            let bytes = c.occupancy_bytes();
+            c.advance_epoch(3);
+            assert!(!c.contains_fresh(kind, "k"));
+            for _ in 0..2 {
+                match c.lookup(kind, "k", 3) {
+                    Lookup::Stale { r_g, .. } => assert_eq!(*r_g.unwrap(), sample_pairs()),
+                    _ => panic!("expected a stale entry"),
+                }
+            }
+            assert_eq!((c.stale_hits(), count(&c, kind)), (2, 1));
+            assert_eq!(c.occupancy_bytes(), bytes);
+            insert_costed(&c, kind, "k", 3, 0);
+            assert!(matches!(c.lookup(kind, "k", 3), Lookup::Fresh(_)));
+            assert_eq!((count(&c, kind), c.occupancy_bytes()), (1, bytes));
+            assert_eq!(c.eviction_counters().by_stale, 1);
+        });
     }
 
     #[test]
@@ -1113,8 +1039,7 @@ mod tests {
             insert_bare(&c, kind, "k");
             c.advance_epoch(2);
             // Live lookups see a stale entry; a reader pinned to epoch 0
-            // still gets a fresh hit — and, being a read, must not claim
-            // anything.
+            // still gets a fresh hit.
             assert!(matches!(c.lookup(kind, "k", 0), Lookup::Fresh(_)));
             assert_eq!(count(&c, kind), 1);
             assert_eq!((c.hits(), c.stale_hits()), (1, 0));
@@ -1122,13 +1047,13 @@ mod tests {
     }
 
     #[test]
-    fn pinned_lookup_never_claims_other_epochs() {
+    fn pinned_lookup_misses_other_epochs() {
         for_all_kinds(|kind| {
             let c = SharedCache::new();
             insert_bare(&c, kind, "k");
             c.advance_epoch(5);
             // Pinned to epoch 3: the epoch-0 entry is neither fresh (wrong
-            // epoch) nor claimable (3 is not the live epoch) — a plain miss
+            // epoch) nor stale (3 is not the live epoch) — a plain miss
             // that leaves the entry for the live readers to refresh.
             assert!(matches!(c.lookup(kind, "k", 3), Lookup::Miss));
             assert_eq!(count(&c, kind), 1);
@@ -1281,15 +1206,10 @@ mod tests {
             assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (unit, 1));
             insert_costed(&c, kind, "b", 0, 10);
             assert_eq!(c.occupancy_entries(), 2);
-            // A stale RTC is claimed, which removes the entry and its
-            // footprint; any other stale payload stays where it is.
+            // A stale lookup leaves the entry and its footprint in place.
             c.advance_epoch(1);
             assert!(matches!(c.lookup(kind, "a", 1), Lookup::Stale { .. }));
-            let left = if kind == RtcKind { 1 } else { 2 };
-            assert_eq!(
-                (c.occupancy_bytes(), c.occupancy_entries()),
-                (left * unit, left)
-            );
+            assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (2 * unit, 2));
             c.clear();
             assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (0, 0));
         });
@@ -1322,50 +1242,6 @@ mod tests {
             assert!(!hit(&c, kind, "cheap"));
             assert_eq!(c.eviction_counters().rebuilds_after_evict, 1);
         });
-    }
-
-    /// An RTC entry that has been through a refresh also owns its
-    /// maintainable form; the byte budget weighs it, a snapshot (which
-    /// never writes it) does not.
-    #[test]
-    fn maintainable_form_counts_toward_the_byte_budget() {
-        let dynamic = Arc::new(DynamicRtc::from_rtc(&sample_rtc(), &sample_pairs()));
-        let held = dynamic.heap_bytes();
-        assert!(held > 0);
-        let insert_refreshed = |c: &SharedCache| {
-            c.insert(
-                "k".into(),
-                Shared::Rtc(sample_rtc(), Some(Arc::clone(&dynamic))),
-                Some(Arc::new(sample_pairs())),
-                0,
-                Duration::from_nanos(1),
-            )
-        };
-        let c = SharedCache::new();
-        insert_costed(&c, RtcKind, "k", 0, 1);
-        let plain = c.occupancy_bytes();
-        let c = SharedCache::new();
-        insert_refreshed(&c);
-        assert_eq!(c.occupancy_bytes(), plain + held);
-        assert_eq!(c.fresh_entries()[0].bytes, plain);
-        assert!(c.totals(RtcKind).heap_bytes < plain);
-        // A budget between the two sizes keeps the plain entry and evicts
-        // the refreshed one on its own insert.
-        let bounded = || {
-            SharedCache::with_budget(CacheBudget {
-                max_bytes: Some(plain + held / 2),
-                ..Default::default()
-            })
-        };
-        let c = bounded();
-        insert_costed(&c, RtcKind, "k", 0, 1);
-        assert_eq!(c.occupancy_entries(), 1);
-        let c = bounded();
-        insert_refreshed(&c);
-        assert_eq!(
-            (c.occupancy_entries(), c.eviction_counters().by_bytes),
-            (0, 1)
-        );
     }
 
     /// A structure is charged for its id tables as well as its rows: the
@@ -1512,19 +1388,6 @@ mod tests {
                 assert!(matches!(c.lookup(kind, &key, epoch), Lookup::Miss));
             }
             assert_eq!(c.eviction_counters().rebuilds_after_evict, 0);
-        });
-    }
-
-    #[test]
-    fn stale_displacement_is_counted() {
-        for_all_kinds(|kind| {
-            let c = SharedCache::new();
-            insert_costed(&c, kind, "k", 0, 100);
-            c.advance_epoch(1);
-            // Re-inserting the key at the new epoch displaces the stale one.
-            insert_costed(&c, kind, "k", 1, 100);
-            assert_eq!(c.eviction_counters().by_stale, 1);
-            assert_eq!(c.occupancy_entries(), 1);
         });
     }
 

@@ -80,9 +80,10 @@ pub struct EngineConfig {
     /// shared-structure construction/expansion inside each evaluation.
     /// Results are identical at any thread count (property-tested).
     pub threads: usize,
-    /// Tuning for incremental maintenance of stale shared structures
-    /// after [`Engine::apply_delta`]. Results are identical at any
-    /// setting (property-tested); only the refresh cost profile changes.
+    /// Field-less: a stale shared structure is re-stamped if its `R_G` did
+    /// not move and rebuilt from the new one otherwise, with nothing to
+    /// tune. The field stays only because the benchmark harness's trace
+    /// probe reads it ([`rpq_reduction::probe_shim`]).
     pub maintenance: MaintenanceConfig,
     /// How closure tables back their rows: adaptive dense/sparse hybrid
     /// (the default), or forced to one representation. Results are
@@ -108,7 +109,7 @@ impl Default for EngineConfig {
             strategy: Strategy::RtcSharing,
             dnf_clause_limit: DEFAULT_CLAUSE_LIMIT,
             threads: 1,
-            maintenance: MaintenanceConfig::default(),
+            maintenance: MaintenanceConfig,
             representation: RowSetPolicy::from_env_or_default(),
             cache_budget: CacheBudget::from_env_or_default(),
         }
@@ -298,7 +299,7 @@ macro_rules! read_surface {
             }
 
             /// Accumulated dynamic-graph maintenance counters and timings
-            /// (deltas applied; incremental vs rebuild refreshes of stale
+            /// (deltas applied; unchanged vs rebuild refreshes of stale
             /// shared structures). By value — see [`Engine::breakdown`].
             pub fn maintenance_metrics(&self) -> MaintenanceMetrics {
                 self.handles.metrics().maintenance
@@ -410,8 +411,9 @@ impl<'g> Engine<'g> {
     }
 
     /// Applies a mutation batch to the graph and advances the epoch, so
-    /// cached shared structures become stale and refresh — incrementally
-    /// where the damage is contained — on their next use.
+    /// cached shared structures become stale and refresh on their next
+    /// use: re-stamped if their `R_G` did not move, rebuilt from the new
+    /// `R_G` otherwise.
     ///
     /// A borrowed engine upgrades to an owned graph on its first delta by
     /// cloning the borrowed snapshot once (the borrowed graph itself is
@@ -766,12 +768,8 @@ mod tests {
             assert_eq!((report.bodies_computed, report.bodies_reused), (1, 0));
             assert_eq!(e.cache().stale_hits(), 1);
             let m = e.maintenance_metrics();
-            let refreshes = (m.incremental_refreshes, m.rebuild_refreshes);
-            let expect = match strategy {
-                Strategy::RtcSharing => (1, 0),
-                _ => (0, 1),
-            };
-            assert_eq!(refreshes, expect, "{strategy}");
+            let refreshes = (m.rebuild_refreshes, m.unchanged_refreshes);
+            assert_eq!(refreshes, (1, 0), "{strategy}");
             let (hits, misses) = (e.cache().hits(), e.cache().misses());
             e.evaluate(&queries[0]).unwrap();
             assert_eq!((e.cache().hits(), e.cache().misses()), (hits + 1, misses));
@@ -977,7 +975,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_refreshes_stale_rtc_incrementally() {
+    fn apply_delta_rebuilds_a_stale_rtc_whose_relation_moved() {
         let g = paper_graph();
         let q = Regex::parse("d.(b.c)+.c").unwrap();
         // Oracle graph: a b/c two-cycle hanging off v6, so (b·c)+ gains pairs.
@@ -1012,14 +1010,10 @@ mod tests {
             // Oracle: a fresh engine over the equivalently mutated graph.
             let fresh = Engine::with_config(&mutated, config);
             assert_eq!(after, fresh.evaluate(&q).unwrap());
-            // The stale entry was refreshed, not recomputed blind.
+            // The stale entry was found and rebuilt from the moved R_G.
             let m = e.maintenance_metrics();
-            assert_eq!(m.deltas_applied, 1);
-            assert!(
-                m.incremental_refreshes + m.unchanged_refreshes + m.rebuild_refreshes >= 1,
-                "refresh not recorded: {m:?}"
-            );
-            assert!(e.cache().stale_hits() >= 1);
+            assert_eq!((m.deltas_applied, m.rebuild_refreshes), (1, 1), "{m:?}");
+            assert_eq!(e.cache().stale_hits(), 1);
             // The refreshed rows keep the configured representation.
             let dense_rows = e.cache().totals(SharingKind::Rtc).dense_rows;
             assert_eq!(
@@ -1043,7 +1037,7 @@ mod tests {
         let before_pairs = e.shared_data_pairs();
         e.evaluate_str("(b.c)+").unwrap();
         assert_eq!(e.maintenance_metrics().unchanged_refreshes, 1);
-        assert_eq!(e.maintenance_metrics().incremental_refreshes, 0);
+        assert_eq!(e.maintenance_metrics().rebuild_refreshes, 0);
         assert_eq!(e.shared_data_pairs(), before_pairs);
     }
 
@@ -1114,8 +1108,7 @@ mod tests {
         e.apply_delta(&delta);
         e.evaluate_str("(b.c)+").unwrap();
         let m = e.maintenance_metrics();
-        assert_eq!(m.rebuild_refreshes, 1);
-        assert_eq!(m.incremental_refreshes, 0);
+        assert_eq!((m.rebuild_refreshes, m.unchanged_refreshes), (1, 0));
     }
 
     /// The serving contract of this refactor: N threads evaluate through

@@ -26,7 +26,7 @@ use crate::error::EngineError;
 use crate::pre_relation::PreRelation;
 use rpq_eval::label_seq::eval_label_names;
 use rpq_graph::{LabeledMultigraph, PairSet};
-use rpq_reduction::{DynamicRtc, FullTc, MaintenanceOutcome, Rtc};
+use rpq_reduction::{FullTc, Rtc};
 use rpq_regex::{decompose, to_dnf_with_limit, Regex};
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
@@ -48,8 +48,8 @@ pub(crate) struct EvalCtx<'a> {
     pub epoch: u64,
     pub kind: SharingKind,
     /// The configuration this evaluation runs under: clause budget, worker
-    /// threads for structure construction and expansion, maintenance tuning
-    /// and the row policy of newly built structures.
+    /// threads for structure construction and expansion, and the row
+    /// policy of newly built structures.
     pub config: &'a EngineConfig,
     pub metrics: &'a mut EngineMetrics,
 }
@@ -78,7 +78,7 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_>, q: &Regex) -> Result<PairSet, En
                 let shared = obtain(ctx, &r.canonical_key(), &r)?;
                 let (graph, stats) = (ctx.graph, &mut ctx.metrics.stats);
                 let out = match shared {
-                    Shared::Rtc(rtc, _) => {
+                    Shared::Rtc(rtc) => {
                         eval_batch_unit_rtc(graph, &pre, &rtc, closure_kind, &unit.post, stats)
                     }
                     Shared::Full(full) => {
@@ -150,9 +150,10 @@ fn prepare_query(
 }
 
 /// Algorithm 1 lines 9–11, once for both strategies: fetches the shared
-/// structure for `key` — fresh from the cache, refreshed from a stale
-/// entry, or computed from scratch on a miss. The cache ends up holding an
-/// entry at the evaluation's epoch either way.
+/// structure for `key` — fresh from the cache, re-stamped from a stale
+/// entry whose `R_G` did not move, or computed from scratch (a miss, or a
+/// stale entry whose `R_G` did). The cache ends up holding an entry at the
+/// evaluation's epoch either way.
 fn obtain(ctx: &mut EvalCtx<'_>, key: &str, r: &Regex) -> Result<Shared, EngineError> {
     let stale = match ctx.cache.lookup(ctx.kind, key, ctx.epoch) {
         Lookup::Fresh(shared) => return Ok(shared),
@@ -169,38 +170,32 @@ fn obtain(ctx: &mut EvalCtx<'_>, key: &str, r: &Regex) -> Result<Shared, EngineE
             ctx.metrics.maintenance.unchanged_refreshes += 1;
             (shared, old_r_g)
         }
-        Some((Shared::Rtc(rtc, dynamic), Some(old_r_g))) => {
-            refresh_rtc(ctx, &rtc, dynamic, &old_r_g, r_g)
+        // Anything else is built from the new relation, as a miss is.
+        stale => {
+            let built = compute(ctx, &r_g);
+            if stale.is_some() {
+                ctx.metrics.maintenance.rebuild_refreshes += 1;
+                ctx.metrics.maintenance.rebuild_time += t.elapsed();
+            }
+            (built, Arc::new(r_g))
         }
-        // No recorded base relation to diff against, or a `FullTc` — the
-        // baseline's structure has no incremental maintenance path, which
-        // is exactly the cost asymmetry the dynamic ablation measures
-        // against RTC maintenance.
-        Some(_) => {
-            let rebuilt = compute(ctx, &r_g);
-            ctx.metrics.maintenance.rebuild_refreshes += 1;
-            ctx.metrics.maintenance.rebuild_time += t.elapsed();
-            (rebuilt, Arc::new(r_g))
-        }
-        None => (compute(ctx, &r_g), Arc::new(r_g)),
     };
     let build = t.elapsed();
     ctx.metrics.breakdown.shared_data += build;
     // The construction time doubles as the entry's cost-to-rebuild under
     // the cache's cost-aware eviction.
-    let reader = shared.reader();
     ctx.cache
-        .insert(key.to_owned(), shared, Some(r_g), ctx.epoch, build);
-    Ok(reader)
+        .insert(key.to_owned(), shared.clone(), Some(r_g), ctx.epoch, build);
+    Ok(shared)
 }
 
 /// Computes the strategy's shared structure for `r_g` from scratch.
 fn compute(ctx: &EvalCtx<'_>, r_g: &PairSet) -> Shared {
     match ctx.kind {
-        SharingKind::Rtc => Shared::Rtc(
-            Arc::new(Rtc::from_pairs_with(r_g, &ctx.config.representation)),
-            None,
-        ),
+        SharingKind::Rtc => Shared::Rtc(Arc::new(Rtc::from_pairs_with(
+            r_g,
+            &ctx.config.representation,
+        ))),
         SharingKind::Full => Shared::Full(Arc::new(FullTc::from_pairs_parallel_with(
             r_g,
             ctx.config.threads,
@@ -208,40 +203,6 @@ fn compute(ctx: &EvalCtx<'_>, r_g: &PairSet) -> Shared {
         ))),
         SharingKind::Result => unreachable!("strategies share closures, not results"),
     }
-}
-
-/// Brings a stale RTC up to date against a changed `R_G`: diff the base
-/// relations and hand the pair delta to [`DynamicRtc`] (upgrading the
-/// static entry to maintainable form on first refresh), which falls back
-/// to a from-scratch rebuild when its own damage threshold trips.
-fn refresh_rtc(
-    ctx: &mut EvalCtx<'_>,
-    rtc: &Rtc,
-    dynamic: Option<Arc<DynamicRtc>>,
-    old_r_g: &PairSet,
-    new_r_g: PairSet,
-) -> (Shared, Arc<PairSet>) {
-    let t = Instant::now();
-    let inserted = new_r_g.difference(old_r_g).into_vec();
-    let deleted = old_r_g.difference(&new_r_g).into_vec();
-    let mut dynamic = match dynamic {
-        Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()),
-        None => DynamicRtc::from_rtc(rtc, old_r_g),
-    };
-    let outcome = dynamic.apply(&inserted, &deleted, &ctx.config.maintenance);
-    let rtc = Arc::new(dynamic.snapshot());
-    match outcome {
-        MaintenanceOutcome::Rebuilt(_) => {
-            ctx.metrics.maintenance.rebuild_refreshes += 1;
-            ctx.metrics.maintenance.rebuild_time += t.elapsed();
-        }
-        MaintenanceOutcome::Incremental(_) | MaintenanceOutcome::Unchanged => {
-            ctx.metrics.maintenance.incremental_refreshes += 1;
-            ctx.metrics.maintenance.incremental_time += t.elapsed();
-        }
-    }
-    let refreshed = Shared::Rtc(rtc, Some(Arc::new(dynamic)));
-    (refreshed, Arc::new(new_r_g))
 }
 
 #[cfg(test)]

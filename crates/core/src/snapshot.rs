@@ -137,7 +137,7 @@ pub fn write_snapshot<W: Write>(
     let full_count = entries.iter().filter(|e| is_full(e)).count();
     write_u32(&mut w, (entries.len() - full_count) as u32)?;
     for entry in &entries {
-        let Shared::Rtc(rtc, _) = &entry.shared else {
+        let Shared::Rtc(rtc) = &entry.shared else {
             continue;
         };
         write_entry_head(&mut w, entry)?;
@@ -227,7 +227,7 @@ pub fn read_snapshot<R: Read>(
         // Inserts go through budget enforcement, so a restore into a
         // tighter budget than the writer's trims deterministically.
         let (cache, epoch) = (engine.cache(), engine.epoch());
-        cache.insert(key, Shared::Rtc(rtc, None), r_g, epoch, build);
+        cache.insert(key, Shared::Rtc(rtc), r_g, epoch, build);
     }
 
     let full_count = read_u32(&mut r, "full-closure entry count")?;
@@ -534,7 +534,7 @@ mod tests {
         assert_eq!(warm.cache().misses(), 0);
 
         // The warm engine keeps mutating: the restored entry goes stale
-        // and refreshes (r_g was persisted, so incrementally).
+        // and refreshes against the persisted r_g.
         let mut delta = GraphDelta::new();
         delta.delete(6, "b", 8);
         warm.apply_delta(&delta);
@@ -656,10 +656,7 @@ mod tests {
         let huge_key = "k".repeat(CAP + 1);
         engine.cache().insert(
             huge_key,
-            Shared::Rtc(
-                Arc::new(rpq_reduction::Rtc::from_pairs(&PairSet::new())),
-                None,
-            ),
+            Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&PairSet::new()))),
             None,
             engine.epoch(),
             std::time::Duration::ZERO,
@@ -722,7 +719,7 @@ mod tests {
         for (key, nanos) in [("cheap", 1_000u64), ("mid", 20_000), ("dear", 30_000)] {
             engine.cache().insert(
                 key.to_owned(),
-                Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)), None),
+                Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&pairs))),
                 Some(Arc::clone(&pairs)),
                 engine.epoch(),
                 Duration::from_nanos(nanos),
@@ -768,7 +765,7 @@ mod tests {
         for (key, nanos) in [("cold", 1_000u64), ("hot", 9_000)] {
             engine.cache().insert(
                 key.to_owned(),
-                Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&pairs)), None),
+                Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&pairs))),
                 Some(Arc::clone(&pairs)),
                 engine.epoch(),
                 Duration::from_nanos(nanos),

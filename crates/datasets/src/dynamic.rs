@@ -4,7 +4,7 @@
 //! serving-engine north star needs the other axis too: a stream of
 //! [`GraphDelta`] update batches interleaved with query rounds, driven
 //! through `Engine::apply_delta`, so benches and examples can measure
-//! incremental RTC maintenance against rebuild-from-scratch under
+//! a cached engine's refreshes against a fresh engine under
 //! controlled churn (update batch size as a fraction of `|E|`, mix of
 //! insertions/deletions, deliberate delete-then-reinsert patterns, and
 //! occasional brand-new labels).

@@ -21,8 +21,8 @@
 //!   `scc_sensitivity` ablation.
 //! * [`io`] — a plain-text edge-list format for persisting datasets.
 //! * [`dynamic`] — interleaved update/query streams ([`GraphDelta`]
-//!   batches) for exercising `Engine::apply_delta` and incremental RTC
-//!   maintenance.
+//!   batches) for exercising `Engine::apply_delta` and the refresh of
+//!   stale shared structures.
 //!
 //! [`GraphDelta`]: rpq_graph::GraphDelta
 //!

@@ -80,9 +80,8 @@ impl Scc {
     /// Builds a decomposition directly from a `vertex → SCC id` table.
     ///
     /// Unlike [`tarjan_scc`], the ids carry **no** topological-order
-    /// guarantee — this constructor exists so incremental maintenance code
-    /// (which renumbers SCCs as they merge and split) can hand back a
-    /// decomposition without re-running Tarjan. Every entry must be
+    /// guarantee — this constructor exists so a decomposition read back
+    /// from a snapshot is rebuilt without re-running Tarjan. Every entry must be
     /// `< scc_count` and every id in `0..scc_count` must appear (each SCC
     /// is non-empty); both are debug-asserted.
     pub fn from_component_table(comp_of: Vec<u32>, scc_count: usize) -> Scc {

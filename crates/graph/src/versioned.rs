@@ -12,8 +12,8 @@
 //! build epoch against the graph epoch to detect staleness instead of
 //! silently serving closures of a graph that no longer exists.
 //!
-//! Semantics pinned here (and relied on by the incremental RTC
-//! maintenance in `rpq_reduction`):
+//! Semantics pinned here (and relied on by the engine's refresh of stale
+//! shared structures in `rpq_core`):
 //!
 //! * deletions apply **before** insertions within one delta, so a triple
 //!   both deleted and inserted in the same delta ends up present;

@@ -35,16 +35,14 @@
 
 pub mod edge_level;
 pub mod full_tc;
-pub mod incremental;
+pub mod probe_shim;
 pub mod rtc;
 pub mod snapshot;
 pub mod tc;
 
 pub use edge_level::reduce_edge_level;
 pub use full_tc::FullTc;
-pub use incremental::{
-    DynamicRtc, MaintenanceConfig, MaintenanceOutcome, MaintenanceStats, RebuildReason,
-};
+pub use probe_shim::{DynamicRtc, MaintenanceConfig};
 pub use rtc::{Rtc, RtcStats};
 pub use snapshot::{FullTcParts, PartsError, RtcParts};
 pub use tc::{closure_of_condensation_rows, tc_naive, tc_naive_parallel};

@@ -80,12 +80,10 @@ impl Rtc {
         }
     }
 
-    /// Assembles an RTC from pre-computed parts — the snapshot path of
-    /// incremental maintenance ([`crate::incremental::DynamicRtc`]), which
-    /// renumbers SCCs itself and must not pay for a Tarjan + closure
-    /// recompute. `closure` rows must be sorted ascending and indexed by
-    /// the same SCC ids as `scc` (no topological-order requirement —
-    /// nothing downstream of construction relies on one).
+    /// Assembles an RTC from pre-computed parts — the load path of a
+    /// serialized RTC ([`crate::snapshot::RtcParts`]), which must not pay
+    /// for a Tarjan + closure recompute. `closure` rows must be sorted
+    /// ascending and indexed by the same SCC ids as `scc`.
     pub(crate) fn from_parts(
         mapping: VertexMapping,
         scc: Scc,

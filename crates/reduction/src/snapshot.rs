@@ -5,9 +5,7 @@
 //! again before the first answer. This module exposes the *parts* of an
 //! [`Rtc`] / [`FullTc`] as plain vectors so a persistence layer
 //! (`rpq_core::snapshot`) can write them to disk and reassemble the
-//! structure on load **without recomputing anything** — the same
-//! renumber-and-reassemble path incremental maintenance already uses
-//! internally.
+//! structure on load **without recomputing anything**.
 //!
 //! The parts carry no file format of their own: they are an in-memory
 //! contract. [`RtcParts::assemble`] / [`FullTcParts::assemble`] re-validate

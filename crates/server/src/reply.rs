@@ -216,14 +216,12 @@ pub(crate) fn metrics(view: &EpochView, serving: &ServerState) -> Response {
             s.useless2_unchecked_inserts,
             s.full_duplicate_hits
         ),
+        // `incremental=0` and `inc_time=0.00ns` are constants: every refresh
+        // is a rebuild now, and scrapers still read both keys until the
+        // benchmark's probe names are released (ROADMAP 4g).
         format!(
-            "  maintenance: deltas={} unchanged={} incremental={} rebuild={} inc_time={:.2?} rebuild_time={:.2?}",
-            m.deltas_applied,
-            m.unchanged_refreshes,
-            m.incremental_refreshes,
-            m.rebuild_refreshes,
-            m.incremental_time,
-            m.rebuild_time
+            "  maintenance: deltas={} unchanged={} incremental=0 rebuild={} inc_time=0.00ns rebuild_time={:.2?}",
+            m.deltas_applied, m.unchanged_refreshes, m.rebuild_refreshes, m.rebuild_time
         ),
         format!(
             "  results: {} view hits, {} result misses, {} memoized ({} B, cap {})",

@@ -1,6 +1,7 @@
 //! Dynamic graphs end to end: an interleaved update/query stream driven
-//! through `Engine::apply_delta`, comparing incremental maintenance of
-//! the shared RTC against rebuilding a fresh engine per update batch.
+//! through `Engine::apply_delta`, comparing one cached engine — whose
+//! stale RTCs are re-stamped or rebuilt on next use — against a fresh
+//! engine with a cold cache per query round.
 //!
 //! ```text
 //! cargo run --release --example dynamic_workload
@@ -59,65 +60,61 @@ fn main() {
         100.0 * updates_per_round as f64 / graph.edge_count() as f64
     );
 
-    // Strategy A — dynamic engine: apply each delta, let stale RTCs
-    // refresh incrementally, evaluate.
-    let mut dynamic =
+    // Engine A — cached: apply each delta; stale RTCs refresh on next
+    // use (re-stamped if their R_G did not move, rebuilt otherwise).
+    let mut cached =
         Engine::with_config_versioned(VersionedGraph::new(graph.clone()), EngineConfig::default());
-    dynamic.evaluate_set(&set.queries).unwrap(); // warm at epoch 0
+    cached.evaluate_set(&set.queries).unwrap(); // warm at epoch 0
 
-    // Strategy B — rebuild: a fresh engine (cold cache) over the mutated
-    // graph for every query round.
-    let mut rebuilt_graph = VersionedGraph::new(graph);
+    // Engine B — fresh: a new engine (cold cache) over the mutated graph
+    // for every query round.
+    let mut fresh_graph = VersionedGraph::new(graph);
 
     println!(
         "{:<7} {:>14} {:>14} {:>10}  (results verified equal)",
-        "round", "incremental", "rebuild", "speedup"
+        "round", "cached", "fresh", "speedup"
     );
-    let mut inc_total = std::time::Duration::default();
-    let mut reb_total = std::time::Duration::default();
+    let mut cached_total = std::time::Duration::default();
+    let mut fresh_total = std::time::Duration::default();
     for step in &stream.steps {
         match step {
             DynamicStep::Update(delta) => {
-                dynamic.apply_delta(delta);
-                rebuilt_graph.apply(delta);
+                cached.apply_delta(delta);
+                fresh_graph.apply(delta);
             }
             DynamicStep::QueryRound(round) => {
                 let t = Instant::now();
-                let incremental_results = dynamic.evaluate_set(&set.queries).unwrap();
-                let inc = t.elapsed();
+                let cached_results = cached.evaluate_set(&set.queries).unwrap();
+                let warm = t.elapsed();
 
                 let t = Instant::now();
-                let cold = Engine::with_strategy(rebuilt_graph.graph(), Strategy::RtcSharing);
-                let rebuild_results = cold.evaluate_set(&set.queries).unwrap();
-                let reb = t.elapsed();
+                let cold = Engine::with_strategy(fresh_graph.graph(), Strategy::RtcSharing);
+                let fresh_results = cold.evaluate_set(&set.queries).unwrap();
+                let cold_time = t.elapsed();
 
-                assert_eq!(incremental_results, rebuild_results, "round {round}");
-                inc_total += inc;
-                reb_total += reb;
+                assert_eq!(cached_results, fresh_results, "round {round}");
+                cached_total += warm;
+                fresh_total += cold_time;
                 println!(
                     "{:<7} {:>14.3?} {:>14.3?} {:>9.2}x",
                     round,
-                    inc,
-                    reb,
-                    reb.as_secs_f64() / inc.as_secs_f64().max(1e-9)
+                    warm,
+                    cold_time,
+                    cold_time.as_secs_f64() / warm.as_secs_f64().max(1e-9)
                 );
             }
         }
     }
 
-    let m = dynamic.maintenance_metrics();
+    let m = cached.maintenance_metrics();
     println!(
-        "\ntotals: incremental {:.3?} vs rebuild {:.3?} ({:.2}x)",
-        inc_total,
-        reb_total,
-        reb_total.as_secs_f64() / inc_total.as_secs_f64().max(1e-9)
+        "\ntotals: cached {:.3?} vs fresh {:.3?} ({:.2}x)",
+        cached_total,
+        fresh_total,
+        fresh_total.as_secs_f64() / cached_total.as_secs_f64().max(1e-9)
     );
     println!(
-        "maintenance: {} deltas, {} incremental / {} unchanged / {} rebuild refreshes",
-        m.deltas_applied, m.incremental_refreshes, m.unchanged_refreshes, m.rebuild_refreshes
-    );
-    println!(
-        "refresh time: incremental {:.3?}, rebuild {:.3?}",
-        m.incremental_time, m.rebuild_time
+        "maintenance: {} deltas, {} unchanged / {} rebuild refreshes in {:.3?}",
+        m.deltas_applied, m.unchanged_refreshes, m.rebuild_refreshes, m.rebuild_time
     );
 }

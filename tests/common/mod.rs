@@ -15,7 +15,6 @@ use rand::{Rng, SeedableRng};
 use rtc_rpq::core::{CacheBudget, Engine, EngineConfig, EngineError, EpochView, Strategy};
 use rtc_rpq::eval::evaluate_algebraic;
 use rtc_rpq::graph::{GraphBuilder, GraphDelta, LabeledMultigraph, PairSet, RowSetPolicy};
-use rtc_rpq::reduction::MaintenanceConfig;
 use rtc_rpq::regex::Regex;
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -345,8 +344,6 @@ axes! {
     threads: usize => |c, v| c.0.threads = v;
     repr: RowSetPolicy => |c, v| c.0.representation = v;
     budget: CacheBudget => |c, v| c.0.cache_budget = v;
-    // The damage threshold: 2.0 never rebuilds, 0.0 always does.
-    maintenance: f64 => |c, v| c.0.maintenance = MaintenanceConfig { damage_threshold: v };
     reader: Reader => |c, v| c.1 = v;
 }
 
