@@ -308,7 +308,7 @@ pub enum Shared {
 }
 
 impl Shared {
-    fn kind(&self) -> SharingKind {
+    pub(crate) fn kind(&self) -> SharingKind {
         match self {
             Shared::Rtc(_) => SharingKind::Rtc,
             Shared::Full(_) => SharingKind::Full,
@@ -360,8 +360,6 @@ pub struct FreshEntry {
     pub key: String,
     /// The structure.
     pub shared: Shared,
-    /// The base relation it was built from, if recorded.
-    pub r_g: Option<Arc<PairSet>>,
     /// Its cost-to-rebuild.
     pub build_nanos: u64,
     /// What the entry charges the byte budget.
@@ -660,7 +658,6 @@ impl SharedCache {
                     .map(|(key, e)| FreshEntry {
                         key: key.clone(),
                         shared: e.shared.clone(),
-                        r_g: e.r_g.clone(),
                         build_nanos: e.meta.build_nanos,
                         bytes: e.meta.bytes,
                     }),

@@ -3,7 +3,7 @@
 use crate::breakdown::{Breakdown, EliminationStats, MaintenanceMetrics};
 use crate::cache::{CacheBudget, EpochPin, SharedCache, SharingKind};
 use crate::error::EngineError;
-use crate::sharing::{eval_query, prepare_set, EvalCtx};
+use crate::sharing::{eval_query, obtain, prepare_set, EvalCtx};
 use crate::view::EpochView;
 use rpq_eval::{find_witness, ProductEvaluator};
 use rpq_graph::{
@@ -563,6 +563,21 @@ impl<'g> Engine<'g> {
             .enter(self.graph(), self.epoch(), &config, |ctx| match ctx {
                 Some(ctx) => prepare_set(ctx, queries),
                 None => Ok(PrepareReport::default()),
+            })
+    }
+
+    /// Algorithm 1 lines 9–11 for one closure body, as a miss runs them:
+    /// builds `strategy`'s shared structure for `body` (nested bodies
+    /// first) into the cache. How [`crate::snapshot`] restores an entry.
+    pub(crate) fn restore_body(&self, strategy: Strategy, body: &Regex) -> Result<(), EngineError> {
+        let config = EngineConfig {
+            strategy,
+            ..self.handles.config
+        };
+        self.handles
+            .enter(self.graph(), self.epoch(), &config, |ctx| match ctx {
+                Some(ctx) => obtain(ctx, &body.canonical_key(), body).map(drop),
+                None => Ok(()),
             })
     }
 

@@ -154,7 +154,7 @@ fn prepare_query(
 /// entry whose `R_G` did not move, or computed from scratch (a miss, or a
 /// stale entry whose `R_G` did). The cache ends up holding an entry at the
 /// evaluation's epoch either way.
-fn obtain(ctx: &mut EvalCtx<'_>, key: &str, r: &Regex) -> Result<Shared, EngineError> {
+pub(crate) fn obtain(ctx: &mut EvalCtx<'_>, key: &str, r: &Regex) -> Result<Shared, EngineError> {
     let stale = match ctx.cache.lookup(ctx.kind, key, ctx.epoch) {
         Lookup::Fresh(shared) => return Ok(shared),
         Lookup::Stale { shared, r_g } => Some((shared, r_g)),

@@ -1,48 +1,45 @@
-//! Engine snapshots: graph + warm shared-structure cache, on disk.
+//! Engine snapshots: the graph and the keys of its warm cache, on disk.
 //!
 //! A long-lived [`Engine`] earns its keep by amortizing shared RTCs across
-//! a query stream; a restart that only persisted the *graph* would still
-//! pay Tarjan and the closure sweep again for every shared body before the
-//! first warm answer. An **engine snapshot** therefore persists both
-//! halves of the serving state:
+//! a query stream, and a restart should come back with the same structures
+//! cached. The paper makes the RTC a lightweight structure that Algorithm 1
+//! (lines 9–11) computes from `R_G` whenever it is missing, so a snapshot
+//! stores only what the cache **keys on** and rebuilds the rest:
 //!
 //! 1. the graph at its current epoch (the [`rpq_graph::snapshot`] section,
 //!    embedded verbatim), and
-//! 2. every **fresh** cache entry — key, recorded base relation `R_G`, and
-//!    the complete structural tables of the shared [`rpq_reduction::Rtc`] /
-//!    [`rpq_reduction::FullTc`] (via [`rpq_reduction::snapshot`]) — so the
-//!    restored cache serves
-//!    `Fresh` hits immediately, with zero recomputation.
+//! 2. for every **fresh** cache entry, its kind (RTC or full closure) and
+//!    its canonical closure-body key.
+//!
+//! A load parses each key, refuses it unless it is canonical, and builds
+//! its structure the way a cache miss does — `R_G` by Algorithm 1's
+//! recursion, then [`rpq_reduction::Rtc::from_pairs_with`] or the full
+//! closure — under the loading [`EngineConfig`] (its representation,
+//! threads and budget). It then resets the counters, so the restored
+//! engine reads like a fresh one whose first query hits. The load pays the
+//! builds a cold engine's first queries would have paid; in exchange the
+//! file is the graph section plus a few bytes per entry, and no byte of it
+//! can describe a structure that the graph does not produce.
 //!
 //! Stale entries (built at an older epoch than the graph) are *dropped* on
-//! save: they would need a refresh before being served anyway, and the
-//! refresh needs live evaluation state a snapshot cannot carry.
+//! save: they would need a refresh before being served anyway.
 //!
-//! Layout, after the 8-byte magic `b"RPQESNP2"`: the graph section, then
-//! the RTC entry table, then the full-closure entry table, then the end
-//! marker `b"RPQEEND."`. All integers are little-endian; see the field
-//! comments in [`write_snapshot`] for the exact order. Version `2` adds
-//! one `u64` per entry — the structure's build time in nanoseconds, the
-//! cost-to-rebuild that drives budgeted eviction — right after the key;
-//! version-`1` files (no cost word) still load, with cost 0. Closure
-//! rows are
-//! length-prefixed: a plain length word is followed by that many sorted
-//! `u32` ids (the legacy sparse encoding, byte-identical to pre-hybrid
-//! snapshots, so old files still load), while a length word with the
-//! [`DENSE_ROW_TAG`] high bit set counts `u64` bitset words of a dense
-//! row instead.
+//! Layout, after the 8-byte magic `b"RPQESNP3"`: the graph section, a
+//! `u32` entry count, then per entry one kind byte ([`crate::SharingKind`]'s
+//! discriminant: `0` RTC, `1` full closure) and the key as a `u32` length
+//! plus UTF-8 bytes, then the end marker `b"RPQEEND."`. Integers are
+//! little-endian; entries are sorted by key, then kind, so snapshots of
+//! equal state are byte-equal. Versions `1` and `2`, which held the
+//! closure tables themselves, are refused with their version named.
 //!
-//! Budgets are honoured on both sides of the roundtrip. A save from an
-//! engine whose [`crate::CacheBudget`] is bounded trims to the
-//! highest-score subset that fits (pinned epochs can push the live cache
-//! past its budget; the file never is). A load inserts through the costed
-//! budget-enforcing path, so restoring into a *tighter* budget than the
-//! writer's deterministically keeps the highest-score entries and evicts
-//! the rest. Loads re-validate
-//! everything — magic, embedded graph, structural invariants of every
-//! cached structure, `R_G` pair ordering, and the end marker — so a
-//! truncated or corrupted file fails with [`EngineError::Snapshot`]
-//! instead of serving garbage.
+//! A save from an engine whose [`crate::CacheBudget`] is bounded writes
+//! the highest-score subset of entries that fits (pinned epochs can push
+//! the live cache past its budget; the file never is). A load builds
+//! through the budget-enforcing insert, so restoring into a *tighter*
+//! budget than the writer's ends within it. Every byte is validated —
+//! magic, embedded graph, kind bytes, keys and the end marker — before
+//! anything is built, so a truncated or corrupted file fails with
+//! [`EngineError::Snapshot`].
 //!
 //! ```
 //! use rpq_core::{snapshot, Engine, EngineConfig};
@@ -56,28 +53,20 @@
 //!
 //! let mut warm = snapshot::read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
 //! warm.evaluate_str("d.(b.c)+.c").unwrap();
-//! assert_eq!(warm.cache().misses(), 0); // the restored entry was Fresh
+//! assert_eq!(warm.cache().misses(), 0); // rebuilt at load, a hit now
 //! assert!(warm.cache().hits() >= 1);
 //! ```
 
-use crate::cache::{score, FreshEntry, Shared};
-use crate::engine::{Engine, EngineConfig};
+use crate::cache::{score, FreshEntry};
+use crate::engine::{Engine, EngineConfig, Strategy};
 use crate::error::EngineError;
-use rpq_graph::{PairSet, RowSet, VertexId};
-use rpq_reduction::{FullTcParts, RtcParts};
+use rpq_regex::Regex;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::Arc;
-
-/// High bit of a closure-row length word: set, the low 31 bits count the
-/// `u64` words of a dense bitset row; clear, they count sparse `u32` ids
-/// (the legacy encoding).
-pub const DENSE_ROW_TAG: u32 = 1 << 31;
 
 /// Leading magic of an engine snapshot; the trailing byte is the format
-/// version this build *writes*. The reader also accepts the previous
-/// version `'1'`, which lacks per-entry build costs.
-pub const MAGIC: [u8; 8] = *b"RPQESNP2";
+/// version, the only one this build reads or writes.
+pub const MAGIC: [u8; 8] = *b"RPQESNP3";
 
 /// Trailing end marker: present iff the file was written to completion.
 pub const END_MARKER: [u8; 8] = *b"RPQEEND.";
@@ -89,9 +78,9 @@ pub fn matches_magic(head: &[u8]) -> bool {
     head.len() >= 7 && head[..7] == MAGIC[..7]
 }
 
-/// Writes the engine's full serving state (graph + fresh cache entries).
-/// Returns `(written, trimmed)`: the cache entries the snapshot holds, and
-/// the fresh ones a bounded budget left out.
+/// Writes the engine's serving state (graph + fresh cache keys). Returns
+/// `(written, trimmed)`: the cache entries the snapshot holds, and the
+/// fresh ones a bounded budget left out.
 pub fn write_snapshot<W: Write>(
     engine: &Engine<'_>,
     mut w: W,
@@ -101,21 +90,21 @@ pub fn write_snapshot<W: Write>(
 
     let cache = engine.cache();
     let mut entries = cache.fresh_entries();
-    let is_full = |e: &FreshEntry| matches!(e.shared, Shared::Full(_));
+    let by_key =
+        |a: &FreshEntry, b: &FreshEntry| (&a.key, a.shared.kind()).cmp(&(&b.key, b.shared.kind()));
 
     // A bounded cache can sit past its budget while pinned epochs hold
     // entries hostage; the file must not inherit that excess. Trim to the
     // highest-score subset that fits — same score as eviction
-    // (cost-to-rebuild per byte), ties broken by key then namespace, so
-    // equal states trim identically.
+    // (cost-to-rebuild per byte), ties broken by key then kind, so equal
+    // states trim identically.
     let (budget, fresh) = (cache.budget(), entries.len());
     if !budget.is_unbounded() {
         entries.sort_by(|a, b| {
             score(b.build_nanos, b.bytes)
                 .partial_cmp(&score(a.build_nanos, a.bytes))
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.key.cmp(&b.key))
-                .then_with(|| is_full(a).cmp(&is_full(b)))
+                .then_with(|| by_key(a, b))
         });
         let mut bytes_left = budget.max_bytes.unwrap_or(usize::MAX);
         let mut entries_left = budget.max_entries.unwrap_or(usize::MAX);
@@ -131,50 +120,24 @@ pub fn write_snapshot<W: Write>(
         });
     }
 
-    // Sort by key so snapshots of equal state are byte-equal (hash-map
-    // iteration order is not deterministic).
-    entries.sort_by(|a, b| a.key.cmp(&b.key));
-    let full_count = entries.iter().filter(|e| is_full(e)).count();
-    write_u32(&mut w, (entries.len() - full_count) as u32)?;
+    // Sort so snapshots of equal state are byte-equal (hash-map iteration
+    // order is not deterministic).
+    entries.sort_by(by_key);
+    write_u32(&mut w, entries.len() as u32)?;
     for entry in &entries {
-        let Shared::Rtc(rtc) = &entry.shared else {
-            continue;
-        };
-        write_entry_head(&mut w, entry)?;
-        let parts = RtcParts::of(rtc);
-        write_u64(&mut w, parts.originals.len() as u64)?;
-        write_all_u32(&mut w, &parts.originals)?;
-        write_u32(&mut w, parts.scc_count)?;
-        write_all_u32(&mut w, &parts.component_of)?;
-        for row in &parts.closure_rows {
-            write_row(&mut w, row)?;
-        }
-        write_u64(&mut w, parts.er_edges)?;
-        write_u64(&mut w, parts.ebar_edges)?;
+        w.write_all(&[entry.shared.kind() as u8]).map_err(io_err)?;
+        write_str(&mut w, &entry.key)?;
     }
-
-    write_u32(&mut w, full_count as u32)?;
-    for entry in &entries {
-        let Shared::Full(full) = &entry.shared else {
-            continue;
-        };
-        write_entry_head(&mut w, entry)?;
-        let parts = FullTcParts::of(full);
-        write_u64(&mut w, parts.originals.len() as u64)?;
-        write_all_u32(&mut w, &parts.originals)?;
-        for row in &parts.rows {
-            write_row(&mut w, row)?;
-        }
-    }
-
     w.write_all(&END_MARKER).map_err(io_err)?;
     w.flush().map_err(io_err)?;
     Ok((entries.len(), fresh - entries.len()))
 }
 
-/// Reads an engine snapshot, returning a warm engine that owns its graph
-/// (so deltas apply without an upgrade copy) and serves `Fresh` cache hits
-/// for every persisted shared structure.
+/// Reads an engine snapshot, returning an engine that owns its graph (so
+/// deltas apply without an upgrade copy) with every persisted closure body
+/// rebuilt into its cache, under `config`, and its counters at zero. A
+/// body the build refuses (a DNF past `config`'s clause budget) fails the
+/// load with that error.
 pub fn read_snapshot<R: Read>(
     mut r: R,
     config: EngineConfig,
@@ -186,71 +149,38 @@ pub fn read_snapshot<R: Read>(
             "bad magic: not an engine snapshot file".into(),
         ));
     }
-    let version = magic[7];
-    if version != b'1' && version != MAGIC[7] {
+    if magic[7] != MAGIC[7] {
         return Err(EngineError::Snapshot(format!(
-            "unsupported engine snapshot version '{}' (this build reads versions '1'..='{}')",
-            version as char, MAGIC[7] as char,
+            "unsupported engine snapshot version {:?} (this build reads version '{}' only)",
+            magic[7] as char, MAGIC[7] as char,
         )));
     }
     let graph = rpq_graph::snapshot::read_snapshot(&mut r)?;
-    let engine = Engine::with_config_versioned(graph, config);
 
-    let rtc_count = read_u32(&mut r, "RTC entry count")?;
-    for _ in 0..rtc_count {
-        let key = read_str(&mut r, "RTC entry key")?;
-        let build = read_build_cost(&mut r, version, "RTC build cost")?;
-        let r_g = read_opt_pairs(&mut r)?;
-        let n = read_u64(&mut r, "RTC vertex count")? as usize;
-        let originals = read_vec_u32(&mut r, n, "RTC originals")?;
-        let scc_count = read_u32(&mut r, "RTC scc count")?;
-        let component_of = read_vec_u32(&mut r, n, "RTC component table")?;
-        let mut closure_rows = Vec::with_capacity((scc_count as usize).min(CAP));
-        for _ in 0..scc_count {
-            closure_rows.push(read_row(&mut r, "RTC closure row")?);
-        }
-        let er_edges = read_u64(&mut r, "RTC |E_R|")?;
-        let ebar_edges = read_u64(&mut r, "RTC |Ē_R|")?;
-        let parts = RtcParts {
-            originals,
-            component_of,
-            scc_count,
-            closure_rows,
-            er_edges,
-            ebar_edges,
+    // Every byte is checked before anything is built.
+    let count = read_u32(&mut r, "entry count")? as usize;
+    let mut bodies = Vec::with_capacity(count.min(CAP));
+    for _ in 0..count {
+        let mut kind = [0u8; 1];
+        read_exact(&mut r, &mut kind, "entry kind")?;
+        let strategy = match kind[0] {
+            0 => Strategy::RtcSharing,
+            1 => Strategy::FullSharing,
+            k => return Err(EngineError::Snapshot(format!("unknown structure kind {k}"))),
         };
-        let rtc = Arc::new(
-            parts
-                .assemble()
-                .map_err(|e| EngineError::Snapshot(format!("entry '{key}': {e}")))?,
-        );
-        // Inserts go through budget enforcement, so a restore into a
-        // tighter budget than the writer's trims deterministically.
-        let (cache, epoch) = (engine.cache(), engine.epoch());
-        cache.insert(key, Shared::Rtc(rtc), r_g, epoch, build);
-    }
-
-    let full_count = read_u32(&mut r, "full-closure entry count")?;
-    for _ in 0..full_count {
-        let key = read_str(&mut r, "full entry key")?;
-        let build = read_build_cost(&mut r, version, "full build cost")?;
-        let r_g = read_opt_pairs(&mut r)?;
-        let n = read_u64(&mut r, "full vertex count")? as usize;
-        let originals = read_vec_u32(&mut r, n, "full originals")?;
-        let mut rows = Vec::with_capacity(n.min(CAP));
-        for _ in 0..n {
-            rows.push(read_row(&mut r, "full row")?);
+        let key = read_str(&mut r, "entry key")?;
+        let body = Regex::parse(&key).map_err(|e| {
+            let e = e.to_string();
+            EngineError::Snapshot(format!("entry key {key:?} does not parse: {e:?}"))
+        })?;
+        if body.canonical_key() != key {
+            return Err(EngineError::Snapshot(format!(
+                "entry key {key:?} is not canonical ({:?})",
+                body.canonical_key()
+            )));
         }
-        let parts = FullTcParts { originals, rows };
-        let full = Arc::new(
-            parts
-                .assemble()
-                .map_err(|e| EngineError::Snapshot(format!("entry '{key}': {e}")))?,
-        );
-        let (cache, epoch) = (engine.cache(), engine.epoch());
-        cache.insert(key, Shared::Full(full), r_g, epoch, build);
+        bodies.push((strategy, body));
     }
-
     let mut end = [0u8; 8];
     read_exact(&mut r, &mut end, "end marker")?;
     if end != END_MARKER {
@@ -258,6 +188,12 @@ pub fn read_snapshot<R: Read>(
             "missing end marker: snapshot was not written to completion".into(),
         ));
     }
+
+    let engine = Engine::with_config_versioned(graph, config);
+    for (strategy, body) in &bodies {
+        engine.restore_body(*strategy, body)?;
+    }
+    engine.reset_metrics();
     Ok(engine)
 }
 
@@ -295,13 +231,14 @@ fn write_synced(engine: &Engine<'_>, file: std::fs::File) -> Result<(usize, usiz
     Ok(counts)
 }
 
-/// Loads a warm engine from a snapshot file.
+/// Loads an engine from a snapshot file ([`read_snapshot`]).
 pub fn load_snapshot(path: &Path, config: EngineConfig) -> Result<Engine<'static>, EngineError> {
     let file = std::fs::File::open(path).map_err(io_err)?;
     read_snapshot(std::io::BufReader::new(file), config)
 }
 
-/// Cap for pre-allocation from length fields a corrupt file controls.
+/// Cap on key lengths, and on pre-allocation from a count a corrupt file
+/// controls.
 const CAP: usize = 1 << 16;
 
 fn io_err(e: std::io::Error) -> EngineError {
@@ -310,17 +247,6 @@ fn io_err(e: std::io::Error) -> EngineError {
 
 fn write_u32<W: Write>(w: &mut W, v: u32) -> Result<(), EngineError> {
     w.write_all(&v.to_le_bytes()).map_err(io_err)
-}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> Result<(), EngineError> {
-    w.write_all(&v.to_le_bytes()).map_err(io_err)
-}
-
-fn write_all_u32<W: Write>(w: &mut W, vs: &[u32]) -> Result<(), EngineError> {
-    for &v in vs {
-        write_u32(w, v)?;
-    }
-    Ok(())
 }
 
 fn write_str<W: Write>(w: &mut W, s: &str) -> Result<(), EngineError> {
@@ -334,63 +260,6 @@ fn write_str<W: Write>(w: &mut W, s: &str) -> Result<(), EngineError> {
     }
     write_u32(w, s.len() as u32)?;
     w.write_all(s.as_bytes()).map_err(io_err)
-}
-
-/// The fields every entry starts with, whatever structure follows.
-fn write_entry_head<W: Write>(w: &mut W, entry: &FreshEntry) -> Result<(), EngineError> {
-    write_str(w, &entry.key)?;
-    write_u64(w, entry.build_nanos)?;
-    write_opt_pairs(w, entry.r_g.as_ref())
-}
-
-fn write_row<W: Write>(w: &mut W, row: &RowSet) -> Result<(), EngineError> {
-    match row {
-        RowSet::Sparse(ids) => {
-            write_u32(w, ids.len() as u32)?;
-            write_all_u32(w, ids)
-        }
-        RowSet::Dense(_) => {
-            let words = row.as_dense_words().expect("dense row has words");
-            write_u32(w, DENSE_ROW_TAG | words.len() as u32)?;
-            for &word in words {
-                w.write_all(&word.to_le_bytes()).map_err(io_err)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-fn read_row<R: Read>(r: &mut R, what: &str) -> Result<RowSet, EngineError> {
-    let len_word = read_u32(r, what)?;
-    if len_word & DENSE_ROW_TAG != 0 {
-        let words = (len_word & !DENSE_ROW_TAG) as usize;
-        let mut ws = Vec::with_capacity(words.min(CAP));
-        for _ in 0..words {
-            let mut buf = [0u8; 8];
-            read_exact(r, &mut buf, what)?;
-            ws.push(u64::from_le_bytes(buf));
-        }
-        Ok(RowSet::dense_from_words(ws))
-    } else {
-        // The legacy sparse encoding; sortedness is re-validated when the
-        // parts assemble.
-        Ok(RowSet::Sparse(read_vec_u32(r, len_word as usize, what)?))
-    }
-}
-
-fn write_opt_pairs<W: Write>(w: &mut W, pairs: Option<&Arc<PairSet>>) -> Result<(), EngineError> {
-    match pairs {
-        None => w.write_all(&[0u8]).map_err(io_err),
-        Some(p) => {
-            w.write_all(&[1u8]).map_err(io_err)?;
-            write_u64(w, p.len() as u64)?;
-            for (a, b) in p.iter() {
-                write_u32(w, a.raw())?;
-                write_u32(w, b.raw())?;
-            }
-            Ok(())
-        }
-    }
 }
 
 fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<(), EngineError> {
@@ -409,33 +278,6 @@ fn read_u32<R: Read>(r: &mut R, what: &str) -> Result<u32, EngineError> {
     Ok(u32::from_le_bytes(buf))
 }
 
-/// The per-entry cost-to-rebuild word, added in version `2`; version-`1`
-/// entries carry no cost and restore as cost 0 (first in line to evict).
-fn read_build_cost<R: Read>(
-    r: &mut R,
-    version: u8,
-    what: &str,
-) -> Result<std::time::Duration, EngineError> {
-    if version < b'2' {
-        return Ok(std::time::Duration::ZERO);
-    }
-    Ok(std::time::Duration::from_nanos(read_u64(r, what)?))
-}
-
-fn read_u64<R: Read>(r: &mut R, what: &str) -> Result<u64, EngineError> {
-    let mut buf = [0u8; 8];
-    read_exact(r, &mut buf, what)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_vec_u32<R: Read>(r: &mut R, n: usize, what: &str) -> Result<Vec<u32>, EngineError> {
-    let mut out = Vec::with_capacity(n.min(CAP));
-    for _ in 0..n {
-        out.push(read_u32(r, what)?);
-    }
-    Ok(out)
-}
-
 fn read_str<R: Read>(r: &mut R, what: &str) -> Result<String, EngineError> {
     let len = read_u32(r, what)? as usize;
     if len > CAP {
@@ -448,39 +290,13 @@ fn read_str<R: Read>(r: &mut R, what: &str) -> Result<String, EngineError> {
     String::from_utf8(buf).map_err(|_| EngineError::Snapshot(format!("{what} is not valid UTF-8")))
 }
 
-fn read_opt_pairs<R: Read>(r: &mut R) -> Result<Option<Arc<PairSet>>, EngineError> {
-    let mut tag = [0u8; 1];
-    read_exact(r, &mut tag, "base-relation tag")?;
-    match tag[0] {
-        0 => Ok(None),
-        1 => {
-            let n = read_u64(r, "base-relation pair count")? as usize;
-            let mut pairs = Vec::with_capacity(n.min(CAP));
-            for _ in 0..n {
-                let a = read_u32(r, "base-relation pair")?;
-                let b = read_u32(r, "base-relation pair")?;
-                pairs.push((VertexId(a), VertexId(b)));
-            }
-            if !pairs.windows(2).all(|w| w[0] < w[1]) {
-                return Err(EngineError::Snapshot(
-                    "base relation pairs are not strictly ascending".into(),
-                ));
-            }
-            Ok(Some(Arc::new(PairSet::from_sorted_unique(pairs))))
-        }
-        t => Err(EngineError::Snapshot(format!(
-            "bad base-relation tag {t} (expected 0 or 1)"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SharingKind;
-    use crate::engine::Strategy;
+    use crate::cache::{Shared, SharingKind};
     use rpq_graph::fixtures::paper_graph;
-    use rpq_graph::GraphDelta;
+    use rpq_graph::{GraphDelta, PairSet, VersionedGraph, VertexId};
+    use std::sync::Arc;
 
     fn snapshot_bytes(engine: &Engine<'_>) -> Vec<u8> {
         let mut bytes = Vec::new();
@@ -496,6 +312,29 @@ mod tests {
         }
     }
 
+    /// An owned paper-graph engine under `strategy` that has evaluated
+    /// `queries`.
+    fn warmed(strategy: Strategy, queries: &[&str]) -> Engine<'static> {
+        let config = EngineConfig {
+            strategy,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_config_versioned(VersionedGraph::new(paper_graph()), config);
+        for q in queries {
+            engine.evaluate_str(q).unwrap();
+        }
+        engine
+    }
+
+    /// Bytes of an engine's magic plus graph section: where the entry
+    /// section starts.
+    fn graph_section_end(engine: &Engine<'_>) -> usize {
+        let mut graph = Vec::new();
+        rpq_graph::snapshot::write_graph_snapshot(engine.graph(), engine.epoch(), &mut graph)
+            .unwrap();
+        MAGIC.len() + graph.len()
+    }
+
     #[test]
     fn warm_restart_serves_fresh_hits_without_recompute() {
         let engine = Engine::new_dynamic(paper_graph());
@@ -506,7 +345,8 @@ mod tests {
         let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
         assert_eq!(warm.epoch(), engine.epoch());
         assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 1);
-        // The restored entry is Fresh: the very first evaluation hits it.
+        // The entry was rebuilt at load and the counters reset: the very
+        // first evaluation is a Fresh hit.
         let result = warm.evaluate_str("d.(b.c)+.c").unwrap();
         assert_eq!(result, expected);
         assert_eq!(warm.cache().misses(), 0, "warm cache must not miss");
@@ -534,7 +374,7 @@ mod tests {
         assert_eq!(warm.cache().misses(), 0);
 
         // The warm engine keeps mutating: the restored entry goes stale
-        // and refreshes against the persisted r_g.
+        // and refreshes against the `R_G` it was rebuilt from.
         let mut delta = GraphDelta::new();
         delta.delete(6, "b", 8);
         warm.apply_delta(&delta);
@@ -558,19 +398,23 @@ mod tests {
 
     #[test]
     fn full_sharing_entries_roundtrip() {
-        let g = paper_graph();
-        let engine = Engine::with_strategy(&g, Strategy::FullSharing);
+        let engine = warmed(Strategy::FullSharing, &[]);
         let expected = engine.evaluate_str("d.(b.c)+.c").unwrap();
         assert_eq!(engine.cache().totals(SharingKind::Full).entries, 1);
 
+        // The kind comes from the file, not from the loading strategy.
         let bytes = snapshot_bytes(&engine);
-        let config = EngineConfig {
+        let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
+        assert_eq!(warm.cache().totals(SharingKind::Full).entries, 1);
+        assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 0);
+        let full = EngineConfig {
             strategy: Strategy::FullSharing,
             ..EngineConfig::default()
         };
-        let warm = read_snapshot(&bytes[..], config).unwrap();
-        assert_eq!(warm.cache().totals(SharingKind::Full).entries, 1);
-        assert_eq!(warm.evaluate_str("d.(b.c)+.c").unwrap(), expected);
+        assert_eq!(
+            warm.evaluate_with(&Regex::parse("d.(b.c)+.c").unwrap(), full),
+            Ok(expected)
+        );
         assert_eq!(warm.cache().misses(), 0);
         assert!(warm.cache().hits() >= 1);
     }
@@ -623,22 +467,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupt_structure_tables_are_rejected_at_assembly() {
+    /// A paper-graph snapshot whose entry section is `entries`, each a
+    /// kind byte and a key, written by hand.
+    fn file_with(entries: &[(u8, &str)]) -> Vec<u8> {
         let engine = Engine::new_dynamic(paper_graph());
-        engine.evaluate_str("d.(b.c)+.c").unwrap();
-        let bytes = snapshot_bytes(&engine);
-        // Flip one byte at a time over the cache section; every outcome
-        // must be a clean error or a successful parse — never a panic.
-        let mut rejected = 0;
-        for at in (bytes.len().saturating_sub(120))..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[at] ^= 0x5a;
-            if read_snapshot(&corrupt[..], EngineConfig::default()).is_err() {
-                rejected += 1;
+        let mut bytes = snapshot_bytes(&engine);
+        bytes.truncate(graph_section_end(&engine));
+        bytes.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for (kind, key) in entries {
+            bytes.push(*kind);
+            bytes.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(key.as_bytes());
+        }
+        bytes.extend_from_slice(&END_MARKER);
+        bytes
+    }
+
+    #[test]
+    fn unparsable_non_canonical_and_unknown_kind_entries_are_refused() {
+        let warm = read_snapshot(
+            &file_with(&[(0, "b.c"), (1, "b.c")])[..],
+            EngineConfig::default(),
+        )
+        .unwrap();
+        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "b.c"));
+        assert!(warm.cache().contains_fresh(SharingKind::Full, "b.c"));
+
+        // Nesting past the parser's cap is refused, not a stack overflow.
+        let deep = "(".repeat(CAP);
+        for (entries, says) in [
+            (&[(0, "b.c"), (0, "b.(c")][..], "does not parse"),
+            (&[(0, deep.as_str())][..], "nested deeper than"),
+            (&[(0, "(b).c")][..], "not canonical"),
+            (&[(0, "b . c")][..], "not canonical"),
+            (&[(2, "b.c")][..], "unknown structure kind 2"),
+            (&[(b'R', "b.c")][..], "unknown structure kind 82"),
+        ] {
+            let err = expect_err(read_snapshot(
+                &file_with(entries)[..],
+                EngineConfig::default(),
+            ));
+            assert!(
+                matches!(err, EngineError::Snapshot(ref m) if m.contains(says)),
+                "{says}: {err}"
+            );
+        }
+    }
+
+    /// Every single-bit flip (masks `0x01` and `0x80`) of every byte after
+    /// the graph section, over RTC and full-closure caches of the paper
+    /// graph, either fails to load or loads an engine that answers the
+    /// cached queries exactly as NoSharing does over the restored graph.
+    /// Nothing panics, at load or at query time.
+    #[test]
+    fn byte_flips_after_the_graph_section_fail_or_answer_exactly() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let queries = ["d.(b.c)+.c", "(a.b)*.b+", "c.(a.b)+.b", "a.(b.c)*"];
+        let (mut loads, mut failures) = (0, Vec::new());
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            let engine = warmed(strategy, &queries);
+            let config = *engine.config();
+            let bytes = snapshot_bytes(&engine);
+            for at in graph_section_end(&engine)..bytes.len() {
+                for mask in [0x01u8, 0x80] {
+                    let mut corrupt = bytes.clone();
+                    corrupt[at] ^= mask;
+                    loads += 1;
+                    let exact = catch_unwind(AssertUnwindSafe(|| {
+                        let Ok(warm) = read_snapshot(&corrupt[..], config) else {
+                            return true;
+                        };
+                        let oracle = Engine::with_strategy(warm.graph(), Strategy::NoSharing);
+                        queries
+                            .iter()
+                            .all(|q| warm.evaluate_str(q) == oracle.evaluate_str(q))
+                    }));
+                    match exact {
+                        Ok(true) => {}
+                        Ok(false) => failures.push(format!("{strategy} {at}^{mask:#x}: wrong")),
+                        Err(_) => failures.push(format!("{strategy} {at}^{mask:#x}: panic")),
+                    }
+                }
             }
         }
-        assert!(rejected > 0, "no corruption detected at all");
+        assert!(
+            failures.is_empty(),
+            "{} of {loads} loads: {failures:?}",
+            failures.len()
+        );
     }
 
     #[test]
@@ -651,8 +567,7 @@ mod tests {
             cache_budget: Default::default(),
             ..EngineConfig::default()
         };
-        let engine =
-            Engine::with_config_versioned(rpq_graph::VersionedGraph::new(paper_graph()), config);
+        let engine = Engine::with_config_versioned(VersionedGraph::new(paper_graph()), config);
         let huge_key = "k".repeat(CAP + 1);
         engine.cache().insert(
             huge_key,
@@ -669,11 +584,11 @@ mod tests {
         );
     }
 
-    /// ISSUE 7: dense closure rows survive the tagged encoding, a
-    /// sparse-only writer emits the legacy encoding, and either file
-    /// restores under any representation policy with identical results.
+    /// Restored structures are built under the *loading* configuration:
+    /// their rows take its representation, whatever the writer's was, and
+    /// answer identically.
     #[test]
-    fn dense_and_sparse_rows_roundtrip_across_policies() {
+    fn loads_build_rows_under_the_loading_policy() {
         use rpq_graph::RowSetPolicy;
         let dense_cfg = EngineConfig {
             representation: RowSetPolicy::dense(),
@@ -684,65 +599,64 @@ mod tests {
             ..EngineConfig::default()
         };
         let g = paper_graph();
+        let dense_rows = |e: &Engine<'_>| e.cache().totals(SharingKind::Rtc).dense_rows;
 
         let dense_engine = Engine::with_config(&g, dense_cfg);
         let expected = dense_engine.evaluate_str("d.(b.c)+.c").unwrap();
-        let bytes = snapshot_bytes(&dense_engine);
-        let warm = read_snapshot(&bytes[..], sparse_cfg).unwrap();
-        assert!(
-            warm.cache().totals(SharingKind::Rtc).dense_rows > 0,
-            "dense rows must survive the roundtrip"
-        );
+        assert!(dense_rows(&dense_engine) > 0);
+        let warm = read_snapshot(&snapshot_bytes(&dense_engine)[..], sparse_cfg).unwrap();
+        assert_eq!(dense_rows(&warm), 0, "rebuilt sparse");
         assert_eq!(warm.evaluate_str("d.(b.c)+.c").unwrap(), expected);
         assert_eq!(warm.cache().misses(), 0);
 
         let sparse_engine = Engine::with_config(&g, sparse_cfg);
         sparse_engine.evaluate_str("d.(b.c)+.c").unwrap();
-        let bytes = snapshot_bytes(&sparse_engine);
-        let warm = read_snapshot(&bytes[..], dense_cfg).unwrap();
+        let warm = read_snapshot(&snapshot_bytes(&sparse_engine)[..], dense_cfg).unwrap();
         assert_eq!(
-            warm.cache().totals(SharingKind::Rtc).dense_rows,
-            0,
-            "sparse rows restore as written (the legacy on-disk form)"
+            dense_rows(&warm),
+            dense_rows(&dense_engine),
+            "rebuilt dense"
         );
         assert_eq!(warm.evaluate_str("d.(b.c)+.c").unwrap(), expected);
         assert_eq!(warm.cache().misses(), 0);
     }
 
-    /// Version-`2` snapshots persist each entry's cost-to-rebuild, so a
-    /// warm restart restores the same eviction order the writer had.
+    /// A load into a tighter budget than the writer's builds through the
+    /// budget-enforcing insert, so the restored cache ends within it.
     #[test]
-    fn build_costs_survive_the_roundtrip() {
-        use std::time::Duration;
-        let engine = Engine::new_dynamic(paper_graph());
-        let pairs = sample_pairs();
-        for (key, nanos) in [("cheap", 1_000u64), ("mid", 20_000), ("dear", 30_000)] {
-            engine.cache().insert(
-                key.to_owned(),
-                Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&pairs))),
-                Some(Arc::clone(&pairs)),
-                engine.epoch(),
-                Duration::from_nanos(nanos),
-            );
+    fn a_load_into_a_tighter_budget_ends_within_it() {
+        let unbounded = EngineConfig {
+            cache_budget: crate::CacheBudget::default(),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_config_versioned(VersionedGraph::new(paper_graph()), unbounded);
+        for q in ["(b.c)+", "(a.b)+", "c+", "(a|b)+", "d.(b.c)*"] {
+            engine.evaluate_str(q).unwrap();
         }
+        assert_eq!(engine.cache().occupancy_entries(), 4);
         let bytes = snapshot_bytes(&engine);
-
-        // Restored into a tighter budget than the writer's, the costed
-        // inserts trim deterministically: lowest score evicted first.
-        let config = EngineConfig {
-            cache_budget: crate::CacheBudget {
+        let written = engine.cache().occupancy_bytes();
+        for budget in [
+            crate::CacheBudget {
                 max_entries: Some(2),
                 ..crate::CacheBudget::default()
             },
-            ..EngineConfig::default()
-        };
-        let warm = read_snapshot(&bytes[..], config).unwrap();
-        assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 2);
-        assert_eq!(warm.cache().occupancy_entries(), 2);
-        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "dear"));
-        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "mid"));
-        assert!(!warm.cache().contains_fresh(SharingKind::Rtc, "cheap"));
-        assert_eq!(warm.cache().eviction_counters().by_entries, 1);
+            crate::CacheBudget {
+                max_bytes: Some(written / 2),
+                ..crate::CacheBudget::default()
+            },
+        ] {
+            let config = EngineConfig {
+                cache_budget: budget,
+                ..unbounded
+            };
+            let warm = read_snapshot(&bytes[..], config).unwrap();
+            let cache = warm.cache();
+            assert!(cache.occupancy_entries() <= budget.max_entries.unwrap_or(usize::MAX));
+            assert!(cache.occupancy_bytes() <= budget.max_bytes.unwrap_or(usize::MAX));
+            assert!(cache.occupancy_entries() > 0, "{budget}: something fits");
+            assert_eq!(cache.eviction_counters().total(), 0, "counters reset");
+        }
     }
 
     /// A pinned epoch can hold a bounded cache past its budget; the
@@ -791,25 +705,21 @@ mod tests {
         assert!(!warm.cache().contains_fresh(SharingKind::Rtc, "cold"));
     }
 
+    /// Versions `1` and `2` held the closure tables themselves; this build
+    /// refuses them, and any other version, by name.
     #[test]
-    fn version_1_files_load_with_zero_build_cost() {
-        // With an empty cache the v1 and v2 bodies are byte-identical
-        // (the cost word is per-entry), so rewriting the version byte
-        // forges a valid legacy file.
-        let engine = Engine::new_dynamic(paper_graph());
-        let mut bytes = snapshot_bytes(&engine);
-        assert_eq!(bytes[7], b'2');
-        bytes[7] = b'1';
-        let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
-        assert_eq!(warm.cache().totals(SharingKind::Rtc).entries, 0);
-        assert_eq!(warm.epoch(), 0);
-
-        bytes[7] = b'3';
-        let err = expect_err(read_snapshot(&bytes[..], EngineConfig::default()));
-        assert!(
-            matches!(err, EngineError::Snapshot(ref m) if m.contains("unsupported")),
-            "{err}"
-        );
+    fn older_versions_are_refused_by_name() {
+        let mut bytes = snapshot_bytes(&Engine::new_dynamic(paper_graph()));
+        assert_eq!(bytes[7], b'3');
+        for version in [b'1', b'2', b'4'] {
+            bytes[7] = version;
+            let err = expect_err(read_snapshot(&bytes[..], EngineConfig::default()));
+            let named = format!("unsupported engine snapshot version '{}'", version as char);
+            assert!(
+                matches!(err, EngineError::Snapshot(ref m) if m.contains(&named)),
+                "{err}"
+            );
+        }
     }
 
     fn sample_pairs() -> Arc<PairSet> {

@@ -83,12 +83,6 @@ pub struct VertexMapping {
 }
 
 impl VertexMapping {
-    /// Builds a mapping from a sorted list of distinct original vertices.
-    pub fn from_sorted_vertices(to_original: Vec<VertexId>) -> Self {
-        debug_assert!(to_original.windows(2).all(|w| w[0] < w[1]));
-        Self { to_original }
-    }
-
     /// Number of mapped vertices (`|V_R|`).
     #[inline]
     pub fn len(&self) -> usize {
@@ -225,7 +219,8 @@ mod tests {
 
     #[test]
     fn mapping_roundtrip() {
-        let m = VertexMapping::from_sorted_vertices(vec![VertexId(2), VertexId(5), VertexId(9)]);
+        let pairs: PairSet = [(2u32, 5u32), (9, 5)].into_iter().collect();
+        let m = MappedDigraph::from_pairset(&pairs).mapping;
         assert_eq!(m.len(), 3);
         assert_eq!(m.compact(VertexId(2)), Some(0));
         assert_eq!(m.compact(VertexId(5)), Some(1));

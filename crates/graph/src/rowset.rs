@@ -214,23 +214,6 @@ impl RowSet {
         RowSet::Dense(row)
     }
 
-    /// Builds a dense row directly from its bitset words (the snapshot
-    /// deserialization path); the element count is recomputed by `popcnt`.
-    pub fn dense_from_words(words: Vec<u64>) -> Self {
-        let mut row = DenseRow { words, len: 0 };
-        row.recount();
-        RowSet::Dense(row)
-    }
-
-    /// The bitset words of a dense row (`None` for sparse) — the snapshot
-    /// serialization path.
-    pub fn as_dense_words(&self) -> Option<&[u64]> {
-        match self {
-            RowSet::Sparse(_) => None,
-            RowSet::Dense(d) => Some(&d.words),
-        }
-    }
-
     /// Number of elements (`popcnt` on dense rows, cached).
     #[inline]
     pub fn len(&self) -> usize {

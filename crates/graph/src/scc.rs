@@ -51,12 +51,6 @@ impl Scc {
         self.members.row_len(s.index())
     }
 
-    /// The full `vertex → SCC` table.
-    #[inline]
-    pub fn component_table(&self) -> &[u32] {
-        &self.comp_of
-    }
-
     /// Average number of vertices per SCC — the paper reports this as the
     /// indicator of how effective vertex-level reduction is (1.00 for
     /// Yago2s, where the reduction does not help).
@@ -75,23 +69,6 @@ impl Scc {
     /// Iterates over `(scc, members)` in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (SccId, &[u32])> + '_ {
         (0..self.count()).map(move |i| (SccId::from_usize(i), self.members.row(i)))
-    }
-
-    /// Builds a decomposition directly from a `vertex → SCC id` table.
-    ///
-    /// Unlike [`tarjan_scc`], the ids carry **no** topological-order
-    /// guarantee — this constructor exists so a decomposition read back
-    /// from a snapshot is rebuilt without re-running Tarjan. Every entry must be
-    /// `< scc_count` and every id in `0..scc_count` must appear (each SCC
-    /// is non-empty); both are debug-asserted.
-    pub fn from_component_table(comp_of: Vec<u32>, scc_count: usize) -> Scc {
-        debug_assert!(comp_of.iter().all(|&c| (c as usize) < scc_count));
-        let members = Csr::from_items(
-            scc_count,
-            (0..comp_of.len() as u32).map(|v| (comp_of[v as usize] as usize, v)),
-        );
-        debug_assert!((0..scc_count).all(|s| members.row_len(s) > 0), "empty SCC");
-        Scc { comp_of, members }
     }
 }
 
@@ -280,14 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn component_table_is_total() {
+    fn every_vertex_has_a_component() {
         let g = Digraph::from_edges(5, vec![(0, 1), (3, 4)]);
         let scc = tarjan_scc(&g);
-        assert_eq!(scc.component_table().len(), 5);
-        assert!(scc
-            .component_table()
-            .iter()
-            .all(|&c| (c as usize) < scc.count()));
+        assert!((0..5).all(|v| scc.component_of(v).index() < scc.count()));
         // Every vertex appears exactly once across members.
         let total: usize = scc.iter().map(|(_, m)| m.len()).sum();
         assert_eq!(total, 5);

@@ -56,24 +56,6 @@ impl FullTc {
         }
     }
 
-    /// Borrows the internal tables for serialization
-    /// ([`crate::snapshot::FullTcParts`]).
-    pub(crate) fn raw_parts(&self) -> (&VertexMapping, &RowTable) {
-        (&self.mapping, &self.rows)
-    }
-
-    /// Reassembles a closure from deserialized tables (validated by
-    /// [`crate::snapshot::FullTcParts::assemble`]).
-    pub(crate) fn from_raw_parts(mapping: VertexMapping, rows: RowTable) -> FullTc {
-        let pair_count = rows.total_len();
-        FullTc {
-            mapping,
-            rows,
-            pair_count,
-            policy: RowSetPolicy::default(),
-        }
-    }
-
     /// The row-representation policy this closure was built with.
     pub fn policy(&self) -> &RowSetPolicy {
         &self.policy

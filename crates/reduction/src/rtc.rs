@@ -80,40 +80,6 @@ impl Rtc {
         }
     }
 
-    /// Assembles an RTC from pre-computed parts — the load path of a
-    /// serialized RTC ([`crate::snapshot::RtcParts`]), which must not pay
-    /// for a Tarjan + closure recompute. `closure` rows must be sorted
-    /// ascending and indexed by the same SCC ids as `scc`.
-    pub(crate) fn from_parts(
-        mapping: VertexMapping,
-        scc: Scc,
-        closure: RowTable,
-        er_edges: usize,
-        ebar_edges: usize,
-        policy: RowSetPolicy,
-    ) -> Rtc {
-        let stats = RtcStats {
-            vr_vertices: mapping.len(),
-            er_edges,
-            scc_count: scc.count(),
-            ebar_edges,
-            closure_pairs: closure.total_len(),
-        };
-        Rtc {
-            mapping,
-            scc,
-            closure,
-            policy,
-            stats,
-        }
-    }
-
-    /// Borrows the internal tables for serialization
-    /// ([`crate::snapshot::RtcParts`]).
-    pub(crate) fn raw_parts(&self) -> (&VertexMapping, &Scc, &RowTable, &RtcStats) {
-        (&self.mapping, &self.scc, &self.closure, &self.stats)
-    }
-
     /// The row-representation policy this RTC was built with.
     pub fn policy(&self) -> &RowSetPolicy {
         &self.policy

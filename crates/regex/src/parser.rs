@@ -12,7 +12,8 @@
 //!
 //! `.` and `/` are interchangeable concatenation operators (the paper uses
 //! `·`, SPARQL property paths use `/`); juxtaposition such as `a(b|c)` also
-//! concatenates. Quoted labels allow arbitrary characters.
+//! concatenates. Quoted labels allow arbitrary characters. Parentheses
+//! nest at most [`MAX_NESTING`] deep.
 
 use crate::ast::Regex;
 use crate::error::ParseError;
@@ -36,10 +37,17 @@ impl Regex {
     }
 }
 
+/// Deepest parenthesis nesting [`Regex::parse`] accepts. Every later stage
+/// recurses once per level, so unbounded nesting from a request or a
+/// snapshot key could exhaust a serving thread's stack.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     input: &'a str,
     chars: Vec<(usize, char)>,
     at: usize,
+    /// Parentheses open at `at`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -48,6 +56,7 @@ impl<'a> Parser<'a> {
             input,
             chars: input.char_indices().collect(),
             at: 0,
+            depth: 0,
         }
     }
 
@@ -148,7 +157,13 @@ impl<'a> Parser<'a> {
                     self.bump();
                     return Ok(Regex::Epsilon);
                 }
+                if self.depth == MAX_NESTING {
+                    let msg = format!("parentheses nested deeper than {MAX_NESTING}");
+                    return Err(ParseError::new(pos, msg));
+                }
+                self.depth += 1;
                 let inner = self.parse_alt()?;
+                self.depth -= 1;
                 self.skip_ws();
                 match self.bump() {
                     Some((_, ')')) => Ok(inner),
@@ -220,6 +235,15 @@ mod tests {
 
     fn lab(s: &str) -> Regex {
         Regex::label(s)
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |d: usize| format!("{}a{}", "(".repeat(d), ")+".repeat(d));
+        assert!(Regex::parse(&nested(MAX_NESTING)).is_ok());
+        let err = Regex::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper than"), "{err}");
+        assert!(Regex::parse(&nested(100_000)).is_err());
     }
 
     #[test]

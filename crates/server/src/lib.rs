@@ -34,9 +34,10 @@
 //!
 //! Warm restarts ride on the two snapshot layers underneath:
 //! `rpq_graph::snapshot` persists the versioned graph (with epoch), and
-//! `rpq_core::snapshot` adds the fresh shared-structure cache entries, so
-//! `save` + restart + `load` answers the next query with a `Fresh` cache
-//! hit — no Tarjan, no closure sweep.
+//! `rpq_core::snapshot` adds the keys of the fresh shared-structure cache
+//! entries, rebuilt at `load`, so `save` + restart + `load` answers the
+//! next query with a `Fresh` cache hit: Tarjan and the closure sweep ran
+//! at load, not at the first query.
 //!
 //! ```
 //! use rpq_server::session::{Session, Status};

@@ -819,6 +819,31 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// An engine snapshot of an older format version is refused with its
+    /// version named, and the session keeps serving the graph it had.
+    #[test]
+    fn an_older_snapshot_version_is_refused_and_the_graph_kept() {
+        let dir = std::env::temp_dir().join("rpq_session_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("version2.snap");
+        let path_str = path.to_str().unwrap();
+
+        let mut s = Session::new();
+        s.execute("gen paper");
+        ok_summary(s.execute(&format!("save {path_str}")));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[7] = b'2';
+        std::fs::write(&path, bytes).unwrap();
+
+        s.execute("gen rmat 1 6 3");
+        let edges = s.engine().graph().edge_count();
+        let e = err_message(s.execute(&format!("load {path_str}")));
+        assert!(e.contains("version '2'"), "{e}");
+        assert_eq!(s.engine().graph().edge_count(), edges);
+        assert!(ok_summary(s.execute("info")).contains(&format!("{edges} edges")));
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn errors_do_not_kill_the_session() {
         let mut s = Session::new();

@@ -3,10 +3,11 @@
 //! 1. drive a serving [`Session`] through the same command language the
 //!    `rpq` REPL and TCP front-ends speak — generate a graph, run queries
 //!    that share one RTC, apply a delta online;
-//! 2. `save` an engine snapshot (graph + warm cache) to disk;
-//! 3. "restart" into a fresh session, `load` the snapshot, and show the
-//!    first query being answered from a `Fresh` cache hit — no Tarjan, no
-//!    closure sweep.
+//! 2. `save` an engine snapshot (graph + the keys of the warm cache) to
+//!    disk;
+//! 3. "restart" into a fresh session, `load` the snapshot — which rebuilds
+//!    every cached structure — and show the first query being answered
+//!    from a `Fresh` cache hit.
 //!
 //! ```bash
 //! cargo run --release --example serving_snapshot
@@ -41,7 +42,7 @@ fn main() {
     println!("--- serving session 2: warm restart ---");
     let mut restarted = Session::new();
     drive(&mut restarted, &format!("load {snap_str}"));
-    drive(&mut restarted, "query (b.c)+"); // Fresh hit: nothing recomputed
+    drive(&mut restarted, "query (b.c)+"); // Fresh hit: rebuilt at load
     drive(&mut restarted, "cache");
 
     let engine = restarted.engine();

@@ -22,7 +22,7 @@
 mod common;
 
 use common::{q, run, scenario, Axes, Probe, Reader, Shape, Step};
-use rtc_rpq::core::{CacheBudget, Lookup, SharingKind, Strategy};
+use rtc_rpq::core::{CacheBudget, EpochView, Lookup, SharingKind, Strategy};
 use std::collections::{HashMap, HashSet};
 
 /// What invariants 2 and 4 remember across the steps of one replay.
@@ -30,12 +30,22 @@ use std::collections::{HashMap, HashSet};
 struct Ledger {
     /// Every (epoch, canonical query) a view memoized so far.
     asked: HashSet<(u64, String)>,
-    /// Per (held view, canonical query): budget evictions from the result
-    /// instance just before the call that last memoized it. Unchanged since
-    /// means the entry cannot have been evicted, not even by its own insert.
+    /// Per (held view, canonical query): budget evictions from the view's
+    /// result instance just before the call that last memoized it.
+    /// Unchanged since means the entry cannot have been evicted, not even by
+    /// its own insert.
     memoized_at: HashMap<(usize, String), u64>,
-    /// Result-instance hits, misses and budget evictions after the last step.
-    before: (u64, u64, u64),
+    /// Per held view: hits, misses and budget evictions of the result
+    /// instance it reads, after the last step. A view held across a
+    /// `Restart` keeps reading the old engine's instance.
+    before: HashMap<usize, (u64, u64, u64)>,
+}
+
+/// Hits, misses and budget evictions of the result instance `view` reads.
+fn result_tier(view: &EpochView) -> (u64, u64, u64) {
+    let r = view.results();
+    let ev = r.eviction_counters();
+    (r.hits(), r.misses(), ev.by_bytes + ev.by_entries)
 }
 
 impl Ledger {
@@ -56,9 +66,10 @@ impl Ledger {
             // Re-asking a still-held view: reachability never drops a
             // reachable result, so unless the budget took it this is a hit.
             Step::Ask(k, q) if !p.answers.is_empty() => {
-                let (hits, misses, evictions) = self.before;
+                let (hits, misses, evictions) = self.before[k];
                 if self.memoized_at.insert((*k, q.canonical_key()), evictions) == Some(evictions) {
-                    assert_eq!((r.hits(), r.misses()), (hits + 1, misses), "{}", p.step);
+                    let (now_hits, now_misses, _) = result_tier(p.view.expect("view answered"));
+                    assert_eq!((now_hits, now_misses), (hits + 1, misses), "{}", p.step);
                 }
             }
             // Only results of held epochs survive a delta (the new live
@@ -82,8 +93,9 @@ impl Ledger {
             assert!(c.occupancy_bytes() + r.occupancy_bytes() <= max_bytes);
             assert!(c.occupancy_entries() + r.occupancy_entries() <= max_entries);
         }
-        let ev = r.eviction_counters();
-        self.before = (r.hits(), r.misses(), ev.by_bytes + ev.by_entries);
+        let views = p.held.iter().enumerate();
+        let views = views.filter_map(|(k, v)| Some((k, result_tier(v.as_ref()?))));
+        self.before = views.collect();
     }
 }
 

@@ -1,17 +1,18 @@
 //! The one equivalence harness of the integration tests.
 //!
 //! A [`Scenario`] is a base graph and a stream of [`Step`]s: reads, query
-//! sets, deltas and pinned views. [`run`] replays it on an engine set up
-//! by [`Axes`] and compares every answer with one reference:
-//! `evaluate_algebraic` (Definition 2, Lemma 4) on a `GraphBuilder` rebuild
-//! of the edge set at the epoch the answer was read at. The reference
-//! shares no code with `VersionedGraph`, the product BFS or any engine
-//! path. A failing scenario is minimised and printed as a literal that a
+//! sets, deltas, pinned views and snapshot restarts. [`run`] replays it on
+//! an engine set up by [`Axes`] and compares every answer with one
+//! reference: `evaluate_algebraic` (Definition 2, Lemma 4) on a
+//! `GraphBuilder` rebuild of the edge set at the epoch the answer was read
+//! at. The reference shares no code with `VersionedGraph`, the product BFS
+//! or any engine path. A failing scenario is minimised and printed as a literal that a
 //! regression test can paste.
 #![allow(dead_code)] // each test binary uses a different subset
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rtc_rpq::core::snapshot::{read_snapshot, write_snapshot};
 use rtc_rpq::core::{CacheBudget, Engine, EngineConfig, EngineError, EpochView, Strategy};
 use rtc_rpq::eval::evaluate_algebraic;
 use rtc_rpq::graph::{GraphBuilder, GraphDelta, LabeledMultigraph, PairSet, RowSetPolicy};
@@ -44,6 +45,9 @@ pub enum Step {
     Ask(usize, Regex),
     /// Drop held view `k`.
     Unpin(usize),
+    /// Continue from `read_snapshot(write_snapshot(engine))`; views already
+    /// held stay on the old engine.
+    Restart,
 }
 
 /// A base graph over `n` vertices and the steps replayed on it.
@@ -159,7 +163,9 @@ fn giant_scc(r: &mut StdRng) -> (u32, Vec<Edge>) {
 /// One seeded scenario: a `shape` base graph, a set over a pool of 2..5
 /// queries that warms the cache, then 4..15 random steps. A delta deletes
 /// up to three edges, mostly ones the graph has, inserts 1..3, one time in
-/// eight onto a new vertex, and is read back over the whole pool.
+/// eight onto a new vertex, and is read back over the whole pool. One time
+/// in four a restart is drawn in a delta's place, and read back the same
+/// way.
 pub fn scenario(seed: u64, shape: Shape) -> Scenario {
     let mut r = rng(seed);
     let (n, edges) = match shape {
@@ -180,6 +186,10 @@ pub fn scenario(seed: u64, shape: Shape) -> Scenario {
     for _ in 0..r.gen_range(4..16) {
         let step = match r.gen_range(0..13) {
             3 => Step::Set((0..r.gen_range(2..=4)).map(|_| pick(&mut r)).collect()),
+            4..=6 if r.gen_range(0..4) == 0 => {
+                steps.push(Step::Restart);
+                Step::Set(pool.clone())
+            }
             4..=6 => {
                 let (d, i, grow) = (r.gen_range(0..4), r.gen_range(1..4), r.gen_range(0..8) == 0);
                 let mut del = random_edges(&mut r, grown, d);
@@ -288,6 +298,7 @@ impl fmt::Display for Step {
             Step::Pin => write!(f, "Step::Pin"),
             Step::Ask(k, _) => write!(f, "Step::Ask({k}, {})", qs[0]),
             Step::Unpin(k) => write!(f, "Step::Unpin({k})"),
+            Step::Restart => write!(f, "Step::Restart"),
         }
     }
 }
@@ -423,6 +434,12 @@ fn replay(s: &Scenario, axis: Axis, known: &mut Known, inspect: &mut dyn FnMut(&
             }
             Step::Pin => held.push(Some(engine.pin())),
             Step::Unpin(k) => drop(held.get_mut(*k).and_then(Option::take)),
+            Step::Restart => {
+                let mut bytes = Vec::new();
+                write_snapshot(&engine, &mut bytes).expect("snapshot writes to memory");
+                engine = read_snapshot(&bytes[..], axis.0)
+                    .unwrap_or_else(|e| panic!("step {index} `{step}`: {e}"));
+            }
         }
         let read = |v: &EpochView, q| v.evaluate(q).map(Arc::unwrap_or_clone);
         let got = got.or_else(|| view.map(|v| step.queries().iter().map(|q| read(v, q)).collect()));

@@ -44,28 +44,42 @@ fn scc_split_and_merge_cycles() {
 }
 
 /// Engine-level equivalence: an engine absorbing update streams answers
-/// every read — live and through held views — like the reference at that
-/// epoch, for every strategy, at 1 and 2 threads.
+/// every read — live, through held views and after snapshot restarts —
+/// like the reference at that epoch, for every strategy, at 1 and 2
+/// threads.
 #[test]
 fn engine_apply_delta_matches_fresh_engine() {
     let axes = Axes::default().strategy(&Strategy::ALL).threads(&[1, 2]);
     let shapes = [Shape::Uniform, Shape::GiantScc, Shape::DenseCyclic];
-    for seed in 0..24 {
-        assert_equivalent(&scenario(0xD15C0 + seed, shapes[seed as usize % 3]), &axes);
+    let scenarios: Vec<_> = (0..24)
+        .map(|seed| scenario(0xD15C0 + seed, shapes[seed as usize % 3]))
+        .collect();
+    assert!(restarts(&scenarios) >= 4, "the stream restores caches");
+    for s in &scenarios {
+        assert_equivalent(s, &axes);
     }
+}
+
+/// How many of `scenarios` restart from a snapshot at least once.
+fn restarts(scenarios: &[Scenario]) -> usize {
+    let restarts = |s: &&Scenario| s.steps.contains(&Step::Restart);
+    scenarios.iter().filter(restarts).count()
 }
 
 /// After every step of a generated delta stream, every cached RTC numbers
 /// its SCCs in reverse topological order: no SCC reaches a higher id than
 /// its own. Tarjan's numbering has that property, and the Post stage may
-/// rely on it only if every refresh keeps it.
+/// rely on it only if every refresh and every snapshot restore keeps it.
 #[test]
 fn cached_rtcs_number_their_sccs_in_reverse_topological_order() {
     let axes = Axes::default().strategy(&[Strategy::RtcSharing]);
     let shapes = [Shape::Uniform, Shape::GiantScc, Shape::DenseCyclic];
-    for seed in 0..12 {
-        let s = scenario(0x70B0 + seed, shapes[seed as usize % 3]);
-        run(&s, &axes, assert_reverse_topological);
+    let scenarios: Vec<_> = (0..12)
+        .map(|seed| scenario(0x70B0 + seed, shapes[seed as usize % 3]))
+        .collect();
+    assert!(restarts(&scenarios) >= 2, "the stream restores caches");
+    for s in &scenarios {
+        run(s, &axes, assert_reverse_topological);
     }
 }
 

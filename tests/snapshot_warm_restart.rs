@@ -3,7 +3,9 @@
 //! The acceptance bar for the serving layer: after `save` → (process
 //! death) → `load`, the first query over the restored engine is answered
 //! from a **`Fresh`** cache entry — zero misses, zero stale refreshes,
-//! zero rebuilds — i.e. neither Tarjan nor the closure sweep runs again.
+//! zero rebuilds. Tarjan and the closure sweep run again, but at load,
+//! where the snapshot's closure-body keys are rebuilt, not at the first
+//! query.
 
 use rtc_rpq::core::{snapshot, Engine, EngineConfig, SharingKind, Strategy};
 use rtc_rpq::graph::{fixtures::paper_graph, GraphDelta};
@@ -45,7 +47,7 @@ fn warm_restart_answers_from_fresh_cache() {
 
     let restored: Vec<PairSet> = queries.iter().map(|q| warm.evaluate(q).unwrap()).collect();
     assert_eq!(restored, after, "warm engine must answer identically");
-    // The Fresh-hit criterion: nothing was recomputed.
+    // The Fresh-hit criterion: nothing was recomputed after the load.
     assert_eq!(warm.cache().misses(), 0, "a miss means an RTC was rebuilt");
     assert_eq!(
         warm.cache().stale_hits(),
