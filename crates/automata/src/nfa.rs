@@ -55,12 +55,6 @@ impl Nfa {
         self.accepting.len()
     }
 
-    /// Total number of transitions.
-    #[inline]
-    pub fn transition_count(&self) -> usize {
-        self.transitions.len()
-    }
-
     /// The local alphabet (symbol index → label name).
     #[inline]
     pub fn alphabet(&self) -> &[String] {
@@ -171,7 +165,7 @@ mod tests {
     fn counts() {
         let n = ab_plus();
         assert_eq!(n.state_count(), 3);
-        assert_eq!(n.transition_count(), 3);
+        assert_eq!(n.transitions.len(), 3);
         assert_eq!(n.alphabet(), &["a".to_string(), "b".to_string()]);
     }
 
@@ -235,7 +229,7 @@ mod tests {
             vec![vec![(0, 1), (0, 1)], vec![]],
             vec![false, true],
         );
-        assert_eq!(n.transition_count(), 1);
+        assert_eq!(n.transitions.len(), 1);
     }
 
     #[test]

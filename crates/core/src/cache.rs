@@ -239,13 +239,6 @@ impl Drop for EpochPin {
         }
     }
 }
-/// The eviction score every retention decision ranks by — this cache (both
-/// instances) and the snapshot trim: nanos of rebuild work bought per
-/// retained byte. Lowest goes first.
-pub(crate) fn score(build_nanos: u64, bytes: usize) -> f64 {
-    build_nanos as f64 / bytes.max(1) as f64
-}
-
 /// Per-entry retention metadata: everything eviction scores on.
 struct EntryMeta {
     /// Retained bytes: the structure, its recorded base relation, its key
@@ -261,16 +254,17 @@ struct EntryMeta {
 }
 
 impl EntryMeta {
-    /// The [`score`]'s power-of-8 bucket, used for victim comparison.
-    /// Build times are measured wall-clock and jitter between runs, so
-    /// comparing raw float scores never produces the tie the recency
+    /// The eviction score's power-of-8 bucket, used for victim comparison.
+    /// The score is nanos of rebuild work bought per retained byte; lowest
+    /// goes first. Build times are measured wall-clock and jitter between
+    /// runs, so comparing raw float scores never produces the tie the recency
     /// rule needs — a hot entry whose build happened to measure fast
     /// would be re-evicted on every round of tail churn. Bucketing by
     /// order of magnitude makes entries of comparable rebuild density
     /// tie, and recency picks among them. Unmeasured entries (cost 0)
     /// sort below every bucket and go first.
     fn score_class(&self) -> i32 {
-        let density = score(self.build_nanos, self.bytes);
+        let density = self.build_nanos as f64 / self.bytes.max(1) as f64;
         if density <= 0.0 {
             return i32::MIN;
         }
@@ -356,14 +350,10 @@ pub enum Lookup {
 
 /// One fresh entry as [`SharedCache::fresh_entries`] reports it.
 pub struct FreshEntry {
+    /// Which structure the entry holds.
+    pub kind: SharingKind,
     /// The canonical closure body the structure is cached under.
     pub key: String,
-    /// The structure.
-    pub shared: Shared,
-    /// Its cost-to-rebuild.
-    pub build_nanos: u64,
-    /// What the entry charges the byte budget.
-    pub bytes: usize,
 }
 
 /// Aggregates over one kind's cached entries ([`SharedCache::totals`]).
@@ -645,8 +635,8 @@ impl SharedCache {
     /// persistence surface used by the engine snapshot
     /// ([`crate::snapshot`]). Stale entries are skipped: they would need
     /// a refresh before being served anyway, so a snapshot simply drops
-    /// them. Returns an owned point-in-time copy (cheap `Arc` clones),
-    /// since the interior is lock-protected.
+    /// them. Returns an owned point-in-time copy of kinds and keys, since
+    /// the interior is lock-protected.
     pub fn fresh_entries(&self) -> Vec<FreshEntry> {
         let epoch = self.epoch();
         let mut fresh = Vec::new();
@@ -656,10 +646,8 @@ impl SharedCache {
                     .iter()
                     .filter(|(_, e)| e.epoch == epoch)
                     .map(|(key, e)| FreshEntry {
+                        kind: e.shared.kind(),
                         key: key.clone(),
-                        shared: e.shared.clone(),
-                        build_nanos: e.meta.build_nanos,
-                        bytes: e.meta.bytes,
                     }),
             );
         }
@@ -1093,11 +1081,18 @@ mod tests {
         let c = SharedCache::new();
         insert_costed(&c, RtcKind, "k", 0, 0);
         insert_bare(&c, Full, "stale-after-advance");
-        let fresh = c.fresh_entries();
-        assert_eq!(fresh.len(), 2);
+        let mut fresh: Vec<_> = c
+            .fresh_entries()
+            .into_iter()
+            .map(|e| (e.kind, e.key))
+            .collect();
+        fresh.sort();
         assert_eq!(
-            fresh.iter().map(|e| e.bytes).sum::<usize>(),
-            c.occupancy_bytes()
+            fresh,
+            [
+                (RtcKind, "k".to_owned()),
+                (Full, "stale-after-advance".to_owned())
+            ]
         );
         c.advance_epoch(1);
         assert!(c.fresh_entries().is_empty());

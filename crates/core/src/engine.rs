@@ -75,10 +75,10 @@ pub struct EngineConfig {
     pub dnf_clause_limit: usize,
     /// Worker threads for the parallel paths: `1` (the default) keeps
     /// everything sequential, `0` uses every available core, `N > 1`
-    /// spawns up to `N` scoped workers. Affects
-    /// [`Engine::evaluate_set`]'s batch fan-out and the parallel
-    /// shared-structure construction/expansion inside each evaluation.
-    /// Results are identical at any thread count (property-tested).
+    /// spawns up to `N` scoped workers. Affects two paths only:
+    /// [`Engine::evaluate_set`]'s per-query fan-out and FullSharing's
+    /// closure build. Results are identical at any thread count
+    /// (property-tested).
     pub threads: usize,
     /// Field-less: a stale shared structure is re-stamped if its `R_G` did
     /// not move and rebuilt from the new one otherwise, with nothing to
@@ -1093,7 +1093,7 @@ mod tests {
         // Oracle graph with the same final edge set.
         let mut vg = rpq_graph::VersionedGraph::new(g.clone());
         vg.apply(&delta);
-        let mutated = vg.into_graph();
+        let mutated = vg.graph().clone();
         for strategy in Strategy::ALL {
             for threads in [1usize, 2] {
                 let config = EngineConfig {

@@ -58,14 +58,6 @@ impl PreRelation {
             }
         }
     }
-
-    /// Materializes into a [`PairSet`].
-    pub fn to_pairset(&self) -> PairSet {
-        match self {
-            PreRelation::Identity(n) => PairSet::identity(*n),
-            PreRelation::Pairs(p) => p.clone(),
-        }
-    }
 }
 
 impl From<PairSet> for PreRelation {
@@ -78,6 +70,13 @@ impl From<PairSet> for PreRelation {
 mod tests {
     use super::*;
 
+    /// Every tuple, collected through [`PreRelation::for_each_group`].
+    fn pairs(r: &PreRelation) -> PairSet {
+        let mut out = Vec::new();
+        r.for_each_group(|v, ends| out.extend(ends.iter().map(|e| (v, e))));
+        PairSet::from_pairs(out)
+    }
+
     #[test]
     fn identity_semantics() {
         let r = PreRelation::Identity(3);
@@ -86,7 +85,7 @@ mod tests {
         assert!(r.contains(VertexId(2), VertexId(2)));
         assert!(!r.contains(VertexId(2), VertexId(1)));
         assert!(!r.contains(VertexId(3), VertexId(3))); // out of range
-        assert_eq!(r.to_pairset(), PairSet::identity(3));
+        assert_eq!(pairs(&r), PairSet::identity(3));
     }
 
     #[test]
@@ -108,7 +107,7 @@ mod tests {
         let mut groups = Vec::new();
         r.for_each_group(|v, g| groups.push((v.raw(), g.len())));
         assert_eq!(groups, vec![(1, 2), (4, 1)]);
-        assert_eq!(r.to_pairset(), p);
+        assert_eq!(pairs(&r), p);
     }
 
     #[test]

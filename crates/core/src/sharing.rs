@@ -48,8 +48,8 @@ pub(crate) struct EvalCtx<'a> {
     pub epoch: u64,
     pub kind: SharingKind,
     /// The configuration this evaluation runs under: clause budget, worker
-    /// threads for structure construction and expansion, and the row
-    /// policy of newly built structures.
+    /// threads for FullSharing's closure build, and the row policy of
+    /// newly built structures.
     pub config: &'a EngineConfig,
     pub metrics: &'a mut EngineMetrics,
 }

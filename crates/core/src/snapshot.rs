@@ -32,14 +32,13 @@
 //! equal state are byte-equal. Versions `1` and `2`, which held the
 //! closure tables themselves, are refused with their version named.
 //!
-//! A save from an engine whose [`crate::CacheBudget`] is bounded writes
-//! the highest-score subset of entries that fits (pinned epochs can push
-//! the live cache past its budget; the file never is). A load builds
-//! through the budget-enforcing insert, so restoring into a *tighter*
-//! budget than the writer's ends within it. Every byte is validated —
-//! magic, embedded graph, kind bytes, keys and the end marker — before
-//! anything is built, so a truncated or corrupted file fails with
-//! [`EngineError::Snapshot`].
+//! A save writes every fresh entry. A load builds through the
+//! budget-enforcing insert, so the loading [`crate::CacheBudget`] is the
+//! one retention policy: a file saved past a budget (pinned epochs can
+//! hold the live cache over it) or restored into a tighter one ends
+//! within it. Every byte is validated — magic, embedded graph, kind bytes,
+//! keys and the end marker — before anything is built, so a truncated or
+//! corrupted file fails with [`EngineError::Snapshot`].
 //!
 //! ```
 //! use rpq_core::{snapshot, Engine, EngineConfig};
@@ -57,7 +56,6 @@
 //! assert!(warm.cache().hits() >= 1);
 //! ```
 
-use crate::cache::{score, FreshEntry};
 use crate::engine::{Engine, EngineConfig, Strategy};
 use crate::error::EngineError;
 use rpq_regex::Regex;
@@ -73,64 +71,29 @@ pub const END_MARKER: [u8; 8] = *b"RPQEEND.";
 
 /// Whether `head` starts with the engine-snapshot magic (any version) —
 /// the sniffing rule for front-ends whose `load` accepts engine
-/// snapshots alongside the graph-level formats.
+/// snapshots alongside edge lists.
 pub fn matches_magic(head: &[u8]) -> bool {
     head.len() >= 7 && head[..7] == MAGIC[..7]
 }
 
-/// Writes the engine's serving state (graph + fresh cache keys). Returns
-/// `(written, trimmed)`: the cache entries the snapshot holds, and the
-/// fresh ones a bounded budget left out.
-pub fn write_snapshot<W: Write>(
-    engine: &Engine<'_>,
-    mut w: W,
-) -> Result<(usize, usize), EngineError> {
+/// Writes the engine's serving state (graph + fresh cache keys), returning
+/// the number of cache entries the snapshot holds.
+pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<usize, EngineError> {
     w.write_all(&MAGIC).map_err(io_err)?;
     rpq_graph::snapshot::write_graph_snapshot(engine.graph(), engine.epoch(), &mut w)?;
 
-    let cache = engine.cache();
-    let mut entries = cache.fresh_entries();
-    let by_key =
-        |a: &FreshEntry, b: &FreshEntry| (&a.key, a.shared.kind()).cmp(&(&b.key, b.shared.kind()));
-
-    // A bounded cache can sit past its budget while pinned epochs hold
-    // entries hostage; the file must not inherit that excess. Trim to the
-    // highest-score subset that fits — same score as eviction
-    // (cost-to-rebuild per byte), ties broken by key then kind, so equal
-    // states trim identically.
-    let (budget, fresh) = (cache.budget(), entries.len());
-    if !budget.is_unbounded() {
-        entries.sort_by(|a, b| {
-            score(b.build_nanos, b.bytes)
-                .partial_cmp(&score(a.build_nanos, a.bytes))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| by_key(a, b))
-        });
-        let mut bytes_left = budget.max_bytes.unwrap_or(usize::MAX);
-        let mut entries_left = budget.max_entries.unwrap_or(usize::MAX);
-        entries.retain(|e| {
-            // A too-big entry is skipped rather than ending the scan: a
-            // smaller, lower-score one may still fit.
-            if entries_left == 0 || e.bytes > bytes_left {
-                return false;
-            }
-            bytes_left -= e.bytes;
-            entries_left -= 1;
-            true
-        });
-    }
-
     // Sort so snapshots of equal state are byte-equal (hash-map iteration
     // order is not deterministic).
-    entries.sort_by(by_key);
+    let mut entries = engine.cache().fresh_entries();
+    entries.sort_by(|a, b| (&a.key, a.kind).cmp(&(&b.key, b.kind)));
     write_u32(&mut w, entries.len() as u32)?;
     for entry in &entries {
-        w.write_all(&[entry.shared.kind() as u8]).map_err(io_err)?;
+        w.write_all(&[entry.kind as u8]).map_err(io_err)?;
         write_str(&mut w, &entry.key)?;
     }
     w.write_all(&END_MARKER).map_err(io_err)?;
     w.flush().map_err(io_err)?;
-    Ok((entries.len(), fresh - entries.len()))
+    Ok(entries.len())
 }
 
 /// Reads an engine snapshot, returning an engine that owns its graph (so
@@ -198,15 +161,15 @@ pub fn read_snapshot<R: Read>(
 }
 
 /// Writes the engine's serving state to a snapshot file, returning
-/// [`write_snapshot`]'s counts. The file is written whole to `<path>.tmp`,
+/// [`write_snapshot`]'s entry count. The file is written whole to `<path>.tmp`,
 /// synced, and renamed over `path`, so a failed or interrupted save leaves
 /// any previous snapshot at `path` intact.
-pub fn save_snapshot(engine: &Engine<'_>, path: &Path) -> Result<(usize, usize), EngineError> {
+pub fn save_snapshot(engine: &Engine<'_>, path: &Path) -> Result<usize, EngineError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     let file = std::fs::File::create(&tmp).map_err(io_err)?;
-    let written = write_synced(engine, file).and_then(|counts| {
+    let written = write_synced(engine, file).and_then(|count| {
         std::fs::rename(&tmp, path).map_err(io_err)?;
         // The rename survives a crash once the directory entry is synced.
         if cfg!(unix) {
@@ -214,7 +177,7 @@ pub fn save_snapshot(engine: &Engine<'_>, path: &Path) -> Result<(usize, usize),
             let dir = std::fs::File::open(dir.unwrap_or(Path::new("."))).map_err(io_err)?;
             dir.sync_all().map_err(io_err)?;
         }
-        Ok(counts)
+        Ok(count)
     });
     if written.is_err() {
         std::fs::remove_file(&tmp).ok();
@@ -223,12 +186,12 @@ pub fn save_snapshot(engine: &Engine<'_>, path: &Path) -> Result<(usize, usize),
 }
 
 /// Writes the snapshot into `file` through a buffer and syncs it to disk.
-fn write_synced(engine: &Engine<'_>, file: std::fs::File) -> Result<(usize, usize), EngineError> {
+fn write_synced(engine: &Engine<'_>, file: std::fs::File) -> Result<usize, EngineError> {
     let mut w = std::io::BufWriter::new(file);
-    let counts = write_snapshot(engine, &mut w)?;
+    let count = write_snapshot(engine, &mut w)?;
     let file = w.into_inner().map_err(|e| io_err(e.into_error()))?;
     file.sync_all().map_err(io_err)?;
-    Ok(counts)
+    Ok(count)
 }
 
 /// Loads an engine from a snapshot file ([`read_snapshot`]).
@@ -659,12 +622,11 @@ mod tests {
         }
     }
 
-    /// A pinned epoch can hold a bounded cache past its budget; the
-    /// snapshot trims to the highest-score subset that fits, so the file
-    /// — and any restore of it — is under budget from the first byte.
+    /// A pinned epoch can hold a bounded cache past its budget. The save
+    /// writes every fresh entry anyway; a load under the writer's budget
+    /// builds through the budget-enforcing insert and ends within it.
     #[test]
-    fn over_budget_saves_trim_highest_score_first() {
-        use std::time::Duration;
+    fn over_budget_saves_write_every_entry_and_load_within_budget() {
         let config = EngineConfig {
             cache_budget: crate::CacheBudget {
                 max_entries: Some(1),
@@ -676,13 +638,13 @@ mod tests {
         let engine = Engine::with_config(&g, config);
         let view = engine.pin(); // pins epoch 0: both entries below survive
         let pairs = sample_pairs();
-        for (key, nanos) in [("cold", 1_000u64), ("hot", 9_000)] {
+        for key in ["a.b", "b.c"] {
             engine.cache().insert(
                 key.to_owned(),
                 Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&pairs))),
                 Some(Arc::clone(&pairs)),
                 engine.epoch(),
-                Duration::from_nanos(nanos),
+                std::time::Duration::ZERO,
             );
         }
         assert_eq!(
@@ -692,17 +654,51 @@ mod tests {
         );
 
         let mut bytes = Vec::new();
-        let counts = write_snapshot(&engine, &mut bytes).unwrap();
-        assert_eq!(counts, (1, 1), "one entry written, one trimmed");
+        assert_eq!(write_snapshot(&engine, &mut bytes).unwrap(), 2);
         drop(view);
-        let warm = read_snapshot(&bytes[..], EngineConfig::default()).unwrap();
-        assert_eq!(
-            warm.cache().totals(SharingKind::Rtc).entries,
-            1,
-            "the file was trimmed to budget"
-        );
-        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "hot"));
-        assert!(!warm.cache().contains_fresh(SharingKind::Rtc, "cold"));
+        let warm = read_snapshot(&bytes[..], config).unwrap();
+        assert_eq!(warm.cache().occupancy_entries(), 1, "loaded within budget");
+        let unbounded = EngineConfig {
+            cache_budget: crate::CacheBudget::default(),
+            ..config
+        };
+        let warm = read_snapshot(&bytes[..], unbounded).unwrap();
+        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "a.b"));
+        assert!(warm.cache().contains_fresh(SharingKind::Rtc, "b.c"));
+    }
+
+    /// The bytes of a paper-graph RTC snapshot (at epoch 1, after a delta
+    /// that adds vertex 8), pinned so the format cannot drift unnoticed.
+    #[test]
+    fn paper_graph_rtc_snapshot_bytes_are_pinned() {
+        const GOLDEN: [&str; 10] = [
+            "52505145534e503352505147534e503101000000000000000a00000000000000",
+            "0600000000000000010000006101000000630100000062010000006401000000",
+            "6501000000660200000000000000000000000100000007000000080000000600",
+            "0000000000000100000002000000020000000500000005000000040000000500",
+            "0000060000000600000003000000080000000600000006000000000000000200",
+            "0000030000000200000005000000030000000200000004000000010000000500",
+            "0000060000000600000008000000010000000000000007000000040000000100",
+            "0000000000000800000009000000010000000000000009000000080000005250",
+            "5147454e442e020000000003000000612e620003000000622e6352505145454e",
+            "442e",
+        ];
+        let config = EngineConfig {
+            cache_budget: crate::CacheBudget::default(),
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::with_config_versioned(VersionedGraph::new(paper_graph()), config);
+        let mut delta = GraphDelta::new();
+        delta.insert(6, "b", 8).insert(8, "c", 6);
+        engine.apply_delta(&delta);
+        for q in ["d.(b.c)+.c", "(a.b)+", "c.(a.b)*"] {
+            engine.evaluate_str(q).unwrap();
+        }
+        let hex: String = snapshot_bytes(&engine)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN.concat());
     }
 
     /// Versions `1` and `2` held the closure tables themselves; this build

@@ -1,5 +1,4 @@
-//! Plain-text edge-list persistence, plus format auto-detection against
-//! the binary snapshot format of [`rpq_graph::snapshot`].
+//! Plain-text edge-list persistence: how a graph alone is exchanged.
 //!
 //! Format: one `src label dst` triple per line, whitespace-separated;
 //! `#`-prefixed lines and blank lines are ignored. An optional header
@@ -98,60 +97,10 @@ pub fn load_graph(path: &Path) -> Result<LabeledMultigraph, GraphError> {
     read_edge_list(file)
 }
 
-/// Loads a graph from either persistence format, sniffing the leading
-/// bytes: a file starting with the binary snapshot magic
-/// ([`rpq_graph::snapshot::MAGIC`]) is read as a [`VersionedGraph`]
-/// snapshot (epoch preserved); anything else is parsed as a plain-text
-/// edge list and wrapped at epoch 0.
-///
-/// This is what lets the serving front-end's `load` command accept a
-/// generator dump and a warm snapshot interchangeably.
+/// Loads an edge-list file as a [`VersionedGraph`] at epoch 0 (a graph
+/// together with its epoch persists only inside an engine snapshot).
 pub fn load_versioned(path: &Path) -> Result<VersionedGraph, GraphError> {
-    let mut file = std::fs::File::open(path)?;
-    if sniff_graph_snapshot(&mut file)? {
-        rpq_graph::snapshot::read_snapshot(BufReader::new(file))
-    } else {
-        Ok(VersionedGraph::new(read_edge_list(file)?))
-    }
-}
-
-/// Reads the first bytes of `file` and rewinds it, reporting whether they
-/// carry the binary graph-snapshot magic. Streaming — the file is never
-/// slurped just to sniff 8 bytes.
-fn sniff_graph_snapshot(file: &mut std::fs::File) -> Result<bool, GraphError> {
-    use std::io::Seek;
-    let mut head = [0u8; 8];
-    let mut n = 0;
-    loop {
-        let k = file.read(&mut head[n..])?;
-        if k == 0 || n + k == head.len() {
-            n += k;
-            break;
-        }
-        n += k;
-    }
-    file.seek(std::io::SeekFrom::Start(0))?;
-    Ok(rpq_graph::snapshot::matches_magic(&head[..n]))
-}
-
-/// Converts between the two graph persistence formats, sniffing the input
-/// with the same rule as [`load_versioned`] and writing the *other*
-/// format. Returns `true` when the output is a binary snapshot (i.e. the
-/// input was an edge list).
-///
-/// Converting a snapshot to an edge list **drops the epoch** (the text
-/// format has no epoch field); converting back yields epoch 0.
-pub fn convert_graph_file(input: &Path, output: &Path) -> Result<bool, GraphError> {
-    let mut file = std::fs::File::open(input)?;
-    if sniff_graph_snapshot(&mut file)? {
-        let graph = rpq_graph::snapshot::read_snapshot(BufReader::new(file))?;
-        save_graph(graph.graph(), output)?;
-        Ok(false)
-    } else {
-        let graph = VersionedGraph::new(read_edge_list(file)?);
-        rpq_graph::snapshot::save_snapshot(&graph, output)?;
-        Ok(true)
-    }
+    Ok(VersionedGraph::new(load_graph(path)?))
 }
 
 #[cfg(test)]
@@ -274,8 +223,8 @@ mod tests {
     }
 
     #[test]
-    fn load_versioned_sniffs_both_formats() {
-        let dir = std::env::temp_dir().join("rpq_io_auto_test");
+    fn load_versioned_reads_edge_lists_only() {
+        let dir = std::env::temp_dir().join("rpq_io_versioned_test");
         std::fs::create_dir_all(&dir).unwrap();
         let g = paper_graph();
 
@@ -286,50 +235,15 @@ mod tests {
         assert_eq!(from_text.epoch(), 0);
         assert_eq!(from_text.graph().edge_count(), g.edge_count());
 
-        // Binary snapshot → epoch preserved.
-        let mut vg = rpq_graph::VersionedGraph::new(g.clone());
-        let mut delta = rpq_graph::GraphDelta::new();
-        delta.insert(0, "z", 9);
-        vg.apply(&delta);
+        // A bare binary graph section is not an edge list.
+        let mut section = Vec::new();
+        rpq_graph::snapshot::write_graph_snapshot(&g, 1, &mut section).unwrap();
         let snap_path = dir.join("g.snap");
-        rpq_graph::snapshot::save_snapshot(&vg, &snap_path).unwrap();
-        let from_snap = load_versioned(&snap_path).unwrap();
-        assert_eq!(from_snap.epoch(), 1);
-        assert_eq!(from_snap.graph().edge_count(), g.edge_count() + 1);
+        std::fs::write(&snap_path, section).unwrap();
+        assert!(load_versioned(&snap_path).is_err());
 
         std::fs::remove_file(&el_path).ok();
         std::fs::remove_file(&snap_path).ok();
-    }
-
-    #[test]
-    fn convert_between_formats_roundtrips_edges() {
-        let dir = std::env::temp_dir().join("rpq_io_convert_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let el = dir.join("c.el");
-        let snap = dir.join("c.snap");
-        let back = dir.join("c_back.el");
-        let g = paper_graph();
-        save_graph(&g, &el).unwrap();
-
-        // text → snapshot → text preserves the edge set exactly.
-        assert!(convert_graph_file(&el, &snap).unwrap());
-        assert!(!convert_graph_file(&snap, &back).unwrap());
-        let a = load_graph(&el).unwrap();
-        let b = load_graph(&back).unwrap();
-        assert_eq!(a.vertex_count(), b.vertex_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        let pairs = |g: &rpq_graph::LabeledMultigraph| {
-            let mut v: Vec<_> = g
-                .all_edges()
-                .map(|(s, l, d)| (s.raw(), g.labels().name(l).to_owned(), d.raw()))
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(pairs(&a), pairs(&b));
-        for p in [&el, &snap, &back] {
-            std::fs::remove_file(p).ok();
-        }
     }
 
     #[test]

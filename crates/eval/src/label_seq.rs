@@ -160,7 +160,7 @@ mod tests {
         let g = paper_graph();
         let r = eval_label_sequence(&g, &ids(&g, &["b"]));
         let b = g.labels().get("b").unwrap();
-        assert_eq!(r.len(), g.label_edge_count(b));
+        assert_eq!(r.len(), g.edges_with_label(b).len());
     }
 
     #[test]

@@ -102,16 +102,15 @@ pub fn reachable_ge1(
     out
 }
 
-/// Convenience wrapper allocating fresh scratch buffers.
-pub fn reachable_ge1_alloc(g: &Digraph, src: u32) -> Vec<u32> {
-    let mut visited = EpochVisited::new(g.vertex_count());
-    let mut queue = Vec::new();
-    reachable_ge1(g, src, &mut visited, &mut queue)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`reachable_ge1`] with fresh scratch buffers.
+    fn reach(g: &Digraph, src: u32) -> Vec<u32> {
+        let mut visited = EpochVisited::new(g.vertex_count());
+        reachable_ge1(g, src, &mut visited, &mut Vec::new())
+    }
 
     #[test]
     fn epoch_visited_basic() {
@@ -140,22 +139,22 @@ mod tests {
     #[test]
     fn reachability_excludes_acyclic_source() {
         let g = Digraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(reachable_ge1_alloc(&g, 0), vec![1, 2, 3]);
-        assert_eq!(reachable_ge1_alloc(&g, 3), Vec::<u32>::new());
+        assert_eq!(reach(&g, 0), vec![1, 2, 3]);
+        assert_eq!(reach(&g, 3), Vec::<u32>::new());
     }
 
     #[test]
     fn reachability_includes_source_on_cycle() {
         let g = Digraph::from_edges(3, vec![(0, 1), (1, 0), (1, 2)]);
-        assert_eq!(reachable_ge1_alloc(&g, 0), vec![0, 1, 2]);
-        assert_eq!(reachable_ge1_alloc(&g, 2), Vec::<u32>::new());
+        assert_eq!(reach(&g, 0), vec![0, 1, 2]);
+        assert_eq!(reach(&g, 2), Vec::<u32>::new());
     }
 
     #[test]
     fn reachability_self_loop() {
         let g = Digraph::from_edges(2, vec![(0, 0)]);
-        assert_eq!(reachable_ge1_alloc(&g, 0), vec![0]);
-        assert_eq!(reachable_ge1_alloc(&g, 1), Vec::<u32>::new());
+        assert_eq!(reach(&g, 0), vec![0]);
+        assert_eq!(reach(&g, 1), Vec::<u32>::new());
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub enum GraphError {
     },
     /// An I/O error message (stringified to keep the error type `Clone + Eq`).
     Io(String),
-    /// A malformed, truncated or version-incompatible binary snapshot
-    /// (see [`crate::snapshot`]).
+    /// A malformed, truncated or version-incompatible binary graph
+    /// section (see [`crate::snapshot`]).
     Snapshot(String),
 }
 

@@ -5,21 +5,20 @@
 //! vertex pair are allowed but must carry **distinct labels** — the builder
 //! enforces this by deduplicating `(src, label, dst)` triples.
 //!
-//! Storage is row-per-vertex (and row-per-label) sorted adjacency in three
-//! orientations so that every access pattern the evaluator needs is a
-//! contiguous scan or a binary search:
+//! Storage is row-per-vertex and row-per-label sorted adjacency, the two
+//! orientations the evaluator reads (every traversal walks edges forward),
+//! so that each access is a contiguous scan or a binary search:
 //!
 //! * `out_adj[v]` — out-edges of `v`, sorted by `(label, dst)`; lets the
 //!   product-graph traversal fetch `σ_{label}(out(v))` with two
 //!   `partition_point` calls.
-//! * `in_adj[v]` — in-edges, same layout, for reverse traversals.
 //! * `label_edges[l]` — the full edge list of label `l`, sorted by
 //!   `(src, dst)`; this is the base relation `l_G` used by closure-free
 //!   clause evaluation and by first-label source pruning.
 //!
 //! Each row is its own vector (rather than one flat CSR) so that the
 //! versioned-mutation layer ([`crate::VersionedGraph`]) can apply a single
-//! edge insert/delete by touching only the three rows involved —
+//! edge insert/delete by touching only the two rows involved —
 //! `O(row length)` per edge instead of a full rebuild.
 //!
 //! Rows are reference-counted (`Arc<Vec<_>>`) so a clone of the whole graph
@@ -43,7 +42,6 @@ pub struct LabeledMultigraph {
     vertex_count: usize,
     labels: LabelDict,
     out_adj: Vec<Arc<Vec<(LabelId, VertexId)>>>,
-    in_adj: Vec<Arc<Vec<(LabelId, VertexId)>>>,
     label_edges: Vec<Arc<Vec<(VertexId, VertexId)>>>,
     edge_count: usize,
 }
@@ -84,31 +82,15 @@ impl LabeledMultigraph {
         &self.out_adj[v.index()]
     }
 
-    /// In-edges of `v` as `(label, src)`, sorted by `(label, src)`.
-    #[inline]
-    pub fn in_edges(&self, v: VertexId) -> &[(LabelId, VertexId)] {
-        &self.in_adj[v.index()]
-    }
-
     /// Out-neighbors of `v` through edges labeled `label`, as a sorted
     /// sub-slice of the adjacency row.
     pub fn out_with_label(&self, v: VertexId, label: LabelId) -> &[(LabelId, VertexId)] {
         label_range(&self.out_adj[v.index()], label)
     }
 
-    /// In-neighbors of `v` through edges labeled `label`.
-    pub fn in_with_label(&self, v: VertexId, label: LabelId) -> &[(LabelId, VertexId)] {
-        label_range(&self.in_adj[v.index()], label)
-    }
-
     /// The full edge relation of `label`: `{(src, dst)}` sorted ascending.
     pub fn edges_with_label(&self, label: LabelId) -> &[(VertexId, VertexId)] {
         &self.label_edges[label.index()]
-    }
-
-    /// Number of edges carrying `label`.
-    pub fn label_edge_count(&self, label: LabelId) -> usize {
-        self.label_edges[label.index()].len()
     }
 
     /// Distinct source vertices of edges labeled `label`, ascending.
@@ -155,7 +137,6 @@ impl LabeledMultigraph {
     pub(crate) fn grow_vertices(&mut self, n: usize) {
         if n > self.vertex_count {
             self.out_adj.resize_with(n, Default::default);
-            self.in_adj.resize_with(n, Default::default);
             self.vertex_count = n;
         }
     }
@@ -173,7 +154,7 @@ impl LabeledMultigraph {
     /// Inserts edge `e(src, label, dst)`, growing the vertex set as needed.
     ///
     /// Returns `false` (and changes nothing) if the edge already exists.
-    /// Cost: `O(log + len)` of the three rows touched.
+    /// Cost: `O(log + len)` of the two rows touched.
     pub(crate) fn insert_edge_raw(&mut self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
         debug_assert!(label.index() < self.label_edges.len(), "unknown label id");
         self.grow_vertices(src.index().max(dst.index()) + 1);
@@ -187,9 +168,6 @@ impl LabeledMultigraph {
         let row = Arc::make_mut(&mut self.out_adj[src.index()]);
         let at = row.binary_search(&(label, dst)).unwrap_err();
         row.insert(at, (label, dst));
-        let row = Arc::make_mut(&mut self.in_adj[dst.index()]);
-        let at = row.binary_search(&(label, src)).unwrap_err();
-        row.insert(at, (label, src));
         let row = Arc::make_mut(&mut self.label_edges[label.index()]);
         let at = row.binary_search(&(src, dst)).unwrap_err();
         row.insert(at, (src, dst));
@@ -213,11 +191,6 @@ impl LabeledMultigraph {
             return false;
         };
         Arc::make_mut(&mut self.out_adj[src.index()]).remove(at);
-        let row = Arc::make_mut(&mut self.in_adj[dst.index()]);
-        let at = row
-            .binary_search(&(label, src))
-            .expect("in_adj out of sync");
-        row.remove(at);
         let row = Arc::make_mut(&mut self.label_edges[label.index()]);
         let at = row
             .binary_search(&(src, dst))
@@ -289,11 +262,6 @@ impl GraphBuilder {
         self.labels.intern(name)
     }
 
-    /// Number of edges added so far (before deduplication).
-    pub fn pending_edges(&self) -> usize {
-        self.triples.len()
-    }
-
     /// Finalizes the graph: dedups `(src, label, dst)` triples (the
     /// distinct-labels multigraph constraint) and freezes CSR storage.
     pub fn build(self) -> LabeledMultigraph {
@@ -318,13 +286,6 @@ impl GraphBuilder {
         for &(s, l, d) in &triples {
             out_adj[s.index()].push((l, d));
         }
-        let mut in_adj: Vec<Vec<(LabelId, VertexId)>> = vec![Vec::new(); vertex_count];
-        for &(s, l, d) in &triples {
-            in_adj[d.index()].push((l, s));
-        }
-        for row in &mut in_adj {
-            row.sort_unstable();
-        }
         let mut label_edges: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); labels.len()];
         for &(s, l, d) in &triples {
             label_edges[l.index()].push((s, d));
@@ -337,7 +298,6 @@ impl GraphBuilder {
             vertex_count,
             labels,
             out_adj: out_adj.into_iter().map(Arc::new).collect(),
-            in_adj: in_adj.into_iter().map(Arc::new).collect(),
             label_edges: label_edges.into_iter().map(Arc::new).collect(),
             edge_count,
         }
@@ -416,17 +376,14 @@ mod tests {
     }
 
     #[test]
-    fn in_edges_mirror_out_edges() {
+    fn out_rows_and_label_rows_hold_every_edge_once() {
         let g = tiny();
-        let a = g.labels().get("a").unwrap();
-        let srcs: Vec<u32> = g
-            .in_with_label(VertexId(2), a)
-            .iter()
-            .map(|&(_, s)| s.raw())
-            .collect();
-        assert_eq!(srcs, vec![1]);
-        let total_in: usize = g.vertices().map(|v| g.in_edges(v).len()).sum();
-        assert_eq!(total_in, g.edge_count());
+        let total_out: usize = g.vertices().map(|v| g.out_edges(v).len()).sum();
+        let total_label: usize = (0..g.label_count())
+            .map(|l| g.edges_with_label(LabelId::from_usize(l)).len())
+            .sum();
+        assert_eq!(total_out, g.edge_count());
+        assert_eq!(total_label, g.edge_count());
     }
 
     #[test]
@@ -439,7 +396,7 @@ mod tests {
             .map(|&(s, d)| (s.raw(), d.raw()))
             .collect();
         assert_eq!(edges, vec![(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(g.label_edge_count(a), 3);
+        assert_eq!(g.edges_with_label(a).len(), 3);
     }
 
     #[test]

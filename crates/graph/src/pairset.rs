@@ -356,11 +356,6 @@ impl PairSet {
         }
     }
 
-    /// Builds a hash-set view for repeated O(1) membership probes.
-    pub fn to_hash_set(&self) -> FxHashSet<(VertexId, VertexId)> {
-        self.iter().collect()
-    }
-
     /// Heap footprint in bytes. A grouped row shared by several starts is
     /// counted once (by `Arc` identity); a row this set shares with another
     /// holder is still charged in full to each (once per referencing set).
@@ -704,7 +699,9 @@ mod tests {
         assert_eq!(f.len(), g.len());
         assert_eq!(f.starts(), g.starts());
         assert_eq!(f.ends(), g.ends());
-        assert_eq!(f.to_hash_set(), g.to_hash_set());
+        for (s, e) in f.iter() {
+            assert!(g.contains(s, e));
+        }
         assert_eq!(f.clone().into_vec(), g.clone().into_vec());
     }
 
@@ -881,11 +878,11 @@ mod tests {
     }
 
     #[test]
-    fn hash_set_view_agrees() {
+    fn membership_probes_agree() {
         let s = ps(&[(0, 1), (2, 3)]);
-        let h = s.to_hash_set();
-        assert_eq!(h.len(), 2);
-        assert!(h.contains(&(VertexId(0), VertexId(1))));
+        assert_eq!(s.len(), 2);
+        assert!(s.contains(VertexId(0), VertexId(1)));
+        assert!(!s.contains(VertexId(0), VertexId(3)));
     }
 
     #[test]

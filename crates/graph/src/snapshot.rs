@@ -1,9 +1,8 @@
-//! On-disk binary snapshot format for [`VersionedGraph`].
+//! The binary graph section of an engine snapshot.
 //!
-//! The serving front-end (`rpq_server`) keeps a [`VersionedGraph`] alive
-//! across a stream of queries and deltas; this module makes that state
-//! survive a process restart. The format is a small, versioned, little-
-//! endian binary layout:
+//! An engine snapshot (`rpq_core::snapshot`) embeds the graph and its
+//! epoch as one section, written by [`write_graph_snapshot`] and read back
+//! by [`read_snapshot`]. The layout is small, versioned and little-endian:
 //!
 //! ```text
 //! offset  field
@@ -28,20 +27,23 @@
 //! * **The epoch rides along**, which is what lets a restarted engine keep
 //!   serving warm cache entries stamped with the pre-restart epoch.
 //! * Every load re-validates: magic/version, UTF-8 label names, vertex ids
-//!   against the declared count, and the end marker. A truncated file
+//!   against the declared count, and the end marker. A truncated section
 //!   surfaces as [`GraphError::Snapshot`], never as a silently-shorter
 //!   graph.
 //!
+//! The section is not a file format of its own: a graph alone is
+//! exchanged as an edge list (`rpq_datasets::io`).
+//!
 //! ```
 //! use rpq_graph::fixtures::paper_graph;
-//! use rpq_graph::{snapshot, VersionedGraph};
+//! use rpq_graph::snapshot;
 //!
-//! let vg = VersionedGraph::new(paper_graph());
+//! let g = paper_graph();
 //! let mut bytes = Vec::new();
-//! snapshot::write_snapshot(&vg, &mut bytes).unwrap();
+//! snapshot::write_graph_snapshot(&g, 3, &mut bytes).unwrap();
 //! let back = snapshot::read_snapshot(&bytes[..]).unwrap();
-//! assert_eq!(back.epoch(), vg.epoch());
-//! assert_eq!(back.graph().edge_count(), vg.graph().edge_count());
+//! assert_eq!(back.epoch(), 3);
+//! assert_eq!(back.graph().edge_count(), g.edge_count());
 //! ```
 
 use crate::error::GraphError;
@@ -49,23 +51,13 @@ use crate::ids::LabelId;
 use crate::multigraph::GraphBuilder;
 use crate::versioned::VersionedGraph;
 use std::io::{Read, Write};
-use std::path::Path;
 
-/// Leading magic of a graph snapshot; the trailing byte is the format
-/// version. Format sniffers (e.g. `rpq_datasets::io::load_versioned`)
-/// compare a file's first bytes against this.
+/// Leading magic of a graph section; the trailing byte is the format
+/// version.
 pub const MAGIC: [u8; 8] = *b"RPQGSNP1";
 
-/// Trailing end marker: present iff the file was written to completion.
+/// Trailing end marker: present iff the section was written to completion.
 pub const END_MARKER: [u8; 8] = *b"RPQGEND.";
-
-/// Whether `head` starts with the graph-snapshot magic (any version).
-/// The single place the "first 7 bytes name the format" rule is encoded;
-/// every sniffer (datasets auto-detection, the serving `load` command)
-/// calls this instead of comparing bytes itself.
-pub fn matches_magic(head: &[u8]) -> bool {
-    head.len() >= 7 && head[..7] == MAGIC[..7]
-}
 
 /// Hard cap on a single label name, to refuse absurd length fields from a
 /// corrupt header before allocating. Enforced symmetrically: writes fail
@@ -80,14 +72,7 @@ const MAX_LABEL_NAME_BYTES: u32 = 1 << 20;
 /// OOM-from-64-byte-file failure mode out of reach.
 const MAX_SNAPSHOT_VERTICES: u64 = 1 << 30;
 
-/// Writes `graph` in snapshot format.
-pub fn write_snapshot<W: Write>(graph: &VersionedGraph, w: W) -> Result<(), GraphError> {
-    write_graph_snapshot(graph.graph(), graph.epoch(), w)
-}
-
-/// [`write_snapshot`] for a bare graph at an explicit epoch (what
-/// `Engine::write_snapshot` uses — a borrowed static engine has a
-/// [`crate::LabeledMultigraph`] but no [`VersionedGraph`] wrapper).
+/// Writes `g` at `epoch` as a graph section.
 pub fn write_graph_snapshot<W: Write>(
     g: &crate::LabeledMultigraph,
     epoch: u64,
@@ -121,18 +106,17 @@ pub fn write_graph_snapshot<W: Write>(
     Ok(())
 }
 
-/// Reads a graph in snapshot format, validating magic, version, label
-/// names, vertex bounds and the end marker.
+/// Reads a graph section, validating magic, version, label names, vertex
+/// bounds and the end marker.
 ///
-/// Consumes exactly the snapshot's bytes from `r`, so a snapshot section
-/// can be embedded in a larger stream (the engine snapshot of `rpq_core`
-/// does this).
+/// Consumes exactly the section's bytes from `r`, so it can be embedded in
+/// a larger stream (the engine snapshot of `rpq_core` does this).
 pub fn read_snapshot<R: Read>(mut r: R) -> Result<VersionedGraph, GraphError> {
     let mut magic = [0u8; 8];
     read_exact(&mut r, &mut magic, "magic")?;
-    if !matches_magic(&magic) {
+    if magic[..7] != MAGIC[..7] {
         return Err(GraphError::Snapshot(
-            "bad magic: not a graph snapshot file".into(),
+            "bad magic: not a graph section".into(),
         ));
     }
     if magic[7] != MAGIC[7] {
@@ -190,18 +174,6 @@ pub fn read_snapshot<R: Read>(mut r: R) -> Result<VersionedGraph, GraphError> {
     Ok(VersionedGraph::restore(graph, epoch))
 }
 
-/// Writes `graph` to a snapshot file.
-pub fn save_snapshot(graph: &VersionedGraph, path: &Path) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path)?;
-    write_snapshot(graph, std::io::BufWriter::new(file))
-}
-
-/// Loads a graph from a snapshot file.
-pub fn load_snapshot(path: &Path) -> Result<VersionedGraph, GraphError> {
-    let file = std::fs::File::open(path)?;
-    read_snapshot(std::io::BufReader::new(file))
-}
-
 fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<(), GraphError> {
     r.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
@@ -241,14 +213,17 @@ mod tests {
         }
         for v in a.vertices() {
             assert_eq!(a.out_edges(v), b.out_edges(v), "out row of {v}");
-            assert_eq!(a.in_edges(v), b.in_edges(v), "in row of {v}");
         }
     }
 
-    fn roundtrip(vg: &VersionedGraph) -> VersionedGraph {
+    fn section(vg: &VersionedGraph) -> Vec<u8> {
         let mut bytes = Vec::new();
-        write_snapshot(vg, &mut bytes).unwrap();
-        read_snapshot(&bytes[..]).unwrap()
+        write_graph_snapshot(vg.graph(), vg.epoch(), &mut bytes).unwrap();
+        bytes
+    }
+
+    fn roundtrip(vg: &VersionedGraph) -> VersionedGraph {
+        read_snapshot(&section(vg)[..]).unwrap()
     }
 
     #[test]
@@ -320,8 +295,7 @@ mod tests {
     #[test]
     fn wrong_version_is_rejected() {
         let vg = VersionedGraph::new(paper_graph());
-        let mut bytes = Vec::new();
-        write_snapshot(&vg, &mut bytes).unwrap();
+        let mut bytes = section(&vg);
         bytes[7] = b'9';
         let err = read_snapshot(&bytes[..]).unwrap_err();
         assert!(
@@ -333,8 +307,7 @@ mod tests {
     #[test]
     fn truncation_at_every_prefix_is_detected() {
         let vg = VersionedGraph::new(paper_graph());
-        let mut bytes = Vec::new();
-        write_snapshot(&vg, &mut bytes).unwrap();
+        let bytes = section(&vg);
         // Every strict prefix must fail (truncated), never succeed.
         for cut in 0..bytes.len() {
             let err = read_snapshot(&bytes[..cut]).unwrap_err();
@@ -348,8 +321,7 @@ mod tests {
     #[test]
     fn corrupt_end_marker_is_detected() {
         let vg = VersionedGraph::new(paper_graph());
-        let mut bytes = Vec::new();
-        write_snapshot(&vg, &mut bytes).unwrap();
+        let mut bytes = section(&vg);
         let n = bytes.len();
         bytes[n - 1] ^= 0xff;
         let err = read_snapshot(&bytes[..]).unwrap_err();
@@ -431,28 +403,11 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("rpq_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.snap");
-        let mut vg = VersionedGraph::new(paper_graph());
-        let mut delta = GraphDelta::new();
-        delta.insert(1, "x", 8);
-        vg.apply(&delta);
-        save_snapshot(&vg, &path).unwrap();
-        let back = load_snapshot(&path).unwrap();
-        assert_eq!(back.epoch(), 1);
-        assert_same_graph(back.graph(), vg.graph());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn reader_consumes_exactly_the_snapshot_bytes() {
         // Embeddability: trailing bytes after the end marker are left
         // unread for the enclosing stream.
         let vg = VersionedGraph::new(paper_graph());
-        let mut bytes = Vec::new();
-        write_snapshot(&vg, &mut bytes).unwrap();
+        let mut bytes = section(&vg);
         bytes.extend_from_slice(b"TRAILER");
         let mut cursor = &bytes[..];
         let back = read_snapshot(&mut cursor).unwrap();

@@ -1,8 +1,8 @@
 //! Property-based tests on the graph substrate.
 
 use proptest::prelude::*;
-use rpq_graph::bfs::reachable_ge1_alloc;
-use rpq_graph::{tarjan_scc, Condensation, Csr, Digraph, GraphBuilder, SccId};
+use rpq_graph::bfs::reachable_ge1;
+use rpq_graph::{tarjan_scc, Condensation, Csr, Digraph, EpochVisited, GraphBuilder, SccId};
 
 fn arb_edges(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..n, 0..n), 0..max_edges)
@@ -101,7 +101,10 @@ proptest! {
     fn scc_membership_matches_mutual_reachability(edges in arb_edges(12, 50)) {
         let g = Digraph::from_edges(12, edges);
         let scc = tarjan_scc(&g);
-        let reach: Vec<Vec<u32>> = (0..12).map(|v| reachable_ge1_alloc(&g, v)).collect();
+        let (mut visited, mut queue) = (EpochVisited::new(12), Vec::new());
+        let reach: Vec<Vec<u32>> = (0..12)
+            .map(|v| reachable_ge1(&g, v, &mut visited, &mut queue))
+            .collect();
         for a in 0..12u32 {
             for b in 0..12u32 {
                 let same = scc.component_of(a) == scc.component_of(b);

@@ -1,7 +1,7 @@
-//! Property-based tests of the binary snapshot format: random graph +
-//! random mutation history → bytes → graph preserves every observable
-//! (edges, labels, vertex count, epoch), and random corruption never
-//! round-trips silently.
+//! Property-based tests of the binary graph section of engine snapshots:
+//! random graph + random mutation history → bytes → graph preserves every
+//! observable (edges, labels, vertex count, epoch), and random corruption
+//! never round-trips silently.
 
 use proptest::prelude::*;
 use rpq_graph::{snapshot, GraphBuilder, GraphDelta, LabeledMultigraph, VersionedGraph};
@@ -26,6 +26,12 @@ fn build(base: &[(u32, usize, u32)], min_vertices: usize) -> LabeledMultigraph {
         b.add_edge(s, LABELS[l], d);
     }
     b.build()
+}
+
+fn section(vg: &VersionedGraph) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    snapshot::write_graph_snapshot(vg.graph(), vg.epoch(), &mut bytes).unwrap();
+    bytes
 }
 
 fn assert_same_graph(a: &LabeledMultigraph, b: &LabeledMultigraph) {
@@ -67,17 +73,14 @@ proptest! {
         }
         prop_assert_eq!(vg.epoch(), expected_epoch);
 
-        let mut bytes = Vec::new();
-        snapshot::write_snapshot(&vg, &mut bytes).unwrap();
+        let bytes = section(&vg);
         let back = snapshot::read_snapshot(&bytes[..]).unwrap();
         prop_assert_eq!(back.epoch(), vg.epoch());
         assert_same_graph(back.graph(), vg.graph());
 
         // And the round-trip is a fixpoint: re-serializing the restored
         // graph yields identical bytes.
-        let mut bytes2 = Vec::new();
-        snapshot::write_snapshot(&back, &mut bytes2).unwrap();
-        prop_assert_eq!(bytes, bytes2);
+        prop_assert_eq!(bytes, section(&back));
     }
 
     /// Every strict prefix of a valid snapshot is rejected as truncated —
@@ -88,8 +91,7 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let vg = VersionedGraph::new(build(&base, 0));
-        let mut bytes = Vec::new();
-        snapshot::write_snapshot(&vg, &mut bytes).unwrap();
+        let bytes = section(&vg);
         let cut = ((bytes.len() as f64) * cut_frac) as usize; // < len: strict prefix
         prop_assert!(snapshot::read_snapshot(&bytes[..cut]).is_err());
     }
@@ -105,8 +107,7 @@ proptest! {
     ) {
         let flip = flip as u8;
         let vg = VersionedGraph::new(build(&base, 0));
-        let mut bytes = Vec::new();
-        snapshot::write_snapshot(&vg, &mut bytes).unwrap();
+        let mut bytes = section(&vg);
         let at = ((bytes.len() - 1) as f64 * at_frac) as usize;
         bytes[at] ^= flip;
         match snapshot::read_snapshot(&bytes[..]) {

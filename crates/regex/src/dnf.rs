@@ -65,11 +65,6 @@ impl Clause {
         Self::default()
     }
 
-    /// Whether this is the `ε` clause.
-    pub fn is_epsilon(&self) -> bool {
-        self.literals.is_empty()
-    }
-
     /// Whether any literal is a Kleene closure.
     pub fn has_closure(&self) -> bool {
         self.literals.iter().any(Literal::is_closure)
@@ -194,7 +189,7 @@ mod tests {
         let r = Regex::Epsilon;
         let d = to_dnf(&r).unwrap();
         assert_eq!(d.len(), 1);
-        assert!(d[0].is_epsilon());
+        assert_eq!(d[0], Clause::epsilon());
     }
 
     #[test]
@@ -238,7 +233,7 @@ mod tests {
         let d = to_dnf(&r).unwrap();
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].to_string(), "a");
-        assert!(d[1].is_epsilon());
+        assert_eq!(d[1], Clause::epsilon());
     }
 
     #[test]

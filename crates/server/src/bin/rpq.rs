@@ -12,8 +12,8 @@
 //! command language as a line-delimited TCP protocol; all connections
 //! share one engine and one epoch-aware cache, up to `--max-conns`
 //! simultaneous clients (default 256; over-limit connections get one
-//! `ERR busy` line). `--load` accepts an edge list, a graph snapshot, or
-//! an engine snapshot (warm restart) — the format is auto-detected. See
+//! `ERR busy` line). `--load` accepts an edge list or an engine snapshot
+//! written by `save` (warm restart) — the format is auto-detected. See
 //! `docs/QUERY_LANGUAGE.md` for the command reference.
 
 use rpq_server::command::parse_strategy;
@@ -128,7 +128,7 @@ fn print_usage() {
     eprintln!("       rpq serve --addr HOST:PORT [--max-conns N] [--load PATH]");
     eprintln!("                 [--strategy rtc|full|none] [--threads N] [--cache-budget SPEC]");
     eprintln!();
-    eprintln!("--load accepts an edge list, a graph snapshot, or an engine snapshot");
+    eprintln!("--load accepts an edge list or an engine snapshot written by 'save'");
     eprintln!("(warm restart) — the format is auto-detected. --max-conns caps");
     eprintln!("simultaneous TCP clients (default 256; extras get 'ERR busy').");
     eprintln!("--cache-budget is one account over structures and memoized results:");

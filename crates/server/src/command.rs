@@ -33,7 +33,7 @@ pub enum Command {
     Info,
     /// `epoch` — the current graph epoch.
     Epoch,
-    /// `load PATH` — load an edge list, graph snapshot or engine snapshot
+    /// `load PATH` — load an edge list or an engine snapshot
     /// (format auto-detected).
     Load(String),
     /// `save PATH` — write an engine snapshot (graph + warm cache).
@@ -310,7 +310,7 @@ pub const HELP: &[&str] = &[
     "  help                      list commands",
     "  info                      graph and engine status",
     "  epoch                     current graph epoch",
-    "  load PATH                 load edge list / graph snapshot / engine snapshot",
+    "  load PATH                 load edge list / engine snapshot (warm restart)",
     "  save PATH                 write engine snapshot (graph + warm cache)",
     "  export PATH               write plain-text edge list",
     "  gen paper                 load the paper's Fig. 1 graph",
@@ -321,7 +321,7 @@ pub const HELP: &[&str] = &[
     "  prepare RPQ               warm the shared cache for an RPQ",
     "  delta OPS...              mutate: ins SRC LABEL DST | del SRC LABEL DST | grow N",
     "  strategy rtc|full|none    switch evaluation strategy",
-    "  threads N                 worker threads (0 = all cores)",
+    "  threads N                 workers for FullSharing builds and set fan-out (0 = all cores)",
     "  limit N                   result pairs printed per query (0 = none)",
     "  binary on|off             query results as RESULT-BIN frames (this connection)",
     "  metrics                   timing/elimination/maintenance counters",

@@ -32,10 +32,9 @@
 //! * [`wire`] — the opt-in `RESULT-BIN` binary result frame for large
 //!   `query` responses.
 //!
-//! Warm restarts ride on the two snapshot layers underneath:
-//! `rpq_graph::snapshot` persists the versioned graph (with epoch), and
-//! `rpq_core::snapshot` adds the keys of the fresh shared-structure cache
-//! entries, rebuilt at `load`, so `save` + restart + `load` answers the
+//! Warm restarts ride on the engine snapshot (`rpq_core::snapshot`): the
+//! graph with its epoch (an `rpq_graph::snapshot` section) plus the keys
+//! of the fresh shared-structure cache entries, rebuilt at `load`, so `save` + restart + `load` answers the
 //! next query with a `Fresh` cache hit: Tarjan and the closure sweep ran
 //! at load, not at the first query.
 //!

@@ -374,9 +374,8 @@ impl Session {
 
     fn load(&self, path: &str) -> Result<Response, String> {
         let p = Path::new(path);
-        // An *engine* snapshot (graph + warm cache) is sniffed by its
-        // magic; anything else goes to the graph-level auto-detection
-        // (snapshot or edge list).
+        // An engine snapshot (graph + warm cache) is sniffed by its magic;
+        // anything else is read as an edge list.
         let mut head = [0u8; 8];
         let n = std::fs::File::open(p)
             .map_err(|e| format!("cannot open '{path}': {e}"))?
@@ -424,16 +423,16 @@ impl Session {
 
     fn save(&self, path: &str) -> Result<Response, String> {
         let state = self.shared.write();
-        let (written, trimmed) = rpq_core::snapshot::save_snapshot(&state.engine, Path::new(path))
+        let written = rpq_core::snapshot::save_snapshot(&state.engine, Path::new(path))
             .map_err(|e| format!("cannot save '{path}': {e}"))?;
-        // The file holds what the save wrote: fresh entries only, trimmed
-        // to a bounded budget. The rest of the cache was stale; readers
-        // never take the state lock, so count it without underflow.
+        // The file holds every fresh entry; the rest of the cache was
+        // stale. Readers never take the state lock, so count it without
+        // underflow.
         let stale = state
             .engine
             .cache()
             .occupancy_entries()
-            .saturating_sub(written + trimmed);
+            .saturating_sub(written);
         let dropped = if stale > 0 {
             format!(" ({stale} stale dropped)")
         } else {
@@ -844,6 +843,35 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A file holding only a graph section (`RPQGSNP1`, with no engine
+    /// snapshot around it) is not a format `load` reads: it replies `ERR`
+    /// and the session keeps serving the graph it had.
+    #[test]
+    fn a_bare_graph_section_is_refused_and_the_graph_kept() {
+        let dir = std::env::temp_dir().join("rpq_session_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("graph-only.snap");
+        let path_str = path.to_str().unwrap();
+        let mut bytes = Vec::new();
+        rpq_graph::snapshot::write_graph_snapshot(
+            &rpq_graph::fixtures::paper_graph(),
+            3,
+            &mut bytes,
+        )
+        .unwrap();
+        std::fs::write(&path, bytes).unwrap();
+
+        let mut s = Session::new();
+        s.execute("gen rmat 1 6 3");
+        let edges = s.engine().graph().edge_count();
+        let e = err_message(s.execute(&format!("load {path_str}")));
+        assert!(e.starts_with(&format!("cannot load '{path_str}'")), "{e}");
+        assert_eq!(s.engine().graph().edge_count(), edges);
+        assert!(ok_summary(s.execute("info")).contains(&format!("{edges} edges")));
+        assert!(ok_summary(s.execute("query l0+")).contains(" pairs in "));
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn errors_do_not_kill_the_session() {
         let mut s = Session::new();
@@ -912,8 +940,9 @@ mod tests {
         assert!(text.ends_with("OK bye\n"), "{text}");
     }
 
-    /// A bounded budget trims the file below what the pinned cache holds;
-    /// `save` reports what the file holds, which is what `load` restores.
+    /// `save` reports what the file holds: every fresh entry, even past a
+    /// bounded budget the pinned cache exceeds. A `load` under that budget
+    /// ends within it.
     #[test]
     fn save_reports_the_entries_it_wrote() {
         let config = EngineConfig {
@@ -925,7 +954,7 @@ mod tests {
         };
         let dir = std::env::temp_dir().join("rpq_session_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trimmed.snap");
+        let path = dir.join("over-budget.snap");
         let path_str = path.to_str().unwrap();
 
         let mut s = Session::with_config(config);
@@ -940,8 +969,8 @@ mod tests {
         let saved = ok_summary(s.execute(&format!("save {path_str}")));
         let loaded = ok_summary(Session::with_config(config).execute(&format!("load {path_str}")));
         let count = |summary: &str| summary.rsplit(", ").next().unwrap().to_string();
-        assert_eq!(count(&saved), "1 cached structures", "{saved}");
-        assert_eq!(count(&loaded), count(&saved), "{loaded}");
+        assert_eq!(count(&saved), "2 cached structures", "{saved}");
+        assert_eq!(count(&loaded), "1 cached structures", "{loaded}");
         std::fs::remove_file(&path).ok();
     }
 

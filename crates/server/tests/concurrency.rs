@@ -594,9 +594,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// MVCC equivalence: arbitrary interleavings of writes and pinned
-    /// reads. Every `query … at <epoch>` must return exactly the pairs a
-    /// fresh single-threaded engine produces after replaying the delta
-    /// log up to that epoch — the time-travel acceptance criterion.
+    /// reads. Every `query … at <epoch>` must return exactly the pairs the
+    /// pair-set algebra reference (`rpq_eval::evaluate_algebraic`, no
+    /// engine code) produces after replaying the delta log up to that
+    /// epoch — the time-travel acceptance criterion.
     #[test]
     fn mvcc_pinned_reads_match_replay_at_their_epoch(
         ops in prop::collection::vec((0..3usize, 0..16usize), 1..40)
@@ -636,7 +637,10 @@ proptest! {
                     }
                     model.apply(&d);
                 }
-                let oracle = rpq_core::Engine::new(model.graph()).evaluate_str(query).unwrap();
+                let oracle = rpq_eval::evaluate_algebraic(
+                    model.graph(),
+                    &rpq_regex::Regex::parse(query).unwrap(),
+                );
                 let want: Vec<(u32, u32)> =
                     oracle.iter().map(|(x, y)| (x.raw(), y.raw())).collect();
                 prop_assert_eq!(got, want, "epoch {} of {:?}", epoch, s.shared().retained_span());

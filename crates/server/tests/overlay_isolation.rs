@@ -8,8 +8,9 @@
 //!   session's; the engine's base configuration itself never moves.
 //! * **Result determinism** — a `query`'s pair set depends only on the
 //!   graph epoch and the query text, never on any session's (or any
-//!   *other* session's) overlay. The oracle is a fresh engine over a
-//!   model graph that replays the same deltas.
+//!   *other* session's) overlay. The oracle is
+//!   `rpq_eval::evaluate_algebraic` (pair-set algebra, no engine code)
+//!   over a model graph that replays the same deltas.
 //!
 //! Sessions run with `binary on`, so every query response carries the
 //! complete result set (no `limit` truncation) and can be compared to the
@@ -126,9 +127,8 @@ proptest! {
                         (b.pairs, &b.bytes)
                     };
                     let got = decode_pairs(bytes, pairs).unwrap();
-                    let oracle = rpq_core::Engine::new(model.graph())
-                        .evaluate_str(QUERIES[a])
-                        .unwrap();
+                    let query = rpq_regex::Regex::parse(QUERIES[a]).unwrap();
+                    let oracle = rpq_eval::evaluate_algebraic(model.graph(), &query);
                     let want: Vec<(u32, u32)> =
                         oracle.iter().map(|(x, y)| (x.raw(), y.raw())).collect();
                     prop_assert_eq!(

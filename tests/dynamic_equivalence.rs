@@ -8,8 +8,10 @@ mod common;
 use common::{
     assert_equivalent, minimise, q, run, scenario, Axes, Edge, Probe, Scenario, Shape, Step,
 };
-use rtc_rpq::core::{Shared, Strategy};
+use rtc_rpq::core::{Lookup, Shared, Strategy};
 use rtc_rpq::graph::{SccId, VertexId};
+use rtc_rpq::reduction::Rtc;
+use std::sync::Arc;
 
 /// SCC split/merge: a ring of three `b`-labelled 3-cycles chained by
 /// bridges, one SCC until the outer ring is broken, then an inner cycle;
@@ -36,8 +38,7 @@ fn scc_split_and_merge_cycles() {
             4 => 5,
             _ => return,
         };
-        let fresh = p.engine.cache().fresh_entries();
-        if let Some(Shared::Rtc(rtc)) = fresh.first().map(|e| &e.shared) {
+        if let Some((_, rtc)) = fresh_rtcs(p).first() {
             assert_eq!(rtc.scc_count(), sccs, "after step {}", p.index);
         }
     });
@@ -83,21 +84,25 @@ fn cached_rtcs_number_their_sccs_in_reverse_topological_order() {
     }
 }
 
+/// The probe's fresh cached RTCs with their keys, each fetched by a
+/// (counted) lookup of the key the cache reports.
+fn fresh_rtcs(p: &Probe) -> Vec<(String, Arc<Rtc>)> {
+    let cache = p.engine.cache();
+    let entries = cache.fresh_entries().into_iter();
+    entries
+        .filter_map(|e| match cache.lookup(e.kind, &e.key, cache.epoch()) {
+            Lookup::Fresh(Shared::Rtc(rtc)) => Some((e.key, rtc)),
+            _ => None,
+        })
+        .collect()
+}
+
 /// No cached RTC has an SCC that reaches a higher SCC id.
 fn assert_reverse_topological(p: &Probe) {
-    for entry in p.engine.cache().fresh_entries() {
-        let Shared::Rtc(rtc) = &entry.shared else {
-            continue;
-        };
+    for (key, rtc) in fresh_rtcs(p) {
         for s in (0..rtc.scc_count()).map(SccId::from_usize) {
             let up = rtc.successors(s).iter().find(|&t| t > s.raw());
-            assert_eq!(
-                up,
-                None,
-                "'{}': SCC {} reaches a higher id",
-                entry.key,
-                s.raw()
-            );
+            assert_eq!(up, None, "'{}': SCC {} reaches a higher id", key, s.raw());
         }
     }
 }
