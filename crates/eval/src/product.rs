@@ -95,8 +95,12 @@ impl<'g> ProductEvaluator<'g> {
     }
 
     /// End vertices of matching paths from a single start vertex, ascending.
-    /// (Zero-length matches for nullable queries are included.)
+    /// (Zero-length matches for nullable queries are included.) A vertex
+    /// the graph lacks starts no path.
     pub fn ends_from(&self, source: VertexId) -> Vec<VertexId> {
+        if source.index() >= self.graph.vertex_count() {
+            return Vec::new();
+        }
         let q = self.nfa.state_count();
         let mut visited = EpochVisited::new(self.graph.vertex_count() * q);
         let mut queue: Vec<(VertexId, u32)> = Vec::new();

@@ -12,6 +12,7 @@
 //! to `None`.
 
 use rpq_core::Strategy;
+use std::num::IntErrorKind;
 
 /// One mutation inside a [`Command::Delta`] batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,7 +133,7 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
         "check" => {
             let src = parse_num(tokens.next(), "check needs SRC DST RPQ")?;
             let dst = parse_num(tokens.next(), "check needs SRC DST RPQ")?;
-            let (query, at) = split_at_epoch(&strip_tokens(rest, 2));
+            let (query, at) = split_at_epoch(&strip_tokens(rest, 2))?;
             if query.is_empty() {
                 return Err("check needs SRC DST RPQ".into());
             }
@@ -145,7 +146,7 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
         }
         "ends" => {
             let src = parse_num(tokens.next(), "ends needs SRC RPQ")?;
-            let (query, at) = split_at_epoch(&strip_tokens(rest, 1));
+            let (query, at) = split_at_epoch(&strip_tokens(rest, 1))?;
             if query.is_empty() {
                 return Err("ends needs SRC RPQ".into());
             }
@@ -198,7 +199,7 @@ fn require_path(rest: &str, cmd: &str) -> Result<String, String> {
 }
 
 fn require_query(rest: &str, cmd: &str) -> Result<Command, String> {
-    let (query, at) = split_at_epoch(rest);
+    let (query, at) = split_at_epoch(rest)?;
     if query.is_empty() {
         Err(format!("{cmd} needs an RPQ"))
     } else {
@@ -210,25 +211,26 @@ fn require_query(rest: &str, cmd: &str) -> Result<Command, String> {
 /// preserving the query text's internal spacing. Only the exact two-token
 /// tail `at <number>` is reserved — `at` alone, or `at` anywhere else in
 /// the query, still parses as an ordinary label; a query genuinely ending
-/// in the label `at` followed by nothing numeric is untouched.
-fn split_at_epoch(text: &str) -> (String, Option<u64>) {
-    let keep = || (text.to_string(), None);
+/// in the label `at` followed by nothing numeric is untouched. A reserved
+/// tail whose number does not fit an epoch is an error.
+fn split_at_epoch(text: &str) -> Result<(String, Option<u64>), String> {
+    let keep = || Ok((text.to_string(), None));
     let trimmed = text.trim_end();
     let Some(last_ws) = trimmed.rfind(char::is_whitespace) else {
         return keep();
     };
-    let Ok(epoch) = trimmed[last_ws..].trim().parse::<u64>() else {
-        return keep();
+    let tail = trimmed[last_ws..].trim();
+    let epoch = match tail.parse::<u64>() {
+        Err(e) if *e.kind() != IntErrorKind::PosOverflow => return keep(),
+        parsed => parsed.map_err(|_| format!("epoch {tail} is out of range")),
     };
     let head = trimmed[..last_ws].trim_end();
-    match head.rfind(char::is_whitespace) {
-        None if head == "at" => (String::new(), Some(epoch)),
-        None => keep(),
-        Some(prev_ws) if head[prev_ws..].trim() == "at" => {
-            (head[..prev_ws].trim_end().to_string(), Some(epoch))
-        }
-        Some(_) => keep(),
-    }
+    let query = match head.rfind(char::is_whitespace) {
+        None if head == "at" => String::new(),
+        Some(prev_ws) if head[prev_ws..].trim() == "at" => head[..prev_ws].trim_end().to_string(),
+        _ => return keep(),
+    };
+    Ok((query, Some(epoch?)))
 }
 
 /// Drops the first `n` whitespace-separated tokens of `rest`, returning
@@ -377,6 +379,11 @@ mod tests {
         assert_eq!(one("query b.at at 7"), query("b.at", Some(7)));
         // A bare `at <epoch>` leaves no query text.
         assert!(parse_command("query at 3").is_err());
+        // An epoch past `u64` is an error, not part of the query.
+        let e = parse_command("query a at 99999999999999999999").unwrap_err();
+        assert_eq!(e, "epoch 99999999999999999999 is out of range");
+        assert!(parse_command("ends 1 a at 99999999999999999999").is_err());
+        assert_eq!(one("query a at 9x"), query("a at 9x", None));
         assert_eq!(
             one("check 7 5 d.(b.c)+.c at 2"),
             Command::Check {

@@ -577,6 +577,17 @@ mod tests {
         assert!(matches!(r.status, Status::Ok(ref m) if m.starts_with("2 end vertices")));
     }
 
+    /// A source the graph lacks starts no path, and the session keeps
+    /// serving.
+    #[test]
+    fn ends_from_a_vertex_the_graph_lacks() {
+        let mut s = Session::new();
+        s.execute("gen paper");
+        let ends = ok_summary(s.execute("ends 999 a*"));
+        assert_eq!(ends, "0 end vertices from v999");
+        assert!(ok_summary(s.execute("query d.(b.c)+.c")).starts_with("2 pairs"));
+    }
+
     #[test]
     fn delta_then_query_sees_the_mutation() {
         let mut s = Session::new();

@@ -2,15 +2,13 @@
 //! evaluator on the whole query, and of their elimination counters against
 //! a pair-at-a-time reference that walks Algorithm 2 lines 4–12 literally.
 //!
-//! Graphs are the harness's uniform and giant-SCC shapes (`common::Shape`;
+//! Graphs are the harness's uniform and giant-SCC shapes (`rpq_testkit::Shape`;
 //! the latter is one giant `a`-SCC with singleton feeders, as in the
 //! benchmark's RMAT graphs); the batch unit is `Pre·a^(+|*)·Post` with
 //! `Pre ∈ {ε, b, b·c}` (its `b` starts include vertices outside `V_a`),
 //! `|Post| ∈ {0, 1, 2}`, every row policy and both shared structures.
 
-mod common;
-
-use common::{scenario, Shape};
+use rpq_testkit::{scenario, Shape};
 use rtc_rpq::core::{eval_batch_unit_full, eval_batch_unit_rtc, EliminationStats, PreRelation};
 use rtc_rpq::eval::ProductEvaluator;
 use rtc_rpq::graph::{RowSetPolicy, SccId, VertexId};

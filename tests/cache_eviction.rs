@@ -5,7 +5,7 @@
 //!
 //! 1. **Answers never change.** Every read, live or through a view held
 //!    across deltas, equals the harness reference at its epoch
-//!    (`common::run`) — eviction may cost rebuild time, never correctness.
+//!    (`rpq_testkit::run`) — eviction may cost rebuild time, never correctness.
 //! 2. **The budget holds, over both tiers.** After any public call made
 //!    while no pin is held, structures plus memoized results stay within
 //!    `max_bytes`/`max_entries` (pinned epochs may park the structural
@@ -19,9 +19,7 @@
 //!    holds at most the results a still-held view asked for; a result such
 //!    a view can reach is never dropped for unreachability.
 
-mod common;
-
-use common::{q, run, scenario, Axes, Probe, Reader, Shape, Step};
+use rpq_testkit::{q, run, scenario, Axes, Probe, Reader, Shape, Step};
 use rtc_rpq::core::{CacheBudget, EpochView, Lookup, SharingKind, Strategy};
 use std::collections::{HashMap, HashSet};
 

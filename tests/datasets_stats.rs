@@ -2,8 +2,6 @@
 //! the paper's table records (within the documented power-of-two padding
 //! of the R-MAT vertex grid).
 
-mod common;
-
 use rtc_rpq::datasets::rmat::{rmat_n_scaled, RmatConfig};
 use rtc_rpq::datasets::surrogate::{self, SPECS};
 use rtc_rpq::datasets::{rmat_graph, workload};

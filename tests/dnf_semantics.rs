@@ -1,20 +1,11 @@
 //! Language-preservation of the DNF transformation and agreement between
 //! the Glushkov automaton and the derivative matcher, using random words
-//! as probes.
+//! as probes; and the expression language's own properties: printing,
+//! parsing, smart constructors and well-formed DNF clauses.
 
-mod common;
-
-use common::{random_regex, rng, ALPHABET};
-use rand::Rng;
+use rpq_testkit::{check, random_regex, random_syntax, random_word, rng};
 use rtc_rpq::automata::{build_glushkov, DerivativeMatcher};
-use rtc_rpq::regex::{decompose, to_dnf, Regex};
-
-fn random_word(r: &mut rand::rngs::StdRng, max_len: usize) -> Vec<&'static str> {
-    let len = r.gen_range(0..=max_len);
-    (0..len)
-        .map(|_| ALPHABET[r.gen_range(0..ALPHABET.len())])
-        .collect()
-}
+use rtc_rpq::regex::{decompose, to_dnf, Literal, Regex};
 
 /// A word matches the query iff it matches some DNF clause.
 #[test]
@@ -110,4 +101,89 @@ fn parse_display_roundtrip_random() {
             Regex::parse(&printed).unwrap_or_else(|e| panic!("failed to reparse '{printed}': {e}"));
         assert_eq!(q, reparsed, "roundtrip failed for {printed}");
     }
+}
+
+/// Display → parse is the identity on normalized expressions, and keeps
+/// canonical keys, size, nullability and closures. `∅` only prints at top
+/// level in normalized form, so it is covered on its own below.
+#[test]
+fn syntax_survives_print_and_parse() {
+    check(0x2E, 256, random_syntax, |r| {
+        if *r == Regex::Empty {
+            return;
+        }
+        let printed = r.to_string();
+        let reparsed =
+            Regex::parse(&printed).unwrap_or_else(|e| panic!("reparse of '{printed}' failed: {e}"));
+        assert_eq!(r, &reparsed, "printed: {printed}");
+        let key = r.canonical_key();
+        assert_eq!(key, Regex::parse(&key).unwrap().canonical_key());
+        assert_eq!(r.nullable(), reparsed.nullable());
+        assert_eq!(r.size(), reparsed.size());
+        assert_eq!(r.has_closure(), reparsed.has_closure());
+    });
+}
+
+#[test]
+fn empty_regex_prints_and_reparses() {
+    assert_eq!(Regex::Empty.to_string(), "∅");
+    assert_eq!(Regex::parse("∅").unwrap(), Regex::Empty);
+}
+
+/// Smart constructors are idempotent: rebuilding a normalized tree
+/// through the constructors yields the same tree.
+#[test]
+fn constructors_idempotent() {
+    fn rebuild(r: &Regex) -> Regex {
+        match r {
+            Regex::Empty => Regex::Empty,
+            Regex::Epsilon => Regex::Epsilon,
+            Regex::Label(l) => Regex::label(l.clone()),
+            Regex::Concat(parts) => Regex::concat(parts.iter().map(rebuild).collect()),
+            Regex::Alt(parts) => Regex::alt(parts.iter().map(rebuild).collect()),
+            Regex::Plus(inner) => Regex::plus(rebuild(inner)),
+            Regex::Star(inner) => Regex::star(rebuild(inner)),
+            Regex::Optional(inner) => Regex::optional(rebuild(inner)),
+        }
+    }
+    check(0x2F, 256, random_syntax, |r| assert_eq!(&rebuild(r), r));
+}
+
+/// DNF clauses are closure-literal-correct: every clause either has no
+/// closure or decomposes with a closure whose Post is label-only, and the
+/// reassembled batch unit equals the clause. The clauses keep the query's
+/// nullability (some clause is nullable iff the query is) and its label
+/// set (no labels invented or lost).
+#[test]
+fn dnf_clauses_decompose_cleanly() {
+    check(0x30, 256, random_syntax, |r| {
+        let Ok(clauses) = to_dnf(r) else { return };
+        for clause in &clauses {
+            let unit = decompose(clause);
+            assert_eq!(unit.to_regex(), clause.to_regex());
+            if let Some(i) = clause.literals.iter().rposition(|l| l.is_closure()) {
+                let post = &clause.literals[i + 1..];
+                assert!(post.iter().all(|l| matches!(l, Literal::Label(_))));
+            } else {
+                assert_eq!(unit.closure, None);
+            }
+        }
+        let any_nullable = clauses.iter().any(|c| c.to_regex().nullable());
+        assert_eq!(r.nullable(), any_nullable);
+        let mut from_clauses: Vec<String> = clauses
+            .iter()
+            .flat_map(|c| {
+                c.to_regex()
+                    .labels()
+                    .into_iter()
+                    .map(String::from)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        from_clauses.sort();
+        from_clauses.dedup();
+        let mut from_query: Vec<String> = r.labels().into_iter().map(String::from).collect();
+        from_query.sort();
+        assert_eq!(from_query, from_clauses);
+    });
 }

@@ -1,11 +1,9 @@
 //! Dynamic-graph correctness: engines absorbing delta streams answer every
-//! read like the harness reference at that epoch (`common::run`), through
+//! read like the harness reference at that epoch (`rpq_testkit::run`), through
 //! delete-then-reinsert and SCC split/merge, and every RTC they cache
 //! numbers its SCCs in reverse topological order.
 
-mod common;
-
-use common::{
+use rpq_testkit::{
     assert_equivalent, minimise, q, run, scenario, Axes, Edge, Probe, Scenario, Shape, Step,
 };
 use rtc_rpq::core::{Lookup, Shared, Strategy};

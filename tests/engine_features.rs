@@ -2,9 +2,7 @@
 //! paper's core algorithm: witness paths, EXPLAIN plans, fast paths, and
 //! cache lifecycle.
 
-mod common;
-
-use common::{random_graph, random_regex, rng};
+use rpq_testkit::{random_graph, random_regex, rng};
 use rtc_rpq::core::{
     eval_batch_unit_rtc, explain, explain_set, EliminationStats, Engine, PreRelation, SharingKind,
     Strategy,

@@ -3,14 +3,15 @@
 //! and the automaton-product evaluator.
 //!
 //! The exhaustive check over the benchmark's `cold_sets` graph is
-//! `#[ignore]`d; run it with `cargo test --release -p rpq_eval -- --ignored`.
+//! `#[ignore]`d; run it with
+//! `cargo test --release --test label_join_equivalence -- --ignored`.
 
-use proptest::prelude::*;
-use rpq_eval::{eval_label_sequence, ProductEvaluator};
-use rpq_graph::{GraphBuilder, LabelId, LabeledMultigraph, PairSet};
-use rpq_regex::Regex;
-
-const LABELS: [&str; 3] = ["a", "b", "c"];
+use rand::rngs::StdRng;
+use rpq_testkit::{check, random_edges, random_word, Edge};
+use rtc_rpq::eval::{eval_label_sequence, ProductEvaluator};
+use rtc_rpq::graph::{GraphBuilder, LabelId, LabeledMultigraph, PairSet};
+use rtc_rpq::regex::Regex;
+use std::ops::Range;
 
 /// The label join as a whole relation: after every label, all pairs are
 /// extended, then sorted and deduplicated.
@@ -55,7 +56,7 @@ fn assert_join_matches(graph: &LabeledMultigraph, labels: &[LabelId]) {
 /// A random graph over `n` vertices with planted shapes: a self-loop on
 /// vertex 0, a hub that several `a`-paths meet in and that fans out by
 /// `b`, an edge into the highest id, and every label present.
-fn graph(n: u32, edges: &[(u32, usize, u32)]) -> LabeledMultigraph {
+fn graph(n: u32, edges: &[Edge]) -> LabeledMultigraph {
     let mut b = GraphBuilder::new();
     b.ensure_vertices(n as usize);
     let (hub, top) = (n / 2, n - 1);
@@ -68,57 +69,59 @@ fn graph(n: u32, edges: &[(u32, usize, u32)]) -> LabeledMultigraph {
     }
     b.add_edge(top, "c", top / 4);
     b.add_edge(n / 3, "c", top);
+    b.add_edge(top, "d", hub);
     for &(s, l, d) in edges {
-        b.add_edge(s % n, LABELS[l], d % n);
+        b.add_edge(s % n, l, d % n);
     }
     b.build()
 }
 
-fn ids(graph: &LabeledMultigraph, seq: &[usize]) -> Vec<LabelId> {
+fn ids(graph: &LabeledMultigraph, seq: &[&str]) -> Vec<LabelId> {
     seq.iter()
-        .map(|&l| graph.labels().get(LABELS[l]).unwrap())
+        .map(|&l| graph.labels().get(l).unwrap())
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Small dense graphs: many paths per start, repeated labels, cycles.
-    #[test]
-    fn small_dense_graphs(
-        n in 1u32..16,
-        edges in prop::collection::vec((0u32..16, 0usize..3, 0u32..16), 0..60),
-        seq in prop::collection::vec(0usize..3, 0..5),
-    ) {
-        let g = graph(n, &edges);
-        assert_join_matches(&g, &ids(&g, &seq));
+/// Draws a vertex count from `n`, up to `m` random edges to plant shapes
+/// among, and a word of up to four labels to join.
+fn planted(n: Range<u32>, m: usize) -> impl Fn(&mut StdRng) -> (u32, Vec<Edge>, Vec<&'static str>) {
+    move |r| {
+        let (n, edges) = random_edges(r, n.clone(), 0..m);
+        (n, edges, random_word(r, 4))
     }
+}
 
-    /// Sparse graphs over a wide id range: rows whose few ends lie far
-    /// apart, read back by sorting rather than from the bitset's words.
-    #[test]
-    fn sparse_wide_graphs(
-        n in 64u32..600,
-        edges in prop::collection::vec((0u32..600, 0usize..3, 0u32..600), 0..300),
-        seq in prop::collection::vec(0usize..3, 0..5),
-    ) {
-        let g = graph(n, &edges);
-        assert_join_matches(&g, &ids(&g, &seq));
-    }
+/// Small dense graphs: many paths per start, repeated labels, cycles.
+#[test]
+fn small_dense_graphs() {
+    check(0x5D, 96, planted(1..16, 60), |(n, edges, seq)| {
+        let g = graph(*n, edges);
+        assert_join_matches(&g, &ids(&g, seq));
+    });
+}
+
+/// Sparse graphs over a wide id range: rows whose few ends lie far
+/// apart, read back by sorting rather than from the bitset's words.
+#[test]
+fn sparse_wide_graphs() {
+    check(0x5E, 96, planted(64..600, 300), |(n, edges, seq)| {
+        let g = graph(*n, edges);
+        assert_join_matches(&g, &ids(&g, seq));
+    });
 }
 
 /// The planted shapes on their own, each sequence named for the shape it
 /// exercises.
 #[test]
 fn planted_shapes() {
-    let g = graph(12, &[(3, 1, 7), (7, 2, 9)]);
+    let g = graph(12, &[(3, "b", 7), (7, "c", 9)]);
     for seq in [
-        &[][..],       // ε
-        &[0, 0, 0],    // a repeated label around the self-loop on vertex 0
-        &[0, 1],       // paths from five starts meet in the hub, then fan out
-        &[0, 1, 2],    // the hub's end `top` continues, its other ends do not
-        &[1, 2],       // `n/3 -c-> top`: the highest id as an end
-        &[2, 2, 2, 2], // starts whose paths die out before the last label
+        &[][..],               // ε
+        &["a", "a", "a"],      // a repeated label around the self-loop on vertex 0
+        &["a", "b"],           // paths from five starts meet in the hub, then fan out
+        &["a", "b", "c"],      // the hub's end `top` continues, its other ends do not
+        &["b", "c"],           // `n/3 -c-> top`: the highest id as an end
+        &["c", "c", "c", "c"], // starts whose paths die out before the last label
     ] {
         assert_join_matches(&g, &ids(&g, seq));
     }
@@ -130,7 +133,7 @@ fn planted_shapes() {
 #[test]
 #[ignore = "exhaustive; run in release with --ignored"]
 fn cold_sets_graph_all_short_sequences() {
-    let g = rpq_datasets::rmat::rmat_n_scaled(2, 11, 1);
+    let g = rtc_rpq::datasets::rmat::rmat_n_scaled(2, 11, 1);
     let k = g.labels().len() as u32;
     assert_eq!(k, 4);
     let mut seqs: Vec<Vec<LabelId>> = vec![Vec::new()];

@@ -1,8 +1,6 @@
 //! End-to-end checks of every worked example in the paper (Examples 1–9),
 //! run through the full public API.
 
-mod common;
-
 use rtc_rpq::core::{Engine, SharingKind, Strategy};
 use rtc_rpq::eval::product::evaluate;
 use rtc_rpq::graph::fixtures::paper_graph;

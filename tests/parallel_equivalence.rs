@@ -3,55 +3,49 @@
 //! rows — across random graphs, random query sets, and thread counts
 //! {1, 2, 8}, including the empty-graph and all-singleton-SCC edge cases.
 
-mod common;
-
-use common::{assert_equivalent, q, run, scenario, Axes, Probe, Scenario, Shape, Step};
-use proptest::prelude::*;
+use rpq_testkit::{
+    assert_equivalent, check, q, relation, run, scenario, Axes, Probe, Scenario, Shape, Step,
+};
 use rtc_rpq::core::{Engine, Strategy};
 use rtc_rpq::graph::{Digraph, MappedDigraph, PairSet};
 use rtc_rpq::reduction::{tc_naive, tc_naive_parallel, FullTc, Rtc};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-// `rtc_rpq::core::Strategy` (the engine enum) shadows proptest's trait of
-// the same name, so spell the trait path out.
-fn arb_edges(
-    n: u32,
-    max_edges: usize,
-) -> impl proptest::strategy::Strategy<Value = Vec<(u32, u32)>> {
-    prop::collection::vec((0..n, 0..n), 0..max_edges)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// `tc_naive_parallel` equals `tc_naive` on random digraphs at every
-    /// thread count.
-    #[test]
-    fn parallel_tc_matches_sequential(edges in arb_edges(48, 160)) {
-        let g = Digraph::from_edges(48, edges);
+/// `tc_naive_parallel` equals `tc_naive` on random digraphs at every
+/// thread count.
+#[test]
+fn parallel_tc_matches_sequential() {
+    check(0x7C, 32, relation(48, 160), |edges| {
+        let g = Digraph::from_edges(48, edges.clone());
         let seq = tc_naive(&g);
         for threads in THREAD_COUNTS {
-            prop_assert_eq!(&tc_naive_parallel(&g, threads), &seq, "threads {}", threads);
+            assert_eq!(&tc_naive_parallel(&g, threads), &seq, "threads {threads}");
         }
-    }
+    });
+}
 
-    /// `Rtc::expand_parallel` and `FullTc::from_pairs_parallel` agree with
-    /// their sequential counterparts on random relations.
-    #[test]
-    fn parallel_expansion_matches_sequential(edges in arb_edges(40, 120)) {
-        let r_g: PairSet = edges.into_iter().collect();
+/// `Rtc::expand_parallel` and `FullTc::from_pairs_parallel` agree with
+/// their sequential counterparts on random relations.
+#[test]
+fn parallel_expansion_matches_sequential() {
+    check(0xE4, 32, relation(40, 120), |edges| {
+        let r_g: PairSet = edges.iter().copied().collect();
         let rtc = Rtc::from_pairs(&r_g);
         let seq = rtc.expand();
         let full_seq = FullTc::from_pairs(&r_g).expand();
         for threads in THREAD_COUNTS {
-            prop_assert_eq!(&rtc.expand_parallel(threads), &seq, "rtc, threads {}", threads);
+            assert_eq!(
+                &rtc.expand_parallel(threads),
+                &seq,
+                "rtc, threads {threads}"
+            );
             let full_par = FullTc::from_pairs_parallel(&r_g, threads).expand();
-            prop_assert_eq!(&full_par, &full_seq, "full, threads {}", threads);
+            assert_eq!(&full_par, &full_seq, "full, threads {threads}");
         }
         // Theorem 1 must keep holding through every path.
-        prop_assert_eq!(&seq, &full_seq);
-    }
+        assert_eq!(&seq, &full_seq);
+    });
 }
 
 /// On a first step that is a set, the workers' counters are folded in,

@@ -1,9 +1,7 @@
 //! The paper's formal claims (Lemmas 1–4, Theorems 1–2) checked on
 //! randomized inputs through independent computation paths.
 
-mod common;
-
-use common::{random_graph, random_pairs, random_regex, rng};
+use rpq_testkit::{random_graph, random_pairs, random_regex, rng};
 use rtc_rpq::eval::algebraic::plus_closure;
 use rtc_rpq::eval::{evaluate_algebraic, ProductEvaluator};
 use rtc_rpq::graph::{tarjan_scc, Condensation, MappedDigraph, PairSet, RowSetPolicy, SccId};

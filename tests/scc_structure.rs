@@ -3,8 +3,6 @@
 //! `G_R` — large SCCs mean big savings, trivial SCCs (the Yago2s regime)
 //! mean parity.
 
-mod common;
-
 use rtc_rpq::core::{Engine, Strategy};
 use rtc_rpq::datasets::structured::{cycle_clusters, path_graph, CycleClusterConfig};
 use rtc_rpq::eval::ProductEvaluator;

@@ -1,11 +1,9 @@
 //! Randomized differential testing: the three engine strategies must agree
 //! with the independent algebraic reference on arbitrary graphs ×
 //! arbitrary queries. Each test replays harness scenarios
-//! (`common::run`) with the strategy axis fixed.
+//! (`rpq_testkit::run`) with the strategy axis fixed.
 
-mod common;
-
-use common::{assert_equivalent, scenario, Axes, Scenario, Shape};
+use rpq_testkit::{assert_equivalent, scenario, Axes, Scenario, Shape};
 use rtc_rpq::core::Strategy;
 
 /// Uniform random scenarios, read live, under every strategy.
