@@ -1,7 +1,7 @@
 //! Text-mode ablation experiments: what the paper's figures do not plot
 //! but the design decisions rest on.
 //!
-//! Six tables:
+//! Five tables:
 //!
 //! 1. **TC algorithms** (TABLE III) — the naive per-vertex BFS over `G_R`
 //!    (what FullSharing pays) vs SCCs + condensation + closure of `Ḡ_R`
@@ -10,12 +10,9 @@
 //!    with the elimination counters that explain the gap.
 //! 3. **SCC sensitivity** — shared sizes and times as the average SCC size
 //!    grows with everything else held fixed.
-//! 4. **Row representation** — forced-sparse vs forced-dense vs adaptive
-//!    closure rows at several crossover thresholds, on one
-//!    reachability-dense and one reachability-sparse workload.
-//! 5. **Cache pressure** — a Zipf stream against an unbounded cache and a
+//! 4. **Cache pressure** — a Zipf stream against an unbounded cache and a
 //!    byte budget at half its steady state.
-//! 6. **Parallel paths** — the per-vertex BFS closure, Theorem 1's
+//! 5. **Parallel paths** — the per-vertex BFS closure, Theorem 1's
 //!    expansion and the batch fan-out at 1/2/4 workers.
 
 use crate::profiles::Profile;
@@ -28,7 +25,7 @@ use rpq_datasets::rmat::rmat_n_scaled;
 use rpq_datasets::structured::{cycle_clusters, CycleClusterConfig};
 use rpq_datasets::workload::{alphabet_of, generate_workload, WorkloadConfig};
 use rpq_eval::ProductEvaluator;
-use rpq_graph::{tarjan_scc, Condensation, MappedDigraph, PairSet, ReprMode, RowSetPolicy};
+use rpq_graph::{tarjan_scc, Condensation, MappedDigraph, PairSet, RowSetPolicy};
 use rpq_reduction::{closure_of_condensation_rows, tc_naive, tc_naive_parallel, FullTc, Rtc};
 use rpq_regex::{ClosureKind, Regex};
 use std::time::{Duration, Instant};
@@ -45,14 +42,13 @@ fn time_min<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
 }
 
 /// Table 1: the two closure costs of TABLE III on RMAT-derived `G_R`s —
-/// `tc_naive` on `G_R` against Tarjan + condensation + the adaptive closure
-/// sweep (the work of `Rtc::from_pairs_with`), both from a built `G_R`.
+/// `tc_naive` on `G_R` against Tarjan + condensation + the closure sweep
+/// (the work of `Rtc::from_pairs`), both from a built `G_R`.
 pub fn tc_algorithms_table(profile: Profile) -> Table {
     let mut t = Table::new(
         "Ablation: TC algorithms on G_R",
         &["graph", "|V_R|", "|E_R|", "|V̄_R|", "naive(s)", "rtc(s)"],
     );
-    let policy = RowSetPolicy::adaptive();
     for n in [2u32, 4] {
         let graph = rmat_n_scaled(n, profile.rmat_scale().min(11), 7);
         let r_g = ProductEvaluator::new(&graph, &Regex::parse("l0.l1").unwrap()).evaluate();
@@ -61,7 +57,7 @@ pub fn tc_algorithms_table(profile: Profile) -> Table {
         let rtc = time_min(3, || {
             let scc = tarjan_scc(&gr.graph);
             let cond = Condensation::new(&gr.graph, &scc);
-            closure_of_condensation_rows(&cond, &policy)
+            closure_of_condensation_rows(&cond, &RowSetPolicy)
         });
         t.row(vec![
             format!("RMAT_{n}"),
@@ -186,104 +182,6 @@ pub fn scc_sensitivity_table() -> Table {
     t
 }
 
-/// The representation policies the ablation sweeps: both pure modes plus
-/// the adaptive hybrid at three crossover densities around the default
-/// (`1/32`).
-fn repr_policies() -> [(&'static str, RowSetPolicy); 5] {
-    [
-        ("sparse", RowSetPolicy::sparse()),
-        ("dense", RowSetPolicy::dense()),
-        (
-            "adapt 1/64",
-            RowSetPolicy {
-                mode: ReprMode::Adaptive,
-                crossover: 1.0 / 64.0,
-            },
-        ),
-        ("adapt 1/32", RowSetPolicy::adaptive()),
-        (
-            "adapt 1/8",
-            RowSetPolicy {
-                mode: ReprMode::Adaptive,
-                crossover: 1.0 / 8.0,
-            },
-        ),
-    ]
-}
-
-/// Table 4: hybrid row-representation ablation (density × crossover).
-///
-/// The `cycles` workload is a deep random DAG of small cycle clusters —
-/// most SCCs reach a large fraction of the condensation, so closure rows
-/// are dense and the bitset backing should win on both time and memory.
-/// The `rmat` workload has shallow reachability, so rows stay far below
-/// any sensible crossover and forcing them dense wastes memory.
-/// `vs sparse` is the closure-construction speedup over the forced-sparse
-/// row (construction is the representation-sensitive phase; `eval(s)` is
-/// reported to show end-to-end times are join-dominated and unharmed).
-/// The `(B)` columns are heap bytes; `scripts/bench_drift.py` watches
-/// them for memory regressions.
-pub fn repr_ablation_table(profile: Profile) -> Table {
-    let mut t = Table::new(
-        "Ablation: row representation (density × crossover)",
-        &[
-            "workload",
-            "policy",
-            "dense rows",
-            "rtc mem(B)",
-            "full mem(B)",
-            "build(s)",
-            "vs sparse",
-            "eval(s)",
-        ],
-    );
-    let scale = profile.rmat_scale().min(11);
-    let cycles = cycle_clusters(&CycleClusterConfig {
-        clusters: (1u32 << scale) / 4,
-        cluster_size: 4,
-        inter_edges: 1usize << (scale + 2),
-        labels: 3,
-        seed: 33,
-    });
-    let rmat = rmat_n_scaled(2, scale, 7);
-    let queries: Vec<Regex> = ["l1.(l0)+.l2", "l2.(l0)+.l1", "l0.(l0)+.l1"]
-        .iter()
-        .map(|q| Regex::parse(q).unwrap())
-        .collect();
-    for (workload, graph) in [("cycles", &cycles), ("rmat", &rmat)] {
-        let r_g = ProductEvaluator::new(graph, &Regex::parse("l0").unwrap()).evaluate();
-        let mut sparse_build = f64::NAN;
-        for (label, policy) in repr_policies() {
-            let build = time_min(2, || Rtc::from_pairs_with(&r_g, &policy));
-            let rtc = Rtc::from_pairs_with(&r_g, &policy);
-            let full = FullTc::from_pairs_parallel_with(&r_g, 1, &policy);
-            let eval = time_min(2, || {
-                let config = rpq_core::EngineConfig {
-                    representation: policy,
-                    ..rpq_core::EngineConfig::default()
-                };
-                rpq_core::Engine::with_config(graph, config)
-                    .evaluate_set(&queries)
-                    .unwrap()
-            });
-            if label == "sparse" {
-                sparse_build = build.as_secs_f64();
-            }
-            t.row(vec![
-                workload.to_string(),
-                label.to_string(),
-                rtc.dense_closure_rows().to_string(),
-                rtc.closure_heap_bytes().to_string(),
-                full.closure_heap_bytes().to_string(),
-                fmt_secs(build),
-                fmt_ratio(sparse_build, build.as_secs_f64()),
-                fmt_secs(eval),
-            ]);
-        }
-    }
-    t
-}
-
 /// A Zipf-ranked pool of closure-heavy queries over the RMAT labels
 /// `l0..l3`: 16 two-label closures plus 4 single-label ones, so the
 /// structural cache sees 20 distinct shared bodies with a long tail.
@@ -337,7 +235,7 @@ struct PressureRun {
     occupancy: usize,
 }
 
-/// Table 5: cache pressure — the same Zipf query stream against an
+/// Table 4: cache pressure — the same Zipf query stream against an
 /// unbounded cache and against a byte budget at **half** the unbounded
 /// steady state. The bounded run asserts occupancy ≤ budget after every
 /// query (the budget is a hard bound, not advisory), and its hit rate
@@ -428,7 +326,7 @@ fn par_row<T>(t: &mut Table, path: &str, input: String, run: impl Fn(usize) -> T
     ]);
 }
 
-/// Table 6: the three parallelized hot paths swept over worker counts —
+/// Table 5: the three parallelized hot paths swept over worker counts —
 /// the per-vertex BFS closure (`tc_naive_parallel`), Theorem 1's expansion
 /// (`Rtc::expand_parallel`) and the engine's batch mode (`evaluate_set`
 /// under `EngineConfig::threads`; one 4-RPQ set sharing a closure body,
@@ -514,12 +412,5 @@ mod tests {
         assert_eq!(t1.len(), 2);
         let t2 = batch_unit_table(Profile::Fast);
         assert_eq!(t2.len(), 2);
-    }
-
-    #[test]
-    fn repr_ablation_fast_profile() {
-        let t = repr_ablation_table(Profile::Fast);
-        // 2 workloads × 5 policies.
-        assert_eq!(t.len(), 10);
     }
 }

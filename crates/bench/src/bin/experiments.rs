@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Commands: `table4`, `fig10`, `fig11`, `fig12`, `fig13` (Experiment 1),
-//! `fig14`, `fig15` (Experiment 2), `exp1`, `exp2`, `ablation`, `repr`,
-//! `cache`, `par`, `all`.
+//! `fig14`, `fig15` (Experiment 2), `exp1`, `exp2`, `ablation`, `cache`,
+//! `par`, `all`.
 //! Duplicate commands are deduplicated and `all` subsumes everything, so
 //! no experiment ever runs twice. Flags: `--profile fast|default|paper`
 //! (scale), `--csv DIR` (also write CSV files), `--json DIR` (also write
@@ -19,8 +19,7 @@
 //! `--threads N` (engine worker threads; 1 = sequential, 0 = all cores).
 
 use rpq_bench::ablation::{
-    batch_unit_table, cache_pressure_table, par_table, repr_ablation_table, scc_sensitivity_table,
-    tc_algorithms_table,
+    batch_unit_table, cache_pressure_table, par_table, scc_sensitivity_table, tc_algorithms_table,
 };
 use rpq_bench::datasets::{real_surrogates, synthetic_sweep};
 use rpq_bench::experiments::{
@@ -35,9 +34,9 @@ use std::process::ExitCode;
 /// Every subcommand the driver understands — single source of truth for
 /// argument validation and the usage string. `main`'s `wants()` dispatch
 /// must cover exactly these names.
-const COMMANDS: [&str; 14] = [
+const COMMANDS: [&str; 13] = [
     "table4", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "exp1", "exp2", "ablation",
-    "repr", "cache", "par", "all",
+    "cache", "par", "all",
 ];
 
 struct Options {
@@ -255,11 +254,6 @@ fn main() -> ExitCode {
         emit(&tc_algorithms_table(opts.profile), &opts);
         emit(&batch_unit_table(opts.profile), &opts);
         emit(&scc_sensitivity_table(), &opts);
-    }
-
-    if wants(&["repr"]) {
-        eprintln!("# row-representation ablation: sparse vs dense vs adaptive closure rows");
-        emit(&repr_ablation_table(opts.profile), &opts);
     }
 
     if wants(&["cache"]) {

@@ -36,9 +36,7 @@
 
 use crate::breakdown::EliminationStats;
 use crate::pre_relation::PreRelation;
-use rpq_graph::{
-    EpochVisited, LabelId, LabeledMultigraph, PairSet, RowSet, RowSetPolicy, SccId, VertexId,
-};
+use rpq_graph::{EpochVisited, LabelId, LabeledMultigraph, PairSet, RowSet, SccId, VertexId};
 use rpq_reduction::{FullTc, Rtc};
 use rpq_regex::ClosureKind;
 use rustc_hash::FxHashMap;
@@ -133,8 +131,8 @@ pub fn eval_batch_unit_rtc(
     let pre_join = t0.elapsed();
 
     let t1 = Instant::now();
-    let (n, policy) = (graph.vertex_count() as u32, rtc.policy());
-    let result = post_image(graph, post, policy).map_or_else(PairSet::new, |image| {
+    let n = graph.vertex_count() as u32;
+    let result = post_image(graph, post).map_or_else(PairSet::new, |image| {
         let mut post_rows: FxHashMap<u32, RowSet> = FxHashMap::default();
         let mut entry_rows: FxHashMap<SccId, Arc<RowSet>> = FxHashMap::default();
         let mut groups = Vec::with_capacity(plan.len());
@@ -152,7 +150,7 @@ pub fn eval_batch_unit_rtc(
                             .or_insert_with(|| image(members.collect()));
                     }
                     let rows = reach.iter().filter_map(|sk| post_rows.get(&sk));
-                    Arc::new(RowSet::union_all(rows, n, policy))
+                    Arc::new(RowSet::union_all(rows, n))
                 });
             }
             let row = match (mine, seeded) {
@@ -160,7 +158,7 @@ pub fn eval_batch_unit_rtc(
                 _ => {
                     let seed = image(seeded.iter().copied().collect());
                     let rows = mine.iter().map(|sj| &*entry_rows[sj]).chain([&seed]);
-                    Arc::new(RowSet::union_all(rows, n, policy))
+                    Arc::new(RowSet::union_all(rows, n))
                 }
             };
             groups.push((vi, row));
@@ -214,7 +212,7 @@ pub fn eval_batch_unit_full(
     let pre_join = t0.elapsed();
 
     let t1 = Instant::now();
-    let result = post_image(graph, post, full.policy()).map_or_else(PairSet::new, |image| {
+    let result = post_image(graph, post).map_or_else(PairSet::new, |image| {
         let rows = reached
             .into_iter()
             .map(|(v, row)| (v, Arc::new(image(row))));
@@ -230,13 +228,12 @@ pub fn eval_batch_unit_full(
 
 /// Lines 13–16 for both evaluators: maps a set of `(Pre·R^(+|*))_G` end
 /// vertices to `⋃ Post(v)` over the set, one frontier step per Post label
-/// (a vertex reached along several paths expands once), as a row normalized
-/// per `policy`. `None` when a Post label is absent from the alphabet: it
-/// matches no edge, so the batch unit is empty.
+/// (a vertex reached along several paths expands once), as a normalized
+/// row. `None` when a Post label is absent from the alphabet: it matches no
+/// edge, so the batch unit is empty.
 fn post_image<'a>(
     graph: &'a LabeledMultigraph,
     post: &[String],
-    policy: &'a RowSetPolicy,
 ) -> Option<impl Fn(RowSet) -> RowSet + 'a> {
     let labels: Option<Vec<LabelId>> = post.iter().map(|l| graph.labels().get(l)).collect();
     let labels = labels?;
@@ -245,7 +242,7 @@ fn post_image<'a>(
             let out = |v| graph.out_with_label(VertexId(v), label);
             ends = ends.iter().flat_map(out).map(|&(_, d)| d.raw()).collect();
         }
-        ends.normalize(graph.vertex_count() as u32, policy);
+        ends.normalize(graph.vertex_count() as u32);
         ends
     })
 }

@@ -155,8 +155,8 @@ impl CacheBudget {
     }
 
     /// The budget named by `RPQ_CACHE_BUDGET`, or the unbounded default
-    /// when the variable is unset or malformed (mirrors
-    /// `RowSetPolicy::from_env_or_default`).
+    /// when the variable is unset or malformed (the `rpq` binary refuses a
+    /// malformed one at startup).
     pub fn from_env_or_default() -> Self {
         match std::env::var("RPQ_CACHE_BUDGET") {
             Ok(spec) => Self::parse(&spec).unwrap_or_default(),
@@ -367,12 +367,11 @@ pub struct KindTotals {
     /// `Σ |V̄_R|` (SCC counts) over RTCs, `Σ |V_R|` over full closures — the
     /// vertex-count metric of Fig. 13.
     pub vertices: usize,
-    /// Heap bytes of the closure rows alone, across their hybrid
-    /// dense/sparse representations — the memory side of the representation
-    /// ablation and of the server's `memory:` lines.
+    /// Heap bytes of the closure rows alone, dense and sparse rows alike —
+    /// the server's `memory:` lines.
     pub heap_bytes: usize,
-    /// Closure rows stored as dense bitsets — how far the adaptive
-    /// representation promoted.
+    /// Closure rows stored as dense bitsets — how many rows the density
+    /// rule promoted.
     pub dense_rows: usize,
 }
 

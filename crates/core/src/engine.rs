@@ -85,12 +85,9 @@ pub struct EngineConfig {
     /// tune. The field stays only because the benchmark harness's trace
     /// probe reads it ([`rpq_reduction::probe_shim`]).
     pub maintenance: MaintenanceConfig,
-    /// How closure tables back their rows: adaptive dense/sparse hybrid
-    /// (the default), or forced to one representation. Results are
-    /// identical under every mode (property-tested); only memory and
-    /// set-operation cost change. The default honours the `RPQ_REPR`
-    /// environment variable (`sparse` | `dense` | `adaptive`) so CI can
-    /// run the whole suite under a forced representation.
+    /// Field-less: every closure row's layout follows the one density rule
+    /// (`RowSet::wants_dense`), with nothing to tune. The field stays only
+    /// because the benchmark harness's trace probe reads it (ROADMAP 4g).
     pub representation: RowSetPolicy,
     /// One retention budget over both [`SharedCache`] instances: structures
     /// plus memoized results stay within it, results making room for
@@ -110,7 +107,7 @@ impl Default for EngineConfig {
             dnf_clause_limit: DEFAULT_CLAUSE_LIMIT,
             threads: 1,
             maintenance: MaintenanceConfig,
-            representation: RowSetPolicy::from_env_or_default(),
+            representation: RowSetPolicy,
             cache_budget: CacheBudget::from_env_or_default(),
         }
     }
@@ -587,9 +584,8 @@ impl<'g> Engine<'g> {
     }
 
     /// Heap bytes held by cached shared structural tables (RTC closure
-    /// rows plus full closures, across both representations) — the memory
-    /// side of the dense/sparse representation ablation, also surfaced by
-    /// the serving layer's `metrics` and `info` commands.
+    /// rows plus full closures, dense and sparse rows alike), also surfaced
+    /// by the serving layer's `metrics` and `info` commands.
     pub fn structural_heap_bytes(&self) -> usize {
         let cache = &self.handles.cache;
         cache.totals(SharingKind::Rtc).heap_bytes + cache.totals(SharingKind::Full).heap_bytes
@@ -1001,44 +997,28 @@ mod tests {
         }
         b.add_edge(6, "b", 8).add_edge(8, "c", 6);
         let mutated = b.build();
-        let (adaptive, sparse, dense) = (
-            RowSetPolicy::adaptive(),
-            RowSetPolicy::sparse(),
-            RowSetPolicy::dense(),
-        );
-        for representation in [adaptive, sparse, dense] {
-            let config = EngineConfig {
-                representation,
-                ..EngineConfig::default()
-            };
-            let mut e = Engine::with_config(&g, config);
-            e.evaluate(&q).unwrap();
-            assert_eq!(e.epoch(), 0);
+        let mut e = Engine::new(&g);
+        e.evaluate(&q).unwrap();
+        assert_eq!(e.epoch(), 0);
 
-            let mut delta = rpq_graph::GraphDelta::new();
-            delta.insert(6, "b", 8).insert(8, "c", 6);
-            let summary = e.apply_delta(&delta);
-            assert_eq!(summary.epoch, 1);
-            assert_eq!(e.epoch(), 1);
+        let mut delta = rpq_graph::GraphDelta::new();
+        delta.insert(6, "b", 8).insert(8, "c", 6);
+        let summary = e.apply_delta(&delta);
+        assert_eq!(summary.epoch, 1);
+        assert_eq!(e.epoch(), 1);
 
-            let after = e.evaluate(&q).unwrap();
-            // Oracle: a fresh engine over the equivalently mutated graph.
-            let fresh = Engine::with_config(&mutated, config);
-            assert_eq!(after, fresh.evaluate(&q).unwrap());
-            // The stale entry was found and rebuilt from the moved R_G.
-            let m = e.maintenance_metrics();
-            assert_eq!((m.deltas_applied, m.rebuild_refreshes), (1, 1), "{m:?}");
-            assert_eq!(e.cache().stale_hits(), 1);
-            // The refreshed rows keep the configured representation.
-            let dense_rows = e.cache().totals(SharingKind::Rtc).dense_rows;
-            assert_eq!(
-                dense_rows,
-                fresh.cache().totals(SharingKind::Rtc).dense_rows
-            );
-            if representation != adaptive {
-                assert_eq!(dense_rows > 0, representation == dense);
-            }
-        }
+        let after = e.evaluate(&q).unwrap();
+        // Oracle: a fresh engine over the equivalently mutated graph.
+        let fresh = Engine::new(&mutated);
+        assert_eq!(after, fresh.evaluate(&q).unwrap());
+        // The stale entry was found and rebuilt from the moved R_G.
+        let m = e.maintenance_metrics();
+        assert_eq!((m.deltas_applied, m.rebuild_refreshes), (1, 1), "{m:?}");
+        assert_eq!(e.cache().stale_hits(), 1);
+        // The refreshed rows take the layouts a fresh build gives them.
+        let dense_rows = |e: &Engine<'_>| e.cache().totals(SharingKind::Rtc).dense_rows;
+        assert_eq!(dense_rows(&e), dense_rows(&fresh));
+        assert!(dense_rows(&e) > 0);
     }
 
     #[test]

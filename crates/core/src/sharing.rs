@@ -47,9 +47,8 @@ pub(crate) struct EvalCtx<'a> {
     /// ones.
     pub epoch: u64,
     pub kind: SharingKind,
-    /// The configuration this evaluation runs under: clause budget, worker
-    /// threads for FullSharing's closure build, and the row policy of
-    /// newly built structures.
+    /// The configuration this evaluation runs under: clause budget and
+    /// worker threads for FullSharing's closure build.
     pub config: &'a EngineConfig,
     pub metrics: &'a mut EngineMetrics,
 }
@@ -192,14 +191,10 @@ pub(crate) fn obtain(ctx: &mut EvalCtx<'_>, key: &str, r: &Regex) -> Result<Shar
 /// Computes the strategy's shared structure for `r_g` from scratch.
 fn compute(ctx: &EvalCtx<'_>, r_g: &PairSet) -> Shared {
     match ctx.kind {
-        SharingKind::Rtc => Shared::Rtc(Arc::new(Rtc::from_pairs_with(
-            r_g,
-            &ctx.config.representation,
-        ))),
-        SharingKind::Full => Shared::Full(Arc::new(FullTc::from_pairs_parallel_with(
+        SharingKind::Rtc => Shared::Rtc(Arc::new(Rtc::from_pairs(r_g))),
+        SharingKind::Full => Shared::Full(Arc::new(FullTc::from_pairs_parallel(
             r_g,
             ctx.config.threads,
-            &ctx.config.representation,
         ))),
         SharingKind::Result => unreachable!("strategies share closures, not results"),
     }

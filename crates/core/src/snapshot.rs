@@ -13,13 +13,13 @@
 //!
 //! A load parses each key, refuses it unless it is canonical, and builds
 //! its structure the way a cache miss does — `R_G` by Algorithm 1's
-//! recursion, then [`rpq_reduction::Rtc::from_pairs_with`] or the full
-//! closure — under the loading [`EngineConfig`] (its representation,
-//! threads and budget). It then resets the counters, so the restored
-//! engine reads like a fresh one whose first query hits. The load pays the
-//! builds a cold engine's first queries would have paid; in exchange the
-//! file is the graph section plus a few bytes per entry, and no byte of it
-//! can describe a structure that the graph does not produce.
+//! recursion, then [`rpq_reduction::Rtc::from_pairs`] or the full
+//! closure — under the loading [`EngineConfig`] (its threads and budget).
+//! It then resets the counters, so the restored engine reads like a fresh
+//! one whose first query hits. The load pays the builds a cold engine's
+//! first queries would have paid; in exchange the file is the graph section
+//! plus a few bytes per entry, and no byte of it can describe a structure
+//! that the graph does not produce.
 //!
 //! Stale entries (built at an older epoch than the graph) are *dropped* on
 //! save: they would need a refresh before being served anyway.
@@ -545,43 +545,6 @@ mod tests {
             matches!(err, EngineError::Snapshot(ref m) if m.contains("cap")),
             "{err}"
         );
-    }
-
-    /// Restored structures are built under the *loading* configuration:
-    /// their rows take its representation, whatever the writer's was, and
-    /// answer identically.
-    #[test]
-    fn loads_build_rows_under_the_loading_policy() {
-        use rpq_graph::RowSetPolicy;
-        let dense_cfg = EngineConfig {
-            representation: RowSetPolicy::dense(),
-            ..EngineConfig::default()
-        };
-        let sparse_cfg = EngineConfig {
-            representation: RowSetPolicy::sparse(),
-            ..EngineConfig::default()
-        };
-        let g = paper_graph();
-        let dense_rows = |e: &Engine<'_>| e.cache().totals(SharingKind::Rtc).dense_rows;
-
-        let dense_engine = Engine::with_config(&g, dense_cfg);
-        let expected = dense_engine.evaluate_str("d.(b.c)+.c").unwrap();
-        assert!(dense_rows(&dense_engine) > 0);
-        let warm = read_snapshot(&snapshot_bytes(&dense_engine)[..], sparse_cfg).unwrap();
-        assert_eq!(dense_rows(&warm), 0, "rebuilt sparse");
-        assert_eq!(warm.evaluate_str("d.(b.c)+.c").unwrap(), expected);
-        assert_eq!(warm.cache().misses(), 0);
-
-        let sparse_engine = Engine::with_config(&g, sparse_cfg);
-        sparse_engine.evaluate_str("d.(b.c)+.c").unwrap();
-        let warm = read_snapshot(&snapshot_bytes(&sparse_engine)[..], dense_cfg).unwrap();
-        assert_eq!(
-            dense_rows(&warm),
-            dense_rows(&dense_engine),
-            "rebuilt dense"
-        );
-        assert_eq!(warm.evaluate_str("d.(b.c)+.c").unwrap(), expected);
-        assert_eq!(warm.cache().misses(), 0);
     }
 
     /// A load into a tighter budget than the writer's builds through the

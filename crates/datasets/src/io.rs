@@ -14,8 +14,11 @@
 //!   error — out-of-range ids no longer silently grow the vertex set;
 //! * a malformed header (`# vertices x`) is treated as an ordinary
 //!   comment, like every other `#` line.
+//!
+//! A graph holds at most [`MAX_VERTICES`] vertices: a header declaring more,
+//! or an edge naming id `u32::MAX`, is a [`GraphError::Parse`] error.
 
-use rpq_graph::{GraphBuilder, GraphError, LabeledMultigraph, VersionedGraph};
+use rpq_graph::{GraphBuilder, GraphError, LabeledMultigraph, VersionedGraph, MAX_VERTICES};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -54,6 +57,12 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<LabeledMultigraph, GraphErro
             let mut parts = rest.split_whitespace();
             if parts.next() == Some("vertices") {
                 if let Some(n) = parts.next().and_then(|s| s.parse::<usize>().ok()) {
+                    if n > MAX_VERTICES {
+                        return Err(GraphError::Parse {
+                            line: line_no,
+                            message: format!("{n} vertices: a graph holds at most {MAX_VERTICES}"),
+                        });
+                    }
                     declared = Some(n);
                 }
             }
@@ -69,14 +78,14 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<LabeledMultigraph, GraphErro
                 })
             }
         };
-        let src: u32 = src.parse().map_err(|_| GraphError::Parse {
-            line: line_no,
-            message: format!("bad source vertex '{src}'"),
-        })?;
-        let dst: u32 = dst.parse().map_err(|_| GraphError::Parse {
-            line: line_no,
-            message: format!("bad target vertex '{dst}'"),
-        })?;
+        let vertex = |id: &str, end: &str| match id.parse::<u32>() {
+            Ok(v) if (v as usize) < MAX_VERTICES => Ok(v),
+            _ => Err(GraphError::Parse {
+                line: line_no,
+                message: format!("bad {end} vertex '{id}' (ids are below {MAX_VERTICES})"),
+            }),
+        };
+        let (src, dst) = (vertex(src, "source")?, vertex(dst, "target")?);
         builder.add_edge(src, label, dst);
     }
     match declared {
@@ -144,6 +153,24 @@ mod tests {
         let text = "\n# a comment\n0 x 1\n\n1 y 2\n";
         let g = read_edge_list(text.as_bytes()).unwrap();
         assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    fn vertex_counts_past_the_id_space_are_refused() {
+        for (text, line) in [
+            ("0 a 1\n# vertices 99999999999\n", 2),
+            ("# vertices 4294967296\n", 1),
+            ("0 a 4294967295\n", 1),
+            ("0 a 1\n4294967295 a 0\n", 2),
+        ] {
+            match read_edge_list(text.as_bytes()) {
+                Err(GraphError::Parse { line: at, message }) => {
+                    assert_eq!(at, line, "{text:?}: {message}");
+                    assert!(message.contains("4294967295"), "{message}");
+                }
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rpq_graph::{GraphBuilder, LabeledMultigraph};
+use rpq_graph::{GraphBuilder, LabeledMultigraph, MAX_VERTICES};
 use rustc_hash::FxHashSet;
 
 /// R-MAT generation parameters.
@@ -98,9 +98,20 @@ pub fn rmat_n(n: u32, seed: u64) -> LabeledMultigraph {
 /// per-label degree `2^(N-2)` as `RMAT_N`. Used by the fast experiment
 /// profiles (`|V| = 2^11`) — the degree parameter, which is what the
 /// paper's analysis depends on, is preserved exactly.
+///
+/// Panics when [`rmat_n_scaled_edges`] refuses `(n, scale)`.
 pub fn rmat_n_scaled(n: u32, scale: u32, seed: u64) -> LabeledMultigraph {
-    let edges = 1usize << (n + scale);
+    let edges = rmat_n_scaled_edges(n, scale).expect("RMAT size out of range");
     rmat_graph(&RmatConfig::new(scale, edges, 4, seed))
+}
+
+/// The edge count `2^(n + scale)` of [`rmat_n_scaled`], or `None` when its
+/// `2^scale` vertices exceed [`MAX_VERTICES`] or the edge count does not fit
+/// a `usize`.
+pub fn rmat_n_scaled_edges(n: u32, scale: u32) -> Option<usize> {
+    let vertices = 1usize.checked_shl(scale)?;
+    let edges = 1usize.checked_shl(n.checked_add(scale)?)?;
+    (vertices <= MAX_VERTICES).then_some(edges)
 }
 
 fn sample_edge(rng: &mut StdRng, config: &RmatConfig) -> (u32, u32) {
@@ -144,6 +155,17 @@ fn sample_edge(rng: &mut StdRng, config: &RmatConfig) -> (u32, u32) {
 mod tests {
     use super::*;
     use rpq_graph::GraphStats;
+
+    #[test]
+    fn scaled_sizes_past_the_id_space_or_usize_are_refused() {
+        assert_eq!(rmat_n_scaled_edges(2, 11), Some(1 << 13));
+        assert_eq!(rmat_n_scaled_edges(2, 31), Some(1 << 33));
+        // 2^32 vertices and up leave the u32 id space; a shift of 64 or
+        // more, or an exponent sum that overflows, is refused.
+        for (n, scale) in [(2, 32), (2, 40), (2, 64), (60, 10), (u32::MAX, 1)] {
+            assert_eq!(rmat_n_scaled_edges(n, scale), None, "rmat {n} {scale}");
+        }
+    }
 
     #[test]
     fn exact_sizes() {

@@ -6,6 +6,12 @@
 
 use std::fmt;
 
+/// The most vertices a graph holds: ids are `u32`, so a graph's ids are
+/// `0..u32::MAX`. Every entry point that names a vertex count or an id
+/// (the edge-list reader, the server's `gen` and `delta`) refuses one past
+/// this.
+pub const MAX_VERTICES: usize = u32::MAX as usize;
+
 /// A vertex identifier (`v_i` in the paper, TABLE I).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]

@@ -44,12 +44,12 @@ pub use condensation::Condensation;
 pub use csr::Csr;
 pub use digraph::{Digraph, MappedDigraph, VertexMapping};
 pub use error::GraphError;
-pub use ids::{LabelId, SccId, VertexId};
+pub use ids::{LabelId, SccId, VertexId, MAX_VERTICES};
 pub use label_dict::LabelDict;
 pub use metrics::Distribution;
 pub use multigraph::{GraphBuilder, LabeledMultigraph};
 pub use pairset::{Ends, PairSet};
-pub use rowset::{ReprMode, RowSet, RowSetPolicy, RowTable};
+pub use rowset::{RowSet, RowSetPolicy, RowTable};
 pub use scc::{tarjan_scc, Scc};
 pub use stats::GraphStats;
 pub use versioned::{DeltaSummary, GraphDelta, GraphView, VersionedGraph};

@@ -5,9 +5,9 @@
 //! subtract 64 elements per instruction and count via `popcnt`; sparse rows
 //! pay per element but cost only `4·len` bytes. The break-even density is
 //! roughly `1/16`–`1/32` of the universe (a dense row costs `universe/8`
-//! bytes against the sparse row's `4·len`), which is why the default
-//! [`RowSetPolicy`] promotes a row to dense once it holds more than
-//! `universe/32` elements and demotes below that.
+//! bytes against the sparse row's `4·len`), which is why a row is a bitset
+//! once it holds at least `1/32` of its universe ([`RowSet::wants_dense`])
+//! and a sorted vector below that. That one rule picks every row's layout.
 //!
 //! Closure tables ([`crate::Csr`]'s successor in `rpq_reduction`) hold one
 //! `RowSet` per source; [`crate::PairSet`] reuses the same rows for its
@@ -16,98 +16,19 @@
 
 use std::fmt;
 
-/// Default promotion threshold: a row denser than `universe/32` becomes a
-/// bitset. At exactly `1/32` the two representations cost the same memory
-/// within a factor of ~1 (`universe/8` vs `4·universe/32`); the dense side
-/// wins on every set operation from there up.
-pub const DEFAULT_CROSSOVER: f64 = 1.0 / 32.0;
+/// A row holding at least `1/DENSE_FRACTION` of its universe is a bitset.
+/// At exactly `1/32` the two layouts cost the same memory (`universe/8`
+/// bytes against `4·universe/32`); the bitset wins on every set operation
+/// from there up.
+const DENSE_FRACTION: u64 = 32;
 
-/// Which representation new and normalized rows take.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReprMode {
-    /// Promote/demote per row by the density crossover (the default).
-    Adaptive,
-    /// Keep every row a sorted vector (the pre-hybrid behavior).
-    ForceSparse,
-    /// Promote every non-empty row to a bitset.
-    ForceDense,
-}
-
-/// Tunable representation policy: mode plus the adaptive density crossover.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RowSetPolicy {
-    /// Representation mode.
-    pub mode: ReprMode,
-    /// Density (`len / universe`) at or above which `Adaptive` promotes.
-    pub crossover: f64,
-}
-
-impl Default for RowSetPolicy {
-    fn default() -> Self {
-        Self {
-            mode: ReprMode::Adaptive,
-            crossover: DEFAULT_CROSSOVER,
-        }
-    }
-}
-
-impl RowSetPolicy {
-    /// The adaptive policy with the default crossover.
-    pub fn adaptive() -> Self {
-        Self::default()
-    }
-
-    /// Every row sparse.
-    pub fn sparse() -> Self {
-        Self {
-            mode: ReprMode::ForceSparse,
-            ..Self::default()
-        }
-    }
-
-    /// Every non-empty row dense.
-    pub fn dense() -> Self {
-        Self {
-            mode: ReprMode::ForceDense,
-            ..Self::default()
-        }
-    }
-
-    /// Parses a mode name (`sparse` / `dense` / `adaptive`,
-    /// case-insensitive) into the policy with the default crossover.
-    pub fn parse(mode: &str) -> Option<Self> {
-        match mode.to_ascii_lowercase().as_str() {
-            "sparse" => Some(Self::sparse()),
-            "dense" => Some(Self::dense()),
-            "adaptive" => Some(Self::adaptive()),
-            _ => None,
-        }
-    }
-
-    /// Reads the mode from the `RPQ_REPR` environment variable (see
-    /// [`RowSetPolicy::parse`]), falling back to the default adaptive policy
-    /// when unset or unrecognized. This is how CI's forced-representation
-    /// test legs steer every engine in a test binary without threading a
-    /// flag through each constructor.
-    pub fn from_env_or_default() -> Self {
-        std::env::var("RPQ_REPR")
-            .ok()
-            .and_then(|mode| Self::parse(&mode))
-            .unwrap_or_default()
-    }
-
-    /// Whether a row of `len` elements over `universe` ids should be dense.
-    #[inline]
-    pub fn wants_dense(&self, len: usize, universe: u32) -> bool {
-        match self.mode {
-            ReprMode::ForceSparse => false,
-            ReprMode::ForceDense => len > 0,
-            ReprMode::Adaptive => {
-                len > 0 && universe > 0 && (len as f64) >= self.crossover * universe as f64
-            }
-        }
-    }
-}
+/// Field-less: [`RowSet::wants_dense`] picks every row's layout, with
+/// nothing to choose. The type stays only because the benchmark harness's
+/// trace probe names it (`EngineConfig::representation`,
+/// `Rtc::from_pairs_with`, `closure_of_condensation_rows`); no code reads
+/// it, and it goes when the probe names are released (ROADMAP 4g).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowSetPolicy;
 
 /// A bitset row: `words[i] bit b` ⇔ id `64·i + b` is present. The universe
 /// is implicit (`64 · words.len()`); trailing zero words are permitted and
@@ -334,8 +255,8 @@ impl RowSet {
     /// `self ∪= other`; returns whether `self` changed.
     ///
     /// Dense ∪= dense is a word-parallel OR. Dense is contagious: a sparse
-    /// `self` unioned with a dense `other` promotes, so adaptive pipelines
-    /// never fall back to element-at-a-time merges once a dense row enters.
+    /// `self` unioned with a dense `other` promotes, so pipelines never
+    /// fall back to element-at-a-time merges once a dense row enters.
     pub fn union_in_place(&mut self, other: &RowSet) -> bool {
         if other.is_empty() {
             return false;
@@ -388,17 +309,16 @@ impl RowSet {
         out
     }
 
-    /// `⋃ rows` as one new row, normalized per `policy` against `universe`.
-    /// When the summed lengths reach the policy's dense side the rows are
-    /// OR-ed into a bitset (word-parallel for dense rows); otherwise their
-    /// elements are gathered and sorted once — never a chain of pairwise
-    /// sorted merges.
-    pub fn union_all<'a, I>(rows: I, universe: u32, policy: &RowSetPolicy) -> RowSet
+    /// `⋃ rows` as one new row, normalized against `universe`. When the
+    /// summed lengths reach the dense side the rows are OR-ed into a bitset
+    /// (word-parallel for dense rows); otherwise their elements are
+    /// gathered and sorted once — never a chain of pairwise sorted merges.
+    pub fn union_all<'a, I>(rows: I, universe: u32) -> RowSet
     where
         I: Iterator<Item = &'a RowSet> + Clone,
     {
         let bound = rows.clone().map(RowSet::len).sum();
-        let mut out = if policy.wants_dense(bound, universe) {
+        let mut out = if RowSet::wants_dense(bound, universe) {
             let mut acc = RowSet::dense_from_iter(universe, []);
             for row in rows {
                 acc.union_in_place(row);
@@ -407,7 +327,7 @@ impl RowSet {
         } else {
             RowSet::from_unsorted(rows.flat_map(RowSet::iter).collect())
         };
-        out.normalize(universe, policy);
+        out.normalize(universe);
         out
     }
 
@@ -473,22 +393,20 @@ impl RowSet {
         }
     }
 
-    /// Fraction of the universe present (`len / universe`); 0 for an empty
-    /// universe.
-    pub fn density(&self, universe: u32) -> f64 {
-        if universe == 0 {
-            0.0
-        } else {
-            self.len() as f64 / universe as f64
-        }
+    /// Whether a row of `len` elements over `universe` ids is a bitset: it
+    /// is non-empty and holds at least `1/32` of the universe. The one rule
+    /// every row's layout follows.
+    #[inline]
+    pub fn wants_dense(len: usize, universe: u32) -> bool {
+        len > 0 && universe > 0 && (len as u64).saturating_mul(DENSE_FRACTION) >= universe as u64
     }
 
-    /// Re-represents the row per `policy` against `universe` (promote to
-    /// dense at/above the crossover, demote below; forced modes override).
-    /// An empty row always demotes to sparse.
-    pub fn normalize(&mut self, universe: u32, policy: &RowSetPolicy) {
+    /// Re-represents the row by [`RowSet::wants_dense`] against `universe`
+    /// (widened to cover the row's largest id): promote at or above `1/32`,
+    /// demote below. An empty row always demotes to sparse.
+    pub fn normalize(&mut self, universe: u32) {
         let universe = universe.max(self.max().map_or(0, |m| m + 1));
-        if policy.wants_dense(self.len(), universe) {
+        if RowSet::wants_dense(self.len(), universe) {
             self.promote(universe);
         } else {
             self.demote();
@@ -650,14 +568,6 @@ impl RowTable {
         Self { rows, universe }
     }
 
-    /// Builds by normalizing each row per `policy`.
-    pub fn from_rows_with(mut rows: Vec<RowSet>, universe: u32, policy: &RowSetPolicy) -> Self {
-        for row in &mut rows {
-            row.normalize(universe, policy);
-        }
-        Self { rows, universe }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -778,29 +688,17 @@ mod tests {
     }
 
     #[test]
-    fn union_all_matches_pairwise_union_under_every_policy() {
-        let rows = [
-            sparse(&[1, 5, 70]),
-            dense(&[0, 5, 64, 200]),
-            RowSet::empty(),
-        ];
-        let want = vec![0u32, 1, 5, 64, 70, 200];
-        for policy in [
-            RowSetPolicy::adaptive(),
-            RowSetPolicy::sparse(),
-            RowSetPolicy::dense(),
-        ] {
-            // Universe 8: the bound lands on the dense side under adaptive;
-            // universe 4096: on the sparse side.
-            for universe in [8, 4096] {
-                let u = RowSet::union_all(rows.iter(), universe, &policy);
-                assert_eq!(u.to_vec(), want, "{policy:?} @ {universe}");
-                let mut expect = u.clone();
-                expect.normalize(universe, &policy);
-                assert_eq!(u.is_dense(), expect.is_dense(), "normalized");
-            }
+    fn union_all_matches_pairwise_union() {
+        let rows = [sparse(&[1, 5, 70]), dense(&[0, 5, 64]), RowSet::empty()];
+        let want = vec![0u32, 1, 5, 64, 70];
+        // Universe 8 (widened to 71 by the contents) and 128: the result
+        // is dense; over 4096 ids it is sparse.
+        for (universe, is_dense) in [(8, true), (128, true), (4096, false)] {
+            let u = RowSet::union_all(rows.iter(), universe);
+            assert_eq!(u.to_vec(), want, "@ {universe}");
+            assert_eq!(u.is_dense(), is_dense, "@ {universe}");
         }
-        let none = RowSet::union_all([].iter(), 64, &RowSetPolicy::dense());
+        let none = RowSet::union_all([].iter(), 64);
         assert!(none.is_empty() && !none.is_dense());
     }
 
@@ -870,47 +768,61 @@ mod tests {
     }
 
     #[test]
-    fn normalize_follows_the_policy() {
-        let adaptive = RowSetPolicy::default();
+    fn normalize_follows_the_density_rule() {
         // 4 of 1024 ids: density 1/256 < 1/32 → stays sparse.
         let mut thin = sparse(&[1, 2, 3, 4]);
-        thin.normalize(1024, &adaptive);
+        thin.normalize(1024);
         assert!(!thin.is_dense());
-        // 64 of 128 ids: density 1/2 → promotes.
-        let mut fat = RowSet::from_unsorted((0..64).map(|x| x * 2).collect());
-        fat.normalize(128, &adaptive);
-        assert!(fat.is_dense());
-        // ...and demotes again under ForceSparse.
-        fat.normalize(128, &RowSetPolicy::sparse());
-        assert!(!fat.is_dense());
-        // ForceDense promotes even the thin row; empty rows never promote.
-        thin.normalize(1024, &RowSetPolicy::dense());
+        // ...but 4 of 64 is 1/16 → promotes.
+        thin.normalize(64);
         assert!(thin.is_dense());
+        // 64 of 128 ids: density 1/2 → promotes; over 2^16 ids it demotes.
+        let mut fat = RowSet::from_unsorted((0..64).map(|x| x * 2).collect());
+        fat.normalize(128);
+        assert!(fat.is_dense());
+        fat.normalize(1 << 16);
+        assert!(!fat.is_dense());
+        assert_eq!(fat.len(), 64);
+        // Empty rows never promote.
         let mut empty = RowSet::empty();
-        empty.normalize(1024, &RowSetPolicy::dense());
+        empty.normalize(1);
         assert!(!empty.is_dense());
     }
 
     #[test]
     fn normalize_widens_the_universe_to_cover_max() {
-        // Universe hint smaller than the contents: promote must still
-        // cover the maximum element.
-        let mut r = sparse(&[10, 500]);
-        r.normalize(16, &RowSetPolicy::dense());
+        // Universe hint smaller than the contents: the density is taken
+        // over the widened universe, and promote must cover the maximum.
+        let mut r = RowSet::from_unsorted((0..8).chain([100]).collect());
+        r.normalize(16);
         assert!(r.is_dense());
-        assert!(r.contains(500));
+        assert!(r.contains(100));
+        let mut r = sparse(&[10, 500]);
+        r.normalize(16);
+        assert!(!r.is_dense());
     }
 
     #[test]
-    fn policy_wants_dense_boundaries() {
-        let p = RowSetPolicy::default();
+    fn wants_dense_boundaries() {
         // Exactly at the crossover: 32 of 1024 = 1/32 → dense.
-        assert!(p.wants_dense(32, 1024));
-        assert!(!p.wants_dense(31, 1024));
-        assert!(!p.wants_dense(0, 1024));
-        assert!(!RowSetPolicy::sparse().wants_dense(1024, 1024));
-        assert!(RowSetPolicy::dense().wants_dense(1, 1 << 30));
-        assert!(!RowSetPolicy::dense().wants_dense(0, 64));
+        assert!(RowSet::wants_dense(32, 1024));
+        assert!(!RowSet::wants_dense(31, 1024));
+        assert!(!RowSet::wants_dense(0, 1024));
+        assert!(!RowSet::wants_dense(1, 0));
+        // The integer rule is the `len ≥ universe / 32` comparison in f64.
+        let by_f64 = |len: usize, universe: u32| {
+            len > 0 && universe > 0 && (len as f64) >= universe as f64 / 32.0
+        };
+        for universe in [0, 1, 31, 32, 33, 1023, 1024, 1025, u32::MAX - 1, u32::MAX] {
+            let at = (universe / 32) as usize;
+            for len in [0, 1, at.saturating_sub(1), at, at + 1, at + 2, usize::MAX] {
+                assert_eq!(
+                    RowSet::wants_dense(len, universe),
+                    by_f64(len, universe),
+                    "{len} of {universe}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -933,28 +845,6 @@ mod tests {
         assert_eq!(t.dense_rows(), 1);
         assert_eq!(t.row(1).len(), 4);
         assert!(t.heap_bytes() >= 2 * 4 + 8);
-        let forced = RowTable::from_rows_with(
-            vec![sparse(&[0, 1]), sparse(&[2])],
-            4,
-            &RowSetPolicy::dense(),
-        );
-        assert_eq!(forced.dense_rows(), 2);
-        assert_eq!(
-            forced,
-            RowTable::from_rows(vec![sparse(&[0, 1]), sparse(&[2])], 4)
-        );
-    }
-
-    #[test]
-    fn from_env_parses_modes() {
-        // Exercise the parser directly (env vars are process-global; tests
-        // must not set them).
-        let mode = |s: &str| RowSetPolicy::parse(s).map(|p| p.mode);
-        assert_eq!(mode("sparse"), Some(ReprMode::ForceSparse));
-        assert_eq!(mode("Dense"), Some(ReprMode::ForceDense));
-        assert_eq!(mode("ADAPTIVE"), Some(ReprMode::Adaptive));
-        assert_eq!(mode("bitset"), None);
-        assert_eq!(mode(""), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `G_R` (`O(|V_R|·|E_R|)` — TABLE III's left column) and stores grouped by
 //! source for the join in the baseline's batch-unit evaluation.
 
-use rpq_graph::{MappedDigraph, PairSet, RowSet, RowSetPolicy, RowTable, VertexId, VertexMapping};
+use rpq_graph::{MappedDigraph, PairSet, RowSet, RowTable, VertexId, VertexMapping};
 use std::sync::Arc;
 
 /// `R⁺_G` materialized and grouped by start vertex.
@@ -14,11 +14,9 @@ use std::sync::Arc;
 pub struct FullTc {
     mapping: VertexMapping,
     /// Row per compact vertex: compact vertices reachable via ≥ 1 edge
-    /// (hybrid sparse/dense per the build policy).
+    /// (hybrid sparse/dense, by density).
     rows: RowTable,
     pair_count: usize,
-    /// Representation policy used for closure rows and joined rows.
-    policy: RowSetPolicy,
 }
 
 impl FullTc {
@@ -30,35 +28,23 @@ impl FullTc {
     /// [`FullTc::from_pairs`] with the per-vertex BFS sweep sharded over
     /// `threads` scoped workers (see [`crate::tc::tc_naive_parallel`]).
     pub fn from_pairs_parallel(r_g: &PairSet, threads: usize) -> FullTc {
-        Self::from_pairs_parallel_with(r_g, threads, &RowSetPolicy::default())
-    }
-
-    /// [`FullTc::from_pairs_parallel`] with an explicit row-representation
-    /// policy.
-    pub fn from_pairs_parallel_with(
-        r_g: &PairSet,
-        threads: usize,
-        policy: &RowSetPolicy,
-    ) -> FullTc {
         let gr = MappedDigraph::from_pairset(r_g);
         let csr = crate::tc::tc_naive_parallel(&gr.graph, threads);
         let n = gr.graph.vertex_count() as u32;
         let rows: Vec<RowSet> = (0..csr.rows())
-            .map(|v| RowSet::from_sorted_vec(csr.row(v).to_vec()))
+            .map(|v| {
+                let mut row = RowSet::from_sorted_vec(csr.row(v).to_vec());
+                row.normalize(n);
+                row
+            })
             .collect();
-        let rows = RowTable::from_rows_with(rows, n, policy);
+        let rows = RowTable::from_rows(rows, n);
         let pair_count = rows.total_len();
         FullTc {
             mapping: gr.mapping,
             rows,
             pair_count,
-            policy: *policy,
         }
-    }
-
-    /// The row-representation policy this closure was built with.
-    pub fn policy(&self) -> &RowSetPolicy {
-        &self.policy
     }
 
     /// Number of pairs in `R⁺_G` — FullSharing's shared-data size (Fig. 12).

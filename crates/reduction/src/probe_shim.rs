@@ -28,8 +28,7 @@ impl DynamicRtc {
         }
     }
 
-    /// Removes `deletes` from `R_G`, adds `inserts`, and rebuilds the RTC
-    /// under its own row policy.
+    /// Removes `deletes` from `R_G`, adds `inserts`, and rebuilds the RTC.
     pub fn apply(
         &mut self,
         inserts: &[(VertexId, VertexId)],
@@ -38,7 +37,7 @@ impl DynamicRtc {
     ) {
         let kept = self.r_g.difference(&PairSet::from_pairs(deletes.to_vec()));
         self.r_g = kept.union(&PairSet::from_pairs(inserts.to_vec()));
-        self.rtc = Rtc::from_pairs_with(&self.r_g, self.rtc.policy());
+        self.rtc = Rtc::from_pairs(&self.r_g);
     }
 
     /// The current RTC.
@@ -50,10 +49,9 @@ impl DynamicRtc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpq_graph::RowSetPolicy;
 
     #[test]
-    fn apply_rebuilds_the_moved_relation_under_its_policy() {
+    fn apply_rebuilds_the_moved_relation() {
         let r_g: PairSet = [(2u32, 4u32), (2, 6), (3, 5), (4, 2), (5, 3)]
             .into_iter()
             .collect();
@@ -61,13 +59,11 @@ mod tests {
             .into_iter()
             .collect();
         let (ins, del) = ([(VertexId(6), VertexId(2))], [(VertexId(3), VertexId(5))]);
-        for policy in [RowSetPolicy::sparse(), RowSetPolicy::dense()] {
-            let mut dynamic = DynamicRtc::from_rtc(&Rtc::from_pairs_with(&r_g, &policy), &r_g);
-            dynamic.apply(&ins, &del, &MaintenanceConfig);
-            let (snap, fresh) = (dynamic.snapshot(), Rtc::from_pairs_with(&moved, &policy));
-            assert_eq!(snap.expand(), fresh.expand());
-            assert_eq!(snap.stats(), fresh.stats());
-            assert_eq!(snap.dense_closure_rows(), fresh.dense_closure_rows());
-        }
+        let mut dynamic = DynamicRtc::from_rtc(&Rtc::from_pairs(&r_g), &r_g);
+        dynamic.apply(&ins, &del, &MaintenanceConfig);
+        let (snap, fresh) = (dynamic.snapshot(), Rtc::from_pairs(&moved));
+        assert_eq!(snap.expand(), fresh.expand());
+        assert_eq!(snap.stats(), fresh.stats());
+        assert_eq!(snap.dense_closure_rows(), fresh.dense_closure_rows());
     }
 }

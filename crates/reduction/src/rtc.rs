@@ -45,8 +45,6 @@ pub struct Rtc {
     scc: Scc,
     /// Per-SCC closure rows over SCC ids (hybrid sparse/dense).
     closure: RowTable,
-    /// Representation policy used for closure rows and expansion rows.
-    policy: RowSetPolicy,
     stats: RtcStats,
 }
 
@@ -55,15 +53,10 @@ impl Rtc {
     /// `Compute_RTC`): edge-level reduction, Tarjan SCCs, condensation, and
     /// the reverse-topological closure sweep.
     pub fn from_pairs(r_g: &PairSet) -> Rtc {
-        Self::from_pairs_with(r_g, &RowSetPolicy::default())
-    }
-
-    /// [`Rtc::from_pairs`] with an explicit row-representation policy.
-    pub fn from_pairs_with(r_g: &PairSet, policy: &RowSetPolicy) -> Rtc {
         let gr = MappedDigraph::from_pairset(r_g);
         let scc = tarjan_scc(&gr.graph);
         let cond = Condensation::new(&gr.graph, &scc);
-        let closure = closure_of_condensation_rows(&cond, policy);
+        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy);
         let stats = RtcStats {
             vr_vertices: gr.graph.vertex_count(),
             er_edges: gr.graph.edge_count(),
@@ -75,14 +68,14 @@ impl Rtc {
             mapping: gr.mapping,
             scc,
             closure,
-            policy: *policy,
             stats,
         }
     }
 
-    /// The row-representation policy this RTC was built with.
-    pub fn policy(&self) -> &RowSetPolicy {
-        &self.policy
+    /// [`Rtc::from_pairs`]; the [`RowSetPolicy`] is read by nothing. It
+    /// stays only for the benchmark harness's trace probe (ROADMAP 4g).
+    pub fn from_pairs_with(r_g: &PairSet, _: &RowSetPolicy) -> Rtc {
+        Self::from_pairs(r_g)
     }
 
     /// Heap bytes held by the closure rows (`TC(Ḡ_R)`) — the shared-data
@@ -203,7 +196,7 @@ impl Rtc {
             }
             targets.sort_unstable();
             let mut row = RowSet::from_sorted_vec(targets);
-            row.normalize(0, &self.policy);
+            row.normalize(0);
             let row = Arc::new(row);
             for &m in self.scc.members(SccId(s as u32)) {
                 groups.push((self.mapping.original(m), Arc::clone(&row)));
@@ -357,19 +350,28 @@ mod tests {
     }
 
     #[test]
-    fn expand_is_grouped_and_policies_agree() {
+    fn expand_is_grouped_and_rows_follow_the_density_rule() {
         let r_g: PairSet = [(2u32, 4u32), (2, 6), (3, 5), (4, 2), (5, 3)]
             .into_iter()
             .collect();
-        let adaptive = Rtc::from_pairs(&r_g);
-        let dense = Rtc::from_pairs_with(&r_g, &RowSetPolicy::dense());
-        let sparse = Rtc::from_pairs_with(&r_g, &RowSetPolicy::sparse());
-        assert!(adaptive.expand().is_grouped());
-        assert_eq!(dense.expand(), sparse.expand());
-        assert_eq!(adaptive.expand(), dense.expand());
-        assert!(dense.dense_closure_rows() > 0);
-        assert_eq!(sparse.dense_closure_rows(), 0);
-        assert!(sparse.closure_heap_bytes() > 0);
+        let rtc = Rtc::from_pairs(&r_g);
+        assert!(rtc.expand().is_grouped());
+        assert_eq!(
+            rtc.expand(),
+            Rtc::from_pairs_with(&r_g, &RowSetPolicy).expand()
+        );
+        // Three SCCs: every non-empty row holds at least 1/32 of them.
+        assert_eq!(rtc.dense_closure_rows(), 2);
+        assert!(rtc.closure_heap_bytes() > 0);
+        // A 130-vertex path: row `i` reaches the 129 - i vertices after it,
+        // so the rows near the end fall under 1/32 and stay sparse.
+        let path: PairSet = (0..129u32).map(|v| (v, v + 1)).collect();
+        let rtc = Rtc::from_pairs(&path);
+        let dense = (0..130)
+            .filter(|&i| RowSet::wants_dense(129 - i, 130))
+            .count();
+        assert_eq!(rtc.dense_closure_rows(), dense);
+        assert!(dense > 0 && dense < 129);
     }
 
     #[test]

@@ -82,19 +82,19 @@ pub fn tc_naive_parallel(g: &Digraph, threads: usize) -> Csr<u32> {
 
 /// Closure of a condensation: row `s̄` holds the SCC ids reachable from
 /// `s̄` via ≥ 1 edge of `Ḡ_R` (self-loops included), as a [`RowSet`] whose
-/// representation is chosen per `policy`.
+/// layout [`RowSet::wants_dense`] picks. The [`RowSetPolicy`] argument is
+/// read by nothing; it stays for the benchmark harness's trace probe
+/// (ROADMAP 4g).
 ///
 /// Exploits the reverse-topological numbering of Tarjan SCC ids: a single
 /// ascending sweep sees every successor row before it is needed. Sparse
 /// rows are merged through an epoch-stamped scratch array, so their cost is
 /// proportional to the sum of merged list lengths; rows whose *estimated*
-/// merged size crosses the policy's density crossover are built dense up
-/// front, so successor unions run as word-parallel ORs instead of list
-/// merges ([`RowSetPolicy::dense`] makes every non-empty row a bit vector,
-/// at up to `|V̄_R|²/8` bytes). After the merge each row is normalized (an
-/// over-estimated dense row demotes back to sparse under the adaptive
-/// policy).
-pub fn closure_of_condensation_rows(cond: &Condensation, policy: &RowSetPolicy) -> RowTable {
+/// merged size reaches the dense side are built dense up front, so
+/// successor unions run as word-parallel ORs instead of list merges. After
+/// the merge each row is normalized (an over-estimated dense row demotes
+/// back to sparse).
+pub fn closure_of_condensation_rows(cond: &Condensation, _: &RowSetPolicy) -> RowTable {
     let k = cond.vertex_count();
     let mut rows: Vec<RowSet> = Vec::with_capacity(k);
     let mut stamp = EpochVisited::new(k);
@@ -108,7 +108,7 @@ pub fn closure_of_condensation_rows(cond: &Condensation, policy: &RowSetPolicy) 
         for &t in cond.out(SccId(s)) {
             estimate += 1 + rows[t as usize].len();
         }
-        let mut row = if policy.wants_dense(estimate.min(k), k as u32) {
+        let mut row = if RowSet::wants_dense(estimate.min(k), k as u32) {
             let mut row = RowSet::dense_from_iter(k as u32, std::iter::empty());
             if self_loop {
                 row.insert(s);
@@ -137,7 +137,7 @@ pub fn closure_of_condensation_rows(cond: &Condensation, policy: &RowSetPolicy) 
             row.sort_unstable();
             RowSet::from_sorted_vec(row)
         };
-        row.normalize(k as u32, policy);
+        row.normalize(k as u32);
         rows.push(row);
     }
     RowTable::from_rows(rows, k as u32)
@@ -199,7 +199,7 @@ mod tests {
         // edges {(0,2),(0,4),(1,3),(2,0),(3,1)}.
         let g = Digraph::from_edges(5, vec![(0, 2), (0, 4), (1, 3), (2, 0), (3, 1)]);
         let (scc, cond) = condense(&g);
-        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy::adaptive());
+        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy);
         // TC(Ḡ_{b·c}) = {(s̄{24},s̄{24}), (s̄{24},s̄{6}), (s̄{35},s̄{35})} —
         // 3 pairs (Example 6).
         assert_eq!(closure.total_len(), 3);
@@ -213,9 +213,8 @@ mod tests {
         assert_eq!(closure.row(s35.index()).to_vec(), vec![s35.raw()]);
     }
 
-    /// The condensation sweep under every row policy, expanded by SCC
-    /// membership, is the naive closure; the forced-dense sweep builds only
-    /// bit-vector rows.
+    /// The condensation sweep, expanded by SCC membership, is the naive
+    /// closure, and every row takes the layout the density rule picks.
     #[test]
     fn condensation_closure_expands_to_tc_naive() {
         let graphs = [
@@ -248,23 +247,17 @@ mod tests {
         for (i, g) in graphs.iter().enumerate() {
             let (scc, cond) = condense(g);
             let naive = rows_of(&tc_naive(g));
-            for policy in [
-                RowSetPolicy::adaptive(),
-                RowSetPolicy::sparse(),
-                RowSetPolicy::dense(),
-            ] {
-                let closure = closure_of_condensation_rows(&cond, &policy);
-                assert_eq!(
-                    expand_by_membership(&scc, &closure, g.vertex_count()),
-                    naive,
-                    "graph {i}: {policy:?}"
-                );
-                if policy == RowSetPolicy::dense() {
-                    for s in 0..cond.vertex_count() {
-                        let row = closure.row(s);
-                        assert!(row.is_dense() || row.is_empty(), "graph {i}, scc {s}: repr");
-                    }
-                }
+            let closure = closure_of_condensation_rows(&cond, &RowSetPolicy);
+            assert_eq!(
+                expand_by_membership(&scc, &closure, g.vertex_count()),
+                naive,
+                "graph {i}"
+            );
+            let k = cond.vertex_count() as u32;
+            for s in 0..cond.vertex_count() {
+                let row = closure.row(s);
+                let dense = RowSet::wants_dense(row.len(), k);
+                assert_eq!(row.is_dense(), dense, "graph {i}, scc {s}: layout");
             }
         }
     }
@@ -294,7 +287,7 @@ mod tests {
     fn self_loop_singleton_closure() {
         let g = Digraph::from_edges(2, vec![(0, 0), (0, 1)]);
         let (scc, cond) = condense(&g);
-        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy::adaptive());
+        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy);
         let s0 = scc.component_of(0);
         let s1 = scc.component_of(1);
         let mut expect = vec![s0.raw(), s1.raw()];
@@ -309,7 +302,7 @@ mod tests {
         assert_eq!(tc_naive(&g).rows(), 0);
         let (scc, cond) = condense(&g);
         assert_eq!(scc.count(), 0);
-        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy::adaptive());
+        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy);
         assert_eq!(closure.total_len(), 0);
     }
 }

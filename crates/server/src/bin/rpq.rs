@@ -105,12 +105,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     if let Ok(spec) = std::env::var("RPQ_CACHE_BUDGET") {
         parse_budget("RPQ_CACHE_BUDGET", &spec)?;
     }
-    // Likewise RPQ_REPR, which the library reads as adaptive when malformed.
-    if let Ok(mode) = std::env::var("RPQ_REPR") {
-        rpq_graph::RowSetPolicy::parse(&mode).ok_or(format!(
-            "bad RPQ_REPR '{mode}' (want 'sparse', 'dense' or 'adaptive')"
-        ))?;
-    }
     Ok(opts)
 }
 

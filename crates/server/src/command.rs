@@ -12,6 +12,8 @@
 //! to `None`.
 
 use rpq_core::Strategy;
+use rpq_datasets::rmat::rmat_n_scaled_edges;
+use rpq_graph::MAX_VERTICES;
 use std::num::IntErrorKind;
 
 /// One mutation inside a [`Command::Delta`] batch.
@@ -269,6 +271,12 @@ fn parse_gen<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<Command, 
             let n = parse_num(tokens.next(), "gen rmat needs N SCALE SEED")?;
             let scale = parse_num(tokens.next(), "gen rmat needs N SCALE SEED")?;
             let seed = parse_num(tokens.next(), "gen rmat needs N SCALE SEED")?;
+            if rmat_n_scaled_edges(n, scale).is_none() {
+                return Err(format!(
+                    "gen rmat {n} {scale}: 2^SCALE vertices must be at most {MAX_VERTICES} \
+                     and 2^(N+SCALE) edges must fit a usize"
+                ));
+            }
             Ok(Command::GenRmat { n, scale, seed })
         }
         other => Err(format!(
@@ -278,24 +286,42 @@ fn parse_gen<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<Command, 
     }
 }
 
+/// A delta's vertex id: below [`MAX_VERTICES`], so the vertex count it
+/// implies fits the `u32` id space.
+fn parse_vertex(tok: Option<&str>) -> Result<u32, String> {
+    match parse_num(tok, "delta ins/del needs SRC LABEL DST")? {
+        v if v as usize >= MAX_VERTICES => Err(format!(
+            "vertex id {v} is out of range: a graph holds at most {MAX_VERTICES} vertices"
+        )),
+        v => Ok(v),
+    }
+}
+
 fn parse_delta<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<Vec<DeltaOp>, String> {
     let mut ops = Vec::new();
     while let Some(op) = tokens.next() {
         match op {
             "ins" | "del" => {
-                let src = parse_num(tokens.next(), "delta ins/del needs SRC LABEL DST")?;
+                let src = parse_vertex(tokens.next())?;
                 let label = tokens
                     .next()
                     .ok_or("delta ins/del needs SRC LABEL DST")?
                     .to_string();
-                let dst = parse_num(tokens.next(), "delta ins/del needs SRC LABEL DST")?;
+                let dst = parse_vertex(tokens.next())?;
                 ops.push(if op == "ins" {
                     DeltaOp::Insert(src, label, dst)
                 } else {
                     DeltaOp::Delete(src, label, dst)
                 });
             }
-            "grow" => ops.push(DeltaOp::Grow(parse_num(tokens.next(), "grow needs N")?)),
+            "grow" => match parse_num(tokens.next(), "grow needs N")? {
+                n if n > MAX_VERTICES => {
+                    return Err(format!(
+                        "grow {n}: a graph holds at most {MAX_VERTICES} vertices"
+                    ))
+                }
+                n => ops.push(DeltaOp::Grow(n)),
+            },
             other => return Err(format!("delta ops are ins|del|grow, got '{other}'")),
         }
     }
@@ -442,6 +468,27 @@ mod tests {
     }
 
     #[test]
+    fn delta_refuses_vertices_past_the_id_space() {
+        // Id u32::MAX would make the graph u32::MAX + 1 vertices.
+        for line in [
+            "delta ins 1 a 4294967295",
+            "delta ins 4294967295 a 1",
+            "delta del 1 a 4294967295",
+            "delta grow 4294967296",
+        ] {
+            let e = parse_command(line).unwrap_err();
+            assert!(e.contains("at most 4294967295 vertices"), "{line}: {e}");
+        }
+        assert_eq!(
+            one("delta ins 4294967294 a 0 grow 4294967295"),
+            Command::Delta(vec![
+                DeltaOp::Insert(4294967294, "a".into(), 0),
+                DeltaOp::Grow(4294967295),
+            ])
+        );
+    }
+
+    #[test]
     fn strategy_and_knobs() {
         assert_eq!(
             one("strategy rtc"),
@@ -477,6 +524,11 @@ mod tests {
         );
         assert!(parse_command("gen").is_err());
         assert!(parse_command("gen rmat 3").is_err());
+        // 2^SCALE past the u32 id space, or 2^(N+SCALE) edges past usize.
+        for line in ["gen rmat 2 40 1", "gen rmat 2 64 1", "gen rmat 60 10 1"] {
+            let e = parse_command(line).unwrap_err();
+            assert!(e.contains("must be at most 4294967295"), "{line}: {e}");
+        }
     }
 
     #[test]

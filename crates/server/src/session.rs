@@ -829,6 +829,38 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A request past the `u32` vertex id space — from `gen`, `delta` or an
+    /// edge list given to `load` — is an `ERR`, and the session keeps
+    /// serving the graph and epoch it had.
+    #[test]
+    fn vertex_counts_past_the_id_space_are_errors_and_the_graph_kept() {
+        let dir = std::env::temp_dir().join("rpq_session_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (header, edge) = (dir.join("huge_header.el"), dir.join("huge_edge.el"));
+        std::fs::write(&header, "# vertices 99999999999\n0 a 1\n").unwrap();
+        std::fs::write(&edge, "0 a 4294967295\n").unwrap();
+
+        let mut s = Session::new();
+        s.execute("gen paper");
+        ok_summary(s.execute("delta ins 0 zz 1"));
+        let before = ok_summary(s.execute("info"));
+        assert!(before.contains("10 vertices, 16 edges"), "{before}");
+        for line in [
+            "gen rmat 60 10 1".to_string(),
+            "gen rmat 2 64 1".to_string(),
+            "gen rmat 2 40 1".to_string(),
+            "delta ins 1 a 4294967295".to_string(),
+            format!("load {}", header.display()),
+            format!("load {}", edge.display()),
+        ] {
+            let e = err_message(s.execute(&line));
+            assert!(e.contains("4294967295"), "{line}: {e}");
+            assert_eq!(ok_summary(s.execute("info")), before, "after {line}");
+        }
+        std::fs::remove_file(&header).ok();
+        std::fs::remove_file(&edge).ok();
+    }
+
     /// An engine snapshot of an older format version is refused with its
     /// version named, and the session keeps serving the graph it had.
     #[test]

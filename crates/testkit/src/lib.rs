@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use rpq_core::snapshot::{read_snapshot, write_snapshot};
 use rpq_core::{CacheBudget, Engine, EngineConfig, EngineError, EpochView, Strategy};
 use rpq_eval::evaluate_algebraic;
-use rpq_graph::{GraphBuilder, GraphDelta, LabeledMultigraph, PairSet, RowSetPolicy, VertexId};
+use rpq_graph::{GraphBuilder, GraphDelta, LabeledMultigraph, PairSet, VertexId};
 use rpq_regex::Regex;
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -82,6 +82,12 @@ pub enum Shape {
     /// it, between feeders or off `V_a`, plus uniform `b`/`c` edges (the
     /// shape of the benchmark's RMAT graphs).
     GiantScc,
+    /// `2n..4n` uniform edges over 64..160 vertices: wide enough that the
+    /// 1/32 density rule leaves short closure rows sparse next to dense
+    /// ones, and dense enough that multi-label closures form cycles. On the
+    /// other shapes (at most 39 vertices) a row over at most 32 ids is
+    /// dense as soon as it holds one.
+    Wide,
 }
 
 /// Parses a query (the form minimised scenarios print queries in).
@@ -223,6 +229,11 @@ pub fn scenario(seed: u64, shape: Shape) -> Scenario {
             [(0, vec![]), (1, vec![]), (1, vec![(0, "a", 0)])][r.gen_range(0..3)].clone()
         }
         Shape::GiantScc => giant_scc(&mut r),
+        Shape::Wide => {
+            let n = r.gen_range(64..160);
+            let m = r.gen_range(2 * n as usize..4 * n as usize);
+            (n, edges_over(&mut r, n, m))
+        }
     };
     // The plainest closure, whose structure is one label's own relation,
     // then 1..4 random queries.
@@ -360,8 +371,7 @@ pub enum Reader {
 }
 
 /// The engine configurations and readers a run covers: by default one,
-/// `EngineConfig::default()` (which honours `RPQ_REPR` and `RPQ_CACHE_BUDGET`)
-/// read live. Each setter fixes one axis to the values it lists. The
+/// `EngineConfig::default()` (which honours `RPQ_CACHE_BUDGET`) read live. Each setter fixes one axis to the values it lists. The
 /// `binary` axis is the mode of a wire replay's first connection (its
 /// second takes the other); engine readers ignore it.
 #[derive(Clone, Debug)]
@@ -400,7 +410,6 @@ impl Axes {
 axes! {
     strategy: Strategy => |c, v| c.0.strategy = v;
     threads: usize => |c, v| c.0.threads = v;
-    repr: RowSetPolicy => |c, v| c.0.representation = v;
     budget: CacheBudget => |c, v| c.0.cache_budget = v;
     reader: Reader => |c, v| c.1 = v;
     binary: bool => |c, v| c.2 = v;

@@ -2,16 +2,18 @@
 //! evaluator on the whole query, and of their elimination counters against
 //! a pair-at-a-time reference that walks Algorithm 2 lines 4–12 literally.
 //!
-//! Graphs are the harness's uniform and giant-SCC shapes (`rpq_testkit::Shape`;
-//! the latter is one giant `a`-SCC with singleton feeders, as in the
-//! benchmark's RMAT graphs); the batch unit is `Pre·a^(+|*)·Post` with
+//! Graphs are the harness's uniform, giant-SCC and wide shapes
+//! (`rpq_testkit::Shape`; giant-SCC is one giant `a`-SCC with singleton
+//! feeders, as in the benchmark's RMAT graphs, and wide graphs put sparse
+//! closure and Post rows next to dense ones); the batch unit is
+//! `Pre·a^(+|*)·Post` with
 //! `Pre ∈ {ε, b, b·c}` (its `b` starts include vertices outside `V_a`),
-//! `|Post| ∈ {0, 1, 2}`, every row policy and both shared structures.
+//! `|Post| ∈ {0, 1, 2}` and both shared structures.
 
 use rpq_testkit::{scenario, Shape};
 use rtc_rpq::core::{eval_batch_unit_full, eval_batch_unit_rtc, EliminationStats, PreRelation};
 use rtc_rpq::eval::ProductEvaluator;
-use rtc_rpq::graph::{RowSetPolicy, SccId, VertexId};
+use rtc_rpq::graph::{SccId, VertexId};
 use rtc_rpq::reduction::{FullTc, Rtc};
 use rtc_rpq::regex::{ClosureKind, Regex};
 use std::collections::HashSet;
@@ -69,52 +71,47 @@ fn reference_full_stats(pre: &PreRelation, full: &FullTc, kind: ClosureKind) -> 
 
 #[test]
 fn batch_units_match_the_product_evaluator_and_the_reference_counters() {
-    let policies = [
-        RowSetPolicy::adaptive(),
-        RowSetPolicy::sparse(),
-        RowSetPolicy::dense(),
-    ];
-    for case in 0..40 {
-        let shape = [Shape::GiantScc, Shape::Uniform][case as usize % 2];
+    for case in 0..60 {
+        let shape = match case {
+            0..=39 => [Shape::GiantScc, Shape::Uniform][case as usize % 2],
+            _ => Shape::Wide,
+        };
         let g = scenario(0xB47C + case, shape).graph();
         let r_g = ProductEvaluator::new(&g, &Regex::parse("a").unwrap()).evaluate();
-        for policy in &policies {
-            let rtc = Rtc::from_pairs_with(&r_g, policy);
-            let full = FullTc::from_pairs_parallel_with(&r_g, 1, policy);
-            for pre_src in ["", "b", "b.c"] {
-                let pre = if pre_src.is_empty() {
-                    PreRelation::Identity(g.vertex_count())
-                } else {
-                    let p = ProductEvaluator::new(&g, &Regex::parse(pre_src).unwrap());
-                    PreRelation::Pairs(p.evaluate())
-                };
-                for post in [&[][..], &["c"], &["c", "b"]] {
-                    let post: Vec<String> = post.iter().map(|l| l.to_string()).collect();
-                    for (kind, op) in [(ClosureKind::Plus, "+"), (ClosureKind::Star, "*")] {
-                        let parts: Vec<String> = [pre_src.to_string(), format!("(a){op}")]
-                            .into_iter()
-                            .chain(post.iter().cloned())
-                            .filter(|p| !p.is_empty())
-                            .collect();
-                        let q = parts.join(".");
-                        let expect =
-                            ProductEvaluator::new(&g, &Regex::parse(&q).unwrap()).evaluate();
-                        let ctx = format!("case {case} {policy:?} {q}");
+        let rtc = Rtc::from_pairs(&r_g);
+        let full = FullTc::from_pairs(&r_g);
+        for pre_src in ["", "b", "b.c"] {
+            let pre = if pre_src.is_empty() {
+                PreRelation::Identity(g.vertex_count())
+            } else {
+                let p = ProductEvaluator::new(&g, &Regex::parse(pre_src).unwrap());
+                PreRelation::Pairs(p.evaluate())
+            };
+            for post in [&[][..], &["c"], &["c", "b"]] {
+                let post: Vec<String> = post.iter().map(|l| l.to_string()).collect();
+                for (kind, op) in [(ClosureKind::Plus, "+"), (ClosureKind::Star, "*")] {
+                    let parts: Vec<String> = [pre_src.to_string(), format!("(a){op}")]
+                        .into_iter()
+                        .chain(post.iter().cloned())
+                        .filter(|p| !p.is_empty())
+                        .collect();
+                    let q = parts.join(".");
+                    let expect = ProductEvaluator::new(&g, &Regex::parse(&q).unwrap()).evaluate();
+                    let ctx = format!("case {case} {q}");
 
-                        let mut stats = EliminationStats::default();
-                        let out = eval_batch_unit_rtc(&g, &pre, &rtc, kind, &post, &mut stats);
-                        assert_eq!(out.result, expect, "RTC: {ctx}");
-                        assert_eq!(stats, reference_rtc_stats(&pre, &rtc, kind), "RTC: {ctx}");
+                    let mut stats = EliminationStats::default();
+                    let out = eval_batch_unit_rtc(&g, &pre, &rtc, kind, &post, &mut stats);
+                    assert_eq!(out.result, expect, "RTC: {ctx}");
+                    assert_eq!(stats, reference_rtc_stats(&pre, &rtc, kind), "RTC: {ctx}");
 
-                        let mut stats = EliminationStats::default();
-                        let out = eval_batch_unit_full(&g, &pre, &full, kind, &post, &mut stats);
-                        assert_eq!(out.result, expect, "Full: {ctx}");
-                        assert_eq!(
-                            stats,
-                            reference_full_stats(&pre, &full, kind),
-                            "Full: {ctx}"
-                        );
-                    }
+                    let mut stats = EliminationStats::default();
+                    let out = eval_batch_unit_full(&g, &pre, &full, kind, &post, &mut stats);
+                    assert_eq!(out.result, expect, "Full: {ctx}");
+                    assert_eq!(
+                        stats,
+                        reference_full_stats(&pre, &full, kind),
+                        "Full: {ctx}"
+                    );
                 }
             }
         }

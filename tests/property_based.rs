@@ -2,13 +2,12 @@
 //! invariants, on inputs drawn by the test kit.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 use rpq_testkit::{
     assert_equivalent, check, random_ids, relation, run, scenario, Axes, Reader, Shape, Step,
 };
-use rtc_rpq::core::Strategy as EvalStrategy;
+use rtc_rpq::core::{Lookup, Shared, Strategy as EvalStrategy};
 use rtc_rpq::eval::algebraic::plus_closure;
-use rtc_rpq::graph::{PairSet, ReprMode, RowSet, RowSetPolicy};
+use rtc_rpq::graph::{Ends, PairSet, RowSet, SccId, VertexId};
 use rtc_rpq::reduction::{FullTc, Rtc};
 use rtc_rpq::regex::Regex;
 
@@ -107,33 +106,22 @@ fn rowset_dense_equals_sparse() {
     });
 }
 
-/// `normalize` never changes contents, for any mode at any crossover —
-/// the promotion/demotion boundary only moves the representation.
+/// `normalize` never changes contents, whatever universe it is asked to
+/// fit — the density rule only moves the representation, and it moves it
+/// exactly as `wants_dense` says over the universe widened to the contents.
 #[test]
 fn rowset_normalize_preserves_contents() {
-    let crossovers = [0.0, 1.0 / 64.0, 1.0 / 32.0, 1.0 / 16.0, 0.5, 1.0];
-    let draw = |r: &mut StdRng| (random_ids(r, 200, 0..100), crossovers[r.gen_range(0..6)]);
-    check(0x06, 96, draw, |(ids, crossover)| {
+    let universes = [1, 16, 64, 200, 1024, 1 << 16];
+    let draw = |r: &mut StdRng| (random_ids(r, 200, 0..100), universes.to_vec());
+    check(0x06, 96, draw, |(ids, universes)| {
         let base = RowSet::from_unsorted(ids.clone());
-        for mode in [
-            ReprMode::Adaptive,
-            ReprMode::ForceSparse,
-            ReprMode::ForceDense,
-        ] {
-            let policy = RowSetPolicy {
-                mode,
-                crossover: *crossover,
-            };
+        for &universe in universes {
             let mut r = base.clone();
-            r.normalize(200, &policy);
-            assert_eq!(&r, &base, "mode {mode:?} crossover {crossover}");
+            r.normalize(universe);
+            assert_eq!(&r, &base, "universe {universe}");
             assert_eq!(r.len(), base.len());
-            if mode == ReprMode::ForceSparse {
-                assert!(!r.is_dense());
-            }
-            if mode == ReprMode::ForceDense && !base.is_empty() {
-                assert!(r.is_dense());
-            }
+            let widened = universe.max(base.max().map_or(0, |m| m + 1));
+            assert_eq!(r.is_dense(), RowSet::wants_dense(base.len(), widened));
         }
     });
 }
@@ -204,19 +192,59 @@ fn star_is_plus_union_identity() {
     }
 }
 
-/// Representation-ablation invariance: forced-sparse, forced-dense and
-/// adaptive engines equal the reference under every strategy at 1 and 2
-/// threads, held views included.
+/// Row-layout invariance: on wide graphs the 1/32 density rule leaves
+/// short rows sparse next to dense ones, and every strategy at 1 and 2
+/// threads, read live and through pinned views, equals the reference. The
+/// inspector reads the cached closures and the answers, so the suite fails
+/// if its scenarios stop producing both layouts.
 #[test]
 fn engine_invariant_under_representation() {
-    let reprs = [
-        RowSetPolicy::sparse(),
-        RowSetPolicy::dense(),
-        RowSetPolicy::adaptive(),
-    ];
-    let axes = Axes::default().strategy(&EvalStrategy::ALL);
-    let axes = axes.threads(&[1, 2]).repr(&reprs);
+    let axes = Axes::default()
+        .strategy(&EvalStrategy::ALL)
+        .threads(&[1, 2]);
+    let axes = axes.reader(&[Reader::Live, Reader::Pinned]);
+    // Non-empty (sparse, dense) rows seen: RTC closures, full closures,
+    // answers.
+    let mut seen = [[0usize; 2]; 3];
+    let tally = |seen: &mut [usize; 2], row: &RowSet| {
+        if !row.is_empty() {
+            seen[usize::from(row.is_dense())] += 1;
+        }
+    };
     for seed in 0..6 {
-        assert_equivalent(&scenario(0x7E9 + seed, Shape::Uniform), &axes);
+        run(&scenario(0x7E9 + seed, Shape::Wide), &axes, |p| {
+            let cache = p.engine.cache();
+            for entry in cache.fresh_entries() {
+                match cache.lookup(entry.kind, &entry.key, cache.epoch()) {
+                    Lookup::Fresh(Shared::Rtc(rtc)) => {
+                        for s in 0..rtc.scc_count() as u32 {
+                            tally(&mut seen[0], rtc.successors(SccId(s)));
+                        }
+                    }
+                    Lookup::Fresh(Shared::Full(full)) => {
+                        let n = p.graph.vertex_count() as u32;
+                        let rows = (0..n)
+                            .filter(|&v| full.successors_original(VertexId(v)).next().is_some());
+                        let (rows, dense) = (rows.count(), full.dense_rows());
+                        seen[1][0] += rows - dense;
+                        seen[1][1] += dense;
+                    }
+                    _ => {}
+                }
+            }
+            for answer in p.answers {
+                for (_, ends) in answer.groups() {
+                    if let Ends::Row(row) = ends {
+                        tally(&mut seen[2], row);
+                    }
+                }
+            }
+        });
+    }
+    for (kind, [sparse, dense]) in ["RTC", "full closure", "answer"].iter().zip(seen) {
+        assert!(
+            sparse > 0 && dense > 0,
+            "{kind} rows: {sparse} sparse, {dense} dense"
+        );
     }
 }
