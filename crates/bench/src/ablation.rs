@@ -25,8 +25,8 @@ use rpq_datasets::rmat::rmat_n_scaled;
 use rpq_datasets::structured::{cycle_clusters, CycleClusterConfig};
 use rpq_datasets::workload::{alphabet_of, generate_workload, WorkloadConfig};
 use rpq_eval::ProductEvaluator;
-use rpq_graph::{tarjan_scc, Condensation, MappedDigraph, PairSet, RowSetPolicy};
-use rpq_reduction::{closure_of_condensation_rows, tc_naive, tc_naive_parallel, FullTc, Rtc};
+use rpq_graph::{tarjan_scc, Condensation, MappedDigraph, RowSetPolicy};
+use rpq_reduction::{closure_of_condensation_rows, tc_naive, FullTc, Rtc};
 use rpq_regex::{ClosureKind, Regex};
 use std::time::{Duration, Instant};
 
@@ -326,42 +326,18 @@ fn par_row<T>(t: &mut Table, path: &str, input: String, run: impl Fn(usize) -> T
     ]);
 }
 
-/// Table 5: the three parallelized hot paths swept over worker counts —
-/// the per-vertex BFS closure (`tc_naive_parallel`), Theorem 1's expansion
-/// (`Rtc::expand_parallel`) and the engine's batch mode (`evaluate_set`
-/// under `EngineConfig::threads`; one 4-RPQ set sharing a closure body,
-/// fresh engine per run). The small inputs show where spawn/stitch
-/// overhead eats the win. Every cell depends on the host's core count,
-/// which the title states — so this table has no drift baseline.
+/// Table 5: the engine's batch mode swept over worker counts
+/// (`evaluate_set` under `EngineConfig::threads`; one 4-RPQ set sharing a
+/// closure body, fresh engine per run). Every closure is built
+/// sequentially, so this is the one parallel path. Every cell depends on
+/// the host's core count, which the title states — so this table has no
+/// drift baseline.
 pub fn par_table() -> Table {
     let nproc = rpq_graph::par::available_threads();
     let mut t = Table::new(
         format!("Ablation: parallel paths by worker count (nproc={nproc})"),
         &["path", "input", "1(s)", "2(s)", "4(s)", "1 vs 2"],
     );
-    let body = Regex::parse("l0.l1").unwrap();
-    let relations: Vec<(String, PairSet)> = [(2u32, 8u32), (2, 10), (4, 10)]
-        .into_iter()
-        .map(|(n, scale)| {
-            let graph = rmat_n_scaled(n, scale, 7);
-            let r_g = ProductEvaluator::new(&graph, &body).evaluate();
-            (format!("RMAT_{n}@2^{scale}"), r_g)
-        })
-        .collect();
-    for (name, r_g) in &relations {
-        let gr = MappedDigraph::from_pairset(r_g);
-        let input = format!("{name} |V_R|={}", gr.vertex_count());
-        par_row(&mut t, "tc_naive_parallel", input, |threads| {
-            tc_naive_parallel(&gr.graph, threads)
-        });
-    }
-    for (name, r_g) in &relations[1..] {
-        let rtc = Rtc::from_pairs(r_g);
-        let input = format!("{name} pairs={}", rtc.expanded_pair_count());
-        par_row(&mut t, "Rtc::expand_parallel", input, |threads| {
-            rtc.expand_parallel(threads)
-        });
-    }
     let graph = rmat_n_scaled(3, 10, 45);
     let sets = generate_workload(
         &alphabet_of(&graph),

@@ -16,7 +16,8 @@
 //! no experiment ever runs twice. Flags: `--profile fast|default|paper`
 //! (scale), `--csv DIR` (also write CSV files), `--json DIR` (also write
 //! JSON files — what the nightly bench job uploads as artifacts),
-//! `--threads N` (engine worker threads; 1 = sequential, 0 = all cores).
+//! `--threads N` (queries of a set evaluated at once; 1 = sequential,
+//! 0 = all cores; every closure is built sequentially).
 
 use rpq_bench::ablation::{
     batch_unit_table, cache_pressure_table, par_table, scc_sensitivity_table, tc_algorithms_table,
@@ -128,9 +129,8 @@ fn print_usage() {
     eprintln!("  --json DIR    additionally write each table as DIR/<table-slug>.json —");
     eprintln!("                the machine-readable form the nightly bench workflow");
     eprintln!("                (.github/workflows/nightly-bench.yml) uploads as artifacts");
-    eprintln!(
-        "  --threads N   engine worker threads for exp1/exp2 (1 = sequential, 0 = all cores)"
-    );
+    eprintln!("  --threads N   queries of a set evaluated at once in exp1/exp2");
+    eprintln!("                (1 = sequential, 0 = all cores; closures are built sequentially)");
     eprintln!();
     eprintln!("Commands may be combined; duplicates are deduplicated and 'all' subsumes");
     eprintln!("everything. With no command, 'all' runs.");
@@ -262,9 +262,7 @@ fn main() -> ExitCode {
     }
 
     if wants(&["par"]) {
-        eprintln!(
-            "# parallel-path ablation: closure, expansion and batch fan-out at 1/2/4 workers"
-        );
+        eprintln!("# parallel-path ablation: evaluate_set fan-out at 1/2/4 workers");
         emit(&par_table(), &opts);
     }
 

@@ -73,12 +73,11 @@ pub struct EngineConfig {
     pub strategy: Strategy,
     /// DNF clause budget (guards against exponential blow-up).
     pub dnf_clause_limit: usize,
-    /// Worker threads for the parallel paths: `1` (the default) keeps
-    /// everything sequential, `0` uses every available core, `N > 1`
-    /// spawns up to `N` scoped workers. Affects two paths only:
-    /// [`Engine::evaluate_set`]'s per-query fan-out and FullSharing's
-    /// closure build. Results are identical at any thread count
-    /// (property-tested).
+    /// How many queries of a set [`Engine::evaluate_set`] evaluates at
+    /// once: `1` (the default) evaluates them one after another, `0` uses
+    /// every available core, `N > 1` spawns up to `N` scoped workers.
+    /// Nothing else reads it; every closure is built sequentially. Results
+    /// are identical at any thread count (property-tested).
     pub threads: usize,
     /// Field-less: a stale shared structure is re-stamped if its `R_G` did
     /// not move and rebuilt from the new one otherwise, with nothing to
@@ -446,13 +445,13 @@ impl<'g> Engine<'g> {
     /// [`Engine::evaluate`] under an explicit configuration, without
     /// touching the engine's own. This is the per-connection overlay
     /// entry point of the serving layer: N clients resolve their own
-    /// strategy/thread settings and evaluate concurrently against one
-    /// engine (and one shared cache) under plain `&self`.
+    /// strategy and evaluate concurrently against one engine (and one
+    /// shared cache) under plain `&self`.
     ///
     /// The configuration only shapes *how* this evaluation runs (strategy,
-    /// thread fan-out, clause budget); results are identical across
-    /// strategies and thread counts (property-tested), so overlays can
-    /// never leak observable state between connections.
+    /// clause budget); results are identical across strategies
+    /// (property-tested), so overlays can never leak observable state
+    /// between connections.
     pub fn evaluate_with(
         &self,
         query: &Regex,
@@ -511,23 +510,15 @@ impl<'g> Engine<'g> {
     /// accumulated `total` of a fanned-out set is CPU time, not the set's
     /// wall clock.
     pub fn evaluate_set(&self, queries: &[Regex]) -> Result<Vec<PairSet>, EngineError> {
-        let config = self.handles.config;
-        let threads = rpq_graph::par::effective_threads(config.threads).min(queries.len());
+        let threads = rpq_graph::par::effective_threads(self.handles.config.threads);
+        let threads = threads.min(queries.len());
         if threads <= 1 {
             return queries.iter().map(|q| self.evaluate(q)).collect();
         }
         self.prepare(queries)?;
-        // Workers keep nested construction/expansion sequential: the batch
-        // fan-out already owns the worker threads.
-        let config = EngineConfig {
-            threads: 1,
-            ..config
-        };
-        rpq_graph::par::par_map_chunks(threads, queries.len(), 1, |range| {
-            self.evaluate_with(&queries[range.start], config)
-        })
-        .into_iter()
-        .collect()
+        rpq_graph::par::par_map(threads, queries.len(), |i| self.evaluate(&queries[i]))
+            .into_iter()
+            .collect()
     }
 
     /// Warms the shared cache for a query set before evaluating it.

@@ -47,8 +47,8 @@ pub(crate) struct EvalCtx<'a> {
     /// ones.
     pub epoch: u64,
     pub kind: SharingKind,
-    /// The configuration this evaluation runs under: clause budget and
-    /// worker threads for FullSharing's closure build.
+    /// The configuration this evaluation runs under; the recursion reads
+    /// its clause budget.
     pub config: &'a EngineConfig,
     pub metrics: &'a mut EngineMetrics,
 }
@@ -192,10 +192,7 @@ pub(crate) fn obtain(ctx: &mut EvalCtx<'_>, key: &str, r: &Regex) -> Result<Shar
 fn compute(ctx: &EvalCtx<'_>, r_g: &PairSet) -> Shared {
     match ctx.kind {
         SharingKind::Rtc => Shared::Rtc(Arc::new(Rtc::from_pairs(r_g))),
-        SharingKind::Full => Shared::Full(Arc::new(FullTc::from_pairs_parallel(
-            r_g,
-            ctx.config.threads,
-        ))),
+        SharingKind::Full => Shared::Full(Arc::new(FullTc::from_pairs(r_g))),
         SharingKind::Result => unreachable!("strategies share closures, not results"),
     }
 }

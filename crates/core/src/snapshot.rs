@@ -14,12 +14,12 @@
 //! A load parses each key, refuses it unless it is canonical, and builds
 //! its structure the way a cache miss does — `R_G` by Algorithm 1's
 //! recursion, then [`rpq_reduction::Rtc::from_pairs`] or the full
-//! closure — under the loading [`EngineConfig`] (its threads and budget).
-//! It then resets the counters, so the restored engine reads like a fresh
-//! one whose first query hits. The load pays the builds a cold engine's
-//! first queries would have paid; in exchange the file is the graph section
-//! plus a few bytes per entry, and no byte of it can describe a structure
-//! that the graph does not produce.
+//! closure — under the loading [`EngineConfig`] (its clause and cache
+//! budgets). It then resets the counters, so the restored engine reads
+//! like a fresh one whose first query hits. The load pays the builds a cold
+//! engine's first queries would have paid; in exchange the file is the
+//! graph section plus a few bytes per entry, and no byte of it can describe
+//! a structure that the graph does not produce.
 //!
 //! Stale entries (built at an older epoch than the graph) are *dropped* on
 //! save: they would need a refresh before being served anyway.

@@ -70,8 +70,8 @@ impl EpochView {
     /// serving layer's per-connection overlay, resolved).
     ///
     /// The result cache is consulted first — keyed by `(epoch, canonical
-    /// query)` only, since results are identical across strategies and
-    /// thread counts (property-tested). On a miss the query runs through
+    /// query)` only, since results are identical across strategies
+    /// (property-tested). On a miss the query runs through
     /// the same recursion as `Engine::evaluate`, pinned to this view's
     /// epoch: structural entries stamped with exactly this epoch are
     /// hits, anything else is recomputed from the frozen graph, and

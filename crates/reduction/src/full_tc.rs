@@ -20,16 +20,10 @@ pub struct FullTc {
 }
 
 impl FullTc {
-    /// Builds `R⁺_G` from an evaluated `R_G`.
+    /// Builds `R⁺_G` from an evaluated `R_G` with [`crate::tc::tc_naive`].
     pub fn from_pairs(r_g: &PairSet) -> FullTc {
-        Self::from_pairs_parallel(r_g, 1)
-    }
-
-    /// [`FullTc::from_pairs`] with the per-vertex BFS sweep sharded over
-    /// `threads` scoped workers (see [`crate::tc::tc_naive_parallel`]).
-    pub fn from_pairs_parallel(r_g: &PairSet, threads: usize) -> FullTc {
         let gr = MappedDigraph::from_pairset(r_g);
-        let csr = crate::tc::tc_naive_parallel(&gr.graph, threads);
+        let csr = crate::tc::tc_naive(&gr.graph);
         let n = gr.graph.vertex_count() as u32;
         let rows: Vec<RowSet> = (0..csr.rows())
             .map(|v| {

@@ -6,9 +6,9 @@
 //! * [`edge_level`] — `G → G_R`: map every pair of `R_G` to one unlabeled
 //!   edge (Section III-A). By **Lemma 1**, `R⁺_G = TC(G_R)`.
 //! * [`tc`] — transitive closure on unlabeled digraphs: the naive
-//!   per-vertex BFS (`O(|V_R|·|E_R|)`, what FullSharing must pay, with a
-//!   scoped-thread parallel variant) and the Purdom-style closure of the
-//!   condensation (ref \[12\]) that builds the RTC.
+//!   per-vertex BFS (`O(|V_R|·|E_R|)`, what FullSharing must pay) and the
+//!   Purdom-style closure of the condensation (ref \[12\]) that builds the
+//!   RTC.
 //! * [`rtc`] — the [`Rtc`] structure: `TC(Ḡ_R)` plus SCC membership. By
 //!   **Lemma 3 / Theorem 1**,
 //!   `R⁺_G = ⋃ { s_k × s_l | (s̄_k, s̄_l) ∈ TC(Ḡ_R) }`, which
@@ -43,4 +43,4 @@ pub use edge_level::reduce_edge_level;
 pub use full_tc::FullTc;
 pub use probe_shim::{DynamicRtc, MaintenanceConfig};
 pub use rtc::{Rtc, RtcStats};
-pub use tc::{closure_of_condensation_rows, tc_naive, tc_naive_parallel};
+pub use tc::{closure_of_condensation_rows, tc_naive};

@@ -11,15 +11,9 @@
 //!   topological order. The un-expanded SCC closure is exactly the RTC
 //!   (TABLE III, right column).
 //!
-//! The naive BFS is embarrassingly parallel; [`tc_naive_parallel`] shards
-//! it over the scoped-thread pool of [`rpq_graph::par`] and is
-//! property-tested to be bitwise-identical to its sequential counterpart.
-//!
-//! All closure rows are sorted ascending, so downstream joins can merge.
+//! Both are sequential builds, as TABLE III costs them. All closure rows are sorted ascending, so downstream joins can merge.
 
-use rpq_graph::{
-    par, Condensation, Csr, Digraph, EpochVisited, RowSet, RowSetPolicy, RowTable, SccId,
-};
+use rpq_graph::{Condensation, Csr, Digraph, EpochVisited, RowSet, RowSetPolicy, RowTable, SccId};
 
 /// Naive transitive closure: one BFS per vertex. Row `v` holds the sorted
 /// vertices reachable from `v` via ≥ 1 edge.
@@ -31,51 +25,6 @@ pub fn tc_naive(g: &Digraph) -> Csr<u32> {
     for v in 0..n as u32 {
         let row = rpq_graph::bfs::reachable_ge1(g, v, &mut visited, &mut queue);
         out.push_row(row);
-    }
-    out
-}
-
-/// Parallel [`tc_naive`]: the per-vertex BFS sweep is sharded into chunks
-/// of source vertices pulled by up to `threads` scoped workers (0 = all
-/// cores), each worker reusing its own `EpochVisited`/queue scratch across
-/// chunks, and the per-chunk row blocks are stitched back into one CSR in
-/// vertex order. Output is identical to [`tc_naive`] (property-tested).
-pub fn tc_naive_parallel(g: &Digraph, threads: usize) -> Csr<u32> {
-    let n = g.vertex_count();
-    let threads = par::effective_threads(threads);
-    if threads <= 1 || n == 0 {
-        return tc_naive(g);
-    }
-    let chunk = par::balanced_chunk(n, threads, 4, 1024);
-    // Each chunk yields one flattened (row data, row lengths) block rather
-    // than one heap Vec per source row, so buffering the whole closure
-    // before the stitch costs two flat vectors per chunk instead of |V|
-    // row allocations held live at once.
-    let shards: Vec<(Vec<u32>, Vec<u32>)> = par::par_map_chunks_with(
-        threads,
-        n,
-        chunk,
-        || (EpochVisited::new(n), Vec::new()),
-        |(visited, queue), range| {
-            let mut data: Vec<u32> = Vec::new();
-            let mut lens: Vec<u32> = Vec::with_capacity(range.len());
-            for v in range {
-                let row = rpq_graph::bfs::reachable_ge1(g, v as u32, visited, queue);
-                lens.push(row.len() as u32);
-                data.extend_from_slice(&row);
-            }
-            (data, lens)
-        },
-    );
-    // Stitch in chunk order, dropping each block as it is consumed.
-    let mut out = Csr::new();
-    for (data, lens) in shards {
-        let mut at = 0usize;
-        for len in lens {
-            let end = at + len as usize;
-            out.push_row(data[at..end].iter().copied());
-            at = end;
-        }
     }
     out
 }
@@ -258,27 +207,6 @@ mod tests {
                 let row = closure.row(s);
                 let dense = RowSet::wants_dense(row.len(), k);
                 assert_eq!(row.is_dense(), dense, "graph {i}, scc {s}: layout");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_tc_naive_matches_sequential() {
-        let graphs = [
-            Digraph::from_edges(0, vec![]),
-            Digraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]),
-            Digraph::from_edges(3, vec![(0, 1), (1, 2), (2, 0)]),
-            Digraph::from_edges(130, (0..129).map(|v| (v, v + 1)).collect()),
-            Digraph::from_edges(64, (0..64).map(|v| (v, (v + 1) % 64)).collect()),
-        ];
-        for (i, g) in graphs.iter().enumerate() {
-            let seq = tc_naive(g);
-            for threads in [1usize, 2, 8] {
-                assert_eq!(
-                    tc_naive_parallel(g, threads),
-                    seq,
-                    "graph {i}, threads {threads}"
-                );
             }
         }
     }

@@ -1,10 +1,9 @@
 //! The `rpq` binary: REPL and TCP front-ends over one serving engine.
 //!
 //! ```text
-//! rpq repl  [--load PATH] [--strategy rtc|full|none] [--threads N]
-//!           [--cache-budget SPEC]
+//! rpq repl  [--load PATH] [--strategy rtc|full|none] [--cache-budget SPEC]
 //! rpq serve --addr HOST:PORT [--max-conns N] [--load PATH]
-//!           [--strategy rtc|full|none] [--threads N] [--cache-budget SPEC]
+//!           [--strategy rtc|full|none] [--cache-budget SPEC]
 //! ```
 //!
 //! `repl` reads commands from stdin (interactive prompt on a TTY, silent
@@ -24,7 +23,6 @@ struct Options {
     mode: Mode,
     load: Option<String>,
     strategy: Option<rpq_core::Strategy>,
-    threads: Option<usize>,
     cache_budget: Option<rpq_core::CacheBudget>,
     max_conns: usize,
 }
@@ -47,7 +45,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         mode,
         load: None,
         strategy: None,
-        threads: None,
         cache_budget: None,
         max_conns: rpq_server::DEFAULT_MAX_CONNS,
     };
@@ -57,13 +54,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--strategy" => {
                 let v = args.next().ok_or("--strategy needs rtc|full|none")?;
                 opts.strategy = Some(parse_strategy(&v).ok_or(format!("unknown strategy '{v}'"))?);
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                opts.threads =
-                    Some(v.parse().map_err(|_| {
-                        format!("--threads needs a non-negative integer, got '{v}'")
-                    })?);
             }
             "--cache-budget" => {
                 let v = args
@@ -117,10 +107,9 @@ fn parse_budget(source: &str, spec: &str) -> Result<rpq_core::CacheBudget, Strin
 }
 
 fn print_usage() {
-    eprintln!("usage: rpq repl  [--load PATH] [--strategy rtc|full|none] [--threads N]");
-    eprintln!("                 [--cache-budget SPEC]");
+    eprintln!("usage: rpq repl  [--load PATH] [--strategy rtc|full|none] [--cache-budget SPEC]");
     eprintln!("       rpq serve --addr HOST:PORT [--max-conns N] [--load PATH]");
-    eprintln!("                 [--strategy rtc|full|none] [--threads N] [--cache-budget SPEC]");
+    eprintln!("                 [--strategy rtc|full|none] [--cache-budget SPEC]");
     eprintln!();
     eprintln!("--load accepts an edge list or an engine snapshot written by 'save'");
     eprintln!("(warm restart) — the format is auto-detected. --max-conns caps");
@@ -175,11 +164,7 @@ fn main() -> ExitCode {
     // Startup flags set the engine's *base* configuration (not a
     // connection overlay): every connection inherits it, and an
     // engine-snapshot load picks it up too.
-    let mut session = Session::with_config(startup_config(
-        opts.strategy,
-        opts.threads,
-        opts.cache_budget,
-    ));
+    let mut session = Session::with_config(startup_config(opts.strategy, opts.cache_budget));
     if let Some(path) = &opts.load {
         match session.execute(&format!("load {path}")) {
             Some(r) if matches!(r.status, rpq_server::Status::Ok(_)) => {

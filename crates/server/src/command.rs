@@ -93,9 +93,6 @@ pub enum Command {
     /// `strategy rtc|full|none` — switch **this connection's** evaluation
     /// strategy (an overlay over the engine's base configuration).
     SetStrategy(Strategy),
-    /// `threads N` — set **this connection's** worker threads
-    /// (0 = all cores).
-    SetThreads(usize),
     /// `limit N` — cap the result pairs printed per query (0 = none).
     SetLimit(usize),
     /// `binary on|off` — switch this connection's `query` responses
@@ -167,7 +164,6 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
                 .ok_or_else(|| format!("strategy needs rtc|full|none, got '{name}'"))?;
             Command::SetStrategy(strategy)
         }
-        "threads" => Command::SetThreads(parse_num::<usize>(tokens.next(), "threads needs N")?),
         "limit" => Command::SetLimit(parse_num::<usize>(tokens.next(), "limit needs N")?),
         "binary" => match tokens.next() {
             Some("on") => Command::SetBinary(true),
@@ -349,7 +345,6 @@ pub const HELP: &[&str] = &[
     "  prepare RPQ               warm the shared cache for an RPQ",
     "  delta OPS...              mutate: ins SRC LABEL DST | del SRC LABEL DST | grow N",
     "  strategy rtc|full|none    switch evaluation strategy",
-    "  threads N                 workers for FullSharing builds and set fan-out (0 = all cores)",
     "  limit N                   result pairs printed per query (0 = none)",
     "  binary on|off             query results as RESULT-BIN frames (this connection)",
     "  metrics                   timing/elimination/maintenance counters",
@@ -503,7 +498,6 @@ mod tests {
             Command::SetStrategy(Strategy::NoSharing)
         );
         assert!(parse_command("strategy magic").is_err());
-        assert_eq!(one("threads 4"), Command::SetThreads(4));
         assert_eq!(one("limit 100"), Command::SetLimit(100));
         assert_eq!(one("binary on"), Command::SetBinary(true));
         assert_eq!(one("binary off"), Command::SetBinary(false));
@@ -552,14 +546,16 @@ mod tests {
         assert!(parse_command("frobnicate").is_err());
         assert!(parse_command("query").is_err());
         assert!(parse_command("load").is_err());
+        // The server builds every closure sequentially: no `threads` knob.
+        let e = parse_command("threads 2").unwrap_err();
+        assert_eq!(e, "unknown command 'threads' (try 'help')");
     }
 
     #[test]
     fn help_lists_every_command_head() {
         for head in [
             "help", "info", "epoch", "load", "save", "export", "gen", "query", "check", "ends",
-            "prepare", "delta", "strategy", "threads", "limit", "binary", "metrics", "cache",
-            "reset", "quit",
+            "prepare", "delta", "strategy", "limit", "binary", "metrics", "cache", "reset", "quit",
         ] {
             assert!(
                 HELP.iter().any(|l| l.trim_start().starts_with(head)),

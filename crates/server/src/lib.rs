@@ -18,7 +18,7 @@
 //!   from without any engine lock and whose older ones back
 //!   `query … at <epoch>` time travel.
 //! * [`session`] — one connection's [`session::Session`]: its
-//!   [`session::ConnectionOverlay`] (`strategy`/`threads`/`limit`/`binary`),
+//!   [`session::ConnectionOverlay`] (`strategy`/`limit`/`binary`),
 //!   command dispatch, and the one serve loop behind both transports.
 //! * [`reply`] — what a command answers and the bytes it leaves as: the
 //!   [`reply::Response`] written straight into a buffered sink, flushed

@@ -174,14 +174,13 @@ pub(crate) fn info(
     let (lo, hi, views) = serving.retained_span();
     let c = view.cache();
     Response::ok(format!(
-        "graph '{}': {} vertices, {} edges, {} labels, epoch {}, strategy {}, threads {}, limit {}, binary {}, views {views} (epochs {lo}..{hi}), conns {}/{}, structural {} B, budget {}, occupancy {} B",
+        "graph '{}': {} vertices, {} edges, {} labels, epoch {}, strategy {}, limit {}, binary {}, views {views} (epochs {lo}..{hi}), conns {}/{}, structural {} B, budget {}, occupancy {} B",
         published.source(),
         g.vertex_count(),
         g.edge_count(),
         g.label_count(),
         view.epoch(),
         config.strategy,
-        config.threads,
         overlay.limit,
         if overlay.binary { "on" } else { "off" },
         serving.live_conns(),

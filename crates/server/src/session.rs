@@ -8,11 +8,12 @@
 //! published view and write commands take the writer-half lock (see
 //! [`crate::state`]); what a reply looks like is [`crate::reply`]'s.
 //!
-//! [`ConnectionOverlay`] holds the per-connection knobs: `strategy`,
-//! `threads`, `limit` and `binary` resolve against the base configuration
-//! at dispatch ([`ConnectionOverlay::resolve`]) and are applied through
-//! [`EpochView::evaluate_with`], so one client switching to
-//! `FullSharing` or `binary on` never changes what any other client sees.
+//! [`ConnectionOverlay`] holds the per-connection knobs: `strategy`
+//! resolves against the base configuration at dispatch
+//! ([`ConnectionOverlay::resolve`]) and is applied through
+//! [`EpochView::evaluate_with`], and `limit` and `binary` shape the reply,
+//! so one client switching to `FullSharing` or `binary on` never changes
+//! what any other client sees.
 //!
 //! [`EpochView::evaluate_with`]: rpq_core::EpochView::evaluate_with
 
@@ -36,8 +37,6 @@ use std::time::Instant;
 pub struct ConnectionOverlay {
     /// Strategy override (`strategy rtc|full|none`), if set.
     pub strategy: Option<Strategy>,
-    /// Worker-thread override (`threads N`), if set.
-    pub threads: Option<usize>,
     /// Result pairs printed per query in text mode (0 = count only).
     pub limit: usize,
     /// Whether `query` results are sent as `RESULT-BIN` frames.
@@ -48,7 +47,6 @@ impl Default for ConnectionOverlay {
     fn default() -> Self {
         ConnectionOverlay {
             strategy: None,
-            threads: None,
             limit: 10,
             binary: false,
         }
@@ -63,9 +61,6 @@ impl ConnectionOverlay {
         if let Some(s) = self.strategy {
             config.strategy = s;
         }
-        if let Some(t) = self.threads {
-            config.threads = t;
-        }
         config
     }
 }
@@ -75,7 +70,7 @@ impl ConnectionOverlay {
 /// Cloning the [`SharedEngine`] handle ([`Session::shared`]) and
 /// [`Session::attach`]ing gives each TCP connection its own session — own
 /// overlay, same engine — which is how the server keeps `strategy`,
-/// `threads`, `limit` and `binary` per-connection while every `query`
+/// `limit` and `binary` per-connection while every `query`
 /// still lands in one shared epoch-aware cache.
 pub struct Session {
     shared: SharedEngine,
@@ -107,7 +102,7 @@ impl Session {
     }
 
     /// A session over an empty graph with an explicit base configuration
-    /// (the `--strategy`/`--threads` startup flags land here, so every
+    /// (the `--strategy` startup flag lands here, so every
     /// later connection inherits them as the base the overlay resolves
     /// against).
     pub fn with_config(config: EngineConfig) -> Session {
@@ -209,10 +204,6 @@ impl Session {
             Command::SetStrategy(s) => {
                 self.overlay.strategy = Some(s);
                 Ok(Response::ok(format!("strategy {s} (this connection)")))
-            }
-            Command::SetThreads(n) => {
-                self.overlay.threads = Some(n);
-                Ok(Response::ok(format!("threads {n} (this connection)")))
             }
             Command::SetLimit(n) => {
                 self.overlay.limit = n;
@@ -477,17 +468,15 @@ impl Session {
 }
 
 /// Builds the startup engine config from the binary's flags: the
-/// `--strategy`/`--threads` overrides resolve like a connection's, and a
+/// `--strategy` override resolves like a connection's, and a
 /// `--cache-budget` flag overrides the `RPQ_CACHE_BUDGET` environment
 /// default already folded into [`EngineConfig::default`].
 pub fn startup_config(
     strategy: Option<Strategy>,
-    threads: Option<usize>,
     cache_budget: Option<rpq_core::CacheBudget>,
 ) -> EngineConfig {
     let flags = ConnectionOverlay {
         strategy,
-        threads,
         ..ConnectionOverlay::default()
     };
     let mut config = flags.resolve(&EngineConfig::default());
@@ -753,30 +742,37 @@ mod tests {
     }
 
     #[test]
-    fn strategy_and_threads_are_overlay_not_engine_state() {
+    fn strategy_is_overlay_not_engine_state() {
         let mut a = Session::new();
         a.execute("gen paper");
         let mut b = Session::attach(a.shared());
-        // a switches strategy and threads; the engine base config — and
-        // therefore b's resolved view — must not move.
+        // a switches strategy; the engine base config — and therefore b's
+        // resolved view — must not move.
         ok_summary(a.execute("strategy full"));
-        ok_summary(a.execute("threads 4"));
         assert_eq!(a.engine().config().strategy, Strategy::RtcSharing);
-        assert_eq!(a.engine().config().threads, 1);
         let a_info = ok_summary(a.execute("info"));
         assert!(
-            a_info.contains("strategy FullSharing, threads 4"),
+            a_info.contains("strategy FullSharing, limit 10"),
             "{a_info}"
         );
         let b_info = ok_summary(b.execute("info"));
-        assert!(
-            b_info.contains("strategy RTCSharing, threads 1"),
-            "{b_info}"
-        );
+        assert!(b_info.contains("strategy RTCSharing, limit 10"), "{b_info}");
         // Both still agree on results, of course.
         let ra = a.execute("query d.(b.c)+.c").unwrap();
         let rb = b.execute("query d.(b.c)+.c").unwrap();
         assert_eq!(ra.lines, rb.lines);
+    }
+
+    #[test]
+    fn threads_is_an_unknown_command_and_the_session_keeps_serving() {
+        let mut s = Session::new();
+        s.execute("gen paper");
+        let e = err_message(s.execute("threads 2"));
+        assert_eq!(e, "unknown command 'threads' (try 'help')");
+        let info = ok_summary(s.execute("info"));
+        assert!(!info.contains("threads"), "{info}");
+        let r = s.execute("query d.(b.c)+.c").unwrap();
+        assert_eq!(r.lines, vec!["  v7 -> v3", "  v7 -> v5"]);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   `query … at <epoch>` time travel; asking for an evicted epoch is a
 //!   clean `ERR`.
 //! * [`crate::session::ConnectionOverlay`] — the **per-connection** half:
-//!   `strategy`, `threads`, `limit` and `binary` are connection-local and
-//!   never written into this state.
+//!   `strategy`, `limit` and `binary` are connection-local and never
+//!   written into this state.
 //!
 //! The publish protocol: a writer mutates the engine under the write
 //! lock, pins a fresh [`EpochView`] (`Engine::pin` — O(dirty rows), the

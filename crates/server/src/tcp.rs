@@ -25,7 +25,7 @@
 //! All connections serve one [`crate::state::ServerState`] — one
 //! long-lived engine, one epoch-aware `SharedCache` — each connection
 //! holding its own [`Session`] (per-connection overlay: `strategy`,
-//! `threads`, `limit`, `binary`). Read-only commands never lock the
+//! `limit`, `binary`). Read-only commands never lock the
 //! engine: they grab the currently published
 //! [`crate::state::PublishedView`] (an immutable MVCC epoch view) with
 //! one `Arc` clone and evaluate against that snapshot, so a slow `query`

@@ -157,10 +157,10 @@ fn more_than_256_results_stay_memoized_under_a_byte_budget() {
 #[test]
 fn startup_flags_shape_the_session() {
     let script = "gen paper\ninfo\nquit\n";
-    let (stdout, ok) = run_repl_process(&["--strategy", "full", "--threads", "2"], script);
+    let (stdout, ok) = run_repl_process(&["--strategy", "full"], script);
     assert!(ok);
     assert!(
-        stdout.contains("strategy FullSharing, threads 2"),
+        stdout.contains("strategy FullSharing, limit 10"),
         "{stdout}"
     );
 }
@@ -177,6 +177,16 @@ fn bad_usage_exits_nonzero() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // The server reads no thread count, so it takes no such flag.
+    let out = Command::new(env!("CARGO_BIN_EXE_rpq"))
+        .args(["repl", "--threads", "2"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag '--threads'"), "{stderr}");
+    assert!(stderr.contains("usage: rpq repl"), "{stderr}");
     let out = Command::new(env!("CARGO_BIN_EXE_rpq"))
         .args(["repl", "--load", "/no/such/file.el"])
         .stdin(Stdio::null())
@@ -299,4 +309,17 @@ fn non_utf8_requests_are_errors_on_both_transports() {
     assert_eq!(lines[0], "ERR request is not valid UTF-8");
     assert!(lines[1].starts_with("OK graph 'empty'"), "{stdout}");
     assert_eq!(lines.len(), 2, "{stdout}");
+}
+
+/// `threads` is not a command: over TCP it is answered in-band with `ERR`,
+/// and the connection goes on serving.
+#[test]
+fn threads_is_an_unknown_command_over_tcp() {
+    let (_server, mut r, mut w) = serve_and_connect();
+    roundtrip(&mut r, &mut w, b"gen paper\n");
+    let reply = roundtrip(&mut r, &mut w, b"threads 2\n");
+    assert_eq!(reply, ["ERR unknown command 'threads' (try 'help')"]);
+    let reply = roundtrip(&mut r, &mut w, b"query d.(b.c)+.c\n");
+    assert_eq!(reply[..2], ["  v7 -> v3", "  v7 -> v5"]);
+    assert!(reply[2].starts_with("OK 2 pairs"), "{reply:?}");
 }

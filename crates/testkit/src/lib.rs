@@ -371,9 +371,11 @@ pub enum Reader {
 }
 
 /// The engine configurations and readers a run covers: by default one,
-/// `EngineConfig::default()` (which honours `RPQ_CACHE_BUDGET`) read live. Each setter fixes one axis to the values it lists. The
-/// `binary` axis is the mode of a wire replay's first connection (its
-/// second takes the other); engine readers ignore it.
+/// `EngineConfig::default()` (which honours `RPQ_CACHE_BUDGET`) read live.
+/// Each setter fixes one axis to the values it lists. The `threads` axis
+/// reaches `Set` steps read live (`Engine::evaluate_set`); wire replays
+/// refuse it. The `binary` axis is the mode of a wire replay's first
+/// connection (its second takes the other); engine readers ignore it.
 #[derive(Clone, Debug)]
 pub struct Axes(Vec<Axis>);
 

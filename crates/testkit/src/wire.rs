@@ -5,7 +5,7 @@
 //! written out and parsed back ([`Reader::Session`]), or TCP clients of
 //! `rpq_server::serve` on `127.0.0.1:0` ([`Reader::Tcp`]) — alternating
 //! the request lines between them. Each connection sets its own
-//! `strategy`, `threads`, `limit` and `binary`, the two trade overlays
+//! `strategy`, `limit` and `binary`, the two trade overlays
 //! before every `Delta`, and after every step both must show their own in
 //! `info` while the engine's base configuration stays put. `Query`, `Set`
 //! and `Ends` steps become `query` and `ends` lines, a `Delta` one `delta`
@@ -133,7 +133,6 @@ pub fn spawn_server(shared: SharedEngine) -> SocketAddr {
 /// What one connection of a wire replay set.
 struct Overlay {
     strategy: Strategy,
-    threads: usize,
     limit: usize,
     binary: bool,
 }
@@ -143,7 +142,6 @@ impl Overlay {
     fn set(&self, c: &mut Client) {
         for line in [
             format!("strategy {}", flag(self.strategy)),
-            format!("threads {}", self.threads),
             format!("limit {}", self.limit),
             format!("binary {}", on(self.binary)),
         ] {
@@ -155,9 +153,8 @@ impl Overlay {
     fn shown_by(&self, c: &mut Client, ctx: &str) {
         let info = c.roundtrip("info").status;
         let own = format!(
-            "strategy {}, threads {}, limit {}, binary {}",
+            "strategy {}, limit {}, binary {}",
             self.strategy,
-            self.threads,
             self.limit,
             on(self.binary)
         );
@@ -208,10 +205,12 @@ fn on(binary: bool) -> &'static str {
 }
 
 /// Replays `s` over two connections: the first takes the axis strategy,
-/// one thread, `limit 2` and the axis binary mode, the second the next
-/// strategy, two threads, `limit 1000` and the other mode. They trade
-/// overlays before every `Delta`.
+/// `limit 2` and the axis binary mode, the second the next strategy,
+/// `limit 1000` and the other mode. They trade overlays before every
+/// `Delta`.
 pub(crate) fn replay(s: &Scenario, (config, reader, binary): Axis, known: &mut Known) {
+    // Only `evaluate_set` reads `threads`, and the server never calls it.
+    assert_eq!(config.threads, 1, "a wire replay takes no threads axis");
     let engine = Engine::with_config_versioned(VersionedGraph::new(s.graph()), config);
     let root = Session::from_engine(engine, "scenario".into());
     let addr = (reader == Reader::Tcp).then(|| spawn_server(root.shared()));
@@ -222,7 +221,6 @@ pub(crate) fn replay(s: &Scenario, (config, reader, binary): Axis, known: &mut K
     let mut overlays: Vec<_> = (0..2)
         .map(|k| Overlay {
             strategy: Strategy::ALL[(first + k) % 3],
-            threads: k + 1,
             limit: [2, 1000][k],
             binary: binary != (k == 1),
         })
@@ -238,12 +236,8 @@ pub(crate) fn replay(s: &Scenario, (config, reader, binary): Axis, known: &mut K
         for (c, o) in clients.iter_mut().zip(overlays) {
             o.shown_by(c, ctx);
         }
-        let base = *root.engine().config();
-        assert_eq!(
-            (base.strategy, base.threads),
-            (config.strategy, config.threads),
-            "{ctx}: the base configuration moved"
-        );
+        let base = root.engine().config().strategy;
+        assert_eq!(base, config.strategy, "{ctx}: the base configuration moved");
     };
     for (c, o) in clients.iter_mut().zip(&overlays) {
         o.set(c);

@@ -1,52 +1,15 @@
-//! Parallelism correctness: every parallel path must be *bitwise
-//! identical* to its sequential counterpart — same `PairSet`s, same CSR
-//! rows — across random graphs, random query sets, and thread counts
-//! {1, 2, 8}, including the empty-graph and all-singleton-SCC edge cases.
+//! Batch parallelism: `Engine::evaluate_set` fanned out over workers must
+//! be *bitwise identical* to the sequential loop — same `PairSet`s, same
+//! counters — across random query sets and thread counts {1, 2, 8},
+//! including the empty-graph and all-singleton-SCC edge cases. Every
+//! closure is built sequentially, so nothing else has a parallel path.
 
-use rpq_testkit::{
-    assert_equivalent, check, q, relation, run, scenario, Axes, Probe, Scenario, Shape, Step,
-};
+use rpq_testkit::{assert_equivalent, q, run, scenario, Axes, Probe, Scenario, Shape, Step};
 use rtc_rpq::core::{Engine, Strategy};
-use rtc_rpq::graph::{Digraph, MappedDigraph, PairSet};
-use rtc_rpq::reduction::{tc_naive, tc_naive_parallel, FullTc, Rtc};
+use rtc_rpq::graph::{MappedDigraph, PairSet};
+use rtc_rpq::reduction::{FullTc, Rtc};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// `tc_naive_parallel` equals `tc_naive` on random digraphs at every
-/// thread count.
-#[test]
-fn parallel_tc_matches_sequential() {
-    check(0x7C, 32, relation(48, 160), |edges| {
-        let g = Digraph::from_edges(48, edges.clone());
-        let seq = tc_naive(&g);
-        for threads in THREAD_COUNTS {
-            assert_eq!(&tc_naive_parallel(&g, threads), &seq, "threads {threads}");
-        }
-    });
-}
-
-/// `Rtc::expand_parallel` and `FullTc::from_pairs_parallel` agree with
-/// their sequential counterparts on random relations.
-#[test]
-fn parallel_expansion_matches_sequential() {
-    check(0xE4, 32, relation(40, 120), |edges| {
-        let r_g: PairSet = edges.iter().copied().collect();
-        let rtc = Rtc::from_pairs(&r_g);
-        let seq = rtc.expand();
-        let full_seq = FullTc::from_pairs(&r_g).expand();
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                &rtc.expand_parallel(threads),
-                &seq,
-                "rtc, threads {threads}"
-            );
-            let full_par = FullTc::from_pairs_parallel(&r_g, threads).expand();
-            assert_eq!(&full_par, &full_seq, "full, threads {threads}");
-        }
-        // Theorem 1 must keep holding through every path.
-        assert_eq!(&seq, &full_seq);
-    });
-}
 
 /// On a first step that is a set, the workers' counters are folded in,
 /// none dropped or counted twice: they equal a sequential engine's on the
@@ -83,45 +46,34 @@ fn parallel_batch_evaluation_matches_sequential() {
     }
 }
 
-/// The empty graph flows through every parallel path.
+/// The empty graph flows through the batch fan-out.
 #[test]
 fn empty_graph_parallel_paths() {
-    let g = Digraph::from_edges(0, vec![]);
-    for threads in THREAD_COUNTS {
-        assert_eq!(tc_naive_parallel(&g, threads).rows(), 0);
-    }
-    let rtc = Rtc::from_pairs(&PairSet::new());
-    for threads in THREAD_COUNTS {
-        assert!(rtc.expand_parallel(threads).is_empty());
-    }
     let mut empty = Scenario::fixed(&[], &[]);
     empty.steps.push(Step::Set(vec![q("a+"), q("a.b")]));
     assert_equivalent(&empty, &Axes::default().threads(&THREAD_COUNTS));
 }
 
-/// All-singleton-SCC graphs (DAGs) exercise the expansion's "no self
-/// pair" edge case identically on both paths.
+/// All-singleton-SCC graphs (DAGs): the expansion has no self pair, equals
+/// the full closure, and the mapped digraph round-trips the DAG; a set over
+/// a chain answers alike at every thread count.
 #[test]
 fn all_singleton_scc_parallel_paths() {
     // A chain DAG: every SCC is a singleton, no closure self-pairs.
     let edges: Vec<(u32, u32)> = (0..63).map(|v| (v, v + 1)).collect();
-    let g = Digraph::from_edges(64, edges.clone());
-    let seq = tc_naive(&g);
-    for threads in THREAD_COUNTS {
-        assert_eq!(tc_naive_parallel(&g, threads), seq);
-    }
-    let r_g: PairSet = edges.into_iter().collect();
+    let r_g: PairSet = edges.iter().copied().collect();
     let rtc = Rtc::from_pairs(&r_g);
     assert_eq!(rtc.average_scc_size(), 1.0);
-    let expanded_seq = rtc.expand();
-    for threads in THREAD_COUNTS {
-        let par = rtc.expand_parallel(threads);
-        assert_eq!(par, expanded_seq);
-        for (a, b) in par.iter() {
-            assert_ne!(a, b, "DAG expansion must not contain self pairs");
-        }
+    let expanded = rtc.expand();
+    for (a, b) in expanded.iter() {
+        assert_ne!(a, b, "DAG expansion must not contain self pairs");
     }
-    // Sanity: the mapped digraph round-trips the DAG.
+    assert_eq!(expanded, FullTc::from_pairs(&r_g).expand());
     let gr = MappedDigraph::from_pairset(&r_g);
     assert_eq!(gr.vertex_count(), 64);
+    let chain: Vec<(u32, &str, u32)> = (0..15).map(|v| (v, "a", v + 1)).collect();
+    let mut dag = Scenario::fixed(&chain, &[]);
+    dag.steps.push(Step::Set(vec![q("a+"), q("a.a+"), q("a*")]));
+    let axes = Axes::default().strategy(&Strategy::ALL);
+    assert_equivalent(&dag, &axes.threads(&THREAD_COUNTS));
 }

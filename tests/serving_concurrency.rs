@@ -1,7 +1,7 @@
 //! Concurrency over real TCP connections.
 //!
 //! Eight concurrent clients, each driving a seeded, interleaved stream of
-//! `query`/`delta`/`strategy`/`limit`/`threads`/`binary` commands, receive
+//! `query`/`delta`/`strategy`/`limit`/`binary` commands, receive
 //! byte for byte the replies a single-threaded replay of their own command
 //! log produces (after masking epoch numbers and timings, which depend on
 //! the global interleaving), and no reply is torn across the frame
@@ -10,13 +10,13 @@
 //! function of the client's own log: mutations toggle per-client edges
 //! under a label (`zz`) no query mentions, on vertices created up front, so
 //! results and delta summaries do not depend on the interleaving while the
-//! graph churns under concurrent readers. Both run at 1 and 2 engine
-//! threads. CI runs this file serialized as a stress step.
+//! graph churns under concurrent readers. CI runs this file serialized as
+//! a stress step.
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use rpq_testkit::rng;
 use rpq_testkit::wire::{spawn_server, Client, Reply};
-use rpq_testkit::{rng, Axes};
 use rtc_rpq::core::{CacheBudget, EngineConfig};
 use rtc_rpq::server::{Session, Status, RETAINED_VIEWS};
 use std::net::SocketAddr;
@@ -59,7 +59,6 @@ fn client_schedule(i: usize) -> Vec<String> {
     let mut next = || match r.gen_range(0..10) {
         4 => format!("strategy {}", pick(&mut r, STRATEGIES)),
         5 => format!("limit {}", pick(&mut r, LIMITS)),
-        6 => format!("threads {}", r.gen_range(1..3)),
         // The graph mutates for real (the epoch advances, cache entries go
         // stale) but no query result anywhere depends on a `zz` edge.
         7 | 8 => {
@@ -144,10 +143,9 @@ fn assert_matches_replay(
 #[test]
 fn concurrent_clients_match_single_threaded_replay() {
     let setup = setup_commands(CLIENTS);
-    for config in Axes::default().threads(&[1, 2]).configs() {
-        let addr = spawn_server(primed(config, &setup).shared());
-        assert_matches_replay(config, &setup, &run_clients(addr));
-    }
+    let config = EngineConfig::default();
+    let addr = spawn_server(primed(config, &setup).shared());
+    assert_matches_replay(config, &setup, &run_clients(addr));
 }
 
 /// The running total from the `metrics` budget line (`… evictions=N (…`).
@@ -179,37 +177,39 @@ fn concurrent_clients_under_tiny_budget_match_replay() {
         max_entries: Some(1),
         ..CacheBudget::default()
     };
-    for config in Axes::default().threads(&[1, 2]).budget(&[tiny]).configs() {
-        let addr = spawn_server(primed(config, &setup).shared());
-        let done = AtomicBool::new(false);
-        let live = std::thread::scope(|s| {
-            let monitor = s.spawn(|| {
-                let (mut m, mut last) = (Client::connect(addr), 0);
-                while !done.load(Ordering::Relaxed) {
-                    let total = eviction_total(&m.roundtrip("metrics"));
-                    assert!(
-                        total >= last,
-                        "eviction counter went backwards: {last} -> {total}"
-                    );
-                    last = total;
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+    let config = EngineConfig {
+        cache_budget: tiny,
+        ..EngineConfig::default()
+    };
+    let addr = spawn_server(primed(config, &setup).shared());
+    let done = AtomicBool::new(false);
+    let live = std::thread::scope(|s| {
+        let monitor = s.spawn(|| {
+            let (mut m, mut last) = (Client::connect(addr), 0);
+            while !done.load(Ordering::Relaxed) {
                 let total = eviction_total(&m.roundtrip("metrics"));
-                assert!(total >= last, "final eviction total regressed");
-                m.quit_clean();
-                total
-            });
-            let live = run_clients(addr);
-            done.store(true, Ordering::Relaxed);
-            let evictions = monitor.join().unwrap();
-            assert!(
-                evictions > 0,
-                "a one-entry budget under 8 churning clients must evict"
-            );
-            live
+                assert!(
+                    total >= last,
+                    "eviction counter went backwards: {last} -> {total}"
+                );
+                last = total;
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let total = eviction_total(&m.roundtrip("metrics"));
+            assert!(total >= last, "final eviction total regressed");
+            m.quit_clean();
+            total
         });
-        assert_matches_replay(config, &setup, &live);
-    }
+        let live = run_clients(addr);
+        done.store(true, Ordering::Relaxed);
+        let evictions = monitor.join().unwrap();
+        assert!(
+            evictions > 0,
+            "a one-entry budget under 8 churning clients must evict"
+        );
+        live
+    });
+    assert_matches_replay(config, &setup, &live);
 }
 
 /// The framing invariant the parser relies on: no payload line of any

@@ -12,7 +12,7 @@ use rtc_rpq::server::wire::{decode_pairs, encode_pairs, parse_header};
 use rtc_rpq::server::{Session, Status, RETAINED_VIEWS};
 
 /// Per-connection overlays never leak: two connections over one engine,
-/// each with its own `strategy`, `threads`, `limit` and `binary`, traded
+/// each with its own `strategy`, `limit` and `binary`, traded
 /// before every delta, read exactly their own form of the reference answer
 /// and see their own overlay in `info` after every step, at every strategy,
 /// over both transports, with either connection in binary mode, while
@@ -49,11 +49,10 @@ fn dropped_asks(s: &Scenario) -> usize {
 /// MVCC over the wire: on long delta streams, every `query … at <epoch>`
 /// answers like the reference at that epoch while the epoch is retained,
 /// and with a clean `ERR … not retained` once the 8-view ring or a restart
-/// dropped it, at 1 and 2 engine threads.
+/// dropped it.
 #[test]
 fn mvcc_pinned_reads_match_replay_at_their_epoch() {
     let axes = Axes::default().reader(&[Reader::Session, Reader::Tcp]);
-    let axes = axes.threads(&[1, 2]);
     let scenarios: Vec<_> = (0..6)
         .map(|seed| {
             let mut s = scenario(0x3CC + seed, Shape::GiantScc);
