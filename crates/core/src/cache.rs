@@ -32,23 +32,22 @@
 //!
 //! ## Concurrency
 //!
-//! Every method takes `&self`: the interior is **sharded** — entries live
-//! in `SHARD_COUNT` (8) shards of one hash map per kind, each map behind
-//! its own `RwLock`, selected by the key's hash — and the hit/miss/stale
-//! counters and the epoch are atomics. N threads evaluating disjoint
-//! closure bodies therefore insert and look up without contending on one
-//! lock, and a fresh-entry hit only ever takes a shard *read* lock, so the
-//! serving front-end's concurrent `query` connections all read one cache
-//! simultaneously. Two threads racing to fill the same miss both compute
-//! and insert; the structures are deterministic per `(key, epoch)`, so
+//! Every method takes `&self`: entries live in one hash map per
+//! [`SharingKind`], each behind its own `RwLock`, and the hit/miss/stale
+//! counters and the epoch are atomics. A fresh-entry hit only ever takes
+//! its kind's *read* lock, so the serving front-end's concurrent `query`
+//! connections all read one cache simultaneously; an insert holds the
+//! write lock for one map operation (structures are built before it is
+//! taken). Two threads racing to fill the same miss both compute and
+//! insert; the structures are deterministic per `(key, epoch)`, so
 //! whichever insert lands last is immaterial.
 //!
 //! ## Budgets and eviction
 //!
 //! By default the cache is unbounded — every closure body keeps its
 //! structures and every query its result at each reachable epoch. A
-//! [`CacheBudget`] (engine-config field, the `RPQ_CACHE_BUDGET` environment
-//! variable, or the `rpq --cache-budget` flag) caps both tiers' retained
+//! [`CacheBudget`] ([`crate::EngineConfig::cache_budget`], which the
+//! `rpq --cache-budget` flag sets) caps both tiers' retained
 //! footprint: every entry records its bytes (payload, key and map slot —
 //! no entry is free), the wall-clock nanos spent building it (the cost to
 //! rebuild) and a last-hit tick, and whenever an insert pushes the account over
@@ -76,15 +75,9 @@
 use rpq_graph::PairSet;
 use rpq_reduction::{FullTc, Rtc};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
-
-/// Number of independent lock-protected map shards. A small power of two:
-/// enough to keep a handful of serving threads off each other's locks,
-/// small enough that whole-cache aggregates stay cheap.
-const SHARD_COUNT: usize = 8;
 
 /// Bound on the evicted-key set behind the rebuild-after-evict counter.
 /// Purely accounting state; when it fills up it is dropped wholesale
@@ -95,9 +88,9 @@ const EVICTED_KEYS_CAP: usize = 4096;
 /// every axis — the pre-budget behavior.
 ///
 /// Parsed from specs like `64k`, `bytes=1m,entries=128` (sizes
-/// take `k`/`m`/`g` binary suffixes; a bare size means `max_bytes`), set
-/// via [`crate::EngineConfig::cache_budget`], the `RPQ_CACHE_BUDGET`
-/// environment variable or the server's `--cache-budget` flag.
+/// take `k`/`m`/`g` binary suffixes; a bare size means `max_bytes`). The
+/// one place a budget is set is [`crate::EngineConfig::cache_budget`];
+/// the server's `--cache-budget` flag parses into that field.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheBudget {
     /// Maximum retained bytes (every entry's payload, base relation, key
@@ -152,16 +145,6 @@ impl CacheBudget {
             any = true;
         }
         any.then_some(budget)
-    }
-
-    /// The budget named by `RPQ_CACHE_BUDGET`, or the unbounded default
-    /// when the variable is unset or malformed (the `rpq` binary refuses a
-    /// malformed one at startup).
-    pub fn from_env_or_default() -> Self {
-        match std::env::var("RPQ_CACHE_BUDGET") {
-            Ok(spec) => Self::parse(&spec).unwrap_or_default(),
-            Err(_) => Self::default(),
-        }
     }
 }
 
@@ -249,7 +232,7 @@ struct EntryMeta {
     /// scores the entry cheapest-to-rebuild (evicted first).
     build_nanos: u64,
     /// Tick of the most recent fresh hit (insert counts as one); updated
-    /// under the shard *read* lock, hence atomic.
+    /// under the map's *read* lock, hence atomic.
     last_hit: AtomicU64,
 }
 
@@ -274,8 +257,8 @@ impl EntryMeta {
 
 /// Which payload an entry holds — the one axis RTCSharing and FullSharing
 /// differ on, plus the memoized results of the result instance. The
-/// discriminant indexes the kind's map within a shard, which keeps the key
-/// namespaces independent.
+/// discriminant indexes the kind's map, which keeps the key namespaces
+/// independent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SharingKind {
     /// A reduced transitive closure ([`Rtc`]).
@@ -381,21 +364,18 @@ type Map = FxHashMap<String, Entry>;
 /// `(String, Entry)` pair inline, plus the hash table's control byte.
 const SLOT_BYTES: usize = std::mem::size_of::<(String, Entry)>() + 1;
 
-/// One shard of the cache interior: a lock-protected map per
-/// [`SharingKind`].
-type Shard = [RwLock<Map>; 3];
-
 /// Cache of shared structures keyed by the canonical form of `R`.
 ///
 /// Structures are held behind [`Arc`] and all methods take `&self`
-/// (sharded lock-protected maps, atomic counters — see the module docs),
+/// (one lock-protected map per kind, atomic counters — see the module docs),
 /// so one cache can be read and filled by any number of threads at once:
 /// this is what lets the engine evaluate queries under a shared reference
 /// and the TCP front-end serve concurrent clients from one epoch-aware
 /// cache.
 #[derive(Default)]
 pub struct SharedCache {
-    shards: [Shard; SHARD_COUNT],
+    /// One map per [`SharingKind`], indexed by its discriminant.
+    maps: [RwLock<Map>; 3],
     /// The retention budget; immutable after construction.
     budget: CacheBudget,
     /// The graph epoch this cache serves; entries with an older epoch are
@@ -426,14 +406,14 @@ pub struct SharedCache {
     beside: Option<Arc<SharedCache>>,
 }
 
-/// Acquires a shard read lock, clearing poisoning: a panicked evaluation
+/// Acquires a read lock, clearing poisoning: a panicked evaluation
 /// elsewhere leaves entries consistent (inserts are whole-entry), so
 /// serving continues.
 fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Acquires a shard write lock, clearing poisoning (see [`read`]).
+/// Acquires a write lock, clearing poisoning (see [`read`]).
 fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
@@ -473,10 +453,9 @@ impl SharedCache {
         self.budget
     }
 
-    /// The map holding `key` in `kind`'s namespace.
-    fn map(&self, kind: SharingKind, key: &str) -> &RwLock<Map> {
-        let hash = BuildHasherDefault::<rustc_hash::FxHasher>::default().hash_one(key);
-        &self.shards[(hash as usize) % SHARD_COUNT][kind as usize]
+    /// The map of `kind`'s namespace.
+    fn map(&self, kind: SharingKind) -> &RwLock<Map> {
+        &self.maps[kind as usize]
     }
 
     /// The graph epoch this cache currently serves.
@@ -496,7 +475,7 @@ impl SharedCache {
     }
 
     /// Stamps a fresh hit: bumps the counter and the entry's recency
-    /// tick. Safe under a shard read lock (the tick is atomic).
+    /// tick. Safe under a read lock (the tick is atomic).
     fn note_fresh_hit(&self, meta: &EntryMeta) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         meta.last_hit
@@ -526,7 +505,7 @@ impl SharedCache {
         evicted.insert((kind, key.to_owned()));
     }
 
-    /// Occupancy bookkeeping for a removal (eviction, unreachable).
+    /// Occupancy bookkeeping for a removal (eviction, unreachable, clear).
     fn note_remove(&self, meta: &EntryMeta) {
         self.occ_bytes
             .fetch_sub(meta.bytes as u64, Ordering::AcqRel);
@@ -547,7 +526,7 @@ impl SharedCache {
     /// recomputes from its frozen graph, leaving the entry in place for
     /// live readers.
     pub fn lookup(&self, kind: SharingKind, key: &str, epoch: u64) -> Lookup {
-        match read(self.map(kind, key)).get(key) {
+        match read(self.map(kind)).get(key) {
             Some(entry) if entry.epoch == epoch => {
                 self.note_fresh_hit(&entry.meta);
                 Lookup::Fresh(entry.shared.clone())
@@ -594,7 +573,7 @@ impl SharedCache {
             last_hit: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
         };
         {
-            let mut map = write(self.map(shared.kind(), &key));
+            let mut map = write(self.map(shared.kind()));
             if map.get(&key).is_some_and(|existing| existing.epoch > epoch) {
                 return;
             }
@@ -625,7 +604,7 @@ impl SharedCache {
     /// `key`, without touching the hit/miss counters.
     pub fn contains_fresh(&self, kind: SharingKind, key: &str) -> bool {
         let epoch = self.epoch();
-        read(self.map(kind, key))
+        read(self.map(kind))
             .get(key)
             .is_some_and(|entry| entry.epoch == epoch)
     }
@@ -639,7 +618,7 @@ impl SharedCache {
     pub fn fresh_entries(&self) -> Vec<FreshEntry> {
         let epoch = self.epoch();
         let mut fresh = Vec::new();
-        for map in self.shards.iter().flatten() {
+        for map in &self.maps {
             fresh.extend(
                 read(map)
                     .iter()
@@ -654,32 +633,30 @@ impl SharedCache {
     }
 
     /// Aggregates over every cached entry of `kind`, fresh or stale, in one
-    /// pass (one shard read lock at a time).
+    /// pass under the kind's read lock.
     pub fn totals(&self, kind: SharingKind) -> KindTotals {
         let mut totals = KindTotals::default();
-        for shard in &self.shards {
-            for entry in read(&shard[kind as usize]).values() {
-                let (pairs, vertices, heap, dense) = match &entry.shared {
-                    Shared::Rtc(rtc) => (
-                        rtc.closure_pair_count(),
-                        rtc.scc_count(),
-                        rtc.closure_heap_bytes(),
-                        rtc.dense_closure_rows(),
-                    ),
-                    Shared::Full(full) => (
-                        full.pair_count(),
-                        full.vertex_count(),
-                        full.closure_heap_bytes(),
-                        full.dense_rows(),
-                    ),
-                    Shared::Result(pairs) => (pairs.len(), 0, pairs.heap_bytes(), 0),
-                };
-                totals.entries += 1;
-                totals.shared_pairs += pairs;
-                totals.vertices += vertices;
-                totals.heap_bytes += heap;
-                totals.dense_rows += dense;
-            }
+        for entry in read(self.map(kind)).values() {
+            let (pairs, vertices, heap, dense) = match &entry.shared {
+                Shared::Rtc(rtc) => (
+                    rtc.closure_pair_count(),
+                    rtc.scc_count(),
+                    rtc.closure_heap_bytes(),
+                    rtc.dense_closure_rows(),
+                ),
+                Shared::Full(full) => (
+                    full.pair_count(),
+                    full.vertex_count(),
+                    full.closure_heap_bytes(),
+                    full.dense_rows(),
+                ),
+                Shared::Result(pairs) => (pairs.len(), 0, pairs.heap_bytes(), 0),
+            };
+            totals.entries += 1;
+            totals.shared_pairs += pairs;
+            totals.vertices += vertices;
+            totals.heap_bytes += heap;
+            totals.dense_rows += dense;
         }
         totals
     }
@@ -755,8 +732,7 @@ impl SharedCache {
             let held = map.values().filter(|e| pinned.contains(&e.epoch));
             held.map(|e| e.meta.bytes).sum()
         };
-        let maps = self.shards.iter().flatten();
-        maps.map(|map| pinned_bytes(&read(map))).sum()
+        self.maps.iter().map(|map| pinned_bytes(&read(map))).sum()
     }
 
     /// Whether any live pin covers `epoch`.
@@ -798,31 +774,29 @@ impl SharedCache {
     fn evict_one(&self, for_bytes: bool) -> bool {
         let pinned = self.pinned_epochs();
         // (score class, last hit, key, kind) is the eviction order; the
-        // shard index and epoch locate and re-validate the winner.
-        let mut victim: Option<(i32, u64, String, SharingKind, usize, u64)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            for kind in KINDS {
-                for (key, entry) in read(&shard[kind as usize]).iter() {
-                    if pinned.contains(&entry.epoch) {
-                        continue;
-                    }
-                    let class = entry.meta.score_class();
-                    let last_hit = entry.meta.last_hit.load(Ordering::Relaxed);
-                    if victim.as_ref().is_none_or(|(c, l, k, n, ..)| {
-                        (class, last_hit, key.as_str(), kind) < (*c, *l, k.as_str(), *n)
-                    }) {
-                        victim = Some((class, last_hit, key.clone(), kind, i, entry.epoch));
-                    }
+        // epoch re-validates the winner.
+        let mut victim: Option<(i32, u64, String, SharingKind, u64)> = None;
+        for kind in KINDS {
+            for (key, entry) in read(self.map(kind)).iter() {
+                if pinned.contains(&entry.epoch) {
+                    continue;
+                }
+                let class = entry.meta.score_class();
+                let last_hit = entry.meta.last_hit.load(Ordering::Relaxed);
+                if victim.as_ref().is_none_or(|(c, l, k, n, _)| {
+                    (class, last_hit, key.as_str(), kind) < (*c, *l, k.as_str(), *n)
+                }) {
+                    victim = Some((class, last_hit, key.clone(), kind, entry.epoch));
                 }
             }
         }
-        let Some((_, _, key, kind, shard, epoch)) = victim else {
+        let Some((_, _, key, kind, epoch)) = victim else {
             return false;
         };
         // Re-check under the write lock: the entry may have been evicted,
         // replaced or re-pinned since the scan. A lost race still returns
         // `true` — the caller loops and re-reads occupancy.
-        let mut map = write(&self.shards[shard][kind as usize]);
+        let mut map = write(self.map(kind));
         let still_there = map
             .get(&key)
             .is_some_and(|e| e.epoch == epoch && !self.is_pinned(epoch));
@@ -847,7 +821,7 @@ impl SharedCache {
     /// such an epoch can never be looked up again, so the dropped keys are
     /// not remembered for the rebuild-after-evict counter.
     pub fn retain_epochs(&self, keep: impl Fn(u64) -> bool) {
-        for map in self.shards.iter().flatten() {
+        for map in &self.maps {
             write(map).retain(|_, entry| {
                 if keep(entry.epoch) {
                     return true;
@@ -860,13 +834,16 @@ impl SharedCache {
     }
 
     /// Drops all cached structures and resets counters (the epoch is
-    /// preserved — it tracks the graph, not the contents).
+    /// preserved — it tracks the graph, not the contents). Each map is
+    /// drained under its write lock and every drained entry debited, so an
+    /// insert racing the clear is either drained with its map or stays
+    /// counted.
     pub fn clear(&self) {
-        for map in self.shards.iter().flatten() {
-            write(map).clear();
+        for map in &self.maps {
+            for (_, entry) in write(map).drain() {
+                self.note_remove(&entry.meta);
+            }
         }
-        self.occ_bytes.store(0, Ordering::Release);
-        self.occ_entries.store(0, Ordering::Release);
         self.reset_counters();
     }
 }
@@ -967,6 +944,42 @@ mod tests {
             assert_eq!(c.hits(), 0);
             assert_eq!(c.misses(), 0);
         });
+    }
+
+    /// `reset cache` clears the instances while views on other connections
+    /// keep inserting into them. `clear` debits what it drains: zeroing the
+    /// account after wiping the maps would miss an insert landing between
+    /// the two, and removing that entry later would wrap the counters.
+    #[test]
+    fn clear_racing_inserts_keeps_the_account_exact() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Instant;
+        let c = SharedCache::new();
+        let stop = AtomicBool::new(false);
+        let mut wrapped = 0;
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (c, stop) = (&c, &stop);
+                s.spawn(move || {
+                    for i in 0.. {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        insert_bare(c, ResultKind, &format!("0@q{t}-{}", i % 64));
+                    }
+                });
+            }
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_millis(500) {
+                c.clear();
+                c.retain_epochs(|_| false);
+                wrapped += usize::from(c.occupancy_entries() > usize::MAX / 2);
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(wrapped, 0, "the entry count wrapped below zero");
+        c.clear();
+        assert_eq!((c.occupancy_bytes(), c.occupancy_entries()), (0, 0));
     }
 
     #[test]

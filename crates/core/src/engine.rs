@@ -67,7 +67,7 @@ impl std::fmt::Display for Strategy {
 }
 
 /// Engine configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Evaluation strategy.
     pub strategy: Strategy,
@@ -91,11 +91,11 @@ pub struct EngineConfig {
     /// One retention budget over both [`SharedCache`] instances: structures
     /// plus memoized results stay within it, results making room for
     /// structures, never the reverse. Unbounded by default (every result of
-    /// a live or pinned epoch is kept); the default
-    /// honours `RPQ_CACHE_BUDGET` (e.g. `64k`, `bytes=1m,entries=128`) so CI
-    /// can run the whole suite under eviction pressure. Results are the same
-    /// under any budget; whatever it is, [`Engine::apply_delta`] drops every
-    /// memoized result whose epoch is neither live nor pinned by a live view.
+    /// a live or pinned epoch is kept). This field is the only way to set a
+    /// budget; `rpq --cache-budget` parses its spec into it. Results are the
+    /// same under any budget; whatever it is, [`Engine::apply_delta`] drops
+    /// every memoized result whose epoch is neither live nor pinned by a
+    /// live view.
     pub cache_budget: CacheBudget,
 }
 
@@ -107,7 +107,7 @@ impl Default for EngineConfig {
             threads: 1,
             maintenance: MaintenanceConfig,
             representation: RowSetPolicy,
-            cache_budget: CacheBudget::from_env_or_default(),
+            cache_budget: CacheBudget::default(),
         }
     }
 }
@@ -135,8 +135,8 @@ pub struct PrepareReport {
 ///
 /// The whole query path takes `&self`: [`Engine::evaluate`],
 /// [`Engine::evaluate_set`], [`Engine::prepare`], the selective APIs and
-/// every metric accessor. The cache interior is sharded and
-/// lock-protected with atomic counters ([`SharedCache`]) and the metric
+/// every metric accessor. The cache keeps one lock-protected map per
+/// structure kind with atomic counters ([`SharedCache`]) and the metric
 /// accumulators sit behind a private mutex, so any number of threads can
 /// evaluate against one shared `&Engine` simultaneously — this is what
 /// the serving front-end's read-write-locked sessions rely on. Only the

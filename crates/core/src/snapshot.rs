@@ -524,13 +524,7 @@ mod tests {
     fn oversized_cache_key_fails_at_save_not_load() {
         // Write/read symmetry: a key past the reader's cap must make the
         // *write* fail loudly, never produce an unloadable file.
-        // Unbounded: a byte budget under the key's own size (CI's 64 KiB
-        // leg) would evict the entry on its insert.
-        let config = EngineConfig {
-            cache_budget: Default::default(),
-            ..EngineConfig::default()
-        };
-        let engine = Engine::with_config_versioned(VersionedGraph::new(paper_graph()), config);
+        let engine = Engine::new_dynamic(paper_graph());
         let huge_key = "k".repeat(CAP + 1);
         engine.cache().insert(
             huge_key,

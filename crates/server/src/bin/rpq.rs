@@ -59,7 +59,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                 let v = args
                     .next()
                     .ok_or("--cache-budget needs a spec like 'bytes=64m,entries=512'")?;
-                opts.cache_budget = Some(parse_budget("--cache-budget", &v)?);
+                opts.cache_budget = Some(rpq_core::CacheBudget::parse(&v).ok_or(format!(
+                    "bad --cache-budget '{v}' (want 'bytes=SIZE,entries=N', a bare SIZE, or 'unbounded')"
+                ))?);
             }
             "--addr" => {
                 let v = args.next().ok_or("--addr needs HOST:PORT")?;
@@ -88,22 +90,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             return Err("serve needs --addr HOST:PORT".into());
         }
     }
-    // `EngineConfig::default()` reads RPQ_CACHE_BUDGET leniently (a library
-    // must not abort its host over an environment typo, so garbage means
-    // unbounded); the operator starting this binary should see the typo,
-    // exactly as with the flag.
-    if let Ok(spec) = std::env::var("RPQ_CACHE_BUDGET") {
-        parse_budget("RPQ_CACHE_BUDGET", &spec)?;
-    }
     Ok(opts)
-}
-
-/// Parses a cache-budget spec from `source` (the flag or the environment
-/// variable); a malformed one is a startup error either way.
-fn parse_budget(source: &str, spec: &str) -> Result<rpq_core::CacheBudget, String> {
-    rpq_core::CacheBudget::parse(spec).ok_or(format!(
-        "bad {source} '{spec}' (want 'bytes=SIZE,entries=N', a bare SIZE, or 'unbounded')"
-    ))
 }
 
 fn print_usage() {
@@ -116,9 +103,9 @@ fn print_usage() {
     eprintln!("simultaneous TCP clients (default 256; extras get 'ERR busy').");
     eprintln!("--cache-budget is one account over structures and memoized results:");
     eprintln!("'bytes=SIZE,entries=N' (SIZE takes k/m/g suffixes; either part may be");
-    eprintln!("omitted; a bare SIZE caps bytes). Overrides RPQ_CACHE_BUDGET. The default,");
-    eprintln!("'unbounded', keeps every distinct query's result: set a budget before");
-    eprintln!("exposing 'serve' to clients. Deltas drop results no view can reach.");
+    eprintln!("omitted; a bare SIZE caps bytes). The default, 'unbounded', keeps");
+    eprintln!("every distinct query's result: set a budget before exposing 'serve'");
+    eprintln!("to clients. Deltas drop results no view can reach.");
     eprintln!("Commands: see 'help' in the session or docs/QUERY_LANGUAGE.md.");
 }
 

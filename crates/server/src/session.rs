@@ -469,8 +469,8 @@ impl Session {
 
 /// Builds the startup engine config from the binary's flags: the
 /// `--strategy` override resolves like a connection's, and a
-/// `--cache-budget` flag overrides the `RPQ_CACHE_BUDGET` environment
-/// default already folded into [`EngineConfig::default`].
+/// `--cache-budget` flag sets [`EngineConfig::cache_budget`] (unbounded
+/// when absent).
 pub fn startup_config(
     strategy: Option<Strategy>,
     cache_budget: Option<rpq_core::CacheBudget>,

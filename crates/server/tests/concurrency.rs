@@ -5,7 +5,7 @@
 //! assert on elapsed time. The seeded interleavings and the wire
 //! equivalence suites live in the root package's `tests/`.
 
-use rpq_core::{CacheBudget, EngineConfig};
+use rpq_core::EngineConfig;
 use rpq_server::tcp::GREETING;
 use rpq_server::Session;
 use std::io::{BufRead, BufReader, Write};
@@ -74,15 +74,7 @@ fn pair_count(status: &str) -> usize {
 fn mvcc_slow_query_stays_pinned_while_writers_publish() {
     // RMAT_3 at 2^14 vertices: `l0+` holds ~32M closure pairs — over a
     // second of work in a debug build even with one shared row per SCC.
-    // The budget is pinned unbounded: the test asserts the pinned re-read
-    // is a *view hit*, and a result this size outgrows any stress budget
-    // an RPQ_CACHE_BUDGET CI leg might set (eviction would downgrade the
-    // re-read to a correct-but-slower replay).
-    let config = EngineConfig {
-        cache_budget: CacheBudget::default(),
-        ..EngineConfig::default()
-    };
-    let addr = spawn_server(config, "gen rmat 3 14 42");
+    let addr = spawn_server(EngineConfig::default(), "gen rmat 3 14 42");
     let mut a = Client::connect(addr);
     let mut b = Client::connect(addr);
     a.roundtrip("limit 0");

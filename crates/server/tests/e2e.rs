@@ -154,6 +154,55 @@ fn more_than_256_results_stay_memoized_under_a_byte_budget() {
     );
 }
 
+/// The REPL smoke script — gen, prepare, query, delta, query, save, load,
+/// query — under `--cache-budget 64k` answers exactly as unbounded, and
+/// the budget reaches the engine.
+#[test]
+fn repl_smoke_under_a_64k_budget_answers_like_unbounded() {
+    let dir = std::env::temp_dir().join(format!("rpq_e2e_budget_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("smoke.snap");
+    let snap = snap.to_str().unwrap();
+    let script = format!(
+        "gen paper\ninfo\nprepare d.(b.c)+.c\nquery d.(b.c)+.c\ncache\n\
+         delta ins 6 b 8 ins 8 c 6\nquery d.(b.c)+.c\nsave {snap}\nload {snap}\n\
+         query d.(b.c)+.c\ncache\nquit\n"
+    );
+    // Pair lines and status lines without their timings; `info` names
+    // the budget, so it is left out.
+    let answers = |stdout: &str| -> Vec<String> {
+        let lines = stdout
+            .lines()
+            .filter(|l| l.starts_with("  v") || l.starts_with("OK "));
+        let lines = lines.filter(|l| !l.starts_with("OK graph"));
+        lines
+            .map(|l| l.split(" in ").next().unwrap().to_owned())
+            .collect()
+    };
+    let (bounded, ok) = run_repl_process(&["--cache-budget", "64k"], &script);
+    assert!(ok, "{bounded}");
+    assert!(
+        bounded.contains("budget bytes=65536, occupancy"),
+        "{bounded}"
+    );
+    assert!(
+        bounded.contains("prepared: 1 bodies computed, 0 reused"),
+        "{bounded}"
+    );
+    assert!(bounded.contains("1 hits, 1 misses"), "{bounded}");
+    assert!(bounded.contains("1 hits, 0 misses"), "{bounded}");
+    assert_eq!(
+        bounded
+            .matches("  v7 -> v3\n  v7 -> v5\nOK 2 pairs")
+            .count(),
+        3
+    );
+    let (unbounded, ok) = run_repl_process(&[], &script);
+    assert!(ok, "{unbounded}");
+    assert_eq!(answers(&bounded), answers(&unbounded));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn startup_flags_shape_the_session() {
     let script = "gen paper\ninfo\nquit\n";
@@ -193,17 +242,22 @@ fn bad_usage_exits_nonzero() {
         .output()
         .unwrap();
     assert!(!out.status.success());
-    // A malformed budget in the environment fails like one on the command
-    // line — it must not silently mean "unbounded".
-    let out = Command::new(env!("CARGO_BIN_EXE_rpq"))
+    // The budget comes from `--cache-budget` alone: the environment does
+    // not set it, even with a malformed spec.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rpq"))
         .arg("repl")
         .env("RPQ_CACHE_BUDGET", "64 kilobytes")
-        .stdin(Stdio::null())
-        .output()
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
         .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("bad RPQ_CACHE_BUDGET"), "{stderr}");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(b"gen paper\ninfo\nquit\n").unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("budget unbounded"), "{stdout}");
     // The budget has no TTL axis: a spec naming one is malformed.
     let out = Command::new(env!("CARGO_BIN_EXE_rpq"))
         .args(["repl", "--cache-budget", "bytes=1m,ttl=4"])

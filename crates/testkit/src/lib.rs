@@ -370,12 +370,17 @@ pub enum Reader {
     Tcp,
 }
 
-/// The engine configurations and readers a run covers: by default one,
-/// `EngineConfig::default()` (which honours `RPQ_CACHE_BUDGET`) read live.
-/// Each setter fixes one axis to the values it lists. The `threads` axis
-/// reaches `Set` steps read live (`Engine::evaluate_set`); wire replays
-/// refuse it. The `binary` axis is the mode of a wire replay's first
-/// connection (its second takes the other); engine readers ignore it.
+/// The engine configurations and readers a run covers: by default
+/// `EngineConfig::default()` read live, unbounded and under a 64 KiB
+/// budget over both tiers, so every suite that fixes no budget of its own
+/// also runs the budgeted insert and miss paths (the kit's scenarios peak
+/// below 64 KiB, so forced eviction is left to suites that set tighter
+/// budgets). Each setter fixes one axis to the values it
+/// lists, replacing the default's; no combination is listed twice. The
+/// `threads` axis reaches `Set` steps read live (`Engine::evaluate_set`);
+/// wire replays refuse it. The `binary` axis is the mode of a wire
+/// replay's first connection (its second takes the other); engine readers
+/// ignore it.
 #[derive(Clone, Debug)]
 pub struct Axes(Vec<Axis>);
 
@@ -384,7 +389,9 @@ type Axis = (EngineConfig, Reader, bool);
 
 impl Default for Axes {
     fn default() -> Self {
-        Axes(vec![(EngineConfig::default(), Reader::Live, false)])
+        let tight = CacheBudget::parse("bytes=64k").expect("a budget spec");
+        let axes = Axes(vec![(EngineConfig::default(), Reader::Live, false)]);
+        axes.budget(&[CacheBudget::default(), tight])
     }
 }
 
@@ -395,7 +402,13 @@ macro_rules! axes {
                 let each = |c: Axis| values.iter().map(move |&$v| {
                     let mut $c = c; $set; $c
                 });
-                Axes(self.0.into_iter().flat_map(each).collect())
+                let mut axes = Vec::new();
+                for c in self.0.into_iter().flat_map(each) {
+                    if !axes.contains(&c) {
+                        axes.push(c);
+                    }
+                }
+                Axes(axes)
             })*
         }
     };
