@@ -1,7 +1,7 @@
 //! Text-mode ablation experiments: what the paper's figures do not plot
 //! but the design decisions rest on.
 //!
-//! Five tables:
+//! Four tables:
 //!
 //! 1. **TC algorithms** (TABLE III) — the naive per-vertex BFS over `G_R`
 //!    (what FullSharing pays) vs SCCs + condensation + closure of `Ḡ_R`
@@ -12,18 +12,12 @@
 //!    grows with everything else held fixed.
 //! 4. **Cache pressure** — a Zipf stream against an unbounded cache and a
 //!    byte budget at half its steady state.
-//! 5. **Parallel paths** — the per-vertex BFS closure, Theorem 1's
-//!    expansion and the batch fan-out at 1/2/4 workers.
 
 use crate::profiles::Profile;
 use crate::table::{fmt_ratio, fmt_secs, Table};
-use rpq_core::{
-    eval_batch_unit_full, eval_batch_unit_rtc, EliminationStats, Engine, EngineConfig, PreRelation,
-    Strategy,
-};
+use rpq_core::{eval_batch_unit_full, eval_batch_unit_rtc, EliminationStats, PreRelation};
 use rpq_datasets::rmat::rmat_n_scaled;
 use rpq_datasets::structured::{cycle_clusters, CycleClusterConfig};
-use rpq_datasets::workload::{alphabet_of, generate_workload, WorkloadConfig};
 use rpq_eval::ProductEvaluator;
 use rpq_graph::{tarjan_scc, Condensation, MappedDigraph, RowSetPolicy};
 use rpq_reduction::{closure_of_condensation_rows, tc_naive, FullTc, Rtc};
@@ -309,57 +303,6 @@ pub fn cache_pressure_table(profile: Profile) -> Table {
             format!("{:.3}", r.hit_rate),
             fmt_ratio(r.occupancy as f64, budget as f64),
         ]);
-    }
-    t
-}
-
-/// Appends one `par` row: `run` at 1, 2 and 4 workers.
-fn par_row<T>(t: &mut Table, path: &str, input: String, run: impl Fn(usize) -> T) {
-    let [t1, t2, t4] = [1, 2, 4].map(|threads| time_min(10, || run(threads)));
-    t.row(vec![
-        path.to_string(),
-        input,
-        fmt_secs(t1),
-        fmt_secs(t2),
-        fmt_secs(t4),
-        fmt_ratio(t1.as_secs_f64(), t2.as_secs_f64()),
-    ]);
-}
-
-/// Table 5: the engine's batch mode swept over worker counts
-/// (`evaluate_set` under `EngineConfig::threads`; one 4-RPQ set sharing a
-/// closure body, fresh engine per run). Every closure is built
-/// sequentially, so this is the one parallel path. Every cell depends on
-/// the host's core count, which the title states — so this table has no
-/// drift baseline.
-pub fn par_table() -> Table {
-    let nproc = rpq_graph::par::available_threads();
-    let mut t = Table::new(
-        format!("Ablation: parallel paths by worker count (nproc={nproc})"),
-        &["path", "input", "1(s)", "2(s)", "4(s)", "1 vs 2"],
-    );
-    let graph = rmat_n_scaled(3, 10, 45);
-    let sets = generate_workload(
-        &alphabet_of(&graph),
-        &WorkloadConfig {
-            rs_per_length: 1,
-            r_lengths: vec![2],
-            queries_per_set: 4,
-            ..WorkloadConfig::default()
-        },
-    );
-    for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
-        let path = format!("evaluate_set {}", strategy.short_name());
-        par_row(&mut t, &path, "RMAT_3@2^10 x 4 RPQs".into(), |threads| {
-            let config = EngineConfig {
-                strategy,
-                threads,
-                ..EngineConfig::default()
-            };
-            Engine::with_config(&graph, config)
-                .evaluate_set(&sets[0].queries)
-                .unwrap()
-        });
     }
     t
 }

@@ -5,22 +5,20 @@
 //! ```text
 //! cargo run -p rpq_bench --release --bin experiments -- all
 //! cargo run -p rpq_bench --release --bin experiments -- fig10 --profile paper
-//! cargo run -p rpq_bench --release --bin experiments -- table4 --csv results/
-//! cargo run -p rpq_bench --release --bin experiments -- exp1 --threads 4
+//! cargo run -p rpq_bench --release --bin experiments -- table4 --json results/
 //! ```
 //!
 //! Commands: `table4`, `fig10`, `fig11`, `fig12`, `fig13` (Experiment 1),
 //! `fig14`, `fig15` (Experiment 2), `exp1`, `exp2`, `ablation`, `cache`,
-//! `par`, `all`.
+//! `all`.
 //! Duplicate commands are deduplicated and `all` subsumes everything, so
 //! no experiment ever runs twice. Flags: `--profile fast|default|paper`
-//! (scale), `--csv DIR` (also write CSV files), `--json DIR` (also write
-//! JSON files — what the nightly bench job uploads as artifacts),
-//! `--threads N` (queries of a set evaluated at once; 1 = sequential,
-//! 0 = all cores; every closure is built sequentially).
+//! (scale) and `--json DIR` (also write JSON files — what the nightly
+//! bench job uploads as artifacts). A table that cannot be written makes
+//! the driver exit 1 once every requested table has printed.
 
 use rpq_bench::ablation::{
-    batch_unit_table, cache_pressure_table, par_table, scc_sensitivity_table, tc_algorithms_table,
+    batch_unit_table, cache_pressure_table, scc_sensitivity_table, tc_algorithms_table,
 };
 use rpq_bench::datasets::{real_surrogates, synthetic_sweep};
 use rpq_bench::experiments::{
@@ -35,16 +33,14 @@ use std::process::ExitCode;
 /// Every subcommand the driver understands — single source of truth for
 /// argument validation and the usage string. `main`'s `wants()` dispatch
 /// must cover exactly these names.
-const COMMANDS: [&str; 13] = [
+const COMMANDS: [&str; 12] = [
     "table4", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "exp1", "exp2", "ablation",
-    "cache", "par", "all",
+    "cache", "all",
 ];
 
 struct Options {
     profile: Profile,
-    csv_dir: Option<PathBuf>,
     json_dir: Option<PathBuf>,
-    threads: usize,
     commands: Vec<String>,
 }
 
@@ -54,9 +50,7 @@ fn parse_args() -> Result<Options, String> {
 
 fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut profile = Profile::Default;
-    let mut csv_dir = None;
     let mut json_dir = None;
-    let mut threads = 1usize;
     let mut commands = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -64,19 +58,9 @@ fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Options, St
                 let v = args.next().ok_or("--profile needs a value")?;
                 profile = Profile::parse(&v).ok_or(format!("unknown profile '{v}'"))?;
             }
-            "--csv" => {
-                let v = args.next().ok_or("--csv needs a directory")?;
-                csv_dir = Some(PathBuf::from(v));
-            }
             "--json" => {
                 let v = args.next().ok_or("--json needs a directory")?;
                 json_dir = Some(PathBuf::from(v));
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                threads = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--threads needs a non-negative integer, got '{v}'"))?;
             }
             "--help" | "-h" => {
                 print_usage();
@@ -93,9 +77,7 @@ fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Options, St
     }
     Ok(Options {
         profile,
-        csv_dir,
         json_dir,
-        threads,
         commands: normalize_commands(commands),
     })
 }
@@ -119,35 +101,33 @@ fn normalize_commands(commands: Vec<String>) -> Vec<String> {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments [--profile fast|default|paper] [--csv DIR] [--json DIR] [--threads N] [{}]...",
+        "usage: experiments [--profile fast|default|paper] [--json DIR] [{}]...",
         COMMANDS.join("|")
     );
     eprintln!();
     eprintln!("flags:");
     eprintln!("  --profile P   experiment scale: fast (seconds), default, paper (TABLE IV sizes)");
-    eprintln!("  --csv DIR     additionally write each table as DIR/<table-slug>.csv");
     eprintln!("  --json DIR    additionally write each table as DIR/<table-slug>.json —");
     eprintln!("                the machine-readable form the nightly bench workflow");
     eprintln!("                (.github/workflows/nightly-bench.yml) uploads as artifacts");
-    eprintln!("  --threads N   queries of a set evaluated at once in exp1/exp2");
-    eprintln!("                (1 = sequential, 0 = all cores; closures are built sequentially)");
     eprintln!();
     eprintln!("Commands may be combined; duplicates are deduplicated and 'all' subsumes");
     eprintln!("everything. With no command, 'all' runs.");
 }
 
-fn emit(table: &Table, opts: &Options) {
+/// Prints `table` and, under `--json`, writes it; returns whether the
+/// write (if any) succeeded.
+fn print_and_write(table: &Table, opts: &Options) -> bool {
     println!("{}", table.render());
-    if let Some(dir) = &opts.csv_dir {
-        match table.write_csv(dir) {
-            Ok(path) => eprintln!("  [csv] {}", path.display()),
-            Err(e) => eprintln!("  [csv] write failed: {e}"),
+    match opts.json_dir.as_deref().map(|dir| table.write_json(dir)) {
+        None => true,
+        Some(Ok(path)) => {
+            eprintln!("  [json] {}", path.display());
+            true
         }
-    }
-    if let Some(dir) = &opts.json_dir {
-        match table.write_json(dir) {
-            Ok(path) => eprintln!("  [json] {}", path.display()),
-            Err(e) => eprintln!("  [json] write failed: {e}"),
+        Some(Err(e)) => {
+            eprintln!("  [json] write failed: {e}");
+            false
         }
     }
 }
@@ -172,18 +152,12 @@ fn main() -> ExitCode {
         "# profile = {} (use --profile paper for the full-scale TABLE IV sizes)",
         opts.profile
     );
-    eprintln!(
-        "# threads = {} ({}; applies to exp1/exp2 engine runs — table4/ablation are sequential, par sweeps its own)",
-        opts.threads,
-        match opts.threads {
-            0 => "all available cores".to_string(),
-            1 => "sequential".to_string(),
-            n => format!("{n} scoped workers"),
-        }
-    );
+
+    let mut all_written = true;
+    let mut emit = |table: &Table| all_written &= print_and_write(table, &opts);
 
     if wants(&["table4"]) {
-        emit(&table4(opts.profile), &opts);
+        emit(&table4(opts.profile));
     }
 
     let exp1_needed = wants(&["fig10", "fig11", "fig12", "fig13", "exp1"]);
@@ -193,91 +167,80 @@ fn main() -> ExitCode {
             opts.profile.fixed_set_size()
         );
         let synth = synthetic_sweep(opts.profile);
-        let synth_rows = run_experiment1(
-            &synth,
-            opts.profile,
-            opts.profile.fixed_set_size(),
-            opts.threads,
-        );
+        let synth_rows = run_experiment1(&synth, opts.profile, opts.profile.fixed_set_size());
         let real = real_surrogates(opts.profile);
-        let real_rows = run_experiment1(
-            &real,
-            opts.profile,
-            opts.profile.fixed_set_size(),
-            opts.threads,
-        );
+        let real_rows = run_experiment1(&real, opts.profile, opts.profile.fixed_set_size());
 
         if wants(&["fig10", "exp1"]) {
-            emit(
-                &fig10_table("Fig 10(a): response time, synthetic", &synth_rows),
-                &opts,
-            );
-            emit(
-                &fig10_table("Fig 10(b): response time, real surrogates", &real_rows),
-                &opts,
-            );
+            emit(&fig10_table(
+                "Fig 10(a): response time, synthetic",
+                &synth_rows,
+            ));
+            emit(&fig10_table(
+                "Fig 10(b): response time, real surrogates",
+                &real_rows,
+            ));
         }
         if wants(&["fig11", "exp1"]) {
-            emit(
-                &fig11_table("Fig 11(a): 3-part breakdown, synthetic", &synth_rows),
-                &opts,
-            );
-            emit(
-                &fig11_table("Fig 11(b): 3-part breakdown, real surrogates", &real_rows),
-                &opts,
-            );
+            emit(&fig11_table(
+                "Fig 11(a): 3-part breakdown, synthetic",
+                &synth_rows,
+            ));
+            emit(&fig11_table(
+                "Fig 11(b): 3-part breakdown, real surrogates",
+                &real_rows,
+            ));
         }
         if wants(&["fig12", "exp1"]) {
-            emit(
-                &fig12_table("Fig 12(a): shared data size, synthetic", &synth_rows),
-                &opts,
-            );
-            emit(
-                &fig12_table("Fig 12(b): shared data size, real surrogates", &real_rows),
-                &opts,
-            );
+            emit(&fig12_table(
+                "Fig 12(a): shared data size, synthetic",
+                &synth_rows,
+            ));
+            emit(&fig12_table(
+                "Fig 12(b): shared data size, real surrogates",
+                &real_rows,
+            ));
         }
         if wants(&["fig13", "exp1"]) {
-            emit(
-                &fig13_table("Fig 13(a): number of vertices, synthetic", &synth_rows),
-                &opts,
-            );
-            emit(
-                &fig13_table("Fig 13(b): number of vertices, real surrogates", &real_rows),
-                &opts,
-            );
+            emit(&fig13_table(
+                "Fig 13(a): number of vertices, synthetic",
+                &synth_rows,
+            ));
+            emit(&fig13_table(
+                "Fig 13(b): number of vertices, real surrogates",
+                &real_rows,
+            ));
         }
     }
 
     if wants(&["ablation"]) {
         eprintln!("# ablations: TC algorithms, batch-unit join, SCC sensitivity");
-        emit(&tc_algorithms_table(opts.profile), &opts);
-        emit(&batch_unit_table(opts.profile), &opts);
-        emit(&scc_sensitivity_table(), &opts);
+        emit(&tc_algorithms_table(opts.profile));
+        emit(&batch_unit_table(opts.profile));
+        emit(&scc_sensitivity_table());
     }
 
     if wants(&["cache"]) {
         eprintln!("# cache-pressure ablation: Zipf stream, bounded vs unbounded budget");
-        emit(&cache_pressure_table(opts.profile), &opts);
-    }
-
-    if wants(&["par"]) {
-        eprintln!("# parallel-path ablation: evaluate_set fan-out at 1/2/4 workers");
-        emit(&par_table(), &opts);
+        emit(&cache_pressure_table(opts.profile));
     }
 
     if wants(&["fig14", "fig15", "exp2"]) {
         eprintln!("# experiment 2: #RPQs sweep on RMAT_3 and Advogato");
-        let rows = run_experiment2(opts.profile, opts.threads);
+        let rows = run_experiment2(opts.profile);
         if wants(&["fig14", "exp2"]) {
-            emit(&fig14_table(&rows), &opts);
+            emit(&fig14_table(&rows));
         }
         if wants(&["fig15", "exp2"]) {
-            emit(&fig15_table(&rows), &opts);
+            emit(&fig15_table(&rows));
         }
     }
 
-    ExitCode::SUCCESS
+    if all_written {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]
@@ -292,9 +255,8 @@ mod tests {
     fn defaults_to_all() {
         let o = parse(&[]).unwrap();
         assert_eq!(o.commands, vec!["all"]);
-        assert_eq!(o.threads, 1);
         assert_eq!(o.profile, Profile::Default);
-        assert!(o.csv_dir.is_none());
+        assert!(o.json_dir.is_none());
     }
 
     #[test]
@@ -325,19 +287,9 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parses() {
-        assert_eq!(parse(&["--threads", "4", "exp1"]).unwrap().threads, 4);
-        assert_eq!(parse(&["--threads", "0"]).unwrap().threads, 0);
-        assert!(parse(&["--threads"]).is_err());
-        assert!(parse(&["--threads", "x"]).is_err());
-        assert!(parse(&["--threads", "-2"]).is_err());
-    }
-
-    #[test]
-    fn profile_and_csv_flags_parse() {
-        let o = parse(&["--profile", "fast", "--csv", "out", "fig14"]).unwrap();
+    fn profile_flag_parses() {
+        let o = parse(&["--profile", "fast", "fig14"]).unwrap();
         assert_eq!(o.profile, Profile::Fast);
-        assert_eq!(o.csv_dir.as_deref(), Some(std::path::Path::new("out")));
         assert_eq!(o.commands, vec!["fig14"]);
         assert!(parse(&["--profile", "nope"]).is_err());
     }
@@ -349,16 +301,13 @@ mod tests {
             o.json_dir.as_deref(),
             Some(std::path::Path::new("artifacts"))
         );
-        assert!(o.csv_dir.is_none());
         assert!(parse(&["--json"]).is_err());
-        // CSV and JSON can be requested together.
-        let o = parse(&["--csv", "a", "--json", "b"]).unwrap();
-        assert!(o.csv_dir.is_some() && o.json_dir.is_some());
     }
 
     #[test]
     fn unknown_commands_and_flags_rejected() {
         assert!(parse(&["fig99"]).is_err());
+        assert!(parse(&["par"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
     }
 

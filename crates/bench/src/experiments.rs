@@ -60,14 +60,8 @@ pub struct Exp1Row {
     pub agg: [AggMetrics; 3],
 }
 
-/// Runs Experiment 1 on the given datasets with `set_size` RPQs per set
-/// and `threads` engine workers (1 = sequential).
-pub fn run_experiment1(
-    datasets: &[Dataset],
-    profile: Profile,
-    set_size: usize,
-    threads: usize,
-) -> Vec<Exp1Row> {
+/// Runs Experiment 1 on the given datasets with `set_size` RPQs per set.
+pub fn run_experiment1(datasets: &[Dataset], profile: Profile, set_size: usize) -> Vec<Exp1Row> {
     let mut rows = Vec::with_capacity(datasets.len());
     for ds in datasets {
         let sets = generate_workload(
@@ -80,7 +74,7 @@ pub fn run_experiment1(
         );
         let mut agg: [AggMetrics; 3] = Default::default();
         for set in &sets {
-            let runs = run_all_strategies(&ds.graph, set.prefix(set_size), threads);
+            let runs = run_all_strategies(&ds.graph, set.prefix(set_size));
             for (slot, m) in agg.iter_mut().zip(&runs) {
                 slot.accumulate(m);
             }
@@ -196,9 +190,8 @@ pub struct Exp2Row {
     pub agg: [AggMetrics; 3],
 }
 
-/// Runs Experiment 2 (vary #RPQs) on RMAT_3 and the Advogato surrogate
-/// with `threads` engine workers (1 = sequential).
-pub fn run_experiment2(profile: Profile, threads: usize) -> Vec<Exp2Row> {
+/// Runs Experiment 2 (vary #RPQs) on RMAT_3 and the Advogato surrogate.
+pub fn run_experiment2(profile: Profile) -> Vec<Exp2Row> {
     let mut rows = Vec::new();
     for ds in experiment2_datasets(profile) {
         let sets = generate_workload(
@@ -212,7 +205,7 @@ pub fn run_experiment2(profile: Profile, threads: usize) -> Vec<Exp2Row> {
         for &k in &profile.set_sizes() {
             let mut agg: [AggMetrics; 3] = Default::default();
             for set in &sets {
-                let runs = run_all_strategies(&ds.graph, set.prefix(k), threads);
+                let runs = run_all_strategies(&ds.graph, set.prefix(k));
                 for (slot, m) in agg.iter_mut().zip(&runs) {
                     slot.accumulate(m);
                 }
@@ -317,9 +310,7 @@ mod tests {
             graph: rpq_datasets::rmat::rmat_n_scaled(2, 8, 3),
             synthetic: true,
         }];
-        let rows = run_experiment1(&datasets, Profile::Fast, 2, 1);
-        let rows_par = run_experiment1(&datasets, Profile::Fast, 2, 2);
-        assert_eq!(rows_par.len(), rows.len());
+        let rows = run_experiment1(&datasets, Profile::Fast, 2);
         assert_eq!(rows.len(), 1);
         let f10 = fig10_table("Fig 10(a)", &rows);
         assert_eq!(f10.len(), 1);

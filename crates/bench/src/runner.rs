@@ -1,6 +1,6 @@
 //! Executes one multiple-RPQ set under one strategy and captures metrics.
 
-use rpq_core::{Breakdown, EliminationStats, Engine, EngineConfig, Strategy};
+use rpq_core::{Breakdown, EliminationStats, Engine, Strategy};
 use rpq_graph::LabeledMultigraph;
 use rpq_regex::Regex;
 use std::time::{Duration, Instant};
@@ -26,29 +26,22 @@ pub struct RunMetrics {
     pub result_sizes: Vec<usize>,
 }
 
-/// Runs `queries` as one set under `strategy` on a fresh engine with
-/// `threads` workers (1 = sequential, 0 = all cores; the engine fans the
-/// set out when that resolves to more than one).
+/// Runs `queries` as one set under `strategy` on a fresh engine, one query
+/// after another.
 ///
 /// Returns `None` if any query fails (DNF limit); workload queries never do.
 pub fn run_query_set(
     graph: &LabeledMultigraph,
     queries: &[Regex],
     strategy: Strategy,
-    threads: usize,
 ) -> Option<RunMetrics> {
-    let engine = Engine::with_config(
-        graph,
-        EngineConfig {
-            strategy,
-            threads,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::with_strategy(graph, strategy);
     let t = Instant::now();
     let results = engine.evaluate_set(queries).ok()?;
-    // The engine sums per-query response times; the set's response time is
-    // the wall clock around the (possibly fanned-out) batch.
+    // The engine sums per-query response times, all on this thread; the
+    // set's response time is the wall clock around the whole set, so it
+    // also holds the loop between queries. The stage times are parts of
+    // both.
     let total = t.elapsed();
     let result_sizes = results.iter().map(|r| r.len()).collect();
     let shared = strategy.kind().map(|kind| engine.cache().totals(kind));
@@ -66,21 +59,15 @@ pub fn run_query_set(
     })
 }
 
-/// Runs the set under all three strategies (each engine with `threads`
-/// workers — the `--threads` flag of the experiments driver), asserting
-/// result agreement.
+/// Runs the set under all three strategies, asserting result agreement.
 ///
 /// The agreement check makes every harness run double as a correctness
 /// test: if any strategy disagrees on any query, the harness panics with
 /// the offending query.
-pub fn run_all_strategies(
-    graph: &LabeledMultigraph,
-    queries: &[Regex],
-    threads: usize,
-) -> Vec<RunMetrics> {
+pub fn run_all_strategies(graph: &LabeledMultigraph, queries: &[Regex]) -> Vec<RunMetrics> {
     let mut out: Vec<RunMetrics> = Vec::with_capacity(3);
     for strategy in Strategy::ALL {
-        let metrics = run_query_set(graph, queries, strategy, threads)
+        let metrics = run_query_set(graph, queries, strategy)
             .expect("workload queries stay under the DNF limit");
         if let Some(first) = out.first() {
             for (i, (a, b)) in first
@@ -110,29 +97,37 @@ mod tests {
     fn run_metrics_for_paper_query() {
         let g = paper_graph();
         let queries = vec![Regex::parse("d.(b.c)+.c").unwrap()];
-        let metrics = run_query_set(&g, &queries, Strategy::RtcSharing, 1).unwrap();
+        let metrics = run_query_set(&g, &queries, Strategy::RtcSharing).unwrap();
         assert_eq!(metrics.result_sizes, [2]);
         assert_eq!(metrics.shared_pairs, 3);
         assert_eq!(metrics.shared_vertices, 3); // 3 SCCs
         assert!(metrics.total > Duration::ZERO);
     }
 
+    /// Fig. 11's partition: the two instrumented stages are parts of the
+    /// set's wall clock, and so is the engine's own sum of per-query times,
+    /// because every query of a set runs on the calling thread.
     #[test]
-    fn threaded_runner_matches_sequential() {
+    fn set_stages_partition_the_wall_clock() {
         let g = paper_graph();
-        let queries = vec![
-            Regex::parse("d.(b.c)+.c").unwrap(),
-            Regex::parse("a.(b.c)*.c").unwrap(),
-        ];
-        let seq = run_query_set(&g, &queries, Strategy::RtcSharing, 1).unwrap();
-        for threads in [2usize, 8] {
-            let par = run_query_set(&g, &queries, Strategy::RtcSharing, threads).unwrap();
-            assert_eq!(par.result_sizes, seq.result_sizes, "threads {threads}");
-            assert_eq!(par.shared_pairs, seq.shared_pairs, "threads {threads}");
+        let queries: Vec<Regex> = ["d.(b.c)+.c", "a.(b.c)*", "(a.b)+|(b.c)+", "c.(a.b)+.b"]
+            .iter()
+            .map(|q| Regex::parse(q).unwrap())
+            .collect();
+        for strategy in Strategy::ALL {
+            let m = run_query_set(&g, &queries, strategy).unwrap();
+            assert_eq!(m.breakdown.total, m.total, "{strategy}");
+            assert!(
+                m.breakdown.shared_data + m.breakdown.pre_join <= m.total,
+                "{strategy}: {}",
+                m.breakdown
+            );
+            let engine = Engine::with_strategy(&g, strategy);
+            let t = Instant::now();
+            engine.evaluate_set(&queries).unwrap();
+            let wall = t.elapsed();
+            assert!(engine.breakdown().total <= wall, "{strategy}");
         }
-        let all = run_all_strategies(&g, &queries, 2);
-        assert_eq!(all.len(), 3);
-        assert!(all.iter().all(|m| m.result_sizes == seq.result_sizes));
     }
 
     #[test]
@@ -142,7 +137,7 @@ mod tests {
             Regex::parse("d.(b.c)+.c").unwrap(),
             Regex::parse("a.(b.c)*.c").unwrap(),
         ];
-        let all = run_all_strategies(&g, &queries, 1);
+        let all = run_all_strategies(&g, &queries);
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|m| m.result_sizes == all[0].result_sizes));
         // NoSharing shares nothing.

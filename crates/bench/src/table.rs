@@ -1,4 +1,4 @@
-//! Aligned text tables and CSV output for the experiment results.
+//! Aligned text tables and JSON output for the experiment results.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -64,43 +64,6 @@ impl Table {
             let _ = writeln!(out, "{}", line(row, &widths));
         }
         out
-    }
-
-    /// Renders CSV (RFC-4180-lite: cells containing commas are quoted).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |c: &str| -> String {
-            if c.contains(',') || c.contains('"') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{}",
-            self.header
-                .iter()
-                .map(|c| esc(c))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-
-    /// Writes the CSV form to `dir/<slug>.csv` (slug derived from title).
-    pub fn write_csv(&self, dir: &Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.csv", self.slug()));
-        std::fs::write(&path, self.to_csv())?;
-        Ok(path)
     }
 
     /// Renders JSON: `{"title", "header", "rows": [{col: cell, ...}]}` —
@@ -216,25 +179,6 @@ mod tests {
         assert_eq!(lines.len(), 5);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["1,2".into(), "plain".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"1,2\",plain"));
-    }
-
-    #[test]
-    fn csv_file_roundtrip() {
-        let mut t = Table::new("Fig 10(a) demo", &["c"]);
-        t.row(vec!["v".into()]);
-        let dir = std::env::temp_dir().join("rpq_table_test");
-        let path = t.write_csv(&dir).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("c\n"));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

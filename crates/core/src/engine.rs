@@ -73,12 +73,6 @@ pub struct EngineConfig {
     pub strategy: Strategy,
     /// DNF clause budget (guards against exponential blow-up).
     pub dnf_clause_limit: usize,
-    /// How many queries of a set [`Engine::evaluate_set`] evaluates at
-    /// once: `1` (the default) evaluates them one after another, `0` uses
-    /// every available core, `N > 1` spawns up to `N` scoped workers.
-    /// Nothing else reads it; every closure is built sequentially. Results
-    /// are identical at any thread count (property-tested).
-    pub threads: usize,
     /// Field-less: a stale shared structure is re-stamped if its `R_G` did
     /// not move and rebuilt from the new one otherwise, with nothing to
     /// tune. The field stays only because the benchmark harness's trace
@@ -104,7 +98,6 @@ impl Default for EngineConfig {
         Self {
             strategy: Strategy::RtcSharing,
             dnf_clause_limit: DEFAULT_CLAUSE_LIMIT,
-            threads: 1,
             maintenance: MaintenanceConfig,
             representation: RowSetPolicy,
             cache_budget: CacheBudget::default(),
@@ -496,29 +489,13 @@ impl<'g> Engine<'g> {
 
     /// Evaluates a multiple-RPQ set, sharing along the way.
     ///
-    /// When [`EngineConfig::threads`] *resolves* to more than one worker
-    /// (`0` = all cores, so on a single-core host it stays sequential) and
-    /// the set has at least two queries, [`Engine::prepare`] warms every
-    /// closure body once and the now independent queries fan out over
-    /// scoped workers, all reading and filling **the same** shared cache
-    /// (an RTC one worker computes is immediately a hit for the others).
-    /// Results are returned in query order and are identical to the
-    /// sequential path (property-tested).
-    ///
-    /// Every query adds its own response time to `breakdown().total`, as it
-    /// does to the stage timers and counters, so on a multi-core host the
-    /// accumulated `total` of a fanned-out set is CPU time, not the set's
-    /// wall clock.
+    /// The paper's unit of work: the queries run one after another, in
+    /// order, on the calling thread, so each reuses every shared structure
+    /// the ones before it computed. Every query adds its own response time
+    /// to `breakdown().total`, as it does to the stage timers and counters,
+    /// so the accumulated `total` of a set is the sum of its queries' times.
     pub fn evaluate_set(&self, queries: &[Regex]) -> Result<Vec<PairSet>, EngineError> {
-        let threads = rpq_graph::par::effective_threads(self.handles.config.threads);
-        let threads = threads.min(queries.len());
-        if threads <= 1 {
-            return queries.iter().map(|q| self.evaluate(q)).collect();
-        }
-        self.prepare(queries)?;
-        rpq_graph::par::par_map(threads, queries.len(), |i| self.evaluate(&queries[i]))
-            .into_iter()
-            .collect()
+        queries.iter().map(|q| self.evaluate(q)).collect()
     }
 
     /// Warms the shared cache for a query set before evaluating it.
@@ -820,109 +797,32 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_sequential_for_all_strategies() {
-        let g = paper_graph();
-        let queries: Vec<Regex> = ["d.(b.c)+.c", "a.(b.c)*", "(a.b)+|(b.c)+", "c.(a.b)+.b"]
-            .iter()
-            .map(|q| Regex::parse(q).unwrap())
-            .collect();
-        for strategy in Strategy::ALL {
-            let seq = Engine::with_strategy(&g, strategy)
-                .evaluate_set(&queries)
-                .unwrap();
-            for threads in [0usize, 2, 8] {
-                let e = Engine::with_config(
-                    &g,
-                    EngineConfig {
-                        strategy,
-                        threads,
-                        ..EngineConfig::default()
-                    },
-                );
-                let par = e.evaluate_set(&queries).unwrap();
-                assert_eq!(par, seq, "{strategy} at {threads} threads");
-                assert!(e.breakdown().total > std::time::Duration::ZERO);
-            }
-        }
-    }
-
-    #[test]
-    fn small_sets_stay_sequential_at_any_thread_count() {
-        let g = paper_graph();
-        let one = [Regex::parse("d.(b.c)+.c").unwrap()];
-        let e = Engine::with_config(
-            &g,
-            EngineConfig {
-                threads: 2,
-                ..EngineConfig::default()
-            },
-        );
-        // A single query (or an empty set) is evaluated directly: no
-        // warm-up pass, so its one lookup is the miss.
-        assert_eq!(e.evaluate_set(&one).unwrap().len(), 1);
-        assert_eq!((e.cache().hits(), e.cache().misses()), (0, 1));
-        assert!(e.evaluate_set(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn parallel_batch_warms_and_reuses_the_cache() {
-        let g = paper_graph();
-        let queries = [
-            Regex::parse("d.(b.c)+.c").unwrap(),
-            Regex::parse("a.(b.c)+").unwrap(),
-            Regex::parse("(b.c)*").unwrap(),
-        ];
-        let e = Engine::with_config(
-            &g,
-            EngineConfig {
-                threads: 2,
-                ..EngineConfig::default()
-            },
-        );
-        let results = e.evaluate_set(&queries).unwrap();
-        assert_eq!(results.len(), 3);
-        // One shared body (b·c) computed once by prepare; the workers only
-        // ever hit the warmed cache.
-        assert_eq!(e.cache().totals(SharingKind::Rtc).entries, 1);
-        assert!(e.cache().hits() >= 3, "hits {}", e.cache().hits());
-    }
-
-    #[test]
-    fn parallel_batch_respects_configured_clause_limit() {
+    fn prepare_respects_configured_clause_limit() {
         // Regression: prepare() used to hard-code DEFAULT_CLAUSE_LIMIT, so
-        // an engine configured with a *larger* budget failed in parallel
-        // mode on queries the sequential path accepted.
+        // an engine configured with a *larger* budget rejected queries that
+        // evaluation accepted.
         let g = paper_graph();
         let big = ["(a|b)"; 13].join("."); // 2^13 = 8192 clauses > 4096
         let queries = [Regex::parse(&big).unwrap(), Regex::parse("(b.c)+").unwrap()];
-        let config = EngineConfig {
+        let wide = EngineConfig {
             dnf_clause_limit: 10_000,
-            threads: 2,
             ..EngineConfig::default()
         };
-        let par = Engine::with_config(&g, config)
-            .evaluate_set(&queries)
-            .unwrap();
-        let seq = Engine::with_config(
-            &g,
-            EngineConfig {
-                threads: 1,
-                ..config
-            },
-        )
-        .evaluate_set(&queries)
-        .unwrap();
-        assert_eq!(par, seq);
+        let report = Engine::with_config(&g, wide).prepare(&queries).unwrap();
+        assert_eq!(report.bodies_computed, 1);
+        assert!(matches!(
+            Engine::new(&g).prepare(&queries),
+            Err(EngineError::Dnf(_))
+        ));
     }
 
     #[test]
-    fn parallel_batch_surfaces_dnf_errors() {
+    fn evaluate_set_surfaces_dnf_errors() {
         let g = paper_graph();
         let e = Engine::with_config(
             &g,
             EngineConfig {
                 dnf_clause_limit: 2,
-                threads: 2,
                 ..EngineConfig::default()
             },
         );
@@ -931,6 +831,7 @@ mod tests {
             Regex::parse("(a|b).(a|b)").unwrap(), // 4 clauses > 2
         ];
         assert!(matches!(e.evaluate_set(&queries), Err(EngineError::Dnf(_))));
+        assert!(e.evaluate_set(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -1066,21 +967,14 @@ mod tests {
         vg.apply(&delta);
         let mutated = vg.graph().clone();
         for strategy in Strategy::ALL {
-            for threads in [1usize, 2] {
-                let config = EngineConfig {
-                    strategy,
-                    threads,
-                    ..EngineConfig::default()
-                };
-                let mut e = Engine::with_config(&g, config);
-                e.evaluate_set(&queries).unwrap(); // warm at epoch 0
-                e.apply_delta(&delta);
-                let dynamic = e.evaluate_set(&queries).unwrap();
-                let fresh = Engine::with_config(&mutated, config)
-                    .evaluate_set(&queries)
-                    .unwrap();
-                assert_eq!(dynamic, fresh, "{strategy} at {threads} threads");
-            }
+            let mut e = Engine::with_strategy(&g, strategy);
+            e.evaluate_set(&queries).unwrap(); // warm at epoch 0
+            e.apply_delta(&delta);
+            let dynamic = e.evaluate_set(&queries).unwrap();
+            let fresh = Engine::with_strategy(&mutated, strategy)
+                .evaluate_set(&queries)
+                .unwrap();
+            assert_eq!(dynamic, fresh, "{strategy}");
         }
     }
 

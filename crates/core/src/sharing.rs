@@ -32,10 +32,11 @@ use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Evaluation context threaded through the recursion. The cache is a
-/// shared reference — its interior is lock-protected and its counters
-/// atomic, so many recursions (from many threads) fill one cache at once;
-/// the metric accumulators are exclusive, local to this evaluation, and
+/// Evaluation context threaded through the recursion of one query, which
+/// runs entirely on its calling thread. The cache is a shared reference —
+/// its interior is lock-protected and its counters atomic, so concurrent
+/// evaluations (one per serving connection) fill one cache at once; the
+/// metric accumulators are exclusive, local to this evaluation, and
 /// merged into the engine's shared totals afterwards.
 pub(crate) struct EvalCtx<'a> {
     pub graph: &'a LabeledMultigraph,

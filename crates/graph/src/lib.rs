@@ -32,7 +32,6 @@ pub mod label_dict;
 pub mod metrics;
 pub mod multigraph;
 pub mod pairset;
-pub mod par;
 pub mod rowset;
 pub mod scc;
 pub mod snapshot;

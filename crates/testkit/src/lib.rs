@@ -375,12 +375,10 @@ pub enum Reader {
 /// budget over both tiers, so every suite that fixes no budget of its own
 /// also runs the budgeted insert and miss paths (the kit's scenarios peak
 /// below 64 KiB, so forced eviction is left to suites that set tighter
-/// budgets). Each setter fixes one axis to the values it
-/// lists, replacing the default's; no combination is listed twice. The
-/// `threads` axis reaches `Set` steps read live (`Engine::evaluate_set`);
-/// wire replays refuse it. The `binary` axis is the mode of a wire
-/// replay's first connection (its second takes the other); engine readers
-/// ignore it.
+/// budgets). Each setter fixes one axis to the values it lists, replacing
+/// the default's; no combination is listed twice. The `binary` axis is the
+/// mode of a wire replay's first connection (its second takes the other);
+/// engine readers ignore it.
 #[derive(Clone, Debug)]
 pub struct Axes(Vec<Axis>);
 
@@ -424,7 +422,6 @@ impl Axes {
 
 axes! {
     strategy: Strategy => |c, v| c.0.strategy = v;
-    threads: usize => |c, v| c.0.threads = v;
     budget: CacheBudget => |c, v| c.0.cache_budget = v;
     reader: Reader => |c, v| c.1 = v;
     binary: bool => |c, v| c.2 = v;

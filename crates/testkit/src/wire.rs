@@ -209,8 +209,6 @@ fn on(binary: bool) -> &'static str {
 /// `limit 1000` and the other mode. They trade overlays before every
 /// `Delta`.
 pub(crate) fn replay(s: &Scenario, (config, reader, binary): Axis, known: &mut Known) {
-    // Only `evaluate_set` reads `threads`, and the server never calls it.
-    assert_eq!(config.threads, 1, "a wire replay takes no threads axis");
     let engine = Engine::with_config_versioned(VersionedGraph::new(s.graph()), config);
     let root = Session::from_engine(engine, "scenario".into());
     let addr = (reader == Reader::Tcp).then(|| spawn_server(root.shared()));

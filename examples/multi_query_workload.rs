@@ -6,7 +6,7 @@
 //! cargo run --release --example multi_query_workload
 //! ```
 
-use rtc_rpq::core::{Engine, EngineConfig, Strategy};
+use rtc_rpq::core::{Engine, Strategy};
 use rtc_rpq::datasets::rmat::rmat_n_scaled;
 use rtc_rpq::datasets::workload::{alphabet_of, generate_workload, WorkloadConfig};
 
@@ -71,28 +71,4 @@ fn main() {
     );
     println!("Note how RTCSharing's shared_data and pre_join shrink while remainder stays flat —");
     println!("that is exactly the Fig. 11 decomposition from the paper.");
-
-    // Parallel batch mode: `prepare` warms the shared RTC once, then the
-    // four queries fan out over scoped worker threads. Results are
-    // identical to the sequential run at any thread count.
-    let threads = 4;
-    let par_engine = Engine::with_config(
-        &graph,
-        EngineConfig {
-            strategy: Strategy::RtcSharing,
-            threads,
-            ..EngineConfig::default()
-        },
-    );
-    let start = std::time::Instant::now();
-    let par_results = par_engine.evaluate_set(&set.queries).unwrap();
-    let par_sizes: Vec<usize> = par_results.iter().map(|r| r.len()).collect();
-    assert_eq!(par_sizes, reference, "parallel batch must agree");
-    println!(
-        "\nParallel batch (RTCSharing, {} worker threads): {:.3?} wall-clock, \
-         same {} result pairs.",
-        threads,
-        start.elapsed(),
-        par_sizes.iter().sum::<usize>()
-    );
 }

@@ -44,11 +44,10 @@ fn scc_split_and_merge_cycles() {
 
 /// Engine-level equivalence: an engine absorbing update streams answers
 /// every read — live, through held views and after snapshot restarts —
-/// like the reference at that epoch, for every strategy, at 1 and 2
-/// threads.
+/// like the reference at that epoch, for every strategy.
 #[test]
 fn engine_apply_delta_matches_fresh_engine() {
-    let axes = Axes::default().strategy(&Strategy::ALL).threads(&[1, 2]);
+    let axes = Axes::default().strategy(&Strategy::ALL);
     let shapes = [Shape::Uniform, Shape::GiantScc, Shape::DenseCyclic];
     let scenarios: Vec<_> = (0..24)
         .map(|seed| scenario(0xD15C0 + seed, shapes[seed as usize % 3]))

@@ -193,15 +193,13 @@ fn star_is_plus_union_identity() {
 }
 
 /// Row-layout invariance: on wide graphs the 1/32 density rule leaves
-/// short rows sparse next to dense ones, and every strategy at 1 and 2
-/// threads, read live and through pinned views, equals the reference. The
-/// inspector reads the cached closures and the answers, so the suite fails
-/// if its scenarios stop producing both layouts.
+/// short rows sparse next to dense ones, and every strategy, read live
+/// and through pinned views, equals the reference. The inspector reads the
+/// cached closures and the answers, so the suite fails if its scenarios
+/// stop producing both layouts.
 #[test]
 fn engine_invariant_under_representation() {
-    let axes = Axes::default()
-        .strategy(&EvalStrategy::ALL)
-        .threads(&[1, 2]);
+    let axes = Axes::default().strategy(&EvalStrategy::ALL);
     let axes = axes.reader(&[Reader::Live, Reader::Pinned]);
     // Non-empty (sparse, dense) rows seen: RTC closures, full closures,
     // answers.

@@ -46,6 +46,24 @@ fn theorem1_rtc_expansion_equals_full_tc() {
     }
 }
 
+/// All-singleton-SCC graphs (DAGs): on a chain every SCC is a singleton,
+/// the expansion has no self pair and equals the full closure, and the
+/// mapped digraph keeps every vertex of the DAG.
+#[test]
+fn all_singleton_scc_expansion_equals_full_tc() {
+    let edges: Vec<(u32, u32)> = (0..63).map(|v| (v, v + 1)).collect();
+    let r_g: PairSet = edges.iter().copied().collect();
+    let rtc = Rtc::from_pairs(&r_g);
+    assert_eq!(rtc.average_scc_size(), 1.0);
+    let expanded = rtc.expand();
+    for (a, b) in expanded.iter() {
+        assert_ne!(a, b, "DAG expansion must not contain self pairs");
+    }
+    assert_eq!(expanded, FullTc::from_pairs(&r_g).expand());
+    let gr = MappedDigraph::from_pairset(&r_g);
+    assert_eq!(gr.vertex_count(), 64);
+}
+
 /// Lemma 2 (Purdom): SCC members are reachability-equivalent — every
 /// member of an SCC reaches exactly the same vertex set through TC.
 #[test]

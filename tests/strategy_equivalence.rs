@@ -3,7 +3,7 @@
 //! arbitrary queries. Each test replays harness scenarios
 //! (`rpq_testkit::run`) with the strategy axis fixed.
 
-use rpq_testkit::{assert_equivalent, scenario, Axes, Scenario, Shape};
+use rpq_testkit::{assert_equivalent, q, scenario, Axes, Scenario, Shape, Step};
 use rtc_rpq::core::Strategy;
 
 /// Uniform random scenarios, read live, under every strategy.
@@ -63,4 +63,19 @@ fn degenerate_graphs() {
     for seed in 0..16 {
         assert_equivalent(&scenario(seed, Shape::Degenerate), &axes);
     }
+}
+
+/// One query set per edge case, evaluated by `Engine::evaluate_set`: on
+/// the empty graph, and on a chain, where every SCC is a singleton and no
+/// closure has a self pair.
+#[test]
+fn query_sets_on_empty_and_chain_graphs() {
+    let axes = Axes::default().strategy(&Strategy::ALL);
+    let mut empty = Scenario::fixed(&[], &[]);
+    empty.steps.push(Step::Set(vec![q("a+"), q("a.b")]));
+    assert_equivalent(&empty, &axes);
+    let chain: Vec<(u32, &str, u32)> = (0..15).map(|v| (v, "a", v + 1)).collect();
+    let mut dag = Scenario::fixed(&chain, &[]);
+    dag.steps.push(Step::Set(vec![q("a+"), q("a.a+"), q("a*")]));
+    assert_equivalent(&dag, &axes);
 }
