@@ -7,7 +7,8 @@
 //!    (what FullSharing pays) vs SCCs + condensation + closure of `Ḡ_R`
 //!    (what RTCSharing pays), both starting from the same `G_R`.
 //! 2. **Batch-unit evaluation** — Algorithm 2 vs the FullSharing join,
-//!    with the elimination counters that explain the gap.
+//!    with the elimination counters that explain the gap, plus one
+//!    large-cone row (Algorithm 2 alone) where the Post stage dominates.
 //! 3. **SCC sensitivity** — shared sizes and times as the average SCC size
 //!    grows with everything else held fixed.
 //! 4. **Cache pressure** — a Zipf stream against an unbounded cache and a
@@ -117,6 +118,29 @@ pub fn batch_unit_table(profile: Profile) -> Table {
             full_stats.full_duplicate_hits.to_string(),
         ]);
     }
+    // One large cone at every profile: `l0+` itself (Pre = Post = ε) on
+    // RMAT_2 at 2^15, where the Post stage builds the entry rows of ~56M
+    // pairs. FullSharing at this size is what Fig. 14 already shows, so
+    // only Algorithm 2 runs.
+    let graph = rmat_n_scaled(2, 15, 11);
+    let r_g = ProductEvaluator::new(&graph, &Regex::parse("l0").unwrap()).evaluate();
+    let rtc = Rtc::from_pairs(&r_g);
+    let pre = PreRelation::Identity(graph.vertex_count());
+    let mut stats = EliminationStats::default();
+    let alg2 = time_min(3, || {
+        stats = EliminationStats::default();
+        eval_batch_unit_rtc(&graph, &pre, &rtc, ClosureKind::Plus, &[], &mut stats)
+    });
+    t.row(vec![
+        "RMAT_2@2^15 l0+".to_string(),
+        fmt_secs(alg2),
+        "–".to_string(),
+        "–".to_string(),
+        stats.redundant1_skipped.to_string(),
+        stats.redundant2_skipped.to_string(),
+        stats.useless1_skipped.to_string(),
+        "–".to_string(),
+    ]);
     t
 }
 
@@ -330,6 +354,6 @@ mod tests {
         let t1 = tc_algorithms_table(Profile::Fast);
         assert_eq!(t1.len(), 2);
         let t2 = batch_unit_table(Profile::Fast);
-        assert_eq!(t2.len(), 2);
+        assert_eq!(t2.len(), 3);
     }
 }

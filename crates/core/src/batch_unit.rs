@@ -30,6 +30,15 @@
 //! that row by `Arc` in a result grouped by `v_i` — no flat pair vector, no
 //! global sort. With `Post = ε` the rows are Theorem 1's expansion.
 //!
+//! Cones nest (`t ∈ TC(s)` implies `TC(t) ⊆ TC(s)`), so an entry row covers
+//! each cone once: entry SCCs are built in ascending id order, and every
+//! cached RTC numbers its SCCs in reverse topological order, so the entry
+//! rows below `s_j` are finished first. `TC(s_j)` is walked in descending
+//! id; each `t` not yet covered gives `PostRow[t]`, and an entry `t ≠ s_j`
+//! also gives its finished `EntryRow[t]` and marks all of `TC(t)` covered.
+//! Only entry SCCs get rows: memoizing every cone is quadratic on a long
+//! chain.
+//!
 //! [`eval_batch_unit_full`] is the baseline join over the materialized
 //! `R⁺_G`: every successor insert pays a duplicate check — the redundant
 //! work the paper attributes to FullSharing — before the same Post step.
@@ -133,31 +142,54 @@ pub fn eval_batch_unit_rtc(
     let t1 = Instant::now();
     let n = graph.vertex_count() as u32;
     let result = post_image(graph, post).map_or_else(PairSet::new, |image| {
-        let mut post_rows: FxHashMap<u32, RowSet> = FxHashMap::default();
-        let mut entry_rows: FxHashMap<SccId, Arc<RowSet>> = FxHashMap::default();
+        let sccs = rtc.scc_count();
+        let mut post_rows: Vec<Option<RowSet>> = vec![None; sccs];
+        let mut entry_rows: Vec<Option<Arc<RowSet>>> = vec![None; sccs];
+        let mut distinct = entries.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        // Successors have lower ids, so ascending order finishes every entry
+        // row a cone can reuse before the cone's own. An entry not built yet
+        // would only mean its Post row alone is taken: the flat union.
+        let mut covered = EpochVisited::new(sccs);
+        let (mut cone, mut taken, mut reused) = (Vec::new(), Vec::new(), Vec::new());
+        for s in distinct {
+            covered.clear();
+            taken.clear();
+            reused.clear();
+            cone.clear();
+            cone.extend(rtc.successors(s).iter());
+            for &t in cone.iter().rev() {
+                if !covered.insert(t) {
+                    continue;
+                }
+                post_rows[t as usize].get_or_insert_with(|| {
+                    image(rtc.members_original(SccId(t)).map(VertexId::raw).collect())
+                });
+                taken.push(t as usize);
+                if t != s.raw() && entry_rows[t as usize].is_some() {
+                    // An entry below `s`: its row already holds all of TC(t).
+                    reused.push(t as usize);
+                    for u in rtc.successors(SccId(t)).iter() {
+                        covered.insert(u);
+                    }
+                }
+            }
+            let rows = taken.iter().filter_map(|&t| post_rows[t].as_ref());
+            let rows = rows.chain(reused.iter().filter_map(|&t| entry_rows[t].as_deref()));
+            entry_rows[s.index()] = Some(Arc::new(RowSet::union_all(rows, n)));
+        }
+        let entry_row = |sj: &SccId| entry_rows[sj.index()].as_ref().expect("built above");
         let mut groups = Vec::with_capacity(plan.len());
         let (mut e0, mut s0) = (0, 0);
         for (vi, e1, s1) in plan {
             let (mine, seeded) = (&entries[e0..e1], &seeds[s0..s1]);
             (e0, s0) = (e1, s1);
-            for &sj in mine {
-                entry_rows.entry(sj).or_insert_with(|| {
-                    let reach = rtc.successors(sj);
-                    for sk in reach.iter() {
-                        let members = rtc.members_original(SccId(sk)).map(VertexId::raw);
-                        post_rows
-                            .entry(sk)
-                            .or_insert_with(|| image(members.collect()));
-                    }
-                    let rows = reach.iter().filter_map(|sk| post_rows.get(&sk));
-                    Arc::new(RowSet::union_all(rows, n))
-                });
-            }
             let row = match (mine, seeded) {
-                ([sj], []) => Arc::clone(&entry_rows[sj]),
+                ([sj], []) => Arc::clone(entry_row(sj)),
                 _ => {
                     let seed = image(seeded.iter().copied().collect());
-                    let rows = mine.iter().map(|sj| &*entry_rows[sj]).chain([&seed]);
+                    let rows = mine.iter().map(|sj| &**entry_row(sj)).chain([&seed]);
                     Arc::new(RowSet::union_all(rows, n))
                 }
             };

@@ -114,10 +114,12 @@ impl RowSet {
         RowSet::Sparse(ids)
     }
 
-    /// Builds from arbitrary ids: sorts and dedups.
+    /// Builds from arbitrary ids: sorts, dedups and releases the capacity
+    /// the duplicates held, so [`RowSet::heap_bytes`] charges what is kept.
     pub fn from_unsorted(mut ids: Vec<u32>) -> Self {
         ids.sort_unstable();
         ids.dedup();
+        ids.shrink_to_fit();
         RowSet::Sparse(ids)
     }
 
@@ -423,7 +425,9 @@ impl RowSet {
     /// Forces the sparse representation.
     pub fn demote(&mut self) {
         if let RowSet::Dense(d) = self {
-            *self = RowSet::Sparse(d.iter().collect());
+            let mut ids = Vec::with_capacity(d.len as usize);
+            ids.extend(d.iter());
+            *self = RowSet::Sparse(ids);
         }
     }
 
@@ -833,6 +837,21 @@ mod tests {
         assert_eq!(s.heap_bytes(), 128 * 4);
         assert_eq!(d.heap_bytes(), 2 * 8); // 128 bits = 2 words
         assert_eq!(RowSet::empty().heap_bytes(), 0);
+    }
+
+    #[test]
+    fn heap_bytes_charge_no_removed_duplicates() {
+        assert_eq!(RowSet::from_unsorted(vec![3, 1, 3, 1]).heap_bytes(), 8);
+        let collected: RowSet = [5, 5, 5, 2, 2, 2].into_iter().collect();
+        assert_eq!(collected.heap_bytes(), 8);
+        let unioned = RowSet::union_all([sparse(&[1, 2]), sparse(&[2, 9])].iter(), 1024);
+        assert_eq!(unioned.heap_bytes(), 3 * 4);
+        // A bitset demoted below the density rule keeps only its elements.
+        let mut thinned = RowSet::dense_from_iter(1024, 0..40);
+        thinned.difference_in_place(&RowSet::dense_from_iter(1024, 3..40));
+        thinned.normalize(1024);
+        assert!(!thinned.is_dense());
+        assert_eq!(thinned.heap_bytes(), 3 * 4);
     }
 
     #[test]

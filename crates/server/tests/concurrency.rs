@@ -72,9 +72,10 @@ fn pair_count(status: &str) -> usize {
 /// from the per-epoch result cache — with the identical count.
 #[test]
 fn mvcc_slow_query_stays_pinned_while_writers_publish() {
-    // RMAT_3 at 2^14 vertices: `l0+` holds ~32M closure pairs — over a
-    // second of work in a debug build even with one shared row per SCC.
-    let addr = spawn_server(EngineConfig::default(), "gen rmat 3 14 42");
+    // RMAT_3 at 2^16 vertices: `l0+` answers ~403M pairs — seconds of
+    // work in a debug build even with one shared row per entry SCC, each
+    // built once per closure cone (~0.4 s in release).
+    let addr = spawn_server(EngineConfig::default(), "gen rmat 3 16 42");
     let mut a = Client::connect(addr);
     let mut b = Client::connect(addr);
     a.roundtrip("limit 0");
@@ -136,9 +137,9 @@ fn mvcc_slow_query_stays_pinned_while_writers_publish() {
 /// orders of magnitude earlier.
 #[test]
 fn slow_query_does_not_block_fast_reader() {
-    // RMAT_3 at 2^14 vertices: `l0+` holds ~32M closure pairs — over a
-    // second of work in a debug build, comfortably slow everywhere.
-    let addr = spawn_server(EngineConfig::default(), "gen rmat 3 14 42");
+    // RMAT_3 at 2^16 vertices: `l0+` answers ~403M pairs — seconds of
+    // work in a debug build (~0.4 s in release).
+    let addr = spawn_server(EngineConfig::default(), "gen rmat 3 16 42");
     let mut a = Client::connect(addr);
     let mut b = Client::connect(addr);
     a.roundtrip("limit 0");

@@ -371,11 +371,12 @@ pub enum Reader {
 }
 
 /// The engine configurations and readers a run covers: by default
-/// `EngineConfig::default()` read live, unbounded and under a 64 KiB
+/// `EngineConfig::default()` read live, unbounded and under a 2 KiB
 /// budget over both tiers, so every suite that fixes no budget of its own
-/// also runs the budgeted insert and miss paths (the kit's scenarios peak
-/// below 64 KiB, so forced eviction is left to suites that set tighter
-/// budgets). Each setter fixes one axis to the values it lists, replacing
+/// also runs the budgeted insert, eviction and miss paths (2 KiB evicts on
+/// some scenario of every shape but the degenerate one: all wide ones,
+/// about a third of the giant-SCC ones, a few uniform and dense-cyclic
+/// ones). Each setter fixes one axis to the values it lists, replacing
 /// the default's; no combination is listed twice. The `binary` axis is the
 /// mode of a wire replay's first connection (its second takes the other);
 /// engine readers ignore it.
@@ -387,7 +388,7 @@ type Axis = (EngineConfig, Reader, bool);
 
 impl Default for Axes {
     fn default() -> Self {
-        let tight = CacheBudget::parse("bytes=64k").expect("a budget spec");
+        let tight = CacheBudget::parse("bytes=2k").expect("a budget spec");
         let axes = Axes(vec![(EngineConfig::default(), Reader::Live, false)]);
         axes.budget(&[CacheBudget::default(), tight])
     }

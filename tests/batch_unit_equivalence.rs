@@ -1,6 +1,10 @@
 //! Differential test of the two batch-unit evaluators against the product
 //! evaluator on the whole query, and of their elimination counters against
 //! a pair-at-a-time reference that walks Algorithm 2 lines 4–12 literally.
+//! Algorithm 2's Post rows, which reuse the rows of the entry SCCs each
+//! closure cone reaches, are checked against the flat formula row by row
+//! (same answer, same layouts, same bytes, same sharing) on all five kit
+//! shapes and on hand-made cones.
 //!
 //! Graphs are the harness's uniform, giant-SCC and wide shapes
 //! (`rpq_testkit::Shape`; giant-SCC is one giant `a`-SCC with singleton
@@ -13,10 +17,13 @@
 use rpq_testkit::{scenario, Shape};
 use rtc_rpq::core::{eval_batch_unit_full, eval_batch_unit_rtc, EliminationStats, PreRelation};
 use rtc_rpq::eval::ProductEvaluator;
-use rtc_rpq::graph::{SccId, VertexId};
+use rtc_rpq::graph::{
+    Ends, GraphBuilder, LabelId, LabeledMultigraph, PairSet, RowSet, SccId, VertexId,
+};
 use rtc_rpq::reduction::{FullTc, Rtc};
 use rtc_rpq::regex::{ClosureKind, Regex};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Algorithm 2 lines 4–12 pair by pair: `ResEq7`/`ResEq8` as hash sets,
 /// Eq. (9) one member at a time, the `R*` seed skipped by membership.
@@ -69,6 +76,109 @@ fn reference_full_stats(pre: &PreRelation, full: &FullTc, kind: ClosureKind) -> 
     stats
 }
 
+/// Lines 13–16 by the flat formula: every entry row is `⋃ PostRow[s_k]`
+/// over all of `TC(s_j)`. A start with one entry SCC and no `R*` seed
+/// shares its entry's row; any other start gets the union of its entry
+/// rows and its seeds' Post image.
+fn reference_post(
+    g: &LabeledMultigraph,
+    pre: &PreRelation,
+    rtc: &Rtc,
+    kind: ClosureKind,
+    post: &[String],
+) -> PairSet {
+    let n = g.vertex_count() as u32;
+    let labels: Option<Vec<LabelId>> = post.iter().map(|l| g.labels().get(l)).collect();
+    let Some(labels) = labels else {
+        return PairSet::new();
+    };
+    let image = |ends: Vec<u32>| {
+        let mut row = RowSet::from_unsorted(ends);
+        for &l in &labels {
+            let out = |v| g.out_with_label(VertexId(v), l);
+            row = row.iter().flat_map(out).map(|&(_, d)| d.raw()).collect();
+        }
+        row.normalize(n);
+        row
+    };
+    let post_row = |s| image(rtc.members_original(SccId(s)).map(VertexId::raw).collect());
+    let mut entry_rows: HashMap<SccId, Arc<RowSet>> = HashMap::new();
+    let mut groups = Vec::new();
+    pre.for_each_group(|vi, ends| {
+        let mut mine: Vec<SccId> = Vec::new();
+        for sj in ends.iter().filter_map(|vj| rtc.scc_of_original(vj)) {
+            if !mine.contains(&sj) {
+                mine.push(sj);
+            }
+        }
+        let reached = |s: SccId| mine.iter().any(|&sj| rtc.successors(sj).contains(s.raw()));
+        let seeds: Vec<u32> = match kind {
+            ClosureKind::Plus => Vec::new(),
+            ClosureKind::Star => ends
+                .iter()
+                .filter(|&vj| !rtc.scc_of_original(vj).is_some_and(reached))
+                .map(VertexId::raw)
+                .collect(),
+        };
+        for &sj in &mine {
+            entry_rows.entry(sj).or_insert_with(|| {
+                let rows: Vec<RowSet> = rtc.successors(sj).iter().map(post_row).collect();
+                Arc::new(RowSet::union_all(rows.iter(), n))
+            });
+        }
+        let row = match (&mine[..], &seeds[..]) {
+            ([sj], []) => Arc::clone(&entry_rows[sj]),
+            _ => {
+                let seed = image(seeds);
+                let rows = mine.iter().map(|sj| &*entry_rows[sj]).chain([&seed]);
+                Arc::new(RowSet::union_all(rows, n))
+            }
+        };
+        groups.push((vi, row));
+    });
+    PairSet::from_grouped_rows(groups)
+}
+
+/// A grouped answer's rows by start.
+fn rows_of<'a>(ps: &'a PairSet, ctx: &str) -> Vec<(VertexId, &'a RowSet)> {
+    let row = |(v, ends)| match ends {
+        Ends::Row(r) => (v, r),
+        _ => panic!("{ctx}: a Post answer is grouped by start"),
+    };
+    ps.groups().map(row).collect()
+}
+
+/// `eval_batch_unit_rtc`'s answer equals [`reference_post`]'s row by row:
+/// the same rows in the same layouts and bytes, shared as often.
+fn assert_post_matches_the_flat_union(
+    g: &LabeledMultigraph,
+    pre: &PreRelation,
+    rtc: &Rtc,
+    kind: ClosureKind,
+    post: &[String],
+    ctx: &str,
+) {
+    let mut stats = EliminationStats::default();
+    let got = eval_batch_unit_rtc(g, pre, rtc, kind, post, &mut stats).result;
+    let want = reference_post(g, pre, rtc, kind, post);
+    assert_eq!(got, want, "{ctx}");
+    assert_eq!(got.heap_bytes(), want.heap_bytes(), "{ctx}");
+    let (got_rows, want_rows) = (rows_of(&got, ctx), rows_of(&want, ctx));
+    for ((v, a), (_, b)) in got_rows.iter().zip(&want_rows) {
+        assert_eq!(a.is_dense(), b.is_dense(), "{ctx}: layout of {v}'s row");
+        assert_eq!(a.heap_bytes(), b.heap_bytes(), "{ctx}: bytes of {v}'s row");
+    }
+    let distinct = |rows: &[(VertexId, &RowSet)]| {
+        let ptrs: HashSet<*const RowSet> = rows.iter().map(|&(_, r)| r as *const _).collect();
+        ptrs.len()
+    };
+    assert_eq!(
+        distinct(&got_rows),
+        distinct(&want_rows),
+        "{ctx}: shared rows"
+    );
+}
+
 #[test]
 fn batch_units_match_the_product_evaluator_and_the_reference_counters() {
     for case in 0..60 {
@@ -112,6 +222,115 @@ fn batch_units_match_the_product_evaluator_and_the_reference_counters() {
                         reference_full_stats(&pre, &full, kind),
                         "Full: {ctx}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// `Pre ∈ {ε, b, b·c}` as a [`PreRelation`] on `g`.
+fn pre_relations(g: &LabeledMultigraph) -> Vec<(&'static str, PreRelation)> {
+    let pairs =
+        |src| PreRelation::Pairs(ProductEvaluator::new(g, &Regex::parse(src).unwrap()).evaluate());
+    vec![
+        ("ε", PreRelation::Identity(g.vertex_count())),
+        ("b", pairs("b")),
+        ("b.c", pairs("b.c")),
+    ]
+}
+
+#[test]
+fn cone_rows_equal_the_flat_union_on_every_shape() {
+    let shapes = [
+        Shape::Uniform,
+        Shape::DenseCyclic,
+        Shape::Degenerate,
+        Shape::GiantScc,
+        Shape::Wide,
+    ];
+    for case in 0..50u64 {
+        let shape = shapes[case as usize % shapes.len()];
+        let g = scenario(0xC0E5 + case, shape).graph();
+        let r_g = ProductEvaluator::new(&g, &Regex::parse("a").unwrap()).evaluate();
+        let rtc = Rtc::from_pairs(&r_g);
+        for (pre_src, pre) in pre_relations(&g) {
+            for post in [&[][..], &["c"], &["c", "b"]] {
+                let post: Vec<String> = post.iter().map(|l| l.to_string()).collect();
+                for kind in [ClosureKind::Plus, ClosureKind::Star] {
+                    let ctx = format!("case {case} ({shape:?}) {pre_src}·a{kind:?}·{post:?}");
+                    assert_post_matches_the_flat_union(&g, &pre, &rtc, kind, &post, &ctx);
+                }
+            }
+        }
+    }
+}
+
+/// `(from, to)` edges of one label.
+type Edges = &'static [(u32, u32)];
+
+/// Hand-made cones: `a` edges are `R`, `b` edges are `Pre`, and every
+/// vertex `v` has a `c` edge to `20 + v`, so each SCC's Post row is its own.
+#[test]
+fn cone_rows_equal_the_flat_union_on_fixed_cones() {
+    let fixtures: [(&str, Edges, Edges); 5] = [
+        // 0 → {1, 2} → 3 → 4, entered at 0, 1 and 2: 0's cone reuses
+        // the two middle rows, whose own Post rows lie outside their cones.
+        (
+            "diamond",
+            &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)],
+            &[(10, 0), (11, 1), (12, 2)],
+        ),
+        // The cycle {0, 1, 2} is in its own cone and reaches the entry 3.
+        (
+            "cyclic entry",
+            &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)],
+            &[(10, 0), (11, 3)],
+        ),
+        // Only the head of 0 → 1 → 2 → 3 → 4 is entered: the flat union.
+        ("chain", &[(0, 1), (1, 2), (2, 3), (3, 4)], &[(10, 0)]),
+        // 10 enters 0, whose cone holds 3; 5 and 6 are off `V_a`, so under
+        // `a*` they are seeds while 3 is not.
+        (
+            "seeds",
+            &[(0, 1), (1, 3), (3, 4)],
+            &[(10, 0), (10, 3), (10, 5), (10, 6), (11, 5)],
+        ),
+        // 10 enters both middles of the diamond and its bottom; 11 enters
+        // the top alone and shares its entry row.
+        (
+            "several entries",
+            &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)],
+            &[(10, 1), (10, 2), (10, 3), (11, 0), (12, 1), (12, 4)],
+        ),
+    ];
+    for (name, r_edges, pre_edges) in fixtures {
+        let mut gb = GraphBuilder::new();
+        for &(u, v) in r_edges {
+            gb.add_edge(u, "a", v);
+        }
+        for &(u, v) in pre_edges {
+            gb.add_edge(u, "b", v);
+        }
+        for v in 0..7 {
+            gb.add_edge(v, "c", 20 + v);
+        }
+        let g = gb.build();
+        let r_g = ProductEvaluator::new(&g, &Regex::parse("a").unwrap()).evaluate();
+        let rtc = Rtc::from_pairs(&r_g);
+        for (pre_src, pre) in pre_relations(&g) {
+            for post in [&[][..], &["c"]] {
+                let post: Vec<String> = post.iter().map(|l| l.to_string()).collect();
+                for (kind, op) in [(ClosureKind::Plus, "+"), (ClosureKind::Star, "*")] {
+                    let ctx = format!("{name}: {pre_src}·a{op}·{post:?}");
+                    assert_post_matches_the_flat_union(&g, &pre, &rtc, kind, &post, &ctx);
+                    let closure = format!("(a){op}");
+                    let parts = [pre_src, &closure].into_iter();
+                    let parts = parts.chain(post.iter().map(String::as_str));
+                    let q: Vec<&str> = parts.filter(|p| *p != "ε").collect();
+                    let expect = ProductEvaluator::new(&g, &Regex::parse(&q.join(".")).unwrap());
+                    let mut stats = EliminationStats::default();
+                    let out = eval_batch_unit_rtc(&g, &pre, &rtc, kind, &post, &mut stats);
+                    assert_eq!(out.result, expect.evaluate(), "{ctx}");
                 }
             }
         }
