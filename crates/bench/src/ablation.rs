@@ -349,11 +349,39 @@ mod tests {
         assert!(head > a.len() / 3, "head ranks drew only {head}/200");
     }
 
+    /// The `column` cell of every row of a table's JSON form, in row order.
+    fn json_column<'a>(json: &'a str, column: &str) -> Vec<&'a str> {
+        let key = format!("\"{column}\":\"");
+        let cells = json
+            .match_indices(&key)
+            .map(|(at, _)| &json[at + key.len()..]);
+        cells
+            .map(|cell| &cell[..cell.find('"').expect("a closed cell")])
+            .collect()
+    }
+
+    /// The batch-unit table's counters are exact: each count column equals
+    /// its checked-in baseline cell for cell.
     #[test]
     fn ablation_tables_fast_profile() {
         let t1 = tc_algorithms_table(Profile::Fast);
         assert_eq!(t1.len(), 2);
         let t2 = batch_unit_table(Profile::Fast);
         assert_eq!(t2.len(), 3);
+        let baseline = include_str!(
+            "../../../scripts/bench_baseline/ablation__batch_unit_evaluation__pre_r__post_.json"
+        );
+        let got = t2.to_json();
+        for column in [
+            "graph",
+            "redundant1",
+            "redundant2",
+            "useless1",
+            "full_dup_hits",
+        ] {
+            let want = json_column(baseline, column);
+            assert_eq!(want.len(), 3, "{column}");
+            assert_eq!(json_column(&got, column), want, "{column}");
+        }
     }
 }

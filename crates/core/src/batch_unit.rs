@@ -23,21 +23,30 @@
 //! SCC ids instead of hash sets of pairs — semantically identical to
 //! `ResEq7`/`ResEq8` membership, with O(1) clears between groups.
 //!
+//! Cones nest (`t ∈ TC(s)` implies `TC(t) ⊆ TC(s)`), and every cached RTC
+//! numbers its SCCs in reverse topological order, so an SCC's successors
+//! have lower ids. Redundant-2 is therefore a cone cover: a `v_i`'s entry
+//! SCCs are walked in descending id, and an entry already stamped by an
+//! earlier entry's cone is not walked — its whole `TC(s_j)` counts as
+//! redundant-2 skips, the same total the pair-by-pair walk reaches, since
+//! `Σ|TC(s_j)| − |⋃ TC(s_j)|` does not depend on order. The entries left
+//! are the *kept* entries: those no other entry of the same `v_i` reaches.
+//!
 //! Its second pass (lines 13–16, timed as `post`) is redundant-1 in the
 //! Post dimension: the Post image is built once per SCC (`PostRow[s_k] =
-//! ⋃ Post(v), v ∈ s_k`) and once per entry SCC (`EntryRow[s_j] =
-//! ⋃ PostRow[s_k], s_k ∈ TC(s_j)`), and every `v_i` entering one SCC shares
-//! that row by `Arc` in a result grouped by `v_i` — no flat pair vector, no
-//! global sort. With `Post = ε` the rows are Theorem 1's expansion.
+//! ⋃ Post(v), v ∈ s_k`) and once per kept entry SCC (`EntryRow[s_j] =
+//! ⋃ PostRow[s_k], s_k ∈ TC(s_j)`), and every `v_i` with one kept entry and
+//! no `R*` seed shares that row by `Arc` in a result grouped by `v_i` — no
+//! flat pair vector, no global sort. Only a `v_i` with several kept entries
+//! (or seeds) unions rows. With `Post = ε` the rows are Theorem 1's
+//! expansion.
 //!
-//! Cones nest (`t ∈ TC(s)` implies `TC(t) ⊆ TC(s)`), so an entry row covers
-//! each cone once: entry SCCs are built in ascending id order, and every
-//! cached RTC numbers its SCCs in reverse topological order, so the entry
-//! rows below `s_j` are finished first. `TC(s_j)` is walked in descending
-//! id; each `t` not yet covered gives `PostRow[t]`, and an entry `t ≠ s_j`
-//! also gives its finished `EntryRow[t]` and marks all of `TC(t)` covered.
-//! Only entry SCCs get rows: memoizing every cone is quadratic on a long
-//! chain.
+//! Entry rows cover each cone once too: they are built in ascending id
+//! order, so the entry rows below `s_j` are finished first. `TC(s_j)` is
+//! walked in descending id; each `t` not yet covered gives `PostRow[t]`,
+//! and an entry `t ≠ s_j` also gives its finished `EntryRow[t]` and marks
+//! all of `TC(t)` covered. Only entry SCCs get rows: memoizing every cone
+//! is quadratic on a long chain.
 //!
 //! [`eval_batch_unit_full`] is the baseline join over the materialized
 //! `R⁺_G`: every successor insert pays a duplicate check — the redundant
@@ -48,7 +57,6 @@ use crate::pre_relation::PreRelation;
 use rpq_graph::{EpochVisited, LabelId, LabeledMultigraph, PairSet, RowSet, SccId, VertexId};
 use rpq_reduction::{FullTc, Rtc};
 use rpq_regex::ClosureKind;
-use rustc_hash::FxHashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,11 +81,11 @@ pub fn eval_batch_unit_rtc(
     stats: &mut EliminationStats,
 ) -> BatchUnitResult {
     let t0 = Instant::now();
-    // Per `v_i`: where its entry SCCs and its uncovered `R*` seeds end.
+    // Per `v_i`: where its kept entry SCCs and its uncovered `R*` seeds end.
     let mut plan: Vec<(VertexId, usize, usize)> = Vec::new();
     let (mut entries, mut seeds) = (Vec::<SccId>::new(), Vec::<u32>::new());
     // A single-entry `v_i`'s (9) insert count depends on its `s_j` alone.
-    let mut reach_sizes: FxHashMap<SccId, u64> = FxHashMap::default();
+    let mut reach_sizes: Vec<Option<u64>> = vec![None; rtc.scc_count()];
     let mut stamp7 = EpochVisited::new(rtc.scc_count());
     let mut stamp8 = EpochVisited::new(rtc.scc_count());
 
@@ -98,18 +106,31 @@ pub fn eval_batch_unit_rtc(
                 stats.redundant1_skipped += 1;
             }
         }
-        let mine = &entries[first..];
-        if let [sj] = mine {
+        let single = entries.len() - first == 1;
+        if single {
             // One entry: (8) meets no duplicate, (9) covers all of TC(s_j).
-            stats.useless2_unchecked_inserts += *reach_sizes.entry(*sj).or_insert_with(|| {
-                let sizes = rtc.successors(*sj).iter().map(|sk| rtc.scc_size(SccId(sk)));
+            let sj = entries[first];
+            stats.useless2_unchecked_inserts += *reach_sizes[sj.index()].get_or_insert_with(|| {
+                let sizes = rtc.successors(sj).iter().map(|sk| rtc.scc_size(SccId(sk)));
                 sizes.sum::<usize>() as u64
             });
         } else {
+            // Descending id walks every entry that reaches `s_j` before it.
+            // A stamped `s_j` lies in a walked cone, so all of TC(s_j) is
+            // stamped too: its walk would only skip, so it is counted whole
+            // and `s_j` is dropped.
+            entries[first..].sort_unstable_by(|a, b| b.cmp(a));
             stamp8.clear();
-            for &sj in mine {
+            let mut kept = first;
+            for i in first..entries.len() {
+                let sj = entries[i];
+                let cone = rtc.successors(sj);
+                if stamp8.contains(sj.raw()) {
+                    stats.redundant2_skipped += cone.len() as u64;
+                    continue;
+                }
                 // (8): SCCs reachable from sj in TC(Ḡ_R).
-                for sk in rtc.successors(sj).iter() {
+                for sk in cone.iter() {
                     // Duplicate check for (8) — redundant-2 elimination; (9)
                     // inserts s_k's members unchecked — useless-2.
                     if stamp8.insert(sk) {
@@ -118,15 +139,21 @@ pub fn eval_batch_unit_rtc(
                         stats.redundant2_skipped += 1;
                     }
                 }
+                entries[kept] = sj;
+                kept += 1;
             }
+            entries.truncate(kept);
         }
         if kind == ClosureKind::Star {
             // Initialization for Pre·R*·Post (Algorithm 2 lines 2–3): a seed
             // end in a reached SCC is one (9) insert fewer; the rest seed.
             for vj in ends.iter() {
-                let reached = rtc.scc_of_original(vj).is_some_and(|s| match mine {
-                    [sj] => rtc.successors(*sj).contains(s.raw()),
-                    _ => stamp8.contains(s.raw()),
+                let reached = rtc.scc_of_original(vj).is_some_and(|s| {
+                    if single {
+                        rtc.successors(entries[first]).contains(s.raw())
+                    } else {
+                        stamp8.contains(s.raw())
+                    }
                 });
                 if reached {
                     stats.useless2_unchecked_inserts -= 1;
@@ -141,7 +168,7 @@ pub fn eval_batch_unit_rtc(
 
     let t1 = Instant::now();
     let n = graph.vertex_count() as u32;
-    let result = post_image(graph, post).map_or_else(PairSet::new, |image| {
+    let result = PostImage::new(graph, post).map_or_else(PairSet::new, |mut image| {
         let sccs = rtc.scc_count();
         let mut post_rows: Vec<Option<RowSet>> = vec![None; sccs];
         let mut entry_rows: Vec<Option<Arc<RowSet>>> = vec![None; sccs];
@@ -164,7 +191,7 @@ pub fn eval_batch_unit_rtc(
                     continue;
                 }
                 post_rows[t as usize].get_or_insert_with(|| {
-                    image(rtc.members_original(SccId(t)).map(VertexId::raw).collect())
+                    image.row(rtc.members_original(SccId(t)).map(VertexId::raw))
                 });
                 taken.push(t as usize);
                 if t != s.raw() && entry_rows[t as usize].is_some() {
@@ -183,13 +210,14 @@ pub fn eval_batch_unit_rtc(
         let mut groups = Vec::with_capacity(plan.len());
         let (mut e0, mut s0) = (0, 0);
         for (vi, e1, s1) in plan {
-            let (mine, seeded) = (&entries[e0..e1], &seeds[s0..s1]);
+            let (kept, seeded) = (&entries[e0..e1], &seeds[s0..s1]);
             (e0, s0) = (e1, s1);
-            let row = match (mine, seeded) {
+            let row = match (kept, seeded) {
                 ([sj], []) => Arc::clone(entry_row(sj)),
+                ([], _) => Arc::new(image.row(seeded.iter().copied())),
                 _ => {
-                    let seed = image(seeded.iter().copied().collect());
-                    let rows = mine.iter().map(|sj| &**entry_row(sj)).chain([&seed]);
+                    let seed = image.row(seeded.iter().copied());
+                    let rows = kept.iter().map(|sj| &**entry_row(sj)).chain([&seed]);
                     Arc::new(RowSet::union_all(rows, n))
                 }
             };
@@ -244,10 +272,10 @@ pub fn eval_batch_unit_full(
     let pre_join = t0.elapsed();
 
     let t1 = Instant::now();
-    let result = post_image(graph, post).map_or_else(PairSet::new, |image| {
+    let result = PostImage::new(graph, post).map_or_else(PairSet::new, |mut image| {
         let rows = reached
             .into_iter()
-            .map(|(v, row)| (v, Arc::new(image(row))));
+            .map(|(v, row)| (v, Arc::new(image.row(row.iter()))));
         PairSet::from_grouped_rows(rows.collect())
     });
 
@@ -260,23 +288,59 @@ pub fn eval_batch_unit_full(
 
 /// Lines 13–16 for both evaluators: maps a set of `(Pre·R^(+|*))_G` end
 /// vertices to `⋃ Post(v)` over the set, one frontier step per Post label
-/// (a vertex reached along several paths expands once), as a normalized
-/// row. `None` when a Post label is absent from the alphabet: it matches no
-/// edge, so the batch unit is empty.
-fn post_image<'a>(
+/// (a vertex reached along several paths expands once). One visited stamp
+/// and two frontiers serve every row of an evaluation.
+struct PostImage<'a> {
     graph: &'a LabeledMultigraph,
-    post: &[String],
-) -> Option<impl Fn(RowSet) -> RowSet + 'a> {
-    let labels: Option<Vec<LabelId>> = post.iter().map(|l| graph.labels().get(l)).collect();
-    let labels = labels?;
-    Some(move |mut ends: RowSet| {
-        for &label in &labels {
-            let out = |v| graph.out_with_label(VertexId(v), label);
-            ends = ends.iter().flat_map(out).map(|&(_, d)| d.raw()).collect();
+    labels: Vec<LabelId>,
+    seen: EpochVisited,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl<'a> PostImage<'a> {
+    /// `None` when a Post label is absent from the alphabet: it matches no
+    /// edge, so the batch unit is empty.
+    fn new(graph: &'a LabeledMultigraph, post: &[String]) -> Option<Self> {
+        let labels: Option<Vec<LabelId>> = post.iter().map(|l| graph.labels().get(l)).collect();
+        Some(PostImage {
+            graph,
+            labels: labels?,
+            seen: EpochVisited::new(graph.vertex_count()),
+            frontier: Vec::new(),
+            next: Vec::new(),
+        })
+    }
+
+    /// The image of `ends`, built in the layout [`RowSet::wants_dense`]
+    /// picks over the graph's vertices: the row, layout and bytes
+    /// [`RowSet::normalize`] would leave.
+    fn row(&mut self, ends: impl IntoIterator<Item = u32>) -> RowSet {
+        self.seen.clear();
+        self.frontier.clear();
+        self.frontier
+            .extend(ends.into_iter().filter(|&v| self.seen.insert(v)));
+        for &label in &self.labels {
+            self.seen.clear();
+            self.next.clear();
+            for &v in &self.frontier {
+                for &(_, d) in self.graph.out_with_label(VertexId(v), label) {
+                    if self.seen.insert(d.raw()) {
+                        self.next.push(d.raw());
+                    }
+                }
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
         }
-        ends.normalize(graph.vertex_count() as u32);
-        ends
-    })
+        let n = self.graph.vertex_count() as u32;
+        if RowSet::wants_dense(self.frontier.len(), n) {
+            RowSet::dense_from_iter(n, self.frontier.iter().copied())
+        } else {
+            let mut ids = self.frontier.clone();
+            ids.sort_unstable();
+            RowSet::from_sorted_vec(ids)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1249,16 +1249,18 @@ mod tests {
     }
 
     /// A structure is charged for its id tables as well as its rows: the
-    /// `V_R` vertex list (4 B a vertex) and, for an RTC, the SCC tables
-    /// (8 B a vertex, 4 B an SCC). The totals still count the rows alone.
+    /// `V_R` vertex list (4 B a vertex), its rank table (4 B an original id
+    /// up to the largest in `V_R`; here `V_R` is `0..v`) and, for an RTC,
+    /// the SCC tables (8 B a vertex, 4 B an SCC). The totals still count
+    /// the rows alone.
     #[test]
     fn structures_are_charged_for_their_id_tables() {
         let rtc = sample_rtc();
         let full = FullTc::from_pairs(&sample_pairs());
         let (v, s) = (rtc.stats().vr_vertices, rtc.scc_count());
         for (kind, rows, tables) in [
-            (RtcKind, rtc.closure_heap_bytes(), 12 * v + 4 * s),
-            (Full, full.closure_heap_bytes(), 4 * v),
+            (RtcKind, rtc.closure_heap_bytes(), 16 * v + 4 * s),
+            (Full, full.closure_heap_bytes(), 8 * v),
         ] {
             let c = SharedCache::new();
             insert_bare(&c, kind, "k");

@@ -70,16 +70,25 @@ impl Digraph {
     }
 }
 
+/// Marks an original id outside `V_R` in [`VertexMapping`]'s rank table.
+const UNMAPPED: u32 = u32::MAX;
+
 /// Translation between compact digraph ids and original graph vertices.
 ///
 /// `V_R` — the vertex set of an edge-level reduced graph — only contains
 /// vertices incident to some `R`-path, so it is usually much smaller than
 /// `V`. The mapping is the bridge Algorithm 2 uses when joining `Pre_G`
-/// (over original ids) with the RTC (over compact/SCC ids). It is one
-/// ascending vertex list: compact id `i` is entry `i`, found by binary search.
+/// (over original ids) with the RTC (over compact/SCC ids). It is an
+/// ascending vertex list (compact id `i` is entry `i`) and its inverse, a
+/// rank table over original ids `0..=max(V_R)` that makes
+/// [`VertexMapping::compact`] one index. The list costs 4 bytes per `V_R`
+/// vertex and the table 4 bytes per original id up to the largest one in
+/// `V_R`: `4·(|V_R| + max(V_R) + 1)` bytes in all.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VertexMapping {
     to_original: Vec<VertexId>,
+    /// Compact id by original id, [`UNMAPPED`] off `V_R`.
+    to_compact: Vec<u32>,
 }
 
 impl VertexMapping {
@@ -104,7 +113,8 @@ impl VertexMapping {
     /// Compact id for an original vertex, if the vertex is in `V_R`.
     #[inline]
     pub fn compact(&self, v: VertexId) -> Option<u32> {
-        self.to_original.binary_search(&v).ok().map(|i| i as u32)
+        let c = *self.to_compact.get(v.index())?;
+        (c != UNMAPPED).then_some(c)
     }
 
     /// All original vertices, ascending.
@@ -112,9 +122,10 @@ impl VertexMapping {
         &self.to_original
     }
 
-    /// Heap bytes of the vertex list.
+    /// Heap bytes of the vertex list and the rank table.
     pub fn heap_bytes(&self) -> usize {
         self.to_original.capacity() * std::mem::size_of::<VertexId>()
+            + self.to_compact.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -132,42 +143,46 @@ impl MappedDigraph {
     /// Builds `G_R` from the evaluation result `R_G`: every pair becomes one
     /// edge, and `V_R` is exactly the set of incident vertices.
     ///
-    /// The endpoints are marked in a rank table over the id range (freed on
-    /// return), and numbering them in ascending order is the compaction.
-    /// That renumbering is monotone, so each row of `pairs` goes into the
-    /// CSR still sorted and unique: no sort, no dedup, no hash.
+    /// The endpoints are marked in a rank table over the id range, and
+    /// numbering them in ascending order is the compaction; the table stays
+    /// as the mapping's inverse. That renumbering is monotone, so each row
+    /// of `pairs` goes into the CSR still sorted and unique: no sort, no
+    /// dedup, no hash.
     pub fn from_pairset(pairs: &PairSet) -> Self {
-        const UNMARKED: u32 = u32::MAX;
         let mut rank: Vec<u32> = Vec::new();
         let endpoints = pairs
             .groups()
             .flat_map(|(s, ends)| iter::once(s).chain(ends.iter()));
         for v in endpoints {
             if v.index() >= rank.len() {
-                rank.resize(v.index() + 1, UNMARKED);
+                rank.resize(v.index() + 1, UNMAPPED);
             }
             rank[v.index()] = 0;
         }
         let mut to_original: Vec<VertexId> = Vec::new();
         for (v, r) in rank.iter_mut().enumerate() {
-            if *r != UNMARKED {
+            if *r != UNMAPPED {
                 *r = to_original.len() as u32;
                 to_original.push(VertexId::from_usize(v));
             }
         }
         to_original.shrink_to_fit();
+        rank.shrink_to_fit();
         // Starts ascend, so they arrive in compact-id order; every other
         // compact id is an end only and gets an empty row.
-        let rank = &rank;
+        let compact = &rank;
         let mut groups = pairs.groups().peekable();
         let out = Csr::from_rows((0..to_original.len() as u32).map(|c| {
             groups
-                .next_if(|(s, _)| rank[s.index()] == c)
+                .next_if(|(s, _)| compact[s.index()] == c)
                 .into_iter()
-                .flat_map(move |(_, ends)| ends.iter().map(move |e| rank[e.index()]))
+                .flat_map(move |(_, ends)| ends.iter().map(move |e| compact[e.index()]))
         }));
         let graph = Digraph::from_csr(out);
-        let mapping = VertexMapping { to_original };
+        let mapping = VertexMapping {
+            to_original,
+            to_compact: rank,
+        };
         MappedDigraph { graph, mapping }
     }
 
@@ -231,6 +246,8 @@ mod tests {
         }
         assert_eq!(m.original(2), VertexId(9));
         assert_eq!(m.originals(), &[VertexId(2), VertexId(5), VertexId(9)]);
+        // 3 listed vertices and a rank table over ids 0..=9.
+        assert_eq!(m.heap_bytes(), 4 * (3 + 10));
     }
 
     /// `relation` with the grouped backing.

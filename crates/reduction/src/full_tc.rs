@@ -57,8 +57,8 @@ impl FullTc {
         self.rows.heap_bytes()
     }
 
-    /// Heap bytes of the whole structure: the `V_R` vertex list and the
-    /// closure rows.
+    /// Heap bytes of the whole structure: the `V_R` vertex list with its
+    /// rank table and the closure rows.
     pub fn heap_bytes(&self) -> usize {
         self.mapping.heap_bytes() + self.rows.heap_bytes()
     }

@@ -84,8 +84,8 @@ impl Rtc {
         self.closure.heap_bytes()
     }
 
-    /// Heap bytes of the whole structure: the `V_R` vertex list, the SCC
-    /// tables and the closure rows.
+    /// Heap bytes of the whole structure: the `V_R` vertex list with its
+    /// rank table, the SCC tables and the closure rows.
     pub fn heap_bytes(&self) -> usize {
         self.mapping.heap_bytes() + self.scc.heap_bytes() + self.closure.heap_bytes()
     }

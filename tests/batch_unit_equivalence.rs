@@ -4,7 +4,9 @@
 //! Algorithm 2's Post rows, which reuse the rows of the entry SCCs each
 //! closure cone reaches, are checked against the flat formula row by row
 //! (same answer, same layouts, same bytes, same sharing) on all five kit
-//! shapes and on hand-made cones.
+//! shapes and on hand-made cones. A start keeps only the entry SCCs no
+//! other entry of it reaches, and one kept entry means a shared row. With
+//! Post = ε the pass-1 insert count is the answer's size.
 //!
 //! Graphs are the harness's uniform, giant-SCC and wide shapes
 //! (`rpq_testkit::Shape`; giant-SCC is one giant `a`-SCC with singleton
@@ -77,9 +79,10 @@ fn reference_full_stats(pre: &PreRelation, full: &FullTc, kind: ClosureKind) -> 
 }
 
 /// Lines 13–16 by the flat formula: every entry row is `⋃ PostRow[s_k]`
-/// over all of `TC(s_j)`. A start with one entry SCC and no `R*` seed
-/// shares its entry's row; any other start gets the union of its entry
-/// rows and its seeds' Post image.
+/// over all of `TC(s_j)`. A start whose entry SCCs, less those another of
+/// them reaches, come down to one and that has no `R*` seed shares its
+/// entry's row; any other start gets the union of all its entry rows and
+/// its seeds' Post image.
 fn reference_post(
     g: &LabeledMultigraph,
     pre: &PreRelation,
@@ -126,7 +129,16 @@ fn reference_post(
                 Arc::new(RowSet::union_all(rows.iter(), n))
             });
         }
-        let row = match (&mine[..], &seeds[..]) {
+        let reached_by_another = |s: SccId| {
+            let mut others = mine.iter().filter(|&&sj| sj != s);
+            others.any(|&sj| rtc.successors(sj).contains(s.raw()))
+        };
+        let kept: Vec<SccId> = mine
+            .iter()
+            .copied()
+            .filter(|&s| !reached_by_another(s))
+            .collect();
+        let row = match (&kept[..], &seeds[..]) {
             ([sj], []) => Arc::clone(&entry_rows[sj]),
             _ => {
                 let seed = image(seeds);
@@ -149,7 +161,9 @@ fn rows_of<'a>(ps: &'a PairSet, ctx: &str) -> Vec<(VertexId, &'a RowSet)> {
 }
 
 /// `eval_batch_unit_rtc`'s answer equals [`reference_post`]'s row by row:
-/// the same rows in the same layouts and bytes, shared as often.
+/// the same rows in the same layouts and bytes, shared as often. With
+/// Post = ε, pass 1's unchecked inserts are the answer's pairs, less
+/// `Pre_G` itself under `R*` (its pairs are seeds, not inserts).
 fn assert_post_matches_the_flat_union(
     g: &LabeledMultigraph,
     pre: &PreRelation,
@@ -160,6 +174,15 @@ fn assert_post_matches_the_flat_union(
 ) {
     let mut stats = EliminationStats::default();
     let got = eval_batch_unit_rtc(g, pre, rtc, kind, post, &mut stats).result;
+    if post.is_empty() {
+        let seeded = if kind == ClosureKind::Star {
+            pre.len()
+        } else {
+            0
+        };
+        let counted = stats.useless2_unchecked_inserts as usize + seeded;
+        assert_eq!(counted, got.len(), "{ctx}: pass-1 count");
+    }
     let want = reference_post(g, pre, rtc, kind, post);
     assert_eq!(got, want, "{ctx}");
     assert_eq!(got.heap_bytes(), want.heap_bytes(), "{ctx}");
@@ -335,4 +358,39 @@ fn cone_rows_equal_the_flat_union_on_fixed_cones() {
             }
         }
     }
+}
+
+/// A start entering `s` and some `t ∈ TC(s)` keeps `s` alone and shares
+/// the row of a start entering `s` only; a start entering two SCCs neither
+/// of which reaches the other gets a row of its own.
+#[test]
+fn an_entry_another_entry_reaches_is_dropped() {
+    let mut gb = GraphBuilder::new();
+    // `a`: 0 → 1 → 2 → 3 and 4 → 3; `b`: 10 enters 0 and 2, 11 enters 0,
+    // 12 enters 0 and 4.
+    for (u, v) in [(0, 1), (1, 2), (2, 3), (4, 3)] {
+        gb.add_edge(u, "a", v);
+    }
+    for (u, v) in [(10, 0), (10, 2), (11, 0), (12, 0), (12, 4)] {
+        gb.add_edge(u, "b", v);
+    }
+    let g = gb.build();
+    let rtc = Rtc::from_pairs(&ProductEvaluator::new(&g, &Regex::parse("a").unwrap()).evaluate());
+    let pre = PreRelation::Pairs(ProductEvaluator::new(&g, &Regex::parse("b").unwrap()).evaluate());
+    let mut stats = EliminationStats::default();
+    let got = eval_batch_unit_rtc(&g, &pre, &rtc, ClosureKind::Plus, &[], &mut stats).result;
+    let rows = rows_of(&got, "fixed cone");
+    let row = |v: u32| {
+        rows.iter()
+            .find(|&&(s, _)| s == VertexId(v))
+            .expect("a row")
+            .1
+    };
+    assert!(std::ptr::eq(row(10), row(11)), "10 shares 0's row");
+    assert!(
+        !std::ptr::eq(row(12), row(11)),
+        "12 unions 0's and 4's rows"
+    );
+    // 10's dropped TC(2) = {3} counts whole, and 12's two cones share 3.
+    assert_eq!(stats.redundant2_skipped, 1 + 1);
 }
