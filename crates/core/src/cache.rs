@@ -1248,18 +1248,19 @@ mod tests {
         });
     }
 
-    /// A structure is charged for its id tables as well as its rows: the
-    /// `V_R` vertex list (4 B a vertex), its rank table (4 B an original id
-    /// up to the largest in `V_R`; here `V_R` is `0..v`) and, for an RTC,
-    /// the SCC tables (8 B a vertex, 4 B an SCC). The totals still count
-    /// the rows alone.
+    /// A structure is charged for its id tables as well as its rows (here
+    /// `V_R` is `0..v`). An RTC's are its SCC table over original ids (4 B
+    /// an id up to the largest in `V_R`) and its member rows (4 B a member,
+    /// 4 B an SCC). A full TC's are the `V_R` vertex list (4 B a vertex)
+    /// and its rank table (4 B an original id up to the largest in `V_R`).
+    /// The totals still count the rows alone.
     #[test]
     fn structures_are_charged_for_their_id_tables() {
         let rtc = sample_rtc();
         let full = FullTc::from_pairs(&sample_pairs());
         let (v, s) = (rtc.stats().vr_vertices, rtc.scc_count());
         for (kind, rows, tables) in [
-            (RtcKind, rtc.closure_heap_bytes(), 16 * v + 4 * s),
+            (RtcKind, rtc.closure_heap_bytes(), 8 * v + 4 * s),
             (Full, full.closure_heap_bytes(), 8 * v),
         ] {
             let c = SharedCache::new();

@@ -7,10 +7,15 @@
 //!
 //! The engine evaluates closure-free clauses, the closure bodies `R_G`
 //! (Algorithm 1 line 10) and the prefixes `Pre_G` this way. The join runs
-//! one start at a time: the start's `l₁` targets take one deduplicated
-//! frontier step per further label, and the last step's ends are read back
-//! in ascending order. Starts ascend too, so the pairs come out sorted and
-//! unique and the whole relation is never sorted.
+//! left to right, one start at a time, but a start's path only branches
+//! after its first hop: every start that reaches a first-hop vertex `m`
+//! continues with the same *suffix row*, the ends `l₂·…·lₖ` reaches from
+//! `m`. So each first-hop vertex's suffix row is computed once — for
+//! `k = 2` it is `m`'s `l₂` adjacency slice itself — and a start's row is
+//! that row copied when it has one first hop, or the union of its first
+//! hops' rows read back in ascending order. Starts ascend too, so the
+//! pairs come out sorted and unique and the whole relation is never
+//! sorted.
 
 use rpq_graph::{EpochVisited, LabelId, LabeledMultigraph, PairSet, VertexId};
 
@@ -27,14 +32,29 @@ pub fn eval_label_sequence(graph: &LabeledMultigraph, labels: &[LabelId]) -> Pai
         return PairSet::from_sorted_unique(base.to_vec());
     };
     let n = graph.vertex_count();
-    let mut seen = EpochVisited::new(n);
     let mut ends = EndRow::new(n);
+    if middle.is_empty() {
+        let suffix = |m: VertexId| graph.out_with_label(m, last).iter().map(|&(_, w)| w.raw());
+        return join_first_hops(base, &mut ends, suffix);
+    }
+    // The suffix rows of every first-hop vertex, ascending by vertex:
+    // `suffixes[at[m]..at[m + 1]]` is `m`'s.
+    let mut first_hop = vec![false; n];
+    for &(_, m) in base {
+        first_hop[m.index()] = true;
+    }
+    let mut seen = EpochVisited::new(n);
     let mut frontier: Vec<VertexId> = Vec::new();
     let mut next: Vec<VertexId> = Vec::new();
-    let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(base.len());
-    for group in base.chunk_by(|a, b| a.0 == b.0) {
+    let mut at: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut suffixes: Vec<u32> = Vec::new();
+    for (m, &hop) in first_hop.iter().enumerate() {
+        at.push(suffixes.len() as u32);
+        if !hop {
+            continue;
+        }
         frontier.clear();
-        frontier.extend(group.iter().map(|&(_, mid)| mid));
+        frontier.push(VertexId::from_usize(m));
         for &label in middle {
             seen.clear();
             next.clear();
@@ -52,7 +72,36 @@ pub fn eval_label_sequence(graph: &LabeledMultigraph, labels: &[LabelId]) -> Pai
                 ends.insert(w.raw());
             }
         }
+        ends.drain_ascending(|end| suffixes.push(end));
+    }
+    at.push(suffixes.len() as u32);
+    let suffix = |m: VertexId| {
+        suffixes[at[m.index()] as usize..at[m.index() + 1] as usize]
+            .iter()
+            .copied()
+    };
+    join_first_hops(base, &mut ends, suffix)
+}
+
+/// `base ⋈ suffix`: each start's row is its one first hop's suffix row,
+/// copied, or its first hops' rows unioned in `ends`.
+fn join_first_hops<I: Iterator<Item = u32>>(
+    base: &[(VertexId, VertexId)],
+    ends: &mut EndRow,
+    suffix: impl Fn(VertexId) -> I,
+) -> PairSet {
+    let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(base.len());
+    for group in base.chunk_by(|a, b| a.0 == b.0) {
         let start = group[0].0;
+        if let [(_, m)] = group {
+            pairs.extend(suffix(*m).map(|end| (start, VertexId(end))));
+            continue;
+        }
+        for &(_, m) in group {
+            for end in suffix(m) {
+                ends.insert(end);
+            }
+        }
         ends.drain_ascending(|end| pairs.push((start, VertexId(end))));
     }
     // Results are long-lived (cached bodies and answers): no slack is kept.

@@ -77,9 +77,10 @@ const UNMAPPED: u32 = u32::MAX;
 ///
 /// `V_R` — the vertex set of an edge-level reduced graph — only contains
 /// vertices incident to some `R`-path, so it is usually much smaller than
-/// `V`. The mapping is the bridge Algorithm 2 uses when joining `Pre_G`
-/// (over original ids) with the RTC (over compact/SCC ids). It is an
-/// ascending vertex list (compact id `i` is entry `i`) and its inverse, a
+/// `V`. The mapping is the bridge FullSharing's `FullTc` uses between
+/// original ids and the compact ids of its closure rows; the RTC needs
+/// none, as its Tarjan pass runs in original ids. It is an ascending
+/// vertex list (compact id `i` is entry `i`) and its inverse, a
 /// rank table over original ids `0..=max(V_R)` that makes
 /// [`VertexMapping::compact`] one index. The list costs 4 bytes per `V_R`
 /// vertex and the table 4 bytes per original id up to the largest one in

@@ -49,6 +49,6 @@ pub use metrics::Distribution;
 pub use multigraph::{GraphBuilder, LabeledMultigraph};
 pub use pairset::{Ends, PairSet};
 pub use rowset::{RowSet, RowSetPolicy, RowTable};
-pub use scc::{tarjan_scc, Scc};
+pub use scc::{tarjan_components, tarjan_scc, Scc};
 pub use stats::GraphStats;
 pub use versioned::{DeltaSummary, GraphDelta, GraphView, VersionedGraph};

@@ -563,6 +563,15 @@ impl<'a> Ends<'a> {
         }
     }
 
+    /// The largest end vertex.
+    pub fn max(&self) -> Option<VertexId> {
+        match self {
+            Ends::Pairs(p) => p.last().map(|&(_, e)| e),
+            Ends::Row(r) => r.max().map(VertexId),
+            Ends::Single(v) => Some(*v),
+        }
+    }
+
     /// End vertices ascending.
     pub fn iter(&self) -> EndsIter<'a> {
         match self {

@@ -7,6 +7,13 @@
 //! cannot overflow the call stack — reduced graphs of sparse datasets like
 //! Yago2s are almost entirely long chains.
 //!
+//! There is one DFS, [`tarjan_components`]. It takes its out-rows from a
+//! function, so it runs over a [`Digraph`] ([`tarjan_scc`]) and over an
+//! `R_G` in original vertex ids alike (`rpq_reduction::Rtc::from_pairs`),
+//! and it reports each component as it closes, with the ids of the
+//! components its members have edges into: the component's row of the
+//! condensation, read in the same pass (Nuutila's variant).
+//!
 //! A useful structural property this module guarantees and the closure code
 //! relies on: **SCC ids come out in reverse topological order** of the
 //! condensation. Every non-loop edge of `Ḡ_R` goes from a higher SCC id to
@@ -72,71 +79,129 @@ impl Scc {
     }
 }
 
-/// Computes SCCs of `g` with an iterative Tarjan DFS.
+/// One vertex on the DFS path.
+struct Frame<I> {
+    v: u32,
+    /// The out-edges not walked yet.
+    out: I,
+    /// Heights of the component stack and of the successor stack when `v`
+    /// was entered: a component rooted at `v` owns everything above them.
+    stack_at: usize,
+    succ_at: usize,
+    /// Whether `v` has a self-edge.
+    looped: bool,
+}
+
+/// Tarjan's DFS over vertices `0..n`, whose out-neighbours `out(v)` yields,
+/// started from each of `roots` in order that is not visited yet.
+///
+/// Calls `close(successors, self_loop)` once per component, in closing
+/// order, which is ascending id order: `successors` holds the ids of the
+/// components its members have edges into, other than itself, each as
+/// often as such an edge was walked (all below its own id, so all closed);
+/// `self_loop` tells whether it has an internal edge (two or more members,
+/// or one with a self-edge). Returns the component id of every vertex
+/// (`u32::MAX` for a vertex no root reaches) with the number of components.
+/// Component ids are in reverse topological order: an edge between two
+/// components goes from the higher id to the lower.
+///
+/// A walked edge into a closed component pushes that component's id on a
+/// successor stack, and a closing component takes the part of that stack
+/// its members pushed: the descendants that closed before it truncated
+/// their own parts. So the condensation is read in the DFS itself, with no
+/// second walk over the members' rows.
+pub fn tarjan_components<I>(
+    n: usize,
+    roots: impl IntoIterator<Item = u32>,
+    mut out: impl FnMut(u32) -> I,
+    mut close: impl FnMut(&[u32], bool),
+) -> (Vec<u32>, usize)
+where
+    I: Iterator<Item = u32>,
+{
+    let mut index = vec![UNVISITED; n];
+    let mut lowlink = vec![0u32; n];
+    // A visited vertex is on the component stack until its component
+    // closes and writes its id here.
+    let mut comp_of = vec![UNVISITED; n];
+    let mut stack: Vec<u32> = Vec::new();
+    let mut successors: Vec<u32> = Vec::new();
+    let mut frames: Vec<Frame<I>> = Vec::new();
+    let mut next_index = 0u32;
+    let mut count = 0u32;
+
+    for root in roots {
+        if index[root as usize] != UNVISITED {
+            continue;
+        }
+        let mut enter = Some(root);
+        loop {
+            if let Some(v) = enter.take() {
+                index[v as usize] = next_index;
+                lowlink[v as usize] = next_index;
+                next_index += 1;
+                frames.push(Frame {
+                    v,
+                    out: out(v),
+                    stack_at: stack.len(),
+                    succ_at: successors.len(),
+                    looped: false,
+                });
+                stack.push(v);
+            }
+            let Some(top) = frames.last_mut() else {
+                break;
+            };
+            let v = top.v;
+            if let Some(w) = top.out.next() {
+                if index[w as usize] == UNVISITED {
+                    enter = Some(w);
+                } else if comp_of[w as usize] == UNVISITED {
+                    // On the stack: `w` is in `v`'s component.
+                    top.looped |= w == v;
+                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
+                } else {
+                    successors.push(comp_of[w as usize]);
+                }
+                continue;
+            }
+            let (stack_at, succ_at, looped) = (top.stack_at, top.succ_at, top.looped);
+            frames.pop();
+            let closes = lowlink[v as usize] == index[v as usize];
+            if closes {
+                let members = &stack[stack_at..];
+                for &m in members {
+                    comp_of[m as usize] = count;
+                }
+                close(&successors[succ_at..], members.len() > 1 || looped);
+                stack.truncate(stack_at);
+                successors.truncate(succ_at);
+                count += 1;
+            }
+            if let Some(parent) = frames.last() {
+                let p = parent.v as usize;
+                if closes {
+                    successors.push(comp_of[v as usize]);
+                } else {
+                    lowlink[p] = lowlink[p].min(lowlink[v as usize]);
+                }
+            }
+        }
+    }
+    (comp_of, count as usize)
+}
+
+/// Computes SCCs of `g` with [`tarjan_components`], every vertex a root in
+/// ascending order.
 ///
 /// Returned SCC ids are in reverse topological order: if the condensation
 /// has an edge `s → t` (with `s ≠ t`) then `t < s`.
 pub fn tarjan_scc(g: &Digraph) -> Scc {
     let n = g.vertex_count();
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp_of = vec![UNVISITED; n];
-    let mut tarjan_stack: Vec<u32> = Vec::new();
-    // (vertex, next out-edge position) frames of the explicit DFS stack.
-    let mut frames: Vec<(u32, u32)> = Vec::new();
-    let mut next_index = 0u32;
-    let mut scc_count = 0u32;
-
-    for root in 0..n as u32 {
-        if index[root as usize] != UNVISITED {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
-        next_index += 1;
-        tarjan_stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut edge_pos)) = frames.last_mut() {
-            let out = g.out(v);
-            if (*edge_pos as usize) < out.len() {
-                let w = out[*edge_pos as usize];
-                *edge_pos += 1;
-                if index[w as usize] == UNVISITED {
-                    index[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
-                    next_index += 1;
-                    tarjan_stack.push(w);
-                    on_stack[w as usize] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-                }
-                if lowlink[v as usize] == index[v as usize] {
-                    // v is the root of an SCC: pop the component.
-                    loop {
-                        let w = tarjan_stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        comp_of[w as usize] = scc_count;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc_count += 1;
-                }
-            }
-        }
-    }
-
+    let (comp_of, count) =
+        tarjan_components(n, 0..n as u32, |v| g.out(v).iter().copied(), |_, _| {});
     let members = Csr::from_items(
-        scc_count as usize,
+        count,
         (0..n as u32).map(|v| (comp_of[v as usize] as usize, v)),
     );
     Scc { comp_of, members }

@@ -9,7 +9,8 @@
 //!   per-vertex BFS (`O(|V_R|·|E_R|)`, what FullSharing must pay) and the
 //!   Purdom-style closure of the condensation (ref \[12\]) that builds the
 //!   RTC.
-//! * [`rtc`] — the [`Rtc`] structure: `TC(Ḡ_R)` plus SCC membership. By
+//! * [`rtc`] — the [`Rtc`] structure: `TC(Ḡ_R)` plus SCC membership,
+//!   built by one Tarjan pass over `R_G` itself (no `G_R` is built). By
 //!   **Lemma 3 / Theorem 1**,
 //!   `R⁺_G = ⋃ { s_k × s_l | (s̄_k, s̄_l) ∈ TC(Ḡ_R) }`, which
 //!   [`Rtc::expand`] materializes and Algorithm 2 consumes incrementally.

@@ -12,13 +12,23 @@
 //! with `|V̄_R| ≪ |V_R|` whenever SCCs are nontrivial. [`Rtc::expand`]
 //! implements Theorem 1's enumeration
 //! `R⁺_G = ⋃ {s_k × s_l | (s̄_k, s̄_l) ∈ TC(Ḡ_R)}`.
+//!
+//! [`Rtc::from_pairs`] reads `R_G` once: one Tarjan pass in original vertex
+//! ids finds the SCCs of `G_R` and each SCC's row of `Ḡ_R`, and the closure
+//! sweep reads those rows. The staged path — [`crate::reduce_edge_level`],
+//! [`rpq_graph::tarjan_scc`], [`rpq_graph::Condensation::new`],
+//! [`crate::closure_of_condensation_rows`] — builds the same structure and
+//! stays as the test reference and the trace probe's stages.
 
-use crate::tc::closure_of_condensation_rows;
+use crate::tc::closure_rows;
 use rpq_graph::{
-    tarjan_scc, Condensation, MappedDigraph, PairSet, RowSet, RowSetPolicy, RowTable, Scc, SccId,
-    VertexId, VertexMapping,
+    tarjan_components, Csr, Ends, EpochVisited, PairSet, RowSet, RowSetPolicy, RowTable, SccId,
+    VertexId,
 };
 use std::sync::Arc;
+
+/// Marks an original id outside `V_R` in [`Rtc`]'s SCC table.
+const OFF_VR: u32 = u32::MAX;
 
 /// Size/shape statistics of an RTC, reported by the experiment harness
 /// (Figs. 12 and 13 compare `closure_pairs` and `scc_count` against the
@@ -41,8 +51,11 @@ pub struct RtcStats {
 /// The reduced transitive closure of some `R` on some graph.
 #[derive(Clone, Debug)]
 pub struct Rtc {
-    mapping: VertexMapping,
-    scc: Scc,
+    /// SCC id by original vertex id up to the largest in `V_R`, [`OFF_VR`]
+    /// off `V_R`.
+    comp_of: Vec<u32>,
+    /// Members of each SCC as original ids, ascending.
+    members: Csr<u32>,
     /// Per-SCC closure rows over SCC ids (hybrid sparse/dense).
     closure: RowTable,
     stats: RtcStats,
@@ -50,23 +63,55 @@ pub struct Rtc {
 
 impl Rtc {
     /// Computes the RTC from an evaluated `R_G` (Algorithm 1 line 11,
-    /// `Compute_RTC`): edge-level reduction, Tarjan SCCs, condensation, and
-    /// the reverse-topological closure sweep.
+    /// `Compute_RTC`) with one Tarjan pass over `R_G` itself.
+    ///
+    /// The pass runs in original vertex ids: its roots are the starts in
+    /// ascending order, and a vertex that is only an end is reached from
+    /// one of them. `G_R` is never built — its edges are `R_G`'s pairs and
+    /// its vertices the pairs' endpoints. Each SCC's condensation row comes
+    /// from the pass as the SCC closes ([`tarjan_components`]); the
+    /// reverse-topological closure sweep then reads those rows alone.
     pub fn from_pairs(r_g: &PairSet) -> Rtc {
-        let gr = MappedDigraph::from_pairset(r_g);
-        let scc = tarjan_scc(&gr.graph);
-        let cond = Condensation::new(&gr.graph, &scc);
-        let closure = closure_of_condensation_rows(&cond, &RowSetPolicy);
+        let starts: Vec<(VertexId, Ends<'_>)> = r_g.groups().collect();
+        let n = starts
+            .iter()
+            .map(|(s, ends)| ends.max().map_or(*s, |e| e.max(*s)).index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut row_of = vec![OFF_VR; n];
+        for (i, (s, _)) in starts.iter().enumerate() {
+            row_of[s.index()] = i as u32;
+        }
+        let mut cond: Csr<u32> = Csr::new();
+        let mut self_loops: Vec<bool> = Vec::new();
+        let mut seen = EpochVisited::new(n);
+        let (comp_of, k) = tarjan_components(
+            n,
+            starts.iter().map(|(s, _)| s.raw()),
+            |v| {
+                let row = starts.get(row_of[v as usize] as usize);
+                let ends = row.map_or_else(|| Ends::Pairs(&[]).iter(), |(_, ends)| ends.iter());
+                ends.map(VertexId::raw)
+            },
+            |successors, self_loop| {
+                seen.clear();
+                cond.push_row(successors.iter().copied().filter(|&t| seen.insert(t)));
+                self_loops.push(self_loop);
+            },
+        );
+        let closure = closure_rows(k, |s| (self_loops[s as usize], cond.row(s as usize)));
+        let in_vr = (0..n as u32).filter(|&v| comp_of[v as usize] != OFF_VR);
+        let members = Csr::from_items(k, in_vr.map(|v| (comp_of[v as usize] as usize, v)));
         let stats = RtcStats {
-            vr_vertices: gr.graph.vertex_count(),
-            er_edges: gr.graph.edge_count(),
-            scc_count: scc.count(),
-            ebar_edges: cond.edge_count(),
+            vr_vertices: members.len(),
+            er_edges: r_g.len(),
+            scc_count: k,
+            ebar_edges: cond.len() + self_loops.iter().filter(|&&l| l).count(),
             closure_pairs: closure.total_len(),
         };
         Rtc {
-            mapping: gr.mapping,
-            scc,
+            comp_of,
+            members,
             closure,
             stats,
         }
@@ -84,10 +129,13 @@ impl Rtc {
         self.closure.heap_bytes()
     }
 
-    /// Heap bytes of the whole structure: the `V_R` vertex list with its
-    /// rank table, the SCC tables and the closure rows.
+    /// Heap bytes of the whole structure: the SCC table over original ids
+    /// (4 B an id up to the largest in `V_R`), the member rows (4 B a
+    /// member, 4 B an SCC) and the closure rows.
     pub fn heap_bytes(&self) -> usize {
-        self.mapping.heap_bytes() + self.scc.heap_bytes() + self.closure.heap_bytes()
+        self.comp_of.capacity() * std::mem::size_of::<u32>()
+            + self.members.heap_bytes()
+            + self.closure.heap_bytes()
     }
 
     /// Number of closure rows currently stored as dense bitsets.
@@ -102,7 +150,7 @@ impl Rtc {
 
     /// Number of SCCs (`|V̄_R|`).
     pub fn scc_count(&self) -> usize {
-        self.scc.count()
+        self.members.rows()
     }
 
     /// Number of pairs in `TC(Ḡ_R)` — the shared-data size of RTCSharing.
@@ -113,7 +161,10 @@ impl Rtc {
     /// Average number of vertices per SCC (1.00 means vertex-level
     /// reduction bought nothing — the Yago2s regime).
     pub fn average_scc_size(&self) -> f64 {
-        self.scc.average_size()
+        if self.scc_count() == 0 {
+            return 0.0;
+        }
+        self.members.len() as f64 / self.scc_count() as f64
     }
 
     /// The SCC containing original vertex `v`, or `None` if `v ∉ V_R`.
@@ -123,7 +174,8 @@ impl Rtc {
     /// simply fail this join.
     #[inline]
     pub fn scc_of_original(&self, v: VertexId) -> Option<SccId> {
-        self.mapping.compact(v).map(|c| self.scc.component_of(c))
+        let s = *self.comp_of.get(v.index())?;
+        (s != OFF_VR).then_some(SccId(s))
     }
 
     /// SCC ids reachable from `s` via ≥ 1 step of `Ḡ_R`. Iteration is
@@ -136,15 +188,12 @@ impl Rtc {
 
     /// Original-graph vertices belonging to SCC `s`, ascending.
     pub fn members_original(&self, s: SccId) -> impl Iterator<Item = VertexId> + '_ {
-        self.scc
-            .members(s)
-            .iter()
-            .map(move |&c| self.mapping.original(c))
+        self.members.row(s.index()).iter().map(|&v| VertexId(v))
     }
 
     /// Number of vertices in SCC `s`.
     pub fn scc_size(&self, s: SccId) -> usize {
-        self.scc.size(s)
+        self.members.row_len(s.index())
     }
 
     /// Materializes `R⁺_G` per Theorem 1:
@@ -156,7 +205,7 @@ impl Rtc {
     /// of `O(|R⁺_G|)` — Theorem 1's `s_k × s_l` without the product.
     pub fn expand(&self) -> PairSet {
         let mut groups: Vec<(VertexId, Arc<RowSet>)> = Vec::new();
-        for s in 0..self.scc.count() {
+        for s in 0..self.scc_count() {
             let succ = self.closure.row(s);
             if succ.is_empty() {
                 continue;
@@ -170,8 +219,8 @@ impl Rtc {
             let mut row = RowSet::from_sorted_vec(targets);
             row.normalize(0);
             let row = Arc::new(row);
-            for &m in self.scc.members(SccId(s as u32)) {
-                groups.push((self.mapping.original(m), Arc::clone(&row)));
+            for &m in self.members.row(s) {
+                groups.push((VertexId(m), Arc::clone(&row)));
             }
         }
         PairSet::from_grouped_rows(groups)
@@ -186,11 +235,11 @@ impl Rtc {
     /// The number of pairs [`Rtc::expand`] would produce, computed without
     /// materializing them (used by the size experiments).
     pub fn expanded_pair_count(&self) -> usize {
-        let sizes: Vec<usize> = (0..self.scc.count())
-            .map(|s| self.scc.size(SccId(s as u32)))
+        let sizes: Vec<usize> = (0..self.scc_count())
+            .map(|s| self.members.row_len(s))
             .collect();
         let mut total = 0usize;
-        for s in 0..self.scc.count() {
+        for s in 0..self.scc_count() {
             let succ_total: usize = self.closure.row(s).iter().map(|t| sizes[t as usize]).sum();
             total += sizes[s] * succ_total;
         }

@@ -9,7 +9,9 @@
 //! * [`closure_of_condensation_rows`] — Purdom's scheme \[12\]: close the
 //!   much smaller condensation `Ḡ_R` (a DAG with self-loops) in reverse
 //!   topological order. The un-expanded SCC closure is exactly the RTC
-//!   (TABLE III, right column).
+//!   (TABLE III, right column). Its sweep is the one
+//!   [`crate::Rtc::from_pairs`] runs over the condensation rows of its
+//!   Tarjan pass.
 //!
 //! Both are sequential builds, as TABLE III costs them. All closure rows are sorted ascending, so downstream joins can merge.
 
@@ -33,28 +35,36 @@ pub fn tc_naive(g: &Digraph) -> Csr<u32> {
 /// `s̄` via ≥ 1 edge of `Ḡ_R` (self-loops included), as a [`RowSet`] whose
 /// layout [`RowSet::wants_dense`] picks. The [`RowSetPolicy`] argument is
 /// read by nothing; it stays for the benchmark harness's trace probe
-/// (ROADMAP 4g).
-///
-/// Exploits the reverse-topological numbering of Tarjan SCC ids: a single
-/// ascending sweep sees every successor row before it is needed. Sparse
-/// rows are merged through an epoch-stamped scratch array, so their cost is
-/// proportional to the sum of merged list lengths; rows whose *estimated*
-/// merged size reaches the dense side are built dense up front, so
-/// successor unions run as word-parallel ORs instead of list merges. After
-/// the merge each row is normalized (an over-estimated dense row demotes
-/// back to sparse).
+/// (ROADMAP 4g). [`crate::Rtc::from_pairs`] builds the same rows with
+/// the same sweep over the condensation rows its Tarjan pass collects.
 pub fn closure_of_condensation_rows(cond: &Condensation, _: &RowSetPolicy) -> RowTable {
-    let k = cond.vertex_count();
+    closure_rows(cond.vertex_count(), |s| {
+        (cond.has_self_loop(SccId(s)), cond.out(SccId(s)))
+    })
+}
+
+/// The closure rows of `k` SCCs numbered in reverse topological order,
+/// where `out(s)` tells whether SCC `s` has a self-loop and lists its
+/// distinct successors, all below `s`.
+///
+/// A single ascending sweep sees every successor row before it is needed.
+/// Sparse rows are merged through an epoch-stamped scratch array, so their
+/// cost is proportional to the sum of merged list lengths; rows whose
+/// *estimated* merged size reaches the dense side are built dense up front,
+/// so successor unions run as word-parallel ORs instead of list merges.
+/// After the merge each row is normalized (an over-estimated dense row
+/// demotes back to sparse).
+pub(crate) fn closure_rows<'a>(k: usize, out: impl Fn(u32) -> (bool, &'a [u32])) -> RowTable {
     let mut rows: Vec<RowSet> = Vec::with_capacity(k);
     let mut stamp = EpochVisited::new(k);
     for s in 0..k as u32 {
-        let self_loop = cond.has_self_loop(SccId(s));
+        let (self_loop, succ) = out(s);
         // Upper bound of the merged row: the successor edges plus their
         // closure rows (duplicates counted). Deciding the representation
         // *before* merging is what makes the dense path cheap — the
         // alternative (build sparse, then promote) pays the merge twice.
         let mut estimate = usize::from(self_loop);
-        for &t in cond.out(SccId(s)) {
+        for &t in succ {
             estimate += 1 + rows[t as usize].len();
         }
         let mut row = if RowSet::wants_dense(estimate.min(k), k as u32) {
@@ -62,7 +72,7 @@ pub fn closure_of_condensation_rows(cond: &Condensation, _: &RowSetPolicy) -> Ro
             if self_loop {
                 row.insert(s);
             }
-            for &t in cond.out(SccId(s)) {
+            for &t in succ {
                 row.insert(t);
                 row.union_in_place(&rows[t as usize]);
             }
@@ -73,7 +83,7 @@ pub fn closure_of_condensation_rows(cond: &Condensation, _: &RowSetPolicy) -> Ro
             if self_loop && stamp.insert(s) {
                 row.push(s);
             }
-            for &t in cond.out(SccId(s)) {
+            for &t in succ {
                 if stamp.insert(t) {
                     row.push(t);
                 }

@@ -111,15 +111,28 @@ fn sparse_wide_graphs() {
 }
 
 /// The planted shapes on their own, each sequence named for the shape it
-/// exercises.
+/// exercises. On top of them the hub (vertex 6) is a first hop of starts on
+/// both sides of its id (0..5 below, 8 and 10 above); start 8's other first
+/// hop, 3, shares the end 4 with the hub; and first hops 0 and 7 have no
+/// `b`-edge, so their `a·b` suffix rows are empty.
 #[test]
 fn planted_shapes() {
-    let g = graph(12, &[(3, "b", 7), (7, "c", 9)]);
+    let extra = [
+        (3, "b", 7),
+        (7, "c", 9),
+        (3, "b", 4),
+        (8, "a", 3),
+        (8, "a", 6),
+        (10, "a", 6),
+        (9, "a", 7),
+    ];
+    let g = graph(12, &extra);
     for seq in [
         &[][..],               // ε
         &["a", "a", "a"],      // a repeated label around the self-loop on vertex 0
-        &["a", "b"],           // paths from five starts meet in the hub, then fan out
-        &["a", "b", "c"],      // the hub's end `top` continues, its other ends do not
+        &["a", "b"],           // paths from seven starts meet in the hub, then fan out
+        &["a", "b", "c"],      // the hub's end `top` continues; start 8's hops both reach 11
+        &["a", "c"],           // start 9's one first hop has a suffix, start 0's do not
         &["b", "c"],           // `n/3 -c-> top`: the highest id as an end
         &["c", "c", "c", "c"], // starts whose paths die out before the last label
     ] {
