@@ -7,11 +7,11 @@ use crate::sharing::{eval_query, obtain, prepare_set, EvalCtx};
 use crate::view::EpochView;
 use rpq_eval::{find_witness, ProductEvaluator};
 use rpq_graph::{
-    DeltaSummary, GraphDelta, GraphView, LabeledMultigraph, PairSet, RowSetPolicy, VersionedGraph,
-    VertexId,
+    DeltaSummary, GraphDelta, LabeledMultigraph, PairSet, RowSetPolicy, VersionedGraph, VertexId,
 };
 use rpq_reduction::MaintenanceConfig;
 use rpq_regex::{Regex, DEFAULT_CLAUSE_LIMIT};
+use std::marker::PhantomData;
 use std::ops::AddAssign;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -35,15 +35,6 @@ impl Strategy {
         Strategy::FullSharing,
         Strategy::RtcSharing,
     ];
-
-    /// The short name used in the paper's figures.
-    pub fn short_name(&self) -> &'static str {
-        match self {
-            Strategy::NoSharing => "No",
-            Strategy::FullSharing => "Full",
-            Strategy::RtcSharing => "RTC",
-        }
-    }
 
     /// The structure this strategy caches per closure body; `None` for
     /// NoSharing, which shares nothing.
@@ -148,8 +139,12 @@ pub struct PrepareReport {
 /// assert_eq!(result.len(), 2);
 /// ```
 pub struct Engine<'g> {
-    store: GraphStore<'g>,
+    graph: VersionedGraph,
     handles: Handles,
+    /// Holds nothing: every engine owns its graph. The lifetime stays only
+    /// because the benchmark harness's trace probe names `Engine<'static>`
+    /// (ROADMAP 4g).
+    _lifetime: PhantomData<&'g LabeledMultigraph>,
 }
 
 /// What an [`Engine`] and every [`EpochView`] pinned from it hold in
@@ -302,6 +297,15 @@ macro_rules! read_surface {
                     .kind()
                     .map_or(0, |kind| cache.totals(kind).shared_pairs)
             }
+
+            /// Heap bytes held by cached shared structural tables (RTC
+            /// closure rows plus full closures, dense and sparse rows
+            /// alike), as the serving layer's `info` command reports them.
+            pub fn structural_heap_bytes(&self) -> usize {
+                let cache = &self.handles.cache;
+                cache.totals(SharingKind::Rtc).heap_bytes
+                    + cache.totals(SharingKind::Full).heap_bytes
+            }
         }
     };
 }
@@ -325,15 +329,12 @@ impl AddAssign for EngineMetrics {
     }
 }
 
-/// How the engine holds its graph: borrowed (the classic static setup) or
-/// owned and versioned (the dynamic setup, where deltas can be applied).
-enum GraphStore<'g> {
-    Borrowed(&'g LabeledMultigraph),
-    Owned(Box<VersionedGraph>),
-}
-
 impl<'g> Engine<'g> {
     /// An engine with the default configuration (RTCSharing).
+    ///
+    /// Every engine owns its graph: this copies `graph`'s row tables
+    /// (`O(|V| + |Σ|)` reference bumps, no row data) and never borrows it,
+    /// so [`Engine::apply_delta`] leaves `graph` as it is.
     pub fn new(graph: &'g LabeledMultigraph) -> Self {
         Self::with_config(graph, EngineConfig::default())
     }
@@ -351,75 +352,44 @@ impl<'g> Engine<'g> {
 
     /// An engine with an explicit configuration.
     pub fn with_config(graph: &'g LabeledMultigraph, config: EngineConfig) -> Self {
-        Self::from_store(GraphStore::Borrowed(graph), config)
+        Engine::with_config_versioned(VersionedGraph::new(graph.clone()), config)
     }
 
-    /// An engine that **owns** its graph, ready for [`Engine::apply_delta`]
-    /// without the one-time copy a borrowed engine pays on its first delta.
+    /// An engine over `graph`, taken by value (no copy).
     pub fn new_dynamic(graph: LabeledMultigraph) -> Engine<'static> {
-        Engine::from_versioned(VersionedGraph::new(graph))
+        Engine::with_config_versioned(VersionedGraph::new(graph), EngineConfig::default())
     }
 
-    /// An engine over an existing versioned graph (the cache starts at the
-    /// graph's current epoch).
-    pub fn from_versioned(graph: VersionedGraph) -> Engine<'static> {
-        Engine::with_config_versioned(graph, EngineConfig::default())
-    }
-
-    /// [`Engine::from_versioned`] with an explicit configuration.
+    /// An engine over an existing versioned graph with an explicit
+    /// configuration (the cache starts at the graph's current epoch).
     pub fn with_config_versioned(graph: VersionedGraph, config: EngineConfig) -> Engine<'static> {
-        let epoch = graph.epoch();
-        let engine = Engine::from_store(GraphStore::Owned(Box::new(graph)), config);
-        engine.handles.cache.advance_epoch(epoch);
-        engine.handles.results.advance_epoch(epoch);
-        engine
-    }
-
-    fn from_store(store: GraphStore<'g>, config: EngineConfig) -> Self {
-        Self {
-            store,
-            handles: Handles::new(config),
+        let handles = Handles::new(config);
+        handles.cache.advance_epoch(graph.epoch());
+        handles.results.advance_epoch(graph.epoch());
+        Engine {
+            graph,
+            handles,
+            _lifetime: PhantomData,
         }
     }
 
-    /// The underlying graph (the current snapshot, for a dynamic engine).
+    /// The current graph snapshot.
     pub fn graph(&self) -> &LabeledMultigraph {
-        match &self.store {
-            GraphStore::Borrowed(g) => g,
-            GraphStore::Owned(vg) => vg.graph(),
-        }
+        self.graph.graph()
     }
 
-    /// The graph epoch this engine serves: 0 for a borrowed (static)
-    /// graph, the versioned graph's epoch otherwise.
+    /// The graph epoch this engine serves: 0 as built, +1 per applied delta
+    /// (a restored snapshot keeps the epoch it was saved at).
     pub fn epoch(&self) -> u64 {
-        match &self.store {
-            GraphStore::Borrowed(_) => 0,
-            GraphStore::Owned(vg) => vg.epoch(),
-        }
+        self.graph.epoch()
     }
 
-    /// Applies a mutation batch to the graph and advances the epoch, so
-    /// cached shared structures become stale and refresh on their next
-    /// use: re-stamped if their `R_G` did not move, rebuilt from the new
-    /// `R_G` otherwise.
-    ///
-    /// A borrowed engine upgrades to an owned graph on its first delta by
-    /// cloning the borrowed snapshot once (the borrowed graph itself is
-    /// never mutated); construct with [`Engine::new_dynamic`] to avoid
-    /// that copy.
+    /// Applies a mutation batch to the engine's graph and advances the
+    /// epoch, so cached shared structures become stale and refresh on
+    /// their next use: re-stamped if their `R_G` did not move, rebuilt
+    /// from the new `R_G` otherwise.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> DeltaSummary {
-        let borrowed: Option<&'g LabeledMultigraph> = match &self.store {
-            GraphStore::Borrowed(g) => Some(g),
-            GraphStore::Owned(_) => None,
-        };
-        if let Some(g) = borrowed {
-            self.store = GraphStore::Owned(Box::new(VersionedGraph::new(g.clone())));
-        }
-        let GraphStore::Owned(vg) = &mut self.store else {
-            unreachable!("store was just upgraded to owned");
-        };
-        let summary = vg.apply(delta);
+        let summary = self.graph.apply(delta);
         let Handles { cache, results, .. } = &self.handles;
         cache.advance_epoch(summary.epoch);
         results.advance_epoch(summary.epoch);
@@ -459,18 +429,12 @@ impl<'g> Engine<'g> {
     /// The view bundles a frozen graph snapshot with the engine's shared
     /// structural cache, result cache, metric accumulators and base
     /// configuration — everything a reader needs to answer queries without
-    /// ever touching the engine again. Pinning a dynamic engine is cheap
-    /// (`O(|V| + |Σ|)` the first time per epoch, one `Arc` bump after);
+    /// ever touching the engine again. Pinning is cheap (`O(|V| + |Σ|)`
+    /// pointer bumps the first time per epoch, one `Arc` bump after);
     /// later [`Engine::apply_delta`] calls copy-on-write only the rows
     /// they dirty, so a pinned view keeps observing its epoch bit for bit.
-    /// A borrowed (static) engine clones its row tables per pin — still
-    /// `O(|V| + |Σ|)` pointer bumps, never row data.
     pub fn pin(&self) -> EpochView {
-        let graph = match &self.store {
-            GraphStore::Owned(vg) => vg.freeze(),
-            GraphStore::Borrowed(g) => Arc::new(GraphView::new((*g).clone(), 0)),
-        };
-        debug_assert_eq!(graph.epoch(), self.epoch());
+        let graph = self.graph.freeze();
         // The view pins its epoch in the structural cache: while it (or
         // any clone) is alive, budget eviction spares the epoch's entries.
         let pin = EpochPin::new(Arc::clone(&self.handles.cache), graph.epoch());
@@ -549,14 +513,6 @@ impl<'g> Engine<'g> {
     /// [`Engine::shared_data_pairs_with`] the active strategy.
     pub fn shared_data_pairs(&self) -> usize {
         self.shared_data_pairs_with(self.handles.config.strategy)
-    }
-
-    /// Heap bytes held by cached shared structural tables (RTC closure
-    /// rows plus full closures, dense and sparse rows alike), also surfaced
-    /// by the serving layer's `metrics` and `info` commands.
-    pub fn structural_heap_bytes(&self) -> usize {
-        let cache = &self.handles.cache;
-        cache.totals(SharingKind::Rtc).heap_bytes + cache.totals(SharingKind::Full).heap_bytes
     }
 
     /// Clears timing/counter accumulators — including the cache's

@@ -96,11 +96,11 @@ pub fn write_snapshot<W: Write>(engine: &Engine<'_>, mut w: W) -> Result<usize, 
     Ok(entries.len())
 }
 
-/// Reads an engine snapshot, returning an engine that owns its graph (so
-/// deltas apply without an upgrade copy) with every persisted closure body
-/// rebuilt into its cache, under `config`, and its counters at zero. A
-/// body the build refuses (a DNF past `config`'s clause budget) fails the
-/// load with that error.
+/// Reads an engine snapshot, returning an engine over the saved graph at
+/// its saved epoch with every persisted closure body rebuilt into its
+/// cache, under `config`, and its counters at zero. A body the build
+/// refuses (a DNF past `config`'s clause budget) fails the load with that
+/// error.
 pub fn read_snapshot<R: Read>(
     mut r: R,
     config: EngineConfig,

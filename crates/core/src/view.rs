@@ -232,4 +232,22 @@ mod tests {
             e.evaluate_str("d.(b.c)+.c").unwrap()
         );
     }
+
+    /// An engine built from `&g` owns a copy: its pins at one epoch share
+    /// one frozen graph, and a delta moves the engine, never `g`.
+    #[test]
+    fn an_engine_from_a_reference_owns_one_store() {
+        let g = paper_graph();
+        let edges = |g: &LabeledMultigraph| g.all_edges().collect::<Vec<_>>();
+        let mut e = Engine::new(&g);
+        let (v0, again) = (e.pin(), e.pin());
+        assert!(Arc::ptr_eq(&v0.graph, &again.graph), "one freeze per epoch");
+
+        e.apply_delta(GraphDelta::new().insert(6, "b", 8));
+        assert_eq!(edges(&g), edges(&paper_graph()));
+        let v1 = e.pin();
+        assert!(!Arc::ptr_eq(&v0.graph, &v1.graph));
+        assert_eq!(v1.epoch(), 1);
+        assert_eq!(v1.graph().edge_count(), g.edge_count() + 1);
+    }
 }

@@ -132,8 +132,8 @@ pub struct DeltaSummary {
 
 /// An immutable snapshot of a [`VersionedGraph`] at one epoch.
 ///
-/// Produced by [`VersionedGraph::freeze`]. The contained graph shares its
-/// adjacency rows with the live graph through reference counting, so a
+/// Produced only by [`VersionedGraph::freeze`]. The contained graph shares
+/// its adjacency rows with the live graph through reference counting, so a
 /// view costs `O(|V| + |Σ|)` pointer bumps to create and holds the rows
 /// alive for as long as any reader pins it — later mutations copy only
 /// the rows they touch (copy-on-write) and can never be observed here.
@@ -144,11 +144,6 @@ pub struct GraphView {
 }
 
 impl GraphView {
-    /// Wraps a graph snapshot at an explicit epoch.
-    pub fn new(graph: LabeledMultigraph, epoch: u64) -> Self {
-        Self { graph, epoch }
-    }
-
     /// The frozen graph. Immutable: no `&mut` access exists to a view.
     #[inline]
     pub fn graph(&self) -> &LabeledMultigraph {
@@ -235,7 +230,10 @@ impl VersionedGraph {
             debug_assert_eq!(view.epoch, self.epoch, "stale frozen-view memo");
             return Arc::clone(view);
         }
-        let view = Arc::new(GraphView::new(self.graph.clone(), self.epoch));
+        let view = Arc::new(GraphView {
+            graph: self.graph.clone(),
+            epoch: self.epoch,
+        });
         *slot = Some(Arc::clone(&view));
         view
     }

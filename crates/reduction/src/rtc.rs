@@ -233,7 +233,7 @@ impl Rtc {
     }
 
     /// The number of pairs [`Rtc::expand`] would produce, computed without
-    /// materializing them (used by the size experiments).
+    /// materializing them; the tests compare it with `expand().len()`.
     pub fn expanded_pair_count(&self) -> usize {
         let sizes: Vec<usize> = (0..self.scc_count())
             .map(|s| self.members.row_len(s))

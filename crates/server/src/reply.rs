@@ -185,7 +185,7 @@ pub(crate) fn info(
         if overlay.binary { "on" } else { "off" },
         serving.live_conns(),
         serving.max_conns(),
-        c.totals(SharingKind::Rtc).heap_bytes + c.totals(SharingKind::Full).heap_bytes,
+        view.structural_heap_bytes(),
         c.budget(),
         c.occupancy_bytes(),
     ))

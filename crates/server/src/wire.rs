@@ -52,28 +52,23 @@ impl BinaryResult {
 
 /// Encodes raw `(src, dst)` pairs in order.
 pub fn encode_pairs(pairs: &[(u32, u32)]) -> BinaryResult {
-    let mut bytes = Vec::with_capacity(pairs.len() * BYTES_PER_PAIR);
-    for &(s, d) in pairs {
-        bytes.extend_from_slice(&s.to_le_bytes());
-        bytes.extend_from_slice(&d.to_le_bytes());
-    }
-    BinaryResult {
-        pairs: pairs.len(),
-        bytes,
-    }
+    encode(pairs.len(), pairs.iter().copied())
 }
 
 /// Encodes a result [`PairSet`] (in its canonical iteration order).
 pub fn encode_pair_set(result: &PairSet) -> BinaryResult {
-    let mut bytes = Vec::with_capacity(result.len() * BYTES_PER_PAIR);
-    for (s, d) in result.iter() {
-        bytes.extend_from_slice(&s.raw().to_le_bytes());
-        bytes.extend_from_slice(&d.raw().to_le_bytes());
+    encode(result.len(), result.iter().map(|(s, d)| (s.raw(), d.raw())))
+}
+
+/// Writes `len` pairs as 8-byte records: source then destination, each a
+/// little-endian `u32`.
+fn encode(len: usize, pairs: impl Iterator<Item = (u32, u32)>) -> BinaryResult {
+    let mut bytes = Vec::with_capacity(len * BYTES_PER_PAIR);
+    for (s, d) in pairs {
+        bytes.extend_from_slice(&s.to_le_bytes());
+        bytes.extend_from_slice(&d.to_le_bytes());
     }
-    BinaryResult {
-        pairs: result.len(),
-        bytes,
-    }
+    BinaryResult { pairs: len, bytes }
 }
 
 /// Parses a `RESULT-BIN <byte_len> <pair_count>` header line, returning
