@@ -3,14 +3,16 @@
 //! Section V-B splits query response time into three parts and compares
 //! them between FullSharing and RTCSharing:
 //!
-//! * **`Shared_Data`** — computing the shared structure *from `R_G`*
-//!   (`R̄⁺_G` for RTC, `R⁺_G` for Full). Both methods compute `R_G`
-//!   identically, so that time is excluded here (it lands in the
-//!   remainder).
+//! * **`Shared_Data`** — building the shared structure (`R̄⁺_G` for RTC,
+//!   `R⁺_G` for Full). Where it is built *from `R_G`* — every full
+//!   closure, and an RTC whose body nests a closure — evaluating `R_G` is
+//!   excluded here (it lands in the remainder). A closure-free body's RTC
+//!   is built from the product of the graph and the body, with no `R_G`,
+//!   so all of that build is shared data.
 //! * **`Pre⋈R⁺`** — the join of `Pre_G` with the shared structure
 //!   (Algorithm 2 lines 4–12), where the useless/redundant eliminations
 //!   act.
-//! * **`Remainder`** — everything the methods share: evaluating `Pre_G` and
+//! * **`Remainder`** — everything else: evaluating `Pre_G` and any
 //!   `R_G`, the `Post` stage, DNF conversion and result unions. Computed as
 //!   `total − shared_data − pre_join`, where `total` is the wall-clock
 //!   response time, so nothing can be double-counted across the recursion.
@@ -22,7 +24,8 @@ use std::time::Duration;
 /// Accumulated per-stage wall-clock times.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Breakdown {
-    /// Time building the shared structure from `R_G`.
+    /// Time building the shared structures (any `R_G` they were built
+    /// from excluded).
     pub shared_data: Duration,
     /// Time joining `Pre_G` with the shared closure.
     pub pre_join: Duration,
@@ -114,10 +117,11 @@ impl AddAssign for EliminationStats {
 pub struct MaintenanceMetrics {
     /// `Engine::apply_delta` calls absorbed.
     pub deltas_applied: u64,
-    /// Stale entries whose base relation turned out unchanged — the entry
+    /// Stale entries whose body's footprint (the edge rows of its labels,
+    /// and the vertex count if it is nullable) had not moved — the entry
     /// was re-stamped without touching the structure.
     pub unchanged_refreshes: u64,
-    /// Stale entries whose base relation moved, rebuilt from the new one.
+    /// Stale entries whose footprint moved, rebuilt as a miss is.
     pub rebuild_refreshes: u64,
     /// Wall-clock time in rebuild refreshes.
     pub rebuild_time: Duration,

@@ -20,15 +20,17 @@
 //! evicting results only. Lookup, insert, budget, victim order and
 //! counters are the same code for both.
 //!
-//! For dynamic graphs every entry additionally records the **epoch** it
-//! was built at and the base relation `R_G` it was built from. The cache
-//! itself tracks the graph's current epoch (advanced by
-//! `Engine::apply_delta`); a lookup whose entry is older than the current
-//! epoch returns [`Lookup::Stale`] — the old structure and the `R_G` it
-//! was built from, so the caller can re-stamp it if the relation did not
-//! move and rebuild it otherwise — instead of silently serving a closure
-//! of a graph that no longer exists. A stale entry of any kind is handed
-//! out shared and stays cached until the refreshed insert displaces it.
+//! For dynamic graphs every structural entry additionally records the
+//! **epoch** it was built at and the [`Footprint`] of its body: the edge
+//! rows of the labels the body names, plus the vertex count when the body
+//! is nullable. The cache itself tracks the graph's current epoch
+//! (advanced by `Engine::apply_delta`); a lookup whose entry is older than
+//! the current epoch returns [`Lookup::Stale`] — the old structure and its
+//! footprint, so the caller can re-stamp it if the footprint did not move
+//! and rebuild it otherwise — instead of silently serving a closure of a
+//! graph that no longer exists. No entry holds an `R_G`. A stale entry of
+//! any kind is handed out shared and stays cached until the refreshed
+//! insert displaces it.
 //!
 //! ## Concurrency
 //!
@@ -70,10 +72,11 @@
 //! the live one nor pinned by a live [`EpochPin`] can never be asked for
 //! again: `Engine::apply_delta` drops those from the result instance
 //! ([`SharedCache::retain_epochs`]). Stale *structural* entries stay —
-//! their recorded `R_G` lets an unchanged relation be re-stamped.
+//! their recorded footprint lets an untouched body be re-stamped.
 
-use rpq_graph::PairSet;
+use rpq_graph::{LabeledMultigraph, PairSet, VertexId};
 use rpq_reduction::{FullTc, Rtc};
+use rpq_regex::Regex;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -222,10 +225,56 @@ impl Drop for EpochPin {
         }
     }
 }
+/// What a closure body's `R_G` is a function of: the edge rows of the
+/// labels the body names, in the order it names them, and the vertex count
+/// when the body is nullable (a new vertex adds a `(v, v)` step). A
+/// structural entry keeps its body's footprint as its stale witness: equal
+/// footprints mean an equal `R_G`, so a structure whose footprint did not
+/// move is re-stamped rather than rebuilt. Rows are compared by pointer
+/// first — a row the graph never wrote is the very `Arc` kept here — then
+/// by value, so a delete and a re-insert of the same edge also re-stamp.
+#[derive(Debug)]
+pub struct Footprint {
+    rows: Vec<Arc<Vec<(VertexId, VertexId)>>>,
+    vertices: Option<usize>,
+}
+
+impl Footprint {
+    /// `body`'s footprint on `graph`. A label the graph does not have reads
+    /// as an empty row.
+    pub fn of(graph: &LabeledMultigraph, body: &Regex) -> Footprint {
+        let row = |name: &str| {
+            graph.labels().get(name).map_or_else(Arc::default, |l| {
+                Arc::clone(graph.shared_edges_with_label(l))
+            })
+        };
+        Footprint {
+            rows: body.labels().into_iter().map(row).collect(),
+            vertices: body.nullable().then(|| graph.vertex_count()),
+        }
+    }
+
+    /// Heap bytes the footprint keeps alive: its edge rows, and its own
+    /// list of them.
+    pub fn heap_bytes(&self) -> usize {
+        let edges: usize = self.rows.iter().map(|row| row.capacity()).sum();
+        edges * std::mem::size_of::<(VertexId, VertexId)>()
+            + self.rows.capacity() * std::mem::size_of::<Arc<Vec<(VertexId, VertexId)>>>()
+    }
+}
+
+impl PartialEq for Footprint {
+    fn eq(&self, other: &Footprint) -> bool {
+        self.vertices == other.vertices
+            && self.rows.len() == other.rows.len()
+            && (self.rows.iter().zip(&other.rows)).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+    }
+}
+
 /// Per-entry retention metadata: everything eviction scores on.
 struct EntryMeta {
-    /// Retained bytes: the structure, its recorded base relation, its key
-    /// and [`SLOT_BYTES`] — so an empty result costs something too.
+    /// Retained bytes: the structure, its recorded footprint, its key and
+    /// [`SLOT_BYTES`] — so an empty result costs something too.
     bytes: usize,
     /// Wall-clock nanos spent building the structure — the cost a future
     /// miss would pay again. 0 when the insert path measured none, which
@@ -307,10 +356,10 @@ impl Shared {
 /// A cached structure with its provenance.
 struct Entry {
     shared: Shared,
-    /// The `R_G` the structure was built from (diff base for refreshes);
-    /// `None` when the entry was stored without one — such an entry can
-    /// only be refreshed by rebuild.
-    r_g: Option<Arc<PairSet>>,
+    /// The footprint of the body the structure was built for; `None` when
+    /// the entry was stored without one — such an entry can only be
+    /// refreshed by rebuild.
+    footprint: Option<Arc<Footprint>>,
     epoch: u64,
     meta: EntryMeta,
 }
@@ -324,8 +373,8 @@ pub enum Lookup {
     Stale {
         /// The stale structure.
         shared: Shared,
-        /// The base relation it was built from, if recorded.
-        r_g: Option<Arc<PairSet>>,
+        /// The footprint of its body when it was built, if recorded.
+        footprint: Option<Arc<Footprint>>,
     },
     /// No entry under this key.
     Miss,
@@ -535,7 +584,7 @@ impl SharedCache {
                 self.stale_hits.fetch_add(1, Ordering::Relaxed);
                 Lookup::Stale {
                     shared: entry.shared.clone(),
-                    r_g: entry.r_g.clone(),
+                    footprint: entry.footprint.clone(),
                 }
             }
             _ => {
@@ -552,8 +601,8 @@ impl SharedCache {
     /// recomputed structure cannot clobber what live readers are sharing;
     /// ties overwrite (structures are deterministic per `(key, epoch)`).
     ///
-    /// `r_g` is the base relation the structure was built from; without
-    /// one a later staleness can only be resolved by rebuild. `build` —
+    /// `footprint` is what the structure was built from; without one a
+    /// later staleness can only be resolved by rebuild. `build` —
     /// the wall clock spent constructing the structure — becomes the
     /// entry's cost-to-rebuild; `Duration::ZERO` scores it cheapest
     /// (evicted first). The budget is enforced before returning.
@@ -561,11 +610,11 @@ impl SharedCache {
         &self,
         key: String,
         shared: Shared,
-        r_g: Option<Arc<PairSet>>,
+        footprint: Option<Arc<Footprint>>,
         epoch: u64,
         build: Duration,
     ) {
-        let payload = shared.heap_bytes() + r_g.as_ref().map_or(0, |p| p.heap_bytes());
+        let payload = shared.heap_bytes() + footprint.as_ref().map_or(0, |f| f.heap_bytes());
         let bytes = payload + key.capacity() + SLOT_BYTES;
         let meta = EntryMeta {
             bytes,
@@ -579,7 +628,7 @@ impl SharedCache {
             }
             let entry = Entry {
                 shared,
-                r_g,
+                footprint,
                 epoch,
                 meta,
             };
@@ -876,19 +925,25 @@ mod tests {
         KINDS.into_iter().for_each(test);
     }
 
-    /// Inserts a sample structure with its base relation.
+    /// The footprint of `b·c` on the paper graph.
+    fn sample_footprint() -> Footprint {
+        let body = Regex::parse("b.c").unwrap();
+        Footprint::of(&rpq_graph::fixtures::paper_graph(), &body)
+    }
+
+    /// Inserts a sample structure with a footprint.
     fn insert_costed(c: &SharedCache, kind: SharingKind, key: &str, epoch: u64, nanos: u64) {
         c.insert(
             key.into(),
             sample(kind),
-            Some(Arc::new(sample_pairs())),
+            Some(Arc::new(sample_footprint())),
             epoch,
             Duration::from_nanos(nanos),
         );
     }
 
-    /// Inserts a sample structure at the live epoch with neither a base
-    /// relation nor a measured cost.
+    /// Inserts a sample structure at the live epoch with neither a
+    /// footprint nor a measured cost.
     fn insert_bare(c: &SharedCache, kind: SharingKind, key: &str) {
         c.insert(key.into(), sample(kind), None, c.epoch(), Duration::ZERO);
     }
@@ -1003,7 +1058,7 @@ mod tests {
         assert_eq!(count(&c, Full), 0);
     }
 
-    /// A stale entry is handed out shared with its base relation, stays
+    /// A stale entry is handed out shared with its footprint, stays
     /// cached for every live lookup until the refreshed insert displaces
     /// it, and that displacement counts once.
     #[test]
@@ -1016,7 +1071,9 @@ mod tests {
             assert!(!c.contains_fresh(kind, "k"));
             for _ in 0..2 {
                 match c.lookup(kind, "k", 3) {
-                    Lookup::Stale { r_g, .. } => assert_eq!(*r_g.unwrap(), sample_pairs()),
+                    Lookup::Stale { footprint, .. } => {
+                        assert_eq!(*footprint.unwrap(), sample_footprint())
+                    }
                     _ => panic!("expected a stale entry"),
                 }
             }

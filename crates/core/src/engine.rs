@@ -64,9 +64,9 @@ pub struct EngineConfig {
     pub strategy: Strategy,
     /// DNF clause budget (guards against exponential blow-up).
     pub dnf_clause_limit: usize,
-    /// Field-less: a stale shared structure is re-stamped if its `R_G` did
-    /// not move and rebuilt from the new one otherwise, with nothing to
-    /// tune. The field stays only because the benchmark harness's trace
+    /// Field-less: a stale shared structure is re-stamped if its body's
+    /// [`crate::Footprint`] did not move and rebuilt otherwise, with nothing
+    /// to tune. The field stays only because the benchmark harness's trace
     /// probe reads it ([`rpq_reduction::probe_shim`]).
     pub maintenance: MaintenanceConfig,
     /// Field-less: every closure row's layout follows the one density rule
@@ -386,8 +386,9 @@ impl<'g> Engine<'g> {
 
     /// Applies a mutation batch to the engine's graph and advances the
     /// epoch, so cached shared structures become stale and refresh on
-    /// their next use: re-stamped if their `R_G` did not move, rebuilt
-    /// from the new `R_G` otherwise.
+    /// their next use: re-stamped if no edge row of a label their body
+    /// names moved (nor, for a nullable body, the vertex count), rebuilt
+    /// otherwise.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> DeltaSummary {
         let summary = self.graph.apply(delta);
         let Handles { cache, results, .. } = &self.handles;
@@ -540,6 +541,7 @@ impl<'g> Engine<'g> {
 mod tests {
     use super::*;
     use rpq_graph::fixtures::paper_graph;
+    use rpq_graph::GraphDelta;
 
     #[test]
     fn all_strategies_agree_on_example1() {
@@ -821,6 +823,22 @@ mod tests {
         assert!(matches!(err, EngineError::Dnf(_)));
     }
 
+    /// The clause budget holds for a closure body as well, though an RTC
+    /// of a closure-free body is built without a DNF.
+    #[test]
+    fn dnf_limit_holds_inside_a_closure_body() {
+        let g = paper_graph();
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            let config = EngineConfig {
+                strategy,
+                dnf_clause_limit: 2,
+                ..EngineConfig::default()
+            };
+            let err = Engine::with_config(&g, config).evaluate_str("((a|b).(a|b))+");
+            assert!(matches!(err, Err(EngineError::Dnf(_))), "{strategy}");
+        }
+    }
+
     #[test]
     fn elimination_stats_populated_for_rtc() {
         let g = paper_graph();
@@ -859,7 +877,7 @@ mod tests {
         // Oracle: a fresh engine over the equivalently mutated graph.
         let fresh = Engine::new(&mutated);
         assert_eq!(after, fresh.evaluate(&q).unwrap());
-        // The stale entry was found and rebuilt from the moved R_G.
+        // The stale entry was found and rebuilt: b and c moved.
         let m = e.maintenance_metrics();
         assert_eq!((m.deltas_applied, m.rebuild_refreshes), (1, 1), "{m:?}");
         assert_eq!(e.cache().stale_hits(), 1);
@@ -882,6 +900,71 @@ mod tests {
         assert_eq!(e.maintenance_metrics().unchanged_refreshes, 1);
         assert_eq!(e.maintenance_metrics().rebuild_refreshes, 0);
         assert_eq!(e.shared_data_pairs(), before_pairs);
+    }
+
+    /// Warms `query` under `strategy` on the paper graph, applies `delta`
+    /// and reads `query` again, which must equal a fresh engine's answer
+    /// over the mutated graph. Returns the (re-stamped, rebuilt) refreshes.
+    fn refresh(strategy: Strategy, query: &str, delta: &GraphDelta) -> (u64, u64) {
+        let g = paper_graph();
+        let mut e = Engine::with_strategy(&g, strategy);
+        e.evaluate_str(query).unwrap();
+        e.apply_delta(delta);
+        let after = e.evaluate_str(query).unwrap();
+        let mut mutated = VersionedGraph::new(g.clone());
+        mutated.apply(delta);
+        let fresh = Engine::with_strategy(mutated.graph(), strategy);
+        assert_eq!(
+            after,
+            fresh.evaluate_str(query).unwrap(),
+            "{strategy} {query}"
+        );
+        assert_eq!(e.cache().stale_hits(), 1);
+        let m = e.maintenance_metrics();
+        (m.unchanged_refreshes, m.rebuild_refreshes)
+    }
+
+    /// The stale witness is the body's footprint, not its `R_G`: `9 -b-> 0`
+    /// moves `b`'s row, but no `c` leaves 0, so `(b·c)_G` is what it was.
+    /// The entry is rebuilt all the same.
+    #[test]
+    fn a_moved_label_rebuilds_a_body_whose_relation_did_not_move() {
+        let mut delta = GraphDelta::new();
+        delta.insert(9, "b", 0);
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            assert_eq!(
+                refresh(strategy, "d.(b.c)+.c", &delta),
+                (0, 1),
+                "{strategy}"
+            );
+        }
+    }
+
+    /// A delete and a re-insert of one edge in one delta copy `b`'s row
+    /// (the cache holds the old one) into an equal row: re-stamped.
+    #[test]
+    fn a_delete_and_reinsert_in_one_delta_re_stamps() {
+        let mut delta = GraphDelta::new();
+        delta.delete(2, "b", 3).insert(2, "b", 3);
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            assert_eq!(
+                refresh(strategy, "d.(b.c)+.c", &delta),
+                (1, 0),
+                "{strategy}"
+            );
+        }
+    }
+
+    /// New vertices move no label row, but every nullable body's `R_G`
+    /// gains their `(v, v)` steps.
+    #[test]
+    fn grow_re_stamps_a_non_nullable_body_and_rebuilds_a_nullable_one() {
+        let mut delta = GraphDelta::new();
+        delta.ensure_vertices(12);
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            assert_eq!(refresh(strategy, "(b.c)+", &delta), (1, 0), "{strategy}");
+            assert_eq!(refresh(strategy, "(b.c|())+", &delta), (0, 1), "{strategy}");
+        }
     }
 
     #[test]

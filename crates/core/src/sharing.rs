@@ -7,20 +7,24 @@
 //! 2. decompose each clause into `Pre · R^(+|*) · Post` (line 4);
 //! 3. closure-free clauses go to `EvalRPQwithoutKC` — label joins (line 6);
 //! 4. `Pre` is evaluated by recursion (line 8), `R` likewise when the
-//!    shared structure is missing (line 10);
+//!    shared structure is missing (line 10) — except under RTCSharing when
+//!    `R` is closure-free: then its RTC comes from the layered product of
+//!    the graph and `R` ([`Rtc::from_body`]) and `R_G` is never built;
 //! 5. the shared structure is cached by the canonical form of `R`
-//!    (lines 9–11) and the batch unit evaluated (line 12);
+//!    (lines 9–11), with `R`'s [`Footprint`] as its stale witness, and the
+//!    batch unit evaluated (line 12);
 //! 6. clause results are unioned (line 13).
 //!
-//! The only difference between the strategies is the shared structure and
-//! the batch-unit evaluator: `Rtc` + Algorithm 2 vs `FullTc` + the plain
-//! join — exactly the delta the paper measures.
+//! The difference between the strategies is the shared structure and the
+//! batch-unit evaluator — `Rtc` + Algorithm 2 vs `FullTc` + the plain
+//! join, exactly the delta the paper measures — and that a full closure is
+//! always built from `R_G`, which `FullTc` needs.
 //!
 //! [`crate::Engine::prepare`] walks the same recursion but stops after
 //! step 5's fetch-or-compute: it warms the cache and joins nothing.
 
 use crate::batch_unit::{eval_batch_unit_full, eval_batch_unit_rtc};
-use crate::cache::{Lookup, Shared, SharedCache, SharingKind};
+use crate::cache::{Footprint, Lookup, Shared, SharedCache, SharingKind};
 use crate::engine::{EngineConfig, EngineMetrics, PrepareReport};
 use crate::error::EngineError;
 use crate::pre_relation::PreRelation;
@@ -30,7 +34,7 @@ use rpq_reduction::{FullTc, Rtc};
 use rpq_regex::{decompose, to_dnf_with_limit, Regex};
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Evaluation context threaded through the recursion of one query, which
 /// runs entirely on its calling thread. The cache is a shared reference —
@@ -151,51 +155,68 @@ fn prepare_query(
 
 /// Algorithm 1 lines 9–11, once for both strategies: fetches the shared
 /// structure for `key` — fresh from the cache, re-stamped from a stale
-/// entry whose `R_G` did not move, or computed from scratch (a miss, or a
-/// stale entry whose `R_G` did). The cache ends up holding an entry at the
-/// evaluation's epoch either way.
+/// entry whose body's [`Footprint`] did not move, or computed from scratch
+/// (a miss, or a stale entry whose footprint did). The cache ends up
+/// holding an entry at the evaluation's epoch either way.
 pub(crate) fn obtain(ctx: &mut EvalCtx<'_>, key: &str, r: &Regex) -> Result<Shared, EngineError> {
     let stale = match ctx.cache.lookup(ctx.kind, key, ctx.epoch) {
         Lookup::Fresh(shared) => return Ok(shared),
-        Lookup::Stale { shared, r_g } => Some((shared, r_g)),
+        Lookup::Stale { shared, footprint } => Some((shared, footprint)),
         Lookup::Miss => None,
     };
-    // Both the refresh and the miss path need the current R_G, which is
-    // itself evaluated by recursion (nested closure bodies refresh first).
-    let r_g = eval_query(ctx, r)?;
+    let footprint = Arc::new(Footprint::of(ctx.graph, r));
     let t = Instant::now();
-    let (shared, r_g) = match stale {
-        // The relation did not move, so neither did its closure: re-stamp.
-        Some((shared, Some(old_r_g))) if *old_r_g == r_g => {
+    let (shared, footprint, build) = match stale {
+        // No label of R moved, so neither did R_G or its closure: re-stamp.
+        Some((shared, Some(old))) if *old == *footprint => {
             ctx.metrics.maintenance.unchanged_refreshes += 1;
-            (shared, old_r_g)
+            (shared, old, t.elapsed())
         }
-        // Anything else is built from the new relation, as a miss is.
+        // Anything else is built anew, as a miss is.
         stale => {
-            let built = compute(ctx, &r_g);
+            let (built, build) = compute(ctx, r)?;
             if stale.is_some() {
                 ctx.metrics.maintenance.rebuild_refreshes += 1;
-                ctx.metrics.maintenance.rebuild_time += t.elapsed();
+                ctx.metrics.maintenance.rebuild_time += build;
             }
-            (built, Arc::new(r_g))
+            (built, footprint, build)
         }
     };
-    let build = t.elapsed();
     ctx.metrics.breakdown.shared_data += build;
     // The construction time doubles as the entry's cost-to-rebuild under
     // the cache's cost-aware eviction.
-    ctx.cache
-        .insert(key.to_owned(), shared.clone(), Some(r_g), ctx.epoch, build);
+    ctx.cache.insert(
+        key.to_owned(),
+        shared.clone(),
+        Some(footprint),
+        ctx.epoch,
+        build,
+    );
     Ok(shared)
 }
 
-/// Computes the strategy's shared structure for `r_g` from scratch.
-fn compute(ctx: &EvalCtx<'_>, r_g: &PairSet) -> Shared {
-    match ctx.kind {
-        SharingKind::Rtc => Shared::Rtc(Arc::new(Rtc::from_pairs(r_g))),
-        SharingKind::Full => Shared::Full(Arc::new(FullTc::from_pairs(r_g))),
-        SharingKind::Result => unreachable!("strategies share closures, not results"),
+/// Computes the strategy's shared structure for `r` from scratch, with the
+/// time its build took. A closure-free body's RTC is built from the
+/// product of the graph and `r`, all of it timed; anything else evaluates
+/// `R_G` first (line 10, by recursion: nested bodies are fetched or
+/// refreshed on the way), and only the structure built from it is timed.
+fn compute(ctx: &mut EvalCtx<'_>, r: &Regex) -> Result<(Shared, Duration), EngineError> {
+    if ctx.kind == SharingKind::Rtc && !r.has_closure() {
+        // The clause budget holds for a body however it is built.
+        to_dnf_with_limit(r, ctx.config.dnf_clause_limit)?;
+        let t = Instant::now();
+        if let Some(rtc) = Rtc::from_body(ctx.graph, r) {
+            return Ok((Shared::Rtc(Arc::new(rtc)), t.elapsed()));
+        }
     }
+    let r_g = eval_query(ctx, r)?;
+    let t = Instant::now();
+    let shared = match ctx.kind {
+        SharingKind::Rtc => Shared::Rtc(Arc::new(Rtc::from_pairs(&r_g))),
+        SharingKind::Full => Shared::Full(Arc::new(FullTc::from_pairs(&r_g))),
+        SharingKind::Result => unreachable!("strategies share closures, not results"),
+    };
+    Ok((shared, t.elapsed()))
 }
 
 #[cfg(test)]

@@ -12,9 +12,10 @@
 //!    its canonical closure-body key.
 //!
 //! A load parses each key, refuses it unless it is canonical, and builds
-//! its structure the way a cache miss does — `R_G` by Algorithm 1's
-//! recursion, then [`rpq_reduction::Rtc::from_pairs`] or the full
-//! closure — under the loading [`EngineConfig`] (its clause and cache
+//! its structure the way a cache miss does — a closure-free body's RTC from
+//! the product of the graph and the body ([`rpq_reduction::Rtc::from_body`]),
+//! anything else from `R_G` by Algorithm 1's recursion — under the loading
+//! [`EngineConfig`] (its clause and cache
 //! budgets). It then resets the counters, so the restored engine reads
 //! like a fresh one whose first query hits. The load pays the builds a cold
 //! engine's first queries would have paid; in exchange the file is the
@@ -337,7 +338,7 @@ mod tests {
         assert_eq!(warm.cache().misses(), 0);
 
         // The warm engine keeps mutating: the restored entry goes stale
-        // and refreshes against the `R_G` it was rebuilt from.
+        // and refreshes against the footprint it was rebuilt with.
         let mut delta = GraphDelta::new();
         delta.delete(6, "b", 8);
         warm.apply_delta(&delta);
@@ -596,10 +597,11 @@ mod tests {
         let view = engine.pin(); // pins epoch 0: both entries below survive
         let pairs = sample_pairs();
         for key in ["a.b", "b.c"] {
+            let body = Regex::parse(key).unwrap();
             engine.cache().insert(
                 key.to_owned(),
                 Shared::Rtc(Arc::new(rpq_reduction::Rtc::from_pairs(&pairs))),
-                Some(Arc::clone(&pairs)),
+                Some(Arc::new(crate::Footprint::of(&g, &body))),
                 engine.epoch(),
                 std::time::Duration::ZERO,
             );

@@ -93,6 +93,14 @@ impl LabeledMultigraph {
         &self.label_edges[label.index()]
     }
 
+    /// [`LabeledMultigraph::edges_with_label`] as the graph shares it. A
+    /// holder of the `Arc` keeps that version alive, and [`Arc::ptr_eq`]
+    /// with the graph's row tells that the graph has not written it since:
+    /// a write to a row that someone else holds copies the row first.
+    pub fn shared_edges_with_label(&self, label: LabelId) -> &Arc<Vec<(VertexId, VertexId)>> {
+        &self.label_edges[label.index()]
+    }
+
     /// Distinct source vertices of edges labeled `label`, ascending.
     pub fn sources_with_label(&self, label: LabelId) -> Vec<VertexId> {
         let mut out: Vec<VertexId> = self

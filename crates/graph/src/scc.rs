@@ -8,11 +8,13 @@
 //! Yago2s are almost entirely long chains.
 //!
 //! There is one DFS, [`tarjan_components`]. It takes its out-rows from a
-//! function, so it runs over a [`Digraph`] ([`tarjan_scc`]) and over an
-//! `R_G` in original vertex ids alike (`rpq_reduction::Rtc::from_pairs`),
-//! and it reports each component as it closes, with the ids of the
-//! components its members have edges into: the component's row of the
-//! condensation, read in the same pass (Nuutila's variant).
+//! function, so it runs over a [`Digraph`] ([`tarjan_scc`]), over an
+//! `R_G` in original vertex ids (`rpq_reduction::Rtc::from_pairs`) and over
+//! the layered product of a graph and a closure-free body
+//! (`rpq_reduction::Rtc::from_body`) alike. It reports each
+//! component as it closes, with its members and the ids of the components
+//! its members have edges into: the component's row of the condensation,
+//! read in the same pass (Nuutila's variant).
 //!
 //! A useful structural property this module guarantees and the closure code
 //! relies on: **SCC ids come out in reverse topological order** of the
@@ -95,8 +97,9 @@ struct Frame<I> {
 /// Tarjan's DFS over vertices `0..n`, whose out-neighbours `out(v)` yields,
 /// started from each of `roots` in order that is not visited yet.
 ///
-/// Calls `close(successors, self_loop)` once per component, in closing
-/// order, which is ascending id order: `successors` holds the ids of the
+/// Calls `close(members, successors, self_loop)` once per component, in
+/// closing order, which is ascending id order: `members` are its vertices
+/// in the order the search entered them, `successors` holds the ids of the
 /// components its members have edges into, other than itself, each as
 /// often as such an edge was walked (all below its own id, so all closed);
 /// `self_loop` tells whether it has an internal edge (two or more members,
@@ -114,7 +117,7 @@ pub fn tarjan_components<I>(
     n: usize,
     roots: impl IntoIterator<Item = u32>,
     mut out: impl FnMut(u32) -> I,
-    mut close: impl FnMut(&[u32], bool),
+    mut close: impl FnMut(&[u32], &[u32], bool),
 ) -> (Vec<u32>, usize)
 where
     I: Iterator<Item = u32>,
@@ -173,7 +176,7 @@ where
                 for &m in members {
                     comp_of[m as usize] = count;
                 }
-                close(&successors[succ_at..], members.len() > 1 || looped);
+                close(members, &successors[succ_at..], members.len() > 1 || looped);
                 stack.truncate(stack_at);
                 successors.truncate(succ_at);
                 count += 1;
@@ -199,7 +202,7 @@ where
 pub fn tarjan_scc(g: &Digraph) -> Scc {
     let n = g.vertex_count();
     let (comp_of, count) =
-        tarjan_components(n, 0..n as u32, |v| g.out(v).iter().copied(), |_, _| {});
+        tarjan_components(n, 0..n as u32, |v| g.out(v).iter().copied(), |_, _, _| {});
     let members = Csr::from_items(
         count,
         (0..n as u32).map(|v| (comp_of[v as usize] as usize, v)),

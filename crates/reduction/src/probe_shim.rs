@@ -1,8 +1,8 @@
 //! The names the benchmark harness's trace probe calls for a stale RTC
 //! (`benchmark/src/trace.rs`: `DynamicRtc::from_rtc`, `apply`, `snapshot`,
 //! and `EngineConfig::maintenance`). Nothing in `crates/` calls them: the
-//! engine refreshes a stale RTC by rebuilding it from its new `R_G`, and so
-//! does this stand-in. It goes when the probe names are released
+//! engine refreshes a stale RTC by rebuilding it as a miss does, and this
+//! stand-in rebuilds it from its new `R_G`. It goes when the probe names are released
 //! (ROADMAP 4g).
 
 use crate::rtc::Rtc;

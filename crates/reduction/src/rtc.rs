@@ -13,32 +13,43 @@
 //! implements Theorem 1's enumeration
 //! `R⁺_G = ⋃ {s_k × s_l | (s̄_k, s̄_l) ∈ TC(Ḡ_R)}`.
 //!
-//! [`Rtc::from_pairs`] reads `R_G` once: one Tarjan pass in original vertex
-//! ids finds the SCCs of `G_R` and each SCC's row of `Ḡ_R`, and the closure
-//! sweep reads those rows. The staged path — [`crate::reduce_edge_level`],
+//! Two builds make the same structure, each with one Tarjan pass
+//! ([`tarjan_components`]) and the closure sweep over the rows it leaves:
+//!
+//! * [`Rtc::from_body`] never evaluates `R_G`. Its pass runs over the
+//!   layered product of the graph and a closure-free body's position
+//!   automaton: layer 0 is `V`, and each position a label can follow adds
+//!   a private copy of `V`, so a path from layer 0 back to layer 0 is one
+//!   `R`-step and `G_R`'s SCCs are the product's SCCs cut down to layer 0.
+//! * [`Rtc::from_pairs`] reads an evaluated `R_G`: the engine's build for a
+//!   body with a nested closure, and the oracle of the other.
+//!
+//! The staged path — [`crate::reduce_edge_level`],
 //! [`rpq_graph::tarjan_scc`], [`rpq_graph::Condensation::new`],
 //! [`crate::closure_of_condensation_rows`] — builds the same structure and
 //! stays as the test reference and the trace probe's stages.
 
 use crate::tc::closure_rows;
+use rpq_eval::ProductEvaluator;
 use rpq_graph::{
-    tarjan_components, Csr, Ends, EpochVisited, PairSet, RowSet, RowSetPolicy, RowTable, SccId,
-    VertexId,
+    tarjan_components, Csr, Ends, EpochVisited, LabelId, LabeledMultigraph, PairSet, RowSet,
+    RowSetPolicy, RowTable, SccId, VertexId,
 };
+use rpq_regex::Regex;
 use std::sync::Arc;
 
-/// Marks an original id outside `V_R` in [`Rtc`]'s SCC table.
+/// Marks an original id outside `V_R` in [`Rtc`]'s SCC table, and a
+/// product node no search reached.
 const OFF_VR: u32 = u32::MAX;
 
 /// Size/shape statistics of an RTC, reported by the experiment harness
 /// (Figs. 12 and 13 compare `closure_pairs` and `scc_count` against the
-/// FullSharing equivalents).
+/// FullSharing equivalents). `|E_R|` is not among them: it is `|R_G|`, a
+/// count of the relation, which [`Rtc::from_body`] never builds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RtcStats {
     /// `|V_R|` — vertices of the edge-level reduced graph.
     pub vr_vertices: usize,
-    /// `|E_R|` — edges of the edge-level reduced graph (= `|R_G|`).
-    pub er_edges: usize,
     /// `|V̄_R|` — SCC count after vertex-level reduction.
     pub scc_count: usize,
     /// `|Ē_R|` — condensation edges including self-loops.
@@ -72,7 +83,11 @@ impl Rtc {
     /// from the pass as the SCC closes ([`tarjan_components`]); the
     /// reverse-topological closure sweep then reads those rows alone.
     pub fn from_pairs(r_g: &PairSet) -> Rtc {
-        let starts: Vec<(VertexId, Ends<'_>)> = r_g.groups().collect();
+        Self::from_groups(r_g.groups().collect())
+    }
+
+    /// [`Rtc::from_pairs`] over a relation's rows, ascending by start.
+    fn from_groups(starts: Vec<(VertexId, Ends<'_>)>) -> Rtc {
         let n = starts
             .iter()
             .map(|(s, ends)| ends.max().map_or(*s, |e| e.max(*s)).index() + 1)
@@ -82,10 +97,8 @@ impl Rtc {
         for (i, (s, _)) in starts.iter().enumerate() {
             row_of[s.index()] = i as u32;
         }
-        let mut cond: Csr<u32> = Csr::new();
-        let mut self_loops: Vec<bool> = Vec::new();
-        let mut seen = EpochVisited::new(n);
-        let (comp_of, k) = tarjan_components(
+        let mut sccs = Closing::new(n);
+        tarjan_components(
             n,
             starts.iter().map(|(s, _)| s.raw()),
             |v| {
@@ -93,28 +106,61 @@ impl Rtc {
                 let ends = row.map_or_else(|| Ends::Pairs(&[]).iter(), |(_, ends)| ends.iter());
                 ends.map(VertexId::raw)
             },
-            |successors, self_loop| {
-                seen.clear();
-                cond.push_row(successors.iter().copied().filter(|&t| seen.insert(t)));
-                self_loops.push(self_loop);
+            |members, successors, self_loop| {
+                sccs.close(members, self_loop);
+                sccs.push_row(successors);
             },
         );
-        let closure = closure_rows(k, |s| (self_loops[s as usize], cond.row(s as usize)));
-        let in_vr = (0..n as u32).filter(|&v| comp_of[v as usize] != OFF_VR);
-        let members = Csr::from_items(k, in_vr.map(|v| (comp_of[v as usize] as usize, v)));
-        let stats = RtcStats {
-            vr_vertices: members.len(),
-            er_edges: r_g.len(),
-            scc_count: k,
-            ebar_edges: cond.len() + self_loops.iter().filter(|&&l| l).count(),
-            closure_pairs: closure.total_len(),
-        };
-        Rtc {
-            comp_of,
-            members,
-            closure,
-            stats,
+        sccs.finish()
+    }
+
+    /// Computes the RTC of a closure-free body `R` on `graph` without
+    /// evaluating `R_G`: one Tarjan pass over the layered product of the
+    /// graph and `R`'s position automaton, in which `G_R`'s SCCs are the
+    /// product's SCCs cut down to layer 0. `None` when `R` has a closure
+    /// (a nested body is built from its `R_G`, [`Rtc::from_pairs`]) or the
+    /// product has more nodes than `u32` ids.
+    ///
+    /// * **Layers.** Layer 0 is `V`. A position that other positions can
+    ///   follow gets a private layer, so `l₁·…·l_k` adds `k − 1` layers: a
+    ///   step along a label into a position moves into that position's
+    ///   layer, and into layer 0 when the position can end a word. So
+    ///   every `R`-step runs from layer 0 back to layer 0 through private
+    ///   layers only, and a nullable `R` puts a self-edge on every layer-0
+    ///   node. A single label's `R_G` is its sorted edge list, read in
+    ///   place as [`Rtc::from_pairs`] reads an `R_G`.
+    /// * **Ids.** Closing order restricted to layer 0 is still reverse
+    ///   topological. `V_R` is known only after the pass: a root no step
+    ///   leaves closes alone, and a later root's step may still end at it.
+    /// * **Rows.** Each SCC's condensation row is its set of one-`R`-step
+    ///   successors. It is not read off the pass's successor stack, since
+    ///   a step can enter a cyclic component at an inner layer and leave it
+    ///   again before it reaches layer 0. It is walked after the pass
+    ///   instead, through a per-layer memo of the SCCs each node's steps
+    ///   end in.
+    pub fn from_body(graph: &LabeledMultigraph, body: &Regex) -> Option<Rtc> {
+        if body.has_closure() {
+            return None;
         }
+        let product = Product::new(graph, body)?;
+        if let Some(label) = product.single_label() {
+            // `R_G` is the label's edge list, read in place.
+            let edges = graph.edges_with_label(label);
+            let rows = edges.chunk_by(|a, b| a.0 == b.0);
+            return Some(Self::from_groups(
+                rows.map(|row| (row[0].0, Ends::Pairs(row))).collect(),
+            ));
+        }
+        let n = graph.vertex_count();
+        let mut sccs = Closing::new(n);
+        let (reached, _) = tarjan_components(
+            product.hops.len() * n,
+            product.roots(),
+            |u| product.out(u),
+            |members, _, self_loop| sccs.close(members, self_loop),
+        );
+        sccs.cond = product.step_rows(&reached, &sccs.scc_of, &sccs.members());
+        Some(sccs.finish())
     }
 
     /// [`Rtc::from_pairs`]; the [`RowSetPolicy`] is read by nothing. It
@@ -247,6 +293,275 @@ impl Rtc {
     }
 }
 
+/// The SCCs of `G_R` as one search closes them, over a graph whose first
+/// `n` node ids are the original vertices: numbered in closing order, so
+/// in reverse topological order.
+struct Closing {
+    /// Each original id's SCC, [`OFF_VR`] while it has none.
+    scc_of: Vec<u32>,
+    self_loops: Vec<bool>,
+    /// Each SCC's distinct one-step successors other than itself.
+    cond: Csr<u32>,
+    seen: EpochVisited,
+}
+
+impl Closing {
+    fn new(n: usize) -> Self {
+        Self {
+            scc_of: vec![OFF_VR; n],
+            self_loops: Vec::new(),
+            cond: Csr::new(),
+            seen: EpochVisited::new(n),
+        }
+    }
+
+    /// Gives the original ids among a closed component's `members` the next
+    /// SCC id. A component without one — a node of a private layer that no
+    /// cycle runs through — gets none.
+    fn close(&mut self, members: &[u32], self_loop: bool) {
+        let s = self.self_loops.len() as u32;
+        let mut original = false;
+        for &u in members {
+            if let Some(c) = self.scc_of.get_mut(u as usize) {
+                *c = s;
+                original = true;
+            }
+        }
+        if original {
+            self.self_loops.push(self_loop);
+        }
+    }
+
+    /// The last SCC's row, read off the search's successor stack: valid
+    /// when every node is an original vertex, so a walked edge is an
+    /// `R`-step and a component id an SCC id ([`Rtc::from_pairs`]).
+    fn push_row(&mut self, successors: &[u32]) {
+        self.seen.clear();
+        let seen = &mut self.seen;
+        self.cond
+            .push_row(successors.iter().copied().filter(|&t| seen.insert(t)));
+    }
+
+    /// Each SCC's members, ascending.
+    fn members(&self) -> Csr<u32> {
+        let in_vr = (0..self.scc_of.len() as u32).filter(|&v| self.scc_of[v as usize] != OFF_VR);
+        Csr::from_items(
+            self.self_loops.len(),
+            in_vr.map(|v| (self.scc_of[v as usize] as usize, v)),
+        )
+    }
+
+    /// Drops the SCCs off `V_R` — a root that no step leaves and no step
+    /// ends at — keeping the others' order, and closes the condensation.
+    fn finish(mut self) -> Rtc {
+        let mut kept = self.self_loops.clone();
+        for s in 0..kept.len() {
+            let row = self.cond.row(s);
+            kept[s] |= !row.is_empty();
+            for &t in row {
+                kept[t as usize] = true;
+            }
+        }
+        if kept.contains(&false) {
+            let old_ids: Vec<usize> = (0..kept.len()).filter(|&s| kept[s]).collect();
+            let mut new_id = vec![OFF_VR; kept.len()];
+            for (k, &s) in old_ids.iter().enumerate() {
+                new_id[s] = k as u32;
+            }
+            for c in self.scc_of.iter_mut().filter(|c| **c != OFF_VR) {
+                *c = new_id[*c as usize];
+            }
+            let rows = old_ids.iter().map(|&s| self.cond.row(s));
+            self.cond = Csr::from_rows(rows.map(|row| row.iter().map(|&t| new_id[t as usize])));
+            self.self_loops = old_ids.iter().map(|&s| self.self_loops[s]).collect();
+        }
+        let top = self.scc_of.iter().rposition(|&c| c != OFF_VR);
+        self.scc_of.truncate(top.map_or(0, |v| v + 1));
+        self.scc_of.shrink_to_fit();
+        let members = self.members();
+        let (k, self_loops, cond) = (self.self_loops.len(), &self.self_loops, &self.cond);
+        let closure = closure_rows(k, |s| (self_loops[s as usize], cond.row(s as usize)));
+        let stats = RtcStats {
+            vr_vertices: members.len(),
+            scc_count: k,
+            ebar_edges: cond.len() + self_loops.iter().filter(|&&l| l).count(),
+            closure_pairs: closure.total_len(),
+        };
+        Rtc {
+            comp_of: self.scc_of,
+            members,
+            closure,
+            stats,
+        }
+    }
+}
+
+/// The layered product of a graph and a closure-free body's position
+/// automaton ([`Rtc::from_body`]): node `layer · |V| + v` is vertex `v` in
+/// `layer`.
+struct Product<'g> {
+    graph: &'g LabeledMultigraph,
+    n: u32,
+    /// Each layer's hops: `(label, into)` steps along `label` into layer
+    /// `into`. A `None` label is the self-edge of a nullable body.
+    hops: Vec<Vec<(Option<LabelId>, u32)>>,
+}
+
+impl<'g> Product<'g> {
+    /// `None` when the product's node ids overflow `u32`.
+    fn new(graph: &'g LabeledMultigraph, body: &Regex) -> Option<Self> {
+        // The body's position automaton, as the product evaluator compiles
+        // it for NoSharing.
+        let evaluator = ProductEvaluator::new(graph, body);
+        let nfa = evaluator.nfa();
+        // The initial state is layer 0, and a position with followers has
+        // its own layer. Without closures, a position is followed only by
+        // later ones, so hops run into higher layers or back to layer 0.
+        let mut layer_of = vec![None; nfa.state_count()];
+        let mut layers = 0u32;
+        for (p, layer) in layer_of.iter_mut().enumerate() {
+            if p == 0 || !nfa.transitions_from(p as u32).is_empty() {
+                *layer = Some(layers);
+                layers += 1;
+            }
+        }
+        let labels: Vec<Option<LabelId>> = nfa
+            .alphabet()
+            .iter()
+            .map(|name| graph.labels().get(name))
+            .collect();
+        let mut hops = vec![Vec::new(); layers as usize];
+        for (p, from) in layer_of.iter().enumerate() {
+            let Some(from) = from else { continue };
+            for &(sym, q) in nfa.transitions_from(p as u32) {
+                let Some(label) = labels[sym as usize] else {
+                    continue;
+                };
+                let from = &mut hops[*from as usize];
+                if nfa.is_accepting(q) {
+                    from.push((Some(label), 0));
+                }
+                if let Some(into) = layer_of[q as usize] {
+                    from.push((Some(label), into));
+                }
+            }
+        }
+        if nfa.accepts_empty() {
+            hops[0].push((None, 0));
+        }
+        let nodes = graph.vertex_count().checked_mul(hops.len())?;
+        (nodes < OFF_VR as usize).then_some(Product {
+            graph,
+            n: graph.vertex_count() as u32,
+            hops,
+        })
+    }
+
+    /// The label of a body that is one label and nothing else.
+    fn single_label(&self) -> Option<LabelId> {
+        match &self.hops[..] {
+            [only] => match only[..] {
+                [(label, 0)] => label,
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// The layer-0 nodes some hop leaves, ascending: every vertex when the
+    /// body is nullable.
+    fn roots(&self) -> Vec<u32> {
+        let mut leaves = vec![false; self.n as usize];
+        for &(label, _) in &self.hops[0] {
+            let Some(label) = label else {
+                return (0..self.n).collect();
+            };
+            for &(s, _) in self.graph.edges_with_label(label) {
+                leaves[s.index()] = true;
+            }
+        }
+        (0..self.n).filter(|&v| leaves[v as usize]).collect()
+    }
+
+    /// Out-neighbours of node `u`.
+    fn out(&self, u: u32) -> impl Iterator<Item = u32> + '_ {
+        let (layer, v) = (u / self.n, VertexId(u % self.n));
+        self.hops[layer as usize]
+            .iter()
+            .flat_map(move |&(label, into)| {
+                let (edges, own) = match label {
+                    Some(label) => (self.graph.out_with_label(v, label), None),
+                    None => (&[][..], Some(v)),
+                };
+                let base = into * self.n;
+                edges
+                    .iter()
+                    .map(|&(_, w)| w)
+                    .chain(own)
+                    .map(move |w| base + w.raw())
+            })
+    }
+
+    /// Each SCC's one-step row: the SCCs other than itself that its
+    /// members' `R`-steps end in. `reached` is the search's component table
+    /// over product nodes ([`OFF_VR`] where it never went) and `scc_of` the
+    /// SCC of each original id. Each inner layer's node gets a memo row, the
+    /// SCCs its way back to layer 0 ends in, last layers first.
+    fn step_rows(&self, reached: &[u32], scc_of: &[u32], members: &Csr<u32>) -> Csr<u32> {
+        let n = self.n as usize;
+        let mut seen = EpochVisited::new(members.rows());
+        let mut memo: Vec<Csr<u32>> = (0..self.hops.len()).map(|_| Csr::new()).collect();
+        let mut row = Vec::new();
+        for layer in (1..self.hops.len()).rev() {
+            let mut rows = Csr::new();
+            for v in 0..n {
+                if reached[layer * n + v] != OFF_VR {
+                    seen.clear();
+                    let v = VertexId::from_usize(v);
+                    self.step_ends(layer, v, &memo, scc_of, &mut seen, &mut row);
+                }
+                rows.push_row(row.drain(..));
+            }
+            memo[layer] = rows;
+        }
+        let mut cond = Csr::new();
+        for s in 0..members.rows() {
+            seen.clear();
+            seen.insert(s as u32);
+            for &v in members.row(s) {
+                self.step_ends(0, VertexId(v), &memo, scc_of, &mut seen, &mut row);
+            }
+            cond.push_row(row.drain(..));
+        }
+        cond
+    }
+
+    /// Appends to `row` the SCCs not `seen` yet that the steps leaving `v`
+    /// in `layer` end in.
+    fn step_ends(
+        &self,
+        layer: usize,
+        v: VertexId,
+        memo: &[Csr<u32>],
+        scc_of: &[u32],
+        seen: &mut EpochVisited,
+        row: &mut Vec<u32>,
+    ) {
+        for &(label, into) in &self.hops[layer] {
+            // The self-edge ends in `v`'s own SCC: its self-loop, which the
+            // search already reported.
+            let Some(label) = label else { continue };
+            for &(_, w) in self.graph.out_with_label(v, label) {
+                let ends = match into {
+                    0 => std::slice::from_ref(&scc_of[w.index()]),
+                    into => memo[into as usize].row(w.index()),
+                };
+                row.extend(ends.iter().copied().filter(|&s| seen.insert(s)));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,7 +579,6 @@ mod tests {
         let rtc = bc_rtc();
         assert_eq!(rtc.scc_count(), 3);
         assert_eq!(rtc.stats().vr_vertices, 5);
-        assert_eq!(rtc.stats().er_edges, 5);
         assert_eq!(rtc.stats().ebar_edges, 3); // 2 loops + 1 cross edge
     }
 

@@ -61,7 +61,8 @@ fn main() {
     );
 
     // Engine A — cached: apply each delta; stale RTCs refresh on next
-    // use (re-stamped if their R_G did not move, rebuilt otherwise).
+    // use (re-stamped if no label row of their body moved, rebuilt
+    // otherwise).
     let mut cached =
         Engine::with_config_versioned(VersionedGraph::new(graph.clone()), EngineConfig::default());
     cached.evaluate_set(&set.queries).unwrap(); // warm at epoch 0

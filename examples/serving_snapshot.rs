@@ -34,7 +34,7 @@ fn main() {
     drive(&mut session, "query d.(b.c)+.c"); // computes the (b.c) RTC
     drive(&mut session, "query a.(b.c)+"); // shares it (cache hit)
     drive(&mut session, "delta ins 6 b 8 ins 8 c 6");
-    drive(&mut session, "query (b.c)+"); // stale -> rebuilt from the moved R_G
+    drive(&mut session, "query (b.c)+"); // stale: b and c moved -> rebuilt
     drive(&mut session, "cache");
     drive(&mut session, &format!("save {snap_str}"));
 
