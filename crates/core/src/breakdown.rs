@@ -41,11 +41,6 @@ impl Breakdown {
             .saturating_sub(self.shared_data)
             .saturating_sub(self.pre_join)
     }
-
-    /// Resets all accumulators.
-    pub fn reset(&mut self) {
-        *self = Breakdown::default();
-    }
 }
 
 impl AddAssign for Breakdown {
@@ -93,13 +88,6 @@ pub struct EliminationStats {
     pub full_duplicate_hits: u64,
 }
 
-impl EliminationStats {
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        *self = EliminationStats::default();
-    }
-}
-
 impl AddAssign for EliminationStats {
     fn add_assign(&mut self, rhs: EliminationStats) {
         self.useless1_skipped += rhs.useless1_skipped;
@@ -132,11 +120,6 @@ impl MaintenanceMetrics {
     pub fn refreshes(&self) -> u64 {
         self.unchanged_refreshes + self.rebuild_refreshes
     }
-
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        *self = MaintenanceMetrics::default();
-    }
 }
 
 impl AddAssign for MaintenanceMetrics {
@@ -165,13 +148,11 @@ mod tests {
         sum += m;
         assert_eq!(sum.refreshes(), 12);
         assert_eq!(sum.rebuild_time, Duration::from_millis(12));
-        sum.reset();
-        assert_eq!(sum, MaintenanceMetrics::default());
     }
 
     #[test]
-    fn breakdown_remainder_and_reset() {
-        let mut b = Breakdown {
+    fn breakdown_remainder_accumulates() {
+        let b = Breakdown {
             shared_data: Duration::from_millis(2),
             pre_join: Duration::from_millis(3),
             total: Duration::from_millis(10),
@@ -182,8 +163,6 @@ mod tests {
         sum += b;
         assert_eq!(sum.total, Duration::from_millis(20));
         assert_eq!(sum.remainder(), Duration::from_millis(10));
-        b.reset();
-        assert_eq!(b.total, Duration::ZERO);
     }
 
     #[test]
@@ -210,8 +189,6 @@ mod tests {
         sum += a;
         assert_eq!(sum.redundant2_skipped, 6);
         assert_eq!(sum.full_duplicate_hits, 10);
-        sum.reset();
-        assert_eq!(sum, EliminationStats::default());
     }
 
     #[test]

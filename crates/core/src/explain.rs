@@ -1,9 +1,18 @@
-//! Query-plan introspection (`EXPLAIN` for RPQs).
+//! Query plans: Algorithm 1's recursion, walked once.
 //!
-//! Renders the exact plan Algorithm 1 will execute — the DNF clauses, each
-//! clause's `Pre · R^(+|*) · Post` decomposition, the recursion into `Pre`,
-//! and which closure bodies are shared — without evaluating anything.
-//! The textual rendering mirrors the recursion trees of the paper's Fig. 7.
+//! [`explain_with_limit`] is the engine's only planner. It converts a query
+//! to DNF with the outermost closures opaque (line 2), decomposes each
+//! clause into `Pre · R^(+|*) · Post` (line 4) and plans `Pre` by recursion
+//! (line 8), evaluating nothing. The engine runs that plan: evaluation
+//! joins it (`sharing::eval_query`), [`crate::Engine::prepare`] fetches or
+//! builds each of [`QueryPlan::bodies`] and joins nothing, and `EXPLAIN`
+//! renders it — the textual rendering mirrors the recursion trees of the
+//! paper's Fig. 7.
+//!
+//! A plan never looks inside a closure body `R`: bodies nested in `R` are
+//! met only when a cache miss evaluates `R_G`, and `R`'s own clause budget
+//! is checked when its structure is built, not when it is planned, so a
+//! cache hit never expands a body's DNF.
 
 use crate::error::EngineError;
 use rpq_regex::{decompose, to_dnf_with_limit, ClosureKind, Regex, DEFAULT_CLAUSE_LIMIT};
@@ -13,8 +22,8 @@ use std::fmt;
 /// The plan for one query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryPlan {
-    /// The (normalized) query text.
-    pub query: String,
+    /// The (normalized) query.
+    pub query: Regex,
     /// One plan per DNF clause, in evaluation order.
     pub clauses: Vec<ClausePlan>,
 }
@@ -34,6 +43,9 @@ pub enum ClausePlan {
         pre: Option<Box<QueryPlan>>,
         /// Cache key of the closure body `R`.
         r_key: String,
+        /// The closure body `R`, which a cache miss builds its shared
+        /// structure from.
+        body: Regex,
         /// Plus or star.
         closure: ClosureKind,
         /// The closure-free postfix labels.
@@ -59,32 +71,30 @@ pub fn explain(query: &Regex) -> Result<QueryPlan, EngineError> {
 
 /// Explains one query with an explicit clause budget.
 pub fn explain_with_limit(query: &Regex, limit: usize) -> Result<QueryPlan, EngineError> {
-    let clauses = to_dnf_with_limit(query, limit)?;
-    let mut plans = Vec::with_capacity(clauses.len());
-    for clause in &clauses {
-        let unit = decompose(clause);
-        let plan = match unit.closure {
-            None => ClausePlan::LabelJoin { labels: unit.post },
-            Some((r, kind)) => {
-                let pre = if unit.pre == Regex::Epsilon {
-                    None
-                } else {
-                    Some(Box::new(explain_with_limit(&unit.pre, limit)?))
-                };
-                ClausePlan::BatchUnit {
-                    pre,
-                    r_key: r.canonical_key(),
-                    closure: kind,
+    plan(query.clone(), limit)
+}
+
+fn plan(query: Regex, limit: usize) -> Result<QueryPlan, EngineError> {
+    let clauses = to_dnf_with_limit(&query, limit)?
+        .iter()
+        .map(|clause| {
+            let unit = decompose(clause);
+            Ok(match unit.closure {
+                None => ClausePlan::LabelJoin { labels: unit.post },
+                Some((body, closure)) => ClausePlan::BatchUnit {
+                    pre: match unit.pre {
+                        Regex::Epsilon => None,
+                        pre => Some(Box::new(plan(pre, limit)?)),
+                    },
+                    r_key: body.canonical_key(),
+                    body,
+                    closure,
                     post: unit.post,
-                }
-            }
-        };
-        plans.push(plan);
-    }
-    Ok(QueryPlan {
-        query: query.to_string(),
-        clauses: plans,
-    })
+                },
+            })
+        })
+        .collect::<Result<_, EngineError>>()?;
+    Ok(QueryPlan { query, clauses })
 }
 
 /// Explains a query set and reports which closure bodies are shared.
@@ -98,7 +108,9 @@ pub fn explain_set_with_limit(queries: &[Regex], limit: usize) -> Result<SetPlan
     let mut counts: FxHashMap<String, usize> = FxHashMap::default();
     for q in queries {
         let plan = explain_with_limit(q, limit)?;
-        count_bodies(&plan, &mut counts);
+        for (key, _) in plan.bodies() {
+            *counts.entry(key.to_owned()).or_insert(0) += 1;
+        }
         plans.push(plan);
     }
     let mut shared_bodies: Vec<(String, usize)> = counts.into_iter().collect();
@@ -109,29 +121,32 @@ pub fn explain_set_with_limit(queries: &[Regex], limit: usize) -> Result<SetPlan
     })
 }
 
-fn count_bodies(plan: &QueryPlan, counts: &mut FxHashMap<String, usize>) {
-    for clause in &plan.clauses {
-        if let ClausePlan::BatchUnit { pre, r_key, .. } = clause {
-            *counts.entry(r_key.clone()).or_insert(0) += 1;
-            if let Some(pre) = pre {
-                count_bodies(pre, counts);
+impl QueryPlan {
+    /// Every batch unit's closure body as `(cache key, R)`, in the order
+    /// evaluation reaches them: a unit's `Pre` before its own body.
+    pub fn bodies(&self) -> Vec<(&str, &Regex)> {
+        let mut out = Vec::new();
+        self.push_bodies(&mut out);
+        out
+    }
+
+    fn push_bodies<'a>(&'a self, out: &mut Vec<(&'a str, &'a Regex)>) {
+        for clause in &self.clauses {
+            if let ClausePlan::BatchUnit {
+                pre, r_key, body, ..
+            } = clause
+            {
+                if let Some(pre) = pre {
+                    pre.push_bodies(out);
+                }
+                out.push((r_key, body));
             }
         }
     }
-}
 
-impl QueryPlan {
     /// Total number of batch units across the whole recursion.
     pub fn batch_unit_count(&self) -> usize {
-        self.clauses
-            .iter()
-            .map(|c| match c {
-                ClausePlan::LabelJoin { .. } => 0,
-                ClausePlan::BatchUnit { pre, .. } => {
-                    1 + pre.as_ref().map_or(0, |p| p.batch_unit_count())
-                }
-            })
-            .sum()
+        self.bodies().len()
     }
 
     fn render(&self, indent: usize, out: &mut String) {
@@ -152,6 +167,7 @@ impl QueryPlan {
                     r_key,
                     closure,
                     post,
+                    ..
                 } => {
                     let post_s = if post.is_empty() {
                         "ε".to_string()
@@ -224,15 +240,17 @@ mod tests {
             ClausePlan::BatchUnit {
                 pre,
                 r_key,
+                body,
                 closure,
                 post,
             } => {
                 assert_eq!(r_key, "b.c");
+                assert_eq!(body.canonical_key(), "b.c");
                 assert_eq!(*closure, ClosureKind::Plus);
                 assert_eq!(post, &vec!["c".to_string()]);
                 // Pre = d is itself a single label-join plan.
                 let pre = pre.as_ref().unwrap();
-                assert_eq!(pre.query, "d");
+                assert_eq!(pre.query.to_string(), "d");
                 assert_eq!(pre.batch_unit_count(), 0);
             }
             other => panic!("expected batch unit, got {other:?}"),
@@ -249,20 +267,31 @@ mod tests {
             ClausePlan::BatchUnit { pre, r_key, .. } => {
                 assert_eq!(r_key, "a.b+.c");
                 let pre = pre.as_ref().unwrap();
-                assert_eq!(pre.query, "(a.b)*.b+");
+                assert_eq!(pre.query.to_string(), "(a.b)*.b+");
                 match &pre.clauses[0] {
                     ClausePlan::BatchUnit {
                         pre: pre2, r_key, ..
                     } => {
                         assert_eq!(r_key, "b");
                         let pre2 = pre2.as_ref().unwrap();
-                        assert_eq!(pre2.query, "(a.b)*");
+                        assert_eq!(pre2.query.to_string(), "(a.b)*");
                     }
                     other => panic!("unexpected {other:?}"),
                 }
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn bodies_list_pre_before_the_unit() {
+        let p = plan("(a.b)*.b+.(a.b+.c)+ | c.(b.c)+");
+        let keys: Vec<&str> = p.bodies().iter().map(|&(key, _)| key).collect();
+        assert_eq!(keys, ["a.b", "b", "a.b+.c", "b.c"]);
+        assert!(p
+            .bodies()
+            .iter()
+            .all(|(key, body)| body.canonical_key() == *key));
     }
 
     #[test]

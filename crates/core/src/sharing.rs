@@ -1,37 +1,45 @@
 //! The recursive query driver — Algorithm 1 (`RTCSharing`) and its
 //! FullSharing twin.
 //!
-//! Both sharing strategies walk the same recursion:
+//! Both sharing strategies run the same plan, built by the engine's one
+//! planner, [`explain_with_limit`]: the query in DNF with the outermost
+//! closures opaque (line 2), each clause decomposed into
+//! `Pre · R^(+|*) · Post` (line 4), and `Pre` planned by recursion.
+//! `eval_query` runs it:
 //!
-//! 1. convert the query to DNF, outermost closures opaque (line 2);
-//! 2. decompose each clause into `Pre · R^(+|*) · Post` (line 4);
-//! 3. closure-free clauses go to `EvalRPQwithoutKC` — label joins (line 6);
-//! 4. `Pre` is evaluated by recursion (line 8), `R` likewise when the
-//!    shared structure is missing (line 10) — except under RTCSharing when
-//!    `R` is closure-free: then its RTC comes from the layered product of
-//!    the graph and `R` ([`Rtc::from_body`]) and `R_G` is never built;
-//! 5. the shared structure is cached by the canonical form of `R`
+//! 1. closure-free clauses go to `EvalRPQwithoutKC` — label joins (line 6);
+//! 2. `Pre` is evaluated from its sub-plan (line 8), `R` by planning and
+//!    running it when the shared structure is missing (line 10) — except
+//!    under RTCSharing when `R` is closure-free: then its RTC comes from
+//!    the layered product of the graph and `R` ([`Rtc::from_body`]) and
+//!    `R_G` is never built;
+//! 3. the shared structure is cached by the canonical form of `R`
 //!    (lines 9–11), with `R`'s [`Footprint`] as its stale witness, and the
 //!    batch unit evaluated (line 12);
-//! 6. clause results are unioned (line 13).
+//! 4. clause results are unioned (line 13).
+//!
+//! A body's own clause budget is checked when its structure is built
+//! (`compute`), not when it is planned: a cache hit never expands a
+//! body's DNF.
 //!
 //! The difference between the strategies is the shared structure and the
 //! batch-unit evaluator — `Rtc` + Algorithm 2 vs `FullTc` + the plain
 //! join, exactly the delta the paper measures — and that a full closure is
 //! always built from `R_G`, which `FullTc` needs.
 //!
-//! [`crate::Engine::prepare`] walks the same recursion but stops after
-//! step 5's fetch-or-compute: it warms the cache and joins nothing.
+//! [`crate::Engine::prepare`] runs the same plans but stops after step 3's
+//! fetch-or-compute: it warms the cache and joins nothing.
 
 use crate::batch_unit::{eval_batch_unit_full, eval_batch_unit_rtc};
 use crate::cache::{Footprint, Lookup, Shared, SharedCache, SharingKind};
 use crate::engine::{EngineConfig, EngineMetrics, PrepareReport};
 use crate::error::EngineError;
+use crate::explain::{explain_with_limit, ClausePlan, QueryPlan};
 use crate::pre_relation::PreRelation;
 use rpq_eval::label_seq::eval_label_names;
 use rpq_graph::{LabeledMultigraph, PairSet};
 use rpq_reduction::{FullTc, Rtc};
-use rpq_regex::{decompose, to_dnf_with_limit, Regex};
+use rpq_regex::{to_dnf_with_limit, Regex};
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,35 +66,43 @@ pub(crate) struct EvalCtx<'a> {
     pub metrics: &'a mut EngineMetrics,
 }
 
-/// Algorithm 1, parameterized by the sharing kind.
+/// Algorithm 1, parameterized by the sharing kind: plans `q` and runs the
+/// plan.
 pub(crate) fn eval_query(ctx: &mut EvalCtx<'_>, q: &Regex) -> Result<PairSet, EngineError> {
-    let clauses = to_dnf_with_limit(q, ctx.config.dnf_clause_limit)?;
+    run(ctx, &explain_with_limit(q, ctx.config.dnf_clause_limit)?)
+}
+
+fn run(ctx: &mut EvalCtx<'_>, plan: &QueryPlan) -> Result<PairSet, EngineError> {
     let mut q_g = PairSet::new();
-    for clause in &clauses {
-        let unit = decompose(clause);
-        let clause_g = match unit.closure {
+    for clause in &plan.clauses {
+        let clause_g = match clause {
             // Line 6: no Kleene closure — the whole clause is Post.
-            None => eval_label_names(ctx.graph, &unit.post),
-            Some((r, closure_kind)) => {
+            ClausePlan::LabelJoin { labels } => eval_label_names(ctx.graph, labels),
+            ClausePlan::BatchUnit {
+                pre,
+                r_key,
+                body,
+                closure,
+                post,
+            } => {
                 // Line 8: evaluate Pre by recursion (ε stays symbolic).
-                let pre = if unit.pre == Regex::Epsilon {
-                    PreRelation::Identity(ctx.graph.vertex_count())
-                } else {
-                    PreRelation::Pairs(eval_query(ctx, &unit.pre)?)
+                let pre = match pre {
+                    None => PreRelation::Identity(ctx.graph.vertex_count()),
+                    Some(pre) => PreRelation::Pairs(run(ctx, pre)?),
                 };
                 // Lines 9–11: fetch, refresh or compute the shared
                 // structure for R; line 12: the batch unit — Algorithm 2
                 // over an RTC (a bare closure, `Pre = Post = ε`, included:
                 // its rows are Theorem 2's expansion), the plain join over
                 // a full closure.
-                let shared = obtain(ctx, &r.canonical_key(), &r)?;
+                let shared = obtain(ctx, r_key, body)?;
                 let (graph, stats) = (ctx.graph, &mut ctx.metrics.stats);
                 let out = match shared {
                     Shared::Rtc(rtc) => {
-                        eval_batch_unit_rtc(graph, &pre, &rtc, closure_kind, &unit.post, stats)
+                        eval_batch_unit_rtc(graph, &pre, &rtc, *closure, post, stats)
                     }
                     Shared::Full(full) => {
-                        eval_batch_unit_full(graph, &pre, &full, closure_kind, &unit.post, stats)
+                        eval_batch_unit_full(graph, &pre, &full, *closure, post, stats)
                     }
                     Shared::Result(_) => unreachable!("obtain returns a closure structure"),
                 };
@@ -106,6 +122,10 @@ pub(crate) fn eval_query(ctx: &mut EvalCtx<'_>, q: &Regex) -> Result<PairSet, En
 
 /// [`crate::Engine::prepare`]: warms the shared structure of every
 /// distinct closure body `queries` will look up, and reports what that took.
+/// Algorithm 1 without line 12: for each query's [`QueryPlan::bodies`] not
+/// yet seen, either finds its structure fresh (reused) or runs lines 9–11
+/// (computed: [`obtain`] builds a missing one, nested bodies included, and
+/// refreshes a stale one, exactly as a query would). Nothing is joined.
 pub(crate) fn prepare_set(
     ctx: &mut EvalCtx<'_>,
     queries: &[Regex],
@@ -113,44 +133,20 @@ pub(crate) fn prepare_set(
     let mut report = PrepareReport::default();
     let mut seen = FxHashSet::default();
     for q in queries {
-        prepare_query(ctx, q, &mut seen, &mut report)?;
+        for (key, body) in explain_with_limit(q, ctx.config.dnf_clause_limit)?.bodies() {
+            if !seen.insert(key.to_owned()) {
+                continue;
+            }
+            if ctx.cache.contains_fresh(ctx.kind, key) {
+                report.bodies_reused += 1;
+            } else {
+                obtain(ctx, key, body)?;
+                report.bodies_computed += 1;
+            }
+        }
     }
     report.shared_pairs = ctx.cache.totals(ctx.kind).shared_pairs;
     Ok(report)
-}
-
-/// Algorithm 1 without line 12: follows `q` as [`eval_query`] does — DNF,
-/// decomposition, the recursion into `Pre` — and for each closure body not
-/// yet `seen` either finds its structure fresh (reused) or runs lines 9–11
-/// (computed: [`obtain`] builds a missing one, nested bodies included, and
-/// refreshes a stale one, exactly as a query would). Nothing is joined.
-fn prepare_query(
-    ctx: &mut EvalCtx<'_>,
-    q: &Regex,
-    seen: &mut FxHashSet<String>,
-    report: &mut PrepareReport,
-) -> Result<(), EngineError> {
-    for clause in &to_dnf_with_limit(q, ctx.config.dnf_clause_limit)? {
-        let unit = decompose(clause);
-        let Some((r, _)) = unit.closure else {
-            continue;
-        };
-        if unit.pre != Regex::Epsilon {
-            prepare_query(ctx, &unit.pre, seen, report)?;
-        }
-        let key = r.canonical_key();
-        if seen.contains(&key) {
-            continue;
-        }
-        if ctx.cache.contains_fresh(ctx.kind, &key) {
-            report.bodies_reused += 1;
-        } else {
-            obtain(ctx, &key, &r)?;
-            report.bodies_computed += 1;
-        }
-        seen.insert(key);
-    }
-    Ok(())
 }
 
 /// Algorithm 1 lines 9–11, once for both strategies: fetches the shared

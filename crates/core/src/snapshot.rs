@@ -383,6 +383,22 @@ mod tests {
         assert!(warm.cache().hits() >= 1);
     }
 
+    /// A load builds each body under the loading clause budget, which a
+    /// body's plan never checks: a body past it fails the load.
+    #[test]
+    fn a_body_past_the_loading_clause_budget_fails_the_load() {
+        for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+            let bytes = snapshot_bytes(&warmed(strategy, &["((a|b).(a|b))+"]));
+            let tight = EngineConfig {
+                dnf_clause_limit: 2,
+                ..EngineConfig::default()
+            };
+            assert!(read_snapshot(&bytes[..], EngineConfig::default()).is_ok());
+            let err = expect_err(read_snapshot(&bytes[..], tight));
+            assert!(matches!(err, EngineError::Dnf(_)), "{strategy}: {err}");
+        }
+    }
+
     #[test]
     fn snapshots_are_deterministic() {
         let engine = Engine::new_dynamic(paper_graph());

@@ -16,7 +16,11 @@
 //!   word-parallel merges instead of whole-relation pair merges.
 //!
 //! The backing is an implementation detail: equality, iteration order and
-//! every set operation are representation-independent.
+//! every set operation are representation-independent. The operations are
+//! the ones evaluation uses: membership, ascending iteration (whole, by
+//! start with [`PairSet::groups`], one start's ends with
+//! [`PairSet::ends_of`]), union (pairwise and in place), difference (the
+//! algebraic oracle's fixpoint), and composition (Lemma 4's join).
 
 use crate::ids::VertexId;
 use crate::rowset::{RowIter, RowSet};
@@ -261,31 +265,6 @@ impl PairSet {
         }
     }
 
-    /// Set intersection by linear merge over both iterators.
-    pub fn intersect(&self, other: &PairSet) -> PairSet {
-        let mut out = Vec::new();
-        let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
-        while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
-            use std::cmp::Ordering::*;
-            match x.cmp(&y) {
-                Less => {
-                    a.next();
-                }
-                Greater => {
-                    b.next();
-                }
-                Equal => {
-                    out.push(x);
-                    a.next();
-                    b.next();
-                }
-            }
-        }
-        PairSet {
-            repr: Repr::Flat(out),
-        }
-    }
-
     /// Set difference `self \ other` by linear merge over both iterators.
     pub fn difference(&self, other: &PairSet) -> PairSet {
         let mut out = Vec::new();
@@ -325,26 +304,6 @@ impl PairSet {
             }
         }
         PairSet::from_pairs(out.into_iter().collect())
-    }
-
-    /// Distinct start vertices, sorted ascending.
-    pub fn starts(&self) -> Vec<VertexId> {
-        match &self.repr {
-            Repr::Flat(pairs) => {
-                let mut out: Vec<VertexId> = pairs.iter().map(|&(s, _)| s).collect();
-                out.dedup();
-                out
-            }
-            Repr::Grouped(g) => g.starts.clone(),
-        }
-    }
-
-    /// Distinct end vertices, sorted ascending.
-    pub fn ends(&self) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self.iter().map(|(_, e)| e).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Consumes the set, returning the sorted pair vector (materializing a
@@ -706,8 +665,6 @@ mod tests {
         assert_eq!(g, f);
         assert_eq!(vecs(&f), vecs(&g));
         assert_eq!(f.len(), g.len());
-        assert_eq!(f.starts(), g.starts());
-        assert_eq!(f.ends(), g.ends());
         for (s, e) in f.iter() {
             assert!(g.contains(s, e));
         }
@@ -797,16 +754,15 @@ mod tests {
     }
 
     #[test]
-    fn intersect_and_difference() {
+    fn difference_on_both_backings() {
         let a = ps(&[(0, 1), (1, 2), (2, 3)]);
         let b = ps(&[(1, 2), (2, 3), (3, 4)]);
-        assert_eq!(a.intersect(&b), ps(&[(1, 2), (2, 3)]));
         assert_eq!(a.difference(&b), ps(&[(0, 1)]));
         assert_eq!(b.difference(&a), ps(&[(3, 4)]));
         // Same answers through the grouped backing.
         assert_eq!(
-            grouped(&[(0, 1), (1, 2), (2, 3)]).intersect(&b),
-            ps(&[(1, 2), (2, 3)])
+            grouped(&[(0, 1), (1, 2), (2, 3)]).difference(&b),
+            ps(&[(0, 1)])
         );
         assert_eq!(
             a.difference(&grouped(&[(1, 2), (2, 3), (3, 4)])),
@@ -861,13 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn starts_and_ends_are_sorted_unique() {
-        let s = ps(&[(3, 1), (1, 1), (3, 2)]);
-        assert_eq!(s.starts(), vec![VertexId(1), VertexId(3)]);
-        assert_eq!(s.ends(), vec![VertexId(1), VertexId(2)]);
-    }
-
-    #[test]
     fn from_sorted_unique_accepts_valid_input() {
         let s = PairSet::from_sorted_unique(vec![
             (VertexId(0), VertexId(1)),
@@ -899,7 +848,7 @@ mod tests {
         let g = PairSet::from_grouped_rows(vec![
             (VertexId(7), Arc::new(RowSet::from_sorted_vec(vec![0, 3]))),
             (VertexId(1), Arc::new(RowSet::empty())),
-            (VertexId(2), Arc::new(RowSet::singleton(9))),
+            (VertexId(2), Arc::new(RowSet::from_sorted_vec(vec![9]))),
         ]);
         assert_eq!(vecs(&g), vec![(2, 9), (7, 0), (7, 3)]);
         assert_eq!(g.len(), 3);

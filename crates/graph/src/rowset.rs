@@ -1,13 +1,18 @@
-//! Hybrid sparse/dense vertex-set rows with word-parallel set algebra.
+//! Hybrid sparse/dense vertex-set rows with word-parallel unions.
 //!
 //! A [`RowSet`] is a set of `u32` ids stored either as a **sorted vector**
-//! (`Sparse`) or as a **bitset** (`Dense`). Dense rows union, intersect and
-//! subtract 64 elements per instruction and count via `popcnt`; sparse rows
-//! pay per element but cost only `4·len` bytes. The break-even density is
-//! roughly `1/16`–`1/32` of the universe (a dense row costs `universe/8`
-//! bytes against the sparse row's `4·len`), which is why a row is a bitset
-//! once it holds at least `1/32` of its universe ([`RowSet::wants_dense`])
-//! and a sorted vector below that. That one rule picks every row's layout.
+//! (`Sparse`) or as a **bitset** (`Dense`). Dense rows union 64 elements
+//! per instruction and count via `popcnt`; sparse rows pay per element but
+//! cost only `4·len` bytes. The break-even density is roughly
+//! `1/16`–`1/32` of the universe (a dense row costs `universe/8` bytes
+//! against the sparse row's `4·len`), which is why a row is a bitset once
+//! it holds at least `1/32` of its universe ([`RowSet::wants_dense`]) and a
+//! sorted vector below that. That one rule picks every row's layout.
+//!
+//! The operations are the ones closure building and expansion use:
+//! construction (sorted, unsorted, dense), membership, `insert`, ascending
+//! iteration, union (pairwise, in place and [`RowSet::union_all`]) and the
+//! layout moves (`normalize`, `promote`, `demote`).
 //!
 //! Closure tables ([`crate::Csr`]'s successor in `rpq_reduction`) hold one
 //! `RowSet` per source; [`crate::PairSet`] reuses the same rows for its
@@ -98,11 +103,6 @@ impl RowSet {
     /// The empty set (sparse; promotes on demand).
     pub fn empty() -> Self {
         Self::default()
-    }
-
-    /// A one-element set.
-    pub fn singleton(id: u32) -> Self {
-        RowSet::Sparse(vec![id])
     }
 
     /// Builds from a strictly ascending vector without copying.
@@ -208,32 +208,6 @@ impl RowSet {
         }
     }
 
-    /// Removes `id`; returns whether the set changed.
-    pub fn remove(&mut self, id: u32) -> bool {
-        match self {
-            RowSet::Sparse(v) => match v.binary_search(&id) {
-                Ok(pos) => {
-                    v.remove(pos);
-                    true
-                }
-                Err(_) => false,
-            },
-            RowSet::Dense(d) => {
-                let Some(w) = d.words.get_mut(DenseRow::word_of(id)) else {
-                    return false;
-                };
-                let mask = DenseRow::mask_of(id);
-                if *w & mask == 0 {
-                    false
-                } else {
-                    *w &= !mask;
-                    d.len -= 1;
-                    true
-                }
-            }
-        }
-    }
-
     /// Elements ascending, regardless of representation.
     pub fn iter(&self) -> RowIter<'_> {
         match self {
@@ -331,68 +305,6 @@ impl RowSet {
         };
         out.normalize(universe);
         out
-    }
-
-    /// `self ∩ other` as a new set (dense if `self` is dense).
-    pub fn intersect(&self, other: &RowSet) -> RowSet {
-        match (self, other) {
-            (RowSet::Dense(a), RowSet::Dense(b)) => {
-                let mut d = DenseRow {
-                    words: a.words.iter().zip(&b.words).map(|(&x, &y)| x & y).collect(),
-                    len: 0,
-                };
-                d.recount();
-                RowSet::Dense(d)
-            }
-            (RowSet::Sparse(a), _) => {
-                RowSet::Sparse(a.iter().copied().filter(|&x| other.contains(x)).collect())
-            }
-            (RowSet::Dense(_), RowSet::Sparse(b)) => RowSet::dense_from_iter(
-                b.last().map_or(0, |&m| m + 1),
-                b.iter().copied().filter(|&x| self.contains(x)),
-            ),
-        }
-    }
-
-    /// `self \ other` as a new set (dense if `self` is dense).
-    pub fn difference(&self, other: &RowSet) -> RowSet {
-        let mut out = self.clone();
-        out.difference_in_place(other);
-        out
-    }
-
-    /// `self \= other` (word-masking `AND NOT` when both are dense);
-    /// returns whether `self` changed.
-    pub fn difference_in_place(&mut self, other: &RowSet) -> bool {
-        if self.is_empty() || other.is_empty() {
-            return false;
-        }
-        match (&mut *self, other) {
-            (RowSet::Dense(d), RowSet::Dense(o)) => {
-                let mut changed = false;
-                for (dw, &ow) in d.words.iter_mut().zip(&o.words) {
-                    let masked = *dw & !ow;
-                    changed |= masked != *dw;
-                    *dw = masked;
-                }
-                if changed {
-                    d.recount();
-                }
-                changed
-            }
-            (RowSet::Dense(_), RowSet::Sparse(o)) => {
-                let mut changed = false;
-                for &id in o {
-                    changed |= self.remove(id);
-                }
-                changed
-            }
-            (RowSet::Sparse(v), _) => {
-                let before = v.len();
-                v.retain(|&x| !other.contains(x));
-                v.len() != before
-            }
-        }
     }
 
     /// Whether a row of `len` elements over `universe` ids is a bitset: it
@@ -660,17 +572,13 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_remove_both_reprs() {
+    fn insert_both_reprs() {
         for mut r in [sparse(&[2, 4]), dense(&[2, 4])] {
             assert!(r.insert(3));
             assert!(!r.insert(3));
             assert!(r.insert(1000)); // dense row must grow its words
             assert_eq!(r.to_vec(), vec![2, 3, 4, 1000]);
-            assert!(r.remove(2));
-            assert!(!r.remove(2));
-            assert!(!r.remove(999));
-            assert_eq!(r.to_vec(), vec![3, 4, 1000]);
-            assert_eq!(r.len(), 3);
+            assert_eq!(r.len(), 4);
         }
     }
 
@@ -715,34 +623,6 @@ mod tests {
         let mut a2 = a.clone();
         assert!(!a2.union_in_place(&RowSet::empty()));
         assert_eq!(a2, a);
-    }
-
-    #[test]
-    fn intersect_all_repr_pairs() {
-        let a = [1u32, 5, 64, 70];
-        let b = [5u32, 64, 200];
-        for lhs in [sparse(&a), dense(&a)] {
-            for rhs in [sparse(&b), dense(&b)] {
-                let r = lhs.intersect(&rhs);
-                assert_eq!(r.to_vec(), vec![5, 64], "{lhs:?} ∩ {rhs:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn difference_all_repr_pairs() {
-        let a = [1u32, 5, 64, 70];
-        let b = [5u32, 64, 200];
-        for lhs in [sparse(&a), dense(&a)] {
-            for rhs in [sparse(&b), dense(&b)] {
-                let r = lhs.difference(&rhs);
-                assert_eq!(r.to_vec(), vec![1, 70], "{lhs:?} \\ {rhs:?}");
-                let mut in_place = lhs.clone();
-                assert!(in_place.difference_in_place(&rhs));
-                assert_eq!(in_place.to_vec(), vec![1, 70]);
-                assert!(!in_place.difference_in_place(&rhs));
-            }
-        }
     }
 
     #[test]
@@ -847,8 +727,7 @@ mod tests {
         let unioned = RowSet::union_all([sparse(&[1, 2]), sparse(&[2, 9])].iter(), 1024);
         assert_eq!(unioned.heap_bytes(), 3 * 4);
         // A bitset demoted below the density rule keeps only its elements.
-        let mut thinned = RowSet::dense_from_iter(1024, 0..40);
-        thinned.difference_in_place(&RowSet::dense_from_iter(1024, 3..40));
+        let mut thinned = RowSet::dense_from_iter(1024, 0..3);
         thinned.normalize(1024);
         assert!(!thinned.is_dense());
         assert_eq!(thinned.heap_bytes(), 3 * 4);

@@ -62,9 +62,13 @@ fn explain_predicts_cached_bodies() {
 
     let engine = Engine::new(&g);
     engine.evaluate_set(&queries).unwrap();
-    // Engine caches at least the plan-visible bodies (it may cache more:
-    // bodies nested inside R are discovered during R's own evaluation).
-    assert!(engine.cache().totals(SharingKind::Rtc).entries >= planned.len());
+    // The engine caches exactly the plan-visible bodies here: the one body
+    // nested inside an R (`b` in `a.b+.c`) is also planned by a query.
+    assert_eq!(planned.len(), 4);
+    assert_eq!(
+        engine.cache().totals(SharingKind::Rtc).entries,
+        planned.len()
+    );
     for key in &planned {
         // Re-evaluating a query whose body is `key` must hit the cache.
         let hits_before = engine.cache().hits();
@@ -72,6 +76,35 @@ fn explain_predicts_cached_bodies() {
             .evaluate(&Regex::parse(&format!("({key})+")).unwrap())
             .unwrap();
         assert!(engine.cache().hits() > hits_before, "no hit for {key}");
+    }
+}
+
+/// The plan is the walk evaluation runs: on a warm engine a query looks up
+/// exactly its plan's batch units, each a structural hit, and misses
+/// nothing (bodies nested inside an `R` are not looked up on a hit).
+#[test]
+fn warm_evaluation_takes_one_hit_per_planned_batch_unit() {
+    let g = paper_graph();
+    let cases = [
+        ("d.(b.c)+.c", 1),
+        ("a.(a.b)+.b", 1),
+        ("(a.b)*.b+.(a.b+.c)+", 3),
+        ("((b.c)+.d)+", 1),
+    ];
+    for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+        for (src, units) in cases {
+            let q = Regex::parse(src).unwrap();
+            assert_eq!(explain(&q).unwrap().batch_unit_count(), units, "{src}");
+            let engine = Engine::with_strategy(&g, strategy);
+            let cold = engine.evaluate(&q).unwrap();
+            let (hits, misses) = (engine.cache().hits(), engine.cache().misses());
+            assert_eq!(engine.evaluate(&q).unwrap(), cold);
+            let taken = (
+                engine.cache().hits() - hits,
+                engine.cache().misses() - misses,
+            );
+            assert_eq!(taken, (units as u64, 0), "{strategy} {src}");
+        }
     }
 }
 
