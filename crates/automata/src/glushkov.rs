@@ -267,7 +267,7 @@ mod tests {
         assert_eq!(n.state_count(), 1);
         assert!(!n.matches(&[]));
         assert!(!n.accepts_empty());
-        assert!(n.first_symbols().is_empty());
+        assert!(n.transitions_from(0).is_empty());
     }
 
     #[test]

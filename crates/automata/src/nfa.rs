@@ -98,14 +98,6 @@ impl Nfa {
         self.accepting[0]
     }
 
-    /// The symbols that can begin a match: symbols on transitions out of the
-    /// initial state. Used for first-label source pruning in the evaluator.
-    pub fn first_symbols(&self) -> Vec<u32> {
-        let mut syms: Vec<u32> = self.transitions_from(0).iter().map(|&(s, _)| s).collect();
-        syms.dedup();
-        syms
-    }
-
     /// Runs the NFA over a sequence of local symbols.
     pub fn matches_symbols(&self, symbols: &[u32]) -> bool {
         let mut current = vec![false; self.state_count()];
@@ -187,12 +179,6 @@ mod tests {
         assert!(!n.matches(&[]));
         assert!(!n.matches(&["a", "b", "a"]));
         assert!(!n.matches(&["a", "z"]));
-    }
-
-    #[test]
-    fn first_symbols_from_initial() {
-        let n = ab_plus();
-        assert_eq!(n.first_symbols(), vec![0]);
     }
 
     #[test]

@@ -96,9 +96,9 @@ const EVICTED_KEYS_CAP: usize = 4096;
 /// the server's `--cache-budget` flag parses into that field.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheBudget {
-    /// Maximum retained bytes (every entry's payload, base relation, key
-    /// and map slot, structures and results combined); `None` =
-    /// unbounded.
+    /// Maximum retained bytes, structures and results combined, as
+    /// [`SharedCache::insert`] charges them (payload, recorded footprint,
+    /// key and map slot); `None` = unbounded.
     pub max_bytes: Option<usize>,
     /// Maximum number of retained entries, both tiers combined; `None` =
     /// unbounded.
@@ -752,10 +752,10 @@ impl SharedCache {
         }
     }
 
-    /// Retained bytes across every namespace (payloads, base relations,
-    /// keys and map slots — the footprint the byte
-    /// budget governs; [`KindTotals::heap_bytes`] measures the closure
-    /// rows alone).
+    /// Retained bytes across every namespace: what [`SharedCache::insert`]
+    /// charged each retained entry (payload, footprint, key and map slot),
+    /// which the byte budget governs; [`KindTotals::heap_bytes`] measures
+    /// the closure rows alone.
     pub fn occupancy_bytes(&self) -> usize {
         self.occ_bytes.load(Ordering::Acquire) as usize
     }
@@ -1123,7 +1123,7 @@ mod tests {
             c.advance_epoch(4);
             insert_costed(&c, kind, "k", 4, 7); // stamped 4 (live)
             let bytes = c.occupancy_bytes();
-            insert_bare(&c, kind, "k"); // tie: overwrites, base relation gone
+            insert_bare(&c, kind, "k"); // tie: overwrites, footprint gone
             assert!(c.occupancy_bytes() < bytes);
             let bytes = c.occupancy_bytes();
             insert_costed(&c, kind, "k", 1, 7); // old view: ignored

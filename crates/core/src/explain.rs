@@ -12,7 +12,8 @@
 //! A plan never looks inside a closure body `R`: bodies nested in `R` are
 //! met only when a cache miss evaluates `R_G`, and `R`'s own clause budget
 //! is checked when its structure is built, not when it is planned, so a
-//! cache hit never expands a body's DNF.
+//! cache hit never expands a body's DNF. [`explain_set`] plans such bodies
+//! on its own, to list every body a cold evaluation of the set caches.
 
 use crate::error::EngineError;
 use rpq_regex::{decompose, to_dnf_with_limit, ClosureKind, Regex, DEFAULT_CLAUSE_LIMIT};
@@ -58,7 +59,8 @@ pub enum ClausePlan {
 pub struct SetPlan {
     /// Per-query plans in evaluation order.
     pub queries: Vec<QueryPlan>,
-    /// Closure bodies and how many batch units reference each (sorted by
+    /// Every closure body a cold evaluation of the set caches, nested ones
+    /// included, and how many batch units reference each (sorted by
     /// descending reference count, then key). Counts > 1 mean the RTC is
     /// computed once and shared.
     pub shared_bodies: Vec<(String, usize)>,
@@ -102,18 +104,37 @@ pub fn explain_set(queries: &[Regex]) -> Result<SetPlan, EngineError> {
     explain_set_with_limit(queries, DEFAULT_CLAUSE_LIMIT)
 }
 
-/// Explains a query set with an explicit clause budget.
+/// Explains a query set with an explicit clause budget. A body with a
+/// closure is planned too, as its cold build evaluates `R_G` by that plan:
+/// bodies only such plans list count the batch units there naming them.
 pub fn explain_set_with_limit(queries: &[Regex], limit: usize) -> Result<SetPlan, EngineError> {
-    let mut plans = Vec::with_capacity(queries.len());
+    let plans = queries
+        .iter()
+        .map(|q| explain_with_limit(q, limit))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut counts: FxHashMap<String, usize> = FxHashMap::default();
-    for q in queries {
-        let plan = explain_with_limit(q, limit)?;
-        for (key, _) in plan.bodies() {
-            *counts.entry(key.to_owned()).or_insert(0) += 1;
+    let mut nesting = Vec::new();
+    for (key, body) in plans.iter().flat_map(QueryPlan::bodies) {
+        let count = counts.entry(key.to_owned()).or_insert(0);
+        if *count == 0 && body.has_closure() {
+            nesting.push(body.clone());
         }
-        plans.push(plan);
+        *count += 1;
     }
-    let mut shared_bodies: Vec<(String, usize)> = counts.into_iter().collect();
+    let mut nested: FxHashMap<String, usize> = FxHashMap::default();
+    while let Some(body) = nesting.pop() {
+        for (key, inner) in explain_with_limit(&body, limit)?.bodies() {
+            if counts.contains_key(key) {
+                continue;
+            }
+            let count = nested.entry(key.to_owned()).or_insert(0);
+            if *count == 0 && inner.has_closure() {
+                nesting.push(inner.clone());
+            }
+            *count += 1;
+        }
+    }
+    let mut shared_bodies: Vec<(String, usize)> = counts.into_iter().chain(nested).collect();
     shared_bodies.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     Ok(SetPlan {
         queries: plans,
@@ -216,7 +237,11 @@ mod tests {
     use super::*;
 
     fn plan(src: &str) -> QueryPlan {
-        explain(&Regex::parse(src).unwrap()).unwrap()
+        explain(&q(src)).unwrap()
+    }
+
+    fn q(src: &str) -> Regex {
+        Regex::parse(src).unwrap()
     }
 
     #[test]
@@ -319,12 +344,27 @@ mod tests {
 
     #[test]
     fn nested_bodies_are_counted() {
-        // (a.b+.c)+ references both a·b+·c and (inside its Pre recursion
-        // when evaluated) b — explain counts the bodies visible in the
-        // plan tree: the outer body only, since R's own evaluation is not
-        // part of the clause plan.
-        let sp = explain_set(&[Regex::parse("(a.b+.c)+").unwrap()]).unwrap();
-        assert_eq!(sp.shared_bodies[0].0, "a.b+.c");
+        let counts = |qs: &[&str], limit| {
+            let qs: Vec<Regex> = qs.iter().map(|s| q(s)).collect();
+            let sp = explain_set_with_limit(&qs, limit)?;
+            let counts = sp.shared_bodies.iter().map(|(k, c)| format!("{k} x{c}"));
+            Ok::<_, EngineError>(counts.collect::<Vec<_>>().join(", "))
+        };
+        // (a.b+.c)+'s plan shows a·b+·c only, but a cold build of that body
+        // evaluates its R_G by its own plan, which caches b.
+        assert_eq!(counts(&["(a.b+.c)+"], 64).unwrap(), "a.b+.c x1, b x1");
+        // Each nesting body counts its reference; a body a query plan
+        // lists keeps its plan count.
+        let got = counts(&["(a.b+.c)+", "(d.b+)+", "e.(a.b+.c)+"], 64);
+        assert_eq!(got.unwrap(), "a.b+.c x2, b x2, d.b+ x1");
+        let got = counts(&["(a.b+.c)+", "b+"], 64);
+        assert_eq!(got.unwrap(), "a.b+.c x1, b x1");
+        // Nested bodies are planned under the same clause budget.
+        assert!(counts(&["((a|b).(a|b).(c+|d))+"], 4).is_err());
+        assert_eq!(
+            counts(&["((a|b).(a|b).(c+|d))+"], 8).unwrap(),
+            "c x4, (a|b).(a|b).(c+|d) x1"
+        );
     }
 
     #[test]

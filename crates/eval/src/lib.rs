@@ -7,8 +7,8 @@
 //!   et al. \[5\]: traverse the graph from each candidate start vertex while
 //!   stepping a finite automaton, terminating a branch when the
 //!   `(vertex, state)` pair was already visited from the same source
-//!   (Example 2's duplicate-avoidance rule). This is the engine behind the
-//!   **NoSharing** baseline and behind single-source `ends` queries.
+//!   (Example 2's duplicate-avoidance rule). Its one BFS loop serves the
+//!   **NoSharing** baseline, `ends` reads and `check`'s shortest witness.
 //! * [`label_seq`] — `EvalRPQwithoutKC`: closure-free clauses, closure
 //!   bodies `R_G` and prefixes `Pre_G` by per-start label-edge joins.
 //!   (`EvalRestrictedRPQ(Post, v)` of Algorithm 2 is the batch unit's Post
@@ -17,8 +17,8 @@
 //!   recursion with semi-naive closure fixpoints). It shares no code with
 //!   the automaton path and serves as the *oracle* for every randomized
 //!   equivalence test in the workspace.
-//! * [`witness`] — shortest witness-path reconstruction for a result pair,
-//!   for applications that need the matching path itself.
+//! * [`witness`] — a witness path's steps (found by [`find_witness`]) and
+//!   their rendering in the paper's notation.
 //!
 //! ```
 //! use rpq_eval::ProductEvaluator;
@@ -38,5 +38,5 @@ pub mod witness;
 
 pub use algebraic::evaluate_algebraic;
 pub use label_seq::{eval_label_names, eval_label_sequence};
-pub use product::ProductEvaluator;
-pub use witness::{find_witness, format_witness, WitnessStep};
+pub use product::{find_witness, ProductEvaluator};
+pub use witness::{format_witness, WitnessStep};

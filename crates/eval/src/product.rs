@@ -12,11 +12,14 @@
 //! label can begin a match (`first(R)`); for nullable queries the identity
 //! relation over *all* vertices is unioned in, per Definition 2 (the
 //! zero-length path satisfies a nullable query at every vertex).
+//!
+//! The full relation (NoSharing), the ends from one source and a shortest
+//! witness for one pair (`check`) all run the same BFS loop.
 
+use crate::witness::WitnessStep;
 use rpq_automata::{build_glushkov, Nfa};
-use rpq_graph::{EpochVisited, LabeledMultigraph, PairSet, VertexId};
+use rpq_graph::{EpochVisited, LabelId, LabeledMultigraph, PairSet, VertexId};
 use rpq_regex::Regex;
-use std::cell::OnceCell;
 
 /// A reusable evaluator binding a query automaton to a graph's alphabet.
 ///
@@ -28,11 +31,8 @@ pub struct ProductEvaluator<'g> {
     nfa: Nfa,
     /// graph label id → local NFA symbol (u32::MAX = not in query alphabet).
     sym_of_label: Vec<u32>,
-    nullable: bool,
-    /// The identity relation over `V`, built on first nullable use and
-    /// reused across evaluations (it is `O(|V|)` to build and nullable
-    /// queries union it in on *every* full evaluation).
-    identity: OnceCell<PairSet>,
+    /// local NFA symbol → graph label (`None` = not in the graph).
+    label_of_sym: Vec<Option<LabelId>>,
 }
 
 const NO_SYM: u32 = u32::MAX;
@@ -41,26 +41,23 @@ impl<'g> ProductEvaluator<'g> {
     /// Compiles `query` against `graph`.
     pub fn new(graph: &'g LabeledMultigraph, query: &Regex) -> Self {
         let nfa = build_glushkov(query);
+        let label_of_sym: Vec<Option<LabelId>> = nfa
+            .alphabet()
+            .iter()
+            .map(|name| graph.labels().get(name))
+            .collect();
         let mut sym_of_label = vec![NO_SYM; graph.label_count()];
-        for (sym, name) in nfa.alphabet().iter().enumerate() {
-            if let Some(lid) = graph.labels().get(name) {
-                sym_of_label[lid.index()] = sym as u32;
+        for (sym, label) in label_of_sym.iter().enumerate() {
+            if let Some(label) = label {
+                sym_of_label[label.index()] = sym as u32;
             }
         }
-        let nullable = nfa.accepts_empty();
         Self {
             graph,
             nfa,
             sym_of_label,
-            nullable,
-            identity: OnceCell::new(),
+            label_of_sym,
         }
-    }
-
-    /// The cached identity relation `ε_G` over the graph's vertex set.
-    fn identity(&self) -> &PairSet {
-        self.identity
-            .get_or_init(|| PairSet::identity(self.graph.vertex_count()))
     }
 
     /// The compiled automaton.
@@ -68,15 +65,20 @@ impl<'g> ProductEvaluator<'g> {
         &self.nfa
     }
 
+    /// The graph label of each of the automaton's local symbols (`None`
+    /// where the graph has no label of that name).
+    pub fn symbol_labels(&self) -> &[Option<LabelId>] {
+        &self.label_of_sym
+    }
+
     /// Candidate start vertices: vertices with an out-edge whose label can
     /// begin a match. Sorted ascending.
-    pub fn candidate_sources(&self) -> Vec<VertexId> {
+    fn candidate_sources(&self) -> Vec<VertexId> {
         let mut out: Vec<VertexId> = Vec::new();
-        for sym in self.nfa.first_symbols() {
-            // Map local symbol back to a graph label, if it exists there.
-            let name = &self.nfa.alphabet()[sym as usize];
-            if let Some(lid) = self.graph.labels().get(name) {
-                out.extend(self.graph.sources_with_label(lid));
+        // The initial state's transitions, one run per symbol.
+        for run in self.nfa.transitions_from(0).chunk_by(|a, b| a.0 == b.0) {
+            if let Some(label) = self.label_of_sym[run[0].0 as usize] {
+                out.extend(self.graph.sources_with_label(label));
             }
         }
         out.sort_unstable();
@@ -86,10 +88,20 @@ impl<'g> ProductEvaluator<'g> {
 
     /// Evaluates the full query result `R_G` (Definition 2).
     pub fn evaluate(&self) -> PairSet {
-        let sources = self.candidate_sources();
-        let mut result = self.evaluate_from_sources(&sources);
-        if self.nullable {
-            result.union_in_place(self.identity());
+        let mut visited = self.visited();
+        let mut queue = Vec::new();
+        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
+        for src in self.candidate_sources() {
+            let ends = self.ends(src, &mut visited, &mut queue);
+            pairs.extend(ends.into_iter().map(|end| (src, end)));
+        }
+        // Sources ascend and each search returns its ends sorted and
+        // unique, so the pairs are already in order. Sets are long-lived:
+        // the growth slack is released, not carried.
+        pairs.shrink_to_fit();
+        let mut result = PairSet::from_sorted_unique(pairs);
+        if self.nfa.accepts_empty() {
+            result.union_in_place(&PairSet::identity(self.graph.vertex_count()));
         }
         result
     }
@@ -101,55 +113,97 @@ impl<'g> ProductEvaluator<'g> {
         if source.index() >= self.graph.vertex_count() {
             return Vec::new();
         }
-        let q = self.nfa.state_count();
-        let mut visited = EpochVisited::new(self.graph.vertex_count() * q);
-        let mut queue: Vec<(VertexId, u32)> = Vec::new();
-        let mut ends = self.bfs_one(source, &mut visited, &mut queue);
-        if self.nullable && !ends.contains(&source) {
+        let mut ends = self.ends(source, &mut self.visited(), &mut Vec::new());
+        if self.nfa.accepts_empty() && !ends.contains(&source) {
             ends.push(source);
             ends.sort_unstable();
         }
         ends
     }
 
-    fn evaluate_from_sources(&self, sources: &[VertexId]) -> PairSet {
-        let q = self.nfa.state_count();
-        let mut visited = EpochVisited::new(self.graph.vertex_count() * q);
-        let mut queue: Vec<(VertexId, u32)> = Vec::new();
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        for &src in sources {
-            for end in self.bfs_one(src, &mut visited, &mut queue) {
-                pairs.push((src, end));
-            }
+    /// A shortest path from `src` to `dst` whose label sequence matches the
+    /// query, or `None` if `(src, dst)` is not in the result: the path to
+    /// the first `(dst, accepting)` node the search reaches. It has no
+    /// steps when `src == dst` and the query is nullable.
+    pub fn witness(&self, src: VertexId, dst: VertexId) -> Option<Vec<WitnessStep>> {
+        if src.index().max(dst.index()) >= self.graph.vertex_count() {
+            return None;
         }
-        // Sources ascend and each BFS returns its ends sorted and unique,
-        // so the pairs are already in order. Sets are long-lived: the
-        // growth slack is released, not carried.
-        pairs.shrink_to_fit();
-        PairSet::from_sorted_unique(pairs)
+        if src == dst && self.nfa.accepts_empty() {
+            return Some(Vec::new());
+        }
+        // Beside the queue: the queue index and label each node was
+        // reached from (a placeholder for the source).
+        let (mut queue, mut parent) = (Vec::new(), vec![(0, LabelId(0))]);
+        let reached = |from, label, v, state| {
+            parent.push((from, label));
+            v == dst && self.nfa.is_accepting(state)
+        };
+        if !self.search(src, &mut self.visited(), &mut queue, reached) {
+            return None;
+        }
+        let mut steps = Vec::new();
+        let mut at = queue.len() - 1;
+        while at > 0 {
+            let (from, label) = parent[at];
+            steps.push(WitnessStep {
+                from: queue[from].0,
+                label,
+                to: queue[at].0,
+            });
+            at = from;
+        }
+        steps.reverse();
+        Some(steps)
     }
 
-    /// One product BFS from `source`; returns sorted end vertices reached in
-    /// an accepting state via a path of length ≥ 1.
-    fn bfs_one(
+    /// A visited buffer over the product's `(vertex, state)` nodes.
+    fn visited(&self) -> EpochVisited {
+        EpochVisited::new(self.graph.vertex_count() * self.nfa.state_count())
+    }
+
+    /// Sorted end vertices reached from `source` in an accepting state via
+    /// a path of length ≥ 1.
+    fn ends(
         &self,
         source: VertexId,
         visited: &mut EpochVisited,
         queue: &mut Vec<(VertexId, u32)>,
     ) -> Vec<VertexId> {
+        // An end vertex is recorded at most once per accepting state; the
+        // final sort+dedup collapses the rest.
+        let mut ends: Vec<VertexId> = Vec::new();
+        self.search(source, visited, queue, |_, _, v, state| {
+            if self.nfa.is_accepting(state) {
+                ends.push(v);
+            }
+            false
+        });
+        ends.sort_unstable();
+        ends.dedup();
+        ends
+    }
+
+    /// The product BFS from `(source, initial)`. Each node first reached by
+    /// a path of length ≥ 1 is pushed on `queue` and handed to `reached`
+    /// with the queue index of the node it was reached from and the label
+    /// of that step. The search stops, returning `true`, as soon as
+    /// `reached` does.
+    fn search(
+        &self,
+        source: VertexId,
+        visited: &mut EpochVisited,
+        queue: &mut Vec<(VertexId, u32)>,
+        mut reached: impl FnMut(usize, LabelId, VertexId, u32) -> bool,
+    ) -> bool {
         let q = self.nfa.state_count() as u32;
         visited.clear();
         queue.clear();
-        let mut ends: Vec<VertexId> = Vec::new();
-        // Emitted-end dedup piggybacks on the (vertex, state) space: an end
-        // vertex is recorded at most once per accepting state; the final
-        // sort+dedup collapses the rest.
         visited.insert(source.raw() * q); // (source, initial)
         queue.push((source, 0));
         let mut head = 0;
         while head < queue.len() {
             let (v, state) = queue[head];
-            head += 1;
             for &(label, dst) in self.graph.out_edges(v) {
                 let sym = self.sym_of_label[label.index()];
                 if sym == NO_SYM {
@@ -157,23 +211,32 @@ impl<'g> ProductEvaluator<'g> {
                 }
                 for target in self.nfa.targets(state, sym) {
                     if visited.insert(dst.raw() * q + target) {
-                        if self.nfa.is_accepting(target) {
-                            ends.push(dst);
-                        }
                         queue.push((dst, target));
+                        if reached(head, label, dst, target) {
+                            return true;
+                        }
                     }
                 }
             }
+            head += 1;
         }
-        ends.sort_unstable();
-        ends.dedup();
-        ends
+        false
     }
 }
 
 /// Convenience one-shot evaluation of `query` on `graph`.
 pub fn evaluate(graph: &LabeledMultigraph, query: &Regex) -> PairSet {
     ProductEvaluator::new(graph, query).evaluate()
+}
+
+/// One-shot [`ProductEvaluator::witness`] of `query` on `graph`.
+pub fn find_witness(
+    graph: &LabeledMultigraph,
+    query: &Regex,
+    src: VertexId,
+    dst: VertexId,
+) -> Option<Vec<WitnessStep>> {
+    ProductEvaluator::new(graph, query).witness(src, dst)
 }
 
 #[cfg(test)]
@@ -318,22 +381,6 @@ mod tests {
         let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)*").unwrap());
         let ends: Vec<u32> = ev.ends_from(VertexId(9)).iter().map(|v| v.raw()).collect();
         assert_eq!(ends, vec![9]);
-    }
-
-    #[test]
-    fn nullable_identity_is_cached_across_evaluations() {
-        // Regression: every nullable evaluation used to rebuild the O(|V|)
-        // identity relation; it is now built once per evaluator and reused.
-        let g = paper_graph();
-        let ev = ProductEvaluator::new(&g, &Regex::parse("(b.c)*").unwrap());
-        let first = ev.evaluate();
-        assert!(ev.identity.get().is_some(), "identity not materialized");
-        let second = ev.evaluate();
-        assert_eq!(first, second);
-        // Non-nullable queries never pay for it.
-        let plus = ProductEvaluator::new(&g, &Regex::parse("(b.c)+").unwrap());
-        plus.evaluate();
-        assert!(plus.identity.get().is_none());
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Witness-path extraction.
+//! Witness paths.
 //!
 //! RPQ results are vertex *pairs* (Definition 2), but the applications the
 //! paper motivates — signal-path detection in protein networks, friend
-//! recommendation — usually want to see an actual path. This module runs
-//! the product-graph BFS with parent pointers and reconstructs a
-//! **shortest** path whose label sequence matches the query.
+//! recommendation — usually want to see an actual path. The product search
+//! finds a **shortest** path whose label sequence matches the query
+//! ([`crate::ProductEvaluator::witness`], [`crate::find_witness`]); this
+//! module holds its steps and renders them in the paper's notation.
 
-use rpq_automata::build_glushkov;
 use rpq_graph::{LabelId, LabeledMultigraph, VertexId};
-use rpq_regex::Regex;
-use rustc_hash::FxHashMap;
 
 /// One edge of a witness path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,84 +18,6 @@ pub struct WitnessStep {
     pub label: LabelId,
     /// Target endpoint.
     pub to: VertexId,
-}
-
-/// Finds a shortest path from `src` to `dst` whose label sequence matches
-/// `query`, or `None` if `(src, dst)` is not in the query result.
-///
-/// A zero-length witness (empty step list) is returned when `src == dst`
-/// and the query is nullable.
-pub fn find_witness(
-    graph: &LabeledMultigraph,
-    query: &Regex,
-    src: VertexId,
-    dst: VertexId,
-) -> Option<Vec<WitnessStep>> {
-    if src.index() >= graph.vertex_count() || dst.index() >= graph.vertex_count() {
-        return None;
-    }
-    let nfa = build_glushkov(query);
-    if src == dst && nfa.accepts_empty() {
-        return Some(Vec::new());
-    }
-    // graph label id -> local NFA symbol.
-    let mut sym_of_label = vec![u32::MAX; graph.label_count()];
-    for (sym, name) in nfa.alphabet().iter().enumerate() {
-        if let Some(lid) = graph.labels().get(name) {
-            sym_of_label[lid.index()] = sym as u32;
-        }
-    }
-
-    // BFS over (vertex, state) with parent pointers.
-    let mut parent: FxHashMap<(u32, u32), (u32, u32, LabelId)> = FxHashMap::default();
-    let mut queue: Vec<(VertexId, u32)> = vec![(src, 0)];
-    parent.insert((src.raw(), 0), (u32::MAX, u32::MAX, LabelId(0)));
-    let mut head = 0;
-    while head < queue.len() {
-        let (v, state) = queue[head];
-        head += 1;
-        for &(label, next) in graph.out_edges(v) {
-            let sym = sym_of_label[label.index()];
-            if sym == u32::MAX {
-                continue;
-            }
-            for target in nfa.targets(state, sym) {
-                let key = (next.raw(), target);
-                if parent.contains_key(&key) {
-                    continue;
-                }
-                parent.insert(key, (v.raw(), state, label));
-                if next == dst && nfa.is_accepting(target) {
-                    return Some(reconstruct(&parent, next.raw(), target));
-                }
-                queue.push((next, target));
-            }
-        }
-    }
-    None
-}
-
-fn reconstruct(
-    parent: &FxHashMap<(u32, u32), (u32, u32, LabelId)>,
-    mut v: u32,
-    mut state: u32,
-) -> Vec<WitnessStep> {
-    let mut steps = Vec::new();
-    loop {
-        let &(pv, pstate, label) = parent.get(&(v, state)).expect("reached state has a parent");
-        if pv == u32::MAX {
-            break;
-        }
-        steps.push(WitnessStep {
-            from: VertexId(pv),
-            label,
-            to: VertexId(v),
-        });
-        v = pv;
-        state = pstate;
-    }
-    steps.reverse();
-    steps
 }
 
 /// Renders a witness as the paper's path notation
@@ -119,8 +39,9 @@ pub fn format_witness(graph: &LabeledMultigraph, steps: &[WitnessStep]) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::product::evaluate;
+    use crate::product::{evaluate, find_witness};
     use rpq_graph::fixtures::paper_graph;
+    use rpq_regex::Regex;
 
     fn labels_of(g: &LabeledMultigraph, steps: &[WitnessStep]) -> Vec<String> {
         steps

@@ -410,8 +410,8 @@ struct Product<'g> {
 impl<'g> Product<'g> {
     /// `None` when the product's node ids overflow `u32`.
     fn new(graph: &'g LabeledMultigraph, body: &Regex) -> Option<Self> {
-        // The body's position automaton, as the product evaluator compiles
-        // it for NoSharing.
+        // The body's position automaton and its label binding, as the
+        // product evaluator compiles them for NoSharing.
         let evaluator = ProductEvaluator::new(graph, body);
         let nfa = evaluator.nfa();
         // The initial state is layer 0, and a position with followers has
@@ -425,11 +425,7 @@ impl<'g> Product<'g> {
                 layers += 1;
             }
         }
-        let labels: Vec<Option<LabelId>> = nfa
-            .alphabet()
-            .iter()
-            .map(|name| graph.labels().get(name))
-            .collect();
+        let labels = evaluator.symbol_labels();
         let mut hops = vec![Vec::new(); layers as usize];
         for (p, from) in layer_of.iter().enumerate() {
             let Some(from) = from else { continue };

@@ -46,7 +46,8 @@ pub enum Step {
     /// Evaluate a query set in one call (`evaluate_set` when read live).
     Set(Vec<Regex>),
     /// The end vertices of `query`-paths from one source (`ends_from`),
-    /// which may lie past the graph's vertices.
+    /// which may lie past the graph's vertices, and a `check` from that
+    /// source to each vertex.
     Ends(u32, Regex),
     /// Apply `Delta(deletes, inserts)`, deletes first as `VersionedGraph` does.
     Delta(Vec<Edge>, Vec<Edge>),
@@ -589,6 +590,15 @@ fn replay(s: &Scenario, axis: Axis, known: &mut Known, inspect: &mut dyn FnMut(&
             assert_eq!(got, &expect, "step {index}, epoch {epoch}: {query}");
         }
         let graph = view.map_or(engine.graph(), EpochView::graph);
+        if let Step::Ends(src, q) = step {
+            let want = reference.answer(epoch, step, q);
+            for d in 0..graph.vertex_count() as u32 {
+                let (s, d) = (VertexId(*src), VertexId(d));
+                let found = view.map_or_else(|| engine.check(q, s, d), |v| v.check(q, s, d));
+                let ctx = format!("step {index}, epoch {epoch}: check {s} {d} {q}");
+                assert_eq!(found, want.contains(s, d), "{ctx}");
+            }
+        }
         inspect(&Probe {
             index,
             step,

@@ -7,18 +7,18 @@
 //! the request lines between them. Each connection sets its own
 //! `strategy`, `limit` and `binary`, the two trade overlays
 //! before every `Delta`, and after every step both must show their own in
-//! `info` while the engine's base configuration stays put. `Query`, `Set`
-//! and `Ends` steps become `query` and `ends` lines, a `Delta` one `delta`
-//! line, a `Pin` reads the epoch, `Ask(k, q)` becomes `query q at <epoch
-//! of pin k>` — an `ERR … not retained` once the ring or a graph
-//! replacement dropped that epoch — and a `Restart` is a `save` and a
-//! `load` of a temporary file. Every answer
-//! is decoded in the form its connection asked for and compared with the
-//! reference at its epoch.
+//! `info` while the engine's base configuration stays put. `Query` and
+//! `Set` steps become `query` lines, an `Ends` step an `ends` line and a
+//! `check` line to each vertex, a `Delta` one `delta` line, a `Pin` reads
+//! the epoch, `Ask(k, q)` becomes `query q at <epoch of pin k>` — an
+//! `ERR … not retained` once the ring or a graph replacement dropped that
+//! epoch — and a `Restart` is a `save` and a `load` of a temporary file.
+//! Every answer is decoded in the form its connection asked for and
+//! compared with the reference at its epoch.
 
 use crate::{Axis, Known, Reader, Reference, Scenario, Step};
 use rpq_core::{Engine, Strategy};
-use rpq_graph::{PairSet, VersionedGraph};
+use rpq_graph::{PairSet, VersionedGraph, VertexId};
 use rpq_regex::{to_dnf_with_limit, Regex};
 use rpq_server::{wire, Session, SharedEngine, RETAINED_VIEWS};
 use std::collections::VecDeque;
@@ -274,8 +274,15 @@ pub(crate) fn replay(s: &Scenario, (config, reader, binary): Axis, known: &mut K
                 assert_eq!(reply.status, status, "{ctx}: {query}");
                 let words = reply.lines.iter().flat_map(|l| l.split_whitespace());
                 let got = words.take_while(|w| *w != "...").map(|w| vertex(w, &ctx));
-                let want = want.iter().map(|p| p.1.raw()).take(o.limit);
-                assert!(got.eq(want), "{ctx}: {query}: {:?}", reply.lines);
+                let ends = want.iter().map(|p| p.1.raw()).take(o.limit);
+                assert!(got.eq(ends), "{ctx}: {query}: {:?}", reply.lines);
+                for d in 0..reference.at[epoch as usize].vertex_count() as u32 {
+                    let (reply, _) = send(&format!("check {src} {d} {query}"));
+                    let found = want.contains(VertexId(*src), VertexId(d));
+                    let found = if found { "found" } else { "no" };
+                    let status = format!("OK {found} path v{src} -> v{d} for ");
+                    assert!(reply.status.starts_with(&status), "{ctx}: {}", reply.status);
+                }
             }
             Step::Delta(del, ins) => {
                 let ops = del

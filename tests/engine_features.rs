@@ -3,17 +3,21 @@
 //! cache lifecycle.
 
 use rpq_testkit::{random_graph, random_regex, rng};
+use rtc_rpq::automata::DerivativeMatcher;
 use rtc_rpq::core::{
     eval_batch_unit_rtc, explain, explain_set, EliminationStats, Engine, PreRelation, SharingKind,
     Strategy,
 };
-use rtc_rpq::eval::{find_witness, format_witness, ProductEvaluator};
+use rtc_rpq::eval::{find_witness, format_witness, ProductEvaluator, WitnessStep};
 use rtc_rpq::graph::fixtures::paper_graph;
 use rtc_rpq::graph::{PairSet, VertexId};
 use rtc_rpq::reduction::Rtc;
 use rtc_rpq::regex::{ClosureKind, Regex};
 
-/// Witness extraction agrees with engine results on random inputs.
+/// Witness extraction agrees with engine results on random inputs: every
+/// result pair has a witness that is a path of the graph from its source
+/// to its target, and whose labels spell a word the independent derivative
+/// matcher accepts; non-result pairs have none.
 #[test]
 fn witnesses_cover_engine_results() {
     let mut r = rng(101);
@@ -21,29 +25,30 @@ fn witnesses_cover_engine_results() {
         let g = random_graph(&mut r, 4..14, 5..40);
         let (n, q) = (g.vertex_count() as u32, random_regex(&mut r, 2));
         let result = Engine::new(&g).evaluate(&q).unwrap();
-        // Every result pair has a witness whose endpoints match.
+        let mut matcher = DerivativeMatcher::new(&q);
         for (s, d) in result.iter().take(50) {
             let w = find_witness(&g, &q, s, d)
                 .unwrap_or_else(|| panic!("case {case}: no witness for ({s},{d}) on {q}"));
-            if let (Some(first), Some(last)) = (w.first(), w.last()) {
-                assert_eq!(first.from, s);
-                assert_eq!(last.to, d);
-            } else {
-                assert_eq!(s, d, "empty witness only for self pairs");
+            let ctx = format!("case {case}: ({s},{d}) on {q}: {}", format_witness(&g, &w));
+            match (w.first(), w.last()) {
+                (Some(first), Some(last)) => assert_eq!((first.from, last.to), (s, d), "{ctx}"),
+                _ => assert_eq!(s, d, "{ctx}: empty witness only for self pairs"),
             }
+            let is_edge = |st: &WitnessStep| g.has_edge(st.from, st.label, st.to);
+            assert!(w.iter().all(is_edge), "{ctx}");
+            assert!(w.windows(2).all(|p| p[0].to == p[1].from), "{ctx}");
+            let word: Vec<&str> = w.iter().map(|st| g.labels().name(st.label)).collect();
+            assert!(matcher.matches(&word), "{ctx}");
         }
         // And a handful of non-result pairs have none.
-        let mut misses = 0;
         for s in 0..n.min(6) {
             for d in 0..n.min(6) {
                 let (s, d) = (VertexId(s), VertexId(d));
                 if !result.contains(s, d) {
                     assert!(find_witness(&g, &q, s, d).is_none());
-                    misses += 1;
                 }
             }
         }
-        let _ = misses;
     }
 }
 
@@ -77,6 +82,33 @@ fn explain_predicts_cached_bodies() {
             .unwrap();
         assert!(engine.cache().hits() > hits_before, "no hit for {key}");
     }
+}
+
+/// `explain_set` lists every body a cold evaluation caches, also a body
+/// nested inside another body's `R` that no query plan shows.
+#[test]
+fn explain_set_lists_the_bodies_a_cold_evaluation_caches() {
+    let g = paper_graph();
+    let sets: [&[&str]; 4] = [
+        &["(a.b+.c)+"],
+        &["((b.c)+.d)+", "a.(a.b+.c)+"],
+        &["(a.(b.(c.b)+)+)+"],
+        &["(a.b)*.b+.(a.b+.c)+", "(c.b+)+"],
+    ];
+    for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
+        for set in sets {
+            let queries: Vec<Regex> = set.iter().map(|q| Regex::parse(q).unwrap()).collect();
+            let listed = explain_set(&queries).unwrap().shared_bodies.len();
+            let engine = Engine::with_strategy(&g, strategy);
+            engine.evaluate_set(&queries).unwrap();
+            let kind = strategy.kind().unwrap();
+            let cached = engine.cache().totals(kind).entries;
+            assert_eq!(listed, cached, "{strategy} {set:?}");
+        }
+    }
+    let plan = explain_set(&[Regex::parse("(a.b+.c)+").unwrap()]).unwrap();
+    let keys: Vec<&str> = plan.shared_bodies.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["a.b+.c", "b"]);
 }
 
 /// The plan is the walk evaluation runs: on a warm engine a query looks up
