@@ -19,14 +19,22 @@
 //! * **useless-2** — Eq. (9)'s member expansion needs *no duplicate
 //!   checks* (SCC member sets are disjoint): it is counted, not built.
 //!
-//! The per-`v_i` dedup of (7)/(8) uses epoch-stamped scratch arrays over
-//! SCC ids instead of hash sets of pairs — semantically identical to
-//! `ResEq7`/`ResEq8` membership, with O(1) clears between groups.
+//! Neither `ResEq7` nor `ResEq8` is a hash set of pairs. The per-`v_i`
+//! dedup of (7) is an epoch-stamped array over SCC ids, cleared in O(1)
+//! between groups. (8)'s is a [`Cover`]: bitset words over SCC ids that
+//! each kept entry's closure row is OR-ed into, a dense row 64 ids at a
+//! time. Redundant-2 adds the popcount of a cone's overlap with the cover.
+//! Useless-2 adds the popcount of the new bits, plus `|s_k| − 1` for each
+//! new bit that is a multi-member SCC (a per-evaluation mask over SCC
+//! ids): one insert per member. A single-entry `v_i` weighs its whole cone
+//! the same way, memoized per entry. Between groups the cover zeroes only
+//! the words it set, so many starts on a large RTC never pay for its
+//! width.
 //!
 //! Cones nest (`t ∈ TC(s)` implies `TC(t) ⊆ TC(s)`), and every cached RTC
 //! numbers its SCCs in reverse topological order, so an SCC's successors
 //! have lower ids. Redundant-2 is therefore a cone cover: a `v_i`'s entry
-//! SCCs are walked in descending id, and an entry already stamped by an
+//! SCCs are walked in descending id, and an entry already covered by an
 //! earlier entry's cone is not walked — its whole `TC(s_j)` counts as
 //! redundant-2 skips, the same total the pair-by-pair walk reaches, since
 //! `Σ|TC(s_j)| − |⋃ TC(s_j)|` does not depend on order. The entries left
@@ -42,11 +50,14 @@
 //! expansion.
 //!
 //! Entry rows cover each cone once too: they are built in ascending id
-//! order, so the entry rows below `s_j` are finished first. `TC(s_j)` is
-//! walked in descending id; each `t` not yet covered gives `PostRow[t]`,
-//! and an entry `t ≠ s_j` also gives its finished `EntryRow[t]` and marks
-//! all of `TC(t)` covered. Only entry SCCs get rows: memoizing every cone
-//! is quadratic on a long chain.
+//! order, so the entry rows below `s_j` are finished first. The entries
+//! `t ≠ s_j` of `TC(s_j)` are read off as `TC(s_j) ∧ entries`, a word at a
+//! time, and walked in descending id: each one not yet covered gives its
+//! finished `EntryRow[t]` and ORs all of `TC(t)` into a cover. `PostRow[t]`
+//! is then taken for each `t` of `TC(s_j) ∧ ¬covered`. That is the union
+//! an id-by-id walk of the cone takes, so the rows, their layouts and
+//! bytes are the same. Only entry SCCs get rows: memoizing every cone is
+//! quadratic on a long chain.
 //!
 //! [`eval_batch_unit_full`] is the baseline join over the materialized
 //! `R⁺_G`: every successor insert pays a duplicate check — the redundant
@@ -54,7 +65,9 @@
 
 use crate::breakdown::EliminationStats;
 use crate::pre_relation::PreRelation;
-use rpq_graph::{EpochVisited, LabelId, LabeledMultigraph, PairSet, RowSet, SccId, VertexId};
+use rpq_graph::{
+    Cover, EpochVisited, LabelId, LabeledMultigraph, PairSet, RowSet, SccId, VertexId,
+};
 use rpq_reduction::{FullTc, Rtc};
 use rpq_regex::ClosureKind;
 use std::sync::Arc;
@@ -81,16 +94,28 @@ pub fn eval_batch_unit_rtc(
     stats: &mut EliminationStats,
 ) -> BatchUnitResult {
     let t0 = Instant::now();
+    let sccs = rtc.scc_count();
     // Per `v_i`: where its kept entry SCCs and its uncovered `R*` seeds end.
     let mut plan: Vec<(VertexId, usize, usize)> = Vec::new();
     let (mut entries, mut seeds) = (Vec::<SccId>::new(), Vec::<u32>::new());
     // A single-entry `v_i`'s (9) insert count depends on its `s_j` alone.
-    let mut reach_sizes: Vec<Option<u64>> = vec![None; rtc.scc_count()];
-    let mut stamp7 = EpochVisited::new(rtc.scc_count());
-    let mut stamp8 = EpochVisited::new(rtc.scc_count());
+    let mut reach_sizes: Vec<Option<u64>> = vec![None; sccs];
+    let mut stamp7 = EpochVisited::new(sccs);
+    let mut cover = Cover::new(sccs);
+    // A new SCC is one (9) insert per member: its bit counts one, and a
+    // multi-member SCC adds `|s_k| − 1` more.
+    let mut multi = Cover::new(sccs);
+    for s in (0..sccs as u32).filter(|&s| rtc.scc_size(SccId(s)) > 1) {
+        multi.insert(s);
+    }
+    let extra_members = |cone: &RowSet, cover: &Cover| -> u64 {
+        let new = multi.common_rev(cone).filter(|&s| !cover.contains(s));
+        new.map(|s| rtc.scc_size(SccId(s)) as u64 - 1).sum()
+    };
 
     pre.for_each_group(|vi, ends| {
         stamp7.clear();
+        cover.clear();
         let first = entries.len();
         for vj in ends.iter() {
             // (7): find the SCC containing vj. Tuples whose end vertex is
@@ -108,37 +133,33 @@ pub fn eval_batch_unit_rtc(
         }
         let single = entries.len() - first == 1;
         if single {
-            // One entry: (8) meets no duplicate, (9) covers all of TC(s_j).
-            let sj = entries[first];
-            stats.useless2_unchecked_inserts += *reach_sizes[sj.index()].get_or_insert_with(|| {
-                let sizes = rtc.successors(sj).iter().map(|sk| rtc.scc_size(SccId(sk)));
-                sizes.sum::<usize>() as u64
-            });
+            // One entry: (8) meets no duplicate, (9) covers all of TC(s_j),
+            // weighed against the still empty cover.
+            let cone = rtc.successors(entries[first]);
+            stats.useless2_unchecked_inserts += *reach_sizes[entries[first].index()]
+                .get_or_insert_with(|| cone.len() as u64 + extra_members(cone, &cover));
         } else {
             // Descending id walks every entry that reaches `s_j` before it.
-            // A stamped `s_j` lies in a walked cone, so all of TC(s_j) is
-            // stamped too: its walk would only skip, so it is counted whole
+            // A covered `s_j` lies in a walked cone, so all of TC(s_j) is
+            // covered too: its walk would only skip, so it is counted whole
             // and `s_j` is dropped.
             entries[first..].sort_unstable_by(|a, b| b.cmp(a));
-            stamp8.clear();
             let mut kept = first;
             for i in first..entries.len() {
                 let sj = entries[i];
                 let cone = rtc.successors(sj);
-                if stamp8.contains(sj.raw()) {
+                if cover.contains(sj.raw()) {
                     stats.redundant2_skipped += cone.len() as u64;
                     continue;
                 }
-                // (8): SCCs reachable from sj in TC(Ḡ_R).
-                for sk in cone.iter() {
-                    // Duplicate check for (8) — redundant-2 elimination; (9)
-                    // inserts s_k's members unchecked — useless-2.
-                    if stamp8.insert(sk) {
-                        stats.useless2_unchecked_inserts += rtc.scc_size(SccId(sk)) as u64;
-                    } else {
-                        stats.redundant2_skipped += 1;
-                    }
-                }
+                // (8): SCCs reachable from sj in TC(Ḡ_R), OR-ed into the
+                // cover. Its duplicate check — redundant-2 elimination — is
+                // the overlap; (9) inserts each new s_k's members
+                // unchecked — useless-2.
+                let extra = extra_members(cone, &cover);
+                let fresh = cover.add(cone);
+                stats.redundant2_skipped += (cone.len() - fresh) as u64;
+                stats.useless2_unchecked_inserts += fresh as u64 + extra;
                 entries[kept] = sj;
                 kept += 1;
             }
@@ -152,7 +173,7 @@ pub fn eval_batch_unit_rtc(
                     if single {
                         rtc.successors(entries[first]).contains(s.raw())
                     } else {
-                        stamp8.contains(s.raw())
+                        cover.contains(s.raw())
                     }
                 });
                 if reached {
@@ -169,44 +190,46 @@ pub fn eval_batch_unit_rtc(
     let t1 = Instant::now();
     let n = graph.vertex_count() as u32;
     let result = PostImage::new(graph, post).map_or_else(PairSet::new, |mut image| {
-        let sccs = rtc.scc_count();
-        let mut post_rows: Vec<Option<RowSet>> = vec![None; sccs];
-        let mut entry_rows: Vec<Option<Arc<RowSet>>> = vec![None; sccs];
         let mut distinct = entries.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        // Successors have lower ids, so ascending order finishes every entry
-        // row a cone can reuse before the cone's own. An entry not built yet
-        // would only mean its Post row alone is taken: the flat union.
-        let mut covered = EpochVisited::new(sccs);
-        let (mut cone, mut taken, mut reused) = (Vec::new(), Vec::new(), Vec::new());
-        for s in distinct {
+        // `entry_rows[slot[s]]` is entry SCC `s`'s row, pushed in ascending
+        // id order.
+        let mut slot = vec![0u32; sccs];
+        let mut entry_set = Cover::new(sccs);
+        for (i, s) in distinct.iter().enumerate() {
+            slot[s.index()] = i as u32;
+            entry_set.insert(s.raw());
+        }
+        let mut entry_rows: Vec<Arc<RowSet>> = Vec::with_capacity(distinct.len());
+        let mut post_rows: Vec<Option<RowSet>> = vec![None; sccs];
+        let mut covered = Cover::new(sccs);
+        let (mut taken, mut reused) = (Vec::new(), Vec::new());
+        for &s in &distinct {
+            let cone = rtc.successors(s);
             covered.clear();
-            taken.clear();
             reused.clear();
-            cone.clear();
-            cone.extend(rtc.successors(s).iter());
-            for &t in cone.iter().rev() {
-                if !covered.insert(t) {
-                    continue;
-                }
-                post_rows[t as usize].get_or_insert_with(|| {
-                    image.row(rtc.members_original(SccId(t)).map(VertexId::raw))
-                });
-                taken.push(t as usize);
-                if t != s.raw() && entry_rows[t as usize].is_some() {
-                    // An entry below `s`: its row already holds all of TC(t).
-                    reused.push(t as usize);
-                    for u in rtc.successors(SccId(t)).iter() {
-                        covered.insert(u);
-                    }
+            // Successors have lower ids, so the entries in `s`'s cone other
+            // than `s` have finished rows. Walked in descending id, each one
+            // not yet covered gives its row and covers its own cone.
+            for t in entry_set.common_rev(cone) {
+                if t != s.raw() && !covered.contains(t) {
+                    reused.push(slot[t as usize] as usize);
+                    covered.add(rtc.successors(SccId(t)));
                 }
             }
+            taken.clear();
+            taken.extend(covered.uncovered_rev(cone).map(|t| t as usize));
+            for &t in &taken {
+                post_rows[t].get_or_insert_with(|| {
+                    image.row(rtc.members_original(SccId(t as u32)).map(VertexId::raw))
+                });
+            }
             let rows = taken.iter().filter_map(|&t| post_rows[t].as_ref());
-            let rows = rows.chain(reused.iter().filter_map(|&t| entry_rows[t].as_deref()));
-            entry_rows[s.index()] = Some(Arc::new(RowSet::union_all(rows, n)));
+            let rows = rows.chain(reused.iter().map(|&i| &*entry_rows[i]));
+            entry_rows.push(Arc::new(RowSet::union_all(rows, n)));
         }
-        let entry_row = |sj: &SccId| entry_rows[sj.index()].as_ref().expect("built above");
+        let entry_row = |sj: &SccId| &entry_rows[slot[sj.index()] as usize];
         let mut groups = Vec::with_capacity(plan.len());
         let (mut e0, mut s0) = (0, 0);
         for (vi, e1, s1) in plan {

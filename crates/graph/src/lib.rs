@@ -48,7 +48,7 @@ pub use label_dict::LabelDict;
 pub use metrics::Distribution;
 pub use multigraph::{GraphBuilder, LabeledMultigraph};
 pub use pairset::{Ends, PairSet};
-pub use rowset::{RowSet, RowSetPolicy, RowTable};
+pub use rowset::{Cover, RowSet, RowSetPolicy, RowTable};
 pub use scc::{tarjan_components, tarjan_scc, Scc};
 pub use stats::GraphStats;
 pub use versioned::{DeltaSummary, GraphDelta, GraphView, VersionedGraph};

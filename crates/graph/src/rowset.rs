@@ -14,6 +14,11 @@
 //! iteration, union (pairwise, in place and [`RowSet::union_all`]) and the
 //! layout moves (`normalize`, `promote`, `demote`).
 //!
+//! A [`Cover`] is the scratch set Algorithm 2 covers closure cones with:
+//! bitset words over a fixed universe that whole rows are OR-ed into (a
+//! dense row 64 ids at a time), read back as the part of a row it holds
+//! or misses, and cleared word by word over only the words it set.
+//!
 //! Closure tables ([`crate::Csr`]'s successor in `rpq_reduction`) hold one
 //! `RowSet` per source; [`crate::PairSet`] reuses the same rows for its
 //! grouped-by-start backing, so a dense SCC-level closure row is shared
@@ -80,6 +85,17 @@ impl DenseRow {
             })
         })
     }
+}
+
+/// The ids of the set bits of `word`, the word at index `wi`, descending.
+fn ids_of_rev(wi: usize, mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = 63 - word.leading_zeros();
+            word ^= 1 << b;
+            wi as u32 * 64 + b
+        })
+    })
 }
 
 /// A hybrid set of `u32` ids: sorted vector or bitset, with value
@@ -470,6 +486,113 @@ impl Iterator for RowIter<'_> {
     }
 }
 
+/// A set of ids below a fixed universe, kept as bitset words and grown by
+/// OR-ing whole rows in: a dense row joins 64 ids a word, a sparse row id
+/// by id. It records the words it sets, so [`Cover::clear`] zeroes those
+/// alone and a sparse cover over a large universe clears in its own size.
+#[derive(Clone, Debug)]
+pub struct Cover {
+    words: Vec<u64>,
+    /// Indices of the non-zero words, each once.
+    set: Vec<u32>,
+}
+
+impl Cover {
+    /// The empty cover of ids `0..universe`.
+    pub fn new(universe: usize) -> Self {
+        Cover {
+            words: vec![0; universe.div_ceil(64)],
+            set: Vec::new(),
+        }
+    }
+
+    /// Whether `id` is covered.
+    #[inline]
+    pub fn contains(&self, id: u32) -> bool {
+        self.words[DenseRow::word_of(id)] & DenseRow::mask_of(id) != 0
+    }
+
+    /// Covers `id`; returns whether it was new.
+    #[inline]
+    pub fn insert(&mut self, id: u32) -> bool {
+        let wi = DenseRow::word_of(id);
+        let (word, mask) = (self.words[wi], DenseRow::mask_of(id));
+        if word & mask != 0 {
+            return false;
+        }
+        if word == 0 {
+            self.set.push(wi as u32);
+        }
+        self.words[wi] = word | mask;
+        true
+    }
+
+    /// Covers every id of `row`; returns how many were new.
+    pub fn add(&mut self, row: &RowSet) -> usize {
+        match row {
+            RowSet::Sparse(ids) => ids.iter().filter(|&&id| self.insert(id)).count(),
+            RowSet::Dense(d) => {
+                debug_assert!(d.words.iter().skip(self.words.len()).all(|&w| w == 0));
+                let mut fresh = 0;
+                for (wi, (word, &bits)) in self.words.iter_mut().zip(&d.words).enumerate() {
+                    let new = bits & !*word;
+                    if new != 0 {
+                        if *word == 0 {
+                            self.set.push(wi as u32);
+                        }
+                        *word |= new;
+                        fresh += new.count_ones() as usize;
+                    }
+                }
+                fresh
+            }
+        }
+    }
+
+    /// Uncovers everything, zeroing only the words set since the last clear.
+    pub fn clear(&mut self) {
+        for &wi in &self.set {
+            self.words[wi as usize] = 0;
+        }
+        self.set.clear();
+    }
+
+    /// The ids of `row` that are covered, descending.
+    pub fn common_rev<'a>(&'a self, row: &'a RowSet) -> impl Iterator<Item = u32> + 'a {
+        self.part_rev(row, true)
+    }
+
+    /// The ids of `row` that are not covered, descending.
+    pub fn uncovered_rev<'a>(&'a self, row: &'a RowSet) -> impl Iterator<Item = u32> + 'a {
+        self.part_rev(row, false)
+    }
+
+    /// The ids of `row` whose cover bit is `covered`, descending.
+    fn part_rev<'a>(&'a self, row: &'a RowSet, covered: bool) -> impl Iterator<Item = u32> + 'a {
+        // XOR-ing a cover word with `flip` leaves the bits to keep set.
+        let flip = if covered { 0 } else { u64::MAX };
+        let (sparse, dense) = match row {
+            RowSet::Sparse(ids) => {
+                let ids = ids.iter().rev().copied();
+                (
+                    Some(ids.filter(move |&id| self.contains(id) == covered)),
+                    None,
+                )
+            }
+            RowSet::Dense(d) => {
+                let words = d.words.iter().zip(&self.words).enumerate().rev();
+                let ids = words
+                    .flat_map(move |(wi, (&bits, &word))| ids_of_rev(wi, bits & (word ^ flip)));
+                (None, Some(ids))
+            }
+        };
+        sparse
+            .into_iter()
+            .flatten()
+            .chain(dense.into_iter().flatten())
+    }
+}
+
 /// A table of [`RowSet`] rows over a shared universe — the hybrid
 /// replacement for a `Csr<u32>` closure table.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -731,6 +854,30 @@ mod tests {
         thinned.normalize(1024);
         assert!(!thinned.is_dense());
         assert_eq!(thinned.heap_bytes(), 3 * 4);
+    }
+
+    #[test]
+    fn cover_adds_rows_word_by_word_and_clears_what_it_set() {
+        let mut cover = Cover::new(200);
+        let sparse_row = sparse(&[63, 64, 150]);
+        let dense_row = RowSet::dense_from_iter(200, [0, 63, 64, 130]);
+        assert_eq!(cover.add(&dense_row), 4);
+        assert_eq!(cover.add(&sparse_row), 1);
+        assert_eq!(cover.add(&dense_row), 0);
+        assert!(!cover.insert(150) && cover.insert(199));
+        let covered: Vec<u32> = (0..200).filter(|&id| cover.contains(id)).collect();
+        assert_eq!(covered, vec![0, 63, 64, 130, 150, 199]);
+        let probe = [1, 63, 64, 65, 199];
+        for row in [sparse(&probe), RowSet::dense_from_iter(200, probe)] {
+            let common: Vec<u32> = cover.common_rev(&row).collect();
+            let uncovered: Vec<u32> = cover.uncovered_rev(&row).collect();
+            assert_eq!((common, uncovered), (vec![199, 64, 63], vec![65, 1]));
+        }
+        // Words 0, 1, 2 and 3 were set; each is zeroed once.
+        assert_eq!(cover.set.len(), 4);
+        cover.clear();
+        assert!(cover.words.iter().all(|&w| w == 0) && cover.set.is_empty());
+        assert_eq!(cover.add(&sparse_row), 3);
     }
 
     #[test]

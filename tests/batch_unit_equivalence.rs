@@ -4,7 +4,9 @@
 //! Algorithm 2's Post rows, which reuse the rows of the entry SCCs each
 //! closure cone reaches, are checked against the flat formula row by row
 //! (same answer, same layouts, same bytes, same sharing) on all five kit
-//! shapes and on hand-made cones. A start keeps only the entry SCCs no
+//! shapes, on hand-made cones, on a fixed RTC whose cones cross the cone
+//! cover's 64-id word boundaries, and (`#[ignore]`d, for its run time) on
+//! the `cold_sets` benchmark graph. A start keeps only the entry SCCs no
 //! other entry of it reaches, and one kept entry means a shared row. With
 //! Post = ε the pass-1 insert count is the answer's size.
 //!
@@ -164,6 +166,7 @@ fn rows_of<'a>(ps: &'a PairSet, ctx: &str) -> Vec<(VertexId, &'a RowSet)> {
 /// the same rows in the same layouts and bytes, shared as often. With
 /// Post = ε, pass 1's unchecked inserts are the answer's pairs, less
 /// `Pre_G` itself under `R*` (its pairs are seeds, not inserts).
+/// Returns the evaluation's counters.
 fn assert_post_matches_the_flat_union(
     g: &LabeledMultigraph,
     pre: &PreRelation,
@@ -171,7 +174,7 @@ fn assert_post_matches_the_flat_union(
     kind: ClosureKind,
     post: &[String],
     ctx: &str,
-) {
+) -> EliminationStats {
     let mut stats = EliminationStats::default();
     let got = eval_batch_unit_rtc(g, pre, rtc, kind, post, &mut stats).result;
     if post.is_empty() {
@@ -200,6 +203,7 @@ fn assert_post_matches_the_flat_union(
         distinct(&want_rows),
         "{ctx}: shared rows"
     );
+    stats
 }
 
 #[test]
@@ -393,4 +397,176 @@ fn an_entry_another_entry_reaches_is_dropped() {
     );
     // 10's dropped TC(2) = {3} counts whole, and 12's two cones share 3.
     assert_eq!(stats.redundant2_skipped, 1 + 1);
+}
+
+/// The SCC count of [`word_boundary_graph`]: three cover words, the last
+/// one partly used.
+const BOUNDARY_SCCS: u32 = 150;
+
+/// An `a`-graph whose SCC ids are fixed by construction, with cones that
+/// cross the cover's word boundaries. SCC `i` has head vertex `heads[i]`;
+/// SCCs 0, 63, 64 and 128 are 2- or 3-cycles and 1 and 149 self-loops.
+/// Every vertex has an `a` edge, so the one Tarjan pass closes the SCCs in
+/// head order and SCC `i` gets id `i`.
+///
+/// * `i → i − 2` for `2 ≤ i ≤ 140`: an even and an odd chain whose cones
+///   are dense, disjoint below 99, and cross words 0–1 (63, 64) and 1–2
+///   (128); `100 → 99` and `140 → 139` join them.
+/// * 141–148 hang small cones off the chains: sparse (at most 4 of 150
+///   ids) next to dense ones.
+///
+/// `b` edges enter 2–4 SCCs per start (nested, overlapping and disjoint
+/// cones, a cyclic entry, the same SCC twice, an end off `V_a`), and each
+/// SCC vertex `v` has one `c` edge to a vertex of its own.
+fn word_boundary_graph() -> (LabeledMultigraph, Vec<u32>) {
+    let members = |i: u32| match i {
+        0 | 63 | 128 => 2,
+        64 => 3,
+        _ => 1,
+    };
+    let mut heads = Vec::new();
+    let mut next = 0;
+    for i in 0..BOUNDARY_SCCS {
+        heads.push(next);
+        next += members(i);
+    }
+    let mut a: Vec<(u32, u32)> = Vec::new();
+    for (i, &h) in heads.iter().enumerate() {
+        let size = members(i as u32);
+        if size > 1 {
+            a.extend((0..size).map(|k| (h + k, h + (k + 1) % size)));
+        }
+    }
+    a.extend([(heads[1], heads[1]), (heads[149], heads[149])]);
+    a.extend((2..=140).map(|i| (heads[i], heads[i - 2])));
+    let hang: [(usize, &[usize]); 10] = [
+        (100, &[99]),
+        (140, &[139]),
+        (141, &[0]),
+        (142, &[141]),
+        (143, &[1]),
+        (144, &[143, 142]),
+        (145, &[3]),
+        (146, &[145, 63]),
+        (147, &[2]),
+        (148, &[147, 145]),
+    ];
+    for (i, to) in hang {
+        a.extend(to.iter().map(|&t| (heads[i], heads[t])));
+    }
+
+    let (starts, targets) = (next, next + 12);
+    let enter: [&[usize]; 11] = [
+        &[66, 64, 20],
+        &[65, 66],
+        &[100, 65, 63],
+        &[130, 101, 64, 141],
+        &[142, 143],
+        &[144, 2, 3, 70],
+        &[63, 64],
+        &[128],
+        &[149, 148],
+        &[140, 146, 129],
+        &[147, 145],
+    ];
+    let mut gb = GraphBuilder::new();
+    for &(u, v) in &a {
+        gb.add_edge(u, "a", v);
+    }
+    for (k, scc_ids) in enter.iter().enumerate() {
+        for &i in *scc_ids {
+            gb.add_edge(starts + k as u32, "b", heads[i]);
+        }
+    }
+    // The same SCC by two members, and an end off `V_a` (a seed under `a*`).
+    let last = starts + enter.len() as u32;
+    gb.add_edge(last, "b", heads[64])
+        .add_edge(last, "b", heads[64] + 2);
+    gb.add_edge(starts + 8, "b", targets + 5);
+    for v in 0..starts {
+        gb.add_edge(v, "c", targets + v);
+    }
+    (gb.build(), heads)
+}
+
+/// Algorithm 2 on [`word_boundary_graph`] under `Pre ∈ {ε, b}`, both
+/// closure kinds and `|Post| ∈ {0, 1}`: the counters equal the pair-by-pair
+/// reference and the rows the flat union.
+#[test]
+fn cones_across_cover_word_boundaries() {
+    let (g, heads) = word_boundary_graph();
+    let rtc = Rtc::from_pairs(&ProductEvaluator::new(&g, &Regex::parse("a").unwrap()).evaluate());
+    assert_eq!(rtc.scc_count(), BOUNDARY_SCCS as usize);
+    for (i, &h) in heads.iter().enumerate() {
+        assert_eq!(rtc.scc_of_original(VertexId(h)), Some(SccId(i as u32)));
+    }
+    for i in [0, 63, 64, 128] {
+        assert!(rtc.scc_size(SccId(i)) > 1, "SCC {i} is multi-member");
+    }
+    let dense = |i| rtc.successors(SccId(i)).is_dense();
+    assert!(dense(65) && dense(66) && dense(130) && dense(144) && dense(146));
+    assert!(!dense(142) && !dense(145) && !dense(147) && !dense(149));
+    let pre_b = ProductEvaluator::new(&g, &Regex::parse("b").unwrap()).evaluate();
+    let pres = [
+        ("ε", PreRelation::Identity(g.vertex_count())),
+        ("b", PreRelation::Pairs(pre_b)),
+    ];
+    for (pre_src, pre) in &pres {
+        for post in [&[][..], &["c"]] {
+            let post: Vec<String> = post.iter().map(|l| l.to_string()).collect();
+            for (kind, op) in [(ClosureKind::Plus, "+"), (ClosureKind::Star, "*")] {
+                let ctx = format!("{pre_src}·a{op}·{post:?}");
+                let stats = assert_post_matches_the_flat_union(&g, pre, &rtc, kind, &post, &ctx);
+                assert_eq!(stats, reference_rtc_stats(pre, &rtc, kind), "{ctx}");
+                let closure = format!("(a){op}");
+                let parts = [*pre_src, &closure].into_iter();
+                let parts = parts.chain(post.iter().map(String::as_str));
+                let q: Vec<&str> = parts.filter(|p| *p != "ε").collect();
+                let expect = ProductEvaluator::new(&g, &Regex::parse(&q.join(".")).unwrap());
+                let mut stats = EliminationStats::default();
+                let out = eval_batch_unit_rtc(&g, pre, &rtc, kind, &post, &mut stats);
+                assert_eq!(out.result, expect.evaluate(), "{ctx}");
+            }
+        }
+    }
+}
+
+/// Algorithm 2 on the `cold_sets` benchmark graph (RMAT_2 2^11, labels
+/// `l0`–`l3`) over every 1–3-label body, each with a one-label `Pre` drawn
+/// in turn from the four labels, `Post` empty or one label drawn likewise,
+/// and both closure kinds: the counters equal the pair-by-pair reference
+/// and the rows the flat union.
+/// Run with `cargo test --release --test batch_unit_equivalence -- --ignored`.
+#[test]
+#[ignore = "exhaustive; run in release with --ignored"]
+fn cold_sets_graph_all_short_bodies() {
+    let g = rtc_rpq::datasets::rmat::rmat_n_scaled(2, 11, 1);
+    let labels = ["l0", "l1", "l2", "l3"];
+    assert!(labels.iter().all(|l| g.labels().get(l).is_some()));
+    let mut bodies: Vec<String> = vec![String::new()];
+    let mut checked = 0;
+    for _ in 0..3 {
+        bodies = bodies
+            .iter()
+            .flat_map(|b| labels.map(|l| [b.as_str(), l].join(".")))
+            .collect();
+        for body in &bodies {
+            let body = body.trim_start_matches('.');
+            let rtc = Rtc::from_body(&g, &Regex::parse(body).unwrap()).unwrap();
+            let pre_label = labels[checked % 4];
+            let pre = ProductEvaluator::new(&g, &Regex::parse(pre_label).unwrap()).evaluate();
+            let pre = PreRelation::Pairs(pre);
+            let post_label = labels[checked / 4 % 4].to_string();
+            for post in [vec![], vec![post_label]] {
+                for kind in [ClosureKind::Plus, ClosureKind::Star] {
+                    let ctx = format!("{pre_label}·({body}){kind:?}·{post:?}");
+                    let stats =
+                        assert_post_matches_the_flat_union(&g, &pre, &rtc, kind, &post, &ctx);
+                    assert_eq!(stats, reference_rtc_stats(&pre, &rtc, kind), "{ctx}");
+                }
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 84);
 }
