@@ -19,17 +19,16 @@
 //! * **useless-2** — Eq. (9)'s member expansion needs *no duplicate
 //!   checks* (SCC member sets are disjoint): it is counted, not built.
 //!
-//! Neither `ResEq7` nor `ResEq8` is a hash set of pairs. The per-`v_i`
-//! dedup of (7) is an epoch-stamped array over SCC ids, cleared in O(1)
-//! between groups. (8)'s is a [`Cover`]: bitset words over SCC ids that
-//! each kept entry's closure row is OR-ed into, a dense row 64 ids at a
-//! time. Redundant-2 adds the popcount of a cone's overlap with the cover.
+//! Neither `ResEq7` nor `ResEq8` is a hash set of pairs. Both are a
+//! [`Cover`], bitset words over SCC ids emptied between groups over only
+//! the words they set. (7)'s takes each entry SCC id. (8)'s takes each
+//! kept entry's whole closure row, a dense row 64 ids at a time.
+//! Redundant-2 adds the popcount of a cone's overlap with the cover.
 //! Useless-2 adds the popcount of the new bits, plus `|s_k| − 1` for each
 //! new bit that is a multi-member SCC (a per-evaluation mask over SCC
 //! ids): one insert per member. A single-entry `v_i` weighs its whole cone
-//! the same way, memoized per entry. Between groups the cover zeroes only
-//! the words it set, so many starts on a large RTC never pay for its
-//! width.
+//! the same way, memoized per entry. Since the covers empty over the words
+//! they set, many starts on a large RTC never pay for its width.
 //!
 //! Cones nest (`t ∈ TC(s)` implies `TC(t) ⊆ TC(s)`), and every cached RTC
 //! numbers its SCCs in reverse topological order, so an SCC's successors
@@ -65,9 +64,7 @@
 
 use crate::breakdown::EliminationStats;
 use crate::pre_relation::PreRelation;
-use rpq_graph::{
-    Cover, EpochVisited, LabelId, LabeledMultigraph, PairSet, RowSet, SccId, VertexId,
-};
+use rpq_graph::{Cover, LabelId, LabeledMultigraph, PairSet, RowSet, SccId, VertexId};
 use rpq_reduction::{FullTc, Rtc};
 use rpq_regex::ClosureKind;
 use std::sync::Arc;
@@ -100,7 +97,7 @@ pub fn eval_batch_unit_rtc(
     let (mut entries, mut seeds) = (Vec::<SccId>::new(), Vec::<u32>::new());
     // A single-entry `v_i`'s (9) insert count depends on its `s_j` alone.
     let mut reach_sizes: Vec<Option<u64>> = vec![None; sccs];
-    let mut stamp7 = EpochVisited::new(sccs);
+    let mut seen7 = Cover::new(sccs);
     let mut cover = Cover::new(sccs);
     // A new SCC is one (9) insert per member: its bit counts one, and a
     // multi-member SCC adds `|s_k| − 1` more.
@@ -114,7 +111,7 @@ pub fn eval_batch_unit_rtc(
     };
 
     pre.for_each_group(|vi, ends| {
-        stamp7.clear();
+        seen7.clear();
         cover.clear();
         let first = entries.len();
         for vj in ends.iter() {
@@ -125,7 +122,7 @@ pub fn eval_batch_unit_rtc(
                 continue;
             };
             // Duplicate check for (7) — redundant-1 elimination.
-            if stamp7.insert(sj.raw()) {
+            if seen7.insert(sj.raw()) {
                 entries.push(sj);
             } else {
                 stats.redundant1_skipped += 1;
@@ -273,24 +270,25 @@ pub fn eval_batch_unit_full(
     let t0 = Instant::now();
     // Per `v_i`, its `(Pre·R^(+|*))_G` end vertices as one row.
     let mut reached: Vec<(VertexId, RowSet)> = Vec::new();
-    let mut seen = EpochVisited::new(graph.vertex_count());
+    let mut seen = Cover::new(graph.vertex_count());
     pre.for_each_group(|vi, ends| {
-        seen.clear();
-        let mut row: Vec<u32> = Vec::new();
         if kind == ClosureKind::Star {
-            row.extend(ends.iter().map(VertexId::raw).filter(|&vj| seen.insert(vj)));
+            for vj in ends.iter() {
+                seen.insert(vj.raw());
+            }
         }
         for vj in ends.iter() {
             for vk in full.successors_original(vj) {
                 // Duplicate check on every insert — the redundant work.
-                if seen.insert(vk.raw()) {
-                    row.push(vk.raw());
-                } else {
+                if !seen.insert(vk.raw()) {
                     stats.full_duplicate_hits += 1;
                 }
             }
         }
-        reached.push((vi, RowSet::from_unsorted(row)));
+        let mut row: Vec<u32> = Vec::new();
+        seen.drain_ascending(|vk| row.push(vk));
+        row.shrink_to_fit();
+        reached.push((vi, RowSet::from_sorted_vec(row)));
     });
     let pre_join = t0.elapsed();
 
@@ -311,12 +309,12 @@ pub fn eval_batch_unit_full(
 
 /// Lines 13–16 for both evaluators: maps a set of `(Pre·R^(+|*))_G` end
 /// vertices to `⋃ Post(v)` over the set, one frontier step per Post label
-/// (a vertex reached along several paths expands once). One visited stamp
+/// (a vertex reached along several paths expands once). One visited set
 /// and two frontiers serve every row of an evaluation.
 struct PostImage<'a> {
     graph: &'a LabeledMultigraph,
     labels: Vec<LabelId>,
-    seen: EpochVisited,
+    seen: Cover,
     frontier: Vec<u32>,
     next: Vec<u32>,
 }
@@ -329,7 +327,7 @@ impl<'a> PostImage<'a> {
         Some(PostImage {
             graph,
             labels: labels?,
-            seen: EpochVisited::new(graph.vertex_count()),
+            seen: Cover::new(graph.vertex_count()),
             frontier: Vec::new(),
             next: Vec::new(),
         })

@@ -13,11 +13,11 @@
 //! `m`. So each first-hop vertex's suffix row is computed once — for
 //! `k = 2` it is `m`'s `l₂` adjacency slice itself — and a start's row is
 //! that row copied when it has one first hop, or the union of its first
-//! hops' rows read back in ascending order. Starts ascend too, so the
-//! pairs come out sorted and unique and the whole relation is never
-//! sorted.
+//! hops' rows gathered in a [`Cover`] and drained in ascending order.
+//! Starts ascend too, so the pairs come out sorted and unique and the
+//! whole relation is never sorted.
 
-use rpq_graph::{EpochVisited, LabelId, LabeledMultigraph, PairSet, VertexId};
+use rpq_graph::{Cover, LabelId, LabeledMultigraph, PairSet, VertexId};
 
 /// Evaluates a label sequence over the whole graph.
 ///
@@ -32,29 +32,29 @@ pub fn eval_label_sequence(graph: &LabeledMultigraph, labels: &[LabelId]) -> Pai
         return PairSet::from_sorted_unique(base.to_vec());
     };
     let n = graph.vertex_count();
-    let mut ends = EndRow::new(n);
+    let mut ends = Cover::new(n);
     if middle.is_empty() {
         let suffix = |m: VertexId| graph.out_with_label(m, last).iter().map(|&(_, w)| w.raw());
         return join_first_hops(base, &mut ends, suffix);
     }
     // The suffix rows of every first-hop vertex, ascending by vertex:
     // `suffixes[at[m]..at[m + 1]]` is `m`'s.
-    let mut first_hop = vec![false; n];
+    let mut first_hop = Cover::new(n);
     for &(_, m) in base {
-        first_hop[m.index()] = true;
+        first_hop.insert(m.raw());
     }
-    let mut seen = EpochVisited::new(n);
+    let mut seen = Cover::new(n);
     let mut frontier: Vec<VertexId> = Vec::new();
     let mut next: Vec<VertexId> = Vec::new();
     let mut at: Vec<u32> = Vec::with_capacity(n + 1);
     let mut suffixes: Vec<u32> = Vec::new();
-    for (m, &hop) in first_hop.iter().enumerate() {
+    for m in 0..n as u32 {
         at.push(suffixes.len() as u32);
-        if !hop {
+        if !first_hop.contains(m) {
             continue;
         }
         frontier.clear();
-        frontier.push(VertexId::from_usize(m));
+        frontier.push(VertexId(m));
         for &label in middle {
             seen.clear();
             next.clear();
@@ -87,7 +87,7 @@ pub fn eval_label_sequence(graph: &LabeledMultigraph, labels: &[LabelId]) -> Pai
 /// copied, or its first hops' rows unioned in `ends`.
 fn join_first_hops<I: Iterator<Item = u32>>(
     base: &[(VertexId, VertexId)],
-    ends: &mut EndRow,
+    ends: &mut Cover,
     suffix: impl Fn(VertexId) -> I,
 ) -> PairSet {
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(base.len());
@@ -107,74 +107,6 @@ fn join_first_hops<I: Iterator<Item = u32>>(
     // Results are long-lived (cached bodies and answers): no slack is kept.
     pairs.shrink_to_fit();
     PairSet::from_sorted_unique(pairs)
-}
-
-/// The distinct ends of one start: a bitset over the vertex range, the ids
-/// it holds and the span of words they touch, all cleared again as the row
-/// is read back.
-struct EndRow {
-    words: Vec<u64>,
-    /// `ids[..len]` are the distinct ids inserted; one spare slot takes the
-    /// unconditional write of a duplicate once all `n` ids are in.
-    ids: Vec<u32>,
-    len: usize,
-    /// Lowest and highest touched word (`lo > hi` while empty).
-    lo: usize,
-    hi: usize,
-}
-
-impl EndRow {
-    fn new(n: usize) -> Self {
-        Self {
-            words: vec![0; n.div_ceil(64)],
-            ids: vec![0; n + 1],
-            len: 0,
-            lo: usize::MAX,
-            hi: 0,
-        }
-    }
-
-    /// Adds `v`. Branch-free: half the path ends of a join can be repeats,
-    /// which a branch on "seen" would mispredict.
-    #[inline]
-    fn insert(&mut self, v: u32) {
-        let w = v as usize / 64;
-        let bit = 1u64 << (v % 64);
-        let fresh = self.words[w] & bit == 0;
-        self.words[w] |= bit;
-        self.ids[self.len] = v;
-        self.len += fresh as usize;
-        self.lo = self.lo.min(w);
-        self.hi = self.hi.max(w);
-    }
-
-    /// Emits the row in ascending order and empties it. Reading the words
-    /// across the touched span costs one step per word, sorting the ids
-    /// about `k·log k` for `k` ids; the row takes the cheaper of the two.
-    fn drain_ascending(&mut self, mut emit: impl FnMut(u32)) {
-        let (k, lo, hi) = (self.len, self.lo, self.hi);
-        if k == 0 {
-            return;
-        }
-        if hi - lo < k * (usize::BITS - k.leading_zeros()) as usize {
-            for (w, word) in self.words[lo..=hi].iter_mut().enumerate() {
-                let base = ((lo + w) * 64) as u32;
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    emit(base + bits.trailing_zeros());
-                    bits &= bits - 1;
-                }
-            }
-        } else {
-            let ids = &mut self.ids[..k];
-            ids.sort_unstable();
-            for &v in ids.iter() {
-                self.words[v as usize / 64] = 0;
-                emit(v);
-            }
-        }
-        (self.len, self.lo, self.hi) = (0, usize::MAX, 0);
-    }
 }
 
 /// Resolves label names against the graph alphabet and evaluates the
@@ -270,29 +202,5 @@ mod tests {
         let g = diamond();
         let r = eval_label_sequence(&g, &ids(&g, &["a", "b"]));
         assert_eq!(pairs(&r), vec![(0, 3)]);
-    }
-
-    /// Both read-back arms of one row: a dense run of ends is read from the
-    /// words, two ends far apart are sorted, and both leave the row empty.
-    #[test]
-    fn end_row_reads_back_ascending_and_clears() {
-        let mut row = EndRow::new(4096);
-        let mut got = Vec::new();
-        for v in [70, 3, 64, 5, 3, 127] {
-            row.insert(v);
-        }
-        row.drain_ascending(|v| got.push(v));
-        assert_eq!(got, vec![3, 5, 64, 70, 127]);
-        got.clear();
-        for v in [4095, 0] {
-            row.insert(v);
-        }
-        row.drain_ascending(|v| got.push(v));
-        assert_eq!(got, vec![0, 4095]);
-        assert!(row.words.iter().all(|&w| w == 0));
-        assert_eq!((row.len, row.lo, row.hi), (0, usize::MAX, 0));
-        got.clear();
-        row.drain_ascending(|v| got.push(v));
-        assert!(got.is_empty());
     }
 }

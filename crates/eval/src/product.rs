@@ -18,14 +18,15 @@
 
 use crate::witness::WitnessStep;
 use rpq_automata::{build_glushkov, Nfa};
-use rpq_graph::{EpochVisited, LabelId, LabeledMultigraph, PairSet, VertexId};
+use rpq_graph::{Cover, LabelId, LabeledMultigraph, PairSet, VertexId};
 use rpq_regex::Regex;
 
 /// A reusable evaluator binding a query automaton to a graph's alphabet.
 ///
 /// Construction resolves the regex alphabet against the graph's label
 /// dictionary once; evaluation then runs one product BFS per start vertex
-/// with O(1)-clear scratch buffers shared across sources.
+/// with one visited [`Cover`] shared across sources, emptied over only the
+/// words the last search set.
 pub struct ProductEvaluator<'g> {
     graph: &'g LabeledMultigraph,
     nfa: Nfa,
@@ -158,8 +159,8 @@ impl<'g> ProductEvaluator<'g> {
     }
 
     /// A visited buffer over the product's `(vertex, state)` nodes.
-    fn visited(&self) -> EpochVisited {
-        EpochVisited::new(self.graph.vertex_count() * self.nfa.state_count())
+    fn visited(&self) -> Cover {
+        Cover::new(self.graph.vertex_count() * self.nfa.state_count())
     }
 
     /// Sorted end vertices reached from `source` in an accepting state via
@@ -167,7 +168,7 @@ impl<'g> ProductEvaluator<'g> {
     fn ends(
         &self,
         source: VertexId,
-        visited: &mut EpochVisited,
+        visited: &mut Cover,
         queue: &mut Vec<(VertexId, u32)>,
     ) -> Vec<VertexId> {
         // An end vertex is recorded at most once per accepting state; the
@@ -192,7 +193,7 @@ impl<'g> ProductEvaluator<'g> {
     fn search(
         &self,
         source: VertexId,
-        visited: &mut EpochVisited,
+        visited: &mut Cover,
         queue: &mut Vec<(VertexId, u32)>,
         mut reached: impl FnMut(usize, LabelId, VertexId, u32) -> bool,
     ) -> bool {

@@ -16,10 +16,10 @@
 //! The build walks one SCC at a time and collects its successor row from
 //! its members' out-rows, so no list of all cross edges is ever sorted.
 
-use crate::bfs::EpochVisited;
 use crate::csr::Csr;
 use crate::digraph::Digraph;
 use crate::ids::SccId;
+use crate::rowset::Cover;
 use crate::scc::Scc;
 
 /// The condensation of a digraph: `Ḡ_R` plus self-loop flags.
@@ -38,24 +38,22 @@ impl Condensation {
     pub fn new(g: &Digraph, scc: &Scc) -> Self {
         let k = scc.count();
         let mut self_loop = vec![false; k];
-        let mut seen = EpochVisited::new(k);
-        let mut row: Vec<u32> = Vec::new();
+        let mut row = Cover::new(k);
+        let mut ascending: Vec<u32> = Vec::new();
         let mut out = Csr::new();
         for (s, members) in scc.iter() {
-            seen.clear();
-            row.clear();
             for &v in members {
                 for &w in g.out(v) {
                     let t = scc.component_of(w);
                     if t == s {
                         self_loop[s.index()] = true;
-                    } else if seen.insert(t.raw()) {
-                        row.push(t.raw());
+                    } else {
+                        row.insert(t.raw());
                     }
                 }
             }
-            row.sort_unstable();
-            out.push_row(row.iter().copied());
+            row.drain_ascending(|t| ascending.push(t));
+            out.push_row(ascending.drain(..));
         }
         let dag = Digraph::from_csr(out);
         let edge_count = dag.edge_count() + self_loop.iter().filter(|&&b| b).count();

@@ -18,8 +18,9 @@
 //!   `R_G` result.
 //!
 //! Everything is index-based (`u32` ids wrapped in newtypes) and allocation
-//! conscious: adjacency is CSR, hot dedup paths use epoch-stamped scratch
-//! buffers instead of hash sets.
+//! conscious: adjacency is CSR, and every visited or duplicate check uses
+//! one scratch id set, [`Cover`] (bitset words that empty over the words
+//! they set), instead of hash sets.
 
 pub mod bfs;
 pub mod condensation;
@@ -29,7 +30,6 @@ pub mod error;
 pub mod fixtures;
 pub mod ids;
 pub mod label_dict;
-pub mod metrics;
 pub mod multigraph;
 pub mod pairset;
 pub mod rowset;
@@ -38,14 +38,12 @@ pub mod snapshot;
 pub mod stats;
 pub mod versioned;
 
-pub use bfs::EpochVisited;
 pub use condensation::Condensation;
 pub use csr::Csr;
 pub use digraph::{Digraph, MappedDigraph, VertexMapping};
 pub use error::GraphError;
 pub use ids::{LabelId, SccId, VertexId, MAX_VERTICES};
 pub use label_dict::LabelDict;
-pub use metrics::Distribution;
 pub use multigraph::{GraphBuilder, LabeledMultigraph};
 pub use pairset::{Ends, PairSet};
 pub use rowset::{Cover, RowSet, RowSetPolicy, RowTable};

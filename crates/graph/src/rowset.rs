@@ -14,10 +14,13 @@
 //! iteration, union (pairwise, in place and [`RowSet::union_all`]) and the
 //! layout moves (`normalize`, `promote`, `demote`).
 //!
-//! A [`Cover`] is the scratch set Algorithm 2 covers closure cones with:
-//! bitset words over a fixed universe that whole rows are OR-ed into (a
-//! dense row 64 ids at a time), read back as the part of a row it holds
-//! or misses, and cleared word by word over only the words it set.
+//! A [`Cover`] is the engine's one scratch id set: bitset words over a
+//! fixed universe that ids or whole rows are OR-ed into (a dense row 64
+//! ids at a time), read back as the part of a row it holds or misses or
+//! drained in ascending order, and emptied word by word over only the
+//! words it set. Every visited check, duplicate check and row merge uses
+//! it: Algorithm 2's (7) and (8), the product search, the label join, the
+//! closure sweep, the condensation and the Post image.
 //!
 //! Closure tables ([`crate::Csr`]'s successor in `rpq_reduction`) hold one
 //! `RowSet` per source; [`crate::PairSet`] reuses the same rows for its
@@ -486,75 +489,106 @@ impl Iterator for RowIter<'_> {
     }
 }
 
-/// A set of ids below a fixed universe, kept as bitset words and grown by
-/// OR-ing whole rows in: a dense row joins 64 ids a word, a sparse row id
-/// by id. It records the words it sets, so [`Cover::clear`] zeroes those
-/// alone and a sparse cover over a large universe clears in its own size.
+/// The one scratch id set: ids below a fixed universe kept as bitset
+/// words, emptied between uses. Ids join one at a time or a whole row at
+/// once (a dense row 64 ids a word), and the set is read back as the part
+/// of a row it holds or misses, or drained in ascending order.
+///
+/// It records each word it makes non-zero, so [`Cover::clear`] and
+/// [`Cover::drain_ascending`] touch those words alone: a sparse set over a
+/// large universe empties in its own size. The record has a slot per word
+/// and a spare one, and every insert writes it, so an insert never
+/// reallocates and never branches on a repeat.
 #[derive(Clone, Debug)]
 pub struct Cover {
     words: Vec<u64>,
-    /// Indices of the non-zero words, each once.
-    set: Vec<u32>,
+    /// `touched[..len]` are the indices of the non-zero words, each once.
+    touched: Vec<u32>,
+    len: usize,
 }
 
 impl Cover {
-    /// The empty cover of ids `0..universe`.
+    /// The empty set of ids `0..universe`.
     pub fn new(universe: usize) -> Self {
+        let words = universe.div_ceil(64);
         Cover {
-            words: vec![0; universe.div_ceil(64)],
-            set: Vec::new(),
+            words: vec![0; words],
+            touched: vec![0; words + 1],
+            len: 0,
         }
     }
 
-    /// Whether `id` is covered.
+    /// Whether `id` is in the set.
     #[inline]
     pub fn contains(&self, id: u32) -> bool {
         self.words[DenseRow::word_of(id)] & DenseRow::mask_of(id) != 0
     }
 
-    /// Covers `id`; returns whether it was new.
+    /// Adds `id`; returns whether it was new.
     #[inline]
     pub fn insert(&mut self, id: u32) -> bool {
-        let wi = DenseRow::word_of(id);
-        let (word, mask) = (self.words[wi], DenseRow::mask_of(id));
-        if word & mask != 0 {
-            return false;
-        }
-        if word == 0 {
-            self.set.push(wi as u32);
-        }
-        self.words[wi] = word | mask;
-        true
+        let mask = DenseRow::mask_of(id);
+        self.or_word(DenseRow::word_of(id), mask) & mask == 0
     }
 
-    /// Covers every id of `row`; returns how many were new.
+    /// Adds every id of `row`; returns how many were new.
     pub fn add(&mut self, row: &RowSet) -> usize {
         match row {
             RowSet::Sparse(ids) => ids.iter().filter(|&&id| self.insert(id)).count(),
             RowSet::Dense(d) => {
                 debug_assert!(d.words.iter().skip(self.words.len()).all(|&w| w == 0));
-                let mut fresh = 0;
-                for (wi, (word, &bits)) in self.words.iter_mut().zip(&d.words).enumerate() {
-                    let new = bits & !*word;
-                    if new != 0 {
-                        if *word == 0 {
-                            self.set.push(wi as u32);
-                        }
-                        *word |= new;
-                        fresh += new.count_ones() as usize;
-                    }
-                }
-                fresh
+                let words = d.words.iter().take(self.words.len()).enumerate();
+                words
+                    .map(|(wi, &bits)| (bits & !self.or_word(wi, bits)).count_ones() as usize)
+                    .sum()
             }
         }
     }
 
-    /// Uncovers everything, zeroing only the words set since the last clear.
+    /// ORs `bits` into word `wi`, recording the word if it becomes
+    /// non-zero; returns the word as it was.
+    #[inline]
+    fn or_word(&mut self, wi: usize, bits: u64) -> u64 {
+        let word = self.words[wi];
+        // The slot past the record is always free: writing it is a no-op
+        // unless the word is new.
+        self.touched[self.len] = wi as u32;
+        self.len += usize::from(word == 0 && bits != 0);
+        self.words[wi] = word | bits;
+        word
+    }
+
+    /// Empties the set, zeroing only the words set since it was last empty.
     pub fn clear(&mut self) {
-        for &wi in &self.set {
+        for &wi in &self.touched[..self.len] {
             self.words[wi as usize] = 0;
         }
-        self.set.clear();
+        self.len = 0;
+    }
+
+    /// Emits every id in ascending order and empties the set. It reads the
+    /// `w` touched words sorted, or every word when sorting them (`w·log w`)
+    /// would cost more than that: the ids plus the cheaper of the two.
+    pub fn drain_ascending(&mut self, mut emit: impl FnMut(u32)) {
+        let w = std::mem::take(&mut self.len);
+        let mut drain = |wi: usize, word: &mut u64| {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                emit(wi as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        };
+        if w * (usize::BITS - w.leading_zeros()) as usize >= self.words.len() {
+            for (wi, word) in self.words.iter_mut().enumerate() {
+                drain(wi, word);
+            }
+        } else {
+            let touched = &mut self.touched[..w];
+            touched.sort_unstable();
+            for &wi in touched.iter() {
+                drain(wi as usize, &mut self.words[wi as usize]);
+            }
+        }
     }
 
     /// The ids of `row` that are covered, descending.
@@ -653,6 +687,7 @@ impl RowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn sparse(ids: &[u32]) -> RowSet {
         RowSet::from_sorted_vec(ids.to_vec())
@@ -856,6 +891,23 @@ mod tests {
         assert_eq!(thinned.heap_bytes(), 3 * 4);
     }
 
+    /// The touched record holds exactly the non-zero words, each once, and
+    /// the set holds exactly `model`.
+    fn assert_cover_is(cover: &Cover, model: &BTreeSet<u32>, universe: u32) {
+        let mut touched = cover.touched[..cover.len].to_vec();
+        touched.sort_unstable();
+        let nonzero: Vec<u32> = (0..cover.words.len() as u32)
+            .filter(|&wi| cover.words[wi as usize] != 0)
+            .collect();
+        assert_eq!(touched, nonzero, "touched words of {universe}");
+        let held: Vec<u32> = (0..universe).filter(|&id| cover.contains(id)).collect();
+        assert_eq!(
+            held,
+            model.iter().copied().collect::<Vec<_>>(),
+            "ids of {universe}"
+        );
+    }
+
     #[test]
     fn cover_adds_rows_word_by_word_and_clears_what_it_set() {
         let mut cover = Cover::new(200);
@@ -874,10 +926,107 @@ mod tests {
             assert_eq!((common, uncovered), (vec![199, 64, 63], vec![65, 1]));
         }
         // Words 0, 1, 2 and 3 were set; each is zeroed once.
-        assert_eq!(cover.set.len(), 4);
+        assert_eq!(cover.len, 4);
         cover.clear();
-        assert!(cover.words.iter().all(|&w| w == 0) && cover.set.is_empty());
+        assert!(cover.words.iter().all(|&w| w == 0) && cover.len == 0);
         assert_eq!(cover.add(&sparse_row), 3);
+
+        // A dense run of ids and two ids far apart drain ascending from
+        // their sorted words, a repeat included; ids in every word drain
+        // from a read of all the words. Each leaves the set empty; so
+        // does an empty one.
+        let mut cover = Cover::new(4096);
+        let mut drained = Vec::new();
+        let everywhere: Vec<u32> = (0..4096).step_by(61).collect();
+        let backwards: Vec<u32> = everywhere.iter().rev().copied().collect();
+        for (ids, expect) in [
+            (&[70, 3, 64, 5, 3, 127][..], &[3, 5, 64, 70, 127][..]),
+            (&[4095, 0], &[0, 4095]),
+            (&backwards, &everywhere),
+            (&[], &[]),
+        ] {
+            for &id in ids {
+                cover.insert(id);
+            }
+            cover.drain_ascending(|id| drained.push(id));
+            assert_eq!(drained, expect);
+            assert_cover_is(&cover, &BTreeSet::new(), 4096);
+            drained.clear();
+        }
+
+        // Random operations against a `BTreeSet` model, over universes at
+        // and around word edges. Ids favour the word edges and repeat.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % bound.max(1)
+        };
+        for universe in [0u32, 1, 63, 64, 65, 130, 4096] {
+            let mut cover = Cover::new(universe as usize);
+            let mut model = BTreeSet::new();
+            let edges: Vec<u32> = [0, 1, 62, 63, 64, 65, 127, 128, 129]
+                .into_iter()
+                .chain(universe.checked_sub(1))
+                .filter(|&id| id < universe)
+                .collect();
+            let pick = |next: &mut dyn FnMut(u64) -> u64| {
+                if !edges.is_empty() && next(2) == 0 {
+                    edges[next(edges.len() as u64) as usize]
+                } else {
+                    next(universe as u64) as u32
+                }
+            };
+            for step in 0..3000 {
+                match next(16) {
+                    _ if universe == 0 => {
+                        // No id to add: only the empty set's reads.
+                        cover.clear();
+                        assert_eq!(cover.add(&RowSet::empty()), 0);
+                        cover.drain_ascending(|id| panic!("drained {id} of nothing"));
+                    }
+                    0..=6 => {
+                        let id = pick(&mut next);
+                        assert_eq!(cover.insert(id), model.insert(id), "insert {id}");
+                    }
+                    7..=8 => {
+                        let id = pick(&mut next);
+                        assert_eq!(cover.contains(id), model.contains(&id), "contains {id}");
+                    }
+                    9..=11 => {
+                        let ids: Vec<u32> = (0..next(40)).map(|_| pick(&mut next)).collect();
+                        let row = if next(2) == 0 {
+                            RowSet::from_unsorted(ids.clone())
+                        } else {
+                            RowSet::dense_from_iter(universe, ids.iter().copied())
+                        };
+                        let fresh = ids.iter().filter(|&&id| model.insert(id)).count();
+                        assert_eq!(cover.add(&row), fresh, "add {ids:?}");
+                    }
+                    12..=13 => {
+                        cover.clear();
+                        model.clear();
+                    }
+                    _ => {
+                        if next(2) == 0 {
+                            // A drain right after a clear emits nothing.
+                            cover.clear();
+                            model.clear();
+                        }
+                        drained.clear();
+                        cover.drain_ascending(|id| drained.push(id));
+                        assert_eq!(
+                            drained,
+                            std::mem::take(&mut model).into_iter().collect::<Vec<_>>()
+                        );
+                    }
+                }
+                if step % 7 == 0 || universe <= 130 {
+                    assert_cover_is(&cover, &model, universe);
+                }
+            }
+        }
     }
 
     #[test]

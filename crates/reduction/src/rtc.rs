@@ -32,8 +32,8 @@
 use crate::tc::closure_rows;
 use rpq_eval::ProductEvaluator;
 use rpq_graph::{
-    tarjan_components, Csr, Ends, EpochVisited, LabelId, LabeledMultigraph, PairSet, RowSet,
-    RowSetPolicy, RowTable, SccId, VertexId,
+    tarjan_components, Cover, Csr, Ends, LabelId, LabeledMultigraph, PairSet, RowSet, RowSetPolicy,
+    RowTable, SccId, VertexId,
 };
 use rpq_regex::Regex;
 use std::sync::Arc;
@@ -302,7 +302,7 @@ struct Closing {
     self_loops: Vec<bool>,
     /// Each SCC's distinct one-step successors other than itself.
     cond: Csr<u32>,
-    seen: EpochVisited,
+    seen: Cover,
 }
 
 impl Closing {
@@ -311,7 +311,7 @@ impl Closing {
             scc_of: vec![OFF_VR; n],
             self_loops: Vec::new(),
             cond: Csr::new(),
-            seen: EpochVisited::new(n),
+            seen: Cover::new(n),
         }
     }
 
@@ -467,16 +467,18 @@ impl<'g> Product<'g> {
     /// The layer-0 nodes some hop leaves, ascending: every vertex when the
     /// body is nullable.
     fn roots(&self) -> Vec<u32> {
-        let mut leaves = vec![false; self.n as usize];
+        let mut leaves = Cover::new(self.n as usize);
         for &(label, _) in &self.hops[0] {
             let Some(label) = label else {
                 return (0..self.n).collect();
             };
             for &(s, _) in self.graph.edges_with_label(label) {
-                leaves[s.index()] = true;
+                leaves.insert(s.raw());
             }
         }
-        (0..self.n).filter(|&v| leaves[v as usize]).collect()
+        let mut roots = Vec::new();
+        leaves.drain_ascending(|v| roots.push(v));
+        roots
     }
 
     /// Out-neighbours of node `u`.
@@ -505,7 +507,7 @@ impl<'g> Product<'g> {
     /// SCCs its way back to layer 0 ends in, last layers first.
     fn step_rows(&self, reached: &[u32], scc_of: &[u32], members: &Csr<u32>) -> Csr<u32> {
         let n = self.n as usize;
-        let mut seen = EpochVisited::new(members.rows());
+        let mut seen = Cover::new(members.rows());
         let mut memo: Vec<Csr<u32>> = (0..self.hops.len()).map(|_| Csr::new()).collect();
         let mut row = Vec::new();
         for layer in (1..self.hops.len()).rev() {
@@ -540,7 +542,7 @@ impl<'g> Product<'g> {
         v: VertexId,
         memo: &[Csr<u32>],
         scc_of: &[u32],
-        seen: &mut EpochVisited,
+        seen: &mut Cover,
         row: &mut Vec<u32>,
     ) {
         for &(label, into) in &self.hops[layer] {

@@ -15,13 +15,13 @@
 //!
 //! Both are sequential builds, as TABLE III costs them. All closure rows are sorted ascending, so downstream joins can merge.
 
-use rpq_graph::{Condensation, Csr, Digraph, EpochVisited, RowSet, RowSetPolicy, RowTable, SccId};
+use rpq_graph::{Condensation, Cover, Csr, Digraph, RowSet, RowSetPolicy, RowTable, SccId};
 
 /// Naive transitive closure: one BFS per vertex. Row `v` holds the sorted
 /// vertices reachable from `v` via ≥ 1 edge.
 pub fn tc_naive(g: &Digraph) -> Csr<u32> {
     let n = g.vertex_count();
-    let mut visited = EpochVisited::new(n);
+    let mut visited = Cover::new(n);
     let mut queue: Vec<u32> = Vec::new();
     let mut out = Csr::new();
     for v in 0..n as u32 {
@@ -48,15 +48,15 @@ pub fn closure_of_condensation_rows(cond: &Condensation, _: &RowSetPolicy) -> Ro
 /// distinct successors, all below `s`.
 ///
 /// A single ascending sweep sees every successor row before it is needed.
-/// Sparse rows are merged through an epoch-stamped scratch array, so their
-/// cost is proportional to the sum of merged list lengths; rows whose
+/// Sparse rows are merged in a [`Cover`] and drained in ascending order, so
+/// their cost is proportional to the sum of merged list lengths; rows whose
 /// *estimated* merged size reaches the dense side are built dense up front,
 /// so successor unions run as word-parallel ORs instead of list merges.
 /// After the merge each row is normalized (an over-estimated dense row
 /// demotes back to sparse).
 pub(crate) fn closure_rows<'a>(k: usize, out: impl Fn(u32) -> (bool, &'a [u32])) -> RowTable {
     let mut rows: Vec<RowSet> = Vec::with_capacity(k);
-    let mut stamp = EpochVisited::new(k);
+    let mut merged = Cover::new(k);
     for s in 0..k as u32 {
         let (self_loop, succ) = out(s);
         // Upper bound of the merged row: the successor edges plus their
@@ -78,22 +78,15 @@ pub(crate) fn closure_rows<'a>(k: usize, out: impl Fn(u32) -> (bool, &'a [u32]))
             }
             row
         } else {
-            stamp.clear();
-            let mut row: Vec<u32> = Vec::new();
-            if self_loop && stamp.insert(s) {
-                row.push(s);
+            if self_loop {
+                merged.insert(s);
             }
             for &t in succ {
-                if stamp.insert(t) {
-                    row.push(t);
-                }
-                for q in rows[t as usize].iter() {
-                    if stamp.insert(q) {
-                        row.push(q);
-                    }
-                }
+                merged.insert(t);
+                merged.add(&rows[t as usize]);
             }
-            row.sort_unstable();
+            let mut row: Vec<u32> = Vec::new();
+            merged.drain_ascending(|q| row.push(q));
             RowSet::from_sorted_vec(row)
         };
         row.normalize(k as u32);

@@ -73,10 +73,10 @@ impl Regex {
                 other => flat.push(other),
             }
         }
-        match flat.len() {
-            0 => Regex::Epsilon,
-            1 => flat.pop().expect("len checked"),
-            _ => Regex::Concat(flat),
+        if flat.len() <= 1 {
+            flat.pop().unwrap_or(Regex::Epsilon)
+        } else {
+            Regex::Concat(flat)
         }
     }
 
@@ -100,10 +100,10 @@ impl Regex {
                 }
             }
         }
-        match flat.len() {
-            0 => Regex::Empty,
-            1 => flat.pop().expect("len checked"),
-            _ => Regex::Alt(flat),
+        if flat.len() <= 1 {
+            flat.pop().unwrap_or(Regex::Empty)
+        } else {
+            Regex::Alt(flat)
         }
     }
 

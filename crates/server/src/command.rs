@@ -114,11 +114,10 @@ pub enum Command {
 /// Parses one request line. `Ok(None)` for blank lines and `#` comments.
 pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
     let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(None);
-    }
     let mut tokens = line.split_whitespace();
-    let head = tokens.next().expect("non-empty line has a first token");
+    let Some(head) = tokens.next().filter(|head| !head.starts_with('#')) else {
+        return Ok(None);
+    };
     let rest = line[head.len()..].trim();
     let cmd = match head {
         "help" | "?" => Command::Help,

@@ -118,9 +118,10 @@ pub fn decode_pairs(bytes: &[u8], pairs: usize) -> Result<Vec<(u32, u32)>, Strin
     }
     let mut out = Vec::with_capacity(pairs);
     for record in bytes.chunks_exact(BYTES_PER_PAIR) {
-        let s = u32::from_le_bytes(record[..4].try_into().expect("4-byte chunk"));
-        let d = u32::from_le_bytes(record[4..].try_into().expect("4-byte chunk"));
-        out.push((s, d));
+        let u32_at = |at: usize| {
+            u32::from_le_bytes([record[at], record[at + 1], record[at + 2], record[at + 3]])
+        };
+        out.push((u32_at(0), u32_at(4)));
     }
     Ok(out)
 }

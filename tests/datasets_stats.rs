@@ -5,8 +5,106 @@
 use rtc_rpq::datasets::rmat::{rmat_n_scaled, RmatConfig};
 use rtc_rpq::datasets::surrogate::{self, SPECS};
 use rtc_rpq::datasets::{rmat_graph, workload};
-use rtc_rpq::graph::metrics::{out_degree_distribution, reciprocity, scc_size_distribution};
-use rtc_rpq::graph::GraphStats;
+use rtc_rpq::graph::fixtures::{paper_graph, triangle};
+use rtc_rpq::graph::{tarjan_scc, Digraph, GraphBuilder, GraphStats, LabeledMultigraph, SccId};
+
+/// Summary of a nonnegative integer distribution.
+#[derive(Debug)]
+struct Distribution {
+    count: usize,
+    min: usize,
+    max: usize,
+    mean: f64,
+    /// Lower median for even counts.
+    median: usize,
+}
+
+impl Distribution {
+    /// Summarizes `values` (need not be sorted). Empty input gives zeros.
+    fn of(mut values: Vec<usize>) -> Distribution {
+        if values.is_empty() {
+            return Distribution {
+                count: 0,
+                min: 0,
+                max: 0,
+                mean: 0.0,
+                median: 0,
+            };
+        }
+        values.sort_unstable();
+        let count = values.len();
+        let sum: usize = values.iter().sum();
+        Distribution {
+            count,
+            min: values[0],
+            max: values[count - 1],
+            mean: sum as f64 / count as f64,
+            median: values[(count - 1) / 2],
+        }
+    }
+}
+
+/// Out-degree distribution over all vertices (R-MAT skew checks).
+fn out_degree_distribution(g: &LabeledMultigraph) -> Distribution {
+    Distribution::of(g.vertices().map(|v| g.out_edges(v).len()).collect())
+}
+
+/// Fraction of (label-ignoring) directed edges whose reverse also exists.
+/// High reciprocity produces 2-cycles, the seeds of nontrivial SCCs.
+fn reciprocity(g: &LabeledMultigraph) -> f64 {
+    let mut pairs: Vec<(u32, u32)> = g.all_edges().map(|(s, _, d)| (s.raw(), d.raw())).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    if pairs.is_empty() {
+        return 0.0;
+    }
+    let reciprocal = pairs
+        .iter()
+        .filter(|&&(s, d)| s != d && pairs.binary_search(&(d, s)).is_ok())
+        .count();
+    reciprocal as f64 / pairs.len() as f64
+}
+
+/// SCC size distribution of the label-ignoring graph.
+fn scc_size_distribution(g: &LabeledMultigraph) -> Distribution {
+    let edges: Vec<(u32, u32)> = g.all_edges().map(|(s, _, d)| (s.raw(), d.raw())).collect();
+    let scc = tarjan_scc(&Digraph::from_edges(g.vertex_count(), edges));
+    Distribution::of(
+        (0..scc.count())
+            .map(|s| scc.members(SccId(s as u32)).len())
+            .collect(),
+    )
+}
+
+/// The helpers above on inputs small enough to count by hand.
+#[test]
+fn metric_helpers_on_fixtures() {
+    let d = Distribution::of(vec![3, 1, 2, 2, 10]);
+    assert_eq!((d.count, d.min, d.max, d.median), (5, 1, 10, 2));
+    assert!((d.mean - 3.6).abs() < 1e-12);
+    assert_eq!(Distribution::of(vec![]).count, 0);
+    let g = paper_graph();
+    let out = out_degree_distribution(&g);
+    assert_eq!((out.count, out.max), (10, 3)); // v2 and v5 have 3 out-edges
+    assert_eq!((out.mean * out.count as f64) as usize, g.edge_count());
+    // Label-ignoring SCCs: {v1..v6} is the largest.
+    let sccs = scc_size_distribution(&g);
+    assert_eq!(sccs.max, 6);
+    assert_eq!((sccs.mean * sccs.count as f64) as usize, g.vertex_count());
+    assert_eq!(scc_size_distribution(&triangle()).count, 1);
+    // No 2-cycles in a triangle; self-loops are not reciprocal; parallel
+    // edges with different labels count once.
+    assert_eq!(reciprocity(&triangle()), 0.0);
+    assert_eq!(reciprocity(&GraphBuilder::new().build()), 0.0);
+    let mut b = GraphBuilder::new();
+    b.add_edge(0, "a", 0);
+    assert_eq!(reciprocity(&b.build()), 0.0);
+    let mut b = GraphBuilder::new();
+    b.add_edge(0, "a", 1)
+        .add_edge(0, "b", 1)
+        .add_edge(1, "c", 0);
+    assert_eq!(reciprocity(&b.build()), 1.0);
+}
 
 /// The RMAT_N family at reduced scale: |E| = degree · |Σ| · |V| exactly.
 #[test]

@@ -9,7 +9,7 @@ use rand::Rng;
 use rpq_testkit::{build, check, random_edges, relation, scenario, Edge, Shape, Step};
 use rtc_rpq::graph::bfs::reachable_ge1;
 use rtc_rpq::graph::{snapshot, GraphDelta, LabelId, LabeledMultigraph, VersionedGraph};
-use rtc_rpq::graph::{tarjan_scc, Condensation, Csr, Digraph, EpochVisited, SccId};
+use rtc_rpq::graph::{tarjan_scc, Condensation, Cover, Csr, Digraph, SccId};
 
 /// Checks `Condensation::new` against the whole-relation build: map every
 /// edge to its SCC pair, flag the internal ones as self-loops, and sort and
@@ -103,7 +103,7 @@ fn scc_membership_matches_mutual_reachability() {
     check(0x63, 64, relation(12, 50), |edges| {
         let g = Digraph::from_edges(12, edges.clone());
         let scc = tarjan_scc(&g);
-        let (mut visited, mut queue) = (EpochVisited::new(12), Vec::new());
+        let (mut visited, mut queue) = (Cover::new(12), Vec::new());
         let reach: Vec<Vec<u32>> = (0..12)
             .map(|v| reachable_ge1(&g, v, &mut visited, &mut queue))
             .collect();
