@@ -82,7 +82,8 @@ fn metric_helpers_on_fixtures() {
     let d = Distribution::of(vec![3, 1, 2, 2, 10]);
     assert_eq!((d.count, d.min, d.max, d.median), (5, 1, 10, 2));
     assert!((d.mean - 3.6).abs() < 1e-12);
-    assert_eq!(Distribution::of(vec![]).count, 0);
+    let empty = Distribution::of(vec![]);
+    assert_eq!((empty.count, empty.mean), (0, 0.0));
     let g = paper_graph();
     let out = out_degree_distribution(&g);
     assert_eq!((out.count, out.max), (10, 3)); // v2 and v5 have 3 out-edges
@@ -91,14 +92,18 @@ fn metric_helpers_on_fixtures() {
     let sccs = scc_size_distribution(&g);
     assert_eq!(sccs.max, 6);
     assert_eq!((sccs.mean * sccs.count as f64) as usize, g.vertex_count());
-    assert_eq!(scc_size_distribution(&triangle()).count, 1);
-    // No 2-cycles in a triangle; self-loops are not reciprocal; parallel
-    // edges with different labels count once.
+    let tri = scc_size_distribution(&triangle());
+    assert_eq!((tri.count, tri.max), (1, 3));
+    // No 2-cycles in a triangle; self-loops are not reciprocal; a 2-cycle
+    // is; parallel edges with different labels count once.
     assert_eq!(reciprocity(&triangle()), 0.0);
     assert_eq!(reciprocity(&GraphBuilder::new().build()), 0.0);
     let mut b = GraphBuilder::new();
     b.add_edge(0, "a", 0);
     assert_eq!(reciprocity(&b.build()), 0.0);
+    let mut b = GraphBuilder::new();
+    b.add_edge(0, "a", 1).add_edge(1, "a", 0);
+    assert_eq!(reciprocity(&b.build()), 1.0);
     let mut b = GraphBuilder::new();
     b.add_edge(0, "a", 1)
         .add_edge(0, "b", 1)
