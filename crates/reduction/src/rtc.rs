@@ -98,6 +98,10 @@ impl Rtc {
             row_of[s.index()] = i as u32;
         }
         let mut sccs = Closing::new(n);
+        // Every node is an original vertex here, so a walked edge is an
+        // `R`-step and a component id an SCC id: each SCC's row is read
+        // off the search's successor stack, duplicates dropped.
+        let mut seen = Cover::new(n);
         tarjan_components(
             n,
             starts.iter().map(|(s, _)| s.raw()),
@@ -108,7 +112,9 @@ impl Rtc {
             },
             |members, successors, self_loop| {
                 sccs.close(members, self_loop);
-                sccs.push_row(successors);
+                seen.clear();
+                let row = successors.iter().copied().filter(|&t| seen.insert(t));
+                sccs.cond.push_row(row);
             },
         );
         sccs.finish()
@@ -302,7 +308,6 @@ struct Closing {
     self_loops: Vec<bool>,
     /// Each SCC's distinct one-step successors other than itself.
     cond: Csr<u32>,
-    seen: Cover,
 }
 
 impl Closing {
@@ -311,7 +316,6 @@ impl Closing {
             scc_of: vec![OFF_VR; n],
             self_loops: Vec::new(),
             cond: Csr::new(),
-            seen: Cover::new(n),
         }
     }
 
@@ -330,16 +334,6 @@ impl Closing {
         if original {
             self.self_loops.push(self_loop);
         }
-    }
-
-    /// The last SCC's row, read off the search's successor stack: valid
-    /// when every node is an original vertex, so a walked edge is an
-    /// `R`-step and a component id an SCC id ([`Rtc::from_pairs`]).
-    fn push_row(&mut self, successors: &[u32]) {
-        self.seen.clear();
-        let seen = &mut self.seen;
-        self.cond
-            .push_row(successors.iter().copied().filter(|&t| seen.insert(t)));
     }
 
     /// Each SCC's members, ascending.

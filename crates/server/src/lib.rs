@@ -22,7 +22,8 @@
 //!   command dispatch, and the one serve loop behind both transports.
 //! * [`reply`] — what a command answers and the bytes it leaves as: the
 //!   [`reply::Response`] written straight into a buffered sink, flushed
-//!   once per reply, and the text of `info`/`metrics`/`cache`/result lines.
+//!   once per reply (a query result's lines or frame streamed from the
+//!   result itself), and the text of `info`/`metrics`/`cache`.
 //! * [`repl`] — the interactive/pipeable CLI loop (`rpq repl`).
 //! * [`tcp`] — the same commands as a line-delimited TCP protocol
 //!   (`rpq serve`), every connection sharing one engine so client A's
@@ -60,7 +61,7 @@ pub mod wire;
 
 pub use command::{parse_command, Command, DeltaOp};
 pub use repl::run_repl;
-pub use reply::{Response, Status};
+pub use reply::{Listing, Response, Status};
 pub use session::{ConnectionOverlay, Session};
 pub use state::{PublishedView, ServerState, SharedEngine, DEFAULT_MAX_CONNS, RETAINED_VIEWS};
 pub use tcp::{handle_connection, serve};

@@ -1,22 +1,30 @@
 //! Replies: what a command answers, and the bytes it leaves as.
 //!
-//! A [`Response`] is zero or more payload lines, an optional
+//! A [`Response`] is zero or more payload lines, an optional [`Listing`]
+//! (a `query` result's pair lines or `ends`' vertices), an optional
 //! `RESULT-BIN` frame and one `OK …`/`ERR …` status line.
 //! [`Response::write_to`] writes those pieces straight into the caller's
 //! sink; the serve loop wraps each connection's sink in one `BufWriter`
 //! and flushes once per reply, so a reply that fits the buffer leaves in
 //! one `write` and a larger one streams in buffer-sized writes.
 //!
-//! The text of `info`, `metrics`, `cache`, result pairs and `ends` is
-//! written here too, as functions of the values it prints; dispatch
-//! (`crate::session`) decides what to print, this module how.
+//! A result is carried as the `Arc<PairSet>` the result tier holds and
+//! written from its groups (`PairSet::groups`) only when the reply is:
+//! each start's `  v<s> -> v` prefix is made once per group, each id goes
+//! out as decimal digits from a stack buffer, and a frame's records go
+//! out group by group. Nothing is allocated per pair or per vertex.
+//!
+//! The text of `info`, `metrics` and `cache` is written here too, as
+//! functions of the values it prints; dispatch (`crate::session`) decides
+//! what to print, this module how.
 
 use crate::session::ConnectionOverlay;
 use crate::state::{PublishedView, ServerState};
-use crate::wire::BinaryResult;
+use crate::wire;
 use rpq_core::{EpochView, SharingKind, Strategy};
 use rpq_graph::{LabeledMultigraph, PairSet, VertexId};
-use std::io::Write;
+use std::io::{self, Write};
+use std::sync::Arc;
 
 /// Result of executing one command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,13 +32,37 @@ pub struct Response {
     /// Payload lines (never starting with `OK`/`ERR` — the framing
     /// invariant of the line protocol).
     pub lines: Vec<String>,
-    /// A binary result frame (`RESULT-BIN`), present instead of pair
-    /// payload lines when the connection opted in with `binary on`.
-    pub binary: Option<BinaryResult>,
+    /// Text payload written from the value it lists, after `lines`.
+    pub listing: Option<Listing>,
+    /// A query result sent whole as a `RESULT-BIN` frame, present instead
+    /// of a [`Listing`] when the connection opted in with `binary on`.
+    pub binary: Option<Arc<PairSet>>,
     /// Final status line, without its `OK `/`ERR ` prefix.
     pub status: Status,
     /// Whether the session asked to end (`quit`).
     pub quit: bool,
+}
+
+/// A text payload written from the value it lists.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Listing {
+    /// A `query` result in text mode: its first `limit` pairs, one
+    /// `  v<s> -> v<d>` line each, then `  ... N more (raise with
+    /// 'limit N')` when some are left out. `limit 0` writes nothing.
+    Pairs {
+        /// The result, as the result tier holds it.
+        result: Arc<PairSet>,
+        /// The connection's `limit`.
+        limit: usize,
+    },
+    /// `ends`' one line: its first `limit` end vertices (`  v3 v5`), with
+    /// the same elision after them. `limit 0` writes nothing.
+    Ends {
+        /// The end vertices, ascending.
+        ends: Vec<VertexId>,
+        /// The connection's `limit`.
+        limit: usize,
+    },
 }
 
 /// Success or failure of one command.
@@ -46,6 +78,7 @@ impl Response {
     pub(crate) fn ok(summary: impl Into<String>) -> Response {
         Response {
             lines: Vec::new(),
+            listing: None,
             binary: None,
             status: Status::Ok(summary.into()),
             quit: false,
@@ -64,17 +97,22 @@ impl Response {
         self
     }
 
-    pub(crate) fn with_binary(mut self, binary: BinaryResult) -> Response {
-        self.binary = Some(binary);
+    pub(crate) fn with_listing(mut self, listing: Listing) -> Response {
+        self.listing = Some(listing);
         self
     }
 
-    /// Writes the response in wire format: payload lines, then the binary
-    /// frame (header line + raw blob) if present, then one `OK ...` /
-    /// `ERR ...` status line. Nothing is staged: the pieces go straight
-    /// into `w`, so a buffered sink decides how many writes the reply
-    /// costs.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+    pub(crate) fn with_binary(mut self, result: Arc<PairSet>) -> Response {
+        self.binary = Some(result);
+        self
+    }
+
+    /// Writes the response in wire format: payload lines, the listing,
+    /// then the binary frame (header line + raw blob) if present, then one
+    /// `OK ...` / `ERR ...` status line. Nothing is staged, not even a
+    /// result's text or frame body: every piece goes straight into `w`,
+    /// so a buffered sink decides how many writes the reply costs.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         for line in &self.lines {
             debug_assert!(
                 !line.starts_with("OK") && !line.starts_with("ERR"),
@@ -82,11 +120,15 @@ impl Response {
             );
             writeln!(w, "{line}")?;
         }
-        if let Some(binary) = &self.binary {
-            writeln!(w, "{}", binary.header_line())?;
+        match &self.listing {
+            Some(Listing::Pairs { result, limit }) => write_pairs(w, result, *limit)?,
+            Some(Listing::Ends { ends, limit }) => write_ends(w, ends, *limit)?,
+            None => {}
+        }
+        if let Some(result) = &self.binary {
             // No newline after the blob: the reader consumes exactly
             // `byte_len` bytes and the status line follows directly.
-            w.write_all(&binary.bytes)?;
+            wire::write_frame(w, result)?;
         }
         match &self.status {
             Status::Ok(s) => writeln!(w, "OK {s}"),
@@ -102,6 +144,87 @@ impl Response {
         self.write_to(&mut out).expect("Vec sink cannot fail");
         String::from_utf8_lossy(&out).into_owned()
     }
+}
+
+/// One short line put together on the stack: the longest the listings
+/// write is a pair line, `  v` + 10 digits + ` -> v` + 10 digits + `\n`.
+#[derive(Default)]
+struct Line {
+    bytes: [u8; 32],
+    len: usize,
+}
+
+impl Line {
+    fn push(&mut self, text: &[u8]) -> &mut Line {
+        self.bytes[self.len..self.len + text.len()].copy_from_slice(text);
+        self.len += text.len();
+        self
+    }
+
+    /// Appends `v` in decimal.
+    fn push_id(&mut self, v: VertexId) -> &mut Line {
+        let mut n = v.raw();
+        let digits = n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        for slot in self.bytes[self.len..self.len + digits].iter_mut().rev() {
+            *slot = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        self.len += digits;
+        self
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+/// [`Listing::Pairs`]: the first `limit` pairs, group by group. No
+/// group is read past the one the last shown pair is in.
+fn write_pairs<W: Write>(w: &mut W, result: &PairSet, limit: usize) -> io::Result<()> {
+    let mut left = limit.min(result.len());
+    let mut groups = result.groups();
+    while left > 0 {
+        let Some((src, ends)) = groups.next() else {
+            break;
+        };
+        let mut line = Line::default();
+        let prefix = line.push(b"  v").push_id(src).push(b" -> v").len;
+        for dst in ends.iter().take(left) {
+            line.len = prefix;
+            w.write_all(line.push_id(dst).push(b"\n").as_bytes())?;
+        }
+        left -= left.min(ends.len());
+    }
+    match left_out(result.len(), limit) {
+        Some(more) => writeln!(w, "  ... {more} {MORE}"),
+        None => Ok(()),
+    }
+}
+
+/// [`Listing::Ends`]: one line of the first `limit` end vertices.
+fn write_ends<W: Write>(w: &mut W, ends: &[VertexId], limit: usize) -> io::Result<()> {
+    let shown = ends.len().min(limit);
+    if shown == 0 {
+        return Ok(());
+    }
+    let mut sep: &[u8] = b"  v";
+    for &v in &ends[..shown] {
+        w.write_all(Line::default().push(sep).push_id(v).as_bytes())?;
+        sep = b" v";
+    }
+    match left_out(ends.len(), limit) {
+        Some(more) => writeln!(w, " ... {more} {MORE}"),
+        None => writeln!(w),
+    }
+}
+
+/// The tail of a listing's elision, after its count.
+const MORE: &str = "more (raise with 'limit N')";
+
+/// How many of `len` items a listing's `limit` leaves out, if any (none
+/// at `limit 0`, which is count only).
+fn left_out(len: usize, limit: usize) -> Option<usize> {
+    (limit > 0 && len > limit).then(|| len - limit)
 }
 
 /// The time-travel marker of a status summary, appended after any
@@ -120,45 +243,6 @@ pub(crate) fn graph_summary(what: &str, g: &LabeledMultigraph) -> Response {
         g.edge_count(),
         g.label_count(),
     ))
-}
-
-/// A text-mode query result: the first `limit` pairs, one per line, and
-/// an elision line for the rest (`limit 0` is count-only).
-pub(crate) fn pair_lines(result: &PairSet, limit: usize) -> Vec<String> {
-    let shown = result.len().min(limit);
-    let mut lines: Vec<String> = result
-        .iter()
-        .take(shown)
-        .map(|(s, d)| format!("  v{} -> v{}", s.raw(), d.raw()))
-        .collect();
-    if limit > 0 && result.len() > shown {
-        lines.push(format!(
-            "  ... {} more (raise with 'limit N')",
-            result.len() - shown
-        ));
-    }
-    lines
-}
-
-/// `ends`' payload: the first `limit` end vertices on one line, with the
-/// elision marker when there are more (`limit 0` is count-only).
-pub(crate) fn ends_lines(ends: &[VertexId], limit: usize) -> Vec<String> {
-    let shown = ends.len().min(limit);
-    if shown == 0 {
-        return Vec::new();
-    }
-    let line = ends
-        .iter()
-        .take(shown)
-        .map(|v| format!("v{}", v.raw()))
-        .collect::<Vec<_>>()
-        .join(" ");
-    let more = if ends.len() > shown {
-        format!(" ... {} more (raise with 'limit N')", ends.len() - shown)
-    } else {
-        String::new()
-    };
-    vec![format!("  {line}{more}")]
 }
 
 /// `info`: graph, epoch, this connection's effective settings, retention,

@@ -18,10 +18,9 @@
 //! [`EpochView::evaluate_with`]: rpq_core::EpochView::evaluate_with
 
 use crate::command::{parse_command, Command, DeltaOp, HELP};
-use crate::reply;
+use crate::reply::{self, Listing};
 pub use crate::reply::{Response, Status};
 use crate::state::{EngineState, PublishedView, ServerState, SharedEngine};
-use crate::wire::encode_pair_set;
 use rpq_core::{Engine, EngineConfig, Strategy};
 use rpq_graph::{GraphBuilder, GraphDelta, VersionedGraph, VertexId};
 use rpq_regex::Regex;
@@ -249,7 +248,8 @@ impl Session {
                     ends.len(),
                     reply::at_suffix(at)
                 );
-                Ok(Response::ok(status).with_lines(reply::ends_lines(&ends, self.overlay.limit)))
+                let limit = self.overlay.limit;
+                Ok(Response::ok(status).with_listing(Listing::Ends { ends, limit }))
             }
             Command::Metrics => Ok(reply::metrics(self.shared.current().view(), &self.shared)),
             Command::Cache => {
@@ -357,9 +357,10 @@ impl Session {
         // for exactly the responses too large to print — so `limit` only
         // governs text mode.
         Ok(if self.overlay.binary {
-            Response::ok(status).with_binary(encode_pair_set(&result))
+            Response::ok(status).with_binary(result)
         } else {
-            Response::ok(status).with_lines(reply::pair_lines(&result, self.overlay.limit))
+            let limit = self.overlay.limit;
+            Response::ok(status).with_listing(Listing::Pairs { result, limit })
         })
     }
 
@@ -505,12 +506,21 @@ mod tests {
         }
     }
 
+    /// The payload lines of a text reply as it is written: every line
+    /// but the status line.
+    fn payload(r: &Response) -> Vec<String> {
+        let rendered = r.render();
+        let mut lines: Vec<String> = rendered.lines().map(String::from).collect();
+        lines.pop();
+        lines
+    }
+
     #[test]
     fn paper_graph_query_flow() {
         let mut s = Session::new();
         ok_summary(s.execute("gen paper"));
         let r = s.execute("query d.(b.c)+.c").unwrap();
-        assert_eq!(r.lines, vec!["  v7 -> v3", "  v7 -> v5"]);
+        assert_eq!(payload(&r), ["  v7 -> v3", "  v7 -> v5"]);
         assert!(matches!(r.status, Status::Ok(ref m) if m.starts_with("2 pairs")));
         // Second evaluation is a result-cache view hit.
         ok_summary(s.execute("query d.(b.c)+.c"));
@@ -549,8 +559,9 @@ mod tests {
         s.execute("gen paper");
         ok_summary(s.execute("limit 1"));
         let r = s.execute("query d.(b.c)+.c").unwrap();
-        assert_eq!(r.lines.len(), 2); // one pair + the "... more" line
-        assert!(r.lines[1].contains("1 more"));
+        let lines = payload(&r);
+        assert_eq!(lines.len(), 2); // one pair + the "... more" line
+        assert!(lines[1].contains("1 more"));
     }
 
     #[test]
@@ -559,10 +570,10 @@ mod tests {
         s.execute("gen paper");
         ok_summary(s.execute("limit 0"));
         let r = s.execute("query d.(b.c)+.c").unwrap();
-        assert!(r.lines.is_empty(), "{:?}", r.lines);
+        assert!(payload(&r).is_empty(), "{:?}", payload(&r));
         assert!(matches!(r.status, Status::Ok(ref m) if m.starts_with("2 pairs")));
         let r = s.execute("ends 7 d.(b.c)+.c").unwrap();
-        assert!(r.lines.is_empty(), "{:?}", r.lines);
+        assert!(payload(&r).is_empty(), "{:?}", payload(&r));
         assert!(matches!(r.status, Status::Ok(ref m) if m.starts_with("2 end vertices")));
     }
 
@@ -596,10 +607,14 @@ mod tests {
         let before = s.execute("query (b.c)+").unwrap();
         s.execute("delta ins 6 b 8 ins 8 c 6");
         let after = s.execute("query (b.c)+").unwrap();
-        assert_ne!(before.lines, after.lines, "delta must move the result");
+        assert_ne!(
+            payload(&before),
+            payload(&after),
+            "delta must move the result"
+        );
         // Time travel back to epoch 0 reproduces the old result exactly.
         let pinned = s.execute("query (b.c)+ at 0").unwrap();
-        assert_eq!(pinned.lines, before.lines);
+        assert_eq!(payload(&pinned), payload(&before));
         assert!(
             matches!(pinned.status, Status::Ok(ref m) if m.ends_with("(at epoch 0)")),
             "{:?}",
@@ -608,7 +623,7 @@ mod tests {
         // The current epoch is addressable too, and agrees with the live
         // answer.
         let at_live = s.execute("query (b.c)+ at 1").unwrap();
-        assert_eq!(at_live.lines, after.lines);
+        assert_eq!(payload(&at_live), payload(&after));
         // check/ends accept the suffix as well.
         assert!(ok_summary(s.execute("check 6 6 (b.c)+ at 1")).starts_with("found path"));
         assert!(ok_summary(s.execute("check 6 6 (b.c)+ at 0")).starts_with("no path"));
@@ -737,8 +752,8 @@ mod tests {
         let full = s.execute("query d.(b.c)+.c").unwrap();
         ok_summary(s.execute("strategy none"));
         let none = s.execute("query d.(b.c)+.c").unwrap();
-        assert_eq!(rtc.lines, full.lines);
-        assert_eq!(rtc.lines, none.lines);
+        assert_eq!(payload(&rtc), payload(&full));
+        assert_eq!(payload(&rtc), payload(&none));
     }
 
     #[test]
@@ -760,7 +775,7 @@ mod tests {
         // Both still agree on results, of course.
         let ra = a.execute("query d.(b.c)+.c").unwrap();
         let rb = b.execute("query d.(b.c)+.c").unwrap();
-        assert_eq!(ra.lines, rb.lines);
+        assert_eq!(payload(&ra), payload(&rb));
     }
 
     #[test]
@@ -772,7 +787,7 @@ mod tests {
         let info = ok_summary(s.execute("info"));
         assert!(!info.contains("threads"), "{info}");
         let r = s.execute("query d.(b.c)+.c").unwrap();
-        assert_eq!(r.lines, vec!["  v7 -> v3", "  v7 -> v5"]);
+        assert_eq!(payload(&r), ["  v7 -> v3", "  v7 -> v5"]);
     }
 
     #[test]
@@ -781,16 +796,25 @@ mod tests {
         s.execute("gen paper");
         ok_summary(s.execute("binary on"));
         let r = s.execute("query d.(b.c)+.c").unwrap();
-        assert!(r.lines.is_empty(), "binary responses carry no text payload");
-        let bin = r.binary.expect("binary frame present");
-        assert_eq!(bin.pairs, 2);
-        let pairs = crate::wire::decode_pairs(&bin.bytes, bin.pairs).unwrap();
+        assert!(
+            r.listing.is_none(),
+            "binary responses carry no text payload"
+        );
+        assert!(r.binary.is_some());
+        let mut bytes = Vec::new();
+        r.write_to(&mut bytes).unwrap();
+        let header = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&bytes[..header]).unwrap();
+        let (len, pairs) = crate::wire::parse_header(header).unwrap();
+        assert_eq!(pairs, 2);
+        let body = &bytes[header.len() + 1..][..len];
+        let pairs = crate::wire::decode_pairs(body, pairs).unwrap();
         assert_eq!(pairs, vec![(7, 3), (7, 5)]);
         // Off again: text payload returns.
         ok_summary(s.execute("binary off"));
         let r = s.execute("query d.(b.c)+.c").unwrap();
         assert!(r.binary.is_none());
-        assert_eq!(r.lines.len(), 2);
+        assert_eq!(payload(&r).len(), 2);
     }
 
     #[test]
@@ -800,7 +824,7 @@ mod tests {
         assert!(ok_summary(s.execute("check 7 5 d.(b.c)+.c")).starts_with("found path"));
         assert!(ok_summary(s.execute("check 7 4 d.(b.c)+.c")).starts_with("no path"));
         let r = s.execute("ends 7 d.(b.c)+.c").unwrap();
-        assert_eq!(r.lines, vec!["  v3 v5"]);
+        assert_eq!(payload(&r), ["  v3 v5"]);
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! Decoding is strict and total: a header that does not parse, a length
 //! that is not a multiple of 8, a mismatched `byte_len`/`pair_count`, or a
 //! truncated blob all yield `Err` — never a panic, never a silently short
-//! result (property-tested in `tests/binary_frames.rs`).
+//! result (property-tested in `tests/serving_equivalence.rs`).
 
 use rpq_graph::PairSet;
+use std::io::{self, Write};
 
 /// The first token of a binary-frame header line.
 pub const BIN_HEADER: &str = "RESULT-BIN";
@@ -33,8 +34,8 @@ pub const BIN_HEADER: &str = "RESULT-BIN";
 /// Bytes per encoded pair: two little-endian `u32`s.
 pub const BYTES_PER_PAIR: usize = 8;
 
-/// An encoded binary result, carried by a
-/// [`Response`](crate::session::Response) in place of text payload lines.
+/// An encoded binary result: a frame body held in memory, for clients and
+/// tests. The server streams its frames instead ([`write_frame`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryResult {
     /// Number of pairs encoded in [`BinaryResult::bytes`].
@@ -46,29 +47,43 @@ pub struct BinaryResult {
 impl BinaryResult {
     /// The header line announcing this frame (without trailing newline).
     pub fn header_line(&self) -> String {
-        format!("{BIN_HEADER} {} {}", self.bytes.len(), self.pairs)
+        header_line(self.pairs)
     }
+}
+
+/// The header line announcing a frame of `pairs` pairs.
+fn header_line(pairs: usize) -> String {
+    format!("{BIN_HEADER} {} {pairs}", pairs * BYTES_PER_PAIR)
+}
+
+/// One pair's 8-byte record: source then destination, each a
+/// little-endian `u32`.
+fn record(src: u32, dst: u32) -> [u8; BYTES_PER_PAIR] {
+    let mut out = [0; BYTES_PER_PAIR];
+    out[..4].copy_from_slice(&src.to_le_bytes());
+    out[4..].copy_from_slice(&dst.to_le_bytes());
+    out
 }
 
 /// Encodes raw `(src, dst)` pairs in order.
 pub fn encode_pairs(pairs: &[(u32, u32)]) -> BinaryResult {
-    encode(pairs.len(), pairs.iter().copied())
-}
-
-/// Encodes a result [`PairSet`] (in its canonical iteration order).
-pub fn encode_pair_set(result: &PairSet) -> BinaryResult {
-    encode(result.len(), result.iter().map(|(s, d)| (s.raw(), d.raw())))
-}
-
-/// Writes `len` pairs as 8-byte records: source then destination, each a
-/// little-endian `u32`.
-fn encode(len: usize, pairs: impl Iterator<Item = (u32, u32)>) -> BinaryResult {
-    let mut bytes = Vec::with_capacity(len * BYTES_PER_PAIR);
-    for (s, d) in pairs {
-        bytes.extend_from_slice(&s.to_le_bytes());
-        bytes.extend_from_slice(&d.to_le_bytes());
+    BinaryResult {
+        pairs: pairs.len(),
+        bytes: pairs.iter().flat_map(|&(s, d)| record(s, d)).collect(),
     }
-    BinaryResult { pairs: len, bytes }
+}
+
+/// Writes `result` as a whole frame, header line then body, in its
+/// canonical order. The records go out group by group (`PairSet::groups`)
+/// into `w`: the body is never built in memory.
+pub(crate) fn write_frame<W: Write>(w: &mut W, result: &PairSet) -> io::Result<()> {
+    writeln!(w, "{}", header_line(result.len()))?;
+    for (src, ends) in result.groups() {
+        for dst in ends.iter() {
+            w.write_all(&record(src.raw(), dst.raw()))?;
+        }
+    }
+    Ok(())
 }
 
 /// Parses a `RESULT-BIN <byte_len> <pair_count>` header line, returning

@@ -14,7 +14,9 @@
 //! `ERR … not retained` once the ring or a graph replacement dropped that
 //! epoch — and a `Restart` is a `save` and a `load` of a temporary file.
 //! Every answer is decoded in the form its connection asked for and
-//! compared with the reference at its epoch.
+//! compared with the reference at its epoch, and every `query` and `ends`
+//! reply must be byte for byte what the format oracle below writes for
+//! the reference answer.
 
 use crate::{Axis, Known, Reader, Reference, Scenario, Step};
 use rpq_core::{Engine, Strategy};
@@ -28,19 +30,20 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One reply as it arrived: payload lines, the `RESULT-BIN` frame if one
-/// was announced (pairs, body), and the status line.
+/// was announced (pairs, body), the status line, and every byte of it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Reply {
     pub lines: Vec<String>,
     pub binary: Option<(usize, Vec<u8>)>,
     pub status: String,
+    pub raw: Vec<u8>,
 }
 
 /// Reads one reply: payload lines up to the `OK `/`ERR ` status line, a
 /// `RESULT-BIN` body by its exact byte count. `None` when the stream ends
 /// first; a framing violation panics.
 pub fn read_reply(reader: &mut impl BufRead) -> Option<Reply> {
-    let (mut lines, mut binary) = (Vec::new(), None);
+    let (mut lines, mut binary, mut raw) = (Vec::new(), None, Vec::new());
     loop {
         let mut line = String::new();
         if reader.read_line(&mut line).unwrap() == 0 {
@@ -50,18 +53,21 @@ pub fn read_reply(reader: &mut impl BufRead) -> Option<Reply> {
             );
             return None;
         }
+        raw.extend_from_slice(line.as_bytes());
         let line = line.trim_end().to_string();
         if line.starts_with("OK ") || line.starts_with("ERR ") {
             return Some(Reply {
                 lines,
                 binary,
                 status: line,
+                raw,
             });
         }
         if line.starts_with(wire::BIN_HEADER) {
             let (len, pairs) = wire::parse_header(&line).unwrap();
             let mut body = vec![0; len];
             reader.read_exact(&mut body).expect("the whole frame body");
+            raw.extend_from_slice(&body);
             assert!(
                 binary.replace((pairs, body)).is_none(),
                 "two frames in one reply"
@@ -274,8 +280,11 @@ pub(crate) fn replay(s: &Scenario, (config, reader, binary): Axis, known: &mut K
                 assert_eq!(reply.status, status, "{ctx}: {query}");
                 let words = reply.lines.iter().flat_map(|l| l.split_whitespace());
                 let got = words.take_while(|w| *w != "...").map(|w| vertex(w, &ctx));
-                let ends = want.iter().map(|p| p.1.raw()).take(o.limit);
-                assert!(got.eq(ends), "{ctx}: {query}: {:?}", reply.lines);
+                let ends: Vec<_> = want.iter().map(|p| p.1).collect();
+                let shown = ends.iter().map(|v| v.raw()).take(o.limit);
+                assert!(got.eq(shown), "{ctx}: {query}: {:?}", reply.lines);
+                let oracle = text_bytes(&ends_lines(&ends, o.limit));
+                assert_bytes(&reply, &oracle, &format!("{ctx}: {query}"));
                 for d in 0..reference.at[epoch as usize].vertex_count() as u32 {
                     let (reply, _) = send(&format!("check {src} {d} {query}"));
                     let found = want.contains(VertexId(*src), VertexId(d));
@@ -377,6 +386,11 @@ fn expect_pairs(reply: &Reply, o: &Overlay, want: &PairSet, q: &Regex, dnf: usiz
         "{ctx}: {q}: {}",
         reply.status
     );
+    let oracle = match o.binary {
+        true => frame_bytes(&encode_pair_set(want)),
+        false => text_bytes(&pair_lines(want, o.limit)),
+    };
+    assert_bytes(reply, &oracle, &format!("{ctx}: {q}"));
     let mut want: Vec<_> = want.iter().map(|(s, d)| (s.raw(), d.raw())).collect();
     let got = match (&reply.binary, o.binary) {
         (Some((pairs, body)), true) => wire::decode_pairs(body, *pairs).unwrap(),
@@ -391,4 +405,90 @@ fn expect_pairs(reply: &Reply, o: &Overlay, want: &PairSet, q: &Regex, dnf: usiz
         ),
     };
     assert_eq!(got, want, "{ctx}: {q}");
+}
+
+/// Checks that `reply` is `payload` and then its status line, byte for
+/// byte.
+fn assert_bytes(reply: &Reply, payload: &[u8], ctx: &str) {
+    let status = format!("{}\n", reply.status);
+    let want = [payload, status.as_bytes()].concat();
+    if reply.raw != want {
+        panic!(
+            "{ctx}: the reply's bytes differ from the format oracle's\n got: {:?}\nwant: {:?}",
+            String::from_utf8_lossy(&reply.raw),
+            String::from_utf8_lossy(&want)
+        );
+    }
+}
+
+// The format oracle: the reply payloads written the plain way, one
+// `format!` per item and the frame body built whole. The server streams
+// them from the result instead; every streamed byte must match these.
+
+/// A text-mode query result: the first `limit` pairs, one per line, and
+/// an elision line for the rest (`limit 0` is count-only).
+pub fn pair_lines(result: &PairSet, limit: usize) -> Vec<String> {
+    let shown = result.len().min(limit);
+    let mut lines: Vec<String> = result
+        .iter()
+        .take(shown)
+        .map(|(s, d)| format!("  v{} -> v{}", s.raw(), d.raw()))
+        .collect();
+    if limit > 0 && result.len() > shown {
+        lines.push(format!(
+            "  ... {} more (raise with 'limit N')",
+            result.len() - shown
+        ));
+    }
+    lines
+}
+
+/// `ends`' payload: the first `limit` end vertices on one line, with the
+/// elision marker when there are more (`limit 0` is count-only).
+pub fn ends_lines(ends: &[VertexId], limit: usize) -> Vec<String> {
+    let shown = ends.len().min(limit);
+    if shown == 0 {
+        return Vec::new();
+    }
+    let line = ends
+        .iter()
+        .take(shown)
+        .map(|v| format!("v{}", v.raw()))
+        .collect::<Vec<_>>()
+        .join(" ");
+    let more = if ends.len() > shown {
+        format!(" ... {} more (raise with 'limit N')", ends.len() - shown)
+    } else {
+        String::new()
+    };
+    vec![format!("  {line}{more}")]
+}
+
+/// A result [`PairSet`] as a whole frame body, in its canonical order.
+pub fn encode_pair_set(result: &PairSet) -> wire::BinaryResult {
+    let mut bytes = Vec::with_capacity(result.len() * wire::BYTES_PER_PAIR);
+    for (s, d) in result.iter() {
+        bytes.extend_from_slice(&s.raw().to_le_bytes());
+        bytes.extend_from_slice(&d.raw().to_le_bytes());
+    }
+    wire::BinaryResult {
+        pairs: result.len(),
+        bytes,
+    }
+}
+
+/// Payload lines as the wire carries them: each ended by a newline.
+pub fn text_bytes(lines: &[String]) -> Vec<u8> {
+    lines
+        .iter()
+        .flat_map(|l| [l.as_bytes(), b"\n"])
+        .flatten()
+        .copied()
+        .collect()
+}
+
+/// A frame as the wire carries it: its header line, then its body.
+pub fn frame_bytes(frame: &wire::BinaryResult) -> Vec<u8> {
+    let header = format!("RESULT-BIN {} {}\n", frame.bytes.len(), frame.pairs);
+    [header.as_bytes(), &frame.bytes].concat()
 }

@@ -1,15 +1,20 @@
 //! The serving layer against the reference, over the wire: harness
 //! scenarios replayed through `Session::execute` and over TCP, in text and
 //! binary mode, on two connections with overlays of their own
-//! (`rpq_testkit::wire`); and the `RESULT-BIN` frame on its own.
+//! (`rpq_testkit::wire`); the `RESULT-BIN` frame on its own; and the
+//! streamed reply writers against the kit's format oracle.
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use rpq_testkit::wire::{encode_pair_set, ends_lines, frame_bytes, pair_lines};
+use rpq_testkit::wire::{read_reply, text_bytes};
 use rpq_testkit::{assert_equivalent, check, random_ids, relation, scenario};
 use rpq_testkit::{Axes, Reader, Scenario, Shape, Step};
 use rtc_rpq::core::Strategy;
-use rtc_rpq::server::wire::{decode_pairs, encode_pairs, parse_header};
-use rtc_rpq::server::{Session, Status, RETAINED_VIEWS};
+use rtc_rpq::graph::{PairSet, RowSet, VertexId};
+use rtc_rpq::server::wire::{decode_pairs, decode_text_pairs, encode_pairs, parse_header};
+use rtc_rpq::server::{Listing, Response, Session, Status, RETAINED_VIEWS};
+use std::sync::Arc;
 
 /// Per-connection overlays never leak: two connections over one engine,
 /// each with its own `strategy`, `limit` and `binary`, traded
@@ -113,7 +118,8 @@ fn fuzzed_headers_never_panic() {
 }
 
 /// A large result set round-trips exactly: ~2.5M pairs through the binary
-/// frame (the workload the frame exists for), byte count checked.
+/// frame (the workload the frame exists for), read off the bytes the
+/// reply writes, byte count checked.
 #[test]
 fn large_result_binary_roundtrip() {
     let mut s = Session::new();
@@ -123,19 +129,146 @@ fn large_result_binary_roundtrip() {
     let Status::Ok(ref status) = r.status else {
         panic!("query failed: {:?}", r.status)
     };
-    let frame = r.binary.expect("binary frame");
-    assert!(
-        frame.pairs > 100_000,
-        "expected a large result, got {}",
-        frame.pairs
-    );
-    assert_eq!(frame.bytes.len(), frame.pairs * 8);
-    let decoded = decode_pairs(&frame.bytes, frame.pairs).unwrap();
-    assert_eq!(decoded.len(), frame.pairs);
-    assert!(
-        status.starts_with(&format!("{} pairs", frame.pairs)),
-        "{status}"
-    );
+    assert!(r.binary.is_some(), "binary frame");
+    let mut bytes = Vec::new();
+    r.write_to(&mut bytes).unwrap();
+    let reply = read_reply(&mut &bytes[..]).unwrap();
+    let (pairs, body) = reply.binary.expect("a RESULT-BIN frame on the wire");
+    assert!(pairs > 100_000, "expected a large result, got {pairs}");
+    assert_eq!(body.len(), pairs * 8);
+    let decoded = decode_pairs(&body, pairs).unwrap();
+    assert_eq!(decoded.len(), pairs);
+    assert!(status.starts_with(&format!("{pairs} pairs")), "{status}");
     // Spot-check strict ordering (the PairSet canonical order survived).
     assert!(decoded.windows(2).all(|w| w[0] <= w[1]));
+}
+
+/// One id of every decimal digit count a `u32` has: 0, 9, 10, 99, 100,
+/// …, 10^9 and `u32::MAX − 1`, ascending.
+fn every_digit_count() -> Vec<u32> {
+    let mut ids = vec![0];
+    for k in 1..=9 {
+        ids.extend([10u32.pow(k) - 1, 10u32.pow(k)]);
+    }
+    ids.push(u32::MAX - 1);
+    ids
+}
+
+/// The fixed results the writers are checked on: empty, flat, and
+/// grouped with `Arc` rows shared between starts (a sparse row over every
+/// digit count and a dense one).
+fn fixed_results() -> Vec<PairSet> {
+    let ids = every_digit_count();
+    let flat: PairSet = ids[..6]
+        .iter()
+        .flat_map(|&s| ids.iter().map(move |&d| (s, d)))
+        .collect();
+    let sparse = Arc::new(RowSet::from_sorted_vec(ids.clone()));
+    let dense = Arc::new(RowSet::dense_from_iter(2048, (0..2048).step_by(7)));
+    assert!(dense.is_dense());
+    let grouped = PairSet::from_grouped_rows(
+        [0, 9, 10, 99, 100, u32::MAX - 1]
+            .into_iter()
+            .enumerate()
+            .map(|(k, s)| {
+                let row = if k % 3 == 1 { &dense } else { &sparse };
+                (VertexId(s), Arc::clone(row))
+            })
+            .collect(),
+    );
+    assert!(grouped.is_grouped());
+    vec![PairSet::new(), flat, grouped]
+}
+
+/// The limits each fixed result is listed at: 0, 1, `len − 1`, `len`,
+/// `len + 1`, and one past the first group, which ends inside the second.
+fn fixed_limits(result: &PairSet) -> Vec<usize> {
+    let first = result.groups().next().map_or(0, |(_, ends)| ends.len());
+    let len = result.len();
+    vec![0, 1, len.saturating_sub(1), len, len + 1, first + 1]
+}
+
+fn written(r: &Response) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    r.write_to(&mut bytes).unwrap();
+    bytes
+}
+
+fn status_only(status: &str) -> Response {
+    Response {
+        lines: Vec::new(),
+        listing: None,
+        binary: None,
+        status: Status::Ok(status.to_string()),
+        quit: false,
+    }
+}
+
+/// A `query` reply's text lines and `RESULT-BIN` frame are byte for byte
+/// what the format oracle (one `format!` per pair, the frame body built
+/// whole) writes, on empty, flat and grouped results with shared rows,
+/// ids of every digit count, and every limit edge; and both decode back
+/// to the result.
+#[test]
+fn query_replies_match_the_format_oracle_byte_for_byte() {
+    for result in fixed_results() {
+        let result = Arc::new(result);
+        let pairs: Vec<(u32, u32)> = result.iter().map(|(s, d)| (s.raw(), d.raw())).collect();
+        let status = format!("{} pairs", result.len());
+        for limit in fixed_limits(&result) {
+            let r = Response {
+                listing: Some(Listing::Pairs {
+                    result: Arc::clone(&result),
+                    limit,
+                }),
+                ..status_only(&status)
+            };
+            let bytes = written(&r);
+            let want = [
+                text_bytes(&pair_lines(&result, limit)),
+                format!("OK {status}\n").into(),
+            ];
+            assert_eq!(bytes, want.concat(), "limit {limit}");
+            let reply = read_reply(&mut &bytes[..]).unwrap();
+            let shown = &pairs[..limit.min(pairs.len())];
+            assert_eq!(decode_text_pairs(&reply.lines).unwrap(), shown);
+        }
+        let r = Response {
+            binary: Some(Arc::clone(&result)),
+            ..status_only(&status)
+        };
+        let bytes = written(&r);
+        let want = [
+            frame_bytes(&encode_pair_set(&result)),
+            format!("OK {status}\n").into(),
+        ];
+        assert_eq!(bytes, want.concat());
+        let (count, body) = read_reply(&mut &bytes[..]).unwrap().binary.unwrap();
+        assert_eq!(decode_pairs(&body, count).unwrap(), pairs);
+    }
+}
+
+/// An `ends` reply is byte for byte the oracle's one line, at every limit
+/// edge and over ids of every digit count.
+#[test]
+fn ends_replies_match_the_format_oracle_byte_for_byte() {
+    let all: Vec<VertexId> = every_digit_count().into_iter().map(VertexId).collect();
+    for ends in [Vec::new(), all[..1].to_vec(), all] {
+        let len = ends.len();
+        for limit in [0, 1, len.saturating_sub(1), len, len + 1] {
+            let status = format!("{len} end vertices from v0");
+            let r = Response {
+                listing: Some(Listing::Ends {
+                    ends: ends.clone(),
+                    limit,
+                }),
+                ..status_only(&status)
+            };
+            let want = [
+                text_bytes(&ends_lines(&ends, limit)),
+                format!("OK {status}\n").into(),
+            ];
+            assert_eq!(written(&r), want.concat(), "limit {limit}");
+        }
+    }
 }
