@@ -91,8 +91,11 @@ pub fn derivative(r: &Regex, label: &str) -> Regex {
             }
         }
         Regex::Concat(parts) => {
-            // D_a(r1·rest) = D_a(r1)·rest  |  [nullable(r1)] D_a(rest)
-            let (head, rest) = parts.split_first().expect("concat nonempty");
+            // D_a(r1·rest) = D_a(r1)·rest  |  [nullable(r1)] D_a(rest).
+            // An empty concatenation is `ε`, whose derivative is `∅`.
+            let Some((head, rest)) = parts.split_first() else {
+                return Regex::Empty;
+            };
             let rest_re = Regex::concat(rest.to_vec());
             let left = Regex::concat(vec![derivative(head, label), rest_re.clone()]);
             if head.nullable() {

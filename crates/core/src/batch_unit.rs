@@ -40,13 +40,14 @@
 //! are the *kept* entries: those no other entry of the same `v_i` reaches.
 //!
 //! Its second pass (lines 13–16, timed as `post`) is redundant-1 in the
-//! Post dimension: the Post image is built once per SCC (`PostRow[s_k] =
-//! ⋃ Post(v), v ∈ s_k`) and once per kept entry SCC (`EntryRow[s_j] =
-//! ⋃ PostRow[s_k], s_k ∈ TC(s_j)`), and every `v_i` with one kept entry and
-//! no `R*` seed shares that row by `Arc` in a result grouped by `v_i` — no
-//! flat pair vector, no global sort. Only a `v_i` with several kept entries
-//! (or seeds) unions rows. With `Post = ε` the rows are Theorem 1's
-//! expansion.
+//! Post dimension: the Post image of a vertex set ([`LabelPath::row`],
+//! whose one scratch serves every row of an evaluation) is built once per
+//! SCC (`PostRow[s_k] = ⋃ Post(v), v ∈ s_k`) and once per kept entry SCC
+//! (`EntryRow[s_j] = ⋃ PostRow[s_k], s_k ∈ TC(s_j)`), and every `v_i` with
+//! one kept entry and no `R*` seed shares that row by `Arc` in a result
+//! grouped by `v_i` — no flat pair vector, no global sort. Only a `v_i`
+//! with several kept entries (or seeds) unions rows. With `Post = ε` the
+//! rows are Theorem 1's expansion.
 //!
 //! Entry rows cover each cone once too: they are built in ascending id
 //! order, so the entry rows below `s_j` are finished first. The entries
@@ -64,7 +65,8 @@
 
 use crate::breakdown::EliminationStats;
 use crate::pre_relation::PreRelation;
-use rpq_graph::{Cover, LabelId, LabeledMultigraph, PairSet, RowSet, SccId, VertexId};
+use rpq_eval::LabelPath;
+use rpq_graph::{Cover, LabeledMultigraph, PairSet, RowSet, SccId, VertexId};
 use rpq_reduction::{FullTc, Rtc};
 use rpq_regex::ClosureKind;
 use std::sync::Arc;
@@ -186,7 +188,7 @@ pub fn eval_batch_unit_rtc(
 
     let t1 = Instant::now();
     let n = graph.vertex_count() as u32;
-    let result = PostImage::new(graph, post).map_or_else(PairSet::new, |mut image| {
+    let result = LabelPath::new(graph, post).map_or_else(PairSet::new, |mut path| {
         let mut distinct = entries.clone();
         distinct.sort_unstable();
         distinct.dedup();
@@ -219,7 +221,7 @@ pub fn eval_batch_unit_rtc(
             taken.extend(covered.uncovered_rev(cone).map(|t| t as usize));
             for &t in &taken {
                 post_rows[t].get_or_insert_with(|| {
-                    image.row(rtc.members_original(SccId(t as u32)).map(VertexId::raw))
+                    path.row(rtc.members_original(SccId(t as u32)).map(VertexId::raw))
                 });
             }
             let rows = taken.iter().filter_map(|&t| post_rows[t].as_ref());
@@ -234,9 +236,9 @@ pub fn eval_batch_unit_rtc(
             (e0, s0) = (e1, s1);
             let row = match (kept, seeded) {
                 ([sj], []) => Arc::clone(entry_row(sj)),
-                ([], _) => Arc::new(image.row(seeded.iter().copied())),
+                ([], _) => Arc::new(path.row(seeded.iter().copied())),
                 _ => {
-                    let seed = image.row(seeded.iter().copied());
+                    let seed = path.row(seeded.iter().copied());
                     let rows = kept.iter().map(|sj| &**entry_row(sj)).chain([&seed]);
                     Arc::new(RowSet::union_all(rows, n))
                 }
@@ -293,10 +295,10 @@ pub fn eval_batch_unit_full(
     let pre_join = t0.elapsed();
 
     let t1 = Instant::now();
-    let result = PostImage::new(graph, post).map_or_else(PairSet::new, |mut image| {
+    let result = LabelPath::new(graph, post).map_or_else(PairSet::new, |mut path| {
         let rows = reached
             .into_iter()
-            .map(|(v, row)| (v, Arc::new(image.row(row.iter()))));
+            .map(|(v, row)| (v, Arc::new(path.row(row.iter()))));
         PairSet::from_grouped_rows(rows.collect())
     });
 
@@ -304,63 +306,6 @@ pub fn eval_batch_unit_full(
         result,
         pre_join,
         post: t1.elapsed(),
-    }
-}
-
-/// Lines 13–16 for both evaluators: maps a set of `(Pre·R^(+|*))_G` end
-/// vertices to `⋃ Post(v)` over the set, one frontier step per Post label
-/// (a vertex reached along several paths expands once). One visited set
-/// and two frontiers serve every row of an evaluation.
-struct PostImage<'a> {
-    graph: &'a LabeledMultigraph,
-    labels: Vec<LabelId>,
-    seen: Cover,
-    frontier: Vec<u32>,
-    next: Vec<u32>,
-}
-
-impl<'a> PostImage<'a> {
-    /// `None` when a Post label is absent from the alphabet: it matches no
-    /// edge, so the batch unit is empty.
-    fn new(graph: &'a LabeledMultigraph, post: &[String]) -> Option<Self> {
-        let labels: Option<Vec<LabelId>> = post.iter().map(|l| graph.labels().get(l)).collect();
-        Some(PostImage {
-            graph,
-            labels: labels?,
-            seen: Cover::new(graph.vertex_count()),
-            frontier: Vec::new(),
-            next: Vec::new(),
-        })
-    }
-
-    /// The image of `ends`, built in the layout [`RowSet::wants_dense`]
-    /// picks over the graph's vertices: the row, layout and bytes
-    /// [`RowSet::normalize`] would leave.
-    fn row(&mut self, ends: impl IntoIterator<Item = u32>) -> RowSet {
-        self.seen.clear();
-        self.frontier.clear();
-        self.frontier
-            .extend(ends.into_iter().filter(|&v| self.seen.insert(v)));
-        for &label in &self.labels {
-            self.seen.clear();
-            self.next.clear();
-            for &v in &self.frontier {
-                for &(_, d) in self.graph.out_with_label(VertexId(v), label) {
-                    if self.seen.insert(d.raw()) {
-                        self.next.push(d.raw());
-                    }
-                }
-            }
-            std::mem::swap(&mut self.frontier, &mut self.next);
-        }
-        let n = self.graph.vertex_count() as u32;
-        if RowSet::wants_dense(self.frontier.len(), n) {
-            RowSet::dense_from_iter(n, self.frontier.iter().copied())
-        } else {
-            let mut ids = self.frontier.clone();
-            ids.sort_unstable();
-            RowSet::from_sorted_vec(ids)
-        }
     }
 }
 

@@ -115,13 +115,6 @@ pub struct MaintenanceMetrics {
     pub rebuild_time: Duration,
 }
 
-impl MaintenanceMetrics {
-    /// Total stale-entry refreshes, whichever path they took.
-    pub fn refreshes(&self) -> u64 {
-        self.unchanged_refreshes + self.rebuild_refreshes
-    }
-}
-
 impl AddAssign for MaintenanceMetrics {
     fn add_assign(&mut self, rhs: MaintenanceMetrics) {
         self.deltas_applied += rhs.deltas_applied;
@@ -146,7 +139,7 @@ mod tests {
         let mut sum = MaintenanceMetrics::default();
         sum += m;
         sum += m;
-        assert_eq!(sum.refreshes(), 12);
+        assert_eq!(sum.unchanged_refreshes + sum.rebuild_refreshes, 12);
         assert_eq!(sum.rebuild_time, Duration::from_millis(12));
     }
 

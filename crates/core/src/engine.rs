@@ -431,9 +431,9 @@ impl<'g> Engine<'g> {
     /// structural cache, result cache, metric accumulators and base
     /// configuration — everything a reader needs to answer queries without
     /// ever touching the engine again. Pinning is cheap (`O(|V| + |Σ|)`
-    /// pointer bumps the first time per epoch, one `Arc` bump after);
-    /// later [`Engine::apply_delta`] calls copy-on-write only the rows
-    /// they dirty, so a pinned view keeps observing its epoch bit for bit.
+    /// pointer bumps, no row data); later [`Engine::apply_delta`] calls
+    /// copy-on-write only the rows they dirty, so a pinned view keeps
+    /// observing its epoch bit for bit.
     pub fn pin(&self) -> EpochView {
         let graph = self.graph.freeze();
         // The view pins its epoch in the structural cache: while it (or

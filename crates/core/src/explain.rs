@@ -165,11 +165,6 @@ impl QueryPlan {
         }
     }
 
-    /// Total number of batch units across the whole recursion.
-    pub fn batch_unit_count(&self) -> usize {
-        self.bodies().len()
-    }
-
     fn render(&self, indent: usize, out: &mut String) {
         let pad = "  ".repeat(indent);
         out.push_str(&format!("{pad}query {}\n", self.query));
@@ -254,7 +249,7 @@ mod tests {
                 labels: vec!["a".into(), "b".into(), "c".into()]
             }
         );
-        assert_eq!(p.batch_unit_count(), 0);
+        assert_eq!(p.bodies().len(), 0);
     }
 
     #[test]
@@ -276,18 +271,18 @@ mod tests {
                 // Pre = d is itself a single label-join plan.
                 let pre = pre.as_ref().unwrap();
                 assert_eq!(pre.query.to_string(), "d");
-                assert_eq!(pre.batch_unit_count(), 0);
+                assert_eq!(pre.bodies().len(), 0);
             }
             other => panic!("expected batch unit, got {other:?}"),
         }
-        assert_eq!(p.batch_unit_count(), 1);
+        assert_eq!(p.bodies().len(), 1);
     }
 
     #[test]
     fn example7_nested_plan() {
         // (a·b)*·b+·(a·b+·c)+ — Fig. 7's right-hand recursion tree.
         let p = plan("(a.b)*.b+.(a.b+.c)+");
-        assert_eq!(p.batch_unit_count(), 3); // outer, b+, (a.b)*
+        assert_eq!(p.bodies().len(), 3); // outer, b+, (a.b)*
         match &p.clauses[0] {
             ClausePlan::BatchUnit { pre, r_key, .. } => {
                 assert_eq!(r_key, "a.b+.c");

@@ -233,15 +233,14 @@ mod tests {
         );
     }
 
-    /// An engine built from `&g` owns a copy: its pins at one epoch share
-    /// one frozen graph, and a delta moves the engine, never `g`.
+    /// An engine built from `&g` owns a copy: a delta moves the engine,
+    /// never `g`.
     #[test]
     fn an_engine_from_a_reference_owns_one_store() {
         let g = paper_graph();
         let edges = |g: &LabeledMultigraph| g.all_edges().collect::<Vec<_>>();
         let mut e = Engine::new(&g);
-        let (v0, again) = (e.pin(), e.pin());
-        assert!(Arc::ptr_eq(&v0.graph, &again.graph), "one freeze per epoch");
+        let v0 = e.pin();
 
         e.apply_delta(GraphDelta::new().insert(6, "b", 8));
         assert_eq!(edges(&g), edges(&paper_graph()));

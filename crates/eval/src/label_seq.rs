@@ -1,4 +1,5 @@
-//! Closure-free clause evaluation by label-edge joins (`EvalRPQwithoutKC`).
+//! Closure-free label paths: the label join (`EvalRPQwithoutKC`) and the
+//! one walk along a path, [`LabelPath`].
 //!
 //! A DNF clause without Kleene closures is a plain label sequence
 //! `l₁·l₂·…·lₖ`; its result is the relational composition of the base edge
@@ -11,13 +12,94 @@
 //! after its first hop: every start that reaches a first-hop vertex `m`
 //! continues with the same *suffix row*, the ends `l₂·…·lₖ` reaches from
 //! `m`. So each first-hop vertex's suffix row is computed once — for
-//! `k = 2` it is `m`'s `l₂` adjacency slice itself — and a start's row is
-//! that row copied when it has one first hop, or the union of its first
-//! hops' rows gathered in a [`Cover`] and drained in ascending order.
-//! Starts ascend too, so the pairs come out sorted and unique and the
-//! whole relation is never sorted.
+//! `k = 2` it is `m`'s `l₂` adjacency slice itself; for `k ≥ 3` a
+//! [`LabelPath`] walks `l₂·…·lₖ₋₁` from `m` and the last hop gathers into
+//! a [`Cover`] drained in ascending order — and a start's row is that row
+//! copied when it has one first hop, or the union of its first hops' rows
+//! gathered and drained the same way. Starts ascend too, so the pairs come
+//! out sorted and unique and the whole relation is never sorted.
+//!
+//! [`LabelPath`] is also Algorithm 2's `EvalRestrictedRPQ(Post, v)`: both
+//! batch-unit evaluators of `rpq_core` map each row of end vertices
+//! through the Post labels with it.
 
-use rpq_graph::{Cover, LabelId, LabeledMultigraph, PairSet, VertexId};
+use rpq_graph::{Cover, LabelId, LabeledMultigraph, PairSet, RowSet, VertexId};
+
+/// A closure-free label path `l₁·…·lₖ` bound to a graph, with the scratch
+/// to walk it: one visited set over the graph's vertices and two
+/// frontiers, reused by every walk.
+///
+/// A walk starts from a vertex set, follows one label per step and keeps
+/// each step's distinct vertices, so a vertex reached along several paths
+/// expands once.
+pub struct LabelPath<'g> {
+    graph: &'g LabeledMultigraph,
+    labels: Vec<LabelId>,
+    seen: Cover,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl<'g> LabelPath<'g> {
+    /// Binds the labels named `names` to `graph`. `None` when a name is
+    /// absent from the alphabet: that label matches no edge, so the path
+    /// reaches nothing. The empty path is `ε`.
+    pub fn new(graph: &'g LabeledMultigraph, names: &[String]) -> Option<Self> {
+        resolve(graph, names).map(|labels| Self::of(graph, labels))
+    }
+
+    fn of(graph: &'g LabeledMultigraph, labels: Vec<LabelId>) -> Self {
+        LabelPath {
+            graph,
+            labels,
+            seen: Cover::new(graph.vertex_count()),
+            frontier: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// The distinct vertices the path reaches from `starts`, in no set
+    /// order. The empty path gives the starts, each once.
+    pub fn walk(&mut self, starts: impl IntoIterator<Item = u32>) -> &[u32] {
+        self.seen.clear();
+        self.frontier.clear();
+        self.frontier
+            .extend(starts.into_iter().filter(|&v| self.seen.insert(v)));
+        for &label in &self.labels {
+            self.seen.clear();
+            self.next.clear();
+            for &v in &self.frontier {
+                for &(_, d) in self.graph.out_with_label(VertexId(v), label) {
+                    if self.seen.insert(d.raw()) {
+                        self.next.push(d.raw());
+                    }
+                }
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+        }
+        &self.frontier
+    }
+
+    /// [`LabelPath::walk`]'s ends as a row, built in the layout
+    /// [`RowSet::wants_dense`] picks over the graph's vertices: the row,
+    /// layout and bytes [`RowSet::normalize`] would leave.
+    pub fn row(&mut self, starts: impl IntoIterator<Item = u32>) -> RowSet {
+        let n = self.graph.vertex_count() as u32;
+        let ends = self.walk(starts);
+        if RowSet::wants_dense(ends.len(), n) {
+            RowSet::dense_from_iter(n, ends.iter().copied())
+        } else {
+            let mut ids = ends.to_vec();
+            ids.sort_unstable();
+            RowSet::from_sorted_vec(ids)
+        }
+    }
+}
+
+/// The label ids of `names`, or `None` when one is not in the alphabet.
+fn resolve(graph: &LabeledMultigraph, names: &[String]) -> Option<Vec<LabelId>> {
+    names.iter().map(|name| graph.labels().get(name)).collect()
+}
 
 /// Evaluates a label sequence over the whole graph.
 ///
@@ -43,9 +125,7 @@ pub fn eval_label_sequence(graph: &LabeledMultigraph, labels: &[LabelId]) -> Pai
     for &(_, m) in base {
         first_hop.insert(m.raw());
     }
-    let mut seen = Cover::new(n);
-    let mut frontier: Vec<VertexId> = Vec::new();
-    let mut next: Vec<VertexId> = Vec::new();
+    let mut path = LabelPath::of(graph, middle.to_vec());
     let mut at: Vec<u32> = Vec::with_capacity(n + 1);
     let mut suffixes: Vec<u32> = Vec::new();
     for m in 0..n as u32 {
@@ -53,22 +133,8 @@ pub fn eval_label_sequence(graph: &LabeledMultigraph, labels: &[LabelId]) -> Pai
         if !first_hop.contains(m) {
             continue;
         }
-        frontier.clear();
-        frontier.push(VertexId(m));
-        for &label in middle {
-            seen.clear();
-            next.clear();
-            for &v in &frontier {
-                for &(_, w) in graph.out_with_label(v, label) {
-                    if seen.insert(w.raw()) {
-                        next.push(w);
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        for &v in &frontier {
-            for &(_, w) in graph.out_with_label(v, last) {
+        for &v in path.walk([m]) {
+            for &(_, w) in graph.out_with_label(VertexId(v), last) {
                 ends.insert(w.raw());
             }
         }
@@ -82,7 +148,6 @@ pub fn eval_label_sequence(graph: &LabeledMultigraph, labels: &[LabelId]) -> Pai
     };
     join_first_hops(base, &mut ends, suffix)
 }
-
 /// `base ⋈ suffix`: each start's row is its one first hop's suffix row,
 /// copied, or its first hops' rows unioned in `ends`.
 fn join_first_hops<I: Iterator<Item = u32>>(
@@ -113,14 +178,7 @@ fn join_first_hops<I: Iterator<Item = u32>>(
 /// sequence. A name missing from the alphabet makes the result empty
 /// (unless the sequence is empty, which is `ε`).
 pub fn eval_label_names(graph: &LabeledMultigraph, names: &[String]) -> PairSet {
-    let mut ids = Vec::with_capacity(names.len());
-    for name in names {
-        match graph.labels().get(name) {
-            Some(id) => ids.push(id),
-            None => return PairSet::new(),
-        }
-    }
-    eval_label_sequence(graph, &ids)
+    resolve(graph, names).map_or_else(PairSet::new, |ids| eval_label_sequence(graph, &ids))
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 //!   (Example 2's duplicate-avoidance rule). Its one BFS loop serves the
 //!   **NoSharing** baseline, `ends` reads and `check`'s shortest witness.
 //! * [`label_seq`] — `EvalRPQwithoutKC`: closure-free clauses, closure
-//!   bodies `R_G` and prefixes `Pre_G` by per-start label-edge joins.
-//!   (`EvalRestrictedRPQ(Post, v)` of Algorithm 2 is the batch unit's Post
-//!   image in `rpq_core`.)
+//!   bodies `R_G` and prefixes `Pre_G` by per-start label-edge joins. Its
+//!   [`LabelPath`] is the one walk of a vertex set along a label path: the
+//!   join's suffix rows and Algorithm 2's `EvalRestrictedRPQ(Post, v)` (the
+//!   batch units' Post stage in `rpq_core`) both take it.
 //! * [`algebraic`] — an independent relational-algebra evaluator (structural
 //!   recursion with semi-naive closure fixpoints). It shares no code with
 //!   the automaton path and serves as the *oracle* for every randomized
@@ -37,6 +38,6 @@ pub mod product;
 pub mod witness;
 
 pub use algebraic::evaluate_algebraic;
-pub use label_seq::{eval_label_names, eval_label_sequence};
+pub use label_seq::{eval_label_names, eval_label_sequence, LabelPath};
 pub use product::{find_witness, ProductEvaluator};
 pub use witness::{format_witness, WitnessStep};

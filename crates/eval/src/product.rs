@@ -75,16 +75,10 @@ impl<'g> ProductEvaluator<'g> {
     /// Candidate start vertices: vertices with an out-edge whose label can
     /// begin a match. Sorted ascending.
     fn candidate_sources(&self) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = Vec::new();
         // The initial state's transitions, one run per symbol.
-        for run in self.nfa.transitions_from(0).chunk_by(|a, b| a.0 == b.0) {
-            if let Some(label) = self.label_of_sym[run[0].0 as usize] {
-                out.extend(self.graph.sources_with_label(label));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        let runs = self.nfa.transitions_from(0).chunk_by(|a, b| a.0 == b.0);
+        let labels = runs.filter_map(|run| self.label_of_sym[run[0].0 as usize]);
+        self.graph.sources_with_labels(labels)
     }
 
     /// Evaluates the full query result `R_G` (Definition 2).

@@ -30,6 +30,7 @@
 use crate::error::GraphError;
 use crate::ids::{LabelId, VertexId};
 use crate::label_dict::LabelDict;
+use crate::rowset::Cover;
 use std::sync::Arc;
 
 /// An edge-labeled directed multigraph (the paper's `G`).
@@ -101,14 +102,18 @@ impl LabeledMultigraph {
         &self.label_edges[label.index()]
     }
 
-    /// Distinct source vertices of edges labeled `label`, ascending.
-    pub fn sources_with_label(&self, label: LabelId) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
-            .edges_with_label(label)
-            .iter()
-            .map(|&(s, _)| s)
-            .collect();
-        out.dedup();
+    /// Distinct source vertices of edges labeled with any of `labels`,
+    /// ascending: the vertices a path whose first label is one of them can
+    /// leave.
+    pub fn sources_with_labels(&self, labels: impl IntoIterator<Item = LabelId>) -> Vec<VertexId> {
+        let mut sources = Cover::new(self.vertex_count);
+        for label in labels {
+            for &(s, _) in self.edges_with_label(label) {
+                sources.insert(s.raw());
+            }
+        }
+        let mut out = Vec::new();
+        sources.drain_ascending(|s| out.push(VertexId(s)));
         out
     }
 
@@ -408,14 +413,23 @@ mod tests {
     }
 
     #[test]
-    fn sources_with_label_distinct_sorted() {
+    fn sources_with_labels_distinct_sorted() {
         let mut b = GraphBuilder::new();
         b.add_edge(5, "x", 1)
             .add_edge(5, "x", 2)
-            .add_edge(1, "x", 0);
+            .add_edge(1, "x", 0)
+            .add_edge(5, "y", 0)
+            .add_edge(3, "y", 4);
         let g = b.build();
         let x = g.labels().get("x").unwrap();
-        assert_eq!(g.sources_with_label(x), vec![VertexId(1), VertexId(5)]);
+        let y = g.labels().get("y").unwrap();
+        assert_eq!(g.sources_with_labels([x]), vec![VertexId(1), VertexId(5)]);
+        // Vertex 5 leaves on both labels and is listed once.
+        assert_eq!(
+            g.sources_with_labels([y, x, y]),
+            vec![VertexId(1), VertexId(3), VertexId(5)]
+        );
+        assert!(g.sources_with_labels([]).is_empty());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use crate::ids::{LabelId, VertexId};
 use crate::multigraph::LabeledMultigraph;
 use rustc_hash::FxHashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A batch of edge insertions and deletions against a labeled multigraph.
 ///
@@ -179,24 +179,10 @@ impl GraphView {
 /// assert_eq!(summary.edges_deleted, 1);
 /// assert_eq!(g.graph().edge_count(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct VersionedGraph {
     graph: LabeledMultigraph,
     epoch: u64,
-    /// Memoized frozen view of the current epoch, so repeated `freeze()`
-    /// calls between deltas return the same `Arc` instead of re-cloning
-    /// the row tables. Invalidated by `apply`.
-    frozen: Mutex<Option<Arc<GraphView>>>,
-}
-
-impl Clone for VersionedGraph {
-    fn clone(&self) -> Self {
-        Self {
-            graph: self.graph.clone(),
-            epoch: self.epoch,
-            frozen: Mutex::new(None),
-        }
-    }
 }
 
 impl VersionedGraph {
@@ -210,32 +196,20 @@ impl VersionedGraph {
     /// it was saved at so caches stamped before the save stay *fresh*
     /// rather than restarting the epoch clock at 0.
     pub fn restore(graph: LabeledMultigraph, epoch: u64) -> Self {
-        Self {
-            graph,
-            epoch,
-            frozen: Mutex::new(None),
-        }
+        Self { graph, epoch }
     }
 
     /// An immutable view of the graph at the current epoch.
     ///
-    /// The first freeze after a delta clones the row *tables* — `O(|V| +
-    /// |Σ|)` reference bumps, no row data — and memoizes the view; further
-    /// freezes at the same epoch just bump one `Arc`. Later `apply` calls
-    /// copy-on-write only the rows they touch, so holding a view pins at
-    /// most the rows that have since been dirtied plus the shared rest.
+    /// A freeze clones the row *tables* — `O(|V| + |Σ|)` reference bumps,
+    /// no row data. Later `apply` calls copy-on-write only the rows they
+    /// touch, so holding a view pins at most the rows that have since been
+    /// dirtied plus the shared rest.
     pub fn freeze(&self) -> Arc<GraphView> {
-        let mut slot = self.frozen.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(view) = slot.as_ref() {
-            debug_assert_eq!(view.epoch, self.epoch, "stale frozen-view memo");
-            return Arc::clone(view);
-        }
-        let view = Arc::new(GraphView {
+        Arc::new(GraphView {
             graph: self.graph.clone(),
             epoch: self.epoch,
-        });
-        *slot = Some(Arc::clone(&view));
-        view
+        })
     }
 
     /// The current graph snapshot.
@@ -256,9 +230,6 @@ impl VersionedGraph {
     /// Cost is `O(Σ touched-row lengths)` over the `|delta|` edges — the
     /// graph is never rebuilt.
     pub fn apply(&mut self, delta: &GraphDelta) -> DeltaSummary {
-        // The epoch is about to move: drop the memoized view so the next
-        // `freeze()` re-snapshots. Readers holding the old `Arc` keep it.
-        *self.frozen.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
         let old_vertices = self.graph.vertex_count();
         let old_labels = self.graph.label_count();
         // Resolve delta-local labels against the graph's dictionary,
@@ -431,11 +402,9 @@ mod tests {
     }
 
     #[test]
-    fn freeze_is_immutable_and_memoized() {
+    fn freeze_is_immutable() {
         let mut g = VersionedGraph::new(base());
         let v0 = g.freeze();
-        // Same epoch -> same Arc, no re-clone.
-        assert!(Arc::ptr_eq(&v0, &g.freeze()));
         assert_eq!(v0.epoch(), 0);
 
         let mut d = GraphDelta::new();
@@ -449,7 +418,7 @@ mod tests {
         assert!(v0.graph().labels().get("c").is_none());
         assert_same_graph(v0.graph(), &rebuild_oracle(v0.graph()));
 
-        // A fresh freeze sees the new epoch; the memo was invalidated.
+        // A fresh freeze sees the new epoch.
         let v1 = g.freeze();
         assert!(!Arc::ptr_eq(&v0, &v1));
         assert_eq!(v1.epoch(), 1);

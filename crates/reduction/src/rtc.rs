@@ -461,18 +461,16 @@ impl<'g> Product<'g> {
     /// The layer-0 nodes some hop leaves, ascending: every vertex when the
     /// body is nullable.
     fn roots(&self) -> Vec<u32> {
-        let mut leaves = Cover::new(self.n as usize);
-        for &(label, _) in &self.hops[0] {
-            let Some(label) = label else {
-                return (0..self.n).collect();
-            };
-            for &(s, _) in self.graph.edges_with_label(label) {
-                leaves.insert(s.raw());
-            }
+        let labels: Option<Vec<LabelId>> = self.hops[0].iter().map(|&(label, _)| label).collect();
+        match labels {
+            Some(labels) => self
+                .graph
+                .sources_with_labels(labels)
+                .into_iter()
+                .map(VertexId::raw)
+                .collect(),
+            None => (0..self.n).collect(),
         }
-        let mut roots = Vec::new();
-        leaves.drain_ascending(|v| roots.push(v));
-        roots
     }
 
     /// Out-neighbours of node `u`.

@@ -141,7 +141,8 @@ impl Response {
     /// the text-only startup path).
     pub fn render(&self) -> String {
         let mut out = Vec::new();
-        self.write_to(&mut out).expect("Vec sink cannot fail");
+        // Writing into a `Vec` cannot fail: the `Err` arm never occurs.
+        let _ = self.write_to(&mut out);
         String::from_utf8_lossy(&out).into_owned()
     }
 }

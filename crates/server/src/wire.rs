@@ -35,7 +35,8 @@ pub const BIN_HEADER: &str = "RESULT-BIN";
 pub const BYTES_PER_PAIR: usize = 8;
 
 /// An encoded binary result: a frame body held in memory, for clients and
-/// tests. The server streams its frames instead ([`write_frame`]).
+/// tests. The server streams its frames instead
+/// ([`crate::reply::Response::write_to`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryResult {
     /// Number of pairs encoded in [`BinaryResult::bytes`].

@@ -126,7 +126,7 @@ fn warm_evaluation_takes_one_hit_per_planned_batch_unit() {
     for strategy in [Strategy::RtcSharing, Strategy::FullSharing] {
         for (src, units) in cases {
             let q = Regex::parse(src).unwrap();
-            assert_eq!(explain(&q).unwrap().batch_unit_count(), units, "{src}");
+            assert_eq!(explain(&q).unwrap().bodies().len(), units, "{src}");
             let engine = Engine::with_strategy(&g, strategy);
             let cold = engine.evaluate(&q).unwrap();
             let (hits, misses) = (engine.cache().hits(), engine.cache().misses());
@@ -148,7 +148,7 @@ fn explain_renders_paper_recursion_tree() {
     let text = plan.to_string();
     assert!(text.contains("(a.b+.c)+"), "{text}");
     assert!(text.contains("(a.b)*.b+"), "{text}");
-    assert_eq!(plan.batch_unit_count(), 3);
+    assert_eq!(plan.bodies().len(), 3);
 }
 
 /// Theorem 2 on random bare closures: the general Algorithm-2 join with
