@@ -6,7 +6,9 @@
 //!
 //! * **Flat** — a sorted, duplicate-free vector of `(start, end)` pairs:
 //!   `O(log n)` membership by binary search, linear-time merge union (the
-//!   `∪` of Algorithm 1 line 13), grouping by start for free.
+//!   `∪` of Algorithm 1 line 13), grouping by start for free. The merge is
+//!   the one sorted in-place merge sparse [`RowSet`] rows use, and a union
+//!   of mixed backings is a flat union through it.
 //! * **Grouped** — a sorted vector of start vertices, each owning an
 //!   [`Arc<RowSet>`] of its end vertices. This is the shape closure
 //!   expansion produces naturally (Theorem 1: every member of an SCC shares
@@ -23,7 +25,7 @@
 //! algebraic oracle's fixpoint), and composition (Lemma 4's join).
 
 use crate::ids::VertexId;
-use crate::rowset::{RowIter, RowSet};
+use crate::rowset::{union_sorted_in_place, RowIter, RowSet};
 use rustc_hash::FxHashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -188,10 +190,11 @@ impl PairSet {
         })
     }
 
-    /// Set union. Flat∪flat is the classic linear merge; grouped∪grouped
-    /// merges per start — rows present on one side are `Arc`-shared, and
-    /// collisions union word-parallel when dense. Mixed backings fall back
-    /// to a pair merge over both iterators.
+    /// Set union. Grouped∪grouped merges per start — rows present on one
+    /// side are `Arc`-shared, and collisions union word-parallel when
+    /// dense. Any other pair of backings gives a flat result, allocated once
+    /// at `self.len() + other.len()` pairs: `self`'s pairs, with `other`'s
+    /// merged in by the one sorted merge that sparse rows use.
     pub fn union(&self, other: &PairSet) -> PairSet {
         if self.is_empty() {
             return other.clone();
@@ -199,45 +202,17 @@ impl PairSet {
         if other.is_empty() {
             return self.clone();
         }
-        match (&self.repr, &other.repr) {
-            (Repr::Grouped(a), Repr::Grouped(b)) => PairSet::from_grouped_rows(union_grouped(a, b)),
-            _ => {
-                let mut out = Vec::with_capacity(self.len() + other.len());
-                let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
-                loop {
-                    match (a.peek(), b.peek()) {
-                        (Some(&x), Some(&y)) => {
-                            use std::cmp::Ordering::*;
-                            match x.cmp(&y) {
-                                Less => {
-                                    out.push(x);
-                                    a.next();
-                                }
-                                Greater => {
-                                    out.push(y);
-                                    b.next();
-                                }
-                                Equal => {
-                                    out.push(x);
-                                    a.next();
-                                    b.next();
-                                }
-                            }
-                        }
-                        (Some(_), None) => {
-                            out.extend(a.by_ref());
-                            break;
-                        }
-                        (None, _) => {
-                            out.extend(b.by_ref());
-                            break;
-                        }
-                    }
-                }
-                PairSet {
-                    repr: Repr::Flat(out),
-                }
-            }
+        if let (Repr::Grouped(a), Repr::Grouped(b)) = (&self.repr, &other.repr) {
+            return PairSet::from_grouped_rows(union_grouped(a, b));
+        }
+        let mut out = Vec::with_capacity(self.len() + other.len());
+        out.extend(self.iter());
+        match &other.repr {
+            Repr::Flat(pairs) => union_sorted_in_place(&mut out, pairs),
+            Repr::Grouped(_) => union_sorted_in_place(&mut out, &other.iter().collect::<Vec<_>>()),
+        };
+        PairSet {
+            repr: Repr::Flat(out),
         }
     }
 
@@ -257,7 +232,9 @@ impl PairSet {
             return;
         }
         match (&mut self.repr, &other.repr) {
-            (Repr::Flat(dst), Repr::Flat(src)) => union_pairs_in_place(dst, src),
+            (Repr::Flat(dst), Repr::Flat(src)) => {
+                union_sorted_in_place(dst, src);
+            }
             (Repr::Grouped(a), Repr::Grouped(b)) => {
                 *self = PairSet::from_grouped_rows(union_grouped(a, b));
             }
@@ -332,47 +309,6 @@ impl PairSet {
                         .sum::<usize>()
             }
         }
-    }
-}
-
-/// Merges sorted unique `src` into sorted unique `dst` in place: counts
-/// the missing pairs, extends once, merges backward.
-fn union_pairs_in_place(dst: &mut Vec<(VertexId, VertexId)>, src: &[(VertexId, VertexId)]) {
-    let mut fresh = 0usize;
-    {
-        let mut i = 0;
-        for &x in src {
-            while i < dst.len() && dst[i] < x {
-                i += 1;
-            }
-            if i >= dst.len() || dst[i] != x {
-                fresh += 1;
-            }
-        }
-    }
-    if fresh == 0 {
-        return;
-    }
-    let old_len = dst.len();
-    dst.resize(old_len + fresh, (VertexId(0), VertexId(0)));
-    let (mut i, mut j, mut w) = (old_len, src.len(), dst.len());
-    while j > 0 {
-        if i > 0 && dst[i - 1] > src[j - 1] {
-            dst[w - 1] = dst[i - 1];
-            i -= 1;
-        } else {
-            if i > 0 && dst[i - 1] == src[j - 1] {
-                i -= 1;
-            }
-            dst[w - 1] = src[j - 1];
-            j -= 1;
-        }
-        w -= 1;
-    }
-    while i > 0 {
-        dst[w - 1] = dst[i - 1];
-        i -= 1;
-        w -= 1;
     }
 }
 

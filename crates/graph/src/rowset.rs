@@ -12,7 +12,10 @@
 //! The operations are the ones closure building and expansion use:
 //! construction (sorted, unsorted, dense), membership, `insert`, ascending
 //! iteration, union (pairwise, in place and [`RowSet::union_all`]) and the
-//! layout moves (`normalize`, `promote`, `demote`).
+//! layout moves (`normalize`, `promote`, `demote`). Each kernel is written
+//! once: `union_sorted_in_place` is the one sorted merge, called by sparse
+//! rows and by [`crate::PairSet`]'s flat pairs; a dense row sets and counts
+//! an id in one insert and walks its bits ascending in [`RowIter`].
 //!
 //! A [`Cover`] is the engine's one scratch id set: bitset words over a
 //! fixed universe that ids or whole rows are OR-ed into (a dense row 64
@@ -73,20 +76,27 @@ impl DenseRow {
         self.len = self.words.iter().map(|w| w.count_ones()).sum();
     }
 
+    /// Sets `id`'s bit, growing the words to hold it, and counts it;
+    /// returns whether it was new.
+    fn insert(&mut self, id: u32) -> bool {
+        self.grow_to(Self::word_of(id) + 1);
+        let w = &mut self.words[Self::word_of(id)];
+        let mask = Self::mask_of(id);
+        if *w & mask != 0 {
+            return false;
+        }
+        *w |= mask;
+        self.len += 1;
+        true
+    }
+
     /// Set bits ascending.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    Some(wi as u32 * 64 + b)
-                }
-            })
-        })
+    fn iter(&self) -> RowIter<'_> {
+        RowIter::Dense {
+            words: &self.words,
+            word_idx: 0,
+            bits: self.words.first().copied().unwrap_or(0),
+        }
     }
 }
 
@@ -212,18 +222,7 @@ impl RowSet {
                     true
                 }
             },
-            RowSet::Dense(d) => {
-                d.grow_to(DenseRow::word_of(id) + 1);
-                let w = &mut d.words[DenseRow::word_of(id)];
-                let mask = DenseRow::mask_of(id);
-                if *w & mask != 0 {
-                    false
-                } else {
-                    *w |= mask;
-                    d.len += 1;
-                    true
-                }
-            }
+            RowSet::Dense(d) => d.insert(id),
         }
     }
 
@@ -231,11 +230,7 @@ impl RowSet {
     pub fn iter(&self) -> RowIter<'_> {
         match self {
             RowSet::Sparse(v) => RowIter::Sparse(v.iter()),
-            RowSet::Dense(d) => RowIter::Dense {
-                words: &d.words,
-                word_idx: 0,
-                bits: d.words.first().copied().unwrap_or(0),
-            },
+            RowSet::Dense(d) => d.iter(),
         }
     }
 
@@ -275,18 +270,7 @@ impl RowSet {
                 changed
             }
             (RowSet::Dense(d), RowSet::Sparse(o)) => {
-                let mut changed = false;
-                for &id in o {
-                    d.grow_to(DenseRow::word_of(id) + 1);
-                    let w = &mut d.words[DenseRow::word_of(id)];
-                    let mask = DenseRow::mask_of(id);
-                    if *w & mask == 0 {
-                        *w |= mask;
-                        d.len += 1;
-                        changed = true;
-                    }
-                }
-                changed
+                o.iter().fold(false, |changed, &id| d.insert(id) | changed)
             }
             (RowSet::Sparse(_), RowSet::Dense(_)) => {
                 let universe = self.max().max(other.max()).map_or(0, |m| m + 1);
@@ -372,10 +356,12 @@ impl RowSet {
     }
 }
 
-/// Merges sorted `other` into sorted `dst` **in place**: counts the
-/// elements of `other` missing from `dst`, extends once, and merges
-/// backward so no scratch vector is allocated. Returns whether `dst` grew.
-fn union_sorted_in_place(dst: &mut Vec<u32>, other: &[u32]) -> bool {
+/// The one sorted merge: merges strictly ascending `other` into strictly
+/// ascending `dst` **in place**. Sparse rows merge their ids through it and
+/// [`crate::PairSet`]'s flat backing its pairs. It counts the elements of
+/// `other` missing from `dst`, extends once, and merges backward so no
+/// scratch vector is allocated. Returns whether `dst` grew.
+pub(crate) fn union_sorted_in_place<T: Copy + Ord>(dst: &mut Vec<T>, other: &[T]) -> bool {
     debug_assert!(dst.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(other.windows(2).all(|w| w[0] < w[1]));
     // Count how many of `other`'s elements are new.
@@ -395,7 +381,8 @@ fn union_sorted_in_place(dst: &mut Vec<u32>, other: &[u32]) -> bool {
         return false;
     }
     let old_len = dst.len();
-    dst.resize(old_len + fresh, 0);
+    // `fresh > 0`, so `other[0]` exists; the merge overwrites the filler.
+    dst.resize(old_len + fresh, other[0]);
     // Backward merge: read cursors at the old ends, write cursor at the new.
     let (mut i, mut j, mut w) = (old_len, other.len(), dst.len());
     while j > 0 {

@@ -2,6 +2,7 @@
 //! invariants, on inputs drawn by the test kit.
 
 use rand::rngs::StdRng;
+use rand::Rng;
 use rpq_testkit::{
     assert_equivalent, check, random_ids, relation, run, scenario, Axes, Reader, Shape, Step,
 };
@@ -10,6 +11,8 @@ use rtc_rpq::eval::algebraic::plus_closure;
 use rtc_rpq::graph::{Ends, PairSet, RowSet, SccId, VertexId};
 use rtc_rpq::reduction::{FullTc, Rtc};
 use rtc_rpq::regex::Regex;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 fn set(pairs: &[(u32, u32)]) -> PairSet {
     pairs.iter().copied().collect()
@@ -17,16 +20,53 @@ fn set(pairs: &[(u32, u32)]) -> PairSet {
 
 // ---------- PairSet algebra ----------
 
-/// Union is commutative, associative and idempotent.
+/// The relation of `pairs` with the grouped backing: one row per start.
+fn grouped(pairs: &[(u32, u32)]) -> PairSet {
+    let mut rows: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for &(s, e) in pairs {
+        rows.entry(s).or_default().push(e);
+    }
+    let rows = rows
+        .into_iter()
+        .map(|(s, ends)| (VertexId(s), Arc::new(RowSet::from_unsorted(ends))));
+    PairSet::from_grouped_rows(rows.collect())
+}
+
+/// Union is commutative, associative and idempotent over every pair of
+/// backings (bit `i` of the drawn mask makes operand `i` grouped), and
+/// both forms of it are the union of the pairs: grouped exactly when both
+/// non-empty sides are.
 #[test]
 fn pairset_union_laws() {
     let rel = relation(16, 30);
-    let draw = |r: &mut StdRng| (rel(r), rel(r), rel(r));
-    check(0x01, 64, draw, |(a, b, c)| {
-        let (a, b, c) = (set(a), set(b), set(c));
-        assert_eq!(a.union(&b), b.union(&a));
-        assert_eq!(a.union(&b).union(&c), a.union(&b.union(&c)));
-        assert_eq!(a.union(&a), a);
+    let draw = |r: &mut StdRng| (rel(r), rel(r), rel(r), r.gen_range(0..8u8));
+    check(0x01, 64, draw, |(a, b, c, mask)| {
+        let backed = |i: u8, pairs: &[(u32, u32)]| {
+            let s = if (mask >> i) & 1 == 1 {
+                grouped(pairs)
+            } else {
+                set(pairs)
+            };
+            assert_eq!(s, set(pairs));
+            s
+        };
+        let (sa, sb, sc) = (backed(0, a), backed(1, b), backed(2, c));
+        assert_eq!(sa.union(&sb), sb.union(&sa));
+        assert_eq!(sa.union(&sb).union(&sc), sa.union(&sb.union(&sc)));
+        assert_eq!(sa.union(&sa), sa);
+        for (x, y, xs, ys) in [(&sa, &sb, a, b), (&sb, &sc, b, c), (&sc, &sa, c, a)] {
+            let want: BTreeSet<(u32, u32)> = xs.iter().chain(ys).copied().collect();
+            let mut in_place = x.clone();
+            in_place.union_in_place(y);
+            for u in [x.union(y), in_place] {
+                let got: Vec<(u32, u32)> = u.iter().map(|(s, e)| (s.raw(), e.raw())).collect();
+                assert!(got.iter().eq(want.iter()), "{x:?} ∪ {y:?} = {u:?}");
+                assert_eq!(u.len(), want.len());
+                if !x.is_empty() && !y.is_empty() {
+                    assert_eq!(u.is_grouped(), x.is_grouped() && y.is_grouped());
+                }
+            }
+        }
     });
 }
 
@@ -101,11 +141,13 @@ fn rowset_dense_equals_sparse() {
             let mut u = x.clone();
             assert_eq!(u.union_in_place(y), union != x.to_vec());
             assert_eq!(u.to_vec(), union);
-            // So does element-wise insertion.
+            assert_eq!(u.len(), union.len());
+            // So does element-wise insertion, and its cached count.
             let mut i = x.clone();
             let changed = y.iter().fold(false, |c, id| i.insert(id) | c);
             assert_eq!(changed, union != x.to_vec());
             assert_eq!(i.to_vec(), union);
+            assert_eq!(i.len(), union.len());
         }
     });
 }
